@@ -286,11 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         "explanations for transparent classifiers; generate reduction "
         "instances as benchmark gadgets.",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized test-data generation; "
-                        "algorithmic outputs do not depend on it")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker cap (results never depend on it)")
     parser.add_argument("--quiet", action="store_true", help="suppress timing")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -373,6 +368,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ModelError, CapExceeded, OSError, json.JSONDecodeError, KeyError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # a crash must not read as exit 1, "false"
+        detail = " ".join(str(exc).split())
+        print(f"error: unexpected {type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_ERROR
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     if not args.quiet:

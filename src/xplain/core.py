@@ -478,19 +478,23 @@ def _table(model, n: int) -> int:
 
 def is_normalized(t: DecisionTree) -> bool:
     """Does no root-to-leaf path test a feature twice?"""
-
-    def rec(i: int, on_path: set[int]) -> bool:
+    path: list[int] = []  # features tested above the node being visited
+    on_path: set[int] = set()
+    stack = [(t.root, 0)]  # (node, its depth)
+    while stack:
+        i, depth = stack.pop()
         node = t.nodes[i]
         if isinstance(node, Leaf):
-            return True
+            continue
+        while len(path) > depth:
+            on_path.discard(path.pop())
         if node.feature in on_path:
             return False
+        path.append(node.feature)
         on_path.add(node.feature)
-        ok = rec(node.lo, on_path) and rec(node.hi, on_path)
-        on_path.discard(node.feature)
-        return ok
-
-    return rec(t.root, set())
+        stack.append((node.hi, depth + 1))
+        stack.append((node.lo, depth + 1))
+    return True
 
 
 def normalize_dt(t: DecisionTree) -> DecisionTree:
@@ -498,30 +502,42 @@ def normalize_dt(t: DecisionTree) -> DecisionTree:
 
     A repeated test is rerouted to the child consistent with the earlier
     decision, so the leaf count never grows.  Trees without repeats are
-    returned unchanged.
+    returned unchanged.  The walk is iterative (deep trees do not exhaust
+    the call stack) and emits the arena in post-order, 0-child first.
     """
     if is_normalized(t):
         return t
     nodes: list[DTNode] = []
-
-    def build(i: int, assigned: dict[int, int]) -> int:
+    built: list[int] = []  # arena indices of finished subtrees
+    assigned: dict[int, int] = {}
+    # (node, stage): 0 enter, 1 after the 0-child, 2 after the 1-child
+    stack = [(t.root, 0)]
+    while stack:
+        i, stage = stack.pop()
         node = t.nodes[i]
         if isinstance(node, Leaf):
             nodes.append(Leaf(node.label))
-            return len(nodes) - 1
+            built.append(len(nodes) - 1)
+            continue
         f = node.feature
-        if f in assigned:
-            return build(node.hi if assigned[f] else node.lo, assigned)
-        assigned[f] = 0
-        lo = build(node.lo, assigned)
-        assigned[f] = 1
-        hi = build(node.hi, assigned)
-        del assigned[f]
-        nodes.append(Split(f, lo, hi))
-        return len(nodes) - 1
-
-    root = build(t.root, {})
-    out = DecisionTree(t.universe, tuple(nodes), root, t.order)
+        if stage == 0:
+            if f in assigned:
+                stack.append((node.hi if assigned[f] else node.lo, 0))
+                continue
+            assigned[f] = 0
+            stack.append((i, 1))
+            stack.append((node.lo, 0))
+        elif stage == 1:
+            assigned[f] = 1
+            stack.append((i, 2))
+            stack.append((node.hi, 0))
+        else:
+            del assigned[f]
+            hi = built.pop()
+            lo = built.pop()
+            nodes.append(Split(f, lo, hi))
+            built.append(len(nodes) - 1)
+    out = DecisionTree(t.universe, tuple(nodes), built.pop(), t.order)
     assert out.leaf_count() <= t.leaf_count()
     return out
 

@@ -11,9 +11,12 @@ inputs are normalized on entry, callers keep their raw trees.
 * minimum local contrastive explanations in polynomial time: for every leaf
   of the opposite class, the features on its path that disagree with the
   target example form a contrastive set; a smallest one is a global minimum.
-* bounded-cardinality search: enumerate candidate subsets by increasing size
-  (and, for global kinds, every assignment of the subset) and verify each
-  with the tree fast path.
+* bounded-cardinality search: one hitting-set engine over leaf paths.  Each
+  offending leaf contributes a row of the literals that conflict its path;
+  every literal carries a bitmask of the rows it meets, so extending a
+  candidate is one AND-NOT on the int of live rows.  The search grows
+  literal sets breadth-first by size (one memo per size) and returns the
+  first minimum in the oracle's enumeration order.
 * ensemble-to-tree product: graft a copy of each successive tree onto every
   leaf, then relabel leaves with the majority of the votes collected along
   their path.
@@ -21,7 +24,6 @@ inputs are normalized on entry, callers keep their raw trees.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Optional, Union
 
 from .config import CapExceeded
@@ -44,19 +46,19 @@ CardWitness = Union[frozenset, PartialExample, None]
 def leaf_assignments(t: DecisionTree) -> list[tuple[int, dict[int, int]]]:
     """(leaf node index, path assignment) in depth-first, 0-child-first order."""
     out: list[tuple[int, dict[int, int]]] = []
-
-    def walk(i: int, assigned: dict[int, int]) -> None:
+    path: list[tuple[int, int]] = []  # (feature, bit) from the root down
+    stack: list[tuple[int, int, Optional[tuple[int, int]]]] = [(t.root, 0, None)]
+    while stack:
+        i, depth, literal = stack.pop()  # depth = literals on the node's path
+        if literal is not None:
+            del path[depth - 1:]
+            path.append(literal)
         node = t.nodes[i]
         if isinstance(node, Leaf):
-            out.append((i, dict(assigned)))
-            return
-        assigned[node.feature] = 0
-        walk(node.lo, assigned)
-        assigned[node.feature] = 1
-        walk(node.hi, assigned)
-        del assigned[node.feature]
-
-    walk(t.root, {})
+            out.append((i, dict(path)))
+            continue
+        stack.append((node.hi, depth + 1, (node.feature, 1)))
+        stack.append((node.lo, depth + 1, (node.feature, 0)))
     return out
 
 
@@ -136,38 +138,106 @@ def lcxp_subset_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
     return None
 
 
-def card_xp_search(t: DecisionTree, kind: str, target, k: int) -> CardWitness:
-    """First witness of size <= k in deterministic enumeration order, or None.
+def _min_literal_hitting_set(
+    n: int, rows: list[list[tuple[int, int]]], k: int
+) -> Optional[list[tuple[int, int]]]:
+    """Smallest consistent literal set of size <= k meeting every row.
 
-    Subsets are enumerated by increasing cardinality and lexicographically
-    within one cardinality; for the global kinds every assignment of the
-    subset is tried (ascending as binary counters).  Each candidate is checked
-    with the tree fast path.
+    Each row is a list of literals ``(feature, bit)``; a set meets a row when
+    it contains one of the row's literals, and is consistent when it assigns
+    each feature at most once.  Among the smallest such sets the first in
+    ``card_xp_search`` order is returned (ascending feature tuple, then the
+    assignment read as a binary counter whose lowest bit is the lowest
+    feature), sorted by feature; None when every such set is larger than k.
+
+    Literal ``(f, b)`` is bit ``f + b * n`` of a literal-set mask, and has a
+    kill mask: the rows it meets.  Live rows are one int, so taking a literal
+    costs one AND-NOT.  The search is breadth-first by set size: level d holds
+    each distinct literal set of size d that the branching reaches, keyed by
+    its mask (the per-level memo), and a set is extended only by the literals
+    of its lowest live row whose feature it leaves unassigned.  Every smallest
+    solution is reached this way, so the first level holding a solution is
+    finished and its least solution returned.  Level k keeps only solutions:
+    nothing larger is ever asked for.
+    """
+    kill: dict[int, int] = {}
+    for r, row in enumerate(rows):
+        for f, b in row:
+            lit = f + b * n
+            kill[lit] = kill.get(lit, 0) | (1 << r)
+    # per row: (literal bit, its kill mask, the bits of both its feature's literals)
+    options = [
+        [(1 << (f + b * n), kill[f + b * n], 1 << f | 1 << (f + n)) for f, b in row]
+        for row in rows
+    ]
+    level = {0: (1 << len(rows)) - 1}  # literal set -> rows it does not meet
+    for size in range(k + 1):
+        solved = [lits for lits, live in level.items() if not live]
+        if solved:
+            return min((_decode_literals(lits, n) for lits in solved), key=_card_order)
+        if size == k or not level:
+            break
+        last = size + 1 == k  # children must meet every row: keep only those
+        deeper: dict[int, int] = {}
+        for lits, live in level.items():
+            for lit, killed, feature in options[(live & -live).bit_length() - 1]:
+                if not lits & feature:  # the feature is still unassigned
+                    rest = live & ~killed
+                    if not (last and rest):
+                        deeper[lits | lit] = rest
+        level = deeper
+    return None
+
+
+def _decode_literals(lits: int, n: int) -> list[tuple[int, int]]:
+    """The (feature, bit) pairs of a literal-set mask, by feature."""
+    return [
+        (f, lits >> (f + n) & 1) for f in range(n) if (lits >> f | lits >> (f + n)) & 1
+    ]
+
+
+def _card_order(assignment: list[tuple[int, int]]) -> tuple:
+    return (
+        tuple(f for f, _ in assignment),
+        sum(b << j for j, (_, b) in enumerate(assignment)),
+    )
+
+
+def card_xp_search(t: DecisionTree, kind: str, target, k: int) -> CardWitness:
+    """Smallest explanation of size <= k, or None when every one is larger.
+
+    On a normalized tree each kind is a hitting-set problem over leaf paths
+    (Ignatiev et al., "From Contrastive to Abductive Explanations and Back
+    Again", 2020): a ``gaxp``/``gcxp`` candidate must conflict the path of
+    every offending leaf (of class 1 - c, of class c), a ``laxp`` feature set
+    must meet every conflict set of the target example.  One row per
+    offending leaf goes to ``_min_literal_hitting_set``.  The witness is the
+    first minimum in the oracle's enumeration order: feature subsets
+    lexicographically, for the global kinds each subset's assignments as
+    ascending binary counters.  The search visits only consistent literal
+    sets of size <= k, each at most once, and never walks the tree.
     """
     if kind not in ("laxp", "gaxp", "gcxp"):
         raise ModelError(f"card_xp_search does not handle {kind!r}")
     if k < 0:
         raise ModelError("k must be nonnegative")
-    from .verify import _reachable_has_label
-
     t = normalize_dt(t)
     n = len(t.universe)
     if kind == "laxp":
-        bad = 1 - classify(t, target)
+        rows = [[(f, target.bits[f]) for f in d] for d in _conflict_sets(t, target)]
     else:
         bad = 1 - target if kind == "gaxp" else target
-    for size in range(min(k, n) + 1):
-        for subset in combinations(range(n), size):
-            if kind == "laxp":
-                assigned = {f: target.bits[f] for f in subset}
-                if not _reachable_has_label(t, assigned, bad):
-                    return frozenset(subset)
-                continue
-            for m in range(1 << size):
-                assigned = {f: (m >> j) & 1 for j, f in enumerate(subset)}
-                if not _reachable_has_label(t, assigned, bad):
-                    return PartialExample(t.universe, tuple(assigned.items()))
-    return None
+        rows = [
+            [(f, 1 - b) for f, b in assigned.items()]
+            for i, assigned in leaf_assignments(t)
+            if t.nodes[i].label == bad
+        ]
+    found = _min_literal_hitting_set(n, rows, k)
+    if found is None:
+        return None
+    if kind == "laxp":
+        return frozenset(f for f, _ in found)
+    return PartialExample(t.universe, tuple(found))
 
 
 def product_dt(ens: Ensemble, max_leaves: int = 1_000_000) -> DecisionTree:

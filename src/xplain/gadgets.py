@@ -43,6 +43,7 @@ from .core import (
     measure,
     respects_order,
 )
+from .explain_dt import card_xp_search
 from .explain_rules import lcxp_card_enum
 from .verify import hom_check, oracle_min, phom_check
 
@@ -137,8 +138,9 @@ class GadgetInstance:
 
 
 def answer_query(model, q: Query, caps: BruteCaps = DEFAULT_CAPS) -> bool:
-    """Answer a gadget query by brute force (oracle scale).  Large ordered
-    trees fall back to exact bounded search instead of full enumeration."""
+    """Answer a gadget query by brute force (oracle scale).  Global queries
+    on trees above the oracle cap go to the exact hitting-set search of
+    ``global_budget_search_dt`` instead, exponential in the budget k only."""
     if q.kind == "hom":
         return hom_check(model, caps)
     if q.kind == "phom":
@@ -162,54 +164,12 @@ def answer_query(model, q: Query, caps: BruteCaps = DEFAULT_CAPS) -> bool:
 def global_budget_search_dt(
     t: DecisionTree, kind: str, c: int, k: int
 ) -> Optional[PartialExample]:
-    """Exact bounded search for a small global explanation on a tree.
-
-    A partial example forces class c (or forbids it, for the contrastive
-    kind) exactly when it conflicts the path assignment of every leaf of the
-    other class (of class c).  Branch over the ways to conflict some
-    still-reachable offending leaf: at most depth-many choices, at most k
-    deep.  Equivalent to the exhaustive search, exponentially cheaper when k
-    is small.
-    """
+    """Smallest global explanation of size <= k on a tree, or None: the
+    global kinds of ``explain_dt.card_xp_search`` (a hitting-set search over
+    leaf paths, exponential in k only)."""
     if kind not in ("gaxp", "gcxp"):
         raise ModelError("budget search handles the global kinds")
-    from .explain_dt import leaf_assignments
-    from .core import normalize_dt
-
-    t = normalize_dt(t)
-    bad = 1 - c if kind == "gaxp" else c
-    offending = [
-        assigned for i, assigned in leaf_assignments(t) if t.nodes[i].label == bad
-    ]
-
-    def search(tau: dict[int, int]) -> Optional[dict[int, int]]:
-        alive = next(
-            (
-                a
-                for a in offending
-                if all(tau.get(f, b) == b for f, b in a.items())
-            ),
-            None,
-        )
-        if alive is None:
-            return dict(tau)
-        if len(tau) >= k:
-            return None
-        best: Optional[dict[int, int]] = None
-        for f, b in sorted(alive.items()):
-            if f in tau:
-                continue
-            tau[f] = 1 - b
-            found = search(tau)
-            del tau[f]
-            if found is not None and (best is None or len(found) < len(best)):
-                best = found
-        return best
-
-    found = search({})
-    if found is None:
-        return None
-    return PartialExample(t.universe, tuple(found.items()))
+    return card_xp_search(t, kind, c, k)
 
 
 # ---------------------------------------------------------------------------

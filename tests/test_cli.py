@@ -246,6 +246,66 @@ def test_unknown_model_tag_is_an_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"universe": ["a"], "model": {"dt": {"nodes": [5]}}},
+        {"universe": ["a"], "model": {"ds": {"terms": 3, "default": 0}}},
+    ],
+    ids=["tree-node-not-an-object", "set-terms-not-a-list"],
+)
+def test_wrongly_typed_document_is_an_error(doc, capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["--quiet", "params", "--model", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _deep_path_tree_doc(depth: int, n: int) -> dict:
+    """A path of ``depth`` tests of x(j mod n): a 0 ends in a class-0 leaf, a
+    1 goes on to the next test, and the last test's 1-child is a class-1
+    leaf.  The class is 1 exactly when x0..x(n-1) are all 1 (with n < depth
+    the later tests repeat features that are already 1 on the path)."""
+    nodes: list[dict] = []
+    for j in range(depth):  # test j at 2j, its 0-leaf at 2j + 1
+        nodes.append({"test": f"x{j % n}", "if0": 2 * j + 1, "if1": 2 * j + 2})
+        nodes.append({"leaf": 0})
+    nodes.append({"leaf": 1})
+    return {"universe": [f"x{i}" for i in range(n)],
+            "model": {"dt": {"root": 0, "nodes": nodes}}}
+
+
+@pytest.mark.parametrize("n", [1500, 20], ids=["distinct-features", "repeated-features"])
+def test_deep_path_tree_is_answered(n, capsys, tmp_path):
+    model = tmp_path / "deep.json"
+    model.write_text(json.dumps(_deep_path_tree_doc(1500, n)))
+    names = [f"x{i}" for i in range(n)]
+    example = tmp_path / "e.json"
+    example.write_text(json.dumps({"assign": {f: 1 for f in names}}))  # class 1
+    candidate = tmp_path / "cand.json"
+    candidate.write_text(json.dumps({"features": names}))
+    common = ["--model", str(model)]
+
+    # flipping x0 alone reaches the first class-0 leaf
+    code, payload = run(capsys, ["explain", *common, "--kind", "lcxp", "--min", "card",
+                                 "--example", str(example)])
+    assert (code, payload) == (0, {"size": 1, "witness": ["x0"]})
+    # any single 0 forces class 0; class 1 needs all n features set
+    code, payload = run(capsys, ["explain", *common, "--kind", "gaxp", "--min", "card",
+                                 "--k", "2", "--class", "0"])
+    assert (code, payload) == (0, {"size": 1, "witness": {"x0": 0}})
+    code, payload = run(capsys, ["explain", *common, "--kind", "gaxp", "--min", "card",
+                                 "--k", "2", "--class", "1"])
+    assert (code, payload) == (3, {"size": None, "witness": None})
+    code, payload = run(capsys, ["verify", *common, "--kind", "laxp",
+                                 "--example", str(example), "--candidate", str(candidate)])
+    assert (code, payload) == (0, {"result": True})
+
+
 def test_model_round_trip(files):
     _, model, _ = files
     dl = load_model_file(model)

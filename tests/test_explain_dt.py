@@ -175,6 +175,55 @@ class TestCardSearch:
                 if expected[0] > 0:
                     assert x.card_xp_search(t, kind, target, expected[0] - 1) is None
 
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 6),
+        depth=st.integers(1, 7),
+        k=st.integers(0, 7),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_witness_equals_oracle_within_budget(self, seed, n, depth, k):
+        # depth may exceed n, so paths often repeat a feature
+        rng = Random(seed)
+        u = random_universe(rng, n)
+        t = random_dt(rng, u, max_depth=depth)
+        e = random_example(rng, u)
+        c = rng.randint(0, 1)
+        for kind, target in (("laxp", e), ("gaxp", c), ("gcxp", c)):
+            expected = x.oracle_min(t, kind, target)
+            within = expected is not None and expected[0] <= k
+            assert x.card_xp_search(t, kind, target, k) == (
+                expected[1] if within else None
+            )
+
+    def test_ties_break_towards_the_first_subset(self):
+        # a ? (c ? 1 : 0) : (b ? 0 : 1); class-0 gaxp solutions of size 2:
+        # {a=0, b=1}, {a=1, c=0} and {b=1, c=0}
+        u = x.universe("a", "b", "c")
+        t = x.DecisionTree(u, (
+            x.Split(0, 1, 4),
+            x.Split(1, 2, 3), x.Leaf(1), x.Leaf(0),
+            x.Split(2, 5, 6), x.Leaf(0), x.Leaf(1),
+        ))
+        assert x.card_xp_search(t, "gaxp", 0, 1) is None
+        found = x.card_xp_search(t, "gaxp", 0, 2)
+        assert found == x.PartialExample(u, ((0, 0), (1, 1)))
+        assert found == x.oracle_min(t, "gaxp", 0)[1]
+
+    def test_ties_on_one_subset_break_by_binary_counter(self):
+        # a xor b: both class-1 solutions assign {a, b}; the counter with a
+        # as its lowest bit puts a=1, b=0 (1) before a=0, b=1 (2)
+        u = x.universe("a", "b")
+        t = x.DecisionTree(u, (
+            x.Split(0, 1, 4),
+            x.Split(1, 2, 3), x.Leaf(0), x.Leaf(1),
+            x.Split(1, 5, 6), x.Leaf(1), x.Leaf(0),
+        ))
+        found = x.card_xp_search(t, "gaxp", 1, 2)
+        assert found == x.PartialExample(u, ((0, 1), (1, 0)))
+        assert found == x.oracle_min(t, "gaxp", 1)[1]
+        assert x.card_xp_search(t, "gaxp", 0, 2) == x.PartialExample(u, ((0, 0), (1, 0)))
+
 
 class TestProduct:
     def test_singleton(self):
