@@ -25,6 +25,7 @@ from .core import (
     measure,
     normalize_dt,
     respects_order,
+    subcube_table,
     truth_table,
     universe,
 )

@@ -45,8 +45,9 @@ from .core import (
     ModelError,
     PartialExample,
     counter_ge,
-    feature_column,
     normalize_dt,
+    subcube_table,
+    truth_table,
 )
 
 IN, AND, OR, NOT, MAJ = "IN", "AND", "OR", "NOT", "MAJ"
@@ -142,13 +143,19 @@ def eval_circuit(circuit: Circuit, e: Example) -> int:
     return val[circuit.output]
 
 
-def circuit_table(circuit: Circuit, n: int) -> int:
-    """Truth table of the output over all 2**n universe assignments."""
-    full = (1 << (1 << n)) - 1
-    val = [0] * len(circuit.gates)
-    for i, g in enumerate(circuit.gates):
+def gate_table(circuit: Circuit, cols: Sequence[int], full: int) -> int:
+    """Output table over the positions of ``full``, gate by gate in
+    topological order; IN gates read ``cols[feature]``.  A gate's table is
+    dropped after its last reader, so only the live frontier is held."""
+    gates = circuit.gates
+    last = list(range(len(gates)))  # the last gate reading each gate
+    for i, g in enumerate(gates):
+        for j in g.ins:
+            last[j] = i
+    val: list = [None] * len(gates)
+    for i, g in enumerate(gates):
         if g.kind == IN:
-            val[i] = feature_column(g.feature, n)
+            val[i] = cols[g.feature]
         elif g.kind == AND:
             acc = full
             for j in g.ins:
@@ -162,8 +169,17 @@ def circuit_table(circuit: Circuit, n: int) -> int:
         elif g.kind == NOT:
             val[i] = full ^ val[g.ins[0]]
         else:  # MAJ
-            val[i] = counter_ge([val[j] for j in g.ins], g.threshold, n)
+            val[i] = counter_ge([val[j] for j in g.ins], g.threshold, full)
+        for j in g.ins:
+            if last[j] == i:
+                val[j] = None
     return val[circuit.output]
+
+
+def circuit_table(circuit: Circuit, n: int) -> int:
+    """Truth table of the output over all 2**n universe assignments (n is
+    the universe size)."""
+    return truth_table(circuit, n)
 
 
 # ---------------------------------------------------------------------------
@@ -394,38 +410,30 @@ def certificate_holds(circuit: Circuit, cert: WidthCertificate) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _completions(circuit: Circuit, fixed: Mapping[int, int], free: Sequence[int]):
-    n = len(circuit.universe)
-    base = [0] * n
-    for f, b in fixed.items():
-        base[f] = b
-    for x in range(1 << len(free)):
-        bits = list(base)
-        for j, f in enumerate(free):
-            bits[f] = (x >> j) & 1
-        yield Example(circuit.universe, tuple(bits))
+def _input_subcube(circuit: Circuit, fixed: Mapping[int, int], what: str, cap: int):
+    """(table, all-ones) over the IN-wired features that ``fixed`` leaves
+    free; features wired to no IN gate cannot influence the output and are
+    fixed at 0."""
+    free = [f for f in circuit.input_features() if f not in fixed]
+    require_cap(len(free), cap, what)
+    rest = set(range(len(circuit.universe))).difference(free)
+    table = subcube_table(circuit, {f: fixed.get(f, 0) for f in rest}, free)
+    return table, (1 << (1 << len(free))) - 1
 
 
 def circuit_global_check(
     circuit: Circuit, tau: PartialExample, x: int, caps: BruteCaps = DEFAULT_CAPS
 ) -> bool:
     """Does every completion of tau evaluate to x?  Only features wired to IN
-    gates are enumerated; others cannot influence the output."""
-    fixed = tau.as_dict()
-    free = [f for f in circuit.input_features() if f not in fixed]
-    require_cap(len(free), caps.circuit, "circuit global check")
-    return all(eval_circuit(circuit, e) == x for e in _completions(circuit, fixed, free))
+    gates are tabulated; others cannot influence the output."""
+    table, full = _input_subcube(circuit, tau.as_dict(), "circuit global check", caps.circuit)
+    return table == (full if x else 0)
 
 
 def circuit_hom_check(circuit: Circuit, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """Is some input assignment evaluated differently from the all-zero one?"""
-    inputs = circuit.input_features()
-    require_cap(len(inputs), caps.circuit, "circuit hom check")
-    base = eval_circuit(circuit, Example(circuit.universe, (0,) * len(circuit.universe)))
-    return any(
-        eval_circuit(circuit, e) != base
-        for e in _completions(circuit, {}, inputs)
-    )
+    table, full = _input_subcube(circuit, {}, "circuit hom check", caps.circuit)
+    return table not in (0, full)
 
 
 def circuit_phom_check(circuit: Circuit, k: int, caps: BruteCaps = DEFAULT_CAPS) -> bool:
@@ -479,24 +487,33 @@ def circuit_from_json(payload: Mapping[str, Any], u: FeatureUniverse) -> Circuit
         for j in ins:
             if j not in raw:
                 raise ModelError(f"gate {gid} references unknown gate {j}")
+    # depth-first post-order on an explicit stack (long gate chains do not
+    # exhaust the call stack): inputs in listed order, roots by id
     order: list[int] = []
     done: set[int] = set()
-    temp: set[int] = set()
-
-    def visit(gid: int) -> None:
-        if gid in done:
-            return
-        if gid in temp:
-            raise ModelError("circuit contains a cycle")
-        temp.add(gid)
-        for j in pending[gid]:
-            visit(j)
-        temp.discard(gid)
-        done.add(gid)
-        order.append(gid)
-
-    for gid in sorted(raw):
-        visit(gid)
+    temp: set[int] = set()  # gates on the current path
+    for root in sorted(raw):
+        if root in done:
+            continue
+        temp.add(root)
+        stack = [(root, 0)]  # (gate, index of its next input)
+        while stack:
+            gid, k = stack[-1]
+            ins = pending[gid]
+            if k == len(ins):
+                stack.pop()
+                temp.discard(gid)
+                done.add(gid)
+                order.append(gid)
+                continue
+            stack[-1] = (gid, k + 1)
+            j = ins[k]
+            if j in done:
+                continue
+            if j in temp:
+                raise ModelError("circuit contains a cycle")
+            temp.add(j)
+            stack.append((j, 0))
     dense = {gid: i for i, gid in enumerate(order)}
     gates = []
     for gid in order:

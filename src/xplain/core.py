@@ -16,10 +16,17 @@ Classification semantics:
 * ensemble         -- majority vote of the (odd number of) elements.
 * circuit          -- gate evaluation, see :mod:`xplain.circuits`.
 
-Besides the per-example ``classify`` there is ``truth_table``, which computes
-the class of every example over an ``n``-feature universe at once as a
-``2**n``-bit integer (bit ``m`` = class of the example whose feature ``i`` is
-bit ``i`` of ``m``).  The exhaustive checkers are built on it.
+Besides the per-example ``classify`` there is one bit-parallel kernel,
+``subcube_table(model, fixed, free)``.  It computes the class of every
+completion of a partial assignment at once, as a ``2**len(free)``-bit integer
+(bit ``m`` = class of the completion whose free feature ``free[j]`` is bit
+``j`` of ``m``).  Each family is tabulated from a list of feature columns, in
+which a fixed feature is a constant and a free one a ``feature_column``; the
+model is never restricted or copied.  ``truth_table`` is the case with every
+feature free.  Verification by enumeration, the homogeneity check and the
+circuit checks are each one call of this kernel followed by one integer
+compare; the oracle and the weight-limited searches read single bits of the
+whole-universe table.
 """
 
 from __future__ import annotations
@@ -374,23 +381,31 @@ def _model_universe(model) -> FeatureUniverse:
 
 
 # ---------------------------------------------------------------------------
-# whole-universe truth tables (bit-parallel classification)
+# truth tables of subcubes (bit-parallel classification)
 # ---------------------------------------------------------------------------
 
 
 def feature_column(feature: int, n: int) -> int:
-    """2**n-bit integer whose bit m is feature's value in example mask m."""
-    period = 1 << feature
-    block = (1 << period) - 1
-    col = 0
-    for start in range(period, 1 << n, period << 1):
-        col |= block << start
+    """2**n-bit integer whose bit m is feature's value in example mask m.
+
+    One period (2**feature zeros, then as many ones) is doubled onto itself
+    until it covers 2**n bits: n - feature - 1 shifts.
+    """
+    if feature >= n:
+        return 0
+    half = 1 << feature
+    col = ((1 << half) - 1) << half
+    width = half << 1
+    total = 1 << n
+    while width < total:
+        col |= col << width
+        width <<= 1
     return col
 
 
-def counter_ge(columns: Sequence[int], threshold: int, n: int) -> int:
-    """Bitwise [number of set columns >= threshold] over 2**n positions."""
-    full = (1 << (1 << n)) - 1
+def counter_ge(columns: Sequence[int], threshold: int, full: int) -> int:
+    """Bitwise [number of set columns >= threshold] over the positions of
+    ``full`` (the all-ones table)."""
     if threshold <= 0:
         return full
     if threshold > len(columns):
@@ -417,6 +432,29 @@ def counter_ge(columns: Sequence[int], threshold: int, n: int) -> int:
     return ge | eq
 
 
+def subcube_table(model, fixed: Mapping[int, int], free: Sequence[int]) -> int:
+    """Classes of the 2**len(free) completions of ``fixed``, in one integer.
+
+    ``fixed`` maps features to bits and ``free`` lists the other features;
+    together they partition the universe.  Bit m is the class of the example
+    that agrees with ``fixed`` and gives free[j] the value of bit j of m.  A
+    fixed feature reads as a constant column and a free one as
+    ``feature_column(j, len(free))``, so the work is in 2**len(free) bits
+    whatever the universe size.
+    """
+    n = len(_model_universe(model))
+    if sorted([*fixed, *free]) != list(range(n)):
+        raise ModelError("fixed and free features must partition the universe")
+    k = len(free)
+    full = (1 << (1 << k)) - 1
+    cols = [0] * n
+    for f, b in fixed.items():
+        cols[f] = full if b else 0
+    for j, f in enumerate(free):
+        cols[f] = feature_column(j, k)
+    return _table(model, cols, full)
+
+
 def truth_table(model, n: Optional[int] = None) -> int:
     """Classes of all 2**n examples at once, packed into one integer."""
     u = _model_universe(model)
@@ -424,50 +462,67 @@ def truth_table(model, n: Optional[int] = None) -> int:
         n = len(u)
     if n != len(u):
         raise ModelError("truth table width differs from universe size")
-    return _table(model, n)
+    return subcube_table(model, {}, range(n))
 
 
-def _term_table(term: Term, n: int) -> int:
-    full = (1 << (1 << n)) - 1
+def _term_table(term: Term, cols: Sequence[int], full: int) -> int:
     t = full
     for f, b in term:
-        col = feature_column(f, n)
-        t &= col if b else (full ^ col)
+        t &= cols[f] if b else (full ^ cols[f])
     return t
 
 
-def _table(model, n: int) -> int:
-    full = (1 << (1 << n)) - 1
+def _table(model, cols: Sequence[int], full: int) -> int:
+    """The model's table over the positions of ``full``; ``cols[f]`` is the
+    table of feature f (a column, or the constant 0 or ``full``)."""
     if isinstance(model, DecisionTree):
-        def rec(i: int) -> int:
+        # post-order on an explicit stack; deep trees do not exhaust the
+        # call stack.  A free column is 0 on the all-zero completion, so a
+        # column with bit 0 set is the constant ``full``: a fixed feature
+        # follows one child only.
+        done: list[int] = []  # tables of finished subtrees
+        stack = [(model.root, False)]
+        while stack:
+            i, expanded = stack.pop()
             node = model.nodes[i]
             if isinstance(node, Leaf):
-                return full if node.label else 0
-            col = feature_column(node.feature, n)
-            return (col & rec(node.hi)) | ((full ^ col) & rec(node.lo))
-
-        return rec(model.root)
+                done.append(full if node.label else 0)
+                continue
+            col = cols[node.feature]
+            if expanded:
+                hi = done.pop()
+                lo = done.pop()
+                done.append((col & hi) | ((full ^ col) & lo))
+            elif col == 0:
+                stack.append((node.lo, False))
+            elif col & 1:
+                stack.append((node.hi, False))
+            else:
+                stack.append((i, True))
+                stack.append((node.hi, False))
+                stack.append((node.lo, False))
+        return done.pop()
     if isinstance(model, DecisionSet):
         applied = 0
         for t in model.terms:
-            applied |= _term_table(t, n)
+            applied |= _term_table(t, cols, full)
         return (full ^ applied) if model.default else applied
     if isinstance(model, DecisionList):
         table = 0
         undecided = full
         for t, c in model.rules:
-            fires = undecided & _term_table(t, n)
+            fires = undecided & _term_table(t, cols, full)
             if c:
                 table |= fires
             undecided &= ~fires
         return table
     if isinstance(model, Ensemble):
-        cols = [_table(m, n) for m in model.elements]
-        return counter_ge(cols, len(cols) // 2 + 1, n)
+        votes = [_table(m, cols, full) for m in model.elements]
+        return counter_ge(votes, len(votes) // 2 + 1, full)
     from . import circuits
 
     if isinstance(model, circuits.Circuit):
-        return circuits.circuit_table(model, n)
+        return circuits.gate_table(model, cols, full)
     raise ModelError(f"not a model: {model!r}")
 
 
@@ -549,16 +604,18 @@ def respects_order(t: DecisionTree, order: Sequence[int]) -> bool:
     if sorted(rank) != list(range(len(t.universe))):
         raise ModelError("order must be a permutation of the features")
 
-    def rec(i: int, bound: int) -> bool:
+    stack = [(t.root, -1)]  # (node, rank of the test above it)
+    while stack:
+        i, bound = stack.pop()
         node = t.nodes[i]
         if isinstance(node, Leaf):
-            return True
+            continue
         r = rank[node.feature]
         if r <= bound:
             return False
-        return rec(node.lo, r) and rec(node.hi, r)
-
-    return rec(t.root, -1)
+        stack.append((node.hi, r))
+        stack.append((node.lo, r))
+    return True
 
 
 # ---------------------------------------------------------------------------

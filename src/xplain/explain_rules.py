@@ -44,7 +44,7 @@ from .core import (
     term_applies,
     truth_table,
 )
-from .verify import flip, local_query, verify
+from .verify import _TABLE_LIMIT, flip, local_query, verify
 
 RuleModel = Union[DecisionSet, DecisionList]
 
@@ -254,7 +254,7 @@ def lcxp_card_enum(model, e: Example, k: int) -> Optional[frozenset]:
     if k < 0:
         raise ModelError("k must be nonnegative")
     n = len(model.universe)
-    table = truth_table(model) if n <= 16 else None
+    table = truth_table(model) if n <= _TABLE_LIMIT else None
     if table is not None:
         emask = e.mask()
         cls = (table >> emask) & 1

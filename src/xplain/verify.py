@@ -10,9 +10,12 @@ The four explanation kinds, for a model M:
 * ``gcxp``: partial example forcing every agreeing example to a class != c.
 
 ``verify`` answers "is this candidate an explanation?".  Decision trees get a
-polynomial fast path through ``restrict_dt``; every other model is checked by
-enumerating completions (``verify_by_enumeration``), which refuses to run
-above the configured free-feature cap.
+polynomial fast path through ``restrict_dt``.  Every other model is checked
+exactly by ``verify_by_enumeration``: one ``core.subcube_table`` call
+tabulates the completions of the features the query fixes, and one integer
+compare against 0 or all-ones gives the answer.  ``hom_check`` is the same
+kernel with every feature free.  All of them refuse to run above the
+configured free-feature cap.
 
 ``oracle_min`` and ``oracle_subset_min_check`` are the brute-force ground
 truth the rest of the test suite is measured against: candidates are
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .config import DEFAULT_CAPS, BruteCaps, require_cap
 from .core import (
@@ -36,6 +39,7 @@ from .core import (
     Split,
     classify,
     normalize_dt,
+    subcube_table,
     truth_table,
 )
 
@@ -45,8 +49,9 @@ KINDS = LOCAL_KINDS + GLOBAL_KINDS
 
 Candidate = Union[frozenset, PartialExample]
 
-# table-based enumeration is used up to this universe size, per-example
-# classification beyond it
+# searches whose work only k bounds (phom_check, lcxp_card_enum) look up a
+# whole-universe table up to this universe size and classify one example at
+# a time beyond it
 _TABLE_LIMIT = 16
 
 
@@ -103,22 +108,29 @@ def restrict_dt(t: DecisionTree, tau: PartialExample) -> DecisionTree:
     t = normalize_dt(t)
     assigned = tau.as_dict()
     nodes: list = []
-
-    def build(i: int) -> int:
+    built: list[int] = []  # arena indices of finished subtrees
+    stack = [(t.root, False)]  # post-order, 0-child first, on an explicit stack
+    while stack:
+        i, expanded = stack.pop()
         node = t.nodes[i]
         if isinstance(node, Leaf):
             nodes.append(Leaf(node.label))
-            return len(nodes) - 1
+            built.append(len(nodes) - 1)
+            continue
+        if expanded:
+            hi = built.pop()
+            lo = built.pop()
+            nodes.append(Split(node.feature, lo, hi))
+            built.append(len(nodes) - 1)
+            continue
         b = assigned.get(node.feature)
         if b is not None:
-            return build(node.hi if b else node.lo)
-        lo = build(node.lo)
-        hi = build(node.hi)
-        nodes.append(Split(node.feature, lo, hi))
-        return len(nodes) - 1
-
-    root = build(t.root)
-    return DecisionTree(t.universe, tuple(nodes), root)
+            stack.append((node.hi if b else node.lo, False))
+        else:
+            stack.append((i, True))
+            stack.append((node.hi, False))
+            stack.append((node.lo, False))
+    return DecisionTree(t.universe, tuple(nodes), built.pop())
 
 
 def _reachable_has_label(t: DecisionTree, assigned: dict, label: int) -> bool:
@@ -162,7 +174,7 @@ def _verify_dt(t: DecisionTree, q: ExplanationQuery) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# generic verification by enumeration
+# generic verification on the subcube table
 # ---------------------------------------------------------------------------
 
 
@@ -170,62 +182,49 @@ def _bit(table: int, mask: int) -> int:
     return (table >> mask) & 1
 
 
-def _completions(base: int, free: list[int]) -> Iterator[int]:
-    for x in range(1 << len(free)):
-        m = base
-        j = 0
-        while x >> j:
-            if (x >> j) & 1:
-                m |= 1 << free[j]
-            j += 1
-        yield m
-
-
-def _classify_mask(model, mask: int) -> int:
-    u = model.universe
-    return classify(model, Example.from_mask(u, mask))
-
-
 def verify_by_enumeration(model, q: ExplanationQuery, caps: BruteCaps = DEFAULT_CAPS) -> bool:
-    """The definition, checked directly over all relevant completions."""
+    """The definition, checked over all relevant completions at once.
+
+    Each kind fixes some features and leaves the others free; one
+    ``subcube_table`` call tabulates every completion, and the answer is an
+    integer compare of that table against 0 or all-ones:
+
+    * ``laxp``: e fixed on the candidate; e is a completion, so the
+      candidate holds iff the table is constant.
+    * ``lcxp``: e fixed off the candidate; it holds iff the table is not
+      constant.
+    * ``gaxp`` / ``gcxp``: tau fixed; it holds iff the table is all c /
+      all 1 - c.
+
+    The cap counts the free features.
+    """
     n = len(model.universe)
-    table = truth_table(model) if n <= _TABLE_LIMIT else None
-    look = (lambda m: _bit(table, m)) if table is not None else (
-        lambda m: _classify_mask(model, m)
-    )
-    if q.kind in LOCAL_KINDS:
-        e = q.target
-        cls = look(e.mask())
-        if q.kind == "laxp":
-            free = [f for f in range(n) if f not in q.candidate]
-            require_cap(len(free), caps.verify, "verify laxp")
-            base = e.mask() & ~sum(1 << f for f in free)
-            return all(look(m) == cls for m in _completions(base, free))
-        # lcxp: a witness differing from e only inside A exists iff some
-        # subset of A flipped on e changes the class
-        require_cap(len(q.candidate), caps.verify, "verify lcxp")
-        amask = sum(1 << f for f in q.candidate)
-        emask = e.mask()
-        sub = amask
-        while True:
-            if look(emask ^ sub) != cls:
-                return True
-            if sub == 0:
-                return False
-            sub = (sub - 1) & amask
-    tau = q.candidate
-    dom = set(tau.domain)
-    free = [f for f in range(n) if f not in dom]
+    if q.kind == "laxp":
+        free = [f for f in range(n) if f not in q.candidate]
+    elif q.kind == "lcxp":
+        free = sorted(q.candidate)
+    else:
+        dom = set(q.candidate.domain)
+        free = [f for f in range(n) if f not in dom]
     require_cap(len(free), caps.verify, f"verify {q.kind}")
-    base = sum(b << f for f, b in tau.assignments)
-    if q.kind == "gaxp":
-        return all(look(m) == q.target for m in _completions(base, free))
-    return all(look(m) != q.target for m in _completions(base, free))
+    if q.kind in LOCAL_KINDS:
+        free_set = set(free)
+        fixed = {f: b for f, b in enumerate(q.target.bits) if f not in free_set}
+    else:
+        fixed = q.candidate.as_dict()
+    table = subcube_table(model, fixed, free)
+    full = (1 << (1 << len(free))) - 1
+    if q.kind == "laxp":
+        return table in (0, full)
+    if q.kind == "lcxp":
+        return table not in (0, full)
+    want = q.target if q.kind == "gaxp" else 1 - q.target
+    return table == (full if want else 0)
 
 
 def verify(model, q: ExplanationQuery, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """Is the candidate an explanation?  Trees use the restriction fast path,
-    everything else falls back to enumeration."""
+    every other model the subcube table of ``verify_by_enumeration``."""
     if q.kind in LOCAL_KINDS and q.target.universe != model.universe:
         raise ModelError("target example universe differs from model universe")
     if isinstance(model, DecisionTree):
@@ -286,15 +285,29 @@ def oracle_min(
 def _laxp_holds(table: int, n: int, emask: int, cls: int, subset) -> bool:
     free = [f for f in range(n) if f not in subset]
     base = emask & ~sum(1 << f for f in free)
-    return all(_bit(table, m) == cls for m in _completions(base, free))
+    return _every_completion_is(table, base, free, cls)
 
 
 def _global_holds(table: int, n: int, assigned: dict, c: int, kind: str) -> bool:
     free = [f for f in range(n) if f not in assigned]
     base = sum(b << f for f, b in assigned.items())
-    if kind == "gaxp":
-        return all(_bit(table, m) == c for m in _completions(base, free))
-    return all(_bit(table, m) != c for m in _completions(base, free))
+    return _every_completion_is(table, base, free, c if kind == "gaxp" else 1 - c)
+
+
+def _every_completion_is(table: int, base: int, free: list[int], want: int) -> bool:
+    """Does every completion of ``base`` over ``free`` have class ``want``?
+    One bit at a time, on purpose: the oracle shares no subcube logic with
+    the verifier it certifies."""
+    for x in range(1 << len(free)):
+        m = base
+        j = 0
+        while x >> j:
+            if (x >> j) & 1:
+                m |= 1 << free[j]
+            j += 1
+        if _bit(table, m) != want:
+            return False
+    return True
 
 
 def oracle_subset_min_check(
@@ -329,22 +342,18 @@ def hom_check(model, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """Is some example classified differently from the all-zero example?"""
     n = len(model.universe)
     require_cap(n, caps.verify, "hom")
-    if n <= _TABLE_LIMIT:
-        table = truth_table(model)
-        full = (1 << (1 << n)) - 1
-        return table != (full if table & 1 else 0)
-    base = _classify_mask(model, 0)
-    return any(_classify_mask(model, m) != base for m in range(1, 1 << n))
+    return truth_table(model) not in (0, (1 << (1 << n)) - 1)
 
 
 def phom_check(model, k: int, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """Is some example with at most k ones classified differently from the
-    all-zero example?"""
+    all-zero example?  Only k bounds the work, so above ``_TABLE_LIMIT``
+    features the examples are classified one at a time."""
     n = len(model.universe)
     require_cap(min(k, n), caps.verify, "phom")
     table = truth_table(model) if n <= _TABLE_LIMIT else None
     look = (lambda m: _bit(table, m)) if table is not None else (
-        lambda m: _classify_mask(model, m)
+        lambda m: classify(model, Example.from_mask(model.universe, m))
     )
     base = look(0)
     for size in range(1, min(k, n) + 1):

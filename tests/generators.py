@@ -69,6 +69,18 @@ def random_ensemble(
     return x.Ensemble(u, tuple(random_model(rng, u, family) for _ in range(size)))
 
 
+def random_any_model(rng: Random, u: x.FeatureUniverse):
+    """A model of one of the five families; circuits come from ``translate``
+    (which needs a nonempty universe)."""
+    family = rng.choice(["dt", "ds", "dl", "ens", "circuit"])
+    if family == "ens":
+        return random_ensemble(rng, u, rng.choice(["dt", "ds", "dl"]))
+    if family == "circuit":
+        source = random_model(rng, u, rng.choice(["dt", "ds", "dl"]))
+        return x.translate(source, rng.randint(0, 1))[0]
+    return random_model(rng, u, family)
+
+
 def random_circuit(rng: Random, u: x.FeatureUniverse, extra_gates: int = 8) -> x.Circuit:
     """Random DAG pruned to the ancestors of its final gate."""
     gates: list[x.Gate] = []

@@ -279,7 +279,8 @@ def _deep_path_tree_doc(depth: int, n: int) -> dict:
             "model": {"dt": {"root": 0, "nodes": nodes}}}
 
 
-@pytest.mark.parametrize("n", [1500, 20], ids=["distinct-features", "repeated-features"])
+@pytest.mark.parametrize("n", [1500, 20, 12],
+                         ids=["distinct-features", "repeated-features", "table-width"])
 def test_deep_path_tree_is_answered(n, capsys, tmp_path):
     model = tmp_path / "deep.json"
     model.write_text(json.dumps(_deep_path_tree_doc(1500, n)))
@@ -304,6 +305,62 @@ def test_deep_path_tree_is_answered(n, capsys, tmp_path):
     code, payload = run(capsys, ["verify", *common, "--kind", "laxp",
                                  "--example", str(example), "--candidate", str(candidate)])
     assert (code, payload) == (0, {"result": True})
+    if n > 12:
+        return  # wider than the oracle's global cap
+    # the table-based checks walk the whole tree
+    code, payload = run(capsys, ["hom", *common])
+    assert (code, payload) == (0, {"result": True})
+    code, payload = run(capsys, ["oracle", *common, "--kind", "gaxp", "--class", "0"])
+    assert (code, payload) == (0, {"size": 1, "witness": {"x0": 0}})
+    code, payload = run(capsys, ["hom-suite", *common])
+    assert code == 0
+
+
+def test_long_gate_chain_listed_output_first(capsys, tmp_path):
+    """1500 NOT gates whose ids run from the output down to the IN gate:
+    sorting them into topological order must not recurse per gate."""
+    depth = 1500
+    gates = [{"id": depth, "kind": "IN"}]
+    gates += [{"id": i, "kind": "NOT", "in": [i + 1]} for i in range(depth - 1, -1, -1)]
+    model = tmp_path / "chain.json"
+    model.write_text(json.dumps({
+        "universe": ["a"],
+        "model": {"circuit": {"gates": gates, "output": 0, "inputs": {"a": depth}}},
+    }))
+    code, payload = run(capsys, ["params", "--model", str(model)])
+    assert (code, payload) == (0, {"model_size": depth + 1})
+    example = tmp_path / "e.json"
+    example.write_text(json.dumps({"assign": {"a": 1}}))
+    code, payload = run(capsys, ["classify", "--model", str(model), "--example", str(example)])
+    assert (code, payload) == (0, {"class": 1})  # an even number of negations
+
+
+def _wide_rules_doc(body: dict) -> dict:
+    names = [f"x{i}" for i in range(24)]
+    return {"universe": names, "model": body}
+
+
+@pytest.mark.parametrize("body, expected", [
+    # x23 = 0 fires a term (class 1); the all-one example fires none (class 0)
+    ({"ds": {"terms": [[["x0", 1], ["x1", 1], ["x2", 0]], [["x23", 0]]],
+             "default": 0}}, False),
+    # every rule says class 1, so the empty set fixes the class
+    ({"dl": {"rules": [[[["x0", 1], ["x5", 0]], 1], [[["x12", 1]], 1], [[], 1]]}},
+     True),
+], ids=["set-false", "one-class-list-true"])
+def test_verify_at_the_free_feature_cap(body, expected, capsys, monkeypatch, tmp_path):
+    """An empty laxp candidate over 24 features leaves 24 free, exactly the
+    default verify cap: the check must answer, and quickly."""
+    monkeypatch.delenv("XPLAIN_BRUTE_CAP", raising=False)
+    model = tmp_path / "wide.json"
+    model.write_text(json.dumps(_wide_rules_doc(body)))
+    example = tmp_path / "e.json"
+    example.write_text(json.dumps({"assign": {f"x{i}": 0 for i in range(24)}}))
+    candidate = tmp_path / "cand.json"
+    candidate.write_text(json.dumps({"features": []}))
+    code, payload = run(capsys, ["verify", "--model", str(model), "--kind", "laxp",
+                                 "--example", str(example), "--candidate", str(candidate)])
+    assert (code, payload) == ((0 if expected else 1), {"result": expected})
 
 
 def test_model_round_trip(files):

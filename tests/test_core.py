@@ -9,6 +9,7 @@ import xplain as x
 from xplain.core import counter_ge, feature_column
 
 from generators import (
+    random_any_model,
     random_dt,
     random_ensemble,
     random_example,
@@ -191,11 +192,12 @@ def test_truth_table_matches_classify(seed):
 
 
 def test_feature_column_pattern():
-    n = 3
-    for f in range(n):
-        col = feature_column(f, n)
-        for mask in range(1 << n):
-            assert (col >> mask) & 1 == (mask >> f) & 1
+    for n in (1, 3, 10):
+        for f in range(n):
+            col = feature_column(f, n)
+            for mask in range(1 << n):
+                assert (col >> mask) & 1 == (mask >> f) & 1
+        assert feature_column(n, n) == 0
 
 
 @given(
@@ -204,7 +206,53 @@ def test_feature_column_pattern():
 )
 @settings(max_examples=200, deadline=None)
 def test_counter_ge_matches_popcount(cols, threshold):
-    got = counter_ge(cols, threshold, 3)
+    got = counter_ge(cols, threshold, 0xFF)
     for pos in range(8):
         count = sum((c >> pos) & 1 for c in cols)
         assert (got >> pos) & 1 == (count >= threshold)
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_subcube_table_matches_classify(seed):
+    rng = Random(seed)
+    u = random_universe(rng, rng.randint(1, 6))
+    model = random_any_model(rng, u)
+    free = [f for f in range(len(u)) if rng.random() < 0.5]
+    rng.shuffle(free)  # bit j of a completion belongs to free[j], in any order
+    fixed = {f: rng.randint(0, 1) for f in range(len(u)) if f not in free}
+    table = x.subcube_table(model, fixed, free)
+    assert table >> (1 << len(free)) == 0
+    for m in range(1 << len(free)):
+        bits = [0] * len(u)
+        for f, b in fixed.items():
+            bits[f] = b
+        for j, f in enumerate(free):
+            bits[f] = (m >> j) & 1
+        assert (table >> m) & 1 == x.classify(model, x.Example(u, tuple(bits)))
+
+
+def test_subcube_table_needs_a_partition():
+    u = x.universe("a", "b")
+    model = x.DecisionSet(u, (((0, 1),),), 0)
+    for fixed, free in (({0: 1}, [0, 1]), ({0: 1}, []), ({}, [0, 1, 2]), ({}, [1, 1])):
+        with pytest.raises(x.ModelError):
+            x.subcube_table(model, fixed, free)
+
+
+def test_deep_path_tree_order_table_and_restriction():
+    """A path of 1500 tests: ordering, tabulation and restriction walk it on
+    explicit stacks."""
+    depth = 1500
+    u = x.FeatureUniverse(tuple(f"x{i}" for i in range(depth)))
+    nodes = []
+    for j in range(depth):  # test j at 2j, its 0-leaf at 2j + 1
+        nodes += [x.Split(j, 2 * j + 1, 2 * j + 2), x.Leaf(0)]
+    t = x.DecisionTree(u, tuple(nodes + [x.Leaf(1)]))
+    assert x.respects_order(t, range(depth))
+    assert not x.respects_order(t, range(depth - 1, -1, -1))
+    # all but the last two features fixed at 1: class = x(d-2) and x(d-1)
+    fixed = {f: 1 for f in range(depth - 2)}
+    assert x.subcube_table(t, fixed, [depth - 2, depth - 1]) == 0b1000
+    out = x.restrict_dt(t, x.PartialExample(u, tuple(fixed.items())))
+    assert out.leaf_count() == 3

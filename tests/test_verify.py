@@ -9,6 +9,7 @@ import xplain as x
 from xplain.config import BruteCaps, CapExceeded
 
 from generators import (
+    random_any_model,
     random_dl,
     random_dt,
     random_ensemble,
@@ -235,3 +236,39 @@ def test_hom_check_matches_direct_scan(seed):
             if bin(mask).count("1") <= k
         )
         assert x.phom_check(m, k) == expected_k
+
+
+def _brute_verify(model, kind: str, target, candidate) -> bool:
+    """The definition of each kind, by classifying every example."""
+    u = model.universe
+    examples = [x.Example.from_mask(u, m) for m in range(1 << len(u))]
+    if kind in ("laxp", "lcxp"):
+        cls = x.classify(model, target)
+        if kind == "laxp":
+            agree = [e for e in examples if all(e[f] == target[f] for f in candidate)]
+            return all(x.classify(model, e) == cls for e in agree)
+        inside = [e for e in examples
+                  if all(e[f] == target[f] for f in range(len(u)) if f not in candidate)]
+        return any(x.classify(model, e) != cls for e in inside)
+    classes = [x.classify(model, e) for e in examples if candidate.agrees_with(e)]
+    if kind == "gaxp":
+        return all(c == target for c in classes)
+    return all(c != target for c in classes)
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_verifier_matches_brute_force(seed):
+    rng = Random(seed)
+    u = random_universe(rng, rng.randint(1, 10))
+    model = random_any_model(rng, u)
+    e = random_example(rng, u)
+    features = frozenset(f for f in range(len(u)) if rng.random() < 0.5)
+    tau = x.PartialExample(u, tuple((f, rng.randint(0, 1)) for f in sorted(features)))
+    c = rng.randint(0, 1)
+    for kind, target, candidate in (("laxp", e, features), ("lcxp", e, features),
+                                    ("gaxp", c, tau), ("gcxp", c, tau)):
+        q = x.ExplanationQuery(kind, target, candidate)
+        assert x.verify_by_enumeration(model, q) == _brute_verify(
+            model, kind, target, candidate
+        ), (kind, model)
