@@ -34,7 +34,6 @@ from .circuits import (
     Gate,
     WidthCertificate,
     certificate_holds,
-    circuit_global_check,
     circuit_hom_check,
     circuit_phom_check,
     dl_to_circuit,
@@ -80,6 +79,7 @@ from .gadgets import (
 )
 from .verify import (
     ExplanationQuery,
+    first_flip,
     flip,
     global_query,
     hom_check,
@@ -88,6 +88,7 @@ from .verify import (
     oracle_subset_min_check,
     phom_check,
     restrict_dt,
+    shrink,
     verify,
     verify_by_enumeration,
 )

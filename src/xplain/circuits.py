@@ -31,7 +31,6 @@ universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from .config import DEFAULT_CAPS, BruteCaps, require_cap
@@ -43,12 +42,12 @@ from .core import (
     Example,
     FeatureUniverse,
     ModelError,
-    PartialExample,
     counter_ge,
     normalize_dt,
     subcube_table,
     truth_table,
 )
+from .verify import first_flip
 
 IN, AND, OR, NOT, MAJ = "IN", "AND", "OR", "NOT", "MAJ"
 _KINDS = (IN, AND, OR, NOT, MAJ)
@@ -143,7 +142,7 @@ def eval_circuit(circuit: Circuit, e: Example) -> int:
     return val[circuit.output]
 
 
-def gate_table(circuit: Circuit, cols: Sequence[int], full: int) -> int:
+def gate_table(circuit: Circuit, cols: Mapping[int, int], full: int) -> int:
     """Output table over the positions of ``full``, gate by gate in
     topological order; IN gates read ``cols[feature]``.  A gate's table is
     dropped after its last reader, so only the live frontier is held."""
@@ -410,48 +409,24 @@ def certificate_holds(circuit: Circuit, cert: WidthCertificate) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _input_subcube(circuit: Circuit, fixed: Mapping[int, int], what: str, cap: int):
-    """(table, all-ones) over the IN-wired features that ``fixed`` leaves
-    free; features wired to no IN gate cannot influence the output and are
-    fixed at 0."""
-    free = [f for f in circuit.input_features() if f not in fixed]
-    require_cap(len(free), cap, what)
-    rest = set(range(len(circuit.universe))).difference(free)
-    table = subcube_table(circuit, {f: fixed.get(f, 0) for f in rest}, free)
-    return table, (1 << (1 << len(free))) - 1
-
-
-def circuit_global_check(
-    circuit: Circuit, tau: PartialExample, x: int, caps: BruteCaps = DEFAULT_CAPS
-) -> bool:
-    """Does every completion of tau evaluate to x?  Only features wired to IN
-    gates are tabulated; others cannot influence the output."""
-    table, full = _input_subcube(circuit, tau.as_dict(), "circuit global check", caps.circuit)
-    return table == (full if x else 0)
-
-
 def circuit_hom_check(circuit: Circuit, caps: BruteCaps = DEFAULT_CAPS) -> bool:
-    """Is some input assignment evaluated differently from the all-zero one?"""
-    table, full = _input_subcube(circuit, {}, "circuit hom check", caps.circuit)
-    return table not in (0, full)
+    """Is some input assignment evaluated differently from the all-zero one?
+    Only the IN-wired features are tabulated; the others cannot influence
+    the output and are fixed at 0."""
+    free = circuit.input_features()
+    require_cap(len(free), caps.circuit, "circuit hom check")
+    rest = set(range(len(circuit.universe))).difference(free)
+    table = subcube_table(circuit, dict.fromkeys(rest, 0), free)
+    return table not in (0, (1 << (1 << len(free))) - 1)
 
 
 def circuit_phom_check(circuit: Circuit, k: int, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """Is some assignment with at most k ones evaluated differently from the
-    all-zero one?"""
+    all-zero one?  Only the IN-wired features are flipped."""
     inputs = circuit.input_features()
     require_cap(min(k, len(inputs)), caps.circuit, "circuit phom check")
-    n = len(circuit.universe)
-    zero = Example(circuit.universe, (0,) * n)
-    base = eval_circuit(circuit, zero)
-    for size in range(1, min(k, len(inputs)) + 1):
-        for subset in combinations(inputs, size):
-            bits = [0] * n
-            for f in subset:
-                bits[f] = 1
-            if eval_circuit(circuit, Example(circuit.universe, tuple(bits))) != base:
-                return True
-    return False
+    zero = Example(circuit.universe, (0,) * len(circuit.universe))
+    return first_flip(circuit, zero, k, inputs) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +498,7 @@ def circuit_from_json(payload: Mapping[str, Any], u: FeatureUniverse) -> Circuit
             Gate(
                 kind,
                 tuple(dense[int(j)] for j in g.get("in", ())),
-                g.get("threshold"),
+                None if g.get("threshold") is None else int(g["threshold"]),
                 feature_of.get(gid) if kind == IN else None,
             )
         )

@@ -440,19 +440,28 @@ def subcube_table(model, fixed: Mapping[int, int], free: Sequence[int]) -> int:
     that agrees with ``fixed`` and gives free[j] the value of bit j of m.  A
     fixed feature reads as a constant column and a free one as
     ``feature_column(j, len(free))``, so the work is in 2**len(free) bits
-    whatever the universe size.
+    whatever the universe size.  A free column is built on its first read,
+    so features the model never reads cost nothing.
     """
     n = len(_model_universe(model))
     if sorted([*fixed, *free]) != list(range(n)):
         raise ModelError("fixed and free features must partition the universe")
-    k = len(free)
-    full = (1 << (1 << k)) - 1
-    cols = [0] * n
-    for f, b in fixed.items():
-        cols[f] = full if b else 0
-    for j, f in enumerate(free):
-        cols[f] = feature_column(j, k)
-    return _table(model, cols, full)
+    full = (1 << (1 << len(free))) - 1
+    return _table(model, _Columns(fixed, free, full), full)
+
+
+class _Columns(dict):
+    """Feature tables of one subcube: a fixed feature's constant is set up
+    front, a free feature's column is built on its first read."""
+
+    def __init__(self, fixed: Mapping[int, int], free: Sequence[int], full: int) -> None:
+        super().__init__((f, full if b else 0) for f, b in fixed.items())
+        self.position = {f: j for j, f in enumerate(free)}  # bit in the table index
+        self.k = len(free)
+
+    def __missing__(self, f: int) -> int:
+        col = self[f] = feature_column(self.position[f], self.k)
+        return col
 
 
 def truth_table(model, n: Optional[int] = None) -> int:
@@ -465,14 +474,15 @@ def truth_table(model, n: Optional[int] = None) -> int:
     return subcube_table(model, {}, range(n))
 
 
-def _term_table(term: Term, cols: Sequence[int], full: int) -> int:
+def _term_table(term: Term, cols: Mapping[int, int], full: int) -> int:
     t = full
     for f, b in term:
-        t &= cols[f] if b else (full ^ cols[f])
+        col = cols[f]
+        t &= col if b else full ^ col
     return t
 
 
-def _table(model, cols: Sequence[int], full: int) -> int:
+def _table(model, cols: Mapping[int, int], full: int) -> int:
     """The model's table over the positions of ``full``; ``cols[f]`` is the
     table of feature f (a column, or the constant 0 or ``full``)."""
     if isinstance(model, DecisionTree):
@@ -481,26 +491,27 @@ def _table(model, cols: Sequence[int], full: int) -> int:
         # column with bit 0 set is the constant ``full``: a fixed feature
         # follows one child only.
         done: list[int] = []  # tables of finished subtrees
-        stack = [(model.root, False)]
+        stack = [(model.root, None)]  # (node, its column once children are stacked)
         while stack:
-            i, expanded = stack.pop()
+            i, col = stack.pop()
             node = model.nodes[i]
             if isinstance(node, Leaf):
                 done.append(full if node.label else 0)
                 continue
-            col = cols[node.feature]
-            if expanded:
+            if col is not None:
                 hi = done.pop()
                 lo = done.pop()
                 done.append((col & hi) | ((full ^ col) & lo))
-            elif col == 0:
-                stack.append((node.lo, False))
+                continue
+            col = cols[node.feature]
+            if col == 0:
+                stack.append((node.lo, None))
             elif col & 1:
-                stack.append((node.hi, False))
+                stack.append((node.hi, None))
             else:
-                stack.append((i, True))
-                stack.append((node.hi, False))
-                stack.append((node.lo, False))
+                stack.append((i, col))
+                stack.append((node.hi, None))
+                stack.append((node.lo, None))
         return done.pop()
     if isinstance(model, DecisionSet):
         applied = 0

@@ -3,11 +3,10 @@
 Everything here runs on the normalized tree (no path tests a feature twice);
 inputs are normalized on entry, callers keep their raw trees.
 
-* greedy subset-minimal explanations: start from a trivially valid candidate
-  (the full feature set, or a seed leaf's path assignment for the global
-  kinds) and drop features in ascending index order while the candidate still
-  verifies.  Explanations are monotone under supersets, so one ascending pass
-  is enough and the result is deterministic.
+* greedy subset-minimal explanations: ``verify.shrink`` of a trivially valid
+  candidate (the full feature set, or a seed leaf's path assignment for the
+  global kinds), one ascending pass that drops features while the candidate
+  still verifies.
 * minimum local contrastive explanations in polynomial time: for every leaf
   of the opposite class, the features on its path that disagree with the
   target example form a contrastive set; a smallest one is a global minimum.
@@ -38,7 +37,7 @@ from .core import (
     classify,
     normalize_dt,
 )
-from .verify import global_query, local_query, verify
+from .verify import shrink
 
 CardWitness = Union[frozenset, PartialExample, None]
 
@@ -63,45 +62,34 @@ def leaf_assignments(t: DecisionTree) -> list[tuple[int, dict[int, int]]]:
 
 
 def laxp_subset_min(t: DecisionTree, e: Example) -> frozenset:
-    """Inclusion-minimal local abductive explanation (the full set always
-    verifies; drop ascending while verification holds)."""
+    """Inclusion-minimal local abductive explanation: ``shrink`` from the
+    full set, which always verifies."""
     t = normalize_dt(t)
-    keep = set(range(len(t.universe)))
-    for f in range(len(t.universe)):
-        if verify(t, local_query("laxp", e, keep - {f})):
-            keep.discard(f)
-    return frozenset(keep)
+    return shrink(t, "laxp", e, frozenset(range(len(t.universe))))
 
 
-def _greedy_restrict(t: DecisionTree, kind: str, c: int, seed: PartialExample) -> PartialExample:
-    tau = seed
-    for f in seed.domain:  # domains are sorted ascending
-        smaller = tau.restricted_off(f)
-        if verify(t, global_query(kind, c, smaller)):
-            tau = smaller
-    return tau
+def _leaf_seeded_shrink(t: DecisionTree, kind: str, c: int) -> Optional[PartialExample]:
+    """``shrink`` of the path assignment of the first leaf, in depth-first
+    order, whose class the kind asks for (c for ``gaxp``, 1 - c for
+    ``gcxp``); None when no leaf has it."""
+    t = normalize_dt(t)
+    want = c if kind == "gaxp" else 1 - c
+    for i, assigned in leaf_assignments(t):
+        if t.nodes[i].label == want:
+            return shrink(t, kind, c, PartialExample(t.universe, tuple(assigned.items())))
+    return None
 
 
 def gaxp_subset_min(t: DecisionTree, c: int) -> Optional[PartialExample]:
     """Inclusion-minimal global abductive explanation, or None when no leaf
     carries class c.  Seeded with the path assignment of the first c-leaf in
     depth-first order."""
-    t = normalize_dt(t)
-    for i, assigned in leaf_assignments(t):
-        if t.nodes[i].label == c:
-            seed = PartialExample(t.universe, tuple(assigned.items()))
-            return _greedy_restrict(t, "gaxp", c, seed)
-    return None
+    return _leaf_seeded_shrink(t, "gaxp", c)
 
 
 def gcxp_subset_min(t: DecisionTree, c: int) -> Optional[PartialExample]:
     """As gaxp_subset_min, seeded with the first leaf of class 1 - c."""
-    t = normalize_dt(t)
-    for i, assigned in leaf_assignments(t):
-        if t.nodes[i].label == 1 - c:
-            seed = PartialExample(t.universe, tuple(assigned.items()))
-            return _greedy_restrict(t, "gcxp", c, seed)
-    return None
+    return _leaf_seeded_shrink(t, "gcxp", c)
 
 
 def _conflict_sets(t: DecisionTree, e: Example) -> list[frozenset]:
@@ -260,22 +248,34 @@ def product_dt(ens: Ensemble, max_leaves: int = 1_000_000) -> DecisionTree:
             f"projected product size {projected} exceeds the ceiling {max_leaves}"
         )
     majority_at = len(trees) // 2 + 1
+    labels = (Leaf(0), Leaf(1))  # leaves are immutable: one per class is shared
+    # each leaf of tree ti grafts tree ti + 1, carrying the votes collected on
+    # its path.  Post-order, 0-child first, on an explicit stack whose entries
+    # are (tree, node, votes) to visit, or (feature,) for a split whose two
+    # children are built.
     nodes: list = []
-
-    def graft(ti: int, i: int, votes: int) -> int:
+    built: list[int] = []  # arena indices of finished subtrees
+    stack: list[tuple] = [(0, trees[0].root, 0)]
+    while stack:
+        entry = stack.pop()
+        if len(entry) == 1:
+            hi = built.pop()
+            lo = built.pop()
+            nodes.append(Split(entry[0], lo, hi))
+            built.append(len(nodes) - 1)
+            continue
+        ti, i, votes = entry
         node = trees[ti].nodes[i]
-        if isinstance(node, Leaf):
+        while isinstance(node, Leaf) and ti + 1 < len(trees):
             votes += node.label
-            if ti + 1 == len(trees):
-                nodes.append(Leaf(1 if votes >= majority_at else 0))
-                return len(nodes) - 1
-            return graft(ti + 1, trees[ti + 1].root, votes)
-        lo = graft(ti, node.lo, votes)
-        hi = graft(ti, node.hi, votes)
-        nodes.append(Split(node.feature, lo, hi))
-        return len(nodes) - 1
-
-    root = graft(0, trees[0].root, 0)
+            ti += 1
+            node = trees[ti].nodes[trees[ti].root]
+        if isinstance(node, Leaf):
+            nodes.append(labels[votes + node.label >= majority_at])
+            built.append(len(nodes) - 1)
+        else:
+            stack += ((node.feature,), (ti, node.hi, votes), (ti, node.lo, votes))
+    root = built.pop()
     product = normalize_dt(DecisionTree(ens.universe, tuple(nodes), root))
     assert product.leaf_count() <= projected
     return product

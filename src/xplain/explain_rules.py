@@ -18,19 +18,22 @@ most the budget k and branching factor at most the largest term size a, so
 the number of fully explored branches is bounded by a**k per target rule;
 the implementation counts them and insists on the bound.
 
-The ensemble variant enumerates one rule per element, keeps only the
-combinations whose class tally would flip the majority vote, and runs the
-same branching against all chosen rules at once.
+One engine, ``_branch_search``, runs this for a majority vote of lists: it
+enumerates one rule per element, keeps only the combinations whose class
+tally would flip the majority vote, and runs the branching against all
+chosen rules at once.  A single list is the vote of one, whose target
+tuples are its opposite-class rules.
 
 ``lcxp_card_enum`` is the model-independent fallback: a minimum contrastive
 explanation can always be found by flipping candidate sets directly, in
-increasing cardinality.
+increasing cardinality (``verify.first_flip``).  The greedy subset-minimal
+``laxp`` is ``verify.shrink`` from the full feature set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 from typing import Optional, Union
 
 from .config import DEFAULT_CAPS, BruteCaps
@@ -42,9 +45,8 @@ from .core import (
     ModelError,
     classify,
     term_applies,
-    truth_table,
 )
-from .verify import _TABLE_LIMIT, flip, local_query, verify
+from .verify import first_flip, flip, shrink
 
 RuleModel = Union[DecisionSet, DecisionList]
 
@@ -66,7 +68,9 @@ def _as_dl(model: RuleModel) -> DecisionList:
 
 @dataclass
 class BranchStats:
-    """Bookkeeping of the branching search, per target rule (or rule tuple).
+    """Bookkeeping of the branching search, per target rule tuple: one rule
+    index per element, so a single model's keys are one-element tuples
+    ``(j,)``, recorded in rule order.
 
     ``branch_nodes`` counts fully explored branches: recursion states within
     budget that did not expand further (either a success or a dead end with
@@ -98,98 +102,22 @@ def _better(a: Optional[frozenset], b: Optional[frozenset]) -> Optional[frozense
     return a
 
 
-class _Counter:
-    __slots__ = ("nodes",)
-
-    def __init__(self) -> None:
-        self.nodes = 0
-
-
-def _find_for_rule(
-    dl: DecisionList, e: Example, j: int, k: int, counter: _Counter
+def _branch_search(
+    dls: list[DecisionList], e: Example, k: int, stats: Optional[BranchStats]
 ) -> Optional[frozenset]:
-    """Smallest set A with |A| <= k whose flip routes e to rule j, or None."""
-    t_j = dl.rules[j][0]
-    forbidden = {f for f, _ in t_j}
-    seed = frozenset(f for f, b in t_j if e.bits[f] != b)
-
-    def rec(flips: frozenset) -> Optional[frozenset]:
-        if len(flips) > k:
-            return None
-        e_flipped = flip(e, flips)
-        offender = None
-        for ell in range(j):
-            if term_applies(dl.rules[ell][0], e_flipped):
-                offender = ell
-                break
-        if offender is None:
-            counter.nodes += 1
-            return flips
-        breakable = sorted(
-            f
-            for f, b in dl.rules[offender][0]
-            if e_flipped.bits[f] == b and f not in flips and f not in forbidden
-        )
-        if not breakable:
-            counter.nodes += 1
-            return None
-        best: Optional[frozenset] = None
-        for f in breakable:
-            best = _better(best, rec(flips | {f}))
-        return best
-
-    return rec(seed)
-
-
-def lcxp_card_branch(
-    model: RuleModel,
-    e: Example,
-    k: int,
-    stats: Optional[BranchStats] = None,
-) -> Optional[frozenset]:
-    """Cardinality-minimum local contrastive explanation of size <= k for a
-    decision list (or set, converted first), or None."""
+    """The branching engine over a majority vote of decision lists (a single
+    list is a vote of one): enumerate one rule per list, keep the tuples
+    whose class tally flips the majority, and search the smallest flip
+    routing e to all chosen rules at once."""
     if k < 0:
         raise ModelError("k must be nonnegative")
-    dl = _as_dl(model)
-    a = max(len(t) for t, _ in dl.rules)
-    if stats is None:
-        stats = BranchStats()
-    stats.budget = k
-    stats.term_size = max(stats.term_size, a)
-    cls = classify(dl, e)
-    best: Optional[frozenset] = None
-    for j, (_, c) in enumerate(dl.rules):
-        if c == cls:
-            continue
-        counter = _Counter()
-        found = _find_for_rule(dl, e, j, k, counter)
-        stats.record(j, counter.nodes)
-        assert counter.nodes <= max(a, 1) ** k
-        best = _better(best, found)
-    return best
-
-
-def lcxp_card_branch_ens(
-    ens: Ensemble,
-    e: Example,
-    k: int,
-    stats: Optional[BranchStats] = None,
-) -> Optional[frozenset]:
-    """Branching search over ensembles of rule models: enumerate one rule per
-    element, keep tuples whose class tally flips the majority, and search the
-    smallest flip routing e to all chosen rules at once."""
-    if ens.family not in ("ds", "dl"):
-        raise ModelError("ensemble branching needs decision sets or lists")
-    if k < 0:
-        raise ModelError("k must be nonnegative")
-    dls = [_as_dl(m) for m in ens.elements]
     a = max(len(t) for dl in dls for t, _ in dl.rules)
     if stats is None:
         stats = BranchStats()
     stats.budget = k
     stats.term_size = max(stats.term_size, a)
-    cls = classify(ens, e)
+    votes = sum(classify(dl, e) for dl in dls)
+    cls = 1 if votes >= len(dls) // 2 + 1 else 0
     best: Optional[frozenset] = None
     for combo in product(*(range(len(dl.rules)) for dl in dls)):
         classes = [dls[o].rules[j][1] for o, j in enumerate(combo)]
@@ -209,9 +137,10 @@ def lcxp_card_branch_ens(
             continue  # no example satisfies all chosen rules at once
         forbidden = set(required)
         seed = frozenset(f for f, b in required.items() if e.bits[f] != b)
-        counter = _Counter()
+        nodes = 0
 
         def rec(flips: frozenset) -> Optional[frozenset]:
+            nonlocal nodes
             if len(flips) > k:
                 return None
             e_flipped = flip(e, flips)
@@ -224,7 +153,7 @@ def lcxp_card_branch_ens(
                 if offender is not None:
                     break
             if offender is None:
-                counter.nodes += 1
+                nodes += 1
                 return flips
             o, ell = offender
             breakable = sorted(
@@ -233,7 +162,7 @@ def lcxp_card_branch_ens(
                 if e_flipped.bits[f] == b and f not in flips and f not in forbidden
             )
             if not breakable:
-                counter.nodes += 1
+                nodes += 1
                 return None
             found: Optional[frozenset] = None
             for f in breakable:
@@ -241,44 +170,49 @@ def lcxp_card_branch_ens(
             return found
 
         result = rec(seed)
-        stats.record(combo, counter.nodes)
-        assert counter.nodes <= max(a, 1) ** k
+        stats.record(combo, nodes)
+        assert nodes <= max(a, 1) ** k
         best = _better(best, result)
     return best
+
+
+def lcxp_card_branch(
+    model: RuleModel,
+    e: Example,
+    k: int,
+    stats: Optional[BranchStats] = None,
+) -> Optional[frozenset]:
+    """Cardinality-minimum local contrastive explanation of size <= k for a
+    decision list (or set, converted first), or None: the branching search
+    on a vote of one."""
+    return _branch_search([_as_dl(model)], e, k, stats)
+
+
+def lcxp_card_branch_ens(
+    ens: Ensemble,
+    e: Example,
+    k: int,
+    stats: Optional[BranchStats] = None,
+) -> Optional[frozenset]:
+    """Branching search over a majority ensemble of decision sets or lists."""
+    if ens.family not in ("ds", "dl"):
+        raise ModelError("ensemble branching needs decision sets or lists")
+    return _branch_search([_as_dl(m) for m in ens.elements], e, k, stats)
 
 
 def lcxp_card_enum(model, e: Example, k: int) -> Optional[frozenset]:
     """Minimum local contrastive explanation of size <= k for any model whose
     classification is computable: flip candidate sets directly, smallest
-    first."""
+    first (``verify.first_flip``)."""
     if k < 0:
         raise ModelError("k must be nonnegative")
-    n = len(model.universe)
-    table = truth_table(model) if n <= _TABLE_LIMIT else None
-    if table is not None:
-        emask = e.mask()
-        cls = (table >> emask) & 1
-        for size in range(min(k, n) + 1):
-            for subset in combinations(range(n), size):
-                if (table >> (emask ^ sum(1 << f for f in subset))) & 1 != cls:
-                    return frozenset(subset)
-        return None
-    cls = classify(model, e)
-    for size in range(min(k, n) + 1):
-        for subset in combinations(range(n), size):
-            if classify(model, flip(e, subset)) != cls:
-                return frozenset(subset)
-    return None
+    return first_flip(model, e, k)
 
 
 def laxp_rules_subset_min(
     model, e: Example, caps: BruteCaps = DEFAULT_CAPS
 ) -> frozenset:
     """Inclusion-minimal local abductive explanation via the enumeration
-    verifier (desk scale only; the cap applies).  Greedy drop in ascending
-    feature order from the full set."""
-    keep = set(range(len(model.universe)))
-    for f in range(len(model.universe)):
-        if verify(model, local_query("laxp", e, keep - {f}), caps):
-            keep.discard(f)
-    return frozenset(keep)
+    verifier (desk scale only; the cap applies): ``shrink`` from the full
+    set."""
+    return shrink(model, "laxp", e, frozenset(range(len(model.universe))), caps)

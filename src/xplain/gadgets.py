@@ -673,7 +673,7 @@ class HomEquivalenceReport:
     bounded-weight variant for every budget."""
 
     statements: tuple[bool, ...]
-    khom: tuple[tuple[int, bool, bool], ...]  # (k, weight-bounded hom, lcxp <= k)
+    khom: tuple[tuple[int, bool, bool], ...]  # (k, weight-bounded hom, oracle lcxp <= k)
 
     @property
     def all_equal(self) -> bool:
@@ -701,10 +701,11 @@ def hom_equivalence_suite(model, caps: BruteCaps = DEFAULT_CAPS) -> HomEquivalen
     c = classify(model, zero)
     empty_set: frozenset = frozenset()
     empty_tau = PartialExample(u, ())
+    lcxp_least = oracle_min(model, "lcxp", zero, caps)
     statements = (
         not hom_check(model, caps),
         verify(model, local_query("laxp", zero, empty_set), caps),
-        oracle_min(model, "lcxp", zero, caps) is None,
+        lcxp_least is None,
         verify(model, global_query("gaxp", c, empty_tau), caps),
         verify(model, global_query("gcxp", 1 - c, empty_tau), caps),
         verify(model, local_query("laxp", zero, empty_set), caps),
@@ -712,8 +713,9 @@ def hom_equivalence_suite(model, caps: BruteCaps = DEFAULT_CAPS) -> HomEquivalen
         verify(model, global_query("gaxp", c, empty_tau), caps),
         verify(model, global_query("gcxp", 1 - c, empty_tau), caps),
     )
+    # the oracle's own naive path, not first_flip, which phom_check runs on
     khom = tuple(
-        (k, phom_check(model, k, caps), lcxp_card_enum(model, zero, k) is not None)
+        (k, phom_check(model, k, caps), lcxp_least is not None and lcxp_least[0] <= k)
         for k in range(n + 1)
     )
     return HomEquivalenceReport(statements, khom)

@@ -19,6 +19,7 @@ an internal matter.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any, Mapping
 
@@ -36,13 +37,34 @@ from .core import (
 )
 
 
+def _typed(load):
+    """Wrongly typed JSON (a number where a list belongs, a list where an
+    object belongs, ...) raises ``ModelError`` like any other malformed
+    document, not whatever the first mismatched operation raised."""
+
+    @functools.wraps(load)
+    def checked(*args):
+        try:
+            return load(*args)
+        except ModelError:
+            raise
+        except (TypeError, AttributeError, KeyError, IndexError, ValueError,
+                RecursionError) as exc:
+            raise ModelError(f"malformed document: {type(exc).__name__}: {exc}") from None
+
+    return checked
+
+
+@_typed
 def load_model(doc: Mapping[str, Any]):
     try:
-        u = FeatureUniverse(tuple(doc["universe"]))
+        names = doc["universe"]
         body = doc["model"]
     except (KeyError, TypeError) as exc:
         raise ModelError(f"model document needs 'universe' and 'model': {exc}")
-    return _model_from(body, u)
+    if not isinstance(names, (list, tuple)) or not all(isinstance(f, str) for f in names):
+        raise ModelError("'universe' must be a list of feature names")
+    return _model_from(body, FeatureUniverse(tuple(names)))
 
 
 def load_model_file(path: str):
@@ -143,6 +165,7 @@ def _model_to(model) -> dict[str, Any]:
     raise ModelError(f"not a model: {model!r}")
 
 
+@_typed
 def load_example(doc: Mapping[str, Any], u: FeatureUniverse) -> Example:
     assign = _assignment(doc, u)
     if len(assign) != len(u):
@@ -151,6 +174,7 @@ def load_example(doc: Mapping[str, Any], u: FeatureUniverse) -> Example:
     return Example(u, tuple(assign[i] for i in range(len(u))))
 
 
+@_typed
 def load_partial_example(doc: Mapping[str, Any], u: FeatureUniverse) -> PartialExample:
     return PartialExample.from_dict(u, _assignment(doc, u))
 

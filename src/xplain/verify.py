@@ -10,12 +10,21 @@ The four explanation kinds, for a model M:
 * ``gcxp``: partial example forcing every agreeing example to a class != c.
 
 ``verify`` answers "is this candidate an explanation?".  Decision trees get a
-polynomial fast path through ``restrict_dt``.  Every other model is checked
+polynomial fast path: ``_reachable_has_label`` walks the part of the tree
+that the query's fixed features leave reachable.  Every other model is checked
 exactly by ``verify_by_enumeration``: one ``core.subcube_table`` call
 tabulates the completions of the features the query fixes, and one integer
 compare against 0 or all-ones gives the answer.  ``hom_check`` is the same
 kernel with every feature free.  All of them refuse to run above the
 configured free-feature cap.
+
+Two searches serve every model family:
+
+* ``shrink``: the greedy one-pass shrink of a valid candidate to a
+  subset-minimal explanation;
+* ``first_flip``: the weight-limited flip enumeration, by size and then
+  lexicographically, behind ``phom_check``, ``lcxp_card_enum`` and
+  ``circuit_phom_check``.
 
 ``oracle_min`` and ``oracle_subset_min_check`` are the brute-force ground
 truth the rest of the test suite is measured against: candidates are
@@ -27,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .config import DEFAULT_CAPS, BruteCaps, require_cap
 from .core import (
@@ -49,9 +58,8 @@ KINDS = LOCAL_KINDS + GLOBAL_KINDS
 
 Candidate = Union[frozenset, PartialExample]
 
-# searches whose work only k bounds (phom_check, lcxp_card_enum) look up a
-# whole-universe table up to this universe size and classify one example at
-# a time beyond it
+# first_flip, whose work only k bounds, reads classes from the truth table
+# up to this universe size and classifies one example at a time beyond it
 _TABLE_LIMIT = 16
 
 
@@ -233,6 +241,27 @@ def verify(model, q: ExplanationQuery, caps: BruteCaps = DEFAULT_CAPS) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# greedy shrink
+# ---------------------------------------------------------------------------
+
+
+def shrink(
+    model, kind: str, target, candidate: Candidate, caps: BruteCaps = DEFAULT_CAPS
+) -> Candidate:
+    """Subset-minimal explanation inside a valid candidate: one pass over its
+    features in ascending order, dropping each one whose removal still
+    verifies.  Every kind is monotone under supersets, so what is kept can
+    never be dropped later, and the result is deterministic."""
+    local = kind in LOCAL_KINDS
+    query = local_query if local else global_query
+    for f in sorted(candidate) if local else candidate.domain:
+        smaller = candidate - {f} if local else candidate.restricted_off(f)
+        if verify(model, query(kind, target, smaller), caps):
+            candidate = smaller
+    return candidate
+
+
+# ---------------------------------------------------------------------------
 # exhaustive oracle
 # ---------------------------------------------------------------------------
 
@@ -345,19 +374,34 @@ def hom_check(model, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     return truth_table(model) not in (0, (1 << (1 << n)) - 1)
 
 
+def first_flip(
+    model, e: Example, k: int, features: Optional[Sequence[int]] = None
+) -> Optional[frozenset]:
+    """First set of at most k of ``features`` (default: all) whose flip
+    changes e's class, by size and then lexicographically; None when there
+    is none.  Only k bounds the work: up to ``_TABLE_LIMIT`` universe
+    features the classes are bits of the truth table, beyond it each
+    flipped example is classified."""
+    n = len(model.universe)
+    features = range(n) if features is None else features
+    if n <= _TABLE_LIMIT:
+        table = truth_table(model)
+        base = e.mask()
+        cls = _bit(table, base)
+        changes = lambda subset: _bit(table, base ^ sum(1 << f for f in subset)) != cls
+    else:
+        cls = classify(model, e)
+        changes = lambda subset: classify(model, flip(e, subset)) != cls
+    for size in range(1, min(k, len(features)) + 1):
+        for subset in combinations(features, size):
+            if changes(subset):
+                return frozenset(subset)
+    return None
+
+
 def phom_check(model, k: int, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """Is some example with at most k ones classified differently from the
-    all-zero example?  Only k bounds the work, so above ``_TABLE_LIMIT``
-    features the examples are classified one at a time."""
+    all-zero example?"""
     n = len(model.universe)
     require_cap(min(k, n), caps.verify, "phom")
-    table = truth_table(model) if n <= _TABLE_LIMIT else None
-    look = (lambda m: _bit(table, m)) if table is not None else (
-        lambda m: classify(model, Example.from_mask(model.universe, m))
-    )
-    base = look(0)
-    for size in range(1, min(k, n) + 1):
-        for subset in combinations(range(n), size):
-            if look(sum(1 << f for f in subset)) != base:
-                return True
-    return False
+    return first_flip(model, Example(model.universe, (0,) * n), k) is not None

@@ -189,12 +189,19 @@ def test_both_classes_translate_to_complements(seed):
 
 
 class TestGlobalCheck:
+    """Does every completion of tau evaluate to x?  That is the global
+    abductive query with target class x, asked of the circuit itself."""
+
+    @staticmethod
+    def _global(circ, tau, value: int) -> bool:
+        return x.verify(circ, x.global_query("gaxp", value, tau))
+
     def test_constant_circuit(self):
         u = x.universe("a")
         circ, _ = x.dt_to_circuit(x.leaf_tree(u, 0), 0)  # constant true
         empty = x.PartialExample(u, ())
-        assert x.circuit_global_check(circ, empty, 1)
-        assert not x.circuit_global_check(circ, empty, 0)
+        assert self._global(circ, empty, 1)
+        assert not self._global(circ, empty, 0)
 
     def test_total_assignment_reduces_to_eval(self):
         rng = Random(11)
@@ -203,8 +210,8 @@ class TestGlobalCheck:
         e = random_example(rng, u)
         tau = x.PartialExample(u, tuple((f, e.bits[f]) for f in range(4)))
         value = x.eval_circuit(circ, e)
-        assert x.circuit_global_check(circ, tau, value)
-        assert not x.circuit_global_check(circ, tau, 1 - value)
+        assert self._global(circ, tau, value)
+        assert not self._global(circ, tau, 1 - value)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -218,7 +225,7 @@ class TestGlobalCheck:
             u,
             tuple((f, rng.randint(0, 1)) for f in range(len(u)) if rng.random() < 0.4),
         )
-        assert x.circuit_global_check(circ, tau, 1) == x.verify(
+        assert self._global(circ, tau, 1) == x.verify(
             t, x.global_query("gaxp", c, tau)
         )
 

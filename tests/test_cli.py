@@ -251,8 +251,12 @@ def test_unknown_model_tag_is_an_error(capsys, tmp_path):
     [
         {"universe": ["a"], "model": {"dt": {"nodes": [5]}}},
         {"universe": ["a"], "model": {"ds": {"terms": 3, "default": 0}}},
+        {"universe": ["a"], "model": {"ensemble": {"family": "dl", "elements": 5}}},
+        {"universe": ["a"], "model": {"circuit": {"gates": [1], "output": 0,
+                                                  "inputs": {}}}},
     ],
-    ids=["tree-node-not-an-object", "set-terms-not-a-list"],
+    ids=["tree-node-not-an-object", "set-terms-not-a-list",
+         "ensemble-elements-not-a-list", "circuit-gate-not-an-object"],
 )
 def test_wrongly_typed_document_is_an_error(doc, capsys, tmp_path):
     bad = tmp_path / "bad.json"
@@ -263,6 +267,7 @@ def test_wrongly_typed_document_is_an_error(doc, capsys, tmp_path):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "unexpected" not in lines[0]  # a ModelError, not a crash
 
 
 def _deep_path_tree_doc(depth: int, n: int) -> dict:
@@ -279,11 +284,15 @@ def _deep_path_tree_doc(depth: int, n: int) -> dict:
             "model": {"dt": {"root": 0, "nodes": nodes}}}
 
 
-@pytest.mark.parametrize("n", [1500, 20, 12],
-                         ids=["distinct-features", "repeated-features", "table-width"])
-def test_deep_path_tree_is_answered(n, capsys, tmp_path):
+@pytest.mark.parametrize("n, ensemble", [(1500, False), (20, False), (12, False), (20, True)],
+                         ids=["distinct-features", "repeated-features", "table-width",
+                              "one-element-ensemble"])
+def test_deep_path_tree_is_answered(n, ensemble, capsys, tmp_path):
+    doc = _deep_path_tree_doc(1500, n)
+    if ensemble:  # answered through the product tree of one tree
+        doc["model"] = {"ensemble": {"family": "dt", "elements": [doc["model"]]}}
     model = tmp_path / "deep.json"
-    model.write_text(json.dumps(_deep_path_tree_doc(1500, n)))
+    model.write_text(json.dumps(doc))
     names = [f"x{i}" for i in range(n)]
     example = tmp_path / "e.json"
     example.write_text(json.dumps({"assign": {f: 1 for f in names}}))  # class 1
@@ -350,7 +359,12 @@ def _wide_rules_doc(body: dict) -> dict:
 ], ids=["set-false", "one-class-list-true"])
 def test_verify_at_the_free_feature_cap(body, expected, capsys, monkeypatch, tmp_path):
     """An empty laxp candidate over 24 features leaves 24 free, exactly the
-    default verify cap: the check must answer, and quickly."""
+    default verify cap: the check must answer, and quickly.  The models read
+    4 and 3 of the features; a column of 2**24 bits is 2 MB, so building all
+    24 would peak near 60 MB, and building only the read ones stays under
+    20 MB."""
+    import tracemalloc
+
     monkeypatch.delenv("XPLAIN_BRUTE_CAP", raising=False)
     model = tmp_path / "wide.json"
     model.write_text(json.dumps(_wide_rules_doc(body)))
@@ -358,9 +372,15 @@ def test_verify_at_the_free_feature_cap(body, expected, capsys, monkeypatch, tmp
     example.write_text(json.dumps({"assign": {f"x{i}": 0 for i in range(24)}}))
     candidate = tmp_path / "cand.json"
     candidate.write_text(json.dumps({"features": []}))
-    code, payload = run(capsys, ["verify", "--model", str(model), "--kind", "laxp",
-                                 "--example", str(example), "--candidate", str(candidate)])
+    tracemalloc.start()
+    try:
+        code, payload = run(capsys, ["verify", "--model", str(model), "--kind", "laxp",
+                                     "--example", str(example), "--candidate", str(candidate)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (code, payload) == ((0 if expected else 1), {"result": expected})
+    assert peak < 32 * 2**20
 
 
 def test_model_round_trip(files):

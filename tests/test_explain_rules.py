@@ -178,6 +178,28 @@ class TestEnsembleBranch:
                 assert n_diff > len(classes) - n_diff
 
 
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_branch_witness_equals_oracle_within_budget(seed):
+    """Single models and 1-, 3- and 5-element ensembles run one branching
+    engine; its witness must be the oracle's exactly (the first minimum by
+    size, then lexicographically) when that minimum is <= k, else None."""
+    rng = Random(seed)
+    u = random_universe(rng, rng.randint(1, 7))
+    family = rng.choice(["ds", "dl"])
+    elements = rng.choice([0, 1, 3, 5])  # 0: a single model
+    e = random_example(rng, u)
+    k = rng.randint(0, len(u))
+    if elements:
+        model = random_ensemble(rng, u, family, elements)
+        found = x.lcxp_card_branch_ens(model, e, k)
+    else:
+        model = random_ds(rng, u) if family == "ds" else random_dl(rng, u)
+        found = x.lcxp_card_branch(model, e, k)
+    expected = x.oracle_min(model, "lcxp", e)
+    assert found == (expected[1] if expected is not None and expected[0] <= k else None)
+
+
 class TestEnum:
     def test_fig_returns_lowest_indexed_witness(self, fig_dl, fig_example):
         assert x.lcxp_card_enum(fig_dl, fig_example, 2) == frozenset({1})

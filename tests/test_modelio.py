@@ -1,0 +1,85 @@
+"""Loader fuzzing: any JSON document yields a working model or a ModelError."""
+
+from __future__ import annotations
+
+from random import Random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import xplain as x
+from xplain.modelio import dump_model, load_example, load_model, load_partial_example
+
+from generators import random_any_model, random_universe
+
+# the keys and names a model document uses, so that random documents often
+# get past the first lookups and reach the typed parts of each family
+_WORDS = ["universe", "model", "dt", "ds", "dl", "ensemble", "circuit", "root",
+          "nodes", "leaf", "test", "if0", "if1", "order", "terms", "default",
+          "rules", "family", "elements", "gates", "output", "inputs", "id",
+          "kind", "in", "threshold", "IN", "AND", "OR", "NOT", "MAJ", "assign",
+          "a", "b"]
+
+_scalars = (
+    st.none() | st.booleans() | st.integers(-2, 3)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+    | st.sampled_from(_WORDS) | st.text(max_size=3)
+)
+json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_WORDS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _replace_at(doc, path: list[int], value):
+    """``doc`` with the node that ``path`` picks (child indices, taken modulo
+    each container's size) replaced by ``value``."""
+    if not path or not isinstance(doc, (list, dict)) or not doc:
+        return value
+    if isinstance(doc, list):
+        i = path[0] % len(doc)
+        return [_replace_at(v, path[1:], value) if j == i else v for j, v in enumerate(doc)]
+    key = sorted(doc)[path[0] % len(doc)]
+    return {k: _replace_at(v, path[1:], value) if k == key else v for k, v in doc.items()}
+
+
+def _loads_or_refuses(doc) -> None:
+    try:
+        model = load_model(doc)
+    except x.ModelError:
+        return
+    n = len(model.universe)
+    assert x.classify(model, x.Example(model.universe, (0,) * n)) in (0, 1)
+    if n <= 6:
+        assert x.truth_table(load_model(dump_model(model))) == x.truth_table(model)
+
+
+@given(doc=json_values)
+@settings(max_examples=300, deadline=None)
+def test_any_json_document_loads_or_is_a_model_error(doc):
+    _loads_or_refuses(doc)
+    _loads_or_refuses({"universe": ["a", "b"], "model": doc})
+
+
+@given(seed=st.integers(0, 10_000), path=st.lists(st.integers(0, 50), max_size=8),
+       value=json_values)
+@settings(max_examples=300, deadline=None)
+def test_damaged_model_document_loads_or_is_a_model_error(seed, path, value):
+    """A valid document with one node replaced by arbitrary JSON."""
+    rng = Random(seed)
+    doc = dump_model(random_any_model(rng, random_universe(rng, rng.randint(1, 4))))
+    _loads_or_refuses(_replace_at(doc, path, value))
+
+
+@given(doc=json_values)
+@settings(max_examples=200, deadline=None)
+def test_any_json_example_loads_or_is_a_model_error(doc):
+    u = x.universe("a", "b")
+    for load, kind in ((load_example, x.Example), (load_partial_example, x.PartialExample)):
+        for candidate in (doc, {"assign": doc}):
+            try:
+                assert isinstance(load(candidate, u), kind)
+            except x.ModelError:
+                pass
