@@ -4,11 +4,16 @@ One executable, one subcommand per operation.  Results are printed as a
 single JSON object on stdout (stable key order, so identical inputs give
 byte-identical output); timing and diagnostics go to stderr.  Exit codes:
 0 success / found / true, 1 false, 2 error, 3 no explanation exists.
+
+``main`` builds the argument parser once per process and reuses it on every
+call, so in-process callers making many requests pay for it once;
+``parse_args`` returns a fresh namespace each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -358,9 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         caps = BruteCaps.from_env()

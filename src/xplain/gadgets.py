@@ -200,21 +200,30 @@ def odt_from_examples(
     domain = set(domains.pop()) if domains else set()
     seq = [f for f in order if f in domain]
     nodes: list = []
-
-    def build(depth: int, member: list[dict[int, int]]) -> int:
-        if not member:
-            nodes.append(Leaf(0))
-            return len(nodes) - 1
-        if depth == len(seq):
-            nodes.append(Leaf(1))
-            return len(nodes) - 1
-        f = seq[depth]
-        lo = build(depth + 1, [a for a in member if a[f] == 0])
-        hi = build(depth + 1, [a for a in member if a[f] == 1])
-        nodes.append(Split(f, lo, hi))
-        return len(nodes) - 1
-
-    root = build(0, assignments)
+    built: list[int] = []  # arena indices of finished subtrees
+    # Post-order, 0-child first, on an explicit stack whose entries are
+    # (depth, member rows) to visit, or (feature,) for a split whose two
+    # children are built.
+    stack: list[tuple] = [(0, assignments)]
+    while stack:
+        entry = stack.pop()
+        if len(entry) == 1:
+            hi = built.pop()
+            lo = built.pop()
+            nodes.append(Split(entry[0], lo, hi))
+        else:
+            depth, member = entry
+            if member and depth < len(seq):
+                f = seq[depth]
+                stack += (
+                    (f,),
+                    (depth + 1, [a for a in member if a[f] == 1]),
+                    (depth + 1, [a for a in member if a[f] == 0]),
+                )
+                continue
+            nodes.append(Leaf(1 if member else 0))
+        built.append(len(nodes) - 1)
+    root = built.pop()
     tree = DecisionTree(u, tuple(nodes), root, order)
     positives = sum(1 for n in tree.nodes if isinstance(n, Leaf) and n.label == 1)
     assert positives == len(rows)

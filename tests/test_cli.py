@@ -5,6 +5,7 @@ import json
 import pytest
 
 import xplain as x
+from xplain import cli
 from xplain.cli import main
 from xplain.modelio import dump_model, load_model_file
 
@@ -222,6 +223,48 @@ def test_repeated_runs_are_byte_identical(files, capsys):
           "--min", "card", "--example", example])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_parser_is_built_once(files, capsys, monkeypatch):
+    _, model, example = files
+    built = []
+    real_build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return real_build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    for _ in range(3):
+        code, payload = run(capsys, ["classify", "--model", model, "--example", example])
+        assert code == 0 and payload == {"class": 0}
+    assert len(built) == 1
+
+
+def test_consecutive_calls_share_no_state(files, capsys):
+    _, model, example = files
+    laxp_card = ["explain", "--model", model, "--kind", "laxp", "--min", "card",
+                 "--example", example]
+    # a budget of 0 admits no explanation; the next call without --k must
+    # see k = None (the whole universe), not the 0 of the call before
+    assert run(capsys, [*laxp_card, "--k", "0"]) == (3, {"size": None, "witness": None})
+    assert cli._parser().parse_args(laxp_card).k is None
+    code, payload = run(capsys, laxp_card)
+    assert code == 0 and payload["size"] > 0
+
+    # --quiet does not stick: the next call reports its elapsed time
+    assert main(["explain", "--model", model, "--kind", "lcxp", "--min", "card",
+                 "--example", example]) == 0
+    assert "elapsed_ms=" in capsys.readouterr().err
+
+    # an argparse refusal leaves the parser able to answer the next request
+    with pytest.raises(SystemExit) as exc:
+        main(["explain", "--model", model, "--kind", "bogus", "--min", "card"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, payload = run(capsys, ["classify", "--model", model, "--example", example])
+    assert code == 0 and payload == {"class": 0}
 
 
 def test_missing_file_is_an_error(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import xplain as x
 from xplain.config import CapExceeded
+from xplain.core import is_normalized
 
 from generators import random_dt, random_ensemble, random_example, random_universe
 
@@ -233,25 +234,42 @@ class TestProduct:
         ens = x.Ensemble(u, (t,))
         assert x.truth_table(x.product_dt(ens)) == x.truth_table(t)
 
-    def test_unanimous_single_feature(self):
-        u = x.universe("a", "b")
-        t = _single_test_tree(u)
-        product = x.product_dt(x.Ensemble(u, (t, t, t)))
-        assert x.truth_table(product) == x.truth_table(t)
-        assert product.leaf_count() <= 8
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_random_ensembles(self, seed):
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 6), depth=st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_unanimous_vote_is_decided_by_the_second_tree(self, seed, n, depth):
+        # the second copy of t follows the first copy's path to the same leaf,
+        # which decides the vote, so no third tree is grafted and the product
+        # is the normalized t
         rng = Random(seed)
-        u = random_universe(rng, rng.randint(1, 8))
-        ens = random_ensemble(rng, u, "dt", 3)
-        product = x.product_dt(ens)
-        assert x.truth_table(product) == x.truth_table(ens)
-        bound = 1
+        u = random_universe(rng, n)
+        t = random_dt(rng, u, max_depth=depth)
+        s = random_dt(rng, u, max_depth=depth)
+        for third in (t, s):
+            product = x.product_dt(x.Ensemble(u, (t, t, third)))
+            assert product.leaf_count() == x.normalize_dt(t).leaf_count()
+            assert x.truth_table(product) == x.truth_table(t)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 8),
+        depth=st.integers(1, 7),
+        size=st.sampled_from([1, 3, 5]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_ensembles(self, seed, n, depth, size):
+        # depth may exceed n, so paths often repeat a feature
+        rng = Random(seed)
+        u = random_universe(rng, n)
+        ens = x.Ensemble(
+            u, tuple(random_dt(rng, u, max_depth=depth) for _ in range(size))
+        )
+        projected = 1
         for t in ens.elements:
-            bound *= t.leaf_count()
-        assert product.leaf_count() <= bound
+            projected *= t.leaf_count()
+        product = x.product_dt(ens, max_leaves=projected)
+        assert x.truth_table(product) == x.truth_table(ens)
+        assert is_normalized(product)
+        assert product.leaf_count() <= projected
 
     def test_size_guard(self):
         rng = Random(19)

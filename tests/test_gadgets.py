@@ -44,6 +44,16 @@ class TestOdtFromExamples:
         with pytest.raises(x.ModelError):
             x.odt_from_examples(u, [row, row], (0,))
 
+    def test_single_row_over_a_long_order(self):
+        # one chain of 1500 tests: deeper than the interpreter's call stack
+        u = x.FeatureUniverse(tuple(f"f{i}" for i in range(1500)))
+        row = x.PartialExample(u, tuple((f, f % 2) for f in range(1500)))
+        order = list(reversed(range(1500)))
+        t = x.odt_from_examples(u, [row], order)
+        assert t.leaf_count() == 1501
+        assert x.classify(t, x.Example(u, tuple(f % 2 for f in range(1500)))) == 1
+        assert x.classify(t, x.Example(u, (1,) * 1500)) == 0
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_membership_semantics(self, seed):
