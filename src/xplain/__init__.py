@@ -35,7 +35,6 @@ from .circuits import (
     WidthCertificate,
     certificate_holds,
     circuit_hom_check,
-    circuit_phom_check,
     dl_to_circuit,
     dlmaj_to_circuit,
     dt_to_circuit,

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from .config import DEFAULT_CAPS, BruteCaps, require_cap
+from .config import DEFAULT_CAPS, BruteCaps
 from .core import (
     DecisionList,
     DecisionSet,
@@ -44,10 +44,9 @@ from .core import (
     ModelError,
     counter_ge,
     normalize_dt,
-    subcube_table,
     truth_table,
 )
-from .verify import first_flip
+from .verify import hom_check
 
 IN, AND, OR, NOT, MAJ = "IN", "AND", "OR", "NOT", "MAJ"
 _KINDS = (IN, AND, OR, NOT, MAJ)
@@ -404,29 +403,9 @@ def certificate_holds(circuit: Circuit, cert: WidthCertificate) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# exhaustive circuit checks
-# ---------------------------------------------------------------------------
-
-
 def circuit_hom_check(circuit: Circuit, caps: BruteCaps = DEFAULT_CAPS) -> bool:
-    """Is some input assignment evaluated differently from the all-zero one?
-    Only the IN-wired features are tabulated; the others cannot influence
-    the output and are fixed at 0."""
-    free = circuit.input_features()
-    require_cap(len(free), caps.circuit, "circuit hom check")
-    rest = set(range(len(circuit.universe))).difference(free)
-    table = subcube_table(circuit, dict.fromkeys(rest, 0), free)
-    return table not in (0, (1 << (1 << len(free))) - 1)
-
-
-def circuit_phom_check(circuit: Circuit, k: int, caps: BruteCaps = DEFAULT_CAPS) -> bool:
-    """Is some assignment with at most k ones evaluated differently from the
-    all-zero one?  Only the IN-wired features are flipped."""
-    inputs = circuit.input_features()
-    require_cap(min(k, len(inputs)), caps.circuit, "circuit phom check")
-    zero = Example(circuit.universe, (0,) * len(circuit.universe))
-    return first_flip(circuit, zero, k, inputs) is not None
+    """``verify.hom_check``, which tabulates the IN-wired features only."""
+    return hom_check(circuit, caps)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,7 @@ import time
 from typing import Optional
 
 from . import gadgets
-from .circuits import (
-    Circuit,
-    circuit_hom_check,
-    circuit_phom_check,
-    translate,
-)
+from .circuits import translate
 from .config import BruteCaps, CapExceeded
 from .core import (
     DecisionList,
@@ -149,7 +144,7 @@ def _explain_card(model, kind, target, args, caps):
         model = product_dt(model)
     if kind == "lcxp":
         if args.algo == "enum":
-            return lcxp_card_enum(model, target, k)
+            return lcxp_card_enum(model, target, k, caps)
         if isinstance(model, DecisionTree):
             witness = lcxp_min(model, target)
             return witness if witness is not None and len(witness) <= k else None
@@ -157,7 +152,7 @@ def _explain_card(model, kind, target, args, caps):
             return lcxp_card_branch(model, target, k)
         if isinstance(model, Ensemble) and model.family in ("ds", "dl"):
             return lcxp_card_branch_ens(model, target, k)
-        return lcxp_card_enum(model, target, k)
+        return lcxp_card_enum(model, target, k, caps)
     if isinstance(model, DecisionTree):
         return card_xp_search(model, kind, target, k)
     # no dedicated algorithm: exhaustive oracle at desk scale
@@ -203,18 +198,7 @@ def _cmd_translate(args, caps) -> tuple[int, dict]:
 
 def _cmd_hom(args, caps) -> tuple[int, dict]:
     model = load_model_file(args.model)
-    if isinstance(model, Circuit):
-        result = (
-            circuit_phom_check(model, args.k, caps)
-            if args.k is not None
-            else circuit_hom_check(model, caps)
-        )
-    else:
-        result = (
-            phom_check(model, args.k, caps)
-            if args.k is not None
-            else hom_check(model, caps)
-        )
+    result = hom_check(model, caps) if args.k is None else phom_check(model, args.k, caps)
     return (EXIT_OK if result else EXIT_FALSE), {"result": result}
 
 

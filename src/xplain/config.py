@@ -1,10 +1,12 @@
 """Brute-force budgets shared by the exhaustive checkers.
 
-Every exhaustive code path (verification by enumeration, the ground-truth
-oracle, circuit global/homogeneity checks) refuses to run above a configured
-number of free features.  Exceeding a cap raises :class:`CapExceeded`; nothing
-is ever silently truncated.  The environment variable ``XPLAIN_BRUTE_CAP``
-overrides all caps at once.
+Every exhaustive code path (verification by enumeration, the homogeneity
+checks and flip searches of all five families, the ground-truth oracle)
+refuses to run above a configured number of free features; above the
+``verify`` cap a flip search classifies at most 2**verify flipped examples.
+Exceeding a cap raises :class:`CapExceeded`; nothing is ever silently
+truncated.  The environment variable ``XPLAIN_BRUTE_CAP`` overrides all caps
+at once.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ class CapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class BruteCaps:
-    verify: int = 24          # free features in verification by enumeration
+    verify: int = 24          # free features of a verification or flip table
     oracle_local: int = 16    # |F| for the exhaustive oracle, local kinds
     oracle_global: int = 12   # |F| for the exhaustive oracle, global kinds
-    circuit: int = 24         # free input gates in circuit checks
 
     @staticmethod
     def from_env() -> "BruteCaps":
@@ -34,7 +35,7 @@ class BruteCaps:
         cap = int(raw)
         if cap < 0:
             raise ValueError(f"{ENV_CAP} must be nonnegative, got {cap}")
-        return BruteCaps(verify=cap, oracle_local=cap, oracle_global=cap, circuit=cap)
+        return BruteCaps(verify=cap, oracle_local=cap, oracle_global=cap)
 
 
 DEFAULT_CAPS = BruteCaps.from_env()

@@ -23,10 +23,10 @@ completion of a partial assignment at once, as a ``2**len(free)``-bit integer
 ``j`` of ``m``).  Each family is tabulated from a list of feature columns, in
 which a fixed feature is a constant and a free one a ``feature_column``; the
 model is never restricted or copied.  ``truth_table`` is the case with every
-feature free.  Verification by enumeration, the homogeneity check and the
-circuit checks are each one call of this kernel followed by one integer
-compare; the oracle and the weight-limited searches read single bits of the
-whole-universe table.
+feature free; with an ``origin`` mask, bit m is the class of the origin
+flipped on m.  Verification by enumeration and the homogeneity check are each
+one call of this kernel and one integer compare; the flip searches add the
+``weight_planes`` of the positions; the oracle reads single table bits.
 """
 
 from __future__ import annotations
@@ -432,13 +432,32 @@ def counter_ge(columns: Sequence[int], threshold: int, full: int) -> int:
     return ge | eq
 
 
-def subcube_table(model, fixed: Mapping[int, int], free: Sequence[int]) -> int:
+def weight_planes(n: int) -> list[int]:
+    """The bit-sliced counter of the n feature columns, least significant
+    plane first, grown by doubling like ``feature_column``: column j adds one
+    on the high half of 2**(j+1) positions only, a ripple increment."""
+    planes: list[int] = []
+    for j in range(n):
+        half = 1 << j
+        carry = (1 << half) - 1  # the increment, at every position of a half
+        grown = []
+        for plane in planes:
+            grown.append(plane | ((plane ^ carry) << half))
+            carry &= plane
+        if carry:
+            grown.append(carry << half)
+        planes = grown
+    return planes
+
+
+def subcube_table(model, fixed: Mapping[int, int], free: Sequence[int], origin: int = 0) -> int:
     """Classes of the 2**len(free) completions of ``fixed``, in one integer.
 
     ``fixed`` maps features to bits and ``free`` lists the other features;
     together they partition the universe.  Bit m is the class of the example
-    that agrees with ``fixed`` and gives free[j] the value of bit j of m.  A
-    fixed feature reads as a constant column and a free one as
+    that agrees with ``fixed`` and gives free[j] the value of bit j of m, or
+    its complement where the ``origin`` mask has free[j]: the flip m of the
+    origin.  A fixed feature reads as a constant column and a free one as
     ``feature_column(j, len(free))``, so the work is in 2**len(free) bits
     whatever the universe size.  A free column is built on its first read,
     so features the model never reads cost nothing.
@@ -446,21 +465,25 @@ def subcube_table(model, fixed: Mapping[int, int], free: Sequence[int]) -> int:
     n = len(_model_universe(model))
     if sorted([*fixed, *free]) != list(range(n)):
         raise ModelError("fixed and free features must partition the universe")
-    full = (1 << (1 << len(free))) - 1
-    return _table(model, _Columns(fixed, free, full), full)
+    cols = _Columns(fixed, free, origin)
+    return _table(model, cols, cols.full)
 
 
 class _Columns(dict):
     """Feature tables of one subcube: a fixed feature's constant is set up
     front, a free feature's column is built on its first read."""
 
-    def __init__(self, fixed: Mapping[int, int], free: Sequence[int], full: int) -> None:
+    def __init__(self, fixed: Mapping[int, int], free: Sequence[int], origin: int) -> None:
+        self.full = full = (1 << (1 << len(free))) - 1
         super().__init__((f, full if b else 0) for f, b in fixed.items())
         self.position = {f: j for j, f in enumerate(free)}  # bit in the table index
-        self.k = len(free)
+        self.origin = origin
 
     def __missing__(self, f: int) -> int:
-        col = self[f] = feature_column(self.position[f], self.k)
+        col = feature_column(self.position[f], len(self.position))
+        if (self.origin >> f) & 1:
+            col ^= self.full
+        self[f] = col
         return col
 
 
@@ -482,13 +505,12 @@ def _term_table(term: Term, cols: Mapping[int, int], full: int) -> int:
     return t
 
 
-def _table(model, cols: Mapping[int, int], full: int) -> int:
+def _table(model, cols: _Columns, full: int) -> int:
     """The model's table over the positions of ``full``; ``cols[f]`` is the
     table of feature f (a column, or the constant 0 or ``full``)."""
     if isinstance(model, DecisionTree):
         # post-order on an explicit stack; deep trees do not exhaust the
-        # call stack.  A free column is 0 on the all-zero completion, so a
-        # column with bit 0 set is the constant ``full``: a fixed feature
+        # call stack.  A fixed feature's column is a constant, so its node
         # follows one child only.
         done: list[int] = []  # tables of finished subtrees
         stack = [(model.root, None)]  # (node, its column once children are stacked)
@@ -504,10 +526,8 @@ def _table(model, cols: Mapping[int, int], full: int) -> int:
                 done.append((col & hi) | ((full ^ col) & lo))
                 continue
             col = cols[node.feature]
-            if col == 0:
-                stack.append((node.lo, None))
-            elif col & 1:
-                stack.append((node.hi, None))
+            if node.feature not in cols.position:
+                stack.append((node.hi if col else node.lo, None))
             else:
                 stack.append((i, col))
                 stack.append((node.hi, None))

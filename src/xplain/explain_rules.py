@@ -24,10 +24,11 @@ tally would flip the majority vote, and runs the branching against all
 chosen rules at once.  A single list is the vote of one, whose target
 tuples are its opposite-class rules.
 
-``lcxp_card_enum`` is the model-independent fallback: a minimum contrastive
-explanation can always be found by flipping candidate sets directly, in
-increasing cardinality (``verify.first_flip``).  The greedy subset-minimal
-``laxp`` is ``verify.shrink`` from the full feature set.
+``lcxp_card_enum`` answers the same question for a model of any family:
+``verify.first_flip`` reads the smallest, then lexicographically first,
+class-changing flip set off the flip table under the ``verify`` cap.  The
+greedy subset-minimal ``laxp`` is ``verify.shrink`` from the full feature
+set.
 """
 
 from __future__ import annotations
@@ -200,13 +201,15 @@ def lcxp_card_branch_ens(
     return _branch_search([_as_dl(m) for m in ens.elements], e, k, stats)
 
 
-def lcxp_card_enum(model, e: Example, k: int) -> Optional[frozenset]:
-    """Minimum local contrastive explanation of size <= k for any model whose
-    classification is computable: flip candidate sets directly, smallest
-    first (``verify.first_flip``)."""
+def lcxp_card_enum(
+    model, e: Example, k: int, caps: BruteCaps = DEFAULT_CAPS
+) -> Optional[frozenset]:
+    """Minimum local contrastive explanation of size <= k for a model of any
+    family: the first flip set that changes e's class, smallest first
+    (``verify.first_flip``, under its cap)."""
     if k < 0:
         raise ModelError("k must be nonnegative")
-    return first_flip(model, e, k)
+    return first_flip(model, e, k, caps, "lcxp enum")
 
 
 def laxp_rules_subset_min(

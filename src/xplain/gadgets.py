@@ -148,7 +148,7 @@ def answer_query(model, q: Query, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     n = len(model.universe)
     if q.kind in ("laxp", "lcxp"):
         if q.kind == "lcxp":
-            return lcxp_card_enum(model, q.target, q.k) is not None
+            return lcxp_card_enum(model, q.target, q.k, caps) is not None
         found = oracle_min(model, "laxp", q.target, caps)
         return found is not None and found[0] <= q.k
     if q.kind in ("gaxp", "gcxp"):
@@ -718,7 +718,7 @@ def hom_equivalence_suite(model, caps: BruteCaps = DEFAULT_CAPS) -> HomEquivalen
         verify(model, global_query("gaxp", c, empty_tau), caps),
         verify(model, global_query("gcxp", 1 - c, empty_tau), caps),
         verify(model, local_query("laxp", zero, empty_set), caps),
-        lcxp_card_enum(model, zero, n) is None,
+        lcxp_card_enum(model, zero, n, caps) is None,
         verify(model, global_query("gaxp", c, empty_tau), caps),
         verify(model, global_query("gcxp", 1 - c, empty_tau), caps),
     )

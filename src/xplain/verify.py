@@ -11,20 +11,22 @@ The four explanation kinds, for a model M:
 
 ``verify`` answers "is this candidate an explanation?".  Decision trees get a
 polynomial fast path: ``_reachable_has_label`` walks the part of the tree
-that the query's fixed features leave reachable.  Every other model is checked
-exactly by ``verify_by_enumeration``: one ``core.subcube_table`` call
-tabulates the completions of the features the query fixes, and one integer
-compare against 0 or all-ones gives the answer.  ``hom_check`` is the same
-kernel with every feature free.  All of them refuse to run above the
-configured free-feature cap.
+that the query's fixed features leave reachable, path-consistently, so the
+tree need not be normalized.  Every other model is checked exactly by
+``verify_by_enumeration``: one ``core.subcube_table`` call tabulates the
+completions of the features the query fixes, and one integer compare against
+0 or all-ones gives the answer.  ``hom_check`` is the same kernel over a
+model's flip domain: a circuit's IN-wired features, every feature of any
+other model.  All of them refuse to run above the configured free-feature
+cap.
 
 Two searches serve every model family:
 
 * ``shrink``: the greedy one-pass shrink of a valid candidate to a
   subset-minimal explanation;
-* ``first_flip``: the weight-limited flip enumeration, by size and then
-  lexicographically, behind ``phom_check``, ``lcxp_card_enum`` and
-  ``circuit_phom_check``.
+* ``first_flip``: the first flip set by size and then lexicographically,
+  behind ``phom_check`` and ``lcxp_card_enum``: table operations on the
+  flips of e, or above the cap a guarded enumeration.
 
 ``oracle_min`` and ``oracle_subset_min_check`` are the brute-force ground
 truth the rest of the test suite is measured against: candidates are
@@ -36,9 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from math import comb
+from typing import Iterable, Optional, Union
 
-from .config import DEFAULT_CAPS, BruteCaps, require_cap
+from .config import DEFAULT_CAPS, BruteCaps, CapExceeded, require_cap
 from .core import (
     DecisionTree,
     Example,
@@ -50,6 +53,7 @@ from .core import (
     normalize_dt,
     subcube_table,
     truth_table,
+    weight_planes,
 )
 
 LOCAL_KINDS = ("laxp", "lcxp")
@@ -57,10 +61,6 @@ GLOBAL_KINDS = ("gaxp", "gcxp")
 KINDS = LOCAL_KINDS + GLOBAL_KINDS
 
 Candidate = Union[frozenset, PartialExample]
-
-# first_flip, whose work only k bounds, reads classes from the truth table
-# up to this universe size and classifies one example at a time beyond it
-_TABLE_LIMIT = 16
 
 
 def flip(e: Example, features: Iterable[int]) -> Example:
@@ -104,6 +104,16 @@ def global_query(kind: str, c: int, tau: PartialExample) -> ExplanationQuery:
     return ExplanationQuery(kind, int(c), tau)
 
 
+def _fixed(q: ExplanationQuery) -> dict[int, int]:
+    """The features a query fixes, with their bits: e on the ``laxp``
+    candidate, e off the ``lcxp`` candidate, tau for the global kinds."""
+    if q.kind == "laxp":
+        return {f: q.target.bits[f] for f in q.candidate}
+    if q.kind == "lcxp":
+        return {f: b for f, b in enumerate(q.target.bits) if f not in q.candidate}
+    return q.candidate.as_dict()
+
+
 # ---------------------------------------------------------------------------
 # decision tree restriction and fast verification
 # ---------------------------------------------------------------------------
@@ -144,41 +154,40 @@ def restrict_dt(t: DecisionTree, tau: PartialExample) -> DecisionTree:
 def _reachable_has_label(t: DecisionTree, assigned: dict, label: int) -> bool:
     """Is some leaf of the restriction of t to `assigned` labelled `label`?
 
-    Same predicate as inspecting restrict_dt(t, assigned), computed by
-    traversal without materializing the restricted tree.
+    Same predicate as inspecting restrict_dt(t, assigned), computed without
+    materializing the restricted tree.  Each path carries the features it
+    assigns as a mask and their bits as a value, so a feature tested twice
+    follows the consistent child and t need not be normalized.
     """
-    stack = [t.root]
+    mask = sum(1 << f for f in assigned)
+    value = sum(b << f for f, b in assigned.items())
+    stack = [(t.root, mask, value)]
     while stack:
-        node = t.nodes[stack.pop()]
+        i, mask, value = stack.pop()
+        node = t.nodes[i]
         if isinstance(node, Leaf):
             if node.label == label:
                 return True
             continue
-        b = assigned.get(node.feature)
-        if b is None:
-            stack.append(node.lo)
-            stack.append(node.hi)
+        bit = 1 << node.feature
+        if mask & bit:
+            stack.append((node.hi if value & bit else node.lo, mask, value))
         else:
-            stack.append(node.hi if b else node.lo)
+            mask |= bit
+            stack.append((node.lo, mask, value))
+            stack.append((node.hi, mask, value | bit))
     return False
 
 
 def _verify_dt(t: DecisionTree, q: ExplanationQuery) -> bool:
-    t = normalize_dt(t)
-    if q.kind == "laxp":
-        e = q.target
-        assigned = {f: e.bits[f] for f in q.candidate}
-        return not _reachable_has_label(t, assigned, 1 - classify(t, e))
-    if q.kind == "lcxp":
-        e = q.target
-        assigned = {
-            f: e.bits[f] for f in range(len(t.universe)) if f not in q.candidate
-        }
-        return _reachable_has_label(t, assigned, 1 - classify(t, e))
-    assigned = q.candidate.as_dict()
-    if q.kind == "gaxp":
-        return not _reachable_has_label(t, assigned, 1 - q.target)
-    return not _reachable_has_label(t, assigned, q.target)  # gcxp
+    """``lcxp`` holds iff a leaf of the other class than e's is reachable;
+    the other kinds iff no leaf of the class they exclude is."""
+    if q.kind in LOCAL_KINDS:
+        other = 1 - classify(t, q.target)
+    else:
+        other = 1 - q.target if q.kind == "gaxp" else q.target
+    reachable = _reachable_has_label(t, _fixed(q), other)
+    return reachable if q.kind == "lcxp" else not reachable
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +215,9 @@ def verify_by_enumeration(model, q: ExplanationQuery, caps: BruteCaps = DEFAULT_
 
     The cap counts the free features.
     """
-    n = len(model.universe)
-    if q.kind == "laxp":
-        free = [f for f in range(n) if f not in q.candidate]
-    elif q.kind == "lcxp":
-        free = sorted(q.candidate)
-    else:
-        dom = set(q.candidate.domain)
-        free = [f for f in range(n) if f not in dom]
+    fixed = _fixed(q)
+    free = [f for f in range(len(model.universe)) if f not in fixed]
     require_cap(len(free), caps.verify, f"verify {q.kind}")
-    if q.kind in LOCAL_KINDS:
-        free_set = set(free)
-        fixed = {f: b for f, b in enumerate(q.target.bits) if f not in free_set}
-    else:
-        fixed = q.candidate.as_dict()
     table = subcube_table(model, fixed, free)
     full = (1 << (1 << len(free))) - 1
     if q.kind == "laxp":
@@ -343,21 +341,13 @@ def oracle_subset_min_check(
     model, kind: str, target, candidate: Candidate, caps: BruteCaps = DEFAULT_CAPS
 ) -> bool:
     """True iff the candidate verifies and no single-element removal does."""
-    if kind in LOCAL_KINDS:
-        q = local_query(kind, target, candidate)
-        if not verify(model, q, caps):
-            return False
-        for f in sorted(q.candidate):
-            smaller = local_query(kind, target, q.candidate - {f})
-            if verify(model, smaller, caps):
-                return False
-        return True
-    tau: PartialExample = candidate
-    if not verify(model, global_query(kind, target, tau), caps):
+    local = kind in LOCAL_KINDS
+    query = local_query if local else global_query
+    if not verify(model, query(kind, target, candidate), caps):
         return False
-    for f in tau.domain:
-        smaller = global_query(kind, target, tau.restricted_off(f))
-        if verify(model, smaller, caps):
+    for f in sorted(candidate) if local else candidate.domain:
+        smaller = frozenset(candidate) - {f} if local else candidate.restricted_off(f)
+        if verify(model, query(kind, target, smaller), caps):
             return False
     return True
 
@@ -367,41 +357,64 @@ def oracle_subset_min_check(
 # ---------------------------------------------------------------------------
 
 
+def _flip_domain(model) -> list[int]:
+    """The features a flip may change: a circuit's IN-wired ones (no other
+    feature reaches its output), every feature of any other model."""
+    from .circuits import Circuit  # deferred: circuits imports verify
+
+    n = len(model.universe)
+    return model.input_features() if isinstance(model, Circuit) else list(range(n))
+
+
 def hom_check(model, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """Is some example classified differently from the all-zero example?"""
-    n = len(model.universe)
-    require_cap(n, caps.verify, "hom")
-    return truth_table(model) not in (0, (1 << (1 << n)) - 1)
+    domain = _flip_domain(model)
+    require_cap(len(domain), caps.verify, "hom")
+    rest = set(range(len(model.universe))).difference(domain)
+    table = subcube_table(model, dict.fromkeys(rest, 0), domain)
+    return table not in (0, (1 << (1 << len(domain))) - 1)
 
 
 def first_flip(
-    model, e: Example, k: int, features: Optional[Sequence[int]] = None
+    model, e: Example, k: int, caps: BruteCaps = DEFAULT_CAPS, what: str = "flip search"
 ) -> Optional[frozenset]:
-    """First set of at most k of ``features`` (default: all) whose flip
-    changes e's class, by size and then lexicographically; None when there
-    is none.  Only k bounds the work: up to ``_TABLE_LIMIT`` universe
-    features the classes are bits of the truth table, beyond it each
-    flipped example is classified."""
-    n = len(model.universe)
-    features = range(n) if features is None else features
-    if n <= _TABLE_LIMIT:
-        table = truth_table(model)
-        base = e.mask()
-        cls = _bit(table, base)
-        changes = lambda subset: _bit(table, base ^ sum(1 << f for f in subset)) != cls
-    else:
+    """First set of at most k features of the model's domain whose flip
+    changes e's class, by size and then lexicographically, or None.  Up to
+    ``caps.verify`` features it is the highest position of least weight set
+    in the flip table XOR e's class.  Above the cap each flipped example is
+    classified, if the flip sets to try number at most 2**caps.verify."""
+    domain = _flip_domain(model)
+    d = len(domain)
+    k = min(k, d)
+    if d > caps.verify:
+        require_cap(k, caps.verify, what)
+        count = sum(comb(d, i) for i in range(k + 1))
+        if count > 1 << caps.verify:
+            raise CapExceeded(f"{what}: {count} flip sets exceed 2**{caps.verify}")
         cls = classify(model, e)
-        changes = lambda subset: classify(model, flip(e, subset)) != cls
-    for size in range(1, min(k, len(features)) + 1):
-        for subset in combinations(features, size):
-            if changes(subset):
-                return frozenset(subset)
-    return None
+        for size in range(1, k + 1):
+            for subset in combinations(domain, size):
+                if classify(model, flip(e, subset)) != cls:
+                    return frozenset(subset)
+        return None
+    # bit m is the class of e flipped on m, the domain's first feature highest
+    rest = set(range(len(e.bits))).difference(domain)
+    table = subcube_table(model, {f: e.bits[f] for f in rest}, domain[::-1], e.mask())
+    flips = ((1 << (1 << d)) - 1) ^ table if table & 1 else table  # class-changing
+    if not flips:
+        return None
+    for plane in reversed(weight_planes(d)):  # keep the flips of least weight
+        lighter = flips & ~plane
+        if lighter:
+            flips = lighter
+    m = flips.bit_length() - 1
+    if m.bit_count() > k:
+        return None
+    return frozenset(domain[d - 1 - j] for j in range(d) if (m >> j) & 1)
 
 
 def phom_check(model, k: int, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """Is some example with at most k ones classified differently from the
     all-zero example?"""
-    n = len(model.universe)
-    require_cap(min(k, n), caps.verify, "phom")
-    return first_flip(model, Example(model.universe, (0,) * n), k) is not None
+    zero = Example(model.universe, (0,) * len(model.universe))
+    return first_flip(model, zero, k, caps, "phom") is not None

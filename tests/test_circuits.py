@@ -235,14 +235,14 @@ class TestHomChecks:
         u = x.universe("a")
         circ, _ = x.dt_to_circuit(x.leaf_tree(u, 1), 1)
         assert not x.circuit_hom_check(circ)
-        assert not x.circuit_phom_check(circ, 1)
+        assert not x.phom_check(circ, 1)
 
     def test_identity_circuit(self):
         u = x.universe("a", "b")
         t = x.DecisionTree(u, (x.Split(0, 1, 2), x.Leaf(0), x.Leaf(1)))
         circ, _ = x.dt_to_circuit(t, 1)
         assert x.circuit_hom_check(circ)
-        assert x.circuit_phom_check(circ, 1)
+        assert x.phom_check(circ, 1)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -262,7 +262,7 @@ class TestHomChecks:
             for mask in range(1 << len(u))
             if bin(mask).count("1") <= k
         )
-        assert x.circuit_phom_check(circ, k) == expected_k
+        assert x.phom_check(circ, k) == expected_k
 
 
 class TestJson:

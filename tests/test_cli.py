@@ -405,7 +405,10 @@ def test_verify_at_the_free_feature_cap(body, expected, capsys, monkeypatch, tmp
     default verify cap: the check must answer, and quickly.  The models read
     4 and 3 of the features; a column of 2**24 bits is 2 MB, so building all
     24 would peak near 60 MB, and building only the read ones stays under
-    20 MB."""
+    20 MB.  ``hom --k 24`` asks the same question around the all-zero
+    example: it tabulates all 2**24 flips at once instead of classifying
+    16.7 M examples, and its weight planes, 5 tables of 2 MB, are built from
+    one feature column at a time."""
     import tracemalloc
 
     monkeypatch.delenv("XPLAIN_BRUTE_CAP", raising=False)
@@ -415,15 +418,38 @@ def test_verify_at_the_free_feature_cap(body, expected, capsys, monkeypatch, tmp
     example.write_text(json.dumps({"assign": {f"x{i}": 0 for i in range(24)}}))
     candidate = tmp_path / "cand.json"
     candidate.write_text(json.dumps({"features": []}))
-    tracemalloc.start()
-    try:
-        code, payload = run(capsys, ["verify", "--model", str(model), "--kind", "laxp",
-                                     "--example", str(example), "--candidate", str(candidate)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (code, payload) == ((0 if expected else 1), {"result": expected})
-    assert peak < 32 * 2**20
+    requests = [
+        (["verify", "--model", str(model), "--kind", "laxp",
+          "--example", str(example), "--candidate", str(candidate)], expected),
+        (["hom", "--model", str(model), "--k", "24"], not expected),
+    ]
+    for argv, result in requests:
+        tracemalloc.start()
+        try:
+            code, payload = run(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, payload) == ((0 if result else 1), {"result": result})
+        assert peak < 32 * 2**20
+
+
+def test_flip_search_above_the_cap_is_refused_before_any_work(capsys, monkeypatch,
+                                                              tmp_path):
+    """30 features are over the cap of 24, so no flip table is built: at
+    k = 2 the 466 flip sets are classified one by one, and at k = 9 the
+    22 964 087 flip sets exceed 2**24 and the search exits 2 at once."""
+    monkeypatch.delenv("XPLAIN_BRUTE_CAP", raising=False)
+    names = [f"x{i}" for i in range(30)]
+    model = tmp_path / "wider.json"
+    model.write_text(json.dumps({"universe": names, "model": {
+        "ds": {"terms": [[["x28", 1], ["x29", 1]]], "default": 0}}}))
+    assert run(capsys, ["hom", "--model", str(model), "--k", "1"]) == (1, {"result": False})
+    assert run(capsys, ["hom", "--model", str(model), "--k", "2"]) == (0, {"result": True})
+    code = main(["hom", "--model", str(model), "--k", "9"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "flip sets" in err
 
 
 def test_model_round_trip(files):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import xplain as x
-from xplain.core import counter_ge, feature_column
+from xplain.core import counter_ge, feature_column, weight_planes
 
 from generators import (
     random_any_model,
@@ -198,6 +198,15 @@ def test_feature_column_pattern():
             for mask in range(1 << n):
                 assert (col >> mask) & 1 == (mask >> f) & 1
         assert feature_column(n, n) == 0
+
+
+def test_weight_planes_spell_popcount():
+    for n in range(11):
+        planes = weight_planes(n)
+        assert all(0 < p < 1 << (1 << n) for p in planes)
+        for mask in range(1 << n):
+            weight = sum(((p >> mask) & 1) << i for i, p in enumerate(planes))
+            assert weight == bin(mask).count("1")
 
 
 @given(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
 from random import Random
 
 import pytest
@@ -10,6 +12,7 @@ from xplain.config import BruteCaps, CapExceeded
 
 from generators import (
     random_any_model,
+    random_circuit,
     random_dl,
     random_dt,
     random_ensemble,
@@ -199,7 +202,7 @@ class TestCaps:
         rng = Random(9)
         u = random_universe(rng, 8)
         m = random_dl(rng, u)
-        tiny = BruteCaps(verify=3, oracle_local=3, oracle_global=3, circuit=3)
+        tiny = BruteCaps(verify=3, oracle_local=3, oracle_global=3)
         with pytest.raises(CapExceeded):
             x.verify(m, x.local_query("laxp", random_example(rng, u), set()), tiny)
 
@@ -207,9 +210,26 @@ class TestCaps:
         rng = Random(9)
         u = random_universe(rng, 8)
         m = random_dl(rng, u)
-        tiny = BruteCaps(verify=3, oracle_local=3, oracle_global=3, circuit=3)
+        tiny = BruteCaps(verify=3, oracle_local=3, oracle_global=3)
         with pytest.raises(CapExceeded):
             x.oracle_min(m, "laxp", random_example(rng, u), tiny)
+
+    def test_flip_search_cap_counts_the_tabulated_features(self):
+        """Twelve features over a cap of ten: the flip table would have 2**12
+        bits, and the 4083 flip sets of at most ten features exceed 2**10,
+        so k = 10 is refused before any work.  The 79 sets of at most two
+        features are classified one by one."""
+        rng = Random(9)
+        u = random_universe(rng, 12)
+        m = random_dl(rng, u)
+        e = random_example(rng, u)
+        small = BruteCaps(verify=10, oracle_local=10, oracle_global=10)
+        with pytest.raises(CapExceeded):
+            x.phom_check(m, 10, small)
+        with pytest.raises(CapExceeded):
+            x.lcxp_card_enum(m, e, 10, small)
+        assert x.phom_check(m, 2, small) == x.phom_check(m, 2)
+        assert x.lcxp_card_enum(m, e, 2, small) == x.lcxp_card_enum(m, e, 2)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -272,3 +292,58 @@ def test_enumeration_verifier_matches_brute_force(seed):
         assert x.verify_by_enumeration(model, q) == _brute_verify(
             model, kind, target, candidate
         ), (kind, model)
+
+
+def _first_flip_by_classify(model, e, k: int):
+    """The first flip set of at most k features changing e's class, by size
+    and then lexicographically, over every feature of the universe, by
+    classifying each flipped example."""
+    n = len(model.universe)
+    cls = x.classify(model, e)
+    for size in range(1, min(k, n) + 1):
+        for subset in combinations(range(n), size):
+            if x.classify(model, x.flip(e, subset)) != cls:
+                return frozenset(subset)
+    return None
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_flip_engine_matches_classify(seed):
+    """first_flip, lcxp_card_enum and phom_check on all five families, under
+    the default cap (the flip table) and under a random smaller one (the
+    guarded enumeration, or a refusal that the cap rule predicts)."""
+    rng = Random(seed)
+    u = random_universe(rng, rng.randint(1, 7))
+    family = rng.choice(["dt", "ds", "dl", "ens", "translated", "random-circuit"])
+    if family == "ens":
+        m = random_ensemble(rng, u, rng.choice(["dt", "ds", "dl"]))
+    elif family == "translated":
+        source = random_model(rng, u, rng.choice(["dt", "ds", "dl"]))
+        m = x.translate(source, rng.randint(0, 1))[0]
+    elif family == "random-circuit":
+        m = random_circuit(rng, u)  # its IN gates often miss some features
+    else:
+        m = random_model(rng, u, family)
+    e = random_example(rng, u)
+    zero = x.Example(u, (0,) * len(u))
+    k = rng.randint(0, len(u) + 1)
+    expected = _first_flip_by_classify(m, e, k)
+    expected_hom = _first_flip_by_classify(m, zero, k) is not None
+    assert x.first_flip(m, e, k) == expected
+    assert x.lcxp_card_enum(m, e, k) == expected
+    assert x.phom_check(m, k) == expected_hom
+
+    cap = rng.randint(0, len(u))
+    small = BruteCaps(verify=cap, oracle_local=cap, oracle_global=cap)
+    d = len(m.input_features()) if isinstance(m, x.Circuit) else len(u)
+    if d <= cap or sum(comb(d, i) for i in range(min(k, d) + 1)) <= 2**cap:
+        assert x.first_flip(m, e, k, small) == expected
+        assert x.lcxp_card_enum(m, e, k, small) == expected
+        assert x.phom_check(m, k, small) == expected_hom
+    else:
+        for call in (lambda: x.first_flip(m, e, k, small),
+                     lambda: x.lcxp_card_enum(m, e, k, small),
+                     lambda: x.phom_check(m, k, small)):
+            with pytest.raises(CapExceeded):
+                call()
