@@ -7,7 +7,11 @@ byte-identical output); timing and diagnostics go to stderr.  Exit codes:
 
 ``main`` builds the argument parser once per process and reuses it on every
 call, so in-process callers making many requests pay for it once;
-``parse_args`` returns a fresh namespace each time.
+``parse_args`` returns a fresh namespace each time.  Models are loaded with
+``modelio.load_model_file``, which remembers the last model keyed on the
+file's bytes: consecutive requests about the same model document share one
+model object, with its normalized tree and its tree-ensemble product, and a
+rewritten file is always reloaded.
 """
 
 from __future__ import annotations

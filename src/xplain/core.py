@@ -181,6 +181,10 @@ class DecisionTree:
     nodes: tuple[DTNode, ...]
     root: int = 0
     order: Optional[tuple[int, ...]] = None  # declared feature order, if any
+    # normalize_dt's memo: None until it has run, then True if this tree is
+    # normalized, else its normalized copy (never the tree itself, so a tree
+    # is no reference cycle)
+    _normal: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = tuple(self.nodes)
@@ -306,6 +310,10 @@ class Ensemble:
 
     universe: FeatureUniverse
     elements: tuple  # DecisionTree | DecisionSet | DecisionList, homogeneous
+    # explain_dt.product_dt's memo: the product tree of a tree ensemble
+    _product: Optional[DecisionTree] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         elements = tuple(self.elements)
@@ -590,8 +598,18 @@ def normalize_dt(t: DecisionTree) -> DecisionTree:
     decision, so the leaf count never grows.  Trees without repeats are
     returned unchanged.  The walk is iterative (deep trees do not exhaust
     the call stack) and emits the arena in post-order, 0-child first.
+
+    The answer is memoized on the tree: a normalized tree records a flag,
+    any other tree its normalized copy, so each tree is checked and copied
+    at most once however many queries ask about it.
     """
+    memo = t._normal
+    if memo is True:
+        return t
+    if memo is not None:
+        return memo
     if is_normalized(t):
+        object.__setattr__(t, "_normal", True)
         return t
     nodes: list[DTNode] = []
     built: list[int] = []  # arena indices of finished subtrees
@@ -625,6 +643,8 @@ def normalize_dt(t: DecisionTree) -> DecisionTree:
             built.append(len(nodes) - 1)
     out = DecisionTree(t.universe, tuple(nodes), built.pop(), t.order)
     assert out.leaf_count() <= t.leaf_count()
+    object.__setattr__(out, "_normal", True)
+    object.__setattr__(t, "_normal", out)
     return out
 
 

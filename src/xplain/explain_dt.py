@@ -239,6 +239,11 @@ def product_dt(ens: Ensemble, max_leaves: int = 1_000_000) -> DecisionTree:
     already voted 1, or too few trees are left to reach one).  The projected
     leaf count is the product of the element leaf counts; construction
     aborts beyond ``max_leaves``.
+
+    The product is memoized on the ensemble and marked normalized, so every
+    query on one ensemble shares one product tree.  The projected-size check
+    runs on every call, a memo hit included, so ``max_leaves`` refuses the
+    same ensembles whether or not the product was built before.
     """
     if ens.family != "dt":
         raise ModelError("product_dt needs an ensemble of decision trees")
@@ -250,6 +255,8 @@ def product_dt(ens: Ensemble, max_leaves: int = 1_000_000) -> DecisionTree:
         raise CapExceeded(
             f"projected product size {projected} exceeds the ceiling {max_leaves}"
         )
+    if ens._product is not None:
+        return ens._product
     majority_at = len(trees) // 2 + 1
     last = len(trees) - 1
     labels = (Leaf(0), Leaf(1))  # leaves are immutable: one per class is shared
@@ -293,4 +300,6 @@ def product_dt(ens: Ensemble, max_leaves: int = 1_000_000) -> DecisionTree:
             break
     product = DecisionTree(ens.universe, tuple(nodes), built.pop())
     assert product.leaf_count() <= projected
+    object.__setattr__(product, "_normal", True)
+    object.__setattr__(ens, "_product", product)
     return product

@@ -15,6 +15,13 @@ Model documents carry the universe and a single-key tagged model object::
 Examples and partial examples: ``{"assign": {"x": 0, "y": 1}}`` (a full
 example assigns every feature).  Feature references are by name; indices are
 an internal matter.
+
+``load_model_file`` remembers the last model it loaded, keyed on the file's
+bytes: a file with the same bytes as the last one loaded returns the same
+(immutable) model object without parsing or validating it again, so many
+requests about one model document pay for it once per process.  The key is
+the content, never the path or modification time: a rewritten file is
+always reloaded.  A document that fails to load is not remembered.
 """
 
 from __future__ import annotations
@@ -67,9 +74,20 @@ def load_model(doc: Mapping[str, Any]):
     return _model_from(body, FeatureUniverse(tuple(names)))
 
 
+# (bytes, model) of the last model file loaded; rebound, never mutated
+_last_file: tuple[bytes, Any] = (b"", None)
+
+
 def load_model_file(path: str):
-    with open(path) as fh:
-        return load_model(json.load(fh))
+    global _last_file
+    with open(path, "rb") as fh:
+        data = fh.read()
+    last_data, last_model = _last_file
+    if last_model is not None and data == last_data:
+        return last_model
+    model = load_model(json.loads(data.decode("utf-8")))
+    _last_file = (data, model)
+    return model
 
 
 def _model_from(body: Mapping[str, Any], u: FeatureUniverse):

@@ -267,6 +267,17 @@ def test_consecutive_calls_share_no_state(files, capsys):
     assert code == 0 and payload == {"class": 0}
 
 
+def test_rewritten_model_file_is_answered_anew(files, capsys):
+    _, model, example = files
+    laxp = ["explain", "--model", model, "--kind", "laxp", "--min", "subset",
+            "--example", example]
+    assert run(capsys, laxp) == (0, {"size": 2, "witness": ["y", "z"]})
+    # the same path now holds a constant list: its empty set suffices
+    with open(model, "w") as fh:
+        json.dump({"universe": ["x", "y", "z"], "model": {"dl": {"rules": [[[], 0]]}}}, fh)
+    assert run(capsys, laxp) == (0, {"size": 0, "witness": []})
+
+
 def test_missing_file_is_an_error(capsys):
     code = main(["--quiet", "classify", "--model", "/nonexistent.json",
                  "--example", "/nonexistent.json"])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import weakref
 from random import Random
 
 import pytest
@@ -79,6 +81,36 @@ class TestNormalize:
         out = x.normalize_dt(t)
         assert x.truth_table(out) == x.truth_table(t)
         assert out.leaf_count() <= t.leaf_count()
+
+
+    def test_memoized_on_the_tree(self):
+        u = x.universe("a")
+        t = x.DecisionTree(
+            u,
+            (x.Split(0, 1, 2), x.Leaf(0), x.Split(0, 3, 4), x.Leaf(0), x.Leaf(1)),
+        )
+        out = x.normalize_dt(t)
+        assert out is not t and x.normalize_dt(t) is out
+        assert x.normalize_dt(out) is out
+        # the memo is no part of the value
+        fresh = x.DecisionTree(u, t.nodes, t.root)
+        assert fresh == t and hash(fresh) == hash(t) and repr(fresh) == repr(t)
+
+    def test_memo_makes_no_reference_cycle(self):
+        u = x.universe("a", "b")
+        repeated = (x.Split(0, 1, 2), x.Leaf(0), x.Split(0, 3, 4), x.Leaf(0), x.Leaf(1))
+        plain = (x.Split(0, 1, 2), x.Leaf(0), x.Split(1, 3, 4), x.Leaf(1), x.Leaf(0))
+        gc.disable()
+        try:
+            raw = x.DecisionTree(u, repeated)
+            out = x.normalize_dt(raw)
+            normal = x.DecisionTree(u, plain)
+            assert x.normalize_dt(normal) is normal
+            refs = [weakref.ref(raw), weakref.ref(out), weakref.ref(normal)]
+            del raw, out, normal
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 class TestRespectsOrder:

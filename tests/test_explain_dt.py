@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import weakref
 from random import Random
 
 import pytest
@@ -278,6 +280,38 @@ class TestProduct:
         with pytest.raises(CapExceeded):
             x.product_dt(ens, max_leaves=1)
 
+
+    def test_size_guard_holds_on_a_memo_hit(self):
+        rng = Random(19)
+        u = random_universe(rng, 8)
+        ens = random_ensemble(rng, u, "dt", 3)
+        product = x.product_dt(ens)
+        with pytest.raises(CapExceeded):
+            x.product_dt(ens, max_leaves=1)
+        assert x.product_dt(ens) is product
+
+    def test_memoized_on_the_ensemble(self):
+        rng = Random(23)
+        u = random_universe(rng, 6)
+        ens = random_ensemble(rng, u, "dt", 3)
+        product = x.product_dt(ens)
+        assert x.product_dt(ens) is product
+        assert x.normalize_dt(product) is product
+        # an equal ensemble built anew builds its own, equal product
+        assert x.product_dt(x.Ensemble(u, ens.elements)) == product
+
+    def test_memo_makes_no_reference_cycle(self):
+        rng = Random(29)
+        u = random_universe(rng, 6)
+        gc.disable()
+        try:
+            ens = random_ensemble(rng, u, "dt", 3)
+            product = x.product_dt(ens)
+            refs = [weakref.ref(ens), weakref.ref(product)]
+            del ens, product
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 def test_renaming_features_only_changes_names(fig_dl, fig_example):
     # names are cosmetic: a renamed copy produces the same index witnesses

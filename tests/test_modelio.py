@@ -1,14 +1,23 @@
-"""Loader fuzzing: any JSON document yields a working model or a ModelError."""
+"""Loader fuzzing: any JSON document yields a working model or a ModelError;
+and the file loader's memo of the last model, keyed on the file's bytes."""
 
 from __future__ import annotations
 
+import json
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xplain as x
-from xplain.modelio import dump_model, load_example, load_model, load_partial_example
+from xplain.modelio import (
+    dump_model,
+    load_example,
+    load_model,
+    load_model_file,
+    load_partial_example,
+)
 
 from generators import random_any_model, random_universe
 
@@ -83,3 +92,43 @@ def test_any_json_example_loads_or_is_a_model_error(doc):
                 assert isinstance(load(candidate, u), kind)
             except x.ModelError:
                 pass
+
+
+# -- the load memo: keyed on the file's bytes, one entry --------------------
+
+_TREE_DOC = {"universe": ["a", "b"],
+             "model": {"dt": {"root": 0, "nodes": [{"test": "a", "if0": 1, "if1": 2},
+                                                   {"leaf": 0}, {"leaf": 1}]}}}
+_LIST_DOC = {"universe": ["a", "b"], "model": {"dl": {"rules": [[[["b", 1]], 1], [[], 0]]}}}
+
+
+def test_same_bytes_return_the_same_model(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps(_TREE_DOC))
+    second.write_text(json.dumps(_TREE_DOC))
+    model = load_model_file(str(first))
+    assert load_model_file(str(first)) is model
+    assert load_model_file(str(second)) is model  # another path, the same bytes
+
+
+def test_rewritten_file_is_reloaded(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_TREE_DOC))
+    tree = load_model_file(str(path))
+    path.write_text(json.dumps(_LIST_DOC))
+    model = load_model_file(str(path))
+    assert isinstance(model, x.DecisionList) and model == load_model(_LIST_DOC)
+    path.write_text(json.dumps(_TREE_DOC))
+    assert load_model_file(str(path)) == tree
+
+
+def test_failed_load_leaves_the_last_model(tmp_path):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(_TREE_DOC))
+    bad.write_text(json.dumps({"universe": ["a"], "model": {"dt": 5}}))
+    model = load_model_file(str(good))
+    with pytest.raises(x.ModelError):
+        load_model_file(str(bad))
+    with pytest.raises(x.ModelError):  # not remembered: refused again
+        load_model_file(str(bad))
+    assert load_model_file(str(good)) is model
