@@ -39,7 +39,6 @@ from .circuits import (
     dlmaj_to_circuit,
     dt_to_circuit,
     dtmaj_to_circuit,
-    eval_circuit,
     translate,
 )
 from .explain_dt import (
@@ -53,7 +52,6 @@ from .explain_dt import (
 )
 from .explain_rules import (
     BranchStats,
-    ds_to_dl,
     laxp_rules_subset_min,
     lcxp_card_branch,
     lcxp_card_branch_ens,

@@ -42,6 +42,7 @@ from .core import (
     Example,
     FeatureUniverse,
     ModelError,
+    ParamReport,
     counter_ge,
     normalize_dt,
     truth_table,
@@ -110,6 +111,57 @@ class Circuit:
     def input_features(self) -> list[int]:
         return sorted(g.feature for g in self.gates if g.kind == IN)
 
+    def evaluate(self, e: Example) -> int:
+        """Output gate value under the input assignment, by topological order."""
+        val = [0] * len(self.gates)
+        for i, g in enumerate(self.gates):
+            if g.kind == IN:
+                val[i] = e.bits[g.feature]
+            elif g.kind == AND:
+                val[i] = int(all(val[j] for j in g.ins))
+            elif g.kind == OR:
+                val[i] = int(any(val[j] for j in g.ins))
+            elif g.kind == NOT:
+                val[i] = 1 - val[g.ins[0]]
+            else:  # MAJ
+                val[i] = int(g.threshold <= sum(val[j] for j in g.ins))
+        return val[self.output]
+
+    def table(self, cols: Mapping[int, int], full: int) -> int:
+        """Output table over the positions of ``full``, gate by gate in
+        topological order; IN gates read ``cols[feature]``.  A gate's table
+        is dropped after its last reader, so only the live frontier is held."""
+        gates = self.gates
+        last = list(range(len(gates)))  # the last gate reading each gate
+        for i, g in enumerate(gates):
+            for j in g.ins:
+                last[j] = i
+        val: list = [None] * len(gates)
+        for i, g in enumerate(gates):
+            if g.kind == IN:
+                val[i] = cols[g.feature]
+            elif g.kind == AND:
+                acc = full
+                for j in g.ins:
+                    acc &= val[j]
+                val[i] = acc
+            elif g.kind == OR:
+                acc = 0
+                for j in g.ins:
+                    acc |= val[j]
+                val[i] = acc
+            elif g.kind == NOT:
+                val[i] = full ^ val[g.ins[0]]
+            else:  # MAJ
+                val[i] = counter_ge([val[j] for j in g.ins], g.threshold, full)
+            for j in g.ins:
+                if last[j] == i:
+                    val[j] = None
+        return val[self.output]
+
+    def params(self) -> ParamReport:
+        return ParamReport(model_size=len(self.gates))
+
 
 @dataclass(frozen=True)
 class WidthCertificate:
@@ -120,58 +172,6 @@ class WidthCertificate:
     deletion: frozenset
     bound: int
     formula: str  # which translation's bound formula applies
-
-
-def eval_circuit(circuit: Circuit, e: Example) -> int:
-    """Output gate value under the input assignment, by topological order."""
-    if e.universe != circuit.universe:
-        raise ModelError("example universe differs from circuit universe")
-    val = [0] * len(circuit.gates)
-    for i, g in enumerate(circuit.gates):
-        if g.kind == IN:
-            val[i] = e.bits[g.feature]
-        elif g.kind == AND:
-            val[i] = int(all(val[j] for j in g.ins))
-        elif g.kind == OR:
-            val[i] = int(any(val[j] for j in g.ins))
-        elif g.kind == NOT:
-            val[i] = 1 - val[g.ins[0]]
-        else:  # MAJ
-            val[i] = int(g.threshold <= sum(val[j] for j in g.ins))
-    return val[circuit.output]
-
-
-def gate_table(circuit: Circuit, cols: Mapping[int, int], full: int) -> int:
-    """Output table over the positions of ``full``, gate by gate in
-    topological order; IN gates read ``cols[feature]``.  A gate's table is
-    dropped after its last reader, so only the live frontier is held."""
-    gates = circuit.gates
-    last = list(range(len(gates)))  # the last gate reading each gate
-    for i, g in enumerate(gates):
-        for j in g.ins:
-            last[j] = i
-    val: list = [None] * len(gates)
-    for i, g in enumerate(gates):
-        if g.kind == IN:
-            val[i] = cols[g.feature]
-        elif g.kind == AND:
-            acc = full
-            for j in g.ins:
-                acc &= val[j]
-            val[i] = acc
-        elif g.kind == OR:
-            acc = 0
-            for j in g.ins:
-                acc |= val[j]
-            val[i] = acc
-        elif g.kind == NOT:
-            val[i] = full ^ val[g.ins[0]]
-        else:  # MAJ
-            val[i] = counter_ge([val[j] for j in g.ins], g.threshold, full)
-        for j in g.ins:
-            if last[j] == i:
-                val[j] = None
-    return val[circuit.output]
 
 
 def circuit_table(circuit: Circuit, n: int) -> int:
@@ -330,9 +330,7 @@ def _dl_into(builder: _Builder, dl: DecisionList, c: int) -> tuple[int, list[int
 def dl_to_circuit(
     model: Union[DecisionList, DecisionSet], c: int
 ) -> tuple[Circuit, WidthCertificate]:
-    from .explain_rules import ds_to_dl
-
-    dl = ds_to_dl(model) if isinstance(model, DecisionSet) else model
+    dl = model.as_dl()
     builder = _Builder(dl.universe)
     out, deletion, rules = _dl_into(builder, dl, c)
     cert = WidthCertificate(frozenset(deletion), 3 * 2 ** (3 * rules), "dl")
@@ -340,11 +338,9 @@ def dl_to_circuit(
 
 
 def dlmaj_to_circuit(ens: Ensemble, c: int) -> tuple[Circuit, WidthCertificate]:
-    from .explain_rules import ds_to_dl
-
     if ens.family not in ("ds", "dl"):
         raise ModelError("expected an ensemble of decision sets or lists")
-    dls = [ds_to_dl(m) if isinstance(m, DecisionSet) else m for m in ens.elements]
+    dls = [m.as_dl() for m in ens.elements]
     builder = _Builder(ens.universe)
     outs = []
     deletion: list[int] = []

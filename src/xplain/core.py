@@ -16,6 +16,22 @@ Classification semantics:
 * ensemble         -- majority vote of the (odd number of) elements.
 * circuit          -- gate evaluation, see :mod:`xplain.circuits`.
 
+Each family answers for itself: ``DecisionTree``, ``DecisionSet``,
+``DecisionList``, ``Ensemble`` and ``circuits.Circuit`` each have
+
+* ``evaluate(e)``       -- the class of one example,
+* ``table(cols, full)`` -- the classes at the positions of ``full``, where
+                           ``cols`` is ``subcube_table``'s ``_Columns``:
+                           ``cols[f]`` is the table of feature f (a tree
+                           also reads ``cols.position``),
+* ``params()``          -- the ``ParamReport``;
+
+an ensemble calls them on its elements, and sets and lists also have
+``as_dl()``.  The public entries check, then call them: ``classify`` the
+universe, ``subcube_table`` and ``truth_table`` the partition, ``measure``
+that the value is a model.  A value without the three methods is a
+ModelError.
+
 Besides the per-example ``classify`` there is one bit-parallel kernel,
 ``subcube_table(model, fixed, free)``.  It computes the class of every
 completion of a partial assignment at once, as a ``2**len(free)``-bit integer
@@ -27,6 +43,9 @@ feature free; with an ``origin`` mask, bit m is the class of the origin
 flipped on m.  Verification by enumeration and the homogeneity check are each
 one call of this kernel and one integer compare; the flip searches add the
 ``weight_planes`` of the positions; the oracle reads single table bits.
+
+Trees are rebuilt by one path-consistent walk, ``graft_dt``: ``normalize_dt``,
+``verify.restrict_dt`` and ``explain_dt.product_dt`` are each one call of it.
 """
 
 from __future__ import annotations
@@ -237,6 +256,44 @@ class DecisionTree:
     def leaf_count(self) -> int:
         return sum(1 for n in self.nodes if isinstance(n, Leaf))
 
+    def evaluate(self, e: Example) -> int:
+        i = self.root
+        while True:
+            node = self.nodes[i]
+            if isinstance(node, Leaf):
+                return node.label
+            i = node.hi if e.bits[node.feature] else node.lo
+
+    def table(self, cols: _Columns, full: int) -> int:
+        # post-order on an explicit stack; deep trees do not exhaust the
+        # call stack.  A fixed feature's column is a constant, so its node
+        # follows one child only.
+        done: list[int] = []  # tables of finished subtrees
+        stack = [(self.root, None)]  # (node, its column once children are stacked)
+        while stack:
+            i, col = stack.pop()
+            node = self.nodes[i]
+            if isinstance(node, Leaf):
+                done.append(full if node.label else 0)
+                continue
+            if col is not None:
+                hi = done.pop()
+                lo = done.pop()
+                done.append((col & hi) | ((full ^ col) & lo))
+                continue
+            col = cols[node.feature]
+            if node.feature not in cols.position:
+                stack.append((node.hi if col else node.lo, None))
+            else:
+                stack.append((i, col))
+                stack.append((node.hi, None))
+                stack.append((node.lo, None))
+        return done.pop()
+
+    def params(self) -> ParamReport:
+        size = self.leaf_count()
+        return ParamReport(mnl_size=_dt_mnl(self), size_elem=size, model_size=size)
+
 
 def leaf_tree(u: FeatureUniverse, label: int) -> DecisionTree:
     return DecisionTree(u, (Leaf(label),), 0)
@@ -265,6 +322,14 @@ def term_applies(term: Term, e: Example) -> bool:
     return all(e.bits[f] == b for f, b in term)
 
 
+def _term_table(term: Term, cols: Mapping[int, int], full: int) -> int:
+    t = full
+    for f, b in term:
+        col = cols[f]
+        t &= col if b else full ^ col
+    return t
+
+
 @dataclass(frozen=True)
 class DecisionSet:
     universe: FeatureUniverse
@@ -281,6 +346,33 @@ class DecisionSet:
             for f, _ in t:
                 if not 0 <= f < n:
                     raise ModelError(f"feature index {f} outside universe")
+
+    def evaluate(self, e: Example) -> int:
+        for t in self.terms:
+            if term_applies(t, e):
+                return 1 - self.default
+        return self.default
+
+    def table(self, cols: Mapping[int, int], full: int) -> int:
+        applied = 0
+        for t in self.terms:
+            applied |= _term_table(t, cols, full)
+        return (full ^ applied) if self.default else applied
+
+    def params(self) -> ParamReport:
+        size = sum(len(t) for t in self.terms) + 1
+        return ParamReport(
+            terms_elem=len(self.terms),
+            term_size=max((len(t) for t in self.terms), default=0),
+            size_elem=size,
+            model_size=size,
+        )
+
+    def as_dl(self) -> DecisionList:
+        """Equivalent decision list: one (1 - default)-rule per term, in
+        order, then the empty default rule.  Term sizes are unchanged."""
+        rules = tuple((t, 1 - self.default) for t in self.terms) + (((), self.default),)
+        return DecisionList(self.universe, rules)
 
 
 @dataclass(frozen=True)
@@ -302,6 +394,34 @@ class DecisionList:
             for f, _ in t:
                 if not 0 <= f < n:
                     raise ModelError(f"feature index {f} outside universe")
+
+    def evaluate(self, e: Example) -> int:
+        for t, c in self.rules:
+            if term_applies(t, e):
+                return c
+        raise AssertionError("unreachable: last rule applies to every example")
+
+    def table(self, cols: Mapping[int, int], full: int) -> int:
+        table = 0
+        undecided = full
+        for t, c in self.rules:
+            fires = undecided & _term_table(t, cols, full)
+            if c:
+                table |= fires
+            undecided &= ~fires
+        return table
+
+    def params(self) -> ParamReport:
+        size = sum(len(t) + 1 for t, _ in self.rules)
+        return ParamReport(
+            terms_elem=len(self.rules),
+            term_size=max(len(t) for t, _ in self.rules),
+            size_elem=size,
+            model_size=size,
+        )
+
+    def as_dl(self) -> DecisionList:
+        return self
 
 
 @dataclass(frozen=True)
@@ -337,8 +457,27 @@ class Ensemble:
             type(self.elements[0])
         ]
 
+    def evaluate(self, e: Example) -> int:
+        votes = sum(m.evaluate(e) for m in self.elements)
+        return 1 if votes >= len(self.elements) // 2 + 1 else 0
 
-Model = Union[DecisionTree, DecisionSet, DecisionList, Ensemble, "object"]
+    def table(self, cols: _Columns, full: int) -> int:
+        votes = [m.table(cols, full) for m in self.elements]
+        return counter_ge(votes, len(votes) // 2 + 1, full)
+
+    def params(self) -> ParamReport:
+        reports = [m.params() for m in self.elements]
+        def agg(attr: str) -> Optional[int]:
+            vals = [getattr(r, attr) for r in reports if getattr(r, attr) is not None]
+            return max(vals) if vals else None
+        return ParamReport(
+            ens_size=len(self.elements),
+            mnl_size=agg("mnl_size"),
+            terms_elem=agg("terms_elem"),
+            term_size=agg("term_size"),
+            size_elem=max(r.size_elem for r in reports),
+            model_size=sum(r.model_size for r in reports),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -350,40 +489,16 @@ def classify(model, e: Example) -> int:
     """Class of ``e`` under ``model``; total for every well-formed model."""
     if e.universe != _model_universe(model):
         raise ModelError("example universe differs from model universe")
-    return _classify(model, e)
-
-
-def _classify(model, e: Example) -> int:
-    if isinstance(model, DecisionTree):
-        i = model.root
-        while True:
-            node = model.nodes[i]
-            if isinstance(node, Leaf):
-                return node.label
-            i = node.hi if e.bits[node.feature] else node.lo
-    if isinstance(model, DecisionSet):
-        for t in model.terms:
-            if term_applies(t, e):
-                return 1 - model.default
-        return model.default
-    if isinstance(model, DecisionList):
-        for t, c in model.rules:
-            if term_applies(t, e):
-                return c
-        raise AssertionError("unreachable: last rule applies to every example")
-    if isinstance(model, Ensemble):
-        votes = sum(_classify(m, e) for m in model.elements)
-        return 1 if votes >= len(model.elements) // 2 + 1 else 0
-    from . import circuits  # deferred: circuits imports core
-
-    if isinstance(model, circuits.Circuit):
-        return circuits.eval_circuit(model, e)
-    raise ModelError(f"not a model: {model!r}")
+    return model.evaluate(e)
 
 
 def _model_universe(model) -> FeatureUniverse:
+    """The universe of a model of one of the five families; ModelError for
+    anything else, including objects that merely carry a universe."""
     u = getattr(model, "universe", None)
-    if not isinstance(u, FeatureUniverse):
+    if not isinstance(u, FeatureUniverse) or not (
+        hasattr(model, "evaluate") and hasattr(model, "table") and hasattr(model, "params")
+    ):
         raise ModelError(f"not a model: {model!r}")
     return u
 
@@ -474,7 +589,7 @@ def subcube_table(model, fixed: Mapping[int, int], free: Sequence[int], origin: 
     if sorted([*fixed, *free]) != list(range(n)):
         raise ModelError("fixed and free features must partition the universe")
     cols = _Columns(fixed, free, origin)
-    return _table(model, cols, cols.full)
+    return model.table(cols, cols.full)
 
 
 class _Columns(dict):
@@ -505,66 +620,6 @@ def truth_table(model, n: Optional[int] = None) -> int:
     return subcube_table(model, {}, range(n))
 
 
-def _term_table(term: Term, cols: Mapping[int, int], full: int) -> int:
-    t = full
-    for f, b in term:
-        col = cols[f]
-        t &= col if b else full ^ col
-    return t
-
-
-def _table(model, cols: _Columns, full: int) -> int:
-    """The model's table over the positions of ``full``; ``cols[f]`` is the
-    table of feature f (a column, or the constant 0 or ``full``)."""
-    if isinstance(model, DecisionTree):
-        # post-order on an explicit stack; deep trees do not exhaust the
-        # call stack.  A fixed feature's column is a constant, so its node
-        # follows one child only.
-        done: list[int] = []  # tables of finished subtrees
-        stack = [(model.root, None)]  # (node, its column once children are stacked)
-        while stack:
-            i, col = stack.pop()
-            node = model.nodes[i]
-            if isinstance(node, Leaf):
-                done.append(full if node.label else 0)
-                continue
-            if col is not None:
-                hi = done.pop()
-                lo = done.pop()
-                done.append((col & hi) | ((full ^ col) & lo))
-                continue
-            col = cols[node.feature]
-            if node.feature not in cols.position:
-                stack.append((node.hi if col else node.lo, None))
-            else:
-                stack.append((i, col))
-                stack.append((node.hi, None))
-                stack.append((node.lo, None))
-        return done.pop()
-    if isinstance(model, DecisionSet):
-        applied = 0
-        for t in model.terms:
-            applied |= _term_table(t, cols, full)
-        return (full ^ applied) if model.default else applied
-    if isinstance(model, DecisionList):
-        table = 0
-        undecided = full
-        for t, c in model.rules:
-            fires = undecided & _term_table(t, cols, full)
-            if c:
-                table |= fires
-            undecided &= ~fires
-        return table
-    if isinstance(model, Ensemble):
-        votes = [_table(m, cols, full) for m in model.elements]
-        return counter_ge(votes, len(votes) // 2 + 1, full)
-    from . import circuits
-
-    if isinstance(model, circuits.Circuit):
-        return circuits.gate_table(model, cols, full)
-    raise ModelError(f"not a model: {model!r}")
-
-
 # ---------------------------------------------------------------------------
 # tree normalization and ordering
 # ---------------------------------------------------------------------------
@@ -591,13 +646,78 @@ def is_normalized(t: DecisionTree) -> bool:
     return True
 
 
+_LEAVES = (Leaf(0), Leaf(1))  # leaves are immutable: one per class is shared
+
+
+def graft_dt(
+    trees: Sequence[DecisionTree], seed: Sequence[tuple[int, int]] = (), order=None
+) -> DecisionTree:
+    """The majority vote of ``trees`` on the examples extending the
+    ``(feature, bit)`` pairs of ``seed``, as one normalized tree.
+
+    Tree i+1 is grafted onto every leaf of trees 1..i whose vote is still
+    open.  Each path carries the features it assigns, seed first: at a
+    split on an assigned feature the walk follows the consistent child and
+    emits no node, so no path tests a feature twice.  A path ends in a leaf
+    of the decided class as soon as its vote is decided (a majority already
+    voted 1, or too few trees are left to reach one); a vote of one tree
+    ends at that tree's leaf.  The walk is iterative (deep trees do not
+    exhaust the call stack) and emits the arena in post-order, 0-child
+    first.  The result is marked normalized and carries ``order``.
+    """
+    majority_at = len(trees) // 2 + 1
+    last = len(trees) - 1
+    # Explicit stack whose entries are (tree, node, votes, mask, value) to
+    # visit, or (feature,) for a split whose two children are built.  mask
+    # has bit f set when the path assigns feature f, and value holds the
+    # assigned bits.
+    nodes: list[DTNode] = []
+    built: list[int] = []  # arena indices of finished subtrees
+    mask = sum(1 << f for f, _ in seed)
+    value = sum(b << f for f, b in seed)
+    stack: list[tuple] = [(0, trees[0].root, 0, mask, value)]
+    while stack:
+        entry = stack.pop()
+        if len(entry) == 1:
+            hi = built.pop()
+            lo = built.pop()
+            nodes.append(Split(entry[0], lo, hi))
+            built.append(len(nodes) - 1)
+            continue
+        ti, i, votes, mask, value = entry
+        while True:
+            node = trees[ti].nodes[i]
+            if isinstance(node, Leaf):
+                votes += node.label
+                if votes >= majority_at or votes + last - ti < majority_at:
+                    nodes.append(_LEAVES[votes >= majority_at])
+                    built.append(len(nodes) - 1)
+                    break
+                ti += 1
+                i = trees[ti].root
+                continue
+            bit = 1 << node.feature
+            if mask & bit:
+                i = node.hi if value & bit else node.lo
+                continue
+            mask |= bit
+            stack += (
+                (node.feature,),
+                (ti, node.hi, votes, mask, value | bit),
+                (ti, node.lo, votes, mask, value),
+            )
+            break
+    out = DecisionTree(trees[0].universe, tuple(nodes), built.pop(), order)
+    object.__setattr__(out, "_normal", True)
+    return out
+
+
 def normalize_dt(t: DecisionTree) -> DecisionTree:
     """Equivalent tree in which no root-to-leaf path tests a feature twice.
 
     A repeated test is rerouted to the child consistent with the earlier
-    decision, so the leaf count never grows.  Trees without repeats are
-    returned unchanged.  The walk is iterative (deep trees do not exhaust
-    the call stack) and emits the arena in post-order, 0-child first.
+    decision (``graft_dt`` on the one tree), so the leaf count never grows.
+    Trees without repeats are returned unchanged.
 
     The answer is memoized on the tree: a normalized tree records a flag,
     any other tree its normalized copy, so each tree is checked and copied
@@ -611,39 +731,8 @@ def normalize_dt(t: DecisionTree) -> DecisionTree:
     if is_normalized(t):
         object.__setattr__(t, "_normal", True)
         return t
-    nodes: list[DTNode] = []
-    built: list[int] = []  # arena indices of finished subtrees
-    assigned: dict[int, int] = {}
-    # (node, stage): 0 enter, 1 after the 0-child, 2 after the 1-child
-    stack = [(t.root, 0)]
-    while stack:
-        i, stage = stack.pop()
-        node = t.nodes[i]
-        if isinstance(node, Leaf):
-            nodes.append(Leaf(node.label))
-            built.append(len(nodes) - 1)
-            continue
-        f = node.feature
-        if stage == 0:
-            if f in assigned:
-                stack.append((node.hi if assigned[f] else node.lo, 0))
-                continue
-            assigned[f] = 0
-            stack.append((i, 1))
-            stack.append((node.lo, 0))
-        elif stage == 1:
-            assigned[f] = 1
-            stack.append((i, 2))
-            stack.append((node.hi, 0))
-        else:
-            del assigned[f]
-            hi = built.pop()
-            lo = built.pop()
-            nodes.append(Split(f, lo, hi))
-            built.append(len(nodes) - 1)
-    out = DecisionTree(t.universe, tuple(nodes), built.pop(), t.order)
+    out = graft_dt([t], order=t.order)
     assert out.leaf_count() <= t.leaf_count()
-    object.__setattr__(out, "_normal", True)
     object.__setattr__(t, "_normal", out)
     return out
 
@@ -707,51 +796,6 @@ def _dt_mnl(t: DecisionTree) -> int:
     return min(zeros, ones)
 
 
-def _element_size(m) -> int:
-    if isinstance(m, DecisionTree):
-        return m.leaf_count()
-    if isinstance(m, DecisionSet):
-        return sum(len(t) for t in m.terms) + 1
-    if isinstance(m, DecisionList):
-        return sum(len(t) + 1 for t, _ in m.rules)
-    raise ModelError(f"no size defined for {m!r}")
-
-
 def measure(model) -> ParamReport:
-    if isinstance(model, DecisionTree):
-        size = model.leaf_count()
-        return ParamReport(mnl_size=_dt_mnl(model), size_elem=size, model_size=size)
-    if isinstance(model, DecisionSet):
-        size = _element_size(model)
-        return ParamReport(
-            terms_elem=len(model.terms),
-            term_size=max((len(t) for t in model.terms), default=0),
-            size_elem=size,
-            model_size=size,
-        )
-    if isinstance(model, DecisionList):
-        size = _element_size(model)
-        return ParamReport(
-            terms_elem=len(model.rules),
-            term_size=max(len(t) for t, _ in model.rules),
-            size_elem=size,
-            model_size=size,
-        )
-    if isinstance(model, Ensemble):
-        reports = [measure(m) for m in model.elements]
-        def agg(attr: str) -> Optional[int]:
-            vals = [getattr(r, attr) for r in reports if getattr(r, attr) is not None]
-            return max(vals) if vals else None
-        return ParamReport(
-            ens_size=len(model.elements),
-            mnl_size=agg("mnl_size"),
-            terms_elem=agg("terms_elem"),
-            term_size=agg("term_size"),
-            size_elem=max(r.size_elem for r in reports),
-            model_size=sum(r.model_size for r in reports),
-        )
-    from . import circuits
-
-    if isinstance(model, circuits.Circuit):
-        return ParamReport(model_size=len(model.gates))
-    raise ModelError(f"not a model: {model!r}")
+    _model_universe(model)
+    return model.params()

@@ -16,9 +16,9 @@ inputs are normalized on entry, callers keep their raw trees.
   candidate is one AND-NOT on the int of live rows.  The search grows
   literal sets breadth-first by size (one memo per size) and returns the
   first minimum in the oracle's enumeration order.
-* ensemble-to-tree product: graft each successive tree onto every leaf
-  whose vote is still open, following only the consistent child of a split
-  on a feature the path already tests; normalized by construction.
+* ensemble-to-tree product: ``core.graft_dt``, the path-consistent walk
+  that also normalizes and restricts trees, grafts each successive tree
+  onto every leaf whose vote is still open; normalized by construction.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .core import (
     Leaf,
     ModelError,
     PartialExample,
-    Split,
     classify,
+    graft_dt,
     normalize_dt,
 )
 from .verify import shrink
@@ -229,16 +229,10 @@ def card_xp_search(t: DecisionTree, kind: str, target, k: int) -> CardWitness:
 
 
 def product_dt(ens: Ensemble, max_leaves: int = 1_000_000) -> DecisionTree:
-    """Single tree classifying exactly like the majority of a tree ensemble.
-
-    Tree i+1 is grafted onto every leaf of trees 1..i whose vote is still
-    open.  Grafting is path-consistent: at a split on a feature the path
-    already assigns, the walk follows the consistent child and emits no
-    node, so the result is normalized by construction.  A path ends in a
-    leaf of the decided class as soon as its vote is decided (a majority
-    already voted 1, or too few trees are left to reach one).  The projected
-    leaf count is the product of the element leaf counts; construction
-    aborts beyond ``max_leaves``.
+    """Single tree classifying exactly like the majority of a tree ensemble:
+    ``core.graft_dt`` of the elements, normalized by construction.  The
+    projected leaf count is the product of the element leaf counts;
+    construction aborts beyond ``max_leaves``.
 
     The product is memoized on the ensemble and marked normalized, so every
     query on one ensemble shares one product tree.  The projected-size check
@@ -257,49 +251,7 @@ def product_dt(ens: Ensemble, max_leaves: int = 1_000_000) -> DecisionTree:
         )
     if ens._product is not None:
         return ens._product
-    majority_at = len(trees) // 2 + 1
-    last = len(trees) - 1
-    labels = (Leaf(0), Leaf(1))  # leaves are immutable: one per class is shared
-    # Post-order, 0-child first, on an explicit stack whose entries are
-    # (tree, node, votes, mask, value) to visit, or (feature,) for a split
-    # whose two children are built.  mask has bit f set when the path
-    # assigns feature f, and value holds the assigned bits.
-    nodes: list = []
-    built: list[int] = []  # arena indices of finished subtrees
-    stack: list[tuple] = [(0, trees[0].root, 0, 0, 0)]
-    while stack:
-        entry = stack.pop()
-        if len(entry) == 1:
-            hi = built.pop()
-            lo = built.pop()
-            nodes.append(Split(entry[0], lo, hi))
-            built.append(len(nodes) - 1)
-            continue
-        ti, i, votes, mask, value = entry
-        while True:
-            node = trees[ti].nodes[i]
-            if isinstance(node, Leaf):
-                votes += node.label
-                if votes >= majority_at or votes + last - ti < majority_at:
-                    nodes.append(labels[votes >= majority_at])
-                    built.append(len(nodes) - 1)
-                    break
-                ti += 1
-                i = trees[ti].root
-                continue
-            bit = 1 << node.feature
-            if mask & bit:
-                i = node.hi if value & bit else node.lo
-                continue
-            mask |= bit
-            stack += (
-                (node.feature,),
-                (ti, node.hi, votes, mask, value | bit),
-                (ti, node.lo, votes, mask, value),
-            )
-            break
-    product = DecisionTree(ens.universe, tuple(nodes), built.pop())
+    product = graft_dt(trees)
     assert product.leaf_count() <= projected
-    object.__setattr__(product, "_normal", True)
     object.__setattr__(ens, "_product", product)
     return product

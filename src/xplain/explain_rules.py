@@ -52,21 +52,6 @@ from .verify import first_flip, flip, shrink
 RuleModel = Union[DecisionSet, DecisionList]
 
 
-def ds_to_dl(s: DecisionSet) -> DecisionList:
-    """Equivalent decision list: one (1 - default)-rule per term, in order,
-    then the empty default rule.  Term sizes are unchanged."""
-    rules = tuple((t, 1 - s.default) for t in s.terms) + (((), s.default),)
-    return DecisionList(s.universe, rules)
-
-
-def _as_dl(model: RuleModel) -> DecisionList:
-    if isinstance(model, DecisionSet):
-        return ds_to_dl(model)
-    if isinstance(model, DecisionList):
-        return model
-    raise ModelError("expected a decision set or decision list")
-
-
 @dataclass
 class BranchStats:
     """Bookkeeping of the branching search, per target rule tuple: one rule
@@ -186,7 +171,9 @@ def lcxp_card_branch(
     """Cardinality-minimum local contrastive explanation of size <= k for a
     decision list (or set, converted first), or None: the branching search
     on a vote of one."""
-    return _branch_search([_as_dl(model)], e, k, stats)
+    if not isinstance(model, (DecisionSet, DecisionList)):
+        raise ModelError("expected a decision set or decision list")
+    return _branch_search([model.as_dl()], e, k, stats)
 
 
 def lcxp_card_branch_ens(
@@ -198,7 +185,7 @@ def lcxp_card_branch_ens(
     """Branching search over a majority ensemble of decision sets or lists."""
     if ens.family not in ("ds", "dl"):
         raise ModelError("ensemble branching needs decision sets or lists")
-    return _branch_search([_as_dl(m) for m in ens.elements], e, k, stats)
+    return _branch_search([m.as_dl() for m in ens.elements], e, k, stats)
 
 
 def lcxp_card_enum(

@@ -250,9 +250,7 @@ def set_model_odt(fam: SetFamily, c: int, order: Sequence[int]) -> DecisionTree:
     tree = odt_from_examples(fam.universe, rows, order)
     if c == 0:
         tree = _flip_leaves(tree)
-    from .core import _dt_mnl
-
-    assert _dt_mnl(tree) <= len(fam.sets)
+    assert tree.params().mnl_size <= len(fam.sets)
     return tree
 
 

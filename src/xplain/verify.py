@@ -48,9 +48,8 @@ from .core import (
     Leaf,
     ModelError,
     PartialExample,
-    Split,
     classify,
-    normalize_dt,
+    graft_dt,
     subcube_table,
     truth_table,
     weight_planes,
@@ -120,35 +119,11 @@ def _fixed(q: ExplanationQuery) -> dict[int, int]:
 
 
 def restrict_dt(t: DecisionTree, tau: PartialExample) -> DecisionTree:
-    """The tree seen by examples extending tau: at every inner node testing an
-    assigned feature, the inconsistent child is dropped and the node spliced
-    out."""
-    t = normalize_dt(t)
-    assigned = tau.as_dict()
-    nodes: list = []
-    built: list[int] = []  # arena indices of finished subtrees
-    stack = [(t.root, False)]  # post-order, 0-child first, on an explicit stack
-    while stack:
-        i, expanded = stack.pop()
-        node = t.nodes[i]
-        if isinstance(node, Leaf):
-            nodes.append(Leaf(node.label))
-            built.append(len(nodes) - 1)
-            continue
-        if expanded:
-            hi = built.pop()
-            lo = built.pop()
-            nodes.append(Split(node.feature, lo, hi))
-            built.append(len(nodes) - 1)
-            continue
-        b = assigned.get(node.feature)
-        if b is not None:
-            stack.append((node.hi if b else node.lo, False))
-        else:
-            stack.append((i, True))
-            stack.append((node.hi, False))
-            stack.append((node.lo, False))
-    return DecisionTree(t.universe, tuple(nodes), built.pop())
+    """The tree seen by examples extending tau, normalized: at every inner
+    node testing an assigned feature, the inconsistent child is dropped and
+    the node spliced out (``core.graft_dt`` on the one tree, seeded with
+    tau)."""
+    return graft_dt([t], tau.assignments)
 
 
 def _reachable_has_label(t: DecisionTree, assigned: dict, label: int) -> bool:

@@ -34,8 +34,8 @@ class TestEval:
     def test_pass_through_or(self):
         u = x.universe("a")
         circ = x.Circuit(u, (x.Gate("IN", feature=0), x.Gate("OR", (0,))), 1)
-        assert x.eval_circuit(circ, x.Example(u, (0,))) == 0
-        assert x.eval_circuit(circ, x.Example(u, (1,))) == 1
+        assert x.classify(circ, x.Example(u, (0,))) == 0
+        assert x.classify(circ, x.Example(u, (1,))) == 1
 
     def test_majority_threshold(self):
         u = x.universe("a", "b", "c")
@@ -49,8 +49,8 @@ class TestEval:
             ),
             3,
         )
-        assert x.eval_circuit(circ, x.Example(u, (1, 1, 0))) == 1
-        assert x.eval_circuit(circ, x.Example(u, (1, 0, 0))) == 0
+        assert x.classify(circ, x.Example(u, (1, 1, 0))) == 1
+        assert x.classify(circ, x.Example(u, (1, 0, 0))) == 0
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -60,7 +60,7 @@ class TestEval:
         circ = random_circuit(rng, u)
         table = circuit_table(circ, len(u))
         for mask in range(1 << len(u)):
-            assert (table >> mask) & 1 == x.eval_circuit(
+            assert (table >> mask) & 1 == x.classify(
                 circ, x.Example.from_mask(u, mask)
             )
 
@@ -104,7 +104,7 @@ class TestListTranslation:
         table = x.truth_table(fig_dl)
         for mask in range(8):
             e = x.Example.from_mask(fig_dl.universe, mask)
-            assert x.eval_circuit(circ, e) == (((table >> mask) & 1) == 0)
+            assert x.classify(circ, e) == (((table >> mask) & 1) == 0)
 
     def test_single_empty_rule_matching_class(self):
         u = x.universe("a")
@@ -209,7 +209,7 @@ class TestGlobalCheck:
         circ = random_circuit(rng, u)
         e = random_example(rng, u)
         tau = x.PartialExample(u, tuple((f, e.bits[f]) for f in range(4)))
-        value = x.eval_circuit(circ, e)
+        value = x.classify(circ, e)
         assert self._global(circ, tau, value)
         assert not self._global(circ, tau, 1 - value)
 
@@ -250,15 +250,15 @@ class TestHomChecks:
         rng = Random(seed)
         u = random_universe(rng, rng.randint(1, 5))
         circ = random_circuit(rng, u)
-        base = x.eval_circuit(circ, x.Example.from_mask(u, 0))
+        base = x.classify(circ, x.Example.from_mask(u, 0))
         expected = any(
-            x.eval_circuit(circ, x.Example.from_mask(u, mask)) != base
+            x.classify(circ, x.Example.from_mask(u, mask)) != base
             for mask in range(1 << len(u))
         )
         assert x.circuit_hom_check(circ) == expected
         k = rng.randint(0, len(u))
         expected_k = any(
-            x.eval_circuit(circ, x.Example.from_mask(u, mask)) != base
+            x.classify(circ, x.Example.from_mask(u, mask)) != base
             for mask in range(1 << len(u))
             if bin(mask).count("1") <= k
         )
@@ -286,7 +286,7 @@ class TestJson:
             "inputs": {"a": 7},
         }
         circ = circuit_from_json(doc, u)
-        assert x.eval_circuit(circ, x.Example(u, (0,))) == 1
+        assert x.classify(circ, x.Example(u, (0,))) == 1
 
     def test_cycle_rejected(self):
         u = x.universe("a")

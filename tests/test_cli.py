@@ -163,7 +163,7 @@ def test_translate_round_trip(files, capsys, tmp_path):
     dl = load_model_file(model)
     for mask in range(8):
         e = x.Example.from_mask(dl.universe, mask)
-        assert x.eval_circuit(circuit, e) == (x.classify(dl, e) == 0)
+        assert x.classify(circuit, e) == (x.classify(dl, e) == 0)
 
 
 def test_classify_through_circuit_file(files, capsys, tmp_path):

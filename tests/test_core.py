@@ -155,6 +155,43 @@ class TestMeasure:
         assert report.model_size == sum(x.measure(m).model_size for m in ens.elements)
 
 
+_U2 = x.universe("a", "b")
+_E2 = x.Example(_U2, (0, 1))
+_TREE2 = x.DecisionTree(_U2, (x.Split(0, 1, 2), x.Leaf(0), x.Leaf(1)))
+_ENTRIES = {
+    "classify": lambda m: x.classify(m, _E2),
+    "truth_table": x.truth_table,
+    "subcube_table": lambda m: x.subcube_table(m, {0: 1}, [1]),
+    "measure": x.measure,
+}
+
+
+@pytest.mark.parametrize(
+    "call, model",
+    [
+        *(
+            pytest.param(call, model, id=f"{name}-{label}")
+            for name, call in _ENTRIES.items()
+            for label, model in (
+                ("set-family", x.SetFamily(_U2, (frozenset({0}),))),
+                ("object", object()),
+            )
+        ),
+        pytest.param(lambda m: x.lcxp_card_branch(m, _E2, 1), _TREE2, id="branch-tree"),
+        pytest.param(
+            lambda m: x.lcxp_card_branch(m, _E2, 1),
+            x.dt_to_circuit(_TREE2, 1)[0],
+            id="branch-circuit",
+        ),
+    ],
+)
+def test_wrong_model_raises_model_error(call, model):
+    """A value that is not a model of the family an entry point takes is a
+    ModelError, never an AttributeError, even when it carries a universe."""
+    with pytest.raises(x.ModelError):
+        call(model)
+
+
 class TestValidation:
     def test_contradictory_term_rejected(self):
         u = x.universe("a")

@@ -19,12 +19,12 @@ from generators import (
 class TestDsToDl:
     def test_empty_term_list(self):
         u = x.universe("a")
-        dl = x.ds_to_dl(x.DecisionSet(u, (), 1))
+        dl = x.DecisionSet(u, (), 1).as_dl()
         assert dl.rules == (((), 1),)
 
     def test_single_term(self):
         u = x.universe("x", "y")
-        dl = x.ds_to_dl(x.DecisionSet(u, (((0, 1), (1, 1)),), 0))
+        dl = x.DecisionSet(u, (((0, 1), (1, 1)),), 0).as_dl()
         assert dl.rules == ((((0, 1), (1, 1)), 1), ((), 0))
 
     @given(seed=st.integers(0, 10_000))
@@ -33,13 +33,13 @@ class TestDsToDl:
         rng = Random(seed)
         u = random_universe(rng, rng.randint(1, 8))
         ds = random_ds(rng, u)
-        assert x.truth_table(x.ds_to_dl(ds)) == x.truth_table(ds)
+        assert x.truth_table(ds.as_dl()) == x.truth_table(ds)
 
     def test_twelve_features_spot_check(self):
         rng = Random(99)
         u = random_universe(rng, 12)
         ds = random_ds(rng, u, max_terms=5)
-        assert x.truth_table(x.ds_to_dl(ds)) == x.truth_table(ds)
+        assert x.truth_table(ds.as_dl()) == x.truth_table(ds)
 
 
 class TestBranch:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import xplain as x
 from xplain.config import BruteCaps, CapExceeded
+from xplain.core import is_normalized
 
 from generators import (
     random_any_model,
@@ -64,6 +65,7 @@ class TestRestrict:
             ),
         )
         out = x.restrict_dt(t, tau)
+        assert is_normalized(out)
         for mask in range(1 << len(u)):
             e = x.Example.from_mask(u, mask)
             if tau.agrees_with(e):
