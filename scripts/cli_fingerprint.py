@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Fingerprint the CLI's stdout and exit codes on the benchmark requests.
+"""Fingerprint the CLI's stdout and exit codes, and the tree budget search's
+witnesses, on the benchmark requests.
 
 The ``trees`` and ``rules`` workloads of ``perfbench/`` build a fixed list of
 ``xplain`` command lines from a seed.  This script builds them in a temporary
 directory, answers each one in-process with ``cliwork.execute``, and prints,
 per workload and seed, the request count and one SHA-256 over
-``f"{code}\\n{stdout}\\0"`` of every answer in order.  A refactor that must
-keep the CLI's output byte-identical keeps these digests.
+``f"{code}\\n{stdout}\\0"`` of every answer in order.  The ``gadgets``
+workload answers only a bool per query, so its entry instead hashes
+``f"{assignments}\\0"`` of the ``gadgets.global_budget_search_dt`` witness of
+every ordered-tree query (a global query on a tree), in request order, with
+``None`` for no witness.  A refactor that must keep the CLI's output and the
+witnesses byte-identical keeps these digests.
 
     python3 scripts/cli_fingerprint.py              # print the digests
     python3 scripts/cli_fingerprint.py --check      # compare with the file
@@ -29,28 +34,55 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "scripts" / "cli_fingerprints.json"
 SEEDS = (1, 9001)
-WORKLOADS = ("trees", "rules")
+WORKLOADS = ("trees", "rules", "gadgets")
 
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-import xplain.cli  # noqa: E402,F401  (cliwork and the set-ups find it in sys.modules)
+# cliwork and the set-ups find these in sys.modules
+import xplain.cli  # noqa: E402,F401
+import xplain.gadgets  # noqa: E402
+import xplain.truth  # noqa: E402,F401
 
 import cliwork  # noqa: E402
+import work_gadgets  # noqa: E402
 import work_rules  # noqa: E402
 import work_trees  # noqa: E402
 
-SETUPS = {"trees": work_trees.setup, "rules": work_rules.setup}
+
+def cli_answers(requests):
+    """``f"{code}\\n{stdout}"`` of every CLI request."""
+    for req in requests:
+        code, stdout = cliwork.execute(req)
+        yield f"{code}\n{stdout}"
+
+
+def tree_witnesses(requests):
+    """The budget search's witness assignments on every global tree query."""
+    for req in requests:
+        model, q = req.instance.model, req.query
+        if isinstance(model, xplain.DecisionTree) and q.kind in ("gaxp", "gcxp"):
+            found = xplain.gadgets.global_budget_search_dt(model, q.kind, q.target, q.k)
+            yield repr(None if found is None else found.assignments)
+
+
+# workload -> (set-up, the answers hashed)
+SOURCES = {
+    "trees": (work_trees.setup, cli_answers),
+    "rules": (work_rules.setup, cli_answers),
+    "gadgets": (work_gadgets.setup, tree_witnesses),
+}
 
 
 def fingerprint(workload: str, seed: int) -> dict:
-    """Request count and stdout digest of one workload's requests."""
+    """Count and digest of one workload's hashed answers."""
+    setup, answers = SOURCES[workload]
     digest = hashlib.sha256()
+    count = 0
     with tempfile.TemporaryDirectory(prefix="xplain-fingerprint-") as tmp:
-        inputs = SETUPS[workload](seed, Path(tmp))
-        for req in inputs.requests:
-            code, stdout = cliwork.execute(req)
-            digest.update(f"{code}\n{stdout}\0".encode())
-    return {"requests": len(inputs.requests), "sha256": digest.hexdigest()}
+        for answer in answers(setup(seed, Path(tmp)).requests):
+            digest.update(f"{answer}\0".encode())
+            count += 1
+    return {"requests": count, "sha256": digest.hexdigest()}
 
 
 def main(argv=None) -> int:

@@ -10,12 +10,15 @@ inputs are normalized on entry, callers keep their raw trees.
 * minimum local contrastive explanations in polynomial time: for every leaf
   of the opposite class, the features on its path that disagree with the
   target example form a contrastive set; a smallest one is a global minimum.
-* bounded-cardinality search: one hitting-set engine over leaf paths.  Each
-  offending leaf contributes a row of the literals that conflict its path;
-  every literal carries a bitmask of the rows it meets, so extending a
-  candidate is one AND-NOT on the int of live rows.  The search grows
-  literal sets breadth-first by size (one memo per size) and returns the
-  first minimum in the oracle's enumeration order.
+* bounded-cardinality search: one hitting-set engine over leaf paths, in
+  column form.  Each offending leaf is a row; one walk of the tree numbers
+  the rows depth-first, so the rows under a node are consecutive, and gives
+  every literal its column: the bitmask of the rows whose path it conflicts,
+  one range per split.  Extending a candidate is one AND-NOT on the int of
+  live rows.  The search grows literal sets breadth-first by size (one memo
+  per size), reads a row's literals off the columns only when it branches
+  on that row, and returns the first minimum in the oracle's enumeration
+  order.
 * ensemble-to-tree product: ``core.graft_dt``, the path-consistent walk
   that also normalizes and restricts trees, grafts each successive tree
   onto every leaf whose vote is still open; normalized by construction.
@@ -126,39 +129,72 @@ def lcxp_subset_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
     return None
 
 
-def _min_literal_hitting_set(
-    n: int, rows: list[list[tuple[int, int]]], k: int
-) -> Optional[list[tuple[int, int]]]:
-    """Smallest consistent literal set of size <= k meeting every row.
+def _literal_columns(t: DecisionTree, bad: int) -> tuple[int, list[int]]:
+    """Row count and literal columns of the leaves of class ``bad``, in one
+    walk.
 
-    Each row is a list of literals ``(feature, bit)``; a set meets a row when
-    it contains one of the row's literals, and is consistent when it assigns
-    each feature at most once.  Among the smallest such sets the first in
-    ``card_xp_search`` order is returned (ascending feature tuple, then the
-    assignment read as a binary counter whose lowest bit is the lowest
-    feature), sorted by feature; None when every such set is larger than k.
-
-    Literal ``(f, b)`` is bit ``f + b * n`` of a literal-set mask, and has a
-    kill mask: the rows it meets.  Live rows are one int, so taking a literal
-    costs one AND-NOT.  The search is breadth-first by set size: level d holds
-    each distinct literal set of size d that the branching reaches, keyed by
-    its mask (the per-level memo), and a set is extended only by the literals
-    of its lowest live row whose feature it leaves unassigned.  Every smallest
-    solution is reached this way, so the first level holding a solution is
-    finished and its least solution returned.  Level k keeps only solutions:
-    nothing larger is ever asked for.
+    Rows are the ``bad`` leaves numbered in depth-first, 0-child-first order,
+    so the rows under any node are consecutive.  ``kill[f + b * n]`` has bit r
+    set when literal ``(f, b)`` conflicts row r's path: a split on f puts the
+    rows of its 0-subtree into ``(f, 1)`` and those of its 1-subtree into
+    ``(f, 0)``, one range mask each.  The walk follows the arena's links,
+    whatever order the arena stores its nodes in.
     """
-    kill: dict[int, int] = {}
-    for r, row in enumerate(rows):
-        for f, b in row:
-            lit = f + b * n
-            kill[lit] = kill.get(lit, 0) | (1 << r)
-    # per row: (literal bit, its kill mask, the bits of both its feature's literals)
-    options = [
-        [(1 << (f + b * n), kill[f + b * n], 1 << f | 1 << (f + n)) for f, b in row]
-        for row in rows
+    n = len(t.universe)
+    nodes = t.nodes
+    kill = [0] * (2 * n)
+    first = [0] * len(nodes)  # per node: the first row number in its subtree
+    rows = 0
+    stack = [t.root]
+    while stack:
+        i = stack.pop()
+        if i < 0:  # every row under split ~i is numbered
+            node = nodes[~i]
+            lo, mid = first[~i], first[node.hi]
+            kill[node.feature + n] |= (1 << mid) - (1 << lo)
+            kill[node.feature] |= (1 << rows) - (1 << mid)
+            continue
+        first[i] = rows
+        node = nodes[i]
+        if isinstance(node, Leaf):
+            rows += node.label == bad
+        else:
+            stack += (~i, node.hi, node.lo)
+    return rows, kill
+
+
+def _min_literal_hitting_set(
+    n: int, rows: int, kill: list[int], k: int
+) -> Optional[list[tuple[int, int]]]:
+    """Smallest consistent literal set of size <= k meeting all ``rows`` rows.
+
+    Literal ``(f, b)`` is index ``f + b * n``; ``kill[lit]`` is its column:
+    the rows it meets.  A set meets a row when one of its literals does, and
+    is consistent when it assigns each feature at most once.  Among the
+    smallest such sets the first in ``card_xp_search`` order is returned
+    (ascending feature tuple, then the assignment read as a binary counter
+    whose lowest bit is the lowest feature), sorted by feature; None when
+    every such set is larger than k.
+
+    A literal set is a mask over literal indices, and live rows are one int,
+    so taking a literal costs one AND-NOT.  The search is breadth-first by
+    set size: level d holds each distinct literal set of size d that the
+    branching reaches, keyed by its mask (the per-level memo), and a set is
+    extended only by the literals meeting its lowest live row whose feature
+    it leaves unassigned.  A row's literals are read off the columns the
+    first time the search branches on it.  Every smallest solution is
+    reached this way, so the first level holding a solution is finished and
+    its least solution returned.  Level k keeps only solutions: nothing
+    larger is ever asked for.
+    """
+    # per literal meeting some row: (its bit, its column, both its feature's bits)
+    literals = [
+        (1 << lit, column, 1 << lit % n | 1 << (lit % n + n))
+        for lit, column in enumerate(kill)
+        if column
     ]
-    level = {0: (1 << len(rows)) - 1}  # literal set -> rows it does not meet
+    options: dict[int, list[tuple[int, int, int]]] = {}  # row bit -> its literals
+    level = {0: (1 << rows) - 1}  # literal set -> rows it does not meet
     for size in range(k + 1):
         solved = [lits for lits, live in level.items() if not live]
         if solved:
@@ -168,7 +204,11 @@ def _min_literal_hitting_set(
         last = size + 1 == k  # children must meet every row: keep only those
         deeper: dict[int, int] = {}
         for lits, live in level.items():
-            for lit, killed, feature in options[(live & -live).bit_length() - 1]:
+            row = live & -live
+            meets = options.get(row)
+            if meets is None:
+                meets = options[row] = [o for o in literals if o[1] & row]
+            for lit, killed, feature in meets:
                 if not lits & feature:  # the feature is still unassigned
                     rest = live & ~killed
                     if not (last and rest):
@@ -198,12 +238,16 @@ def card_xp_search(t: DecisionTree, kind: str, target, k: int) -> CardWitness:
     (Ignatiev et al., "From Contrastive to Abductive Explanations and Back
     Again", 2020): a ``gaxp``/``gcxp`` candidate must conflict the path of
     every offending leaf (of class 1 - c, of class c), a ``laxp`` feature set
-    must meet every conflict set of the target example.  One row per
-    offending leaf goes to ``_min_literal_hitting_set``.  The witness is the
-    first minimum in the oracle's enumeration order: feature subsets
-    lexicographically, for the global kinds each subset's assignments as
-    ascending binary counters.  The search visits only consistent literal
-    sets of size <= k, each at most once, and never walks the tree.
+    must meet every conflict set of the target example.  ``_literal_columns``
+    gives one row per offending leaf and each literal's column of conflicted
+    rows; for ``laxp`` the offending leaves are those of the other class and
+    only the example's own literals ``(f, e[f])`` keep their columns, so a
+    row's literals are the features its path disagrees with e on.  The
+    witness is the first minimum in the oracle's enumeration order: feature
+    subsets lexicographically, for the global kinds each subset's assignments
+    as ascending binary counters.  After the one walk that builds the
+    columns, the search visits only consistent literal sets of size <= k,
+    each at most once.
     """
     if kind not in ("laxp", "gaxp", "gcxp"):
         raise ModelError(f"card_xp_search does not handle {kind!r}")
@@ -212,15 +256,13 @@ def card_xp_search(t: DecisionTree, kind: str, target, k: int) -> CardWitness:
     t = normalize_dt(t)
     n = len(t.universe)
     if kind == "laxp":
-        rows = [[(f, target.bits[f]) for f in d] for d in _conflict_sets(t, target)]
+        # conflict sets of e: the paths of the other class, through e's literals
+        rows, kill = _literal_columns(t, 1 - classify(t, target))
+        for f, b in enumerate(target.bits):
+            kill[f + (1 - b) * n] = 0
     else:
-        bad = 1 - target if kind == "gaxp" else target
-        rows = [
-            [(f, 1 - b) for f, b in assigned.items()]
-            for i, assigned in leaf_assignments(t)
-            if t.nodes[i].label == bad
-        ]
-    found = _min_literal_hitting_set(n, rows, k)
+        rows, kill = _literal_columns(t, 1 - target if kind == "gaxp" else target)
+    found = _min_literal_hitting_set(n, rows, kill, k)
     if found is None:
         return None
     if kind == "laxp":

@@ -48,6 +48,7 @@ from .core import (
     Leaf,
     ModelError,
     PartialExample,
+    _model_universe,
     classify,
     graft_dt,
     subcube_table,
@@ -122,7 +123,9 @@ def restrict_dt(t: DecisionTree, tau: PartialExample) -> DecisionTree:
     """The tree seen by examples extending tau, normalized: at every inner
     node testing an assigned feature, the inconsistent child is dropped and
     the node spliced out (``core.graft_dt`` on the one tree, seeded with
-    tau)."""
+    tau).  tau must be over t's universe."""
+    if tau.universe != _model_universe(t):
+        raise ModelError("partial example universe differs from tree universe")
     return graft_dt([t], tau.assignments)
 
 
@@ -191,7 +194,7 @@ def verify_by_enumeration(model, q: ExplanationQuery, caps: BruteCaps = DEFAULT_
     The cap counts the free features.
     """
     fixed = _fixed(q)
-    free = [f for f in range(len(model.universe)) if f not in fixed]
+    free = [f for f in range(len(_model_universe(model))) if f not in fixed]
     require_cap(len(free), caps.verify, f"verify {q.kind}")
     table = subcube_table(model, fixed, free)
     full = (1 << (1 << len(free))) - 1
@@ -206,7 +209,8 @@ def verify_by_enumeration(model, q: ExplanationQuery, caps: BruteCaps = DEFAULT_
 def verify(model, q: ExplanationQuery, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """Is the candidate an explanation?  Trees use the restriction fast path,
     every other model the subcube table of ``verify_by_enumeration``."""
-    if q.kind in LOCAL_KINDS and q.target.universe != model.universe:
+    u = _model_universe(model)
+    if q.kind in LOCAL_KINDS and q.target.universe != u:
         raise ModelError("target example universe differs from model universe")
     if isinstance(model, DecisionTree):
         return _verify_dt(model, q)
@@ -248,7 +252,8 @@ def oracle_min(
     no explanation exists."""
     if kind not in KINDS:
         raise ModelError(f"unknown explanation kind {kind!r}")
-    n = len(model.universe)
+    u = _model_universe(model)
+    n = len(u)
     local = kind in LOCAL_KINDS
     require_cap(n, caps.oracle_local if local else caps.oracle_global, f"oracle {kind}")
     table = truth_table(model)
@@ -280,7 +285,7 @@ def oracle_min(
             for m in range(1 << size):
                 assigned = {f: (m >> j) & 1 for j, f in enumerate(subset)}
                 if _global_holds(table, n, assigned, target, kind):
-                    return size, PartialExample(model.universe, tuple(assigned.items()))
+                    return size, PartialExample(u, tuple(assigned.items()))
     return None
 
 
@@ -337,7 +342,7 @@ def _flip_domain(model) -> list[int]:
     feature reaches its output), every feature of any other model."""
     from .circuits import Circuit  # deferred: circuits imports verify
 
-    n = len(model.universe)
+    n = len(_model_universe(model))
     return model.input_features() if isinstance(model, Circuit) else list(range(n))
 
 
@@ -391,5 +396,6 @@ def first_flip(
 def phom_check(model, k: int, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """Is some example with at most k ones classified differently from the
     all-zero example?"""
-    zero = Example(model.universe, (0,) * len(model.universe))
+    u = _model_universe(model)
+    zero = Example(u, (0,) * len(u))
     return first_flip(model, zero, k, caps, "phom") is not None

@@ -163,6 +163,13 @@ _ENTRIES = {
     "truth_table": x.truth_table,
     "subcube_table": lambda m: x.subcube_table(m, {0: 1}, [1]),
     "measure": x.measure,
+    "verify": lambda m: x.verify(m, x.local_query("laxp", _E2, {0})),
+    "verify_by_enumeration": lambda m: x.verify_by_enumeration(
+        m, x.local_query("laxp", _E2, {0})
+    ),
+    "oracle_min": lambda m: x.oracle_min(m, "laxp", _E2),
+    "hom_check": x.hom_check,
+    "phom_check": lambda m: x.phom_check(m, 1),
 }
 
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import xplain as x
 from xplain.config import CapExceeded
-from xplain.core import is_normalized
+from xplain.core import graft_dt, is_normalized
+from xplain.explain_dt import leaf_assignments
 
 from generators import random_dt, random_ensemble, random_example, random_universe
 
@@ -226,6 +227,111 @@ class TestCardSearch:
         assert found == x.PartialExample(u, ((0, 1), (1, 0)))
         assert found == x.oracle_min(t, "gaxp", 1)[1]
         assert x.card_xp_search(t, "gaxp", 0, 2) == x.PartialExample(u, ((0, 0), (1, 0)))
+
+
+def _skewed_dt(rng, u, depth):
+    """Random tree whose subtrees below a split turn pure (every leaf one
+    class) with some chance, so both classes keep many leaves while small
+    explanations still exist."""
+    nodes = []
+
+    def build(d, label):
+        if d >= depth or (d > 3 and rng.random() < 0.1):
+            nodes.append(x.Leaf(rng.randint(0, 1) if label is None else label))
+            return len(nodes) - 1
+        if label is None and d > 1 and rng.random() < 0.2:
+            label = rng.randint(0, 1)
+        f = rng.randrange(len(u))
+        lo = build(d + 1, label)
+        hi = build(d + 1, label)
+        nodes.append(x.Split(f, lo, hi))
+        return len(nodes) - 1
+
+    root = build(0, None)
+    return x.DecisionTree(u, tuple(nodes), root)
+
+
+def _reference_card_search(t, kind, target, k):
+    """``card_xp_search`` by its row formulation, searched naively: one set
+    of literals per offending leaf, read off ``leaf_assignments``, and a
+    breadth-first search by size over literal sets that branches on the
+    first row a set misses."""
+    t = x.normalize_dt(t)
+    paths = [(t.nodes[i].label, path) for i, path in leaf_assignments(t)]
+    if kind == "laxp":
+        bits = target.bits
+        cls = x.classify(t, target)
+        rows = [
+            {(f, bits[f]) for f, b in path.items() if b != bits[f]}
+            for label, path in paths
+            if label != cls
+        ]
+    else:
+        bad = 1 - target if kind == "gaxp" else target
+        rows = [{(f, 1 - b) for f, b in path.items()} for label, path in paths if label == bad]
+    level = {frozenset()}
+    for _ in range(k + 1):
+        missed = {s: next((row for row in rows if not s & row), None) for s in level}
+        solved = [sorted(s) for s, row in missed.items() if row is None]
+        if solved:
+            # the oracle's order: feature tuple, then the bits as a counter
+            best = min(solved, key=lambda s: (
+                [f for f, _ in s], sum(b << j for j, (_, b) in enumerate(s))
+            ))
+            if kind == "laxp":
+                return frozenset(f for f, _ in best)
+            return x.PartialExample(t.universe, tuple(best))
+        level = {
+            s | {lit}
+            for s, row in missed.items()
+            for lit in row
+            if all(f != lit[0] for f, _ in s)
+        }
+    return None
+
+
+class TestCardSearchColumns:
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_row_reference_on_wide_masks(self, seed):
+        # more than 64 rows per kind, so every column spans several words
+        rng = Random(seed)
+        u = random_universe(rng, rng.randint(12, 24))
+        while True:
+            t = x.normalize_dt(_skewed_dt(rng, u, rng.randint(9, 10)))
+            labels = [t.nodes[i].label for i in t.leaves()]
+            if min(labels.count(0), labels.count(1)) > 64:
+                break
+        e = random_example(rng, u)
+        c = rng.randint(0, 1)
+        for kind, target in (("laxp", e), ("gaxp", c), ("gcxp", c)):
+            k = rng.randint(0, 4)
+            assert x.card_xp_search(t, kind, target, k) == _reference_card_search(
+                t, kind, target, k
+            )
+
+    def test_pre_order_arena(self):
+        # a normalized tree whose arena lists every parent before its
+        # children, root first: normalize_dt keeps it, graft_dt rebuilds
+        # it in post-order, and the search reads both alike
+        u = x.universe("a", "b", "c", "d")
+        t = x.DecisionTree(u, (
+            x.Split(0, 1, 6),
+            x.Split(1, 2, 3), x.Leaf(1), x.Split(2, 4, 5), x.Leaf(0), x.Leaf(1),
+            x.Split(3, 7, 10), x.Split(1, 8, 9), x.Leaf(0), x.Leaf(1), x.Leaf(0),
+        ))
+        assert x.normalize_dt(t) is t
+        rebuilt = graft_dt([t])
+        assert rebuilt.root != 0 and x.truth_table(rebuilt) == x.truth_table(t)
+        targets = [("laxp", x.Example.from_mask(u, m)) for m in range(16)]
+        targets += [(kind, c) for kind in ("gaxp", "gcxp") for c in (0, 1)]
+        for kind, target in targets:
+            expected = x.oracle_min(t, kind, target)
+            for k in range(len(u) + 1):
+                found = x.card_xp_search(t, kind, target, k)
+                assert found == x.card_xp_search(rebuilt, kind, target, k)
+                within = expected is not None and expected[0] <= k
+                assert found == (expected[1] if within else None)
 
 
 class TestProduct:

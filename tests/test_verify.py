@@ -71,6 +71,13 @@ class TestRestrict:
             if tau.agrees_with(e):
                 assert x.classify(out, e) == x.classify(t, e)
 
+    def test_tau_over_another_universe_is_refused(self):
+        # feature 0 of the wider universe is not the tree's feature 0
+        u2, u3 = x.universe("a", "b"), x.universe("a", "b", "c")
+        t = x.DecisionTree(u2, (x.Split(0, 1, 2), x.Leaf(0), x.Leaf(1)))
+        with pytest.raises(x.ModelError):
+            x.restrict_dt(t, x.PartialExample(u3, ((0, 1), (2, 1))))
+
 
 class TestVerify:
     def test_fig_laxp(self, fig_dl, fig_example):
