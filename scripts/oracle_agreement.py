@@ -3,8 +3,11 @@
 
 For every sampled model the minimum-contrastive algorithms (tree leaf scan,
 bounded branching, subset enumeration) are compared with the brute-force
-oracle, and the greedy subset-minimal outputs are re-checked by single-removal
-verification.  Any disagreement aborts with the offending instance printed.
+oracle, and the subset-minimal outputs are re-checked by single-removal
+verification: on rule models the greedy ``laxp``, on trees every kind, both
+classes for the global ones, where an answer of None must mean that the
+oracle finds no explanation either.  Any disagreement aborts with the
+offending instance printed.
 
     python3 scripts/oracle_agreement.py --models 200 --max-features 10
 """
@@ -37,6 +40,15 @@ class SweepConfig:
     min_features: int = 2
     max_features: int = 10
     seed: int = 0
+
+
+def tree_subset_answers(t: x.DecisionTree, e: x.Example):
+    """(kind, target, answer) of every subset-minimal tree route."""
+    yield "laxp", e, x.laxp_subset_min(t, e)
+    yield "lcxp", e, x.lcxp_subset_min(t, e)
+    for c in (0, 1):
+        yield "gaxp", c, x.gaxp_subset_min(t, c)
+        yield "gcxp", c, x.gcxp_subset_min(t, c)
 
 
 def sweep_family(cfg: SweepConfig, family: str) -> dict:
@@ -75,6 +87,16 @@ def sweep_family(cfg: SweepConfig, family: str) -> dict:
         if family in ("ds", "dl"):
             greedy = x.laxp_rules_subset_min(model, e)
             assert x.oracle_subset_min_check(model, "laxp", e, greedy)
+        if family == "dt":
+            for kind, target, answer in tree_subset_answers(model, e):
+                if answer is None:
+                    holds = x.oracle_min(model, kind, target) is None
+                else:
+                    holds = x.oracle_subset_min_check(model, kind, target, answer)
+                if not holds:
+                    print(f"NOT SUBSET-MINIMAL in dt #{index}: {kind} {target} {answer}")
+                    print(model)
+                    raise SystemExit(1)
         stats["models"] += 1
     stats["seconds"] = round(time.time() - started, 2)
     return stats

@@ -54,6 +54,7 @@ from .modelio import (
     dump_model,
     dump_partial_example,
     load_example_file,
+    load_feature_set_file,
     load_model_file,
     load_partial_example_file,
 )
@@ -108,9 +109,7 @@ def _cmd_verify(args, caps) -> tuple[int, dict]:
         if args.example is None:
             raise ModelError(f"--kind {args.kind} needs --example")
         e = load_example_file(args.example, model.universe)
-        with open(args.candidate) as fh:
-            doc = json.load(fh)
-        features = frozenset(model.universe.index(f) for f in doc["features"])
+        features = load_feature_set_file(args.candidate, model.universe)
         q: ExplanationQuery = local_query(args.kind, e, features)
     else:
         if args.cls is None:
@@ -142,8 +141,17 @@ def _explain_subset(model, kind, target, args, caps):
     return None if found is None else found[1]
 
 
+def _nonnegative(k: Optional[int]) -> Optional[int]:
+    """``--k`` as given; a negative budget is refused on every route."""
+    if k is not None and k < 0:
+        raise ModelError("k must be nonnegative")
+    return k
+
+
 def _explain_card(model, kind, target, args, caps):
-    k = args.k if args.k is not None else len(model.universe)
+    k = _nonnegative(args.k)
+    if k is None:
+        k = len(model.universe)
     if isinstance(model, Ensemble) and model.family == "dt" and kind != "lcxp":
         model = product_dt(model)
     if kind == "lcxp":
@@ -202,7 +210,8 @@ def _cmd_translate(args, caps) -> tuple[int, dict]:
 
 def _cmd_hom(args, caps) -> tuple[int, dict]:
     model = load_model_file(args.model)
-    result = hom_check(model, caps) if args.k is None else phom_check(model, args.k, caps)
+    k = _nonnegative(args.k)
+    result = hom_check(model, caps) if k is None else phom_check(model, k, caps)
     return (EXIT_OK if result else EXIT_FALSE), {"result": result}
 
 

@@ -1,24 +1,33 @@
 """Dedicated decision tree algorithms.
 
 Everything here runs on the normalized tree (no path tests a feature twice);
-inputs are normalized on entry, callers keep their raw trees.
+inputs are normalized on entry, callers keep their raw trees.  Every kind is
+a covering problem over leaf paths (Ignatiev et al., "From Contrastive to
+Abductive Explanations and Back Again", 2020), answered from at most two
+integer walks of the tree per call: ``_leaf_paths`` yields each leaf's path
+as a mask of tested features and a value of their bits, ``_literal_columns``
+gives every literal its column, the bitmask of the leaves of one class whose
+path it conflicts.  Nothing is kept on the tree between calls.
 
-* greedy subset-minimal explanations: ``verify.shrink`` of a trivially valid
-  candidate (the full feature set, or a seed leaf's path assignment for the
-  global kinds), one ascending pass that drops features while the candidate
-  still verifies.
+* greedy subset-minimal explanations: a candidate verifies exactly when the
+  OR of its literal columns covers every leaf of the class it excludes, so
+  ``_column_shrink`` reproduces ``verify.shrink`` (one ascending pass that
+  drops a feature while the rest still verifies) with one OR and one
+  compare per feature.  ``laxp`` shrinks e's literals on the full feature
+  set, ``gaxp``/``gcxp`` the path of the first leaf of the wanted class.
 * minimum local contrastive explanations in polynomial time: for every leaf
   of the opposite class, the features on its path that disagree with the
-  target example form a contrastive set; a smallest one is a global minimum.
-* bounded-cardinality search: one hitting-set engine over leaf paths, in
-  column form.  Each offending leaf is a row; one walk of the tree numbers
-  the rows depth-first, so the rows under a node are consecutive, and gives
-  every literal its column: the bitmask of the rows whose path it conflicts,
-  one range per split.  Extending a candidate is one AND-NOT on the int of
-  live rows.  The search grows literal sets breadth-first by size (one memo
-  per size), reads a row's literals off the columns only when it branches
-  on that row, and returns the first minimum in the oracle's enumeration
-  order.
+  target example form a contrastive set, one mask per leaf; a smallest one
+  is a global minimum, and an inclusion-minimal one among them is a
+  subset-minimal explanation.
+* bounded-cardinality search: one hitting-set engine over the literal
+  columns.  Each offending leaf is a row; one walk of the tree numbers the
+  rows depth-first, so the rows under a node are consecutive, and each
+  split adds one range to two columns.  Extending a candidate is one
+  AND-NOT on the int of live rows.  The search grows literal sets
+  breadth-first by size (one memo per size), reads a row's literals off the
+  columns only when it branches on that row, and returns the first minimum
+  in the oracle's enumeration order.
 * ensemble-to-tree product: ``core.graft_dt``, the path-consistent walk
   that also normalizes and restricts trees, grafts each successive tree
   onto every leaf whose vote is still open; normalized by construction.
@@ -26,7 +35,7 @@ inputs are normalized on entry, callers keep their raw trees.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .config import CapExceeded
 from .core import (
@@ -40,13 +49,15 @@ from .core import (
     graft_dt,
     normalize_dt,
 )
-from .verify import shrink
 
 CardWitness = Union[frozenset, PartialExample, None]
 
 
 def leaf_assignments(t: DecisionTree) -> list[tuple[int, dict[int, int]]]:
-    """(leaf node index, path assignment) in depth-first, 0-child-first order."""
+    """(leaf node index, path assignment) in depth-first, 0-child-first order.
+
+    The engines here read ``_leaf_paths`` instead; this dict form serves
+    ``circuits`` and the tests' reference formulations."""
     out: list[tuple[int, dict[int, int]]] = []
     path: list[tuple[int, int]] = []  # (feature, bit) from the root down
     stack: list[tuple[int, int, Optional[tuple[int, int]]]] = [(t.root, 0, None)]
@@ -64,23 +75,53 @@ def leaf_assignments(t: DecisionTree) -> list[tuple[int, dict[int, int]]]:
     return out
 
 
+def _leaf_paths(t: DecisionTree) -> Iterator[tuple[int, int, int]]:
+    """(label, path mask, path value) per leaf, depth-first and 0-child
+    first: the mask holds the features the leaf's path tests, the value their
+    bits on the path."""
+    nodes = t.nodes
+    stack = [(t.root, 0, 0)]
+    while stack:
+        i, mask, value = stack.pop()
+        node = nodes[i]
+        if isinstance(node, Leaf):
+            yield node.label, mask, value
+            continue
+        bit = 1 << node.feature
+        mask |= bit
+        stack.append((node.hi, mask, value | bit))
+        stack.append((node.lo, mask, value))
+
+
 def laxp_subset_min(t: DecisionTree, e: Example) -> frozenset:
-    """Inclusion-minimal local abductive explanation: ``shrink`` from the
-    full set, which always verifies."""
+    """Inclusion-minimal local abductive explanation: the greedy shrink of
+    the full feature set, which always verifies.  A feature set verifies when
+    e's literals on it conflict every leaf of the other class."""
+    if not isinstance(e, Example):
+        raise ModelError("local kinds take an example as target")
     t = normalize_dt(t)
-    return shrink(t, "laxp", e, frozenset(range(len(t.universe))))
+    rows, kill = _literal_columns(t, 1 - classify(t, e))
+    n = len(t.universe)
+    kept = _column_shrink([kill[f + b * n] for f, b in enumerate(e.bits)], rows)
+    return frozenset(kept)
 
 
 def _leaf_seeded_shrink(t: DecisionTree, kind: str, c: int) -> Optional[PartialExample]:
-    """``shrink`` of the path assignment of the first leaf, in depth-first
-    order, whose class the kind asks for (c for ``gaxp``, 1 - c for
-    ``gcxp``); None when no leaf has it."""
+    """The greedy shrink of the path assignment of the first leaf, in
+    depth-first order, whose class the kind asks for (c for ``gaxp``, 1 - c
+    for ``gcxp``); None when no leaf has it.  An assignment verifies when it
+    conflicts every leaf of the other class."""
     t = normalize_dt(t)
     want = c if kind == "gaxp" else 1 - c
-    for i, assigned in leaf_assignments(t):
-        if t.nodes[i].label == want:
-            return shrink(t, kind, c, PartialExample(t.universe, tuple(assigned.items())))
-    return None
+    seed = next((path for label, *path in _leaf_paths(t) if label == want), None)
+    if seed is None:
+        return None
+    mask, value = seed
+    n = len(t.universe)
+    seeded = [(f, value >> f & 1) for f in range(n) if mask >> f & 1]
+    rows, kill = _literal_columns(t, 1 - want)
+    kept = _column_shrink([kill[f + b * n] for f, b in seeded], rows)
+    return PartialExample(t.universe, tuple(seeded[j] for j in kept))
 
 
 def gaxp_subset_min(t: DecisionTree, c: int) -> Optional[PartialExample]:
@@ -95,38 +136,40 @@ def gcxp_subset_min(t: DecisionTree, c: int) -> Optional[PartialExample]:
     return _leaf_seeded_shrink(t, "gcxp", c)
 
 
-def _conflict_sets(t: DecisionTree, e: Example) -> list[frozenset]:
-    """Per opposite-class leaf: the path features disagreeing with e."""
+def _conflict_masks(t: DecisionTree, e: Example) -> list[int]:
+    """Per leaf of the other class than e's, in depth-first order: the mask
+    of the path features whose bit differs from e's."""
     cls = classify(t, e)
-    out = []
-    for i, assigned in leaf_assignments(t):
-        if t.nodes[i].label != cls:
-            out.append(
-                frozenset(f for f, b in assigned.items() if e.bits[f] != b)
-            )
-    return out
+    emask = e.mask()
+    return [mask & (value ^ emask) for label, mask, value in _leaf_paths(t) if label != cls]
+
+
+def _features(mask: int, n: int) -> frozenset:
+    return frozenset(f for f in range(n) if mask >> f & 1)
 
 
 def lcxp_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
     """Cardinality-minimum local contrastive explanation, or None on constant
     trees.  Ties break towards the earlier leaf in depth-first order."""
     t = normalize_dt(t)
-    best: Optional[frozenset] = None
-    for d in _conflict_sets(t, e):
-        if best is None or len(d) < len(best):
-            best = d
-    return best
+    best = min(_conflict_masks(t, e), key=int.bit_count, default=None)
+    return None if best is None else _features(best, len(t.universe))
 
 
 def lcxp_subset_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
     """A conflict set that is inclusion-minimal among all conflict sets (the
     first such in depth-first leaf order)."""
     t = normalize_dt(t)
-    sets = _conflict_sets(t, e)
-    for d in sets:
-        if not any(other < d for other in sets):
-            return d
-    return None
+    masks = _conflict_masks(t, e)
+    # a set with a strict subset has an inclusion-minimal one, and ascending
+    # size meets that one first
+    minimal: list[int] = []
+    for d in sorted(set(masks), key=int.bit_count):
+        if all(m & ~d for m in minimal):
+            minimal.append(d)
+    keep = set(minimal)
+    first = next((d for d in masks if d in keep), None)
+    return None if first is None else _features(first, len(t.universe))
 
 
 def _literal_columns(t: DecisionTree, bad: int) -> tuple[int, list[int]]:
@@ -161,6 +204,28 @@ def _literal_columns(t: DecisionTree, bad: int) -> tuple[int, list[int]]:
         else:
             stack += (~i, node.hi, node.lo)
     return rows, kill
+
+
+def _column_shrink(cols: list[int], rows: int) -> list[int]:
+    """Indices kept by the greedy shrink of a candidate whose literal
+    columns ``cols`` cover all ``rows`` rows.
+
+    A candidate verifies when the OR of its columns covers every row.  One
+    ascending pass drops literal j when the literals kept before it and all
+    those after it still cover, exactly as ``verify.shrink`` drops features;
+    suffix ORs make each test one OR and one compare.
+    """
+    full = (1 << rows) - 1
+    suffix = [0] * (len(cols) + 1)
+    for j in range(len(cols) - 1, -1, -1):
+        suffix[j] = suffix[j + 1] | cols[j]
+    kept = []
+    cover = 0
+    for j, col in enumerate(cols):
+        if (cover | suffix[j + 1]) != full:
+            kept.append(j)
+            cover |= col
+    return kept
 
 
 def _min_literal_hitting_set(

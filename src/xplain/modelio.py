@@ -13,8 +13,8 @@ Model documents carry the universe and a single-key tagged model object::
                  "output": 1, "inputs": {"x": 0}}}
 
 Examples and partial examples: ``{"assign": {"x": 0, "y": 1}}`` (a full
-example assigns every feature).  Feature references are by name; indices are
-an internal matter.
+example assigns every feature); feature sets: ``{"features": ["x", "y"]}``.
+Feature references are by name; indices are an internal matter.
 
 ``load_model_file`` remembers the last model it loaded, keyed on the file's
 bytes: a file with the same bytes as the last one loaded returns the same
@@ -205,6 +205,14 @@ def _assignment(doc: Mapping[str, Any], u: FeatureUniverse) -> dict[int, int]:
     return {u.index(f): int(b) for f, b in raw.items()}
 
 
+@_typed
+def load_feature_set(doc: Mapping[str, Any], u: FeatureUniverse) -> frozenset:
+    names = doc["features"]
+    if not isinstance(names, list):
+        raise ModelError("feature set document needs a 'features' list")
+    return frozenset(u.index(f) for f in names)
+
+
 def load_example_file(path: str, u: FeatureUniverse) -> Example:
     with open(path) as fh:
         return load_example(json.load(fh), u)
@@ -213,6 +221,11 @@ def load_example_file(path: str, u: FeatureUniverse) -> Example:
 def load_partial_example_file(path: str, u: FeatureUniverse) -> PartialExample:
     with open(path) as fh:
         return load_partial_example(json.load(fh), u)
+
+
+def load_feature_set_file(path: str, u: FeatureUniverse) -> frozenset:
+    with open(path) as fh:
+        return load_feature_set(json.load(fh), u)
 
 
 def dump_example(e: Example) -> dict[str, Any]:

@@ -23,7 +23,8 @@ cap.
 Two searches serve every model family:
 
 * ``shrink``: the greedy one-pass shrink of a valid candidate to a
-  subset-minimal explanation;
+  subset-minimal explanation (trees run the same pass on literal columns in
+  ``explain_dt``, and the tests hold that pass to this one);
 * ``first_flip``: the first flip set by size and then lexicographically,
   behind ``phom_check`` and ``lcxp_card_enum``: table operations on the
   flips of e, or above the cap a guarded enumeration.

@@ -324,6 +324,63 @@ def test_wrongly_typed_document_is_an_error(doc, capsys, tmp_path):
     assert "unexpected" not in lines[0]  # a ModelError, not a crash
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"features": 5}, [1], {"features": "xy"}, {"features": [["x"]]}, {}],
+    ids=["features-not-a-list", "document-not-an-object", "features-a-string",
+         "feature-not-a-name", "features-missing"],
+)
+def test_wrongly_typed_candidate_is_an_error(doc, files, capsys):
+    tmp, model, example = files
+    candidate = tmp / "candidate.json"
+    candidate.write_text(json.dumps(doc))
+    code = main(["--quiet", "verify", "--model", model, "--kind", "laxp",
+                 "--example", example, "--candidate", str(candidate)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "unexpected" not in lines[0]  # a ModelError, not a crash
+
+
+_TREE_DOC = {
+    "universe": ["x", "y", "z"],
+    "model": {"dt": {"root": 0, "nodes": [
+        {"test": "x", "if0": 1, "if1": 2}, {"leaf": 0}, {"leaf": 1}]}},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        (_TREE_DOC, ["explain", "--kind", "lcxp", "--min", "card", "--example"]),
+        (_TREE_DOC, ["explain", "--kind", "laxp", "--min", "card", "--example"]),
+        (_TREE_DOC, ["explain", "--kind", "gaxp", "--min", "card", "--class", "1"]),
+        (FIG_DOC, ["explain", "--kind", "laxp", "--min", "card", "--example"]),
+        (FIG_DOC, ["explain", "--kind", "lcxp", "--min", "card", "--example"]),
+        (FIG_DOC, ["explain", "--kind", "lcxp", "--min", "card", "--algo", "enum",
+                   "--example"]),
+        (FIG_DOC, ["explain", "--kind", "gaxp", "--min", "card", "--class", "1"]),
+        (_TREE_DOC, ["hom"]),
+        (FIG_DOC, ["hom"]),
+    ],
+    ids=["tree-lcxp", "tree-laxp", "tree-gaxp", "rules-laxp-oracle",
+         "rules-lcxp-branch", "rules-lcxp-enum", "rules-gaxp-oracle", "hom-tree",
+         "hom-rules"],
+)
+def test_negative_budget_is_refused_on_every_route(doc, argv, files, capsys):
+    tmp, _, example = files
+    model = tmp / "model.json"
+    model.write_text(json.dumps(doc))
+    if argv[-1] == "--example":
+        argv = [*argv, example]
+    code = main(["--quiet", *argv, "--model", str(model), "--k", "-1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: k must be nonnegative\n"
+
+
 def _deep_path_tree_doc(depth: int, n: int) -> dict:
     """A path of ``depth`` tests of x(j mod n): a 0 ends in a class-0 leaf, a
     1 goes on to the next test, and the last test's 1-child is a class-1

@@ -11,6 +11,7 @@ import xplain as x
 from xplain.config import CapExceeded
 from xplain.core import graft_dt, is_normalized
 from xplain.explain_dt import leaf_assignments
+from xplain.verify import shrink
 
 from generators import random_dt, random_ensemble, random_example, random_universe
 
@@ -332,6 +333,77 @@ class TestCardSearchColumns:
                 assert found == x.card_xp_search(rebuilt, kind, target, k)
                 within = expected is not None and expected[0] <= k
                 assert found == (expected[1] if within else None)
+
+
+def _path_tree(rng, u, depth):
+    """A path of ``depth`` tests of features drawn independently (so they
+    repeat), the path going on at a random child of each test; every other
+    child, and the path's end, is a leaf of a random class.  Returns the
+    tree and an example that follows the path as far as it consistently
+    can."""
+    nodes = [x.Leaf(rng.randint(0, 1))]
+    bits = [rng.randint(0, 1) for _ in range(len(u))]
+    fixed = set()
+    below = 0  # the subtree built so far, from the end of the path up
+    steps = [(rng.randrange(len(u)), rng.randint(0, 1)) for _ in range(depth)]
+    for f, on in reversed(steps):
+        nodes.append(x.Leaf(rng.randint(0, 1)))
+        off = len(nodes) - 1
+        nodes.append(x.Split(f, *((off, below) if on else (below, off))))
+        below = len(nodes) - 1
+    for f, on in steps:
+        if f not in fixed:
+            fixed.add(f)
+            bits[f] = on
+    return x.DecisionTree(u, tuple(nodes), below), x.Example(u, tuple(bits))
+
+
+def _seeded_shrink_reference(t, kind, c):
+    """``verify.shrink`` of the path assignment of the first leaf of the
+    wanted class, read off ``leaf_assignments`` of the normalized tree."""
+    t = x.normalize_dt(t)
+    want = c if kind == "gaxp" else 1 - c
+    for i, assigned in leaf_assignments(t):
+        if t.nodes[i].label == want:
+            return shrink(t, kind, c, x.PartialExample(t.universe, tuple(assigned.items())))
+    return None
+
+
+def _conflict_sets_reference(t, e):
+    """Per leaf of the other class, in depth-first order: the path features
+    disagreeing with e, as sets read off ``leaf_assignments``."""
+    t = x.normalize_dt(t)
+    cls = x.classify(t, e)
+    return [
+        frozenset(f for f, b in assigned.items() if e.bits[f] != b)
+        for i, assigned in leaf_assignments(t)
+        if t.nodes[i].label != cls
+    ]
+
+
+class TestPathMaskRoutes:
+    @given(seed=st.integers(0, 100_000), shape=st.sampled_from(["random", "path"]))
+    @settings(max_examples=150, deadline=None)
+    def test_match_the_verify_and_dict_formulations(self, seed, shape):
+        rng = Random(seed)
+        if shape == "random":
+            u = random_universe(rng, rng.randint(1, 10))
+            t = random_dt(rng, u, max_depth=rng.randint(1, 8), leaf_p=0.15)
+            e = random_example(rng, u)
+        else:
+            u = random_universe(rng, rng.randint(1, 30))
+            t, e = _path_tree(rng, u, rng.randint(1, 300))
+        normal = x.normalize_dt(t)
+        n = len(u)
+        assert x.laxp_subset_min(t, e) == shrink(normal, "laxp", e, frozenset(range(n)))
+        for c in (0, 1):
+            assert x.gaxp_subset_min(t, c) == _seeded_shrink_reference(t, "gaxp", c)
+            assert x.gcxp_subset_min(t, c) == _seeded_shrink_reference(t, "gcxp", c)
+        sets = _conflict_sets_reference(t, e)
+        assert x.lcxp_min(t, e) == min(sets, key=len, default=None)
+        assert x.lcxp_subset_min(t, e) == next(
+            (d for d in sets if not any(other < d for other in sets)), None
+        )
 
 
 class TestProduct:
