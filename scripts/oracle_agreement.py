@@ -6,8 +6,10 @@ bounded branching, subset enumeration) are compared with the brute-force
 oracle, and the subset-minimal outputs are re-checked by single-removal
 verification: on rule models the greedy ``laxp``, on trees every kind, both
 classes for the global ones, where an answer of None must mean that the
-oracle finds no explanation either.  Any disagreement aborts with the
-offending instance printed.
+oracle finds no explanation either.  On rule models and their ensembles the
+hitting-set search ``card_xp_search`` must return the oracle's witness for
+``laxp``, and for ``gaxp`` and ``gcxp`` of both classes.  Any disagreement
+aborts with the offending instance printed.
 
     python3 scripts/oracle_agreement.py --models 200 --max-features 10
 """
@@ -51,6 +53,14 @@ def tree_subset_answers(t: x.DecisionTree, e: x.Example):
         yield "gcxp", c, x.gcxp_subset_min(t, c)
 
 
+def card_targets(e: x.Example):
+    """(kind, target) of every cardinality query ``card_xp_search`` takes."""
+    yield "laxp", e
+    for c in (0, 1):
+        yield "gaxp", c
+        yield "gcxp", c
+
+
 def sweep_family(cfg: SweepConfig, family: str) -> dict:
     rng = Random(cfg.seed)
     stats = {"models": 0, "with_witness": 0, "branch_nodes": 0}
@@ -87,6 +97,15 @@ def sweep_family(cfg: SweepConfig, family: str) -> dict:
         if family in ("ds", "dl"):
             greedy = x.laxp_rules_subset_min(model, e)
             assert x.oracle_subset_min_check(model, "laxp", e, greedy)
+        if family != "dt":
+            for kind, target in card_targets(e):
+                least = x.oracle_min(model, kind, target)
+                witness = x.card_xp_search(model, kind, target, n)
+                if witness != (None if least is None else least[1]):
+                    print(f"DISAGREEMENT in {family} #{index}: {kind} {target} "
+                          f"{witness} vs {least}")
+                    print(model)
+                    raise SystemExit(1)
         if family == "dt":
             for kind, target, answer in tree_subset_answers(model, e):
                 if answer is None:

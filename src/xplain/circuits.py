@@ -47,6 +47,7 @@ from .core import (
     normalize_dt,
     truth_table,
 )
+from .explain_dt import leaf_assignments
 from .verify import hom_check
 
 IN, AND, OR, NOT, MAJ = "IN", "AND", "OR", "NOT", "MAJ"
@@ -226,8 +227,6 @@ class _Builder:
 
 
 def _leaf_sides(t: DecisionTree) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    from .explain_dt import leaf_assignments
-
     sides: tuple[list, list] = ([], [])
     for i, assigned in leaf_assignments(t):
         sides[t.nodes[i].label].append(assigned)

@@ -5,6 +5,13 @@ single JSON object on stdout (stable key order, so identical inputs give
 byte-identical output); timing and diagnostics go to stderr.  Exit codes:
 0 success / found / true, 1 false, 2 error, 3 no explanation exists.
 
+``explain`` dispatches per family (see ``_explain_subset`` and
+``_explain_card``).  Every minimum ``laxp``/``gaxp``/``gcxp`` comes from
+``explain_dt.card_xp_search``, and off trees so do the inclusion-minimal
+``gaxp``/``gcxp`` (a minimum explanation is inclusion-minimal), searched
+with the whole universe as budget: ``--k`` bounds ``--min card`` only.  The
+exhaustive oracle answers the ``oracle`` subcommand alone.
+
 ``main`` builds the argument parser once per process and reuses it on every
 call, so in-process callers making many requests pay for it once;
 ``parse_args`` returns a fresh namespace each time.  Models are loaded with
@@ -65,6 +72,7 @@ from .verify import (
     local_query,
     oracle_min,
     phom_check,
+    verify,
 )
 
 EXIT_OK, EXIT_FALSE, EXIT_ERROR, EXIT_NONE = 0, 1, 2, 3
@@ -102,8 +110,6 @@ def _cmd_params(args, caps) -> tuple[int, dict]:
 
 
 def _cmd_verify(args, caps) -> tuple[int, dict]:
-    from .verify import verify
-
     model = load_model_file(args.model)
     if args.kind in ("laxp", "lcxp"):
         if args.example is None:
@@ -133,12 +139,9 @@ def _explain_subset(model, kind, target, args, caps):
         return gcxp_subset_min(model, target)
     if kind == "laxp":
         return laxp_rules_subset_min(model, target, caps)
-    if kind == "lcxp":
-        # a minimum-cardinality contrastive set is inclusion-minimal
-        return _explain_card(model, kind, target, args, caps)
-    # ditto for the global kinds: the oracle minimum cannot shrink
-    found = oracle_min(model, kind, target, caps)
-    return None if found is None else found[1]
+    # a minimum-cardinality explanation is inclusion-minimal; --k is no
+    # budget here
+    return _explain_card(model, kind, target, len(model.universe), args, caps)
 
 
 def _nonnegative(k: Optional[int]) -> Optional[int]:
@@ -148,28 +151,19 @@ def _nonnegative(k: Optional[int]) -> Optional[int]:
     return k
 
 
-def _explain_card(model, kind, target, args, caps):
-    k = _nonnegative(args.k)
-    if k is None:
-        k = len(model.universe)
-    if isinstance(model, Ensemble) and model.family == "dt" and kind != "lcxp":
-        model = product_dt(model)
-    if kind == "lcxp":
-        if args.algo == "enum":
-            return lcxp_card_enum(model, target, k, caps)
-        if isinstance(model, DecisionTree):
-            witness = lcxp_min(model, target)
-            return witness if witness is not None and len(witness) <= k else None
-        if isinstance(model, (DecisionSet, DecisionList)):
-            return lcxp_card_branch(model, target, k)
-        if isinstance(model, Ensemble) and model.family in ("ds", "dl"):
-            return lcxp_card_branch_ens(model, target, k)
+def _explain_card(model, kind, target, k, args, caps):
+    if kind != "lcxp":
+        return card_xp_search(model, kind, target, k, caps)
+    if args.algo == "enum":
         return lcxp_card_enum(model, target, k, caps)
     if isinstance(model, DecisionTree):
-        return card_xp_search(model, kind, target, k)
-    # no dedicated algorithm: exhaustive oracle at desk scale
-    found = oracle_min(model, kind, target, caps)
-    return found[1] if found is not None and found[0] <= k else None
+        witness = lcxp_min(model, target)
+        return witness if witness is not None and len(witness) <= k else None
+    if isinstance(model, (DecisionSet, DecisionList)):
+        return lcxp_card_branch(model, target, k)
+    if isinstance(model, Ensemble) and model.family in ("ds", "dl"):
+        return lcxp_card_branch_ens(model, target, k)
+    return lcxp_card_enum(model, target, k, caps)
 
 
 def _cmd_explain(args, caps) -> tuple[int, dict]:
@@ -178,7 +172,9 @@ def _cmd_explain(args, caps) -> tuple[int, dict]:
     if args.min == "subset":
         witness = _explain_subset(model, args.kind, target, args, caps)
     else:
-        witness = _explain_card(model, args.kind, target, args, caps)
+        k = _nonnegative(args.k)
+        k = len(model.universe) if k is None else k
+        witness = _explain_card(model, args.kind, target, k, args, caps)
     payload = _witness_payload(witness, model)
     return (EXIT_OK if witness is not None else EXIT_NONE), payload
 

@@ -1,13 +1,15 @@
-"""Dedicated decision tree algorithms.
+"""Dedicated decision tree algorithms, and the cardinality search of every
+model family.
 
-Everything here runs on the normalized tree (no path tests a feature twice);
-inputs are normalized on entry, callers keep their raw trees.  Every kind is
-a covering problem over leaf paths (Ignatiev et al., "From Contrastive to
-Abductive Explanations and Back Again", 2020), answered from at most two
-integer walks of the tree per call: ``_leaf_paths`` yields each leaf's path
-as a mask of tested features and a value of their bits, ``_literal_columns``
-gives every literal its column, the bitmask of the leaves of one class whose
-path it conflicts.  Nothing is kept on the tree between calls.
+Everything tree-specific here runs on the normalized tree (no path tests a
+feature twice); inputs are normalized on entry, callers keep their raw
+trees.  Every kind is a covering problem over leaf paths (Ignatiev et al.,
+"From Contrastive to Abductive Explanations and Back Again", 2020),
+answered from at most two integer walks of the tree per call:
+``_leaf_paths`` yields each leaf's path as a mask of tested features and a
+value of their bits, ``_literal_columns`` gives every literal its column,
+the bitmask of the leaves of one class whose path it conflicts.  Nothing is
+kept on the tree between calls.
 
 * greedy subset-minimal explanations: a candidate verifies exactly when the
   OR of its literal columns covers every leaf of the class it excludes, so
@@ -20,14 +22,17 @@ path it conflicts.  Nothing is kept on the tree between calls.
   target example form a contrastive set, one mask per leaf; a smallest one
   is a global minimum, and an inclusion-minimal one among them is a
   subset-minimal explanation.
-* bounded-cardinality search: one hitting-set engine over the literal
-  columns.  Each offending leaf is a row; one walk of the tree numbers the
-  rows depth-first, so the rows under a node are consecutive, and each
-  split adds one range to two columns.  Extending a candidate is one
-  AND-NOT on the int of live rows.  The search grows literal sets
-  breadth-first by size (one memo per size), reads a row's literals off the
-  columns only when it branches on that row, and returns the first minimum
-  in the oracle's enumeration order.
+* bounded-cardinality search, for all five families: one hitting-set
+  engine over literal columns.  On a tree each offending leaf is a row; one
+  walk of the tree numbers the rows depth-first, so the rows under a node
+  are consecutive, and each split adds one range to two columns.  Any other
+  model gets its rows one at a time (implicit hitting-set dualization,
+  Ignatiev, Previti, Liffiton & Marques-Silva, CP 2015): the table that
+  checks the current minimum hitting set also yields the next row it
+  misses.  Extending a candidate is one AND-NOT on the int of live rows.
+  The search grows literal sets breadth-first by size (one memo per size),
+  reads a row's literals off the columns only when it branches on that row,
+  and returns the first minimum in the oracle's enumeration order.
 * ensemble-to-tree product: ``core.graft_dt``, the path-consistent walk
   that also normalizes and restricts trees, grafts each successive tree
   onto every leaf whose vote is still open; normalized by construction.
@@ -35,9 +40,10 @@ path it conflicts.  Nothing is kept on the tree between calls.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, Optional, Union
 
-from .config import CapExceeded
+from .config import DEFAULT_CAPS, BruteCaps, CapExceeded, require_cap
 from .core import (
     DecisionTree,
     Ensemble,
@@ -45,10 +51,14 @@ from .core import (
     Leaf,
     ModelError,
     PartialExample,
+    _model_universe,
     classify,
+    feature_column,
     graft_dt,
     normalize_dt,
+    subcube_table,
 )
+from .verify import first_flip
 
 CardWitness = Union[frozenset, PartialExample, None]
 
@@ -102,8 +112,8 @@ def laxp_subset_min(t: DecisionTree, e: Example) -> frozenset:
     t = normalize_dt(t)
     rows, kill = _literal_columns(t, 1 - classify(t, e))
     n = len(t.universe)
-    kept = _column_shrink([kill[f + b * n] for f, b in enumerate(e.bits)], rows)
-    return frozenset(kept)
+    cols = [kill[f + b * n] for f, b in enumerate(e.bits)]
+    return frozenset(_column_shrink(cols, (1 << rows) - 1))
 
 
 def _leaf_seeded_shrink(t: DecisionTree, kind: str, c: int) -> Optional[PartialExample]:
@@ -120,7 +130,7 @@ def _leaf_seeded_shrink(t: DecisionTree, kind: str, c: int) -> Optional[PartialE
     n = len(t.universe)
     seeded = [(f, value >> f & 1) for f in range(n) if mask >> f & 1]
     rows, kill = _literal_columns(t, 1 - want)
-    kept = _column_shrink([kill[f + b * n] for f, b in seeded], rows)
+    kept = _column_shrink([kill[f + b * n] for f, b in seeded], (1 << rows) - 1)
     return PartialExample(t.universe, tuple(seeded[j] for j in kept))
 
 
@@ -206,16 +216,15 @@ def _literal_columns(t: DecisionTree, bad: int) -> tuple[int, list[int]]:
     return rows, kill
 
 
-def _column_shrink(cols: list[int], rows: int) -> list[int]:
+def _column_shrink(cols: list[int], full: int) -> list[int]:
     """Indices kept by the greedy shrink of a candidate whose literal
-    columns ``cols`` cover all ``rows`` rows.
+    columns ``cols`` cover every row of the mask ``full``.
 
     A candidate verifies when the OR of its columns covers every row.  One
     ascending pass drops literal j when the literals kept before it and all
     those after it still cover, exactly as ``verify.shrink`` drops features;
     suffix ORs make each test one OR and one compare.
     """
-    full = (1 << rows) - 1
     suffix = [0] * (len(cols) + 1)
     for j in range(len(cols) - 1, -1, -1):
         suffix[j] = suffix[j + 1] | cols[j]
@@ -296,43 +305,123 @@ def _card_order(assignment: list[tuple[int, int]]) -> tuple:
     )
 
 
-def card_xp_search(t: DecisionTree, kind: str, target, k: int) -> CardWitness:
+def _laxp_row(model, e: Example, n: int, caps: BruteCaps, found) -> Optional[list[int]]:
+    """The literals of the next ``laxp`` row, or None when the features of
+    ``found`` verify.  Every explanation meets every flip set that changes
+    e's class; the row is the least one off those features (a contrastive
+    set ``found`` misses), as e's literals."""
+    flips = first_flip(model, e, n, caps, "laxp search", fixed=[f for f, _ in found])
+    return None if flips is None else [f + e.bits[f] * n for f in flips]
+
+
+def _global_row(model, want: int, n: int, caps: BruteCaps, found) -> Optional[list[int]]:
+    """The literals of the next ``gaxp``/``gcxp`` row, or None when every
+    completion of ``found`` has class ``want``.
+
+    One ``subcube_table`` call tabulates the completions.  The least one of
+    the other class is shrunk inside that table to an implicant p of the
+    other class that extends ``found``: p's free literals drop by
+    ``_column_shrink`` while every completion of ``want`` still disagrees
+    with p on one of them.  Every explanation must contradict p, so the row
+    is the literals ``(f, 1 - p[f])``.
+    """
+    fixed = dict(found)
+    free = [f for f in range(n) if f not in fixed]
+    require_cap(len(free), caps.verify, "global search")
+    table = subcube_table(model, fixed, free)
+    full = (1 << (1 << len(free))) - 1
+    good = table if want else full ^ table
+    if good == full:
+        return None
+    wrong = full ^ good
+    x = (wrong & -wrong).bit_length() - 1
+    cols = []  # per free feature: the wanted completions that disagree with x on it
+    for j in range(len(free)):
+        col = feature_column(j, len(free))
+        cols.append(good & ~col if x >> j & 1 else good & col)
+    implicant = [*found, *((free[j], x >> j & 1) for j in _column_shrink(cols, good))]
+    return [f + (1 - b) * n for f, b in implicant]
+
+
+def card_xp_search(
+    model, kind: str, target, k: int, caps: BruteCaps = DEFAULT_CAPS
+) -> CardWitness:
     """Smallest explanation of size <= k, or None when every one is larger.
 
-    On a normalized tree each kind is a hitting-set problem over leaf paths
-    (Ignatiev et al., "From Contrastive to Abductive Explanations and Back
-    Again", 2020): a ``gaxp``/``gcxp`` candidate must conflict the path of
-    every offending leaf (of class 1 - c, of class c), a ``laxp`` feature set
-    must meet every conflict set of the target example.  ``_literal_columns``
-    gives one row per offending leaf and each literal's column of conflicted
-    rows; for ``laxp`` the offending leaves are those of the other class and
-    only the example's own literals ``(f, e[f])`` keep their columns, so a
-    row's literals are the features its path disagrees with e on.  The
-    witness is the first minimum in the oracle's enumeration order: feature
-    subsets lexicographically, for the global kinds each subset's assignments
-    as ascending binary counters.  After the one walk that builds the
-    columns, the search visits only consistent literal sets of size <= k,
-    each at most once.
+    Each kind is a hitting-set problem (Ignatiev et al., "From Contrastive
+    to Abductive Explanations and Back Again", 2020): a ``laxp`` feature set
+    must meet every contrastive set of the target example, a
+    ``gaxp``/``gcxp`` candidate must contradict every partial example that
+    forces the class it excludes (1 - c, c).  A row is one such set, as the
+    literals that meet it; ``kill[f + b * n]`` marks the rows literal
+    ``(f, b)`` meets.
+
+    A tree, or a tree ensemble through ``product_dt``, gets all its rows up
+    front from ``_literal_columns``, one per offending leaf (for ``laxp``
+    only e's own literals keep their columns), and its first hitting set is
+    the answer.  Any other model starts with no rows, and each round reads
+    one more off the one table that checks the least hitting set H
+    (``_laxp_row``, ``_global_row``), until H verifies or no hitting set of
+    size <= k is left.  Every explanation meets every row, so a verified
+    least hitting set is the first minimum in the oracle's enumeration
+    order: feature subsets lexicographically, for the global kinds each
+    subset's assignments as ascending binary counters.
+
+    Round bound: each row is read off an example no earlier row was (the
+    least wrong completion of H, or e flipped on a set H misses), so n
+    features never give more than 2**n rows.  A search holding more than
+    2**cap rows, cap being ``caps.oracle_local`` for ``laxp`` and
+    ``caps.oracle_global`` otherwise, raises ``CapExceeded`` before its next
+    round: every model the oracle accepts is answered, and above its cap
+    the search stops after as many rounds as the oracle's table would hold
+    examples (a parity circuit needs 2**(n-1) + 1 rounds for ``gaxp``).
+    Each round's table is under ``caps.verify`` as well.
     """
     if kind not in ("laxp", "gaxp", "gcxp"):
         raise ModelError(f"card_xp_search does not handle {kind!r}")
     if k < 0:
         raise ModelError("k must be nonnegative")
-    t = normalize_dt(t)
-    n = len(t.universe)
-    if kind == "laxp":
-        # conflict sets of e: the paths of the other class, through e's literals
-        rows, kill = _literal_columns(t, 1 - classify(t, target))
-        for f, b in enumerate(target.bits):
-            kill[f + (1 - b) * n] = 0
+    u = _model_universe(model)
+    if kind == "laxp" and not (isinstance(target, Example) and target.universe == u):
+        raise ModelError("laxp takes an example over the model's universe as target")
+    if kind != "laxp" and target not in (0, 1):
+        raise ModelError("global kinds take a class bit as target")
+    n = len(u)
+    if isinstance(model, Ensemble) and model.family == "dt":
+        model = product_dt(model)
+    next_row = None
+    if isinstance(model, DecisionTree):
+        t = normalize_dt(model)
+        if kind == "laxp":
+            # conflict sets of e: the paths of the other class, through e's literals
+            rows, kill = _literal_columns(t, 1 - classify(t, target))
+            for f, b in enumerate(target.bits):
+                kill[f + (1 - b) * n] = 0
+        else:
+            rows, kill = _literal_columns(t, 1 - target if kind == "gaxp" else target)
     else:
-        rows, kill = _literal_columns(t, 1 - target if kind == "gaxp" else target)
-    found = _min_literal_hitting_set(n, rows, kill, k)
+        rows, kill = 0, [0] * (2 * n)
+        if kind == "laxp":
+            next_row = functools.partial(_laxp_row, model, target, n, caps)
+        else:
+            want = target if kind == "gaxp" else 1 - target
+            next_row = functools.partial(_global_row, model, want, n, caps)
+        cap = caps.oracle_local if kind == "laxp" else caps.oracle_global
+    while True:
+        if next_row is not None and rows > 1 << cap:
+            raise CapExceeded(f"{kind} search: {rows} rows exceed 2**{cap}")
+        found = _min_literal_hitting_set(n, rows, kill, k)
+        row = None if found is None or next_row is None else next_row(found)
+        if row is None:
+            break
+        for lit in row:
+            kill[lit] |= 1 << rows
+        rows += 1
     if found is None:
         return None
     if kind == "laxp":
         return frozenset(f for f, _ in found)
-    return PartialExample(t.universe, tuple(found))
+    return PartialExample(u, tuple(found))
 
 
 def product_dt(ens: Ensemble, max_leaves: int = 1_000_000) -> DecisionTree:

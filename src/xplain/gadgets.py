@@ -27,6 +27,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from . import truth
+from .circuits import Circuit, circuit_table, translate
 from .config import DEFAULT_CAPS, BruteCaps
 from .core import (
     DecisionList,
@@ -45,7 +46,15 @@ from .core import (
 )
 from .explain_dt import card_xp_search, product_dt
 from .explain_rules import lcxp_card_enum
-from .verify import hom_check, oracle_min, phom_check, restrict_dt
+from .verify import (
+    global_query,
+    hom_check,
+    local_query,
+    oracle_min,
+    phom_check,
+    restrict_dt,
+    verify,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -138,26 +147,18 @@ class GadgetInstance:
 
 
 def answer_query(model, q: Query, caps: BruteCaps = DEFAULT_CAPS) -> bool:
-    """Answer a gadget query by brute force (oracle scale).  Global queries
-    on trees above the oracle cap go to the exact hitting-set search of
-    ``global_budget_search_dt`` instead, exponential in the budget k only."""
+    """Answer a gadget query exactly: homogeneity on the flip table, a
+    minimum contrastive set by ``lcxp_card_enum``, and the abductive kinds
+    by the hitting-set search of ``explain_dt.card_xp_search`` under the
+    budget k."""
     if q.kind == "hom":
         return hom_check(model, caps)
     if q.kind == "phom":
         return phom_check(model, q.k, caps)
-    n = len(model.universe)
-    if q.kind in ("laxp", "lcxp"):
-        if q.kind == "lcxp":
-            return lcxp_card_enum(model, q.target, q.k, caps) is not None
-        found = oracle_min(model, "laxp", q.target, caps)
-        return found is not None and found[0] <= q.k
-    if q.kind in ("gaxp", "gcxp"):
-        if n <= caps.oracle_global:
-            found = oracle_min(model, q.kind, q.target, caps)
-            return found is not None and found[0] <= q.k
-        if isinstance(model, DecisionTree):
-            return global_budget_search_dt(model, q.kind, q.target, q.k) is not None
-        raise ModelError("global query too large for the oracle")
+    if q.kind == "lcxp":
+        return lcxp_card_enum(model, q.target, q.k, caps) is not None
+    if q.kind in ("laxp", "gaxp", "gcxp"):
+        return card_xp_search(model, q.kind, q.target, q.k, caps) is not None
     raise ModelError(f"unknown query kind {q.kind!r}")
 
 
@@ -722,8 +723,6 @@ def _translation_is(model, c: int, value: int) -> bool:
     """Is the circuit of 'class c' (``circuits.translate``) constantly
     ``value``?  A circuit has no translation: it is its own circuit of
     class 1, and its complement that of class 0."""
-    from .circuits import Circuit, circuit_table, translate
-
     n = len(model.universe)
     if isinstance(model, Circuit):
         circuit, value = model, value if c == 1 else 1 - value
@@ -738,8 +737,6 @@ def hom_equivalence_suite(model, caps: BruteCaps = DEFAULT_CAPS) -> HomEquivalen
     the tree or of a tree ensemble's product, else one classification per
     example; the table of the circuit for the other class.  A circuit, having
     no translation, answers 6 and 9 with its own table."""
-    from .verify import global_query, local_query, verify
-
     u = model.universe
     n = len(u)
     zero = Example(u, (0,) * n)

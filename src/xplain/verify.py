@@ -357,14 +357,21 @@ def hom_check(model, caps: BruteCaps = DEFAULT_CAPS) -> bool:
 
 
 def first_flip(
-    model, e: Example, k: int, caps: BruteCaps = DEFAULT_CAPS, what: str = "flip search"
+    model,
+    e: Example,
+    k: int,
+    caps: BruteCaps = DEFAULT_CAPS,
+    what: str = "flip search",
+    fixed: Iterable[int] = (),
 ) -> Optional[frozenset]:
-    """First set of at most k features of the model's domain whose flip
-    changes e's class, by size and then lexicographically, or None.  Up to
-    ``caps.verify`` features it is the highest position of least weight set
-    in the flip table XOR e's class.  Above the cap each flipped example is
-    classified, if the flip sets to try number at most 2**caps.verify."""
-    domain = _flip_domain(model)
+    """First set of at most k features of the model's domain, less the
+    ``fixed`` ones held at e's bits, whose flip changes e's class, by size
+    and then lexicographically, or None.  Up to ``caps.verify`` features it
+    is the highest position of least weight set in the flip table XOR e's
+    class.  Above the cap each flipped example is classified, if the flip
+    sets to try number at most 2**caps.verify."""
+    held = set(fixed)
+    domain = [f for f in _flip_domain(model) if f not in held]
     d = len(domain)
     k = min(k, d)
     if d > caps.verify:

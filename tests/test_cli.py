@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+from random import Random
 
 import pytest
 
 import xplain as x
 from xplain import cli
 from xplain.cli import main
-from xplain.modelio import dump_model, load_model_file
+from xplain.modelio import dump_model, load_model, load_model_file
 
 FIG_DOC = {
     "universe": ["x", "y", "z"],
@@ -379,6 +380,78 @@ def test_negative_budget_is_refused_on_every_route(doc, argv, files, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == "error: k must be nonnegative\n"
+
+
+_AB_SET_DOC = {
+    "universe": ["a", "b", "c"],
+    "model": {"ds": {"terms": [[["a", 1], ["b", 1]]], "default": 0}},
+}
+_AB_TREE_DOC = {
+    "universe": ["a", "b", "c"],
+    "model": {"dt": {"root": 0, "nodes": [
+        {"test": "a", "if0": 1, "if1": 2}, {"leaf": 0},
+        {"test": "b", "if0": 3, "if1": 4}, {"leaf": 0}, {"leaf": 1}]}},
+}
+
+
+@pytest.mark.parametrize("doc", [_AB_SET_DOC, _AB_TREE_DOC], ids=["set", "tree"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_subset_route_takes_no_budget(doc, k, capsys, tmp_path):
+    """a and b -> 1: flipping a alone changes the class of a=1, b=1, c=0,
+    so {a} is an inclusion-minimal contrastive explanation whatever --k says."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    example = tmp_path / "e.json"
+    example.write_text(json.dumps({"assign": {"a": 1, "b": 1, "c": 0}}))
+    code, payload = run(capsys, ["explain", "--model", str(model), "--kind", "lcxp",
+                                 "--min", "subset", "--example", str(example), "--k", k])
+    assert (code, payload) == (0, {"size": 1, "witness": ["a"]})
+
+
+def _wide_set_doc(n: int, terms: int, seed: int) -> dict:
+    """A decision set of ``terms`` terms of 2 to 4 literals over n features."""
+    rng = Random(seed)
+    names = [f"x{i}" for i in range(n)]
+    body = [[[names[f], rng.randint(0, 1)] for f in rng.sample(range(n), 2 + j % 3)]
+            for j in range(terms)]
+    return {"universe": names, "model": {"ds": {"terms": body, "default": 0}}}
+
+
+@pytest.mark.parametrize("kind, minimum, target", [
+    ("laxp", "card", None), ("gaxp", "card", "1"), ("gcxp", "card", "1"),
+    ("gaxp", "subset", "1"), ("gaxp", "card", "0"),
+])
+def test_rule_explanations_above_the_oracle_cap(kind, minimum, target, capsys,
+                                                monkeypatch, tmp_path):
+    """18 features: above the oracle's caps of 16 (local) and 12 (global),
+    within the verify cap of 24.  The hitting-set search answers, with a
+    witness that verifies and stops verifying when any one part is removed."""
+    monkeypatch.delenv("XPLAIN_BRUTE_CAP", raising=False)
+    doc = _wide_set_doc(18, 8, seed=5)
+    model_file = tmp_path / "wide.json"
+    model_file.write_text(json.dumps(doc))
+    model = load_model(doc)
+    u = model.universe
+    argv = ["explain", "--model", str(model_file), "--kind", kind, "--min", minimum]
+    if target is None:
+        e = x.Example(u, tuple(Random(6).randint(0, 1) for _ in range(len(u))))
+        example = tmp_path / "e.json"
+        example.write_text(json.dumps({"assign": dict(zip(u.names, e.bits))}))
+        argv += ["--example", str(example)]
+    else:
+        argv += ["--class", target]
+    code, payload = run(capsys, argv)
+    assert code == 0
+    if target is None:
+        goal, witness = e, frozenset(u.index(name) for name in payload["witness"])
+        query = x.local_query(kind, e, witness)
+    else:
+        goal = int(target)
+        witness = x.PartialExample(
+            u, tuple((u.index(name), b) for name, b in payload["witness"].items()))
+        query = x.global_query(kind, goal, witness)
+    assert x.verify(model, query)
+    assert x.oracle_subset_min_check(model, kind, goal, witness)
 
 
 def _deep_path_tree_doc(depth: int, n: int) -> dict:

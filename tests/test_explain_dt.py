@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import time
 import weakref
 from random import Random
 
@@ -13,7 +14,14 @@ from xplain.core import graft_dt, is_normalized
 from xplain.explain_dt import leaf_assignments
 from xplain.verify import shrink
 
-from generators import random_dt, random_ensemble, random_example, random_universe
+from generators import (
+    random_circuit,
+    random_dt,
+    random_ensemble,
+    random_example,
+    random_model,
+    random_universe,
+)
 
 
 def _single_test_tree(u, feature=0):
@@ -228,6 +236,70 @@ class TestCardSearch:
         assert found == x.PartialExample(u, ((0, 1), (1, 0)))
         assert found == x.oracle_min(t, "gaxp", 1)[1]
         assert x.card_xp_search(t, "gaxp", 0, 2) == x.PartialExample(u, ((0, 0), (1, 0)))
+
+
+def _model_of_family(rng, u, family):
+    """A random model of one of the five families.  Half the circuits are
+    random gate DAGs, which may leave features unread; an empty universe
+    gets trees only."""
+    if not len(u):
+        return random_ensemble(rng, u, "dt") if family == "ens" else random_dt(rng, u)
+    if family == "ens":
+        return random_ensemble(rng, u, rng.choice(["dt", "ds", "dl"]))
+    if family == "circuit":
+        if rng.random() < 0.5:
+            return random_circuit(rng, u)
+        source = random_model(rng, u, rng.choice(["dt", "ds", "dl"]))
+        return x.translate(source, rng.randint(0, 1))[0]
+    return random_model(rng, u, family)
+
+
+def _parity_circuit(u):
+    """x0 xor x1 xor ... as AND(OR(p, x), NOT(AND(p, x))) per feature."""
+    gates = [x.Gate("IN", feature=f) for f in range(len(u))]
+    p = 0
+    for f in range(1, len(u)):
+        gates += [x.Gate("OR", (p, f)), x.Gate("AND", (p, f))]
+        gates.append(x.Gate("NOT", (len(gates) - 1,)))
+        gates.append(x.Gate("AND", (len(gates) - 3, len(gates) - 1)))
+        p = len(gates) - 1
+    return x.Circuit(u, tuple(gates), p)
+
+
+class TestCardSearchAllFamilies:
+    @given(
+        seed=st.integers(0, 100_000),
+        family=st.sampled_from(["dt", "ds", "dl", "ens", "circuit"]),
+        n=st.integers(0, 9),
+        kind=st.sampled_from(["laxp", "gaxp", "gcxp"]),
+        k=st.integers(0, 10),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_witness_equals_oracle_within_budget(self, seed, family, n, kind, k):
+        rng = Random(seed)
+        u = random_universe(rng, n)
+        model = _model_of_family(rng, u, family)
+        target = random_example(rng, u) if kind == "laxp" else rng.randint(0, 1)
+        expected = x.oracle_min(model, kind, target)
+        within = expected is not None and expected[0] <= k
+        assert x.card_xp_search(model, kind, target, k) == (expected[1] if within else None)
+
+    def test_parity_is_refused_by_the_round_bound(self):
+        """gaxp on parity needs every feature, and 2**(n-1) + 1 rounds to
+        learn it; under an oracle cap of 4 the search stops past 16 rows."""
+        u = random_universe(Random(0), 10)
+        small = x.BruteCaps(oracle_local=4, oracle_global=4)
+        started = time.perf_counter()
+        with pytest.raises(CapExceeded, match="rows exceed 2\\*\\*4"):
+            x.card_xp_search(_parity_circuit(u), "gaxp", 1, 10, small)
+        assert time.perf_counter() - started < 1.0  # 17 rounds, not 513
+
+    def test_parity_is_answered_within_the_oracle_cap(self):
+        u = random_universe(Random(0), 5)
+        parity = _parity_circuit(u)
+        found = x.card_xp_search(parity, "gaxp", 1, 5)
+        assert found == x.oracle_min(parity, "gaxp", 1)[1]
+        assert len(found.assignments) == 5
 
 
 def _skewed_dt(rng, u, depth):
