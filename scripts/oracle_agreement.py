@@ -4,9 +4,10 @@
 For every sampled model the minimum-contrastive algorithms (tree leaf scan,
 bounded branching, subset enumeration) are compared with the brute-force
 oracle, and the subset-minimal outputs are re-checked by single-removal
-verification: on rule models the greedy ``laxp``, on trees every kind, both
-classes for the global ones, where an answer of None must mean that the
-oracle finds no explanation either.  On rule models and their ensembles the
+verification: on rule models the greedy ``laxp``, on every model the greedy
+``gaxp`` and ``gcxp`` of both classes, and on trees every other kind too,
+where an answer of None must mean that the oracle finds no explanation
+either.  On rule models and their ensembles the
 hitting-set search ``card_xp_search`` must return the oracle's witness for
 ``laxp``, and for ``gaxp`` and ``gcxp`` of both classes.  Any disagreement
 aborts with the offending instance printed.
@@ -44,13 +45,18 @@ class SweepConfig:
     seed: int = 0
 
 
+def global_subset_answers(model):
+    """(kind, target, answer) of the subset-minimal global routes."""
+    for c in (0, 1):
+        yield "gaxp", c, x.gaxp_subset_min(model, c)
+        yield "gcxp", c, x.gcxp_subset_min(model, c)
+
+
 def tree_subset_answers(t: x.DecisionTree, e: x.Example):
     """(kind, target, answer) of every subset-minimal tree route."""
     yield "laxp", e, x.laxp_subset_min(t, e)
     yield "lcxp", e, x.lcxp_subset_min(t, e)
-    for c in (0, 1):
-        yield "gaxp", c, x.gaxp_subset_min(t, c)
-        yield "gcxp", c, x.gcxp_subset_min(t, c)
+    yield from global_subset_answers(t)
 
 
 def card_targets(e: x.Example):
@@ -106,16 +112,17 @@ def sweep_family(cfg: SweepConfig, family: str) -> dict:
                           f"{witness} vs {least}")
                     print(model)
                     raise SystemExit(1)
-        if family == "dt":
-            for kind, target, answer in tree_subset_answers(model, e):
-                if answer is None:
-                    holds = x.oracle_min(model, kind, target) is None
-                else:
-                    holds = x.oracle_subset_min_check(model, kind, target, answer)
-                if not holds:
-                    print(f"NOT SUBSET-MINIMAL in dt #{index}: {kind} {target} {answer}")
-                    print(model)
-                    raise SystemExit(1)
+        subset_answers = (tree_subset_answers(model, e) if family == "dt"
+                          else global_subset_answers(model))
+        for kind, target, answer in subset_answers:
+            if answer is None:
+                holds = x.oracle_min(model, kind, target) is None
+            else:
+                holds = x.oracle_subset_min_check(model, kind, target, answer)
+            if not holds:
+                print(f"NOT SUBSET-MINIMAL in {family} #{index}: {kind} {target} {answer}")
+                print(model)
+                raise SystemExit(1)
         stats["models"] += 1
     stats["seconds"] = round(time.time() - started, 2)
     return stats

@@ -7,9 +7,11 @@ byte-identical output); timing and diagnostics go to stderr.  Exit codes:
 
 ``explain`` dispatches per family (see ``_explain_subset`` and
 ``_explain_card``).  Every minimum ``laxp``/``gaxp``/``gcxp`` comes from
-``explain_dt.card_xp_search``, and off trees so do the inclusion-minimal
-``gaxp``/``gcxp`` (a minimum explanation is inclusion-minimal), searched
-with the whole universe as budget: ``--k`` bounds ``--min card`` only.  The
+``explain_dt.card_xp_search``, and every inclusion-minimal ``gaxp``/``gcxp``
+from the one seeded greedy shrink of ``explain_dt.gaxp_subset_min`` and
+``gcxp_subset_min``, for all five families.  Tree ensembles take the product
+tree for the other tree routes, ``lcxp --min card`` included (``--algo
+enum``, and a product past its leaf ceiling, still enumerate flips).  ``--k`` bounds ``--min card`` only.  The
 exhaustive oracle answers the ``oracle`` subcommand alone.
 
 ``main`` builds the argument parser once per process and reuses it on every
@@ -127,16 +129,14 @@ def _cmd_verify(args, caps) -> tuple[int, dict]:
 
 
 def _explain_subset(model, kind, target, args, caps):
+    if kind == "gaxp":
+        return gaxp_subset_min(model, target, caps)
+    if kind == "gcxp":
+        return gcxp_subset_min(model, target, caps)
     if isinstance(model, Ensemble) and model.family == "dt":
         model = product_dt(model)  # single-tree route for tree ensembles
     if isinstance(model, DecisionTree):
-        if kind == "laxp":
-            return laxp_subset_min(model, target)
-        if kind == "lcxp":
-            return lcxp_subset_min(model, target)
-        if kind == "gaxp":
-            return gaxp_subset_min(model, target)
-        return gcxp_subset_min(model, target)
+        return laxp_subset_min(model, target) if kind == "laxp" else lcxp_subset_min(model, target)
     if kind == "laxp":
         return laxp_rules_subset_min(model, target, caps)
     # a minimum-cardinality explanation is inclusion-minimal; --k is no
@@ -156,6 +156,11 @@ def _explain_card(model, kind, target, k, args, caps):
         return card_xp_search(model, kind, target, k, caps)
     if args.algo == "enum":
         return lcxp_card_enum(model, target, k, caps)
+    if isinstance(model, Ensemble) and model.family == "dt":
+        try:
+            model = product_dt(model)
+        except CapExceeded:  # past the product's ceiling the flip search may still answer
+            return lcxp_card_enum(model, target, k, caps)
     if isinstance(model, DecisionTree):
         witness = lcxp_min(model, target)
         return witness if witness is not None and len(witness) <= k else None

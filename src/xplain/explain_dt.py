@@ -1,5 +1,5 @@
-"""Dedicated decision tree algorithms, and the cardinality search of every
-model family.
+"""Dedicated decision tree algorithms, and the greedy global shrink and the
+cardinality search of every model family.
 
 Everything tree-specific here runs on the normalized tree (no path tests a
 feature twice); inputs are normalized on entry, callers keep their raw
@@ -17,6 +17,10 @@ kept on the tree between calls.
   drops a feature while the rest still verifies) with one OR and one
   compare per feature.  ``laxp`` shrinks e's literals on the full feature
   set, ``gaxp``/``gcxp`` the path of the first leaf of the wanted class.
+  On any other model ``gaxp``/``gcxp`` shrink the least example of the
+  wanted class inside its one ``subcube_table`` (``_least_implicant``,
+  existential quantification of the other class one feature at a time),
+  the same shrink that reads each hitting-set row of the global kinds.
 * minimum local contrastive explanations in polynomial time: for every leaf
   of the opposite class, the features on its path that disagree with the
   target example form a contrastive set, one mask per leaf; a smallest one
@@ -110,40 +114,52 @@ def laxp_subset_min(t: DecisionTree, e: Example) -> frozenset:
     if not isinstance(e, Example):
         raise ModelError("local kinds take an example as target")
     t = normalize_dt(t)
-    rows, kill = _literal_columns(t, 1 - classify(t, e))
+    _, kill = _literal_columns(t, 1 - classify(t, e))
     n = len(t.universe)
-    cols = [kill[f + b * n] for f, b in enumerate(e.bits)]
-    return frozenset(_column_shrink(cols, (1 << rows) - 1))
+    return frozenset(_column_shrink([kill[f + b * n] for f, b in enumerate(e.bits)]))
 
 
-def _leaf_seeded_shrink(t: DecisionTree, kind: str, c: int) -> Optional[PartialExample]:
-    """The greedy shrink of the path assignment of the first leaf, in
-    depth-first order, whose class the kind asks for (c for ``gaxp``, 1 - c
-    for ``gcxp``); None when no leaf has it.  An assignment verifies when it
-    conflicts every leaf of the other class."""
-    t = normalize_dt(t)
+def _leaf_seeded_shrink(
+    model, kind: str, c: int, caps: BruteCaps = DEFAULT_CAPS
+) -> Optional[PartialExample]:
+    """The greedy shrink of the first assignment that forces the class the
+    kind asks for (c for ``gaxp``, 1 - c for ``gcxp``), or None when no
+    example has it.  Trees and tree ensembles (through ``product_dt``) are
+    seeded with the first such leaf path in depth-first order, which
+    verifies when it conflicts every leaf of the other class; any other
+    model with its least such example, by ``_least_implicant``."""
+    if c not in (0, 1):
+        raise ModelError("global kinds take a class bit as target")
+    u = _model_universe(model)
+    n = len(u)
     want = c if kind == "gaxp" else 1 - c
+    if isinstance(model, Ensemble) and model.family == "dt":
+        model = product_dt(model)
+    if not isinstance(model, DecisionTree):
+        implicant = _least_implicant(model, want, n, caps)
+        return None if implicant is None else PartialExample(u, tuple(implicant))
+    t = normalize_dt(model)
     seed = next((path for label, *path in _leaf_paths(t) if label == want), None)
     if seed is None:
         return None
     mask, value = seed
-    n = len(t.universe)
     seeded = [(f, value >> f & 1) for f in range(n) if mask >> f & 1]
-    rows, kill = _literal_columns(t, 1 - want)
-    kept = _column_shrink([kill[f + b * n] for f, b in seeded], (1 << rows) - 1)
-    return PartialExample(t.universe, tuple(seeded[j] for j in kept))
+    _, kill = _literal_columns(t, 1 - want)
+    kept = _column_shrink([kill[f + b * n] for f, b in seeded])
+    return PartialExample(u, tuple(seeded[j] for j in kept))
 
 
-def gaxp_subset_min(t: DecisionTree, c: int) -> Optional[PartialExample]:
-    """Inclusion-minimal global abductive explanation, or None when no leaf
-    carries class c.  Seeded with the path assignment of the first c-leaf in
-    depth-first order."""
-    return _leaf_seeded_shrink(t, "gaxp", c)
+def gaxp_subset_min(model, c: int, caps: BruteCaps = DEFAULT_CAPS) -> Optional[PartialExample]:
+    """Inclusion-minimal global abductive explanation of class c, or None
+    when no example has class c, for every model family: the greedy shrink
+    of the first c-leaf's path in depth-first order on trees and tree
+    ensembles, of the least example of class c on any other model."""
+    return _leaf_seeded_shrink(model, "gaxp", c, caps)
 
 
-def gcxp_subset_min(t: DecisionTree, c: int) -> Optional[PartialExample]:
-    """As gaxp_subset_min, seeded with the first leaf of class 1 - c."""
-    return _leaf_seeded_shrink(t, "gcxp", c)
+def gcxp_subset_min(model, c: int, caps: BruteCaps = DEFAULT_CAPS) -> Optional[PartialExample]:
+    """As gaxp_subset_min, seeded with a leaf or example of class 1 - c."""
+    return _leaf_seeded_shrink(model, "gcxp", c, caps)
 
 
 def _conflict_masks(t: DecisionTree, e: Example) -> list[int]:
@@ -216,9 +232,9 @@ def _literal_columns(t: DecisionTree, bad: int) -> tuple[int, list[int]]:
     return rows, kill
 
 
-def _column_shrink(cols: list[int], full: int) -> list[int]:
-    """Indices kept by the greedy shrink of a candidate whose literal
-    columns ``cols`` cover every row of the mask ``full``.
+def _column_shrink(cols: list[int]) -> list[int]:
+    """Indices kept by the greedy shrink of a tree candidate whose literal
+    columns ``cols`` cover every row (every leaf of the class it excludes).
 
     A candidate verifies when the OR of its columns covers every row.  One
     ascending pass drops literal j when the literals kept before it and all
@@ -231,7 +247,7 @@ def _column_shrink(cols: list[int], full: int) -> list[int]:
     kept = []
     cover = 0
     for j, col in enumerate(cols):
-        if (cover | suffix[j + 1]) != full:
+        if (cover | suffix[j + 1]) != suffix[0]:
             kept.append(j)
             cover |= col
     return kept
@@ -314,33 +330,54 @@ def _laxp_row(model, e: Example, n: int, caps: BruteCaps, found) -> Optional[lis
     return None if flips is None else [f + e.bits[f] * n for f in flips]
 
 
-def _global_row(model, want: int, n: int, caps: BruteCaps, found) -> Optional[list[int]]:
-    """The literals of the next ``gaxp``/``gcxp`` row, or None when every
-    completion of ``found`` has class ``want``.
+def _least_implicant(
+    model, cls: int, n: int, caps: BruteCaps, fixed=()
+) -> Optional[list[tuple[int, int]]]:
+    """The greedy shrink of the least completion of ``fixed`` with class
+    ``cls``, as (feature, bit) pairs by feature after ``fixed``'s own; None
+    when every completion has the other class.
 
-    One ``subcube_table`` call tabulates the completions.  The least one of
-    the other class is shrunk inside that table to an implicant p of the
-    other class that extends ``found``: p's free literals drop by
-    ``_column_shrink`` while every completion of ``want`` still disagrees
-    with p on one of them.  Every explanation must contradict p, so the row
-    is the literals ``(f, 1 - p[f])``.
+    One ``subcube_table`` call tabulates the completions, and the shrink
+    runs inside that table by existential quantification.  T holds the
+    completions of the other class, quantified over the positions dropped so
+    far, and x is the seed.  Free position j, in ascending order, stays when
+    T has x with bit j flipped: dropping it would let a completion of the
+    other class agree with what is left.  Otherwise j drops and T forgets
+    it: both halves of T on bit j are ORed onto each other.  These are the
+    literals ``verify.shrink`` drops from x, in the same order, with one
+    table and one column live.
     """
-    fixed = dict(found)
+    fixed = dict(fixed)
     free = [f for f in range(n) if f not in fixed]
     require_cap(len(free), caps.verify, "global search")
     table = subcube_table(model, fixed, free)
     full = (1 << (1 << len(free))) - 1
-    good = table if want else full ^ table
-    if good == full:
+    other = full ^ table if cls else table
+    if other == full:
         return None
-    wrong = full ^ good
-    x = (wrong & -wrong).bit_length() - 1
-    cols = []  # per free feature: the wanted completions that disagree with x on it
-    for j in range(len(free)):
-        col = feature_column(j, len(free))
-        cols.append(good & ~col if x >> j & 1 else good & col)
-    implicant = [*found, *((free[j], x >> j & 1) for j in _column_shrink(cols, good))]
-    return [f + (1 - b) * n for f, b in implicant]
+    wanted = full ^ other
+    x = (wanted & -wanted).bit_length() - 1
+    implicant = list(fixed.items())
+    for j, f in enumerate(free):
+        if other >> (x ^ (1 << j)) & 1:
+            implicant.append((f, x >> j & 1))
+        else:
+            col = feature_column(j, len(free))
+            other |= (other & col) >> (1 << j) | (other & ~col) << (1 << j)
+    return implicant
+
+
+def _global_row(model, want: int, n: int, caps: BruteCaps, found) -> Optional[list[int]]:
+    """The literals of the next ``gaxp``/``gcxp`` row, or None when every
+    completion of ``found`` has class ``want``.
+
+    ``_least_implicant`` shrinks the least completion of ``found`` of the
+    other class to an implicant p of that class that extends ``found``.
+    Every explanation must contradict p, so the row is the literals
+    ``(f, 1 - p[f])``.
+    """
+    implicant = _least_implicant(model, 1 - want, n, caps, found)
+    return None if implicant is None else [f + (1 - b) * n for f, b in implicant]
 
 
 def card_xp_search(

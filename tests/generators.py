@@ -156,3 +156,13 @@ def random_dnf(rng: Random, n_vars: int, n_terms: int, zero_sat: bool = True):
         picked = rng.sample(variables, rng.randint(1, min(3, n_vars)))
         terms.append([(v, rng.randint(0, 1)) for v in picked])
     return terms, variables
+
+
+def wide_set_doc(n: int, terms: int, seed: int) -> dict:
+    """A decision set of ``terms`` terms of 2 to 4 literals over n features,
+    as a model document."""
+    rng = Random(seed)
+    names = [f"x{i}" for i in range(n)]
+    body = [[[names[f], rng.randint(0, 1)] for f in rng.sample(range(n), 2 + j % 3)]
+            for j in range(terms)]
+    return {"universe": names, "model": {"ds": {"terms": body, "default": 0}}}

@@ -10,6 +10,8 @@ from xplain import cli
 from xplain.cli import main
 from xplain.modelio import dump_model, load_model, load_model_file
 
+from generators import wide_set_doc
+
 FIG_DOC = {
     "universe": ["x", "y", "z"],
     "model": {
@@ -408,15 +410,6 @@ def test_subset_route_takes_no_budget(doc, k, capsys, tmp_path):
     assert (code, payload) == (0, {"size": 1, "witness": ["a"]})
 
 
-def _wide_set_doc(n: int, terms: int, seed: int) -> dict:
-    """A decision set of ``terms`` terms of 2 to 4 literals over n features."""
-    rng = Random(seed)
-    names = [f"x{i}" for i in range(n)]
-    body = [[[names[f], rng.randint(0, 1)] for f in rng.sample(range(n), 2 + j % 3)]
-            for j in range(terms)]
-    return {"universe": names, "model": {"ds": {"terms": body, "default": 0}}}
-
-
 @pytest.mark.parametrize("kind, minimum, target", [
     ("laxp", "card", None), ("gaxp", "card", "1"), ("gcxp", "card", "1"),
     ("gaxp", "subset", "1"), ("gaxp", "card", "0"),
@@ -427,7 +420,7 @@ def test_rule_explanations_above_the_oracle_cap(kind, minimum, target, capsys,
     within the verify cap of 24.  The hitting-set search answers, with a
     witness that verifies and stops verifying when any one part is removed."""
     monkeypatch.delenv("XPLAIN_BRUTE_CAP", raising=False)
-    doc = _wide_set_doc(18, 8, seed=5)
+    doc = wide_set_doc(18, 8, seed=5)
     model_file = tmp_path / "wide.json"
     model_file.write_text(json.dumps(doc))
     model = load_model(doc)
@@ -454,6 +447,32 @@ def test_rule_explanations_above_the_oracle_cap(kind, minimum, target, capsys,
     assert x.oracle_subset_min_check(model, kind, goal, witness)
 
 
+def test_contrastive_minimum_past_the_product_ceiling(capsys, tmp_path):
+    """Three copies of a full depth-7 parity tree project a product of 2**21
+    leaves, past the ceiling of 10**6: ``lcxp --min card`` enumerates flips
+    instead, and any one flip of x0..x6 changes the vote."""
+    nodes: list[dict] = []
+
+    def build(depth: int, ones: int) -> int:
+        at = len(nodes)
+        nodes.append({"leaf": ones % 2})
+        if depth < 7:
+            nodes[at] = {"test": f"x{depth}", "if0": build(depth + 1, ones),
+                         "if1": build(depth + 1, ones + 1)}
+        return at
+
+    tree = {"dt": {"root": build(0, 0), "nodes": nodes}}
+    model = tmp_path / "ens.json"
+    model.write_text(json.dumps({"universe": [f"x{i}" for i in range(8)],
+                                 "model": {"ensemble": {"family": "dt",
+                                                        "elements": [tree] * 3}}}))
+    example = tmp_path / "e.json"
+    example.write_text(json.dumps({"assign": {f"x{i}": 0 for i in range(8)}}))
+    code, payload = run(capsys, ["explain", "--model", str(model), "--kind", "lcxp",
+                                 "--min", "card", "--example", str(example)])
+    assert (code, payload) == (0, {"size": 1, "witness": ["x0"]})
+
+
 def _deep_path_tree_doc(depth: int, n: int) -> dict:
     """A path of ``depth`` tests of x(j mod n): a 0 ends in a class-0 leaf, a
     1 goes on to the next test, and the last test's 1-child is a class-1
@@ -468,9 +487,10 @@ def _deep_path_tree_doc(depth: int, n: int) -> dict:
             "model": {"dt": {"root": 0, "nodes": nodes}}}
 
 
-@pytest.mark.parametrize("n, ensemble", [(1500, False), (20, False), (12, False), (20, True)],
+@pytest.mark.parametrize("n, ensemble",
+                         [(1500, False), (20, False), (12, False), (20, True), (1500, True)],
                          ids=["distinct-features", "repeated-features", "table-width",
-                              "one-element-ensemble"])
+                              "one-element-ensemble", "one-element-ensemble-distinct-features"])
 def test_deep_path_tree_is_answered(n, ensemble, capsys, tmp_path):
     doc = _deep_path_tree_doc(1500, n)
     if ensemble:  # answered through the product tree of one tree

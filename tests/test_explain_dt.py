@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import time
+import tracemalloc
 import weakref
 from random import Random
 
@@ -12,6 +13,7 @@ import xplain as x
 from xplain.config import CapExceeded
 from xplain.core import graft_dt, is_normalized
 from xplain.explain_dt import leaf_assignments
+from xplain.modelio import load_model
 from xplain.verify import shrink
 
 from generators import (
@@ -21,6 +23,7 @@ from generators import (
     random_example,
     random_model,
     random_universe,
+    wide_set_doc,
 )
 
 
@@ -294,12 +297,74 @@ class TestCardSearchAllFamilies:
             x.card_xp_search(_parity_circuit(u), "gaxp", 1, 10, small)
         assert time.perf_counter() - started < 1.0  # 17 rounds, not 513
 
+    def test_parity_subset_is_answered_above_the_oracle_cap(self):
+        """The seeded shrink takes one table, not one round per row: the
+        least example of class 1 is the parity's whole implicant."""
+        u = random_universe(Random(0), 10)
+        small = x.BruteCaps(oracle_local=4, oracle_global=4)
+        found = x.gaxp_subset_min(_parity_circuit(u), 1, small)
+        assert found == x.PartialExample(u, ((0, 1), *((f, 0) for f in range(1, 10))))
+
+    def test_global_search_memory_at_the_free_feature_cap(self):
+        """Each round shrinks inside its one table of 2**24 bits, with one
+        column live next to it."""
+        model = load_model(wide_set_doc(24, 8, seed=5))
+        tracemalloc.start()
+        try:
+            found = x.card_xp_search(model, "gaxp", 1, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.verify(model, x.global_query("gaxp", 1, found))
+        assert peak <= 64 * 2**20
+
     def test_parity_is_answered_within_the_oracle_cap(self):
         u = random_universe(Random(0), 5)
         parity = _parity_circuit(u)
         found = x.card_xp_search(parity, "gaxp", 1, 5)
         assert found == x.oracle_min(parity, "gaxp", 1)[1]
         assert len(found.assignments) == 5
+
+
+def _least_seed_shrink_reference(model, kind, c):
+    """``verify.shrink`` of the seed that ``gaxp_subset_min`` documents: on
+    trees and tree ensembles the path of the first leaf of the wanted class
+    (through the product), on any other model its least example of that
+    class, read off ``classify`` mask by mask."""
+    u = model.universe
+    n = len(u)
+    want = c if kind == "gaxp" else 1 - c
+    if isinstance(model, x.DecisionTree) or (
+        isinstance(model, x.Ensemble) and model.family == "dt"
+    ):
+        t = x.normalize_dt(model if isinstance(model, x.DecisionTree) else x.product_dt(model))
+        seeds = (tuple(assigned.items()) for i, assigned in leaf_assignments(t)
+                 if t.nodes[i].label == want)
+    else:
+        examples = (x.Example(u, tuple(m >> f & 1 for f in range(n))) for m in range(1 << n))
+        seeds = (tuple(enumerate(e.bits)) for e in examples if x.classify(model, e) == want)
+    seed = next(seeds, None)
+    return None if seed is None else shrink(model, kind, c, x.PartialExample(u, seed))
+
+
+class TestGlobalSubsetAllFamilies:
+    @given(
+        seed=st.integers(0, 100_000),
+        family=st.sampled_from(["dt", "ds", "dl", "ens", "circuit"]),
+        n=st.integers(0, 9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_witness_is_the_shrink_of_the_least_seed(self, seed, family, n):
+        rng = Random(seed)
+        u = random_universe(rng, n)
+        model = _model_of_family(rng, u, family)
+        for kind, algo in (("gaxp", x.gaxp_subset_min), ("gcxp", x.gcxp_subset_min)):
+            for c in (0, 1):
+                found = algo(model, c)
+                assert found == _least_seed_shrink_reference(model, kind, c)
+                assert (found is None) == (x.oracle_min(model, kind, c) is None)
+                if found is not None:
+                    assert x.oracle_subset_min_check(model, kind, c, found)
 
 
 def _skewed_dt(rng, u, depth):
