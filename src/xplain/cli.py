@@ -9,10 +9,13 @@ byte-identical output); timing and diagnostics go to stderr.  Exit codes:
 ``_explain_card``).  Every minimum ``laxp``/``gaxp``/``gcxp`` comes from
 ``explain_dt.card_xp_search``, and every inclusion-minimal ``gaxp``/``gcxp``
 from the one seeded greedy shrink of ``explain_dt.gaxp_subset_min`` and
-``gcxp_subset_min``, for all five families.  Tree ensembles take the product
-tree for the other tree routes, ``lcxp --min card`` included (``--algo
-enum``, and a product past its leaf ceiling, still enumerate flips).  ``--k`` bounds ``--min card`` only.  The
-exhaustive oracle answers the ``oracle`` subcommand alone.
+``gcxp_subset_min``, for all five families.  The other routes take the
+tree routes on a model with a tree form (``explain_dt._tree_form``: a tree,
+or a tree ensemble whose product fits under its leaf ceiling), the engines
+of rule models otherwise, so a tree ensemble past the ceiling is answered
+as a rule ensemble is (``--algo enum`` enumerates flips on every model).
+``--k`` bounds ``--min card`` only.  The exhaustive oracle answers the
+``oracle`` subcommand alone.
 
 ``main`` builds the argument parser once per process and reuses it on every
 call, so in-process callers making many requests pay for it once;
@@ -38,20 +41,19 @@ from .config import BruteCaps, CapExceeded
 from .core import (
     DecisionList,
     DecisionSet,
-    DecisionTree,
     Ensemble,
     ModelError,
     classify,
     measure,
 )
 from .explain_dt import (
+    _tree_form,
     card_xp_search,
     gaxp_subset_min,
     gcxp_subset_min,
     laxp_subset_min,
     lcxp_min,
     lcxp_subset_min,
-    product_dt,
 )
 from .explain_rules import (
     laxp_rules_subset_min,
@@ -60,6 +62,7 @@ from .explain_rules import (
     lcxp_card_enum,
 )
 from .modelio import (
+    _typed,
     dump_model,
     dump_partial_example,
     load_example_file,
@@ -133,10 +136,9 @@ def _explain_subset(model, kind, target, args, caps):
         return gaxp_subset_min(model, target, caps)
     if kind == "gcxp":
         return gcxp_subset_min(model, target, caps)
-    if isinstance(model, Ensemble) and model.family == "dt":
-        model = product_dt(model)  # single-tree route for tree ensembles
-    if isinstance(model, DecisionTree):
-        return laxp_subset_min(model, target) if kind == "laxp" else lcxp_subset_min(model, target)
+    tree = _tree_form(model)
+    if tree is not None:
+        return laxp_subset_min(tree, target) if kind == "laxp" else lcxp_subset_min(tree, target)
     if kind == "laxp":
         return laxp_rules_subset_min(model, target, caps)
     # a minimum-cardinality explanation is inclusion-minimal; --k is no
@@ -156,13 +158,9 @@ def _explain_card(model, kind, target, k, args, caps):
         return card_xp_search(model, kind, target, k, caps)
     if args.algo == "enum":
         return lcxp_card_enum(model, target, k, caps)
-    if isinstance(model, Ensemble) and model.family == "dt":
-        try:
-            model = product_dt(model)
-        except CapExceeded:  # past the product's ceiling the flip search may still answer
-            return lcxp_card_enum(model, target, k, caps)
-    if isinstance(model, DecisionTree):
-        witness = lcxp_min(model, target)
+    tree = _tree_form(model)
+    if tree is not None:
+        witness = lcxp_min(tree, target)
         return witness if witness is not None and len(witness) <= k else None
     if isinstance(model, (DecisionSet, DecisionList)):
         return lcxp_card_branch(model, target, k)
@@ -225,7 +223,11 @@ def _cmd_hom_suite(args, caps) -> tuple[int, dict]:
 
 def _gadget_from_args(args) -> gadgets.GadgetInstance:
     with open(args.infile) as fh:
-        doc = json.load(fh)
+        return _gadget_from_doc(args, json.load(fh))
+
+
+@_typed
+def _gadget_from_doc(args, doc) -> gadgets.GadgetInstance:
     if args.kind == "hitting-set":
         sets = [frozenset(s) for s in doc["sets"]]
         return gadgets.hitting_set_gadget(

@@ -239,20 +239,6 @@ class DecisionTree:
             if sorted(order) != list(range(n)):
                 raise ModelError("order tag must be a permutation of the features")
 
-    def leaves(self) -> list[int]:
-        """Leaf node indices in depth-first (0-child first) order."""
-        out: list[int] = []
-        stack = [self.root]
-        while stack:
-            i = stack.pop()
-            node = self.nodes[i]
-            if isinstance(node, Leaf):
-                out.append(i)
-            else:
-                stack.append(node.hi)
-                stack.append(node.lo)
-        return out
-
     def leaf_count(self) -> int:
         return sum(1 for n in self.nodes if isinstance(n, Leaf))
 

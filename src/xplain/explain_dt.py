@@ -40,6 +40,9 @@ kept on the tree between calls.
 * ensemble-to-tree product: ``core.graft_dt``, the path-consistent walk
   that also normalizes and restricts trees, grafts each successive tree
   onto every leaf whose vote is still open; normalized by construction.
+  ``_tree_form`` gives every route its tree: a tree's normalized tree, or a
+  tree ensemble's product while it fits under ``product_dt``'s ceiling.
+  Past it, and on every other family, the table engines answer.
 """
 
 from __future__ import annotations
@@ -107,6 +110,18 @@ def _leaf_paths(t: DecisionTree) -> Iterator[tuple[int, int, int]]:
         stack.append((node.lo, mask, value))
 
 
+def _tree_form(model) -> Optional[DecisionTree]:
+    """The normalized tree of a tree, the ``product_dt`` of a tree ensemble
+    whose projected product fits under its ceiling, else None: past the
+    ceiling, and on every other family, the engines of rule models answer."""
+    if isinstance(model, Ensemble) and model.family == "dt":
+        try:
+            model = product_dt(model)
+        except CapExceeded:
+            return None
+    return normalize_dt(model) if isinstance(model, DecisionTree) else None
+
+
 def laxp_subset_min(t: DecisionTree, e: Example) -> frozenset:
     """Inclusion-minimal local abductive explanation: the greedy shrink of
     the full feature set, which always verifies.  A feature set verifies when
@@ -124,21 +139,19 @@ def _leaf_seeded_shrink(
 ) -> Optional[PartialExample]:
     """The greedy shrink of the first assignment that forces the class the
     kind asks for (c for ``gaxp``, 1 - c for ``gcxp``), or None when no
-    example has it.  Trees and tree ensembles (through ``product_dt``) are
-    seeded with the first such leaf path in depth-first order, which
-    verifies when it conflicts every leaf of the other class; any other
-    model with its least such example, by ``_least_implicant``."""
+    example has it.  A model with a tree form (``_tree_form``) is seeded
+    with the first such leaf path in depth-first order, which verifies when
+    it conflicts every leaf of the other class; any other model with its
+    least such example, by ``_least_implicant``."""
     if c not in (0, 1):
         raise ModelError("global kinds take a class bit as target")
     u = _model_universe(model)
     n = len(u)
     want = c if kind == "gaxp" else 1 - c
-    if isinstance(model, Ensemble) and model.family == "dt":
-        model = product_dt(model)
-    if not isinstance(model, DecisionTree):
+    t = _tree_form(model)
+    if t is None:
         implicant = _least_implicant(model, want, n, caps)
         return None if implicant is None else PartialExample(u, tuple(implicant))
-    t = normalize_dt(model)
     seed = next((path for label, *path in _leaf_paths(t) if label == want), None)
     if seed is None:
         return None
@@ -152,8 +165,9 @@ def _leaf_seeded_shrink(
 def gaxp_subset_min(model, c: int, caps: BruteCaps = DEFAULT_CAPS) -> Optional[PartialExample]:
     """Inclusion-minimal global abductive explanation of class c, or None
     when no example has class c, for every model family: the greedy shrink
-    of the first c-leaf's path in depth-first order on trees and tree
-    ensembles, of the least example of class c on any other model."""
+    of the first c-leaf's path in depth-first order on a model with a tree
+    form (``_tree_form``), of the least example of class c on any other
+    model."""
     return _leaf_seeded_shrink(model, "gaxp", c, caps)
 
 
@@ -393,8 +407,9 @@ def card_xp_search(
     literals that meet it; ``kill[f + b * n]`` marks the rows literal
     ``(f, b)`` meets.
 
-    A tree, or a tree ensemble through ``product_dt``, gets all its rows up
-    front from ``_literal_columns``, one per offending leaf (for ``laxp``
+    A model with a tree form (``_tree_form``: a tree, or a tree ensemble
+    whose ``product_dt`` fits under its ceiling) gets all its rows up front
+    from ``_literal_columns``, one per offending leaf (for ``laxp``
     only e's own literals keep their columns), and its first hitting set is
     the answer.  Any other model starts with no rows, and each round reads
     one more off the one table that checks the least hitting set H
@@ -424,11 +439,9 @@ def card_xp_search(
     if kind != "laxp" and target not in (0, 1):
         raise ModelError("global kinds take a class bit as target")
     n = len(u)
-    if isinstance(model, Ensemble) and model.family == "dt":
-        model = product_dt(model)
+    t = _tree_form(model)
     next_row = None
-    if isinstance(model, DecisionTree):
-        t = normalize_dt(model)
+    if t is not None:
         if kind == "laxp":
             # conflict sets of e: the paths of the other class, through e's literals
             rows, kill = _literal_columns(t, 1 - classify(t, target))

@@ -3,8 +3,8 @@
 Two building blocks sit underneath everything here.
 
 * ``odt_from_examples`` grows an ordered tree accepting exactly a given set
-  of assignments of some feature subset, by grafting one feature chain per
-  example onto the running tree.
+  of assignments of some feature subset, splitting the rows feature by
+  feature in the order.
 * Set- and subset-recognizers: ``set_model_odt`` accepts the examples whose
   one-set *restricted to the family's domain* equals a member set;
   ``subset_model_rules`` accepts those whose one-set contains a member.
@@ -14,6 +14,10 @@ queries are equivalent, by construction, to a combinatorial source problem
 (hitting set, clique in a vertex-coloured graph, DNF tautology).  Every
 generated instance carries the source-problem answer computed by the naive
 solvers in :mod:`xplain.truth`, which share no code with the constructions.
+
+``mcc_odt_gaxp_gadget`` builds no sub-trees: it emits its scaffold and its
+blocks in one pass into one node arena and checks one ``DecisionTree`` at
+the end.
 
 Generated universes are laid out in the declared feature order, so the order
 tag of every emitted tree is the identity permutation.
@@ -473,49 +477,6 @@ def mcc_unary_ensemble_gadget(
     )
 
 
-def _graft(t: DecisionTree, leaf_index: int, sub: DecisionTree) -> DecisionTree:
-    """Replace a leaf with a copy of another tree over the same universe."""
-    assert isinstance(t.nodes[leaf_index], Leaf)
-    nodes = list(t.nodes)
-    mapping = {}
-    rest = [j for j in range(len(sub.nodes)) if j != sub.root]
-    for pos, j in enumerate(rest):
-        mapping[j] = len(nodes) + pos
-    mapping[sub.root] = leaf_index
-
-    def remap(node):
-        if isinstance(node, Leaf):
-            return node
-        return Split(node.feature, mapping[node.lo], mapping[node.hi])
-
-    nodes[leaf_index] = remap(sub.nodes[sub.root])
-    for j in rest:
-        nodes.append(remap(sub.nodes[j]))
-    return DecisionTree(t.universe, tuple(nodes), t.root, t.order)
-
-
-def _complete_zero_tree(
-    u: FeatureUniverse, depth: int, first_feature: int, order
-) -> DecisionTree:
-    """Complete all-0-leaves tree of the given depth; every inner node tests
-    its own feature.  Features are consumed level by level starting at
-    ``first_feature``, matching a level-major universe layout."""
-    nodes: list = []
-
-    def build(level: int, pos: int) -> int:
-        if level == depth:
-            nodes.append(Leaf(0))
-            return len(nodes) - 1
-        feature = first_feature + (1 << level) - 1 + pos
-        lo = build(level + 1, 2 * pos)
-        hi = build(level + 1, 2 * pos + 1)
-        nodes.append(Split(feature, lo, hi))
-        return len(nodes) - 1
-
-    root = build(0, 0)
-    return DecisionTree(u, tuple(nodes), root, tuple(order))
-
-
 def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int, max_k: int = 10) -> GadgetInstance:
     """Single ordered tree whose class-0 global abductive explanations of
     size at most k correspond to k-cliques.
@@ -529,6 +490,14 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int, max_k: int = 10) -> GadgetInst
     scaffold of auxiliary features wide enough that no k features can cover
     all of it, so a small explanation must silence every block with vertex
     features alone.
+
+    The tree is emitted in one pass into one arena.  A complete scaffold
+    over the upper auxiliary features picks the copy; under each of its
+    leaves a complete scaffold over that copy's lower features picks block
+    b, and lower leaf b holds block b for b < ``block_count``, ``Leaf(0)``
+    after that.  Blocks are "every feature of a list is 0" chains: a pair
+    block scans colour i, and the branch where it finds vertex v set
+    requires the rest of colour i, then v's colour-j neighbours, to be 0.
     """
     if k != g.k:
         raise ModelError("k must equal the number of colour classes")
@@ -552,60 +521,71 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int, max_k: int = 10) -> GadgetInst
         names.extend(f"v.{ci}.{vi}" for vi in range(len(cls)))
     u = FeatureUniverse(tuple(names))
     order = tuple(range(len(u)))
-    feature_of = {}
+    colours: list[range] = []  # per colour: its vertex features, ascending
     pos = vertex_offset
     for cls in g.classes:
-        for v in cls:
-            feature_of[v] = pos
-            pos += 1
-    neighbours = {v: set() for v in g.vertices()}
+        colours.append(range(pos, pos + len(cls)))
+        pos += len(cls)
+    feature_of = {v: f for cls, fs in zip(g.classes, colours) for v, f in zip(cls, fs)}
+    neighbours: dict[str, list[int]] = {v: [] for v in feature_of}
     for x, y in g.edges:
-        neighbours[x].add(y)
-        neighbours[y].add(x)
+        neighbours[x].append(feature_of[y])
+        neighbours[y].append(feature_of[x])
+    pairs = list(combinations(range(k), 2))
 
-    def pair_block(i: int, j: int) -> DecisionTree:
-        f_i = [feature_of[v] for v in g.classes[i]]
-        rows = [PartialExample(u, tuple((f, 0) for f in f_i))]
-        for v in g.classes[i]:
-            rows.append(
-                PartialExample(
-                    u, tuple((f, 1 if f == feature_of[v] else 0) for f in f_i)
-                )
-            )
-        block = odt_from_examples(u, rows, order)
-        for v in g.classes[i]:
-            target = {f: (1 if f == feature_of[v] else 0) for f in f_i}
-            leaf = _walk_to_leaf(block, target)
-            assert isinstance(block.nodes[leaf], Leaf) and block.nodes[leaf].label == 1
-            nbr = sorted(feature_of[w] for w in neighbours[v] if w in set(g.classes[j]))
-            zero_row = [PartialExample(u, tuple((f, 0) for f in nbr))]
-            accept_zero = odt_from_examples(u, zero_row, order)
-            block = _graft(block, leaf, accept_zero)
-        return block
+    nodes: list = []
+    zero, one = Leaf(0), Leaf(1)  # leaves are immutable: shared in the arena
 
-    def colour_zero_block(i: int) -> DecisionTree:
-        row = [PartialExample(u, tuple((feature_of[v], 0) for v in g.classes[i]))]
-        return odt_from_examples(u, row, order)
+    def emit(node) -> int:
+        nodes.append(node)
+        return len(nodes) - 1
 
-    blocks = [pair_block(i, j) for i, j in combinations(range(k), 2)]
-    blocks.extend(colour_zero_block(i) for i in range(k))
-    assert len(blocks) == block_count
-    # scaffold: complete tree over the upper features, then one lower copy
-    # per upper leaf, then the pair blocks on the lower copies' own leaves
-    tree = _complete_zero_tree(u, k, 0, order)
-    upper_leaves = tree.leaves()
-    lower_base = (1 << k) - 1
+    def zero_chain(features: Sequence[int], accept: int) -> int:
+        """Tests the features in order; any 1 rejects, all 0 goes on to
+        node ``accept``."""
+        for f in reversed(features):
+            accept = emit(Split(f, accept, emit(zero)))
+        return accept
+
+    def block(b: int) -> int:
+        if b >= len(pairs):
+            return zero_chain(colours[b - len(pairs)], emit(one))
+        i, j = pairs[b]
+        scan = emit(one)  # colour i all zero
+        members = colours[i]
+        for d in range(len(members) - 1, -1, -1):
+            v = g.classes[i][d]
+            nbr = sorted(f for f in neighbours[v] if f in colours[j])
+            found = zero_chain(members[d + 1:], zero_chain(nbr, emit(one)))
+            scan = emit(Split(members[d], scan, found))
+        return scan
+
+    def complete(depth: int, first_feature: int, at_leaf) -> int:
+        """Complete scaffold of the given depth whose node at (level, pos)
+        tests its own feature, numbered level by level from
+        ``first_feature``; leaf pos is ``at_leaf(pos)``."""
+
+        def build(level: int, pos: int) -> int:
+            if level == depth:
+                return at_leaf(pos)
+            lo = build(level + 1, 2 * pos)
+            hi = build(level + 1, 2 * pos + 1)
+            return emit(Split(first_feature + (1 << level) - 1 + pos, lo, hi))
+
+        return build(0, 0)
+
+    lower_base = copies - 1
     lower_size = (1 << depth_low) - 1
-    for copy, upper_leaf in enumerate(upper_leaves):
-        lower = _complete_zero_tree(  # over this copy's private features
-            u, depth_low, lower_base + copy * lower_size, order
+
+    def lower(copy: int) -> int:  # over this copy's private features
+        return complete(
+            depth_low,
+            lower_base + copy * lower_size,
+            lambda b: block(b) if b < block_count else emit(zero),
         )
-        # graft targets fixed before grafting: _graft keeps other node
-        # indices valid, and searching afresh could land inside a block
-        targets = lower.leaves()[: block_count]
-        for target_leaf, block in zip(targets, blocks):
-            lower = _graft(lower, target_leaf, block)
-        tree = _graft(tree, upper_leaf, lower)
+
+    root = complete(k, 0, lower)
+    tree = DecisionTree(u, tuple(nodes), root, order)
     assert respects_order(tree, order)
     n_vertices = len(g.vertices())
     assert tree.leaf_count() <= 4 * copies * max(1, k * k) * max(1, n_vertices) ** 2
@@ -616,14 +596,6 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int, max_k: int = 10) -> GadgetInst
         provenance="mcc-odt-gaxp",
         meta={"order": [u.name(f) for f in order], "aux_features": vertex_offset},
     )
-
-
-def _walk_to_leaf(t: DecisionTree, bits: dict[int, int]) -> int:
-    i = t.root
-    while isinstance(t.nodes[i], Split):
-        node = t.nodes[i]
-        i = node.hi if bits[node.feature] else node.lo
-    return i
 
 
 def taut_ds_gadget(

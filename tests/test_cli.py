@@ -203,6 +203,48 @@ def test_gen_gadget(files, capsys, tmp_path):
     assert x.measure(loaded).terms_elem == 2
 
 
+@pytest.mark.parametrize(
+    "kind, doc",
+    [
+        ("mcc-odt", {"classes": 5, "edges": []}),
+        ("hitting-set", {"universe": ["u"], "sets": 5, "k": 1}),
+        ("taut", {"terms": 5, "vars": ["x"]}),
+    ],
+    ids=["classes-not-a-list", "sets-not-a-list", "terms-not-a-list"],
+)
+def test_wrongly_typed_gadget_input_is_an_error(kind, doc, capsys, tmp_path):
+    instance = tmp_path / "in.json"
+    instance.write_text(json.dumps(doc))
+    code = main(["--quiet", "gen-gadget", "--kind", kind, "--in", str(instance),
+                 "--out", str(tmp_path / "out.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "unexpected" not in lines[0]  # a ModelError, not a crash
+
+
+def test_gen_gadget_ordered_tree(capsys, tmp_path):
+    graph = {"classes": [["a", "b"], ["c"]], "edges": [["a", "c"]]}
+    instance = tmp_path / "g.json"
+    instance.write_text(json.dumps(graph))
+    out = tmp_path / "gadget.json"
+    code, payload = run(capsys, ["gen-gadget", "--kind", "mcc-odt", "--in", str(instance),
+                                 "--out", str(out)])
+    assert (code, payload) == (0, {"truth": True, "queries": 1,
+                                   "provenance": "mcc-odt-gaxp"})
+    doc = json.loads(out.read_text())
+    loaded = load_model(doc["model"])
+    inst = x.mcc_odt_gaxp_gadget(
+        x.ColouredGraph((("a", "b"), ("c",)), (("a", "c"),)), 2)
+    assert loaded.universe == inst.model.universe
+    # every example is classified alike: equal truth tables
+    assert x.truth_table(loaded) == x.truth_table(inst.model)
+    assert doc["queries"] == [{"kind": "gaxp", "class": 0, "k": 2}]
+    assert x.answer_query(loaded, x.Query("gaxp", 0, 2)) is doc["truth"] is True
+
+
 def test_gen_gadget_graph(files, capsys, tmp_path):
     instance = tmp_path / "g.json"
     instance.write_text(
@@ -471,6 +513,66 @@ def test_contrastive_minimum_past_the_product_ceiling(capsys, tmp_path):
     code, payload = run(capsys, ["explain", "--model", str(model), "--kind", "lcxp",
                                  "--min", "card", "--example", str(example)])
     assert (code, payload) == (0, {"size": 1, "witness": ["x0"]})
+
+
+def _complete_tree(rng: Random, u: x.FeatureUniverse, depth: int) -> x.DecisionTree:
+    """A random complete tree of the given depth, no feature twice on a path."""
+    nodes: list = []
+
+    def build(level: int, used: frozenset) -> int:
+        if level == depth:
+            nodes.append(x.Leaf(rng.randint(0, 1)))
+        else:
+            f = rng.choice([f for f in range(len(u)) if f not in used])
+            lo = build(level + 1, used | {f})
+            hi = build(level + 1, used | {f})
+            nodes.append(x.Split(f, lo, hi))
+        return len(nodes) - 1
+
+    root = build(0, frozenset())
+    return x.DecisionTree(u, tuple(nodes), root)
+
+
+@pytest.mark.parametrize("kind, minimum, target", [
+    ("laxp", "card", None), ("gaxp", "card", "0"), ("gaxp", "card", "1"),
+    ("gcxp", "card", "0"), ("gcxp", "card", "1"), ("laxp", "subset", None),
+    ("lcxp", "subset", None), ("gaxp", "subset", "0"), ("gaxp", "subset", "1"),
+    ("gcxp", "subset", "0"), ("gcxp", "subset", "1"),
+])
+def test_tree_ensemble_past_the_product_ceiling(kind, minimum, target, capsys,
+                                                monkeypatch, tmp_path):
+    """Three complete depth-7 trees over 12 features project a product of
+    2**21 leaves, past the ceiling of 10**6: the engines of rule models
+    answer, a minimum with the oracle's witness, an inclusion-minimal
+    explanation with one the oracle certifies."""
+    monkeypatch.delenv("XPLAIN_BRUTE_CAP", raising=False)
+    rng = Random(3)
+    u = x.FeatureUniverse(tuple(f"x{i}" for i in range(12)))
+    model = x.Ensemble(u, tuple(_complete_tree(rng, u, 7) for _ in range(3)))
+    with pytest.raises(x.CapExceeded):
+        x.product_dt(model)
+    model_file = tmp_path / "ens.json"
+    model_file.write_text(json.dumps(dump_model(model)))
+    argv = ["--model", str(model_file), "--kind", kind]
+    if target is None:
+        e = x.Example(u, tuple(rng.randint(0, 1) for _ in range(len(u))))
+        example = tmp_path / "e.json"
+        example.write_text(json.dumps({"assign": dict(zip(u.names, e.bits))}))
+        argv += ["--example", str(example)]
+    else:
+        argv += ["--class", target]
+    code, payload = run(capsys, ["explain", "--min", minimum, *argv])
+    assert code == 0
+    if minimum == "card":
+        assert (code, payload) == run(capsys, ["oracle", *argv])
+        return
+    if target is None:
+        goal, witness = e, frozenset(u.index(name) for name in payload["witness"])
+    else:
+        goal = int(target)
+        witness = x.PartialExample(
+            u, tuple((u.index(name), b) for name, b in payload["witness"].items()))
+    assert x.oracle_subset_min_check(model, kind, goal, witness)
 
 
 def _deep_path_tree_doc(depth: int, n: int) -> dict:

@@ -437,7 +437,7 @@ class TestCardSearchColumns:
         u = random_universe(rng, rng.randint(12, 24))
         while True:
             t = x.normalize_dt(_skewed_dt(rng, u, rng.randint(9, 10)))
-            labels = [t.nodes[i].label for i in t.leaves()]
+            labels = [n.label for n in t.nodes if isinstance(n, x.Leaf)]
             if min(labels.count(0), labels.count(1)) > 64:
                 break
         e = random_example(rng, u)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import xplain as x
 from xplain import truth
-from xplain.gadgets import _graft, global_budget_search_dt
+from xplain.gadgets import global_budget_search_dt
 
 from generators import (
     random_coloured_graph,
@@ -327,6 +329,56 @@ class TestMccOdt:
         inst = x.mcc_odt_gaxp_gadget(g, 2)
         assert x.answer_query(inst.model, inst.queries[0]) == inst.truth
 
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_tree_matches_the_block_semantics(self, seed):
+        rng = Random(seed)
+        k = rng.randint(2, 3)
+        g = random_coloured_graph(rng, rng.randint(k, 7), k)
+        inst = x.mcc_odt_gaxp_gadget(g, k)
+        u = inst.model.universe
+        for _ in range(40):
+            p = rng.choice((0.1, 0.3, 0.5))  # sparse vertex bits reach the one-set-vertex branch
+            bits = tuple(
+                rng.randint(0, 1) if name.startswith("aux.") else int(rng.random() < p)
+                for name in u.names
+            )
+            e = x.Example(u, bits)
+            assert x.classify(inst.model, e) == _odt_gadget_reference(g, e)
+
+
+def _odt_gadget_reference(g: x.ColouredGraph, e: x.Example) -> int:
+    """The class ``mcc_odt_gaxp_gadget``'s docstring gives e, reading its
+    bits by feature name: the upper auxiliary bits pick the copy, the copy's
+    lower bits pick block b, and block b decides."""
+    def bit(name: str) -> int:
+        return e.bits[e.universe.index(name)]
+
+    k = g.k
+    pairs = list(combinations(range(k), 2))
+    block_count = len(pairs) + k
+    copy = 0
+    for level in range(k):
+        copy = 2 * copy + bit(f"aux.u.{level}.{copy}")
+    b = 0
+    for level in range(math.ceil(math.log2(block_count))):
+        b = 2 * b + bit(f"aux.d.{copy}.{level}.{b}")
+    if b >= block_count:
+        return 0
+
+    def set_vertices(ci: int) -> list[str]:
+        return [v for vi, v in enumerate(g.classes[ci]) if bit(f"v.{ci}.{vi}")]
+
+    if b >= len(pairs):  # colour block: accept iff the colour is all 0
+        return int(not set_vertices(b - len(pairs)))
+    i, j = pairs[b]
+    on = set_vertices(i)
+    if len(on) != 1:  # all 0 accepts, two or more set reject
+        return int(not on)
+    (v,) = on
+    neighbours = {w for edge in g.edges if v in edge for w in edge} - {v}
+    return int(not neighbours & set(set_vertices(j)))
+
 
 class TestTaut:
     def test_excluded_middle_is_a_tautology(self):
@@ -349,17 +401,6 @@ class TestTaut:
         assert inst.truth == (not truth.is_tautology_dnf(terms, variables))
         for q in inst.queries:
             assert x.answer_query(inst.model, q) == inst.truth
-
-
-class TestGraft:
-    def test_replaces_leaf_and_keeps_others(self):
-        u = x.universe("a", "b")
-        base = x.DecisionTree(u, (x.Split(0, 1, 2), x.Leaf(0), x.Leaf(1)))
-        sub = x.DecisionTree(u, (x.Split(1, 1, 2), x.Leaf(0), x.Leaf(1)))
-        out = _graft(base, 1, sub)
-        assert x.classify(out, x.Example(u, (0, 1))) == 1
-        assert x.classify(out, x.Example(u, (0, 0))) == 0
-        assert x.classify(out, x.Example(u, (1, 0))) == 1
 
 
 class TestHomSuite:
