@@ -10,8 +10,13 @@ per workload and seed, the request count and one SHA-256 over
 workload answers only a bool per query, so its entry instead hashes
 ``f"{assignments}\\0"`` of the ``gadgets.global_budget_search_dt`` witness of
 every ordered-tree query (a global query on a tree), in request order, with
-``None`` for no witness.  A refactor that must keep the CLI's output and the
-witnesses byte-identical keeps these digests.
+``None`` for no witness.  The ``translations`` entry of a seed hashes the
+circuit of every model of the ``trees`` and ``rules`` workloads that is not
+itself a circuit, for class 0 and then class 1, as
+``f"{dump_model(circuit)}\n{sorted(deletion)}\n{bound}\n{formula}\0"``
+(the JSON with sorted keys), so a change to any translation's gates or
+certificate shows.  A refactor that must keep the CLI's output, the
+witnesses and the circuits byte-identical keeps these digests.
 
     python3 scripts/cli_fingerprint.py              # print the digests
     python3 scripts/cli_fingerprint.py --check      # compare with the file
@@ -34,13 +39,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "scripts" / "cli_fingerprints.json"
 SEEDS = (1, 9001)
-WORKLOADS = ("trees", "rules", "gadgets")
+WORKLOADS = ("trees", "rules", "gadgets", "translations")
 
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 # cliwork and the set-ups find these in sys.modules
+import xplain.circuits  # noqa: E402
 import xplain.cli  # noqa: E402,F401
 import xplain.gadgets  # noqa: E402
+import xplain.modelio  # noqa: E402
 import xplain.truth  # noqa: E402,F401
 
 import cliwork  # noqa: E402
@@ -49,20 +56,38 @@ import work_rules  # noqa: E402
 import work_trees  # noqa: E402
 
 
-def cli_answers(requests):
+def cli_answers(inputs):
     """``f"{code}\\n{stdout}"`` of every CLI request."""
-    for req in requests:
+    for req in inputs.requests:
         code, stdout = cliwork.execute(req)
         yield f"{code}\n{stdout}"
 
 
-def tree_witnesses(requests):
+def tree_witnesses(inputs):
     """The budget search's witness assignments on every global tree query."""
-    for req in requests:
+    for req in inputs.requests:
         model, q = req.instance.model, req.query
         if isinstance(model, xplain.DecisionTree) and q.kind in ("gaxp", "gcxp"):
             found = xplain.gadgets.global_budget_search_dt(model, q.kind, q.target, q.k)
             yield repr(None if found is None else found.assignments)
+
+
+def model_documents(seed: int, workdir: Path) -> list[dict]:
+    """The model documents of the ``trees`` and then the ``rules`` workload."""
+    return [doc for name, setup in (("trees", work_trees.setup), ("rules", work_rules.setup))
+            for doc in setup(seed, workdir / name).models.values()]
+
+
+def translations(docs):
+    """Circuit and certificate of each non-circuit model, for both classes."""
+    for doc in docs:
+        model = xplain.modelio.load_model(doc)
+        if isinstance(model, xplain.circuits.Circuit):
+            continue
+        for c in (0, 1):
+            circuit, cert = xplain.circuits.translate(model, c)
+            dump = json.dumps(xplain.modelio.dump_model(circuit), sort_keys=True)
+            yield f"{dump}\n{sorted(cert.deletion)}\n{cert.bound}\n{cert.formula}"
 
 
 # workload -> (set-up, the answers hashed)
@@ -70,6 +95,7 @@ SOURCES = {
     "trees": (work_trees.setup, cli_answers),
     "rules": (work_rules.setup, cli_answers),
     "gadgets": (work_gadgets.setup, tree_witnesses),
+    "translations": (model_documents, translations),
 }
 
 
@@ -79,7 +105,7 @@ def fingerprint(workload: str, seed: int) -> dict:
     digest = hashlib.sha256()
     count = 0
     with tempfile.TemporaryDirectory(prefix="xplain-fingerprint-") as tmp:
-        for answer in answers(setup(seed, Path(tmp)).requests):
+        for answer in answers(setup(seed, Path(tmp))):
             digest.update(f"{answer}\0".encode())
             count += 1
     return {"requests": count, "sha256": digest.hexdigest()}
@@ -95,7 +121,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     found = {f"{w}:{s}": fingerprint(w, s) for s in SEEDS for w in WORKLOADS}
     for key, fp in found.items():
-        print(f"{key:12} {fp['requests']:5d} requests  {fp['sha256']}")
+        print(f"{key:18} {fp['requests']:5d} requests  {fp['sha256']}")
     if args.write:
         RECORD.write_text(json.dumps(found, indent=2, sort_keys=True) + "\n")
         return 0
