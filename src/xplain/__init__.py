@@ -35,10 +35,6 @@ from .circuits import (
     WidthCertificate,
     certificate_holds,
     circuit_hom_check,
-    dl_to_circuit,
-    dlmaj_to_circuit,
-    dt_to_circuit,
-    dtmaj_to_circuit,
     translate,
 )
 from .explain_dt import (

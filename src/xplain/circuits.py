@@ -5,25 +5,31 @@ A circuit is a DAG of IN / AND / OR / NOT / MAJ gates with one output gate
 acyclicity is a property of the representation.  A MAJ gate with threshold t
 fires when at least t of its in-neighbours do.
 
-Each translation targets a class c: the produced circuit is satisfied by an
-input assignment exactly when the source model classifies it as c.
+``translate`` is the one translation.  For a class c it builds a circuit
+satisfied by an input assignment exactly when the model classifies it as c,
+in one loop over the voters: the model itself, or an ensemble's elements.
+Each voter is wired by its family's case, into one shared arena (input and
+per-feature NOT gates are shared):
 
-* A tree contributes one AND gate per leaf on its smaller class side (the
-  gate recognizes the leaf's path assignment) plus an OR collector; when c is
-  the other side's class, a complementing NOT is appended.
-* A list is cut into maximal same-class rule blocks; a block fires when one
-  of its rule terms applies, and the class-c blocks are guarded by the
-  negations of all earlier other-class blocks.
-* Ensembles take the union of their element circuits (input and per-feature
-  NOT gates shared) under a single MAJ gate with threshold floor(n/2) + 1.
+* a tree contributes one AND gate per leaf on its smaller class side (the
+  gate recognizes the leaf's path, read as a mask off ``_leaf_paths``) plus
+  an OR collector; when c is the other side's class, a complementing NOT is
+  appended.
+* a list (a set as its list) is cut into maximal same-class rule blocks; a
+  block fires when one of its rule terms applies, and the class-c blocks
+  are guarded by the negations of all earlier other-class blocks.
 
-Every translation also returns a width certificate: a gate deletion set
+An ensemble then adds a single MAJ gate over the voters' outputs, with
+threshold floor(n/2) + 1.
+
+The translation also returns a width certificate: a gate deletion set
 whose removal (together with the input gates, the per-feature NOT gates and
 the output) leaves a forest, plus the closed-form width bound that witness
-supports.  Rank-width itself is never computed.
+supports: 3 * 2**(Σ smaller-side leaf counts) for trees, 3 * 2**(3 * Σ rule
+counts) for rule models.  Rank-width itself is never computed.
 
-A leaf or rule whose path/term constrains nothing is encoded as a constant
-gate pair over an arbitrary input: OR(g, NOT g) is constant true and
+A constant tree, and a rule whose term constrains nothing, are encoded as a
+constant gate pair over an arbitrary input: OR(g, NOT g) is constant true and
 AND(g, NOT g) constant false.  Translation therefore needs a nonempty
 universe.
 """
@@ -47,7 +53,7 @@ from .core import (
     normalize_dt,
     truth_table,
 )
-from .explain_dt import leaf_assignments
+from .explain_dt import _leaf_paths
 from .verify import hom_check
 
 IN, AND, OR, NOT, MAJ = "IN", "AND", "OR", "NOT", "MAJ"
@@ -226,18 +232,12 @@ class _Builder:
         return Circuit(self.universe, tuple(self.gates), output)
 
 
-def _leaf_sides(t: DecisionTree) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    sides: tuple[list, list] = ([], [])
-    for i, assigned in leaf_assignments(t):
-        sides[t.nodes[i].label].append(assigned)
-    return sides
-
-
 def _dt_into(builder: _Builder, t: DecisionTree, c: int) -> tuple[int, list[int], int]:
     """Wire one tree into the builder; returns (output gate, deletion gates,
-    the tree's smaller-side leaf count)."""
-    t = normalize_dt(t)
-    sides = _leaf_sides(t)
+    the bound's exponent: the tree's smaller-side leaf count)."""
+    sides: tuple[list, list] = ([], [])  # (mask, value) of each leaf, by label
+    for label, mask, value in _leaf_paths(normalize_dt(t)):
+        sides[label].append((mask, value))
     mnl_side = 0 if len(sides[0]) <= len(sides[1]) else 1
     mnl = len(sides[mnl_side])
     if mnl == 0:
@@ -245,48 +245,24 @@ def _dt_into(builder: _Builder, t: DecisionTree, c: int) -> tuple[int, list[int]
         label = 1 - mnl_side
         out = builder.const_true() if label == c else builder.const_false()
         return out, [], 0
-    deletion = []
-    for assigned in sides[mnl_side]:
-        if assigned:
-            gate = builder.add(
-                AND, [builder.literal(f, b) for f, b in sorted(assigned.items())]
-            )
-        else:  # a root leaf constrains nothing; constant-true stand-in
-            gate = builder.const_true()
-        deletion.append(gate)
+    # both sides have leaves, so no leaf is the root and every mask is set
+    deletion = [
+        builder.add(AND, [builder.literal(f, value >> f & 1)
+                          for f in range(mask.bit_length()) if mask >> f & 1])
+        for mask, value in sides[mnl_side]
+    ]
     out = builder.add(OR, deletion)
     if c != mnl_side:
         out = builder.add(NOT, (out,))
     return out, deletion, mnl
 
 
-def dt_to_circuit(t: DecisionTree, c: int) -> tuple[Circuit, WidthCertificate]:
-    builder = _Builder(t.universe)
-    out, deletion, mnl = _dt_into(builder, t, c)
-    cert = WidthCertificate(frozenset(deletion), 3 * 2**mnl, "dt")
-    return builder.finish(out), cert
-
-
-def dtmaj_to_circuit(ens: Ensemble, c: int) -> tuple[Circuit, WidthCertificate]:
-    if ens.family != "dt":
-        raise ModelError("expected an ensemble of decision trees")
-    builder = _Builder(ens.universe)
-    outs: list[int] = []
-    deletion: list[int] = []
-    mnl_sum = 0
-    for t in ens.elements:
-        out, dele, mnl = _dt_into(builder, t, c)
-        outs.append(out)
-        deletion.extend(dele)
-        mnl_sum += mnl
-    maj = builder.add(MAJ, outs, threshold=len(outs) // 2 + 1)
-    cert = WidthCertificate(frozenset(deletion), 3 * 2**mnl_sum, "dt-ensemble")
-    return builder.finish(maj), cert
-
-
-def _dl_into(builder: _Builder, dl: DecisionList, c: int) -> tuple[int, list[int], int]:
-    """Wire one list into the builder; returns (output gate, deletion gates,
-    rule count)."""
+def _dl_into(
+    builder: _Builder, model: Union[DecisionList, DecisionSet], c: int
+) -> tuple[int, list[int], int]:
+    """Wire one list (a set as its list) into the builder; returns (output
+    gate, deletion gates, the bound's exponent: three per rule)."""
+    dl = model.as_dl()
     # maximal consecutive same-class blocks
     blocks: list[tuple[int, list]] = []  # (class, member rule terms)
     for term, cls in dl.rules:
@@ -298,7 +274,7 @@ def _dl_into(builder: _Builder, dl: DecisionList, c: int) -> tuple[int, list[int
     # building them would leave dangling gates
     last_c = max((i for i, (cls, _) in enumerate(blocks) if cls == c), default=-1)
     if last_c < 0:
-        return builder.const_false(), [], len(dl.rules)
+        return builder.const_false(), [], 3 * len(dl.rules)
     deletion: list[int] = []
     guarded = []
     negated_before: list[int] = []  # NOTs of earlier non-c blocks
@@ -323,48 +299,35 @@ def _dl_into(builder: _Builder, dl: DecisionList, c: int) -> tuple[int, list[int
             deletion.append(ng)
     out = builder.add(OR, guarded)
     assert len(deletion) <= 3 * len(dl.rules)
-    return out, deletion, len(dl.rules)
-
-
-def dl_to_circuit(
-    model: Union[DecisionList, DecisionSet], c: int
-) -> tuple[Circuit, WidthCertificate]:
-    dl = model.as_dl()
-    builder = _Builder(dl.universe)
-    out, deletion, rules = _dl_into(builder, dl, c)
-    cert = WidthCertificate(frozenset(deletion), 3 * 2 ** (3 * rules), "dl")
-    return builder.finish(out), cert
-
-
-def dlmaj_to_circuit(ens: Ensemble, c: int) -> tuple[Circuit, WidthCertificate]:
-    if ens.family not in ("ds", "dl"):
-        raise ModelError("expected an ensemble of decision sets or lists")
-    dls = [m.as_dl() for m in ens.elements]
-    builder = _Builder(ens.universe)
-    outs = []
-    deletion: list[int] = []
-    rule_sum = 0
-    for dl in dls:
-        out, dele, rules = _dl_into(builder, dl, c)
-        outs.append(out)
-        deletion.extend(dele)
-        rule_sum += rules
-    maj = builder.add(MAJ, outs, threshold=len(outs) // 2 + 1)
-    cert = WidthCertificate(frozenset(deletion), 3 * 2 ** (3 * rule_sum), "dl-ensemble")
-    return builder.finish(maj), cert
+    return out, deletion, 3 * len(dl.rules)
 
 
 def translate(model, c: int) -> tuple[Circuit, WidthCertificate]:
-    """Family dispatch over the four translations."""
-    if isinstance(model, DecisionTree):
-        return dt_to_circuit(model, c)
-    if isinstance(model, (DecisionList, DecisionSet)):
-        return dl_to_circuit(model, c)
-    if isinstance(model, Ensemble):
-        if model.family == "dt":
-            return dtmaj_to_circuit(model, c)
-        return dlmaj_to_circuit(model, c)
-    raise ModelError(f"no circuit translation for {model!r}")
+    """The circuit of [model classifies as c] and its width certificate, whose
+    bound is 3 * 2**(the sum of the voters' exponents)."""
+    ensemble = isinstance(model, Ensemble)
+    voters = model.elements if ensemble else (model,)
+    if isinstance(voters[0], DecisionTree):
+        into, formula = _dt_into, "dt"
+    elif isinstance(voters[0], (DecisionList, DecisionSet)):
+        into, formula = _dl_into, "dl"
+    else:
+        raise ModelError(f"no circuit translation for {model!r}")
+    builder = _Builder(model.universe)
+    outs: list[int] = []
+    deletion: list[int] = []
+    exponent = 0
+    for voter in voters:
+        out, dele, e = into(builder, voter, c)
+        outs.append(out)
+        deletion.extend(dele)
+        exponent += e
+    out = outs[0]
+    if ensemble:
+        out = builder.add(MAJ, outs, threshold=len(outs) // 2 + 1)
+        formula += "-ensemble"
+    cert = WidthCertificate(frozenset(deletion), 3 * 2**exponent, formula)
+    return builder.finish(out), cert
 
 
 def certificate_holds(circuit: Circuit, cert: WidthCertificate) -> bool:

@@ -90,10 +90,6 @@ class FeatureUniverse:
     def name(self, i: int) -> str:
         return self.names[i]
 
-    @property
-    def size(self) -> int:
-        return len(self.names)
-
 
 def universe(*names: str) -> FeatureUniverse:
     return FeatureUniverse(tuple(names))
@@ -158,12 +154,6 @@ class PartialExample:
     @property
     def domain(self) -> tuple[int, ...]:
         return tuple(f for f, _ in self.assignments)
-
-    def get(self, feature: int) -> Optional[int]:
-        for f, b in self.assignments:
-            if f == feature:
-                return b
-        return None
 
     def restricted_off(self, feature: int) -> "PartialExample":
         return PartialExample(
@@ -613,22 +603,16 @@ def truth_table(model, n: Optional[int] = None) -> int:
 
 def is_normalized(t: DecisionTree) -> bool:
     """Does no root-to-leaf path test a feature twice?"""
-    path: list[int] = []  # features tested above the node being visited
-    on_path: set[int] = set()
-    stack = [(t.root, 0)]  # (node, its depth)
+    stack = [(t.root, 0)]  # (node, mask of the features tested above it)
     while stack:
-        i, depth = stack.pop()
+        i, mask = stack.pop()
         node = t.nodes[i]
         if isinstance(node, Leaf):
             continue
-        while len(path) > depth:
-            on_path.discard(path.pop())
-        if node.feature in on_path:
+        bit = 1 << node.feature
+        if mask & bit:
             return False
-        path.append(node.feature)
-        on_path.add(node.feature)
-        stack.append((node.hi, depth + 1))
-        stack.append((node.lo, depth + 1))
+        stack += ((node.hi, mask | bit), (node.lo, mask | bit))
     return True
 
 

@@ -70,28 +70,6 @@ from .verify import first_flip
 CardWitness = Union[frozenset, PartialExample, None]
 
 
-def leaf_assignments(t: DecisionTree) -> list[tuple[int, dict[int, int]]]:
-    """(leaf node index, path assignment) in depth-first, 0-child-first order.
-
-    The engines here read ``_leaf_paths`` instead; this dict form serves
-    ``circuits`` and the tests' reference formulations."""
-    out: list[tuple[int, dict[int, int]]] = []
-    path: list[tuple[int, int]] = []  # (feature, bit) from the root down
-    stack: list[tuple[int, int, Optional[tuple[int, int]]]] = [(t.root, 0, None)]
-    while stack:
-        i, depth, literal = stack.pop()  # depth = literals on the node's path
-        if literal is not None:
-            del path[depth - 1:]
-            path.append(literal)
-        node = t.nodes[i]
-        if isinstance(node, Leaf):
-            out.append((i, dict(path)))
-            continue
-        stack.append((node.hi, depth + 1, (node.feature, 1)))
-        stack.append((node.lo, depth + 1, (node.feature, 0)))
-    return out
-
-
 def _leaf_paths(t: DecisionTree) -> Iterator[tuple[int, int, int]]:
     """(label, path mask, path value) per leaf, depth-first and 0-child
     first: the mask holds the features the leaf's path tests, the value their

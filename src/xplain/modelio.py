@@ -228,9 +228,5 @@ def load_feature_set_file(path: str, u: FeatureUniverse) -> frozenset:
         return load_feature_set(json.load(fh), u)
 
 
-def dump_example(e: Example) -> dict[str, Any]:
-    return {"assign": {e.universe.name(i): b for i, b in enumerate(e.bits)}}
-
-
 def dump_partial_example(p: PartialExample) -> dict[str, Any]:
     return {"assign": {p.universe.name(f): b for f, b in p.assignments}}

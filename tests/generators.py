@@ -34,6 +34,27 @@ def random_dt(
     return x.DecisionTree(u, tuple(nodes), root)
 
 
+def leaf_assignments(t: x.DecisionTree) -> list[tuple[int, dict[int, int]]]:
+    """(leaf node index, path assignment) in depth-first, 0-child-first order:
+    the tests' reference form of the leaf paths, which ``xplain`` itself reads
+    as masks off ``explain_dt._leaf_paths``."""
+    out: list[tuple[int, dict[int, int]]] = []
+    path: list[tuple[int, int]] = []  # (feature, bit) from the root down
+    stack: list[tuple[int, int, tuple[int, int] | None]] = [(t.root, 0, None)]
+    while stack:
+        i, depth, literal = stack.pop()  # depth = literals on the node's path
+        if literal is not None:
+            del path[depth - 1:]
+            path.append(literal)
+        node = t.nodes[i]
+        if isinstance(node, x.Leaf):
+            out.append((i, dict(path)))
+            continue
+        stack.append((node.hi, depth + 1, (node.feature, 1)))
+        stack.append((node.lo, depth + 1, (node.feature, 0)))
+    return out
+
+
 def random_term(rng: Random, u: x.FeatureUniverse, max_len: int = 3):
     size = rng.randint(1, min(max_len, len(u)))
     features = rng.sample(range(len(u)), size)

@@ -185,20 +185,20 @@ def test_criterion_4_translation_soundness():
 
         for _ in range(200):
             u = random_universe(rng, rng.randint(1, 10))
-            check(random_dt(rng, u), x.dt_to_circuit, 0)
+            check(random_dt(rng, u), x.translate, 0)
         for _ in range(200):
             u = random_universe(rng, rng.randint(1, 10))
-            check(random_ds(rng, u), x.dl_to_circuit, 0)
+            check(random_ds(rng, u), x.translate, 0)
         for _ in range(200):
             u = random_universe(rng, rng.randint(1, 10))
-            check(random_dl(rng, u), x.dl_to_circuit, 0)
+            check(random_dl(rng, u), x.translate, 0)
         for _ in range(200):
             u = random_universe(rng, rng.randint(1, 10))
-            check(random_ensemble(rng, u, "dt", 3), x.dtmaj_to_circuit, 1)
+            check(random_ensemble(rng, u, "dt", 3), x.translate, 1)
         for i in range(200):
             u = random_universe(rng, rng.randint(1, 10))
             family = ("ds", "dl")[i % 2]
-            check(random_ensemble(rng, u, family, 3), x.dlmaj_to_circuit, 1)
+            check(random_ensemble(rng, u, family, 3), x.translate, 1)
 
 
 def _check_instance(inst: x.GadgetInstance) -> None:

@@ -10,6 +10,7 @@ from xplain.circuits import circuit_from_json, circuit_table, circuit_to_json
 from xplain.core import feature_column
 
 from generators import (
+    leaf_assignments,
     random_circuit,
     random_dl,
     random_ds,
@@ -68,7 +69,7 @@ class TestEval:
 class TestTreeTranslation:
     def test_constant_zero_tree_for_class_zero_is_constantly_true(self):
         u = x.universe("a")
-        circ, cert = x.dt_to_circuit(x.leaf_tree(u, 0), 0)
+        circ, cert = x.translate(x.leaf_tree(u, 0), 0)
         assert circuit_table(circ, 1) == 0b11
         assert cert.deletion == frozenset()
         assert cert.bound == 3
@@ -76,7 +77,7 @@ class TestTreeTranslation:
     def test_single_split_for_class_one_is_the_feature(self):
         u = x.universe("a", "b")
         t = x.DecisionTree(u, (x.Split(0, 1, 2), x.Leaf(0), x.Leaf(1)))
-        circ, _ = x.dt_to_circuit(t, 1)
+        circ, _ = x.translate(t, 1)
         assert circuit_table(circ, 2) == feature_column(0, 2)
 
     @given(seed=st.integers(0, 10_000))
@@ -86,7 +87,7 @@ class TestTreeTranslation:
         u = random_universe(rng, rng.randint(1, 7))
         t = random_dt(rng, u)
         for c in (0, 1):
-            circ, cert = x.dt_to_circuit(t, c)
+            circ, cert = x.translate(t, c)
             assert _sound(t, c, circ)
             assert x.certificate_holds(circ, cert)
             assert circ.maj_count == 0
@@ -98,9 +99,57 @@ class TestTreeTranslation:
             assert len(cert.deletion) == mnl
 
 
+    @given(seed=st.integers(0, 10_000), size=st.sampled_from([0, 1, 3, 5]))
+    @settings(max_examples=50, deadline=None)
+    def test_leaf_gates_follow_the_reference_walk(self, seed, size):
+        """Each voter's deletion gates are ANDs that recognize exactly the
+        paths of its smaller side's leaves, depth-first; size 0 is a bare
+        tree, any other size an ensemble of that many trees."""
+        rng = Random(seed)
+        u = random_universe(rng, rng.randint(1, 7))
+        model = random_ensemble(rng, u, "dt", size) if size else random_dt(rng, u)
+        want: list[dict[int, int]] = []
+        mnl_sum = 0
+        for t in model.elements if size else (model,):
+            t = x.normalize_dt(t)
+            sides: tuple[list, list] = ([], [])
+            for i, assigned in leaf_assignments(t):
+                sides[t.nodes[i].label].append(assigned)
+            smaller = min(sides, key=len)  # side 0 on a tie
+            if smaller:
+                want.extend(smaller)
+                mnl_sum += len(smaller)
+        for c in (0, 1):
+            circ, cert = x.translate(model, c)
+            gates = circ.gates
+
+            def literal(j: int) -> tuple[int, int]:
+                if gates[j].kind == "IN":
+                    return gates[j].feature, 1
+                assert gates[j].kind == "NOT" and gates[gates[j].ins[0]].kind == "IN"
+                return gates[gates[j].ins[0]].feature, 0
+
+            got = []
+            for g in sorted(cert.deletion):
+                assert gates[g].kind == "AND"
+                got.append(dict(literal(j) for j in gates[g].ins))
+                assert len(got[-1]) == len(gates[g].ins)
+            assert got == want
+            assert cert.bound == 3 * 2**mnl_sum
+            assert cert.formula == ("dt-ensemble" if size else "dt")
+
+    def test_circuits_and_empty_universes_are_refused(self):
+        u = x.universe("a")
+        circ = x.Circuit(u, (x.Gate("IN", feature=0), x.Gate("NOT", (0,))), 1)
+        with pytest.raises(x.ModelError):
+            x.translate(circ, 1)
+        with pytest.raises(x.ModelError):
+            x.translate(x.leaf_tree(x.universe(), 0), 0)
+
+
 class TestListTranslation:
     def test_fig_class_zero_region(self, fig_dl):
-        circ, _ = x.dl_to_circuit(fig_dl, 0)
+        circ, _ = x.translate(fig_dl, 0)
         table = x.truth_table(fig_dl)
         for mask in range(8):
             e = x.Example.from_mask(fig_dl.universe, mask)
@@ -109,7 +158,7 @@ class TestListTranslation:
     def test_single_empty_rule_matching_class(self):
         u = x.universe("a")
         dl = x.DecisionList(u, (((), 1),))
-        circ, _ = x.dl_to_circuit(dl, 1)
+        circ, _ = x.translate(dl, 1)
         assert circuit_table(circ, 1) == 0b11
 
     @given(seed=st.integers(0, 10_000))
@@ -119,7 +168,7 @@ class TestListTranslation:
         u = random_universe(rng, rng.randint(1, 7))
         model = random_dl(rng, u) if rng.random() < 0.5 else random_ds(rng, u)
         for c in (0, 1):
-            circ, cert = x.dl_to_circuit(model, c)
+            circ, cert = x.translate(model, c)
             assert _sound(model, c, circ)
             assert x.certificate_holds(circ, cert)
             assert circ.maj_count == 0
@@ -130,8 +179,8 @@ class TestEnsembleTranslation:
         rng = Random(3)
         u = random_universe(rng, 4)
         t = random_dt(rng, u)
-        single, _ = x.dt_to_circuit(t, 1)
-        wrapped, _ = x.dtmaj_to_circuit(x.Ensemble(u, (t,)), 1)
+        single, _ = x.translate(t, 1)
+        wrapped, _ = x.translate(x.Ensemble(u, (t,)), 1)
         assert circuit_table(wrapped, 4) == circuit_table(single, 4)
         assert wrapped.maj_count == 1
 
@@ -139,8 +188,8 @@ class TestEnsembleTranslation:
         rng = Random(4)
         u = random_universe(rng, 4)
         dl = random_dl(rng, u)
-        single, _ = x.dl_to_circuit(dl, 1)
-        wrapped, _ = x.dlmaj_to_circuit(x.Ensemble(u, (dl,)), 1)
+        single, _ = x.translate(dl, 1)
+        wrapped, _ = x.translate(x.Ensemble(u, (dl,)), 1)
         assert circuit_table(wrapped, 4) == circuit_table(single, 4)
         assert wrapped.maj_count == 1
 
@@ -148,15 +197,15 @@ class TestEnsembleTranslation:
         rng = Random(5)
         u = random_universe(rng, 4)
         t = random_dt(rng, u)
-        triple, _ = x.dtmaj_to_circuit(x.Ensemble(u, (t, t, t)), 0)
-        single, _ = x.dt_to_circuit(t, 0)
+        triple, _ = x.translate(x.Ensemble(u, (t, t, t)), 0)
+        single, _ = x.translate(t, 0)
         assert circuit_table(triple, 4) == circuit_table(single, 4)
 
     def test_majority_threshold_formula(self):
         rng = Random(7)
         u = random_universe(rng, 4)
         ens = random_ensemble(rng, u, "dl", 3)
-        circ, _ = x.dlmaj_to_circuit(ens, 1)
+        circ, _ = x.translate(ens, 1)
         maj = [g for g in circ.gates if g.kind == "MAJ"]
         assert len(maj) == 1
         assert maj[0].threshold == 2
@@ -168,9 +217,8 @@ class TestEnsembleTranslation:
         u = random_universe(rng, rng.randint(1, 6))
         family = rng.choice(["dt", "ds", "dl"])
         ens = random_ensemble(rng, u, family, 3)
-        translate = x.dtmaj_to_circuit if family == "dt" else x.dlmaj_to_circuit
         for c in (0, 1):
-            circ, cert = translate(ens, c)
+            circ, cert = x.translate(ens, c)
             assert _sound(ens, c, circ)
             assert x.certificate_holds(circ, cert)
             assert circ.maj_count == 1
@@ -198,7 +246,7 @@ class TestGlobalCheck:
 
     def test_constant_circuit(self):
         u = x.universe("a")
-        circ, _ = x.dt_to_circuit(x.leaf_tree(u, 0), 0)  # constant true
+        circ, _ = x.translate(x.leaf_tree(u, 0), 0)  # constant true
         empty = x.PartialExample(u, ())
         assert self._global(circ, empty, 1)
         assert not self._global(circ, empty, 0)
@@ -220,7 +268,7 @@ class TestGlobalCheck:
         u = random_universe(rng, rng.randint(1, 6))
         t = random_dt(rng, u)
         c = rng.randint(0, 1)
-        circ, _ = x.dt_to_circuit(t, c)
+        circ, _ = x.translate(t, c)
         tau = x.PartialExample(
             u,
             tuple((f, rng.randint(0, 1)) for f in range(len(u)) if rng.random() < 0.4),
@@ -233,14 +281,14 @@ class TestGlobalCheck:
 class TestHomChecks:
     def test_constant_circuit_is_homogeneous(self):
         u = x.universe("a")
-        circ, _ = x.dt_to_circuit(x.leaf_tree(u, 1), 1)
+        circ, _ = x.translate(x.leaf_tree(u, 1), 1)
         assert not x.circuit_hom_check(circ)
         assert not x.phom_check(circ, 1)
 
     def test_identity_circuit(self):
         u = x.universe("a", "b")
         t = x.DecisionTree(u, (x.Split(0, 1, 2), x.Leaf(0), x.Leaf(1)))
-        circ, _ = x.dt_to_circuit(t, 1)
+        circ, _ = x.translate(t, 1)
         assert x.circuit_hom_check(circ)
         assert x.phom_check(circ, 1)
 

@@ -187,7 +187,7 @@ _ENTRIES = {
         pytest.param(lambda m: x.lcxp_card_branch(m, _E2, 1), _TREE2, id="branch-tree"),
         pytest.param(
             lambda m: x.lcxp_card_branch(m, _E2, 1),
-            x.dt_to_circuit(_TREE2, 1)[0],
+            x.translate(_TREE2, 1)[0],
             id="branch-circuit",
         ),
     ],

@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 import xplain as x
 from xplain.config import CapExceeded
 from xplain.core import graft_dt, is_normalized
-from xplain.explain_dt import leaf_assignments
 from xplain.modelio import load_model
 from xplain.verify import shrink
 
 from generators import (
+    leaf_assignments,
     random_circuit,
     random_dt,
     random_ensemble,
