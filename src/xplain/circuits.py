@@ -160,7 +160,7 @@ class Circuit:
             elif g.kind == NOT:
                 val[i] = full ^ val[g.ins[0]]
             else:  # MAJ
-                val[i] = counter_ge([val[j] for j in g.ins], g.threshold, full)
+                val[i] = counter_ge([(val[j], 1) for j in g.ins], g.threshold, full)
             for j in g.ins:
                 if last[j] == i:
                     val[j] = None

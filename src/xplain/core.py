@@ -26,11 +26,12 @@ Each family answers for itself: ``DecisionTree``, ``DecisionSet``,
                            also reads ``cols.position``),
 * ``params()``          -- the ``ParamReport``;
 
-an ensemble calls them on its elements, and sets and lists also have
-``as_dl()``.  The public entries check, then call them: ``classify`` the
-universe, ``subcube_table`` and ``truth_table`` the partition, ``measure``
-that the value is a model.  A value without the three methods is a
-ModelError.
+an ensemble calls ``evaluate`` on every element but ``table`` and
+``params`` once per distinct element object (its ballots, see
+``Ensemble``), and sets and lists also have ``as_dl()``.  The public
+entries check, then call them: ``classify`` the universe, ``subcube_table``
+and ``truth_table`` the partition, ``measure`` that the value is a model.
+A value without the three methods is a ModelError.
 
 Besides the per-example ``classify`` there is one bit-parallel kernel,
 ``subcube_table(model, fixed, free)``.  It computes the class of every
@@ -402,7 +403,16 @@ class DecisionList:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Odd-sized majority vote over models of one family."""
+    """Odd-sized majority vote over models of one family.
+
+    ``elements`` lists every voter, copies included.  ``_ballots`` holds
+    each distinct element object once, with the number of times it occurs
+    (its votes), in first-occurrence order; elements are grouped by
+    identity, so a voter repeated as one object (``[m] * r``) is one ballot,
+    while equal but distinct objects are separate ballots of one vote each.
+    ``table`` and ``params`` read the ballots; ``evaluate`` counts every
+    element, as the reference the tables are tested against.
+    """
 
     universe: FeatureUniverse
     elements: tuple  # DecisionTree | DecisionSet | DecisionList, homogeneous
@@ -410,6 +420,7 @@ class Ensemble:
     _product: Optional[DecisionTree] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _ballots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         elements = tuple(self.elements)
@@ -426,6 +437,12 @@ class Ensemble:
         for m in elements:
             if m.universe != self.universe:
                 raise ModelError("ensemble elements must share the universe")
+        ballots: dict[int, list] = {}  # id(element) -> [element, votes]
+        for m in elements:
+            ballots.setdefault(id(m), [m, 0])[1] += 1
+        object.__setattr__(
+            self, "_ballots", tuple((m, votes) for m, votes in ballots.values())
+        )
 
     @property
     def family(self) -> str:
@@ -438,11 +455,15 @@ class Ensemble:
         return 1 if votes >= len(self.elements) // 2 + 1 else 0
 
     def table(self, cols: _Columns, full: int) -> int:
-        votes = [m.table(cols, full) for m in self.elements]
-        return counter_ge(votes, len(votes) // 2 + 1, full)
+        """Each ballot is tabulated once and counted with its votes."""
+        return counter_ge(
+            [(m.table(cols, full), votes) for m, votes in self._ballots],
+            len(self.elements) // 2 + 1,
+            full,
+        )
 
     def params(self) -> ParamReport:
-        reports = [m.params() for m in self.elements]
+        reports = [m.params() for m, _ in self._ballots]
         def agg(attr: str) -> Optional[int]:
             vals = [getattr(r, attr) for r in reports if getattr(r, attr) is not None]
             return max(vals) if vals else None
@@ -452,7 +473,9 @@ class Ensemble:
             terms_elem=agg("terms_elem"),
             term_size=agg("term_size"),
             size_elem=max(r.size_elem for r in reports),
-            model_size=sum(r.model_size for r in reports),
+            model_size=sum(
+                r.model_size * votes for r, (_, votes) in zip(reports, self._ballots)
+            ),
         )
 
 
@@ -502,22 +525,34 @@ def feature_column(feature: int, n: int) -> int:
     return col
 
 
-def counter_ge(columns: Sequence[int], threshold: int, full: int) -> int:
-    """Bitwise [number of set columns >= threshold] over the positions of
-    ``full`` (the all-ones table)."""
+def counter_ge(ballots: Sequence[tuple[int, int]], threshold: int, full: int) -> int:
+    """Bitwise [weighted count of set columns >= threshold] over the
+    positions of ``full`` (the all-ones table), for (column, weight) pairs.
+
+    The count is a bit-sliced binary counter, least significant plane first:
+    a column of weight w is ripple-added at the plane of each set bit of w,
+    so r copies of one column cost one column's additions per bit of r.
+    """
     if threshold <= 0:
         return full
-    if threshold > len(columns):
+    if threshold > sum(weight for _, weight in ballots):
         return 0
     planes: list[int] = []  # binary counter, least significant plane first
-    for col in columns:
-        carry = col
-        for i, plane in enumerate(planes):
-            planes[i], carry = plane ^ carry, plane & carry
-            if not carry:
-                break
-        if carry:
-            planes.append(carry)
+    for col, weight in ballots:
+        planes += [0] * (weight.bit_length() - len(planes))  # room for its top bit
+        plane = 0  # the plane of weight's bit 0, as weight shifts down
+        while weight:
+            if weight & 1:
+                carry = col
+                i = plane
+                while carry:
+                    if i == len(planes):
+                        planes.append(carry)
+                        break
+                    planes[i], carry = planes[i] ^ carry, planes[i] & carry
+                    i += 1
+            weight >>= 1
+            plane += 1
     # compare the per-position counter against the constant threshold
     if threshold >> len(planes):
         return 0  # no position ever counted that high

@@ -367,7 +367,8 @@ def mcc_ensemble_gadget(
     blocks) and constant-0 padders, so an example is accepted only when every
     pair model accepts.  subset mode: per-colour existence models, one
     rejector for non-edges and same-colour duplications, and constant-0
-    padders up to 2k + 1 elements.
+    padders up to 2k + 1 elements.  The padders are one model object
+    repeated, so the ensemble tabulates it once (``Ensemble._ballots``).
     """
     if k != g.k:
         raise ModelError("k must equal the number of colour classes")
@@ -393,10 +394,7 @@ def mcc_ensemble_gadget(
             )
             fam = SetFamily(u, pairs, domain)
             elements.append(set_model_odt(fam, 1, order))
-        pair_checks = len(elements)
-        elements.extend(
-            _constant_model(u, 0, "odt", order) for _ in range(pair_checks - 1)
-        )
+        elements.extend([_constant_model(u, 0, "odt", order)] * (len(elements) - 1))
     else:
         for cls in g.classes:
             fam = SetFamily(u, tuple(frozenset((feature_of[v],)) for v in cls))
@@ -409,7 +407,7 @@ def mcc_ensemble_gadget(
         elements.append(subset_model_rules(SetFamily(u, non_edges), 0, family))
         # k constant-0 padders lift the majority threshold to "every
         # non-padder element must accept"
-        elements.extend(_constant_model(u, 0, family, order) for _ in range(k))
+        elements.extend([_constant_model(u, 0, family, order)] * k)
     ens = Ensemble(u, tuple(elements))
     zero = Example(u, (0,) * len(u))
     assert classify(ens, zero) == 0
@@ -427,7 +425,11 @@ def mcc_unary_ensemble_gadget(
 ) -> GadgetInstance:
     """Clique encoding with constant-size elements: n copies of a rejector
     per non-edge, one supporter per vertex, and exactly enough constant-0
-    padders that a k-clique example wins the vote by a single ballot."""
+    padders that a k-clique example wins the vote by a single vote.
+
+    Each rejector's copies and all the padders are one model object
+    repeated, so the ensemble holds len(non_edges) + n + 1 ballots
+    (``Ensemble._ballots``) and tabulates each once."""
     if k != g.k:
         raise ModelError("k must equal the number of colour classes")
     if mode not in ("set", "subset"):
@@ -458,7 +460,7 @@ def mcc_unary_ensemble_gadget(
     padders = n * len(non_edges) - n + 2 * k - 1
     assert padders >= 0
     pad_family = "odt" if mode == "set" else family
-    elements.extend(_constant_model(u, 0, pad_family, order) for _ in range(padders))
+    elements.extend([_constant_model(u, 0, pad_family, order)] * padders)
     ens = Ensemble(u, tuple(elements))
     zero = Example(u, (0,) * len(u))
     positive_votes = sum(classify(m, zero) for m in ens.elements)

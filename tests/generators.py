@@ -5,6 +5,7 @@ from __future__ import annotations
 from random import Random
 
 import xplain as x
+from xplain.gadgets import _constant_model
 
 
 def random_universe(rng: Random, n: int) -> x.FeatureUniverse:
@@ -62,15 +63,16 @@ def random_term(rng: Random, u: x.FeatureUniverse, max_len: int = 3):
 
 
 def random_ds(rng: Random, u: x.FeatureUniverse, max_terms: int = 4) -> x.DecisionSet:
-    terms = tuple(random_term(rng, u) for _ in range(rng.randint(0, max_terms)))
+    """Random decision set; over an empty universe it has no term."""
+    count = rng.randint(0, max_terms) if len(u) else 0
+    terms = tuple(random_term(rng, u) for _ in range(count))
     return x.DecisionSet(u, terms, rng.randint(0, 1))
 
 
 def random_dl(rng: Random, u: x.FeatureUniverse, max_rules: int = 4) -> x.DecisionList:
-    rules = tuple(
-        (random_term(rng, u), rng.randint(0, 1))
-        for _ in range(rng.randint(0, max_rules))
-    )
+    """Random decision list; over an empty universe it is its default rule."""
+    count = rng.randint(0, max_rules) if len(u) else 0
+    rules = tuple((random_term(rng, u), rng.randint(0, 1)) for _ in range(count))
     return x.DecisionList(u, rules + (((), rng.randint(0, 1)),))
 
 
@@ -84,10 +86,28 @@ def random_model(rng: Random, u: x.FeatureUniverse, family: str):
     raise ValueError(family)
 
 
+def constant_model(u: x.FeatureUniverse, family: str, label: int):
+    """The clique gadgets' constant padder of ``family`` ("dt", "ds" or
+    "dl"): every example gets class ``label``."""
+    return _constant_model(u, label, "odt" if family == "dt" else family, range(len(u)))
+
+
 def random_ensemble(
     rng: Random, u: x.FeatureUniverse, family: str, size: int = 3
 ) -> x.Ensemble:
-    return x.Ensemble(u, tuple(random_model(rng, u, family) for _ in range(size)))
+    """An ensemble of ``size`` elements.  Half the time its last r >= 2
+    elements are one object repeated, a random element or a constant padder
+    (as in the clique gadgets), so one ballot carries r votes."""
+    repeats = rng.randint(2, size) if size > 1 and rng.random() < 0.5 else 0
+    elements = [random_model(rng, u, family) for _ in range(size - repeats)]
+    if repeats:
+        shared = (
+            constant_model(u, family, rng.randint(0, 1))
+            if rng.random() < 0.5
+            else random_model(rng, u, family)
+        )
+        elements += [shared] * repeats
+    return x.Ensemble(u, tuple(elements))
 
 
 def random_any_model(rng: Random, u: x.FeatureUniverse):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import weakref
 from random import Random
@@ -10,7 +11,10 @@ from hypothesis import given, settings, strategies as st
 import xplain as x
 from xplain.core import counter_ge, feature_column, weight_planes
 
+from xplain.modelio import dump_model
+
 from generators import (
+    constant_model,
     random_any_model,
     random_dt,
     random_ensemble,
@@ -154,6 +158,33 @@ class TestMeasure:
         assert report.size_elem == max(x.measure(m).size_elem for m in ens.elements)
         assert report.model_size == sum(x.measure(m).model_size for m in ens.elements)
 
+    def test_ensemble_reads_each_ballot_once(self):
+        """The report of an ensemble with shared elements is the one summed
+        and maximized over every element."""
+        rng = Random(5)
+        u = random_universe(rng, 5)
+        for family in ("dt", "ds", "dl"):
+            shared = random_model(rng, u, family)
+            padder = constant_model(u, family, 0)
+            elements = (shared, random_model(rng, u, family), *[shared] * 3,
+                        *[padder] * 4)
+            ens = x.Ensemble(u, elements)
+            assert [votes for _, votes in ens._ballots] == [4, 1, 4]
+            reports = [x.measure(m) for m in elements]
+
+            def most(attr):
+                vals = [getattr(r, attr) for r in reports if getattr(r, attr) is not None]
+                return max(vals) if vals else None
+
+            assert x.measure(ens) == x.ParamReport(
+                ens_size=9,
+                mnl_size=most("mnl_size"),
+                terms_elem=most("terms_elem"),
+                term_size=most("term_size"),
+                size_elem=most("size_elem"),
+                model_size=sum(r.model_size for r in reports),
+            )
+
 
 _U2 = x.universe("a", "b")
 _E2 = x.Example(_U2, (0, 1))
@@ -286,14 +317,16 @@ def test_weight_planes_spell_popcount():
 
 
 @given(
-    cols=st.lists(st.integers(0, 255), min_size=0, max_size=6),
-    threshold=st.integers(0, 7),
+    ballots=st.lists(
+        st.tuples(st.integers(0, 255), st.integers(1, 5)), min_size=0, max_size=6
+    ),
+    threshold=st.integers(0, 31),
 )
 @settings(max_examples=200, deadline=None)
-def test_counter_ge_matches_popcount(cols, threshold):
-    got = counter_ge(cols, threshold, 0xFF)
+def test_counter_ge_matches_popcount(ballots, threshold):
+    got = counter_ge(ballots, threshold, 0xFF)
     for pos in range(8):
-        count = sum((c >> pos) & 1 for c in cols)
+        count = sum(((c >> pos) & 1) * w for c, w in ballots)
         assert (got >> pos) & 1 == (count >= threshold)
 
 
@@ -315,6 +348,47 @@ def test_subcube_table_matches_classify(seed):
         for j, f in enumerate(free):
             bits[f] = (m >> j) & 1
         assert (table >> m) & 1 == x.classify(model, x.Example(u, tuple(bits)))
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_shared_ensemble_elements_count_every_copy(seed, n):
+    """An ensemble holding one element object repeated (one ballot of r
+    votes) and equal but distinct copies (one vote each) tabulates as the
+    per-example vote, and as the same ensemble built from distinct copies."""
+    rng = Random(seed)
+    u = random_universe(rng, n)
+    family = rng.choice(["dt", "ds", "dl"])
+    m = random_model(rng, u, family)
+    twins = [dataclasses.replace(m) for _ in range(rng.randint(0, 2))]
+    assert all(t == m and t is not m for t in twins)
+    others = [random_model(rng, u, family) for _ in range(rng.randint(0, 2))]
+    elements = [m] * rng.randint(1, 6) + twins + others
+    if len(elements) % 2 == 0:
+        elements.append(constant_model(u, family, rng.randint(0, 1)))
+    rng.shuffle(elements)
+    ens = x.Ensemble(u, tuple(elements))
+    distinct = x.Ensemble(u, tuple(dataclasses.replace(e) for e in elements))
+    assert sum(votes for _, votes in ens._ballots) == len(elements)
+    assert len(ens._ballots) == len({id(e) for e in elements})
+    assert all(votes == 1 for _, votes in distinct._ballots)
+    assert ens == distinct
+
+    free = [f for f in range(n) if rng.random() < 0.5]
+    rng.shuffle(free)
+    fixed = {f: rng.randint(0, 1) for f in range(n) if f not in free}
+    origin = rng.getrandbits(n)
+    table = x.subcube_table(ens, fixed, free, origin)
+    for pos in range(1 << len(free)):
+        bits = [0] * n
+        for f, b in fixed.items():
+            bits[f] = b
+        for j, f in enumerate(free):
+            bits[f] = ((pos >> j) & 1) ^ ((origin >> f) & 1)
+        assert (table >> pos) & 1 == ens.evaluate(x.Example(u, tuple(bits)))
+    assert table == x.subcube_table(distinct, fixed, free, origin)
+    assert x.measure(ens) == x.measure(distinct)
+    assert dump_model(ens) == dump_model(distinct)
 
 
 def test_subcube_table_needs_a_partition():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 from itertools import combinations
 from random import Random
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import xplain as x
-from xplain import truth
+from xplain import gadgets, truth
+from xplain.cli import main
 from xplain.gadgets import global_budget_search_dt
 
 from generators import (
@@ -257,6 +260,45 @@ class TestMccUnary:
                 assert report.terms_elem <= 1
             for q in inst.queries:
                 assert x.answer_query(inst.model, q) == inst.truth
+
+    def test_copies_share_one_ballot(self, monkeypatch, tmp_path):
+        """Each rejector's n copies and all the padders are one object: one
+        ballot each.  Built from distinct copies instead, the instance and
+        the ``gen-gadget`` file are the same."""
+        classes = (("a", "b"), ("c", "d"))
+        edges = (("a", "c"), ("b", "d"))
+        g = x.ColouredGraph(classes, edges)
+        non_edges = [
+            (p, q) for p, q in combinations(g.vertices(), 2)
+            if (min(p, q), max(p, q)) not in g.edges
+        ]
+        n = len(g.vertices())
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"classes": classes, "edges": edges}))
+
+        def generate(out):
+            inst = x.mcc_unary_ensemble_gadget(g, 2, "set")
+            argv = ["--quiet", "gen-gadget", "--kind", "mcc-unary", "--mode", "set",
+                    "--in", str(graph), "--out", str(out)]
+            assert main(argv) == 0
+            return inst, out.read_bytes()
+
+        shared, shared_file = generate(tmp_path / "shared.json")
+        ens = shared.model
+        assert shared.meta["padders"] > 0
+        assert len(ens._ballots) == len(non_edges) + n + 1
+        assert sum(votes for _, votes in ens._ballots) == len(ens.elements)
+
+        monkeypatch.setattr(
+            gadgets, "Ensemble",
+            lambda u, elements: x.Ensemble(
+                u, tuple(dataclasses.replace(m) for m in elements)
+            ),
+        )
+        distinct, distinct_file = generate(tmp_path / "distinct.json")
+        assert len(distinct.model._ballots) == len(distinct.model.elements)
+        assert distinct.meta["ens_size"] == shared.meta["ens_size"]
+        assert distinct_file == shared_file
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
