@@ -15,8 +15,14 @@ circuit of every model of the ``trees`` and ``rules`` workloads that is not
 itself a circuit, for class 0 and then class 1, as
 ``f"{dump_model(circuit)}\n{sorted(deletion)}\n{bound}\n{formula}\0"``
 (the JSON with sorted keys), so a change to any translation's gates or
-certificate shows.  A refactor that must keep the CLI's output, the
-witnesses and the circuits byte-identical keeps these digests.
+certificate shows.  The ``branch`` entry of a seed calls the branching
+search through the library, with a ``BranchStats``, on every ``lcxp --min
+card --algo branch`` request of the ``rules`` workload, and hashes
+``f"{sorted(witness)}\n{nodes}\n{records}\0"``: the witness (``None`` for
+none), the node total and the list of nonzero ``(tuple, nodes)`` records,
+so a change to the search's answers or to the branches it explores shows.
+A refactor that must keep the CLI's output, the witnesses and the circuits
+byte-identical keeps these digests.
 
     python3 scripts/cli_fingerprint.py              # print the digests
     python3 scripts/cli_fingerprint.py --check      # compare with the file
@@ -39,7 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "scripts" / "cli_fingerprints.json"
 SEEDS = (1, 9001)
-WORKLOADS = ("trees", "rules", "gadgets", "translations")
+WORKLOADS = ("trees", "rules", "gadgets", "translations", "branch")
 
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
@@ -90,12 +96,32 @@ def translations(docs):
             yield f"{dump}\n{sorted(cert.deletion)}\n{cert.bound}\n{cert.formula}"
 
 
+def branch_searches(inputs):
+    """Witness, node total and nonzero records of the branching search on
+    every ``lcxp --min card`` request whose ``--algo`` is ``branch``."""
+    for req in inputs.requests:
+        argv, info = req.argv, req.info
+        algo = argv[argv.index("--algo") + 1] if "--algo" in argv else "branch"
+        if (info.get("kind"), info.get("min"), algo) != ("lcxp", "card", "branch"):
+            continue
+        model = xplain.modelio.load_model(inputs.models[req.model])
+        e = xplain.Example.from_mask(model.universe, info["target"])
+        search = (xplain.lcxp_card_branch_ens if isinstance(model, xplain.Ensemble)
+                  else xplain.lcxp_card_branch)
+        stats = xplain.BranchStats()
+        found = search(model, e, info["k"], stats)
+        nodes = sum(n for _, n in stats.per_target)
+        records = [(t, n) for t, n in stats.per_target if n]
+        yield f"{None if found is None else sorted(found)}\n{nodes}\n{records}"
+
+
 # workload -> (set-up, the answers hashed)
 SOURCES = {
     "trees": (work_trees.setup, cli_answers),
     "rules": (work_rules.setup, cli_answers),
     "gadgets": (work_gadgets.setup, tree_witnesses),
     "translations": (model_documents, translations),
+    "branch": (work_rules.setup, branch_searches),
 }
 
 
