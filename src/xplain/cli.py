@@ -196,8 +196,7 @@ def _cmd_translate(args, caps) -> tuple[int, dict]:
     circuit, cert = translate(model, args.cls)
     doc = dump_model(circuit)
     with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return EXIT_OK, {
         "gates": len(circuit.gates),
         "maj_gates": circuit.maj_count,
@@ -275,8 +274,7 @@ def _cmd_gen_gadget(args, caps) -> tuple[int, dict]:
         "meta": instance.meta,
     }
     with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return EXIT_OK, {
         "truth": instance.truth,
         "queries": len(instance.queries),

@@ -125,6 +125,11 @@ class Example:
         return Example(u, tuple((mask >> i) & 1 for i in range(len(u))))
 
 
+def mask_features(mask: int, n: int) -> frozenset:
+    """The features among the first n whose bit is set in mask."""
+    return frozenset(f for f in range(n) if mask >> f & 1)
+
+
 @dataclass(frozen=True)
 class PartialExample:
     """0/1 assignment of some subset of a universe's features."""

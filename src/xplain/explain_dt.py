@@ -62,6 +62,7 @@ from .core import (
     classify,
     feature_column,
     graft_dt,
+    mask_features,
     normalize_dt,
     subcube_table,
 )
@@ -162,16 +163,12 @@ def _conflict_masks(t: DecisionTree, e: Example) -> list[int]:
     return [mask & (value ^ emask) for label, mask, value in _leaf_paths(t) if label != cls]
 
 
-def _features(mask: int, n: int) -> frozenset:
-    return frozenset(f for f in range(n) if mask >> f & 1)
-
-
 def lcxp_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
     """Cardinality-minimum local contrastive explanation, or None on constant
     trees.  Ties break towards the earlier leaf in depth-first order."""
     t = normalize_dt(t)
     best = min(_conflict_masks(t, e), key=int.bit_count, default=None)
-    return None if best is None else _features(best, len(t.universe))
+    return None if best is None else mask_features(best, len(t.universe))
 
 
 def lcxp_subset_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
@@ -187,7 +184,7 @@ def lcxp_subset_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
             minimal.append(d)
     keep = set(minimal)
     first = next((d for d in masks if d in keep), None)
-    return None if first is None else _features(first, len(t.universe))
+    return None if first is None else mask_features(first, len(t.universe))
 
 
 def _literal_columns(t: DecisionTree, bad: int) -> tuple[int, list[int]]:

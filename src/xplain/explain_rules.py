@@ -19,10 +19,16 @@ the number of fully explored branches is bounded by a**k per target rule;
 the implementation counts them and insists on the bound.
 
 One engine, ``_branch_search``, runs this for a majority vote of lists: it
-enumerates one rule per element, keeps only the combinations whose class
-tally would flip the majority vote, and runs the branching against all
-chosen rules at once.  A single list is the vote of one, whose target
-tuples are its opposite-class rules.
+chooses one rule per ballot (each distinct element once, counted with its
+votes) depth first, in ``itertools.product`` order, and runs the branching
+against all chosen rules at once.  A prefix is cut as soon as its rules
+conflict, the remaining ballots cannot bring the opposite class a majority,
+or its seed alone exceeds the budget.  A cut that holds for a prefix holds
+for every extension of it, so exactly the full tuples that pass all three
+are searched and recorded.
+A single list is the vote of one, whose target tuples are its
+opposite-class rules.  The search state is integers: the example, each
+term's features and values, and each flip set are bit masks.
 
 ``lcxp_card_enum`` answers the same question for a model of any family:
 ``verify.first_flip`` reads the smallest, then lexicographically first,
@@ -34,7 +40,6 @@ set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional, Union
 
 from .config import DEFAULT_CAPS, BruteCaps
@@ -44,10 +49,9 @@ from .core import (
     Ensemble,
     Example,
     ModelError,
-    classify,
-    term_applies,
+    mask_features,
 )
-from .verify import first_flip, flip, shrink
+from .verify import first_flip, shrink
 
 RuleModel = Union[DecisionSet, DecisionList]
 
@@ -55,8 +59,10 @@ RuleModel = Union[DecisionSet, DecisionList]
 @dataclass
 class BranchStats:
     """Bookkeeping of the branching search, per target rule tuple: one rule
-    index per element, so a single model's keys are one-element tuples
-    ``(j,)``, recorded in rule order.
+    index per ballot (``Ensemble._ballots``, each distinct element once), so
+    a single model's keys are one-element tuples ``(j,)``, recorded in rule
+    order.  Tuples cut before the search (conflicting rules, no majority
+    flip, or a seed over the budget) are not recorded.
 
     ``branch_nodes`` counts fully explored branches: recursion states within
     budget that did not expand further (either a success or a dead end with
@@ -76,90 +82,107 @@ class BranchStats:
         return all(nodes <= base**self.budget for _, nodes in self.per_target)
 
 
-def _better(a: Optional[frozenset], b: Optional[frozenset]) -> Optional[frozenset]:
-    """Smaller set wins; equal sizes break towards the lexicographically
-    smaller sorted feature tuple (reproducible witnesses)."""
+def _better(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """Of two flip masks, the smaller set wins; equal sizes break towards the
+    lexicographically smaller sorted feature tuple, which is the set holding
+    the lowest feature where the two differ (reproducible witnesses)."""
     if a is None:
         return b
     if b is None:
         return a
-    if len(b) < len(a) or (len(b) == len(a) and sorted(b) < sorted(a)):
+    size_a, size_b = a.bit_count(), b.bit_count()
+    if size_b < size_a or (size_b == size_a and (a ^ b) & -(a ^ b) & b):
         return b
     return a
 
 
 def _branch_search(
-    dls: list[DecisionList], e: Example, k: int, stats: Optional[BranchStats]
+    ballots: list[tuple[DecisionList, int]],
+    e: Example,
+    k: int,
+    stats: Optional[BranchStats],
 ) -> Optional[frozenset]:
-    """The branching engine over a majority vote of decision lists (a single
-    list is a vote of one): enumerate one rule per list, keep the tuples
-    whose class tally flips the majority, and search the smallest flip
-    routing e to all chosen rules at once."""
+    """The branching engine over a majority vote of decision lists, each
+    with its votes (a single list is a vote of one): walk one rule per
+    ballot depth first, cutting a prefix whose rules conflict, that cannot
+    reach a majority of opposite-class votes, or whose seed exceeds k, and
+    search the smallest flip routing e to all chosen rules at once.  A term
+    is a (mask, value) pair that fires on x when ``x & mask == value``."""
     if k < 0:
         raise ModelError("k must be nonnegative")
-    a = max(len(t) for dl in dls for t, _ in dl.rules)
+    a = max(len(t) for dl, _ in ballots for t, _ in dl.rules)
     if stats is None:
         stats = BranchStats()
     stats.budget = k
     stats.term_size = max(stats.term_size, a)
-    votes = sum(classify(dl, e) for dl in dls)
-    cls = 1 if votes >= len(dls) // 2 + 1 else 0
-    best: Optional[frozenset] = None
-    for combo in product(*(range(len(dl.rules)) for dl in dls)):
-        classes = [dls[o].rules[j][1] for o, j in enumerate(combo)]
-        n_diff = sum(1 for c in classes if c != cls)
-        if n_diff <= len(classes) - n_diff:
-            continue  # this rule combination cannot flip the majority
-        required: dict[int, int] = {}
-        consistent = True
-        for o, j in enumerate(combo):
-            for f, b in dls[o].rules[j][0]:
-                if required.setdefault(f, b) != b:
-                    consistent = False
-                    break
-            if not consistent:
-                break
-        if not consistent:
-            continue  # no example satisfies all chosen rules at once
-        forbidden = set(required)
-        seed = frozenset(f for f, b in required.items() if e.bits[f] != b)
+    lists = [
+        [(sum(1 << f for f, _ in t), sum(b << f for f, b in t), c) for t, c in dl.rules]
+        for dl, _ in ballots
+    ]
+    x0 = e.mask()
+    total = sum(votes for _, votes in ballots)
+    need = total // 2 + 1
+    fired = (next(c for m, v, c in rules if x0 & m == v) for rules in lists)
+    cls = int(sum(c * votes for c, (_, votes) in zip(fired, ballots)) >= need)
+    reach = [0] * (len(lists) + 1)  # opposite-class votes ballots d.. can add
+    for d in reversed(range(len(lists))):
+        opposite = any(c != cls for _, _, c in lists[d])
+        reach[d] = reach[d + 1] + (ballots[d][1] if opposite else 0)
+    best: Optional[int] = None
+    combo: list[int] = []
+
+    def search(req_mask: int, req_value: int) -> Optional[int]:
+        # earlier rules that can fire once the required literals hold, with
+        # the features that may break them
+        earlier = [
+            (m, v, m & ~req_mask)
+            for rules, j in zip(lists, combo)
+            for m, v, _ in rules[:j]
+            if not (v ^ req_value) & m & req_mask
+        ]
         nodes = 0
 
-        def rec(flips: frozenset) -> Optional[frozenset]:
+        def rec(flips: int, size: int) -> Optional[int]:
             nonlocal nodes
-            if len(flips) > k:
-                return None
-            e_flipped = flip(e, flips)
-            offender: Optional[tuple[int, int]] = None
-            for o, j in enumerate(combo):
-                for ell in range(j):
-                    if term_applies(dls[o].rules[ell][0], e_flipped):
-                        offender = (o, ell)
-                        break
-                if offender is not None:
-                    break
+            x = x0 ^ flips
+            offender = next((free for m, v, free in earlier if x & m == v), None)
             if offender is None:
                 nodes += 1
                 return flips
-            o, ell = offender
-            breakable = sorted(
-                f
-                for f, b in dls[o].rules[ell][0]
-                if e_flipped.bits[f] == b and f not in flips and f not in forbidden
-            )
+            breakable = offender & ~flips
             if not breakable:
                 nodes += 1
                 return None
-            found: Optional[frozenset] = None
-            for f in breakable:
-                found = _better(found, rec(flips | {f}))
+            found: Optional[int] = None
+            while breakable and size < k:
+                low = breakable & -breakable
+                breakable ^= low
+                found = _better(found, rec(flips | low, size + 1))
             return found
 
-        result = rec(seed)
-        stats.record(combo, nodes)
+        seed = (x0 ^ req_value) & req_mask
+        result = rec(seed, seed.bit_count())
+        stats.record(tuple(combo), nodes)
         assert nodes <= max(a, 1) ** k
-        best = _better(best, result)
-    return best
+        return result
+
+    def walk(d: int, req_mask: int, req_value: int, votes: int) -> None:
+        nonlocal best
+        if d == len(lists):
+            best = _better(best, search(req_mask, req_value))
+            return
+        for j, (m, v, c) in enumerate(lists[d]):
+            tally = votes + (ballots[d][1] if c != cls else 0)
+            if (v ^ req_value) & m & req_mask or tally + reach[d + 1] < need:
+                continue  # conflicting rules, or no majority flip
+            if ((x0 ^ (req_value | v)) & (req_mask | m)).bit_count() > k:
+                continue  # the seed alone is over budget
+            combo.append(j)
+            walk(d + 1, req_mask | m, req_value | v, tally)
+            combo.pop()
+
+    walk(0, 0, 0, 0)
+    return None if best is None else mask_features(best, len(e.bits))
 
 
 def lcxp_card_branch(
@@ -173,7 +196,7 @@ def lcxp_card_branch(
     on a vote of one."""
     if not isinstance(model, (DecisionSet, DecisionList)):
         raise ModelError("expected a decision set or decision list")
-    return _branch_search([model.as_dl()], e, k, stats)
+    return _branch_search([(model.as_dl(), 1)], e, k, stats)
 
 
 def lcxp_card_branch_ens(
@@ -185,7 +208,8 @@ def lcxp_card_branch_ens(
     """Branching search over a majority ensemble of decision sets or lists."""
     if ens.family not in ("ds", "dl"):
         raise ModelError("ensemble branching needs decision sets or lists")
-    return _branch_search([m.as_dl() for m in ens.elements], e, k, stats)
+    ballots = [(m.as_dl(), votes) for m, votes in ens._ballots]
+    return _branch_search(ballots, e, k, stats)
 
 
 def lcxp_card_enum(

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import time
+from itertools import combinations
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import xplain as x
@@ -130,16 +133,37 @@ class TestEnsembleBranch:
             assert single == ens
 
     def test_three_copies_match_one(self):
+        # one list repeated is one ballot of three votes: the same rule
+        # tuples, nodes and witness as the list voting alone
         rng = Random(43)
         for _ in range(20):
             u = random_universe(rng, rng.randint(1, 5))
             dl = random_dl(rng, u)
             e = random_example(rng, u)
-            one = x.lcxp_card_branch_ens(x.Ensemble(u, (dl,)), e, len(u))
-            three = x.lcxp_card_branch_ens(x.Ensemble(u, (dl, dl, dl)), e, len(u))
-            assert (one is None) == (three is None)
-            if one is not None:
-                assert len(one) == len(three)
+            k = rng.randint(0, len(u))
+            one_stats, three_stats = x.BranchStats(), x.BranchStats()
+            one = x.lcxp_card_branch_ens(x.Ensemble(u, (dl,)), e, k, one_stats)
+            three = x.lcxp_card_branch_ens(x.Ensemble(u, [dl] * 3), e, k, three_stats)
+            assert one == three
+            assert one_stats.per_target == three_stats.per_target
+
+    @pytest.mark.parametrize("family", ["ds", "dl"])
+    def test_unary_clique_gadget_branches_per_ballot(self, family):
+        # 509 elements in 36 ballots: a search over one rule per element
+        # would not finish
+        classes = tuple((f"v{2 * i}", f"v{2 * i + 1}") for i in range(5))
+        vertices = [v for c in classes for v in c]
+        cross = [(a, b) for a, b in combinations(vertices, 2)
+                 if not any(a in c and b in c for c in classes)]
+        g = x.ColouredGraph(classes, tuple(cross[::2]))
+        ens = x.mcc_unary_ensemble_gadget(g, g.k, "subset", family).model
+        assert len(ens.elements) >= 400
+        zero = x.Example(ens.universe, (0,) * len(ens.universe))
+        for k in (1, g.k):
+            started = time.perf_counter()
+            found = x.lcxp_card_branch_ens(ens, zero, k)
+            assert time.perf_counter() - started < 1.0
+            assert found == x.lcxp_card_enum(ens, zero, k)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
