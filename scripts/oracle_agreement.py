@@ -4,14 +4,14 @@
 For every sampled model the minimum-contrastive algorithms (tree leaf scan,
 bounded branching, subset enumeration) are compared with the brute-force
 oracle: the branching witness must be the oracle's witness exactly, the leaf
-scan's must have its size, and enumeration must find one when they do; and the subset-minimal outputs are re-checked by single-removal
-verification: on rule models the greedy ``laxp``, on every model the greedy
-``gaxp`` and ``gcxp`` of both classes, and on trees every other kind too,
-where an answer of None must mean that the oracle finds no explanation
-either.  On rule models and their ensembles the
-hitting-set search ``card_xp_search`` must return the oracle's witness for
-``laxp``, and for ``gaxp`` and ``gcxp`` of both classes.  Any disagreement
-aborts with the offending instance printed.
+scan's must have its size, and enumeration must find one when they do.  The
+subset-minimal outputs are re-checked by single-removal verification: on
+rule models the greedy ``laxp``, on every model the greedy ``gaxp`` and
+``gcxp`` of both classes, and on trees every other kind too, where an answer
+of None must mean that the oracle finds no explanation either.  On rule
+models and their ensembles the hitting-set search ``card_xp_search`` must
+return the oracle's witness for ``laxp``, and for ``gaxp`` and ``gcxp`` of
+both classes.  Any disagreement aborts with the offending instance printed.
 
     python3 scripts/oracle_agreement.py --models 200 --max-features 10
 """

@@ -25,10 +25,9 @@ against all chosen rules at once.  A prefix is cut as soon as its rules
 conflict, the remaining ballots cannot bring the opposite class a majority,
 or its seed alone exceeds the budget.  A cut that holds for a prefix holds
 for every extension of it, so exactly the full tuples that pass all three
-are searched and recorded.
-A single list is the vote of one, whose target tuples are its
-opposite-class rules.  The search state is integers: the example, each
-term's features and values, and each flip set are bit masks.
+are searched and recorded.  A single list is the vote of one, whose target
+tuples are its opposite-class rules.  The search state is integers: the
+example, each term's features and values, and each flip set are bit masks.
 
 ``lcxp_card_enum`` answers the same question for a model of any family:
 ``verify.first_flip`` reads the smallest, then lexicographically first,
@@ -154,7 +153,7 @@ def _branch_search(
                 nodes += 1
                 return None
             found: Optional[int] = None
-            while breakable and size < k:
+            while breakable and size < k:  # a flip past k is pruned, no node
                 low = breakable & -breakable
                 breakable ^= low
                 found = _better(found, rec(flips | low, size + 1))
