@@ -35,8 +35,8 @@ kept on the tree between calls.
   checks the current minimum hitting set also yields the next row it
   misses.  Extending a candidate is one AND-NOT on the int of live rows.
   The search grows literal sets breadth-first by size (one memo per size),
-  reads a row's literals off the columns only when it branches on that row,
-  and returns the first minimum in the oracle's enumeration order.
+  reads a row's literals off the tree or its round only when it branches on
+  that row, and returns the first minimum in the oracle's enumeration order.
 * ensemble-to-tree product: ``core.graft_dt``, the path-consistent walk
   that also normalizes and restricts trees, grafts each successive tree
   onto every leaf whose vote is still open; normalized by construction.
@@ -48,7 +48,7 @@ kept on the tree between calls.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .config import DEFAULT_CAPS, BruteCaps, CapExceeded, require_cap
 from .core import (
@@ -108,7 +108,7 @@ def laxp_subset_min(t: DecisionTree, e: Example) -> frozenset:
     if not isinstance(e, Example):
         raise ModelError("local kinds take an example as target")
     t = normalize_dt(t)
-    _, kill = _literal_columns(t, 1 - classify(t, e))
+    _, kill, _ = _literal_columns(t, 1 - classify(t, e))
     n = len(t.universe)
     return frozenset(_column_shrink([kill[f + b * n] for f, b in enumerate(e.bits)]))
 
@@ -136,7 +136,7 @@ def _leaf_seeded_shrink(
         return None
     mask, value = seed
     seeded = [(f, value >> f & 1) for f in range(n) if mask >> f & 1]
-    _, kill = _literal_columns(t, 1 - want)
+    _, kill, _ = _literal_columns(t, 1 - want)
     kept = _column_shrink([kill[f + b * n] for f, b in seeded])
     return PartialExample(u, tuple(seeded[j] for j in kept))
 
@@ -187,16 +187,16 @@ def lcxp_subset_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
     return None if first is None else mask_features(first, len(t.universe))
 
 
-def _literal_columns(t: DecisionTree, bad: int) -> tuple[int, list[int]]:
-    """Row count and literal columns of the leaves of class ``bad``, in one
-    walk.
+def _literal_columns(t: DecisionTree, bad: int) -> tuple[int, list[int], list[int]]:
+    """Row count, literal columns and per-node first rows of the leaves of
+    class ``bad``, in one walk.
 
-    Rows are the ``bad`` leaves numbered in depth-first, 0-child-first order,
-    so the rows under any node are consecutive.  ``kill[f + b * n]`` has bit r
-    set when literal ``(f, b)`` conflicts row r's path: a split on f puts the
-    rows of its 0-subtree into ``(f, 1)`` and those of its 1-subtree into
-    ``(f, 0)``, one range mask each.  The walk follows the arena's links,
-    whatever order the arena stores its nodes in.
+    Rows are the ``bad`` leaves numbered depth-first, 0-child first, so the
+    rows under node i are consecutive from ``first[i]``.  ``kill[f + b * n]``
+    has bit r set when literal ``(f, b)`` conflicts row r's path: a split on
+    f ORs the rows of its 0-subtree into ``(f, 1)`` and those of its
+    1-subtree into ``(f, 0)``, one range mask each unless it is empty.  The
+    walk follows the arena's links, whatever order the arena stores them in.
     """
     n = len(t.universe)
     nodes = t.nodes
@@ -209,16 +209,33 @@ def _literal_columns(t: DecisionTree, bad: int) -> tuple[int, list[int]]:
         if i < 0:  # every row under split ~i is numbered
             node = nodes[~i]
             lo, mid = first[~i], first[node.hi]
-            kill[node.feature + n] |= (1 << mid) - (1 << lo)
-            kill[node.feature] |= (1 << rows) - (1 << mid)
+            if lo < mid:
+                kill[node.feature + n] |= (1 << mid) - (1 << lo)
+            if mid < rows:
+                kill[node.feature] |= (1 << rows) - (1 << mid)
             continue
-        first[i] = rows
         node = nodes[i]
-        if isinstance(node, Leaf):
-            rows += node.label == bad
-        else:
-            stack += (~i, node.hi, node.lo)
-    return rows, kill
+        while not isinstance(node, Leaf):  # down the 0-children
+            first[i] = rows
+            stack += (~i, node.hi)
+            i = node.lo
+            node = nodes[i]
+        first[i] = rows
+        rows += node.label == bad
+    return rows, kill, first
+
+
+def _row_literals(t: DecisionTree, first: list[int], r: int) -> list[int]:
+    """The literals conflicting row r's path, by one descent from the root:
+    at a split on f the row lies in the 0-subtree, and meets ``(f, 1)``,
+    exactly when it comes before the 1-subtree's first row."""
+    n, nodes = len(t.universe), t.nodes
+    node, lits = nodes[t.root], []
+    while not isinstance(node, Leaf):
+        lo = r < first[node.hi]
+        lits.append(node.feature + lo * n)
+        node = nodes[node.lo if lo else node.hi]
+    return lits
 
 
 def _column_shrink(cols: list[int]) -> list[int]:
@@ -243,7 +260,7 @@ def _column_shrink(cols: list[int]) -> list[int]:
 
 
 def _min_literal_hitting_set(
-    n: int, rows: int, kill: list[int], k: int
+    n: int, rows: int, kill: list[int], k: int, row_literals: Callable[[int], list[int]]
 ) -> Optional[list[tuple[int, int]]]:
     """Smallest consistent literal set of size <= k meeting all ``rows`` rows.
 
@@ -260,19 +277,14 @@ def _min_literal_hitting_set(
     set size: level d holds each distinct literal set of size d that the
     branching reaches, keyed by its mask (the per-level memo), and a set is
     extended only by the literals meeting its lowest live row whose feature
-    it leaves unassigned.  A row's literals are read off the columns the
-    first time the search branches on it.  Every smallest solution is
-    reached this way, so the first level holding a solution is finished and
-    its least solution returned.  Level k keeps only solutions: nothing
-    larger is ever asked for.
+    it leaves unassigned.  Branching first on row r reads ``row_literals(r)``
+    (where r came from) and skips the literals of zero column.  Every
+    smallest solution is reached this way, so the first level holding a
+    solution is finished and its least solution returned.  Level k keeps
+    only solutions: nothing larger is ever asked for.
     """
-    # per literal meeting some row: (its bit, its column, both its feature's bits)
-    literals = [
-        (1 << lit, column, 1 << lit % n | 1 << (lit % n + n))
-        for lit, column in enumerate(kill)
-        if column
-    ]
-    options: dict[int, list[tuple[int, int, int]]] = {}  # row bit -> its literals
+    # row bit -> per literal meeting it: (its bit, its column, both its feature's bits)
+    options: dict[int, list[tuple[int, int, int]]] = {}
     level = {0: (1 << rows) - 1}  # literal set -> rows it does not meet
     for size in range(k + 1):
         solved = [lits for lits, live in level.items() if not live]
@@ -286,7 +298,10 @@ def _min_literal_hitting_set(
             row = live & -live
             meets = options.get(row)
             if meets is None:
-                meets = options[row] = [o for o in literals if o[1] & row]
+                meets = options[row] = [
+                    (1 << lit, kill[lit], 1 << lit % n | 1 << (lit % n + n))
+                    for lit in row_literals(row.bit_length() - 1) if kill[lit]
+                ]
             for lit, killed, feature in meets:
                 if not lits & feature:  # the feature is still unassigned
                     rest = live & ~killed
@@ -384,10 +399,11 @@ def card_xp_search(
 
     A model with a tree form (``_tree_form``: a tree, or a tree ensemble
     whose ``product_dt`` fits under its ceiling) gets all its rows up front
-    from ``_literal_columns``, one per offending leaf (for ``laxp``
-    only e's own literals keep their columns), and its first hitting set is
-    the answer.  Any other model starts with no rows, and each round reads
-    one more off the one table that checks the least hitting set H
+    from ``_literal_columns``, one per offending leaf (for ``laxp`` only
+    e's own literals keep their columns; ``_row_literals`` reads a row's
+    literals), and its first hitting set is the answer.  Any other model
+    starts with no rows, and each round reads one more, as its literals,
+    off the one table that checks the least hitting set H
     (``_laxp_row``, ``_global_row``), until H verifies or no hitting set of
     size <= k is left.  Every explanation meets every row, so a verified
     least hitting set is the first minimum in the oracle's enumeration
@@ -419,13 +435,15 @@ def card_xp_search(
     if t is not None:
         if kind == "laxp":
             # conflict sets of e: the paths of the other class, through e's literals
-            rows, kill = _literal_columns(t, 1 - classify(t, target))
+            rows, kill, first = _literal_columns(t, 1 - classify(t, target))
             for f, b in enumerate(target.bits):
                 kill[f + (1 - b) * n] = 0
         else:
-            rows, kill = _literal_columns(t, 1 - target if kind == "gaxp" else target)
+            rows, kill, first = _literal_columns(t, 1 - target if kind == "gaxp" else target)
+        row_literals = functools.partial(_row_literals, t, first)
     else:
-        rows, kill = 0, [0] * (2 * n)
+        rows, kill, read = 0, [0] * (2 * n), []  # read: each round's row
+        row_literals = read.__getitem__
         if kind == "laxp":
             next_row = functools.partial(_laxp_row, model, target, n, caps)
         else:
@@ -435,10 +453,11 @@ def card_xp_search(
     while True:
         if next_row is not None and rows > 1 << cap:
             raise CapExceeded(f"{kind} search: {rows} rows exceed 2**{cap}")
-        found = _min_literal_hitting_set(n, rows, kill, k)
+        found = _min_literal_hitting_set(n, rows, kill, k, row_literals)
         row = None if found is None or next_row is None else next_row(found)
         if row is None:
             break
+        read.append(row)
         for lit in row:
             kill[lit] |= 1 << rows
         rows += 1

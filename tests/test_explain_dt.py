@@ -4,6 +4,7 @@ import gc
 import time
 import tracemalloc
 import weakref
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import xplain as x
 from xplain.config import CapExceeded
 from xplain.core import graft_dt, is_normalized
+from xplain.explain_dt import _min_literal_hitting_set
 from xplain.modelio import load_model
 from xplain.verify import shrink
 
@@ -470,6 +472,84 @@ class TestCardSearchColumns:
                 assert found == x.card_xp_search(rebuilt, kind, target, k)
                 within = expected is not None and expected[0] <= k
                 assert found == (expected[1] if within else None)
+
+    @given(seed=st.integers(0, 100_000), n=st.integers(1, 6), depth=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_permuted_arenas(self, seed, n, depth):
+        # a normalized tree with its arena shuffled, so the root's place and
+        # the order of parents and children vary: the row literals are read
+        # through the child links, and must be the same as on graft_dt's
+        # post-order copy
+        rng = Random(seed)
+        u = random_universe(rng, n)
+        t = _permuted_arena(rng, x.normalize_dt(random_dt(rng, u, max_depth=depth)))
+        assert x.normalize_dt(t) is t
+        rebuilt = graft_dt([t])
+        targets = [("laxp", random_example(rng, u)) for _ in range(2)]
+        targets += [(kind, c) for kind in ("gaxp", "gcxp") for c in (0, 1)]
+        for kind, target in targets:
+            expected = x.oracle_min(t, kind, target)
+            for k in range(n + 1):
+                found = x.card_xp_search(t, kind, target, k)
+                assert found == x.card_xp_search(rebuilt, kind, target, k)
+                within = expected is not None and expected[0] <= k
+                assert found == (expected[1] if within else None)
+
+    @given(seed=st.integers(0, 100_000), n=st.integers(0, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_hitting_set_on_explicit_rows(self, seed, n):
+        # rows as literal lists, some repeated, empty or holding both
+        # literals of a feature; a literal whose column is left zero meets
+        # no row, as e's opposite literals under tree laxp
+        rng = Random(seed)
+        rows = [rng.sample(range(2 * n), rng.randint(1, min(2 * n, 3))) if n else []
+                for _ in range(rng.randint(0, 6))]
+        if n and rng.random() < 0.3:
+            f = rng.randrange(n)
+            rows.append([f + n, f])
+        if rows and rng.random() < 0.3:
+            rows.append(list(rng.choice(rows)))
+        if rng.random() < 0.1:
+            rows.insert(rng.randint(0, len(rows)), [])
+        rng.shuffle(rows)
+        zero = {lit for lit in range(2 * n) if rng.random() < 0.2}
+        kill = [0] * (2 * n)
+        for r, row in enumerate(rows):
+            for lit in row:
+                if lit not in zero:
+                    kill[lit] |= 1 << r
+        for k in range(n + 2):
+            found = _min_literal_hitting_set(n, len(rows), kill, k, rows.__getitem__)
+            assert found == _least_hitting_set(n, rows, zero, k)
+
+
+def _permuted_arena(rng, t):
+    """t with node i moved to a random place p[i] of its arena, links and
+    root following."""
+    p = list(range(len(t.nodes)))
+    rng.shuffle(p)
+    nodes = [None] * len(p)
+    for i, node in enumerate(t.nodes):
+        if isinstance(node, x.Split):
+            node = x.Split(node.feature, p[node.lo], p[node.hi])
+        nodes[p[i]] = node
+    return x.DecisionTree(t.universe, tuple(nodes), p[t.root], t.order)
+
+
+def _least_hitting_set(n, rows, zero, k):
+    """The first consistent literal set of size <= k, avoiding the literals
+    in ``zero``, that meets every row, as (feature, bit) pairs by feature;
+    None when there is none.  Sets come by size, then feature subsets
+    lexicographically, then each subset's bits as an ascending binary
+    counter whose lowest bit is the lowest feature: the oracle's order."""
+    for size in range(k + 1):
+        for features in combinations(range(n), size):
+            for counter in range(1 << size):
+                pairs = [(f, counter >> j & 1) for j, f in enumerate(features)]
+                lits = {f + b * n for f, b in pairs}
+                if not lits & zero and all(lits & set(row) for row in rows):
+                    return pairs
+    return None
 
 
 def _path_tree(rng, u, depth):
