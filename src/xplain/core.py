@@ -47,6 +47,9 @@ one call of this kernel and one integer compare; the flip searches add the
 
 Trees are rebuilt by one path-consistent walk, ``graft_dt``: ``normalize_dt``,
 ``verify.restrict_dt`` and ``explain_dt.product_dt`` are each one call of it.
+Its output is the one normal form of a tree: no path tests a feature twice,
+and the arena is in post-order (0-subtree, 1-subtree, split; root last), so
+the tree engines read a normalized tree in one forward pass over its nodes.
 """
 
 from __future__ import annotations
@@ -197,8 +200,8 @@ class DecisionTree:
     root: int = 0
     order: Optional[tuple[int, ...]] = None  # declared feature order, if any
     # normalize_dt's memo: None until it has run, then True if this tree is
-    # normalized, else its normalized copy (never the tree itself, so a tree
-    # is no reference cycle)
+    # in normal form, else its normal-form copy (never the tree itself, so a
+    # tree is no reference cycle)
     _normal: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -642,18 +645,34 @@ def truth_table(model, n: Optional[int] = None) -> int:
 
 
 def is_normalized(t: DecisionTree) -> bool:
-    """Does no root-to-leaf path test a feature twice?"""
-    stack = [(t.root, 0)]  # (node, mask of the features tested above it)
-    while stack:
-        i, mask = stack.pop()
-        node = t.nodes[i]
+    """Is t in normal form: no root-to-leaf path tests a feature twice, and
+    the arena is ``graft_dt``'s post-order (each split right after its
+    1-subtree, that right after its 0-subtree, the root last)?
+
+    One forward pass: ``size[i]`` counts the nodes of i's subtree and
+    ``below[i]`` masks the features tested in it.  A split i must have
+    ``hi == i - 1`` and ``lo == hi - size[hi]`` and test no feature of
+    ``below[lo] | below[hi]``; by induction the ``size[i]`` nodes ending at
+    i are then i's subtree in post-order, and the whole arena is the root's
+    when the root comes last and its subtree has every node.
+    """
+    nodes = t.nodes
+    size = [1] * len(nodes)
+    below = [0] * len(nodes)
+    for i, node in enumerate(nodes):
         if isinstance(node, Leaf):
             continue
-        bit = 1 << node.feature
-        if mask & bit:
+        hi = i - 1
+        lo = hi - size[hi]
+        if node.hi != hi or node.lo != lo:
             return False
-        stack += ((node.hi, mask | bit), (node.lo, mask | bit))
-    return True
+        seen = below[lo] | below[hi]
+        bit = 1 << node.feature
+        if seen & bit:
+            return False
+        below[i] = seen | bit
+        size[i] = size[lo] + size[hi] + 1
+    return t.root == len(nodes) - 1 and size[-1] == len(nodes)
 
 
 _LEAVES = (Leaf(0), Leaf(1))  # leaves are immutable: one per class is shared
@@ -673,7 +692,8 @@ def graft_dt(
     voted 1, or too few trees are left to reach one); a vote of one tree
     ends at that tree's leaf.  The walk is iterative (deep trees do not
     exhaust the call stack) and emits the arena in post-order, 0-child
-    first.  The result is marked normalized and carries ``order``.
+    first: the result is in normal form (``is_normalized``), is marked so,
+    and carries ``order``.
     """
     majority_at = len(trees) // 2 + 1
     last = len(trees) - 1
@@ -723,15 +743,17 @@ def graft_dt(
 
 
 def normalize_dt(t: DecisionTree) -> DecisionTree:
-    """Equivalent tree in which no root-to-leaf path tests a feature twice.
+    """Equivalent tree in normal form: no root-to-leaf path tests a feature
+    twice, and the arena is ``graft_dt``'s post-order.
 
-    A repeated test is rerouted to the child consistent with the earlier
-    decision (``graft_dt`` on the one tree), so the leaf count never grows.
-    Trees without repeats are returned unchanged.
+    Any other tree is rebuilt by ``graft_dt`` on the one tree: a repeated
+    test is rerouted to the child consistent with the earlier decision, so
+    the leaf count never grows.  A tree already in normal form is returned
+    unchanged; one without repeats but in another arena order is copied.
 
-    The answer is memoized on the tree: a normalized tree records a flag,
-    any other tree its normalized copy, so each tree is checked and copied
-    at most once however many queries ask about it.
+    The answer is memoized on the tree: a tree in normal form records a
+    flag, any other tree its normal-form copy, so each tree is checked and
+    copied at most once however many queries ask about it.
     """
     memo = t._normal
     if memo is True:

@@ -1,15 +1,16 @@
 """Dedicated decision tree algorithms, and the greedy global shrink and the
 cardinality search of every model family.
 
-Everything tree-specific here runs on the normalized tree (no path tests a
-feature twice); inputs are normalized on entry, callers keep their raw
-trees.  Every kind is a covering problem over leaf paths (Ignatiev et al.,
-"From Contrastive to Abductive Explanations and Back Again", 2020),
-answered from at most two integer walks of the tree per call:
-``_leaf_paths`` yields each leaf's path as a mask of tested features and a
-value of their bits, ``_literal_columns`` gives every literal its column,
-the bitmask of the leaves of one class whose path it conflicts.  Nothing is
-kept on the tree between calls.
+Everything tree-specific here runs on the tree in normal form (no path
+tests a feature twice, the arena in post-order: see ``core.normalize_dt``);
+inputs are normalized on entry, callers keep their raw trees.  Every kind
+is a covering problem over leaf paths (Ignatiev et al., "From Contrastive to
+Abductive Explanations and Back Again", 2020), answered from at most two
+integer walks of the tree per call: ``_leaf_paths`` yields each leaf's path
+as a mask of tested features and a value of their bits,
+``_literal_columns`` gives every literal its column, the bitmask of the
+leaves of one class whose path it conflicts, in one forward pass over the
+arena.  Nothing is kept on the tree between calls.
 
 * greedy subset-minimal explanations: a candidate verifies exactly when the
   OR of its literal columns covers every leaf of the class it excludes, so
@@ -28,7 +29,7 @@ kept on the tree between calls.
   subset-minimal explanation.
 * bounded-cardinality search, for all five families: one hitting-set
   engine over literal columns.  On a tree each offending leaf is a row; one
-  walk of the tree numbers the rows depth-first, so the rows under a node
+  pass over the arena numbers the rows depth-first, so the rows under a node
   are consecutive, and each split adds one range to two columns.  Any other
   model gets its rows one at a time (implicit hitting-set dualization,
   Ignatiev, Previti, Liffiton & Marques-Silva, CP 2015): the table that
@@ -189,39 +190,31 @@ def lcxp_subset_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
 
 def _literal_columns(t: DecisionTree, bad: int) -> tuple[int, list[int], list[int]]:
     """Row count, literal columns and per-node first rows of the leaves of
-    class ``bad``, in one walk.
+    class ``bad``, in one forward pass over a tree in normal form.
 
-    Rows are the ``bad`` leaves numbered depth-first, 0-child first, so the
-    rows under node i are consecutive from ``first[i]``.  ``kill[f + b * n]``
-    has bit r set when literal ``(f, b)`` conflicts row r's path: a split on
-    f ORs the rows of its 0-subtree into ``(f, 1)`` and those of its
-    1-subtree into ``(f, 0)``, one range mask each unless it is empty.  The
-    walk follows the arena's links, whatever order the arena stores them in.
+    Rows are the ``bad`` leaves numbered depth-first, 0-child first, which
+    is their order in the post-order arena, so the rows under node i are
+    consecutive from ``first[i]`` and end where the pass stands at i.
+    ``kill[f + b * n]`` has bit r set when literal ``(f, b)`` conflicts row
+    r's path: a split on f ORs the rows of its 0-subtree into ``(f, 1)`` and
+    those of its 1-subtree into ``(f, 0)``, one range mask each unless it is
+    empty.
     """
     n = len(t.universe)
-    nodes = t.nodes
     kill = [0] * (2 * n)
-    first = [0] * len(nodes)  # per node: the first row number in its subtree
+    first = [0] * len(t.nodes)  # per node: the first row number in its subtree
     rows = 0
-    stack = [t.root]
-    while stack:
-        i = stack.pop()
-        if i < 0:  # every row under split ~i is numbered
-            node = nodes[~i]
-            lo, mid = first[~i], first[node.hi]
-            if lo < mid:
-                kill[node.feature + n] |= (1 << mid) - (1 << lo)
-            if mid < rows:
-                kill[node.feature] |= (1 << rows) - (1 << mid)
-            continue
-        node = nodes[i]
-        while not isinstance(node, Leaf):  # down the 0-children
+    for i, node in enumerate(t.nodes):
+        if isinstance(node, Leaf):
             first[i] = rows
-            stack += (~i, node.hi)
-            i = node.lo
-            node = nodes[i]
-        first[i] = rows
-        rows += node.label == bad
+            rows += node.label == bad
+            continue
+        lo = first[i] = first[node.lo]
+        mid = first[node.hi]
+        if lo < mid:
+            kill[node.feature + n] |= (1 << mid) - (1 << lo)
+        if mid < rows:
+            kill[node.feature] |= (1 << rows) - (1 << mid)
     return rows, kill, first
 
 
@@ -312,10 +305,14 @@ def _min_literal_hitting_set(
 
 
 def _decode_literals(lits: int, n: int) -> list[tuple[int, int]]:
-    """The (feature, bit) pairs of a literal-set mask, by feature."""
-    return [
-        (f, lits >> (f + n) & 1) for f in range(n) if (lits >> f | lits >> (f + n)) & 1
-    ]
+    """The (feature, bit) pairs of a literal-set mask, by feature, one step
+    per set bit (a consistent set assigns each feature once)."""
+    pairs = []
+    while lits:
+        lit = (lits & -lits).bit_length() - 1
+        pairs.append((lit % n, lit // n))
+        lits &= lits - 1
+    return sorted(pairs)
 
 
 def _card_order(assignment: list[tuple[int, int]]) -> tuple:

@@ -56,6 +56,63 @@ def leaf_assignments(t: x.DecisionTree) -> list[tuple[int, dict[int, int]]]:
     return out
 
 
+def in_normal_form(t: x.DecisionTree) -> bool:
+    """Reference for ``core.is_normalized``, by an explicit-stack walk: no
+    root-to-leaf path tests a feature twice, and the arena lists the nodes
+    in their depth-first post-order, 0-child first."""
+    order: list[int] = []  # node indices in post-order
+    stack = [(t.root, 0, False)]  # (node, features above it, children done)
+    while stack:
+        i, above, done = stack.pop()
+        node = t.nodes[i]
+        if done or isinstance(node, x.Leaf):
+            order.append(i)
+            continue
+        bit = 1 << node.feature
+        if above & bit:
+            return False
+        stack += ((i, above, True), (node.hi, above | bit, False), (node.lo, above | bit, False))
+    return order == list(range(len(t.nodes)))
+
+
+def relaid_arena(t: x.DecisionTree, post: bool, zero_first: bool = True) -> x.DecisionTree:
+    """The same tree with its arena relaid in depth-first post-order or
+    pre-order, each split's 0-child first or its 1-child first."""
+    order: list[int] = []
+    stack = [(t.root, False)]
+    while stack:
+        i, done = stack.pop()
+        node = t.nodes[i]
+        if done or isinstance(node, x.Leaf):
+            order.append(i)
+            continue
+        if post:
+            stack.append((i, True))
+        else:
+            order.append(i)
+        first, second = (node.lo, node.hi) if zero_first else (node.hi, node.lo)
+        stack += ((second, False), (first, False))
+    return moved_arena(t, {old: new for new, old in enumerate(order)})
+
+
+def permuted_arena(rng: Random, t: x.DecisionTree) -> x.DecisionTree:
+    """t with its arena shuffled at random."""
+    p = list(range(len(t.nodes)))
+    rng.shuffle(p)
+    return moved_arena(t, p)
+
+
+def moved_arena(t: x.DecisionTree, p) -> x.DecisionTree:
+    """t with node i moved to place p[i] of its arena, links and root
+    following."""
+    nodes = [None] * len(t.nodes)
+    for i, node in enumerate(t.nodes):
+        if isinstance(node, x.Split):
+            node = x.Split(node.feature, p[node.lo], p[node.hi])
+        nodes[p[i]] = node
+    return x.DecisionTree(t.universe, tuple(nodes), p[t.root], t.order)
+
+
 def random_term(rng: Random, u: x.FeatureUniverse, max_len: int = 3):
     size = rng.randint(1, min(max_len, len(u)))
     features = rng.sample(range(len(u)), size)

@@ -9,18 +9,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import xplain as x
-from xplain.core import counter_ge, feature_column, weight_planes
+from xplain.core import counter_ge, feature_column, is_normalized, weight_planes
 
 from xplain.modelio import dump_model
 
 from generators import (
     constant_model,
+    in_normal_form,
+    moved_arena,
+    permuted_arena,
     random_any_model,
     random_dt,
     random_ensemble,
     random_example,
     random_model,
     random_universe,
+    relaid_arena,
 )
 
 
@@ -59,11 +63,22 @@ def test_dt_classify_follows_path(seed):
 
 class TestNormalize:
     def test_fixed_point(self):
+        # one tree without repeated tests, in pre-order and in graft_dt's
+        # post-order: only the post-order arena is normal form and kept,
+        # the pre-order one is copied into it
         u = x.universe("a", "b")
-        t = x.DecisionTree(
+        pre = x.DecisionTree(
             u, (x.Split(0, 1, 2), x.Leaf(0), x.Split(1, 3, 4), x.Leaf(1), x.Leaf(0))
         )
-        assert x.normalize_dt(t) is t
+        post = x.DecisionTree(
+            u, (x.Leaf(0), x.Leaf(1), x.Leaf(0), x.Split(1, 1, 2), x.Split(0, 0, 3)), 4
+        )
+        for t in (pre, post):
+            out = x.normalize_dt(t)
+            assert is_normalized(out) and x.normalize_dt(out) is out
+            assert x.truth_table(out) == x.truth_table(t)
+            assert (out is t) == (t is post)
+        assert x.normalize_dt(pre) == post
 
     def test_repeated_test_eliminated(self):
         u = x.universe("a")
@@ -103,18 +118,51 @@ class TestNormalize:
     def test_memo_makes_no_reference_cycle(self):
         u = x.universe("a", "b")
         repeated = (x.Split(0, 1, 2), x.Leaf(0), x.Split(0, 3, 4), x.Leaf(0), x.Leaf(1))
-        plain = (x.Split(0, 1, 2), x.Leaf(0), x.Split(1, 3, 4), x.Leaf(1), x.Leaf(0))
+        plain = (x.Leaf(0), x.Leaf(1), x.Leaf(0), x.Split(1, 1, 2), x.Split(0, 0, 3))
+        pre = (x.Split(0, 1, 2), x.Leaf(0), x.Split(1, 3, 4), x.Leaf(1), x.Leaf(0))
         gc.disable()
         try:
             raw = x.DecisionTree(u, repeated)
             out = x.normalize_dt(raw)
-            normal = x.DecisionTree(u, plain)
+            normal = x.DecisionTree(u, plain, 4)
             assert x.normalize_dt(normal) is normal
-            refs = [weakref.ref(raw), weakref.ref(out), weakref.ref(normal)]
-            del raw, out, normal
-            assert [ref() for ref in refs] == [None, None, None]
+            # no repeated test, but not post-order: copied, the copy kept
+            reordered = x.DecisionTree(u, pre)
+            copy = x.normalize_dt(reordered)
+            assert copy is not reordered and is_normalized(copy)
+            assert x.normalize_dt(copy) is copy
+            assert x.truth_table(copy) == x.truth_table(reordered)
+            refs = [weakref.ref(t) for t in (raw, out, normal, reordered, copy)]
+            del raw, out, normal, reordered, copy
+            assert [ref() for ref in refs] == [None] * 5
         finally:
             gc.enable()
+
+
+@given(seed=st.integers(0, 100_000), n=st.integers(1, 6), depth=st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_is_normalized_matches_the_reference(seed, n, depth):
+    # random trees (post-order, tests may repeat) and their normalized
+    # copies, each in its own arena, relaid in pre-order, in post-order
+    # with either child first, and shuffled; and with two leaves that are
+    # 0-children trading places, so every split still comes right after
+    # its 1-child but some 0-subtree no longer comes right before that
+    rng = Random(seed)
+    u = random_universe(rng, n)
+    raw = random_dt(rng, u, max_depth=depth)
+    for t in (raw, x.normalize_dt(raw)):
+        arenas = [t, permuted_arena(rng, t)]
+        arenas += [relaid_arena(t, post, zero_first)
+                   for post in (False, True) for zero_first in (False, True)]
+        zero_leaves = [node.lo for node in t.nodes
+                       if isinstance(node, x.Split) and isinstance(t.nodes[node.lo], x.Leaf)]
+        if len(zero_leaves) > 1:
+            a, b = rng.sample(zero_leaves, 2)
+            p = list(range(len(t.nodes)))
+            p[a], p[b] = b, a
+            arenas.append(moved_arena(t, p))
+        for arena in arenas:
+            assert is_normalized(arena) == in_normal_form(arena)
 
 
 class TestRespectsOrder:

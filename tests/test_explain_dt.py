@@ -13,12 +13,19 @@ from hypothesis import given, settings, strategies as st
 import xplain as x
 from xplain.config import CapExceeded
 from xplain.core import graft_dt, is_normalized
-from xplain.explain_dt import _min_literal_hitting_set
+from xplain.explain_dt import (
+    _leaf_paths,
+    _literal_columns,
+    _min_literal_hitting_set,
+    _row_literals,
+)
 from xplain.modelio import load_model
 from xplain.verify import shrink
 
 from generators import (
+    in_normal_form,
     leaf_assignments,
+    permuted_arena,
     random_circuit,
     random_dt,
     random_ensemble,
@@ -451,16 +458,19 @@ class TestCardSearchColumns:
             )
 
     def test_pre_order_arena(self):
-        # a normalized tree whose arena lists every parent before its
-        # children, root first: normalize_dt keeps it, graft_dt rebuilds
-        # it in post-order, and the search reads both alike
+        # a tree without repeated tests whose arena lists every parent
+        # before its children, root first: it is not in normal form, so
+        # normalize_dt copies it into post-order, as graft_dt rebuilds it,
+        # and the search reads the raw tree and the rebuilt one alike
         u = x.universe("a", "b", "c", "d")
         t = x.DecisionTree(u, (
             x.Split(0, 1, 6),
             x.Split(1, 2, 3), x.Leaf(1), x.Split(2, 4, 5), x.Leaf(0), x.Leaf(1),
             x.Split(3, 7, 10), x.Split(1, 8, 9), x.Leaf(0), x.Leaf(1), x.Leaf(0),
         ))
-        assert x.normalize_dt(t) is t
+        out = x.normalize_dt(t)
+        assert out is not t and is_normalized(out) and x.normalize_dt(out) is out
+        assert x.truth_table(out) == x.truth_table(t)
         rebuilt = graft_dt([t])
         assert rebuilt.root != 0 and x.truth_table(rebuilt) == x.truth_table(t)
         targets = [("laxp", x.Example.from_mask(u, m)) for m in range(16)]
@@ -477,13 +487,16 @@ class TestCardSearchColumns:
     @settings(max_examples=60, deadline=None)
     def test_permuted_arenas(self, seed, n, depth):
         # a normalized tree with its arena shuffled, so the root's place and
-        # the order of parents and children vary: the row literals are read
-        # through the child links, and must be the same as on graft_dt's
-        # post-order copy
+        # the order of parents and children vary: normalize_dt keeps it only
+        # when the shuffle left it in post-order, and the search must answer
+        # as on graft_dt's post-order copy
         rng = Random(seed)
         u = random_universe(rng, n)
-        t = _permuted_arena(rng, x.normalize_dt(random_dt(rng, u, max_depth=depth)))
-        assert x.normalize_dt(t) is t
+        t = permuted_arena(rng, x.normalize_dt(random_dt(rng, u, max_depth=depth)))
+        out = x.normalize_dt(t)
+        assert is_normalized(out) and x.normalize_dt(out) is out
+        assert x.truth_table(out) == x.truth_table(t)
+        assert (out is t) == in_normal_form(t)
         rebuilt = graft_dt([t])
         targets = [("laxp", random_example(rng, u)) for _ in range(2)]
         targets += [(kind, c) for kind in ("gaxp", "gcxp") for c in (0, 1)]
@@ -494,6 +507,32 @@ class TestCardSearchColumns:
                 assert found == x.card_xp_search(rebuilt, kind, target, k)
                 within = expected is not None and expected[0] <= k
                 assert found == (expected[1] if within else None)
+
+    @given(seed=st.integers(0, 100_000), n=st.integers(1, 8), depth=st.integers(0, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_literal_columns_match_the_leaf_paths(self, seed, n, depth):
+        # row r is the r-th leaf of the bad class in _leaf_paths' order, and
+        # column (f, b) holds it when the leaf's path tests f with value
+        # 1 - b; each row's literals, read by descent, are those whose
+        # column holds it
+        rng = Random(seed)
+        u = random_universe(rng, n)
+        if rng.random() < 0.3:
+            t = x.product_dt(random_ensemble(rng, u, "dt", 3))
+        else:
+            t = x.normalize_dt(random_dt(rng, u, max_depth=depth))
+        for bad in (0, 1):
+            paths = [(mask, value) for label, mask, value in _leaf_paths(t) if label == bad]
+            kill = [0] * (2 * n)
+            for r, (mask, value) in enumerate(paths):
+                for f in range(n):
+                    if mask >> f & 1:
+                        kill[f + (1 - (value >> f & 1)) * n] |= 1 << r
+            rows, got, first = _literal_columns(t, bad)
+            assert (rows, got) == (len(paths), kill)
+            for r in range(rows):
+                meeting = [lit for lit in range(2 * n) if kill[lit] >> r & 1]
+                assert sorted(_row_literals(t, first, r)) == meeting
 
     @given(seed=st.integers(0, 100_000), n=st.integers(0, 5))
     @settings(max_examples=200, deadline=None)
@@ -521,19 +560,6 @@ class TestCardSearchColumns:
         for k in range(n + 2):
             found = _min_literal_hitting_set(n, len(rows), kill, k, rows.__getitem__)
             assert found == _least_hitting_set(n, rows, zero, k)
-
-
-def _permuted_arena(rng, t):
-    """t with node i moved to a random place p[i] of its arena, links and
-    root following."""
-    p = list(range(len(t.nodes)))
-    rng.shuffle(p)
-    nodes = [None] * len(p)
-    for i, node in enumerate(t.nodes):
-        if isinstance(node, x.Split):
-            node = x.Split(node.feature, p[node.lo], p[node.hi])
-        nodes[p[i]] = node
-    return x.DecisionTree(t.universe, tuple(nodes), p[t.root], t.order)
 
 
 def _least_hitting_set(n, rows, zero, k):

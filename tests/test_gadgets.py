@@ -12,11 +12,14 @@ from hypothesis import given, settings, strategies as st
 import xplain as x
 from xplain import gadgets, truth
 from xplain.cli import main
+from xplain.core import graft_dt, is_normalized
 from xplain.gadgets import global_budget_search_dt
 
 from generators import (
     random_coloured_graph,
     random_dnf,
+    random_dt,
+    random_ensemble,
     random_hitting_set,
     random_model,
     random_universe,
@@ -25,6 +28,31 @@ from generators import (
 
 def _one_set(e: x.Example) -> frozenset:
     return frozenset(f for f, b in enumerate(e.bits) if b)
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_every_tree_builder_emits_normal_form(seed):
+    # normal form is what normalize_dt keeps: no copy is made of a built tree
+    rng = Random(seed)
+    u = random_universe(rng, rng.randint(1, 6))
+    domain = [f for f in range(len(u)) if rng.random() < 0.7]
+    rows = [x.PartialExample(u, p) for p in {
+        tuple((f, rng.randint(0, 1)) for f in domain) for _ in range(rng.randint(0, 4))
+    }]
+    order = list(range(len(u)))
+    rng.shuffle(order)
+    elements, sets = random_hitting_set(rng, rng.randint(1, 6), rng.randint(1, 4))
+    g = random_coloured_graph(rng, rng.randint(3, 5), rng.randint(2, 3))
+    trees = [
+        graft_dt([random_dt(rng, u, max_depth=5) for _ in range(rng.choice((1, 3)))]),
+        x.product_dt(random_ensemble(rng, u, "dt", 3)),
+        x.odt_from_examples(u, rows, order),
+        x.mcc_odt_gaxp_gadget(g, g.k).model,
+        x.hitting_set_gadget(elements, sets, 1, "set-odt").model,
+    ]
+    for t in trees:
+        assert is_normalized(t) and x.normalize_dt(t) is t
 
 
 class TestOdtFromExamples:
