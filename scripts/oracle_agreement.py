@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
 """Random-model agreement sweep: algorithmic minima vs the exhaustive oracle.
 
-For every sampled model the minimum-contrastive algorithms (tree leaf scan,
-bounded branching, subset enumeration) are compared with the brute-force
-oracle: the branching witness must be the oracle's witness exactly, the leaf
-scan's must have its size, and enumeration must find one when they do.  The
-subset-minimal outputs are re-checked by single-removal verification: on
-rule models the greedy ``laxp``, on every model the greedy ``gaxp`` and
-``gcxp`` of both classes, and on trees every other kind too, where an answer
-of None must mean that the oracle finds no explanation either.  On rule
-models and their ensembles the hitting-set search ``card_xp_search`` must
-return the oracle's witness for ``laxp``, and for ``gaxp`` and ``gcxp`` of
-both classes.  Any disagreement aborts with the offending instance printed.
+Six families are sampled: trees (``dt``), decision sets and lists, their
+ensembles (``ens``), tree ensembles (``dtens``, answered on their
+``product_dt`` tree as the CLI answers them) and circuits made by
+``translate`` from any of the others (``circuit``).  For every sampled model
+the minimum-contrastive algorithms (tree leaf scan, bounded branching,
+subset enumeration) are compared with the brute-force oracle: the branching
+and, on circuits, the enumeration witness must be the oracle's witness
+exactly, the leaf scan's must have its size, and enumeration must find one
+when they do.  The subset-minimal outputs are re-checked by
+single-removal verification: on rule models the greedy ``laxp``, on every
+model the greedy ``gaxp`` and ``gcxp`` of both classes, and on trees and
+tree ensembles every other kind too, where an answer of None must mean that
+the oracle finds no explanation either.  On every family but trees the
+hitting-set search ``card_xp_search`` must return the oracle's witness for
+``laxp``, and for ``gaxp`` and ``gcxp`` of both classes.  Any disagreement
+aborts with the offending instance printed.
 
     python3 scripts/oracle_agreement.py --models 200 --max-features 10
 """
@@ -34,6 +39,7 @@ from generators import (
     random_dt,
     random_ensemble,
     random_example,
+    random_model,
     random_universe,
 )
 
@@ -76,9 +82,20 @@ def sweep_family(cfg: SweepConfig, family: str) -> dict:
         u = random_universe(rng, rng.randint(cfg.min_features, cfg.max_features))
         e = random_example(rng, u)
         n = len(u)
+        tree = None  # the tree form that the tree routes answer on
         if family == "dt":
-            model = random_dt(rng, u)
+            model = tree = random_dt(rng, u)
             found = x.lcxp_min(model, e)
+        elif family == "dtens":
+            model = random_ensemble(rng, u, "dt", 3)
+            tree = x.product_dt(model)
+            found = x.lcxp_min(tree, e)
+        elif family == "circuit":
+            source = (random_ensemble(rng, u, rng.choice(["dt", "ds", "dl"]), 3)
+                      if rng.random() < 0.3 else
+                      random_model(rng, u, rng.choice(["dt", "ds", "dl"])))
+            model = x.translate(source, rng.randint(0, 1))[0]
+            found = x.lcxp_card_enum(model, e, n)
         elif family == "ds":
             model = random_ds(rng, u)
             found = x.lcxp_card_branch(model, e, n)
@@ -91,10 +108,10 @@ def sweep_family(cfg: SweepConfig, family: str) -> dict:
             found = x.lcxp_card_branch_ens(model, e, n, branch_stats)
             stats["branch_nodes"] += sum(c for _, c in branch_stats.per_target)
         expected = x.oracle_min(model, "lcxp", e)
-        if family == "dt":  # the leaf scan's witness is a minimum, not the first
+        if tree is not None:  # the leaf scan's witness is a minimum, not the first
             agrees = (found is None) == (expected is None) and (
                 found is None or len(found) == expected[0])
-        else:  # the branching search's witness is the oracle's exactly
+        else:  # the branching and enumeration witnesses are the oracle's exactly
             agrees = found == (None if expected is None else expected[1])
         if not agrees:
             print(f"DISAGREEMENT in {family} #{index}: {found} vs {expected}")
@@ -116,7 +133,7 @@ def sweep_family(cfg: SweepConfig, family: str) -> dict:
                           f"{witness} vs {least}")
                     print(model)
                     raise SystemExit(1)
-        subset_answers = (tree_subset_answers(model, e) if family == "dt"
+        subset_answers = (tree_subset_answers(tree, e) if tree is not None
                           else global_subset_answers(model))
         for kind, target, answer in subset_answers:
             if answer is None:
@@ -141,7 +158,7 @@ def main() -> int:
     cfg = SweepConfig(models=args.models, max_features=args.max_features,
                       seed=args.seed)
     print(f"{'family':<10} {'models':>7} {'witnesses':>10} {'seconds':>8}")
-    for family in ("dt", "ds", "dl", "ens"):
+    for family in ("dt", "ds", "dl", "ens", "dtens", "circuit"):
         stats = sweep_family(cfg, family)
         print(
             f"{family:<10} {stats['models']:>7} {stats['with_witness']:>10}"

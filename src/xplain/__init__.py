@@ -71,12 +71,9 @@ from .gadgets import (
     taut_ds_gadget,
 )
 from .verify import (
-    ExplanationQuery,
     first_flip,
     flip,
-    global_query,
     hom_check,
-    local_query,
     oracle_min,
     oracle_subset_min_check,
     phom_check,

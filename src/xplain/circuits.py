@@ -392,7 +392,12 @@ def circuit_from_json(payload: Mapping[str, Any], u: FeatureUniverse) -> Circuit
         raise ModelError("duplicate gate ids")
     feature_of = {}
     for name, gid in payload["inputs"].items():
-        feature_of[int(gid)] = u.index(name)
+        gid = int(gid)
+        if gid not in raw or raw[gid]["kind"] != IN:
+            raise ModelError(f"input {name!r} names gate {gid}, which is no IN gate")
+        if gid in feature_of:
+            raise ModelError(f"IN gate {gid} is named twice in the inputs map")
+        feature_of[gid] = u.index(name)
     # topological order over the original ids, then dense renumbering
     pending = {gid: list(map(int, g.get("in", ()))) for gid, g in raw.items()}
     for gid, ins in pending.items():

@@ -71,10 +71,7 @@ from .modelio import (
     load_partial_example_file,
 )
 from .verify import (
-    ExplanationQuery,
-    global_query,
     hom_check,
-    local_query,
     oracle_min,
     phom_check,
     verify,
@@ -116,18 +113,9 @@ def _cmd_params(args, caps) -> tuple[int, dict]:
 
 def _cmd_verify(args, caps) -> tuple[int, dict]:
     model = load_model_file(args.model)
-    if args.kind in ("laxp", "lcxp"):
-        if args.example is None:
-            raise ModelError(f"--kind {args.kind} needs --example")
-        e = load_example_file(args.example, model.universe)
-        features = load_feature_set_file(args.candidate, model.universe)
-        q: ExplanationQuery = local_query(args.kind, e, features)
-    else:
-        if args.cls is None:
-            raise ModelError(f"--kind {args.kind} needs --class")
-        tau = load_partial_example_file(args.candidate, model.universe)
-        q = global_query(args.kind, args.cls, tau)
-    ok = verify(model, q, caps)
+    target = _load_target(args, model)
+    load = load_feature_set_file if args.kind in ("laxp", "lcxp") else load_partial_example_file
+    ok = verify(model, args.kind, target, load(args.candidate, model.universe), caps)
     return (EXIT_OK if ok else EXIT_FALSE), {"result": ok}
 
 
@@ -144,13 +132,6 @@ def _explain_subset(model, kind, target, args, caps):
     # a minimum-cardinality explanation is inclusion-minimal; --k is no
     # budget here
     return _explain_card(model, kind, target, len(model.universe), args, caps)
-
-
-def _nonnegative(k: Optional[int]) -> Optional[int]:
-    """``--k`` as given; a negative budget is refused on every route."""
-    if k is not None and k < 0:
-        raise ModelError("k must be nonnegative")
-    return k
 
 
 def _explain_card(model, kind, target, k, args, caps):
@@ -175,8 +156,9 @@ def _cmd_explain(args, caps) -> tuple[int, dict]:
     if args.min == "subset":
         witness = _explain_subset(model, args.kind, target, args, caps)
     else:
-        k = _nonnegative(args.k)
-        k = len(model.universe) if k is None else k
+        k = len(model.universe) if args.k is None else args.k
+        if k < 0:  # the tree route's leaf scan takes no budget to refuse it
+            raise ModelError("k must be nonnegative")
         witness = _explain_card(model, args.kind, target, k, args, caps)
     payload = _witness_payload(witness, model)
     return (EXIT_OK if witness is not None else EXIT_NONE), payload
@@ -208,8 +190,7 @@ def _cmd_translate(args, caps) -> tuple[int, dict]:
 
 def _cmd_hom(args, caps) -> tuple[int, dict]:
     model = load_model_file(args.model)
-    k = _nonnegative(args.k)
-    result = hom_check(model, caps) if k is None else phom_check(model, k, caps)
+    result = hom_check(model, caps) if args.k is None else phom_check(model, args.k, caps)
     return (EXIT_OK if result else EXIT_FALSE), {"result": result}
 
 

@@ -755,6 +755,8 @@ def normalize_dt(t: DecisionTree) -> DecisionTree:
     flag, any other tree its normal-form copy, so each tree is checked and
     copied at most once however many queries ask about it.
     """
+    if not isinstance(t, DecisionTree):
+        raise ModelError("expected a decision tree")
     memo = t._normal
     if memo is True:
         return t

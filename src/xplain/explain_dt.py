@@ -59,7 +59,6 @@ from .core import (
     Leaf,
     ModelError,
     PartialExample,
-    _model_universe,
     classify,
     feature_column,
     graft_dt,
@@ -67,7 +66,7 @@ from .core import (
     normalize_dt,
     subcube_table,
 )
-from .verify import first_flip
+from .verify import GLOBAL_KINDS, _request, first_flip
 
 CardWitness = Union[frozenset, PartialExample, None]
 
@@ -106,8 +105,7 @@ def laxp_subset_min(t: DecisionTree, e: Example) -> frozenset:
     """Inclusion-minimal local abductive explanation: the greedy shrink of
     the full feature set, which always verifies.  A feature set verifies when
     e's literals on it conflict every leaf of the other class."""
-    if not isinstance(e, Example):
-        raise ModelError("local kinds take an example as target")
+    _request(t, "laxp", e)
     t = normalize_dt(t)
     _, kill, _ = _literal_columns(t, 1 - classify(t, e))
     n = len(t.universe)
@@ -123,9 +121,7 @@ def _leaf_seeded_shrink(
     with the first such leaf path in depth-first order, which verifies when
     it conflicts every leaf of the other class; any other model with its
     least such example, by ``_least_implicant``."""
-    if c not in (0, 1):
-        raise ModelError("global kinds take a class bit as target")
-    u = _model_universe(model)
+    u = _request(model, kind, c, GLOBAL_KINDS)
     n = len(u)
     want = c if kind == "gaxp" else 1 - c
     t = _tree_form(model)
@@ -167,6 +163,7 @@ def _conflict_masks(t: DecisionTree, e: Example) -> list[int]:
 def lcxp_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
     """Cardinality-minimum local contrastive explanation, or None on constant
     trees.  Ties break towards the earlier leaf in depth-first order."""
+    _request(t, "lcxp", e)
     t = normalize_dt(t)
     best = min(_conflict_masks(t, e), key=int.bit_count, default=None)
     return None if best is None else mask_features(best, len(t.universe))
@@ -175,6 +172,7 @@ def lcxp_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
 def lcxp_subset_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
     """A conflict set that is inclusion-minimal among all conflict sets (the
     first such in depth-first leaf order)."""
+    _request(t, "lcxp", e)
     t = normalize_dt(t)
     masks = _conflict_masks(t, e)
     # a set with a strict subset has an inclusion-minimal one, and ascending
@@ -417,15 +415,9 @@ def card_xp_search(
     examples (a parity circuit needs 2**(n-1) + 1 rounds for ``gaxp``).
     Each round's table is under ``caps.verify`` as well.
     """
-    if kind not in ("laxp", "gaxp", "gcxp"):
-        raise ModelError(f"card_xp_search does not handle {kind!r}")
+    u = _request(model, kind, target, ("laxp", *GLOBAL_KINDS))
     if k < 0:
         raise ModelError("k must be nonnegative")
-    u = _model_universe(model)
-    if kind == "laxp" and not (isinstance(target, Example) and target.universe == u):
-        raise ModelError("laxp takes an example over the model's universe as target")
-    if kind != "laxp" and target not in (0, 1):
-        raise ModelError("global kinds take a class bit as target")
     n = len(u)
     t = _tree_form(model)
     next_row = None

@@ -50,7 +50,7 @@ from .core import (
     ModelError,
     mask_features,
 )
-from .verify import first_flip, shrink
+from .verify import _request, first_flip, shrink
 
 RuleModel = Union[DecisionSet, DecisionList]
 
@@ -193,6 +193,7 @@ def lcxp_card_branch(
     """Cardinality-minimum local contrastive explanation of size <= k for a
     decision list (or set, converted first), or None: the branching search
     on a vote of one."""
+    _request(model, "lcxp", e)
     if not isinstance(model, (DecisionSet, DecisionList)):
         raise ModelError("expected a decision set or decision list")
     return _branch_search([(model.as_dl(), 1)], e, k, stats)
@@ -205,7 +206,8 @@ def lcxp_card_branch_ens(
     stats: Optional[BranchStats] = None,
 ) -> Optional[frozenset]:
     """Branching search over a majority ensemble of decision sets or lists."""
-    if ens.family not in ("ds", "dl"):
+    _request(ens, "lcxp", e)
+    if not isinstance(ens, Ensemble) or ens.family not in ("ds", "dl"):
         raise ModelError("ensemble branching needs decision sets or lists")
     ballots = [(m.as_dl(), votes) for m, votes in ens._ballots]
     return _branch_search(ballots, e, k, stats)
@@ -217,8 +219,6 @@ def lcxp_card_enum(
     """Minimum local contrastive explanation of size <= k for a model of any
     family: the first flip set that changes e's class, smallest first
     (``verify.first_flip``, under its cap)."""
-    if k < 0:
-        raise ModelError("k must be nonnegative")
     return first_flip(model, e, k, caps, "lcxp enum")
 
 
@@ -228,4 +228,5 @@ def laxp_rules_subset_min(
     """Inclusion-minimal local abductive explanation via the enumeration
     verifier (desk scale only; the cap applies): ``shrink`` from the full
     set."""
-    return shrink(model, "laxp", e, frozenset(range(len(model.universe))), caps)
+    n = len(_request(model, "laxp", e))
+    return shrink(model, "laxp", e, frozenset(range(n)), caps)

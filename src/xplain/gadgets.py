@@ -51,9 +51,9 @@ from .core import (
 from .explain_dt import card_xp_search, product_dt
 from .explain_rules import lcxp_card_enum
 from .verify import (
-    global_query,
+    GLOBAL_KINDS,
+    _request,
     hom_check,
-    local_query,
     oracle_min,
     phom_check,
     restrict_dt,
@@ -172,8 +172,7 @@ def global_budget_search_dt(
     """Smallest global explanation of size <= k on a tree, or None: the
     global kinds of ``explain_dt.card_xp_search`` (a hitting-set search over
     leaf paths, exponential in k only)."""
-    if kind not in ("gaxp", "gcxp"):
-        raise ModelError("budget search handles the global kinds")
+    _request(t, kind, c, GLOBAL_KINDS)
     return card_xp_search(t, kind, c, k)
 
 
@@ -720,10 +719,10 @@ def hom_equivalence_suite(model, caps: BruteCaps = DEFAULT_CAPS) -> HomEquivalen
     lcxp_least = oracle_min(model, "lcxp", zero, caps)
     statements = (
         not hom_check(model, caps),
-        verify(model, local_query("laxp", zero, empty_set), caps),
+        verify(model, "laxp", zero, empty_set, caps),
         lcxp_least is None,
-        verify(model, global_query("gaxp", c, empty_tau), caps),
-        verify(model, global_query("gcxp", 1 - c, empty_tau), caps),
+        verify(model, "gaxp", c, empty_tau, caps),
+        verify(model, "gcxp", 1 - c, empty_tau, caps),
         _translation_is(model, c, 1),
         lcxp_card_enum(model, zero, n, caps) is None,
         _leaves_are(model, c),

@@ -9,16 +9,25 @@ The four explanation kinds, for a model M:
 * ``gaxp``: partial example forcing every agreeing example to class c.
 * ``gcxp``: partial example forcing every agreeing example to a class != c.
 
-``verify`` answers "is this candidate an explanation?".  Decision trees get a
-polynomial fast path: ``_reachable_has_label`` walks the part of the tree
-that the query's fixed features leave reachable, path-consistently, so the
-tree need not be normalized.  Every other model is checked exactly by
-``verify_by_enumeration``: one ``core.subcube_table`` call tabulates the
-completions of the features the query fixes, and one integer compare against
-0 or all-ones gives the answer.  ``hom_check`` is the same kernel over a
-model's flip domain: a circuit's IN-wired features, every feature of any
-other model.  All of them refuse to run above the configured free-feature
-cap.
+Every explanation entry of the package takes the model and then the
+request's parts: ``(model, kind, target[, candidate | k], caps)``, the
+target being an example for the local kinds and a class bit for the global
+ones.  ``_request`` is the one check that the request fits the model, and
+raises ``ModelError`` when it does not; ``_fixed`` checks the candidate: a
+set of the universe's features for a local kind, a partial example over
+the universe for a global one.
+
+``verify(model, kind, target, candidate)`` answers "is this candidate an
+explanation?".  Decision trees get a polynomial fast path:
+``_reachable_has_label`` walks the part of the tree that the request's
+fixed features leave reachable, path-consistently, so the tree need not be
+normalized.  Every other model is checked exactly by
+``verify_by_enumeration``, which takes the same arguments: one
+``core.subcube_table`` call tabulates the completions of the features the
+request fixes, and one integer compare against 0 or all-ones gives the
+answer.  ``hom_check`` is the same kernel over a model's flip domain: a
+circuit's IN-wired features, every feature of any other model.  All of them
+refuse to run above the configured free-feature cap.
 
 Two searches serve every model family:
 
@@ -37,15 +46,16 @@ cardinality, so witnesses are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import combinations
 from math import comb
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .config import DEFAULT_CAPS, BruteCaps, CapExceeded, require_cap
 from .core import (
     DecisionTree,
     Example,
+    FeatureUniverse,
     Leaf,
     ModelError,
     PartialExample,
@@ -72,47 +82,40 @@ def flip(e: Example, features: Iterable[int]) -> Example:
     return Example(e.universe, tuple(bits))
 
 
-@dataclass(frozen=True)
-class ExplanationQuery:
-    kind: str
-    target: Union[Example, int]
-    candidate: Candidate
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ModelError(f"unknown explanation kind {self.kind!r}")
-        if self.kind in LOCAL_KINDS:
-            if not isinstance(self.target, Example):
-                raise ModelError("local kinds take an example as target")
-            if isinstance(self.candidate, PartialExample):
-                raise ModelError("local kinds take a feature set candidate")
-            object.__setattr__(self, "candidate", frozenset(self.candidate))
-            n = len(self.target.universe)
-            if any(not 0 <= f < n for f in self.candidate):
-                raise ModelError("candidate feature outside universe")
-        else:
-            if self.target not in (0, 1):
-                raise ModelError("global kinds take a class bit as target")
-            if not isinstance(self.candidate, PartialExample):
-                raise ModelError("global kinds take a partial example candidate")
+def _request(model, kind: str, target, kinds: tuple = KINDS) -> FeatureUniverse:
+    """The model's universe, once the request fits the model: a model of one
+    of the five families, a kind among ``kinds``, and for a local kind an
+    example over the model's universe, for a global kind a class bit.  The
+    one target check of every explanation entry; ModelError otherwise."""
+    u = _model_universe(model)
+    if kind not in kinds:
+        raise ModelError(f"explanation kind {kind!r} is not one of {', '.join(kinds)}")
+    if kind in LOCAL_KINDS:
+        if not (isinstance(target, Example) and target.universe == u):
+            raise ModelError("local kinds take an example over the model's universe")
+    elif target not in (0, 1):
+        raise ModelError("global kinds take a class bit as target")
+    return u
 
 
-def local_query(kind: str, e: Example, features: Iterable[int]) -> ExplanationQuery:
-    return ExplanationQuery(kind, e, frozenset(int(f) for f in features))
-
-
-def global_query(kind: str, c: int, tau: PartialExample) -> ExplanationQuery:
-    return ExplanationQuery(kind, int(c), tau)
-
-
-def _fixed(q: ExplanationQuery) -> dict[int, int]:
-    """The features a query fixes, with their bits: e on the ``laxp``
-    candidate, e off the ``lcxp`` candidate, tau for the global kinds."""
-    if q.kind == "laxp":
-        return {f: q.target.bits[f] for f in q.candidate}
-    if q.kind == "lcxp":
-        return {f: b for f, b in enumerate(q.target.bits) if f not in q.candidate}
-    return q.candidate.as_dict()
+def _fixed(u: FeatureUniverse, kind: str, target, candidate: Candidate) -> dict[int, int]:
+    """The features a request fixes, with their bits: e on the ``laxp``
+    candidate, e off the ``lcxp`` candidate, tau for the global kinds.  A
+    local candidate must be features of the universe u, a global one a
+    partial example over u; ModelError otherwise."""
+    if kind in LOCAL_KINDS:
+        if isinstance(candidate, PartialExample) or not isinstance(candidate, Iterable):
+            raise ModelError("local kinds take a feature set as candidate")
+        features = frozenset(candidate)
+        n = len(u)
+        if not all(isinstance(f, int) and 0 <= f < n for f in features):
+            raise ModelError("candidate feature outside the universe")
+        if kind == "laxp":
+            return {f: target.bits[f] for f in features}
+        return {f: b for f, b in enumerate(target.bits) if f not in features}
+    if not (isinstance(candidate, PartialExample) and candidate.universe == u):
+        raise ModelError("global kinds take a partial example over the universe as candidate")
+    return candidate.as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +161,15 @@ def _reachable_has_label(t: DecisionTree, assigned: dict, label: int) -> bool:
     return False
 
 
-def _verify_dt(t: DecisionTree, q: ExplanationQuery) -> bool:
+def _verify_dt(t: DecisionTree, kind: str, target, fixed: dict) -> bool:
     """``lcxp`` holds iff a leaf of the other class than e's is reachable;
     the other kinds iff no leaf of the class they exclude is."""
-    if q.kind in LOCAL_KINDS:
-        other = 1 - classify(t, q.target)
+    if kind in LOCAL_KINDS:
+        other = 1 - classify(t, target)
     else:
-        other = 1 - q.target if q.kind == "gaxp" else q.target
-    reachable = _reachable_has_label(t, _fixed(q), other)
-    return reachable if q.kind == "lcxp" else not reachable
+        other = 1 - target if kind == "gaxp" else target
+    reachable = _reachable_has_label(t, fixed, other)
+    return reachable if kind == "lcxp" else not reachable
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +181,9 @@ def _bit(table: int, mask: int) -> int:
     return (table >> mask) & 1
 
 
-def verify_by_enumeration(model, q: ExplanationQuery, caps: BruteCaps = DEFAULT_CAPS) -> bool:
+def verify_by_enumeration(
+    model, kind: str, target, candidate: Candidate, caps: BruteCaps = DEFAULT_CAPS
+) -> bool:
     """The definition, checked over all relevant completions at once.
 
     Each kind fixes some features and leaves the others free; one
@@ -194,28 +199,30 @@ def verify_by_enumeration(model, q: ExplanationQuery, caps: BruteCaps = DEFAULT_
 
     The cap counts the free features.
     """
-    fixed = _fixed(q)
-    free = [f for f in range(len(_model_universe(model))) if f not in fixed]
-    require_cap(len(free), caps.verify, f"verify {q.kind}")
+    u = _request(model, kind, target)
+    fixed = _fixed(u, kind, target, candidate)
+    free = [f for f in range(len(u)) if f not in fixed]
+    require_cap(len(free), caps.verify, f"verify {kind}")
     table = subcube_table(model, fixed, free)
     full = (1 << (1 << len(free))) - 1
-    if q.kind == "laxp":
+    if kind == "laxp":
         return table in (0, full)
-    if q.kind == "lcxp":
+    if kind == "lcxp":
         return table not in (0, full)
-    want = q.target if q.kind == "gaxp" else 1 - q.target
+    want = target if kind == "gaxp" else 1 - target
     return table == (full if want else 0)
 
 
-def verify(model, q: ExplanationQuery, caps: BruteCaps = DEFAULT_CAPS) -> bool:
-    """Is the candidate an explanation?  Trees use the restriction fast path,
-    every other model the subcube table of ``verify_by_enumeration``."""
-    u = _model_universe(model)
-    if q.kind in LOCAL_KINDS and q.target.universe != u:
-        raise ModelError("target example universe differs from model universe")
+def verify(
+    model, kind: str, target, candidate: Candidate, caps: BruteCaps = DEFAULT_CAPS
+) -> bool:
+    """Is the candidate an explanation of the given kind for the target?
+    Trees use the restriction fast path, every other model the subcube
+    table of ``verify_by_enumeration``."""
+    u = _request(model, kind, target)
     if isinstance(model, DecisionTree):
-        return _verify_dt(model, q)
-    return verify_by_enumeration(model, q, caps)
+        return _verify_dt(model, kind, target, _fixed(u, kind, target, candidate))
+    return verify_by_enumeration(model, kind, target, candidate, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +237,13 @@ def shrink(
     features in ascending order, dropping each one whose removal still
     verifies.  Every kind is monotone under supersets, so what is kept can
     never be dropped later, and the result is deterministic."""
+    _fixed(_request(model, kind, target), kind, target, candidate)
     local = kind in LOCAL_KINDS
-    query = local_query if local else global_query
+    if local:
+        candidate = frozenset(candidate)
     for f in sorted(candidate) if local else candidate.domain:
         smaller = candidate - {f} if local else candidate.restricted_off(f)
-        if verify(model, query(kind, target, smaller), caps):
+        if verify(model, kind, target, smaller, caps):
             candidate = smaller
     return candidate
 
@@ -251,9 +260,7 @@ def oracle_min(
     cardinality (lexicographic within one), for global kinds additionally all
     assignments of the chosen subset.  Returns (size, witness) or None when
     no explanation exists."""
-    if kind not in KINDS:
-        raise ModelError(f"unknown explanation kind {kind!r}")
-    u = _model_universe(model)
+    u = _request(model, kind, target)
     n = len(u)
     local = kind in LOCAL_KINDS
     require_cap(n, caps.oracle_local if local else caps.oracle_global, f"oracle {kind}")
@@ -322,13 +329,12 @@ def oracle_subset_min_check(
     model, kind: str, target, candidate: Candidate, caps: BruteCaps = DEFAULT_CAPS
 ) -> bool:
     """True iff the candidate verifies and no single-element removal does."""
-    local = kind in LOCAL_KINDS
-    query = local_query if local else global_query
-    if not verify(model, query(kind, target, candidate), caps):
+    if not verify(model, kind, target, candidate, caps):
         return False
+    local = kind in LOCAL_KINDS
     for f in sorted(candidate) if local else candidate.domain:
         smaller = frozenset(candidate) - {f} if local else candidate.restricted_off(f)
-        if verify(model, query(kind, target, smaller), caps):
+        if verify(model, kind, target, smaller, caps):
             return False
     return True
 
@@ -369,7 +375,11 @@ def first_flip(
     and then lexicographically, or None.  Up to ``caps.verify`` features it
     is the highest position of least weight set in the flip table XOR e's
     class.  Above the cap each flipped example is classified, if the flip
-    sets to try number at most 2**caps.verify."""
+    sets to try number at most 2**caps.verify.  ModelError when e is no
+    example over the model's universe or k is negative."""
+    _request(model, "lcxp", e)
+    if k < 0:
+        raise ModelError("k must be nonnegative")
     held = set(fixed)
     domain = [f for f in _flip_domain(model) if f not in held]
     d = len(domain)
@@ -403,7 +413,7 @@ def first_flip(
 
 def phom_check(model, k: int, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """Is some example with at most k ones classified differently from the
-    all-zero example?"""
+    all-zero example?  k must be nonnegative (``first_flip``)."""
     u = _model_universe(model)
     zero = Example(u, (0,) * len(u))
     return first_flip(model, zero, k, caps, "phom") is not None

@@ -60,7 +60,7 @@ def test_criterion_1_worked_example(fig_dl, fig_example):
         good = []
         for size in (0, 1, 2):
             for subset in combinations(range(3), size):
-                if x.verify(fig_dl, x.local_query("laxp", fig_example, subset)):
+                if x.verify(fig_dl, "laxp", fig_example, subset):
                     good.append(frozenset(subset))
         assert good == [frozenset({1, 2})]
         # {y} and {z} are subset-minimal contrastive explanations

@@ -242,7 +242,7 @@ class TestGlobalCheck:
 
     @staticmethod
     def _global(circ, tau, value: int) -> bool:
-        return x.verify(circ, x.global_query("gaxp", value, tau))
+        return x.verify(circ, "gaxp", value, tau)
 
     def test_constant_circuit(self):
         u = x.universe("a")
@@ -273,9 +273,7 @@ class TestGlobalCheck:
             u,
             tuple((f, rng.randint(0, 1)) for f in range(len(u)) if rng.random() < 0.4),
         )
-        assert self._global(circ, tau, 1) == x.verify(
-            t, x.global_query("gaxp", c, tau)
-        )
+        assert self._global(circ, tau, 1) == x.verify(t, "gaxp", c, tau)
 
 
 class TestHomChecks:
@@ -345,6 +343,25 @@ class TestJson:
             ],
             "output": 0,
             "inputs": {},
+        }
+        with pytest.raises(x.ModelError):
+            circuit_from_json(doc, u)
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [{"a": 0, "b": 1}, {"a": 0, "b": 7}, {"a": 0, "b": 0}],
+        ids=["not-an-in-gate", "unknown-gate", "one-gate-two-names"],
+    )
+    def test_malformed_inputs_map_rejected(self, inputs):
+        """Each name of the inputs map names its own IN gate of the document."""
+        u = x.universe("a", "b")
+        doc = {
+            "gates": [
+                {"id": 0, "kind": "IN"},
+                {"id": 1, "kind": "AND", "in": [0]},
+            ],
+            "output": 1,
+            "inputs": inputs,
         }
         with pytest.raises(x.ModelError):
             circuit_from_json(doc, u)

@@ -1,16 +1,30 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import xplain as x
 from xplain import cli
 from xplain.cli import main
-from xplain.modelio import dump_model, load_model, load_model_file
+from xplain.explain_dt import _tree_form
+from xplain.modelio import dump_model, load_example_file, load_model, load_model_file
 
-from generators import wide_set_doc
+from generators import (
+    random_circuit,
+    random_ensemble,
+    random_example,
+    random_hitting_set,
+    random_model,
+    random_universe,
+    wide_set_doc,
+)
 
 FIG_DOC = {
     "universe": ["x", "y", "z"],
@@ -479,13 +493,11 @@ def test_rule_explanations_above_the_oracle_cap(kind, minimum, target, capsys,
     assert code == 0
     if target is None:
         goal, witness = e, frozenset(u.index(name) for name in payload["witness"])
-        query = x.local_query(kind, e, witness)
     else:
         goal = int(target)
         witness = x.PartialExample(
             u, tuple((u.index(name), b) for name, b in payload["witness"].items()))
-        query = x.global_query(kind, goal, witness)
-    assert x.verify(model, query)
+    assert x.verify(model, kind, goal, witness)
     assert x.oracle_subset_min_check(model, kind, goal, witness)
 
 
@@ -777,3 +789,115 @@ def test_env_cap_override(files, capsys, monkeypatch, tmp_path):
     code = main(["--quiet", "verify", "--model", model, "--kind", "laxp",
                  "--example", example, "--candidate", str(candidate)])
     assert code == 1  # within the cap: a definite "not an explanation"
+
+
+_WRONG_VALUES = (5, 1.5, True, "x", None, [], {})
+
+
+def _corrupt(rng: Random, doc) -> None:
+    """Replace one value of doc, at any depth, by one of another type."""
+    slots = []
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                stack.append(value)
+    if slots:
+        node, key = rng.choice(slots)
+        node[key] = rng.choice([v for v in _WRONG_VALUES if type(v) is not type(node[key])])
+
+
+def _random_documents(rng: Random) -> dict:
+    """A model of one of the five families over 0 to 9 features, dumped, with
+    an example, a feature set and a partial example over its universe, and a
+    hitting-set gadget input."""
+    u = random_universe(rng, rng.randint(0, 9))
+    family = rng.choice(["dt", "ds", "dl", "ens", "circuit"][: 5 if len(u) else 4])
+    if family == "ens":
+        model = random_ensemble(rng, u, rng.choice(["dt", "ds", "dl"]))
+    elif family == "circuit" and rng.random() < 0.5:
+        model = random_circuit(rng, u)
+    elif family == "circuit":
+        source = random_model(rng, u, rng.choice(["dt", "ds", "dl"]))
+        model = x.translate(source, rng.randint(0, 1))[0]
+    else:
+        model = random_model(rng, u, family)
+    e = random_example(rng, u)
+    inside = [f for f in range(len(u)) if rng.random() < 0.5]
+    elements, sets = random_hitting_set(rng, rng.randint(1, 4), rng.randint(1, 3))
+    return {
+        "model": dump_model(model),
+        "example": {"assign": dict(zip(u.names, e.bits))},
+        "features": {"features": [u.names[f] for f in inside]},
+        "partial": {"assign": {u.names[f]: e.bits[f] for f in inside}},
+        "gadget": {"universe": elements, "sets": [sorted(s) for s in sets], "k": 1},
+    }
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_every_subcommand_keeps_the_exit_code_contract(seed):
+    """Every subcommand, on random documents of every family of which some
+    carry one wrongly typed value, exits 0, 1, 2 or 3, never with an
+    unexpected error, and prints nothing on exit 2.  ``explain --min card``
+    answers as ``oracle`` does (``lcxp`` on a tree form by size only), and
+    every ``--min subset`` witness is subset-minimal."""
+    rng = Random(seed)
+    docs = _random_documents(rng)
+    if rng.random() < 0.4:
+        _corrupt(rng, docs[rng.choice(list(docs))])
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w") as fh:
+                json.dump(doc, fh)
+
+        def call(*argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--quiet", *argv])
+            assert code in (0, 1, 2, 3), argv
+            assert "unexpected" not in err.getvalue(), (argv, err.getvalue())
+            assert code != 2 or out.getvalue() == "", argv
+            return code, json.loads(out.getvalue()) if out.getvalue() else None
+
+        model = ["--model", paths["model"]]
+        example = ["--example", paths["example"]]
+        call("classify", *model, *example)
+        call("params", *model)
+        call("translate", *model, "--class", str(rng.randint(0, 1)),
+             "--out", os.path.join(tmp, "circuit.json"))
+        call("hom", *model)
+        call("hom", *model, "--k", str(rng.randint(-1, 9)))
+        call("hom-suite", *model)
+        call("gen-gadget", "--kind", "hitting-set", "--in", paths["gadget"],
+             "--out", os.path.join(tmp, "gadget.json"))
+        for kind in ("laxp", "lcxp", "gaxp", "gcxp"):
+            local = kind in ("laxp", "lcxp")
+            target = example if local else ["--class", str(rng.randint(0, 1))]
+            request = [*model, "--kind", kind, *target]
+            call("verify", *request, "--candidate",
+                 paths["features" if local else "partial"])
+            oracle = call("oracle", *request)
+            card = call("explain", *request, "--min", "card")
+            subset = call("explain", *request, "--min", "subset")
+            if oracle[0] == 2 or card[0] == 2:
+                continue
+            loaded = load_model_file(paths["model"])
+            if kind == "lcxp" and _tree_form(loaded) is not None:
+                assert card[1]["size"] == oracle[1]["size"]
+            else:
+                assert card == oracle
+            if subset[0] == 0:
+                u = loaded.universe
+                if local:
+                    goal = load_example_file(paths["example"], u)
+                    witness = frozenset(u.index(name) for name in subset[1]["witness"])
+                else:
+                    goal = int(target[1])
+                    witness = x.PartialExample.from_dict(
+                        u, {u.index(name): b for name, b in subset[1]["witness"].items()})
+                assert x.oracle_subset_min_check(loaded, kind, goal, witness)

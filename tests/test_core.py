@@ -242,10 +242,8 @@ _ENTRIES = {
     "truth_table": x.truth_table,
     "subcube_table": lambda m: x.subcube_table(m, {0: 1}, [1]),
     "measure": x.measure,
-    "verify": lambda m: x.verify(m, x.local_query("laxp", _E2, {0})),
-    "verify_by_enumeration": lambda m: x.verify_by_enumeration(
-        m, x.local_query("laxp", _E2, {0})
-    ),
+    "verify": lambda m: x.verify(m, "laxp", _E2, {0}),
+    "verify_by_enumeration": lambda m: x.verify_by_enumeration(m, "laxp", _E2, {0}),
     "oracle_min": lambda m: x.oracle_min(m, "laxp", _E2),
     "hom_check": x.hom_check,
     "phom_check": lambda m: x.phom_check(m, 1),
@@ -268,6 +266,14 @@ _ENTRIES = {
             lambda m: x.lcxp_card_branch(m, _E2, 1),
             x.translate(_TREE2, 1)[0],
             id="branch-circuit",
+        ),
+        pytest.param(
+            lambda m: x.lcxp_card_branch_ens(m, _E2, 1), _TREE2, id="branch-ens-tree"
+        ),
+        *(
+            pytest.param(lambda m, f=f: f(m, _E2), x.DecisionSet(_U2, (), 0), id=f"{name}-set")
+            for name, f in (("laxp_subset_min", x.laxp_subset_min), ("lcxp_min", x.lcxp_min),
+                            ("lcxp_subset_min", x.lcxp_subset_min))
         ),
     ],
 )

@@ -138,7 +138,7 @@ class TestLcxpMin:
             assert found is None
         else:
             assert found is not None and len(found) == expected[0]
-            assert x.verify(t, x.local_query("lcxp", e, found))
+            assert x.verify(t, "lcxp", e, found)
 
     def test_size_matches_oracle_at_twelve_features(self):
         rng = Random(1212)
@@ -324,7 +324,7 @@ class TestCardSearchAllFamilies:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert x.verify(model, x.global_query("gaxp", 1, found))
+        assert x.verify(model, "gaxp", 1, found)
         assert peak <= 64 * 2**20
 
     def test_parity_is_answered_within_the_oracle_cap(self):

@@ -65,7 +65,7 @@ class TestBranch:
             assert found is None
         else:
             assert found is not None and len(found) == expected[0]
-            assert x.verify(model, x.local_query("lcxp", e, found))
+            assert x.verify(model, "lcxp", e, found)
 
     def test_twelve_features_match(self):
         rng = Random(4242)
@@ -103,7 +103,7 @@ class TestBranch:
             dl = random_dl(rng, u)
             e = random_example(rng, u)
             candidate = frozenset(f for f in range(len(u)) if rng.random() < 0.5)
-            if not x.verify(dl, x.local_query("lcxp", e, candidate)):
+            if not x.verify(dl, "lcxp", e, candidate):
                 continue
             cls = x.classify(dl, e)
             hit = False

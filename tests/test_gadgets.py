@@ -357,7 +357,7 @@ def test_budget_search_agrees_with_oracle(seed):
         expected = x.oracle_min(t, kind, c)
         assert (got is not None) == (expected is not None and expected[0] <= k)
         if got is not None:
-            assert x.verify(t, x.global_query(kind, c, got))
+            assert x.verify(t, kind, c, got)
 
 
 class TestMccOdt:
@@ -368,7 +368,7 @@ class TestMccOdt:
         # the smallest class-0 global abductive explanation has size 2
         two = global_budget_search_dt(inst.model, "gaxp", 0, 2)
         assert two is not None and len(two.assignments) == 2
-        assert x.verify(inst.model, x.global_query("gaxp", 0, two))
+        assert x.verify(inst.model, "gaxp", 0, two)
         assert global_budget_search_dt(inst.model, "gaxp", 0, 1) is None
         assert x.respects_order(inst.model, range(len(inst.model.universe)))
 

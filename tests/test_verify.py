@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from math import comb
 from random import Random
@@ -81,7 +82,7 @@ class TestRestrict:
 
 class TestVerify:
     def test_fig_laxp(self, fig_dl, fig_example):
-        assert x.verify(fig_dl, x.local_query("laxp", fig_example, {1, 2}))
+        assert x.verify(fig_dl, "laxp", fig_example, {1, 2})
 
     def test_full_feature_set_is_always_abductive(self):
         rng = Random(3)
@@ -89,14 +90,14 @@ class TestVerify:
         for family in ("dt", "ds", "dl"):
             m = random_model(rng, u, family)
             e = random_example(rng, u)
-            assert x.verify(m, x.local_query("laxp", e, range(len(u))))
+            assert x.verify(m, "laxp", e, range(len(u)))
 
     def test_fig_global_candidates(self, fig_dl):
         u = fig_dl.universe
         tau1 = x.PartialExample(u, ((0, 1), (1, 1)))
         tau2 = x.PartialExample(u, ((0, 0), (2, 0)))
-        assert x.verify(fig_dl, x.global_query("gaxp", 0, tau1))
-        assert x.verify(fig_dl, x.global_query("gcxp", 0, tau2))
+        assert x.verify(fig_dl, "gaxp", 0, tau1)
+        assert x.verify(fig_dl, "gcxp", 0, tau2)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -107,13 +108,11 @@ class TestVerify:
         e = random_example(rng, u)
         subset = frozenset(f for f in range(len(u)) if rng.random() < 0.5)
         for kind in ("laxp", "lcxp"):
-            q = x.local_query(kind, e, subset)
-            assert x.verify(t, q) == x.verify_by_enumeration(t, q)
+            assert x.verify(t, kind, e, subset) == x.verify_by_enumeration(t, kind, e, subset)
         tau = x.PartialExample(u, tuple((f, rng.randint(0, 1)) for f in subset))
         c = rng.randint(0, 1)
         for kind in ("gaxp", "gcxp"):
-            q = x.global_query(kind, c, tau)
-            assert x.verify(t, q) == x.verify_by_enumeration(t, q)
+            assert x.verify(t, kind, c, tau) == x.verify_by_enumeration(t, kind, c, tau)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -125,8 +124,8 @@ class TestVerify:
         subset = frozenset(f for f in range(len(u)) if rng.random() < 0.4)
         extra = frozenset(f for f in range(len(u)) if rng.random() < 0.4)
         for kind in ("laxp", "lcxp"):
-            if x.verify(m, x.local_query(kind, e, subset)):
-                assert x.verify(m, x.local_query(kind, e, subset | extra))
+            if x.verify(m, kind, e, subset):
+                assert x.verify(m, kind, e, subset | extra)
 
     def test_lcxp_verification_matches_oracle_existence(self):
         rng = Random(11)
@@ -135,7 +134,7 @@ class TestVerify:
             m = random_model(rng, u, rng.choice(["dt", "ds", "dl"]))
             e = random_example(rng, u)
             exists = x.oracle_min(m, "lcxp", e) is not None
-            assert x.verify(m, x.local_query("lcxp", e, range(len(u)))) == exists
+            assert x.verify(m, "lcxp", e, range(len(u))) == exists
 
     def test_lcxp_existence_at_twelve_features(self):
         rng = Random(12)
@@ -144,7 +143,7 @@ class TestVerify:
             m = random_model(rng, u, family)
             e = random_example(rng, u)
             exists = x.oracle_min(m, "lcxp", e) is not None
-            assert x.verify(m, x.local_query("lcxp", e, range(12))) == exists
+            assert x.verify(m, "lcxp", e, range(12)) == exists
 
 
 class TestOracle:
@@ -213,7 +212,7 @@ class TestCaps:
         m = random_dl(rng, u)
         tiny = BruteCaps(verify=3, oracle_local=3, oracle_global=3)
         with pytest.raises(CapExceeded):
-            x.verify(m, x.local_query("laxp", random_example(rng, u), set()), tiny)
+            x.verify(m, "laxp", random_example(rng, u), set(), tiny)
 
     def test_oracle_cap(self):
         rng = Random(9)
@@ -297,8 +296,7 @@ def test_enumeration_verifier_matches_brute_force(seed):
     c = rng.randint(0, 1)
     for kind, target, candidate in (("laxp", e, features), ("lcxp", e, features),
                                     ("gaxp", c, tau), ("gcxp", c, tau)):
-        q = x.ExplanationQuery(kind, target, candidate)
-        assert x.verify_by_enumeration(model, q) == _brute_verify(
+        assert x.verify_by_enumeration(model, kind, target, candidate) == _brute_verify(
             model, kind, target, candidate
         ), (kind, model)
 
@@ -356,3 +354,85 @@ def test_flip_engine_matches_classify(seed):
                      lambda: x.phom_check(m, k, small)):
             with pytest.raises(CapExceeded):
                 call()
+
+
+# ---------------------------------------------------------------------------
+# requests that do not fit the model
+# ---------------------------------------------------------------------------
+
+_U = x.universe("a", "b")
+_E = x.Example(_U, (0, 1))
+_TAU = x.PartialExample(_U, ((0, 1),))
+_TREE = x.DecisionTree(_U, (x.Split(0, 1, 2), x.Leaf(0), x.Leaf(1)))
+_SET = x.DecisionSet(_U, (((0, 1),),), 0)
+_SET_ENSEMBLE = x.Ensemble(_U, (_SET,) * 3)
+_U3 = x.universe("a", "b", "c")
+_BAD_LOCAL_TARGETS = {  # id -> a target no local kind takes on a model over _U
+    "int": 1, "none": None, "partial": _TAU, "foreign": x.Example(_U3, (0, 1, 1))}
+_BAD_GLOBAL_TARGETS = {"two": 2, "minus-one": -1, "none": None, "example": _E}
+_BAD_LOCAL_CANDIDATES = {"partial": _TAU, "outside": {2}, "negative": {-1}, "int": 0}
+_BAD_GLOBAL_CANDIDATES = {"foreign": x.PartialExample(_U3, ((2, 1),)), "set": {0}}
+
+
+def _misfits():
+    """(id, call) per entry and request that does not fit the model."""
+    local, bad_local = ("laxp", "lcxp"), _BAD_LOCAL_TARGETS.items()
+    bad_global = _BAD_GLOBAL_TARGETS.items()
+    for label, m in (("tree", _TREE), ("set", _SET)):
+        for f in (x.verify, x.verify_by_enumeration, x.shrink, x.oracle_subset_min_check):
+            name = f"{f.__name__}-{label}"
+            yield f"{name}-kind", partial(f, m, "xaxp", _E, {0})
+            for kind in local:
+                for bad, target in bad_local:
+                    yield f"{name}-{kind}-target-{bad}", partial(f, m, kind, target, {0})
+                for bad, cand in _BAD_LOCAL_CANDIDATES.items():
+                    yield f"{name}-{kind}-candidate-{bad}", partial(f, m, kind, _E, cand)
+            for kind in ("gaxp", "gcxp"):
+                for bad, target in bad_global:
+                    yield f"{name}-{kind}-target-{bad}", partial(f, m, kind, target, _TAU)
+                for bad, cand in _BAD_GLOBAL_CANDIDATES.items():
+                    yield f"{name}-{kind}-candidate-{bad}", partial(f, m, kind, 1, cand)
+        for f, rest, kinds in ((x.oracle_min, (), local), (x.card_xp_search, (1,), ("laxp",))):
+            name = f"{f.__name__}-{label}"
+            yield f"{name}-kind", partial(f, m, "xaxp", _E, *rest)
+            for kind in kinds:
+                for bad, target in bad_local:
+                    yield f"{name}-{kind}-target-{bad}", partial(f, m, kind, target, *rest)
+            for kind in ("gaxp", "gcxp"):
+                for bad, target in bad_global:
+                    yield f"{name}-{kind}-target-{bad}", partial(f, m, kind, target, *rest)
+        yield f"card_xp_search-{label}-lcxp", partial(x.card_xp_search, m, "lcxp", _E, 1)
+        yield f"card_xp_search-{label}-k", partial(x.card_xp_search, m, "gaxp", 1, -1)
+        for f in (x.gaxp_subset_min, x.gcxp_subset_min):
+            for bad, target in bad_global:
+                yield f"{f.__name__}-{label}-target-{bad}", partial(f, m, target)
+        for f in (x.lcxp_card_enum, x.first_flip):
+            for bad, target in bad_local:
+                yield f"{f.__name__}-{label}-target-{bad}", partial(f, m, target, 1)
+            yield f"{f.__name__}-{label}-k", partial(f, m, _E, -1)
+        yield f"phom_check-{label}-k", partial(x.phom_check, m, -1)
+    for bad, target in bad_local:
+        for f in (x.laxp_subset_min, x.lcxp_min, x.lcxp_subset_min):
+            yield f"{f.__name__}-target-{bad}", partial(f, _TREE, target)
+        yield f"laxp_rules_subset_min-target-{bad}", partial(
+            x.laxp_rules_subset_min, _SET, target)
+        yield f"lcxp_card_branch-target-{bad}", partial(x.lcxp_card_branch, _SET, target, 1)
+        yield f"lcxp_card_branch_ens-target-{bad}", partial(
+            x.lcxp_card_branch_ens, _SET_ENSEMBLE, target, 1)
+    yield "lcxp_card_branch-k", partial(x.lcxp_card_branch, _SET, _E, -1)
+    yield "lcxp_card_branch_ens-k", partial(x.lcxp_card_branch_ens, _SET_ENSEMBLE, _E, -1)
+    budget_search = x.gadgets.global_budget_search_dt
+    for bad, target in bad_global:
+        yield f"global_budget_search_dt-target-{bad}", partial(
+            budget_search, _TREE, "gaxp", target, 1)
+    yield "global_budget_search_dt-laxp", partial(budget_search, _TREE, "laxp", _E, 1)
+
+
+@pytest.mark.parametrize("call", [pytest.param(c, id=i) for i, c in _misfits()])
+def test_request_that_does_not_fit_is_refused(call):
+    """Every explanation entry refuses, with ModelError, a request that does
+    not fit the model: an unknown kind, a local target that is no example
+    over the model's universe, a global target outside {0, 1}, a candidate
+    that is not the kind's over that universe, or a negative budget."""
+    with pytest.raises(x.ModelError):
+        call()
