@@ -12,9 +12,11 @@ Each voter is wired by its family's case, into one shared arena (input and
 per-feature NOT gates are shared):
 
 * a tree contributes one AND gate per leaf on its smaller class side (the
-  gate recognizes the leaf's path, read as a mask off ``_leaf_paths``) plus
-  an OR collector; when c is the other side's class, a complementing NOT is
-  appended.
+  gate recognizes the leaf's path, read as a mask off ``core._leaf_paths``)
+  plus an OR collector; when c is the other side's class, a complementing
+  NOT is appended.  The walk is path-consistent, so a raw tree is wired
+  straight from its arena: it yields the leaves, paths and order of the
+  tree's normal form, and no normalized copy is built.
 * a list (a set as its list) is cut into maximal same-class rule blocks; a
   block fires when one of its rule terms applies, and the class-c blocks
   are guarded by the negations of all earlier other-class blocks.
@@ -49,11 +51,10 @@ from .core import (
     FeatureUniverse,
     ModelError,
     ParamReport,
+    _leaf_paths,
     counter_ge,
-    normalize_dt,
     truth_table,
 )
-from .explain_dt import _leaf_paths
 from .verify import hom_check
 
 IN, AND, OR, NOT, MAJ = "IN", "AND", "OR", "NOT", "MAJ"
@@ -181,10 +182,10 @@ class WidthCertificate:
     formula: str  # which translation's bound formula applies
 
 
-def circuit_table(circuit: Circuit, n: int) -> int:
-    """Truth table of the output over all 2**n universe assignments (n is
-    the universe size)."""
-    return truth_table(circuit, n)
+def circuit_table(circuit: Circuit) -> int:
+    """Truth table of the output over all 2**n assignments of the n
+    universe features (``core.truth_table``)."""
+    return truth_table(circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +237,7 @@ def _dt_into(builder: _Builder, t: DecisionTree, c: int) -> tuple[int, list[int]
     """Wire one tree into the builder; returns (output gate, deletion gates,
     the bound's exponent: the tree's smaller-side leaf count)."""
     sides: tuple[list, list] = ([], [])  # (mask, value) of each leaf, by label
-    for label, mask, value in _leaf_paths(normalize_dt(t)):
+    for label, mask, value in _leaf_paths(t):
         sides[label].append((mask, value))
     mnl_side = 0 if len(sides[0]) <= len(sides[1]) else 1
     mnl = len(sides[mnl_side])

@@ -45,17 +45,22 @@ flipped on m.  Verification by enumeration and the homogeneity check are each
 one call of this kernel and one integer compare; the flip searches add the
 ``weight_planes`` of the positions; the oracle reads single table bits.
 
-Trees are rebuilt by one path-consistent walk, ``graft_dt``: ``normalize_dt``,
-``verify.restrict_dt`` and ``explain_dt.product_dt`` are each one call of it.
-Its output is the one normal form of a tree: no path tests a feature twice,
-and the arena is in post-order (0-subtree, 1-subtree, split; root last), so
-the tree engines read a normalized tree in one forward pass over its nodes.
+Trees are rebuilt by ``graft_dt`` and read by ``_leaf_paths``, two
+path-consistent walks: at a split on a feature the path already assigns,
+each follows the consistent child.  ``normalize_dt``, ``verify.restrict_dt``
+and ``explain_dt.product_dt`` are each one call of ``graft_dt``.  Its output
+is the one normal form of a tree: no path tests a feature twice, and the
+arena is in post-order (0-subtree, 1-subtree, split; root last), so the tree
+engines read a normalized tree in one forward pass over its nodes.
+``_leaf_paths`` yields the leaves that a seed assignment leaves reachable,
+with their paths; on a raw tree it yields its normal form's leaves, paths
+and order, so a reader need not normalize first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
 class ModelError(ValueError):
@@ -629,14 +634,10 @@ class _Columns(dict):
         return col
 
 
-def truth_table(model, n: Optional[int] = None) -> int:
-    """Classes of all 2**n examples at once, packed into one integer."""
-    u = _model_universe(model)
-    if n is None:
-        n = len(u)
-    if n != len(u):
-        raise ModelError("truth table width differs from universe size")
-    return subcube_table(model, {}, range(n))
+def truth_table(model) -> int:
+    """Classes of all 2**n examples of the model's n features at once,
+    packed into one integer."""
+    return subcube_table(model, {}, range(len(_model_universe(model))))
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +741,33 @@ def graft_dt(
     out = DecisionTree(trees[0].universe, tuple(nodes), built.pop(), order)
     object.__setattr__(out, "_normal", True)
     return out
+
+
+def _leaf_paths(
+    t: DecisionTree, seed: Collection[tuple[int, int]] = ()
+) -> Iterator[tuple[int, int, int]]:
+    """(label, mask, value) for every leaf of t reachable from the
+    ``(feature, bit)`` pairs of ``seed``, depth-first and 0-child first.
+
+    mask holds the features that the seed and the leaf's path assign, value
+    their bits.  At a split on a feature already in mask the walk follows
+    the consistent child, as ``graft_dt`` does, so a raw tree yields the
+    leaves, masks and order of its normal form and needs no normalizing.
+    """
+    nodes = t.nodes
+    stack = [(t.root, sum(1 << f for f, _ in seed), sum(b << f for f, b in seed))]
+    while stack:
+        i, mask, value = stack.pop()
+        node = nodes[i]
+        while not isinstance(node, Leaf):
+            bit = 1 << node.feature
+            if mask & bit:
+                node = nodes[node.hi if value & bit else node.lo]
+                continue
+            mask |= bit
+            stack.append((node.hi, mask, value | bit))
+            node = nodes[node.lo]
+        yield node.label, mask, value
 
 
 def normalize_dt(t: DecisionTree) -> DecisionTree:

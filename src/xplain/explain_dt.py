@@ -6,11 +6,12 @@ tests a feature twice, the arena in post-order: see ``core.normalize_dt``);
 inputs are normalized on entry, callers keep their raw trees.  Every kind
 is a covering problem over leaf paths (Ignatiev et al., "From Contrastive to
 Abductive Explanations and Back Again", 2020), answered from at most two
-integer walks of the tree per call: ``_leaf_paths`` yields each leaf's path
-as a mask of tested features and a value of their bits,
-``_literal_columns`` gives every literal its column, the bitmask of the
-leaves of one class whose path it conflicts, in one forward pass over the
-arena.  Nothing is kept on the tree between calls.
+integer walks of the tree per call: ``core._leaf_paths``, the seeded leaf
+walk that also verifies trees, yields each leaf's path as a mask of tested
+features and a value of their bits; ``_literal_columns`` gives every
+literal its column, the bitmask of the leaves of one class whose path it
+conflicts, in one forward pass over the arena.  Nothing is kept on the tree
+between calls.
 
 * greedy subset-minimal explanations: a candidate verifies exactly when the
   OR of its literal columns covers every leaf of the class it excludes, so
@@ -49,7 +50,7 @@ arena.  Nothing is kept on the tree between calls.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .config import DEFAULT_CAPS, BruteCaps, CapExceeded, require_cap
 from .core import (
@@ -59,6 +60,7 @@ from .core import (
     Leaf,
     ModelError,
     PartialExample,
+    _leaf_paths,
     classify,
     feature_column,
     graft_dt,
@@ -69,24 +71,6 @@ from .core import (
 from .verify import GLOBAL_KINDS, _request, first_flip
 
 CardWitness = Union[frozenset, PartialExample, None]
-
-
-def _leaf_paths(t: DecisionTree) -> Iterator[tuple[int, int, int]]:
-    """(label, path mask, path value) per leaf, depth-first and 0-child
-    first: the mask holds the features the leaf's path tests, the value their
-    bits on the path."""
-    nodes = t.nodes
-    stack = [(t.root, 0, 0)]
-    while stack:
-        i, mask, value = stack.pop()
-        node = nodes[i]
-        if isinstance(node, Leaf):
-            yield node.label, mask, value
-            continue
-        bit = 1 << node.feature
-        mask |= bit
-        stack.append((node.hi, mask, value | bit))
-        stack.append((node.lo, mask, value))
 
 
 def _tree_form(model) -> Optional[DecisionTree]:
@@ -415,9 +399,7 @@ def card_xp_search(
     examples (a parity circuit needs 2**(n-1) + 1 rounds for ``gaxp``).
     Each round's table is under ``caps.verify`` as well.
     """
-    u = _request(model, kind, target, ("laxp", *GLOBAL_KINDS))
-    if k < 0:
-        raise ModelError("k must be nonnegative")
+    u = _request(model, kind, target, ("laxp", *GLOBAL_KINDS), k=k)
     n = len(u)
     t = _tree_form(model)
     next_row = None

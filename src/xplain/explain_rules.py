@@ -107,8 +107,6 @@ def _branch_search(
     reach a majority of opposite-class votes, or whose seed exceeds k, and
     search the smallest flip routing e to all chosen rules at once.  A term
     is a (mask, value) pair that fires on x when ``x & mask == value``."""
-    if k < 0:
-        raise ModelError("k must be nonnegative")
     a = max(len(t) for dl, _ in ballots for t, _ in dl.rules)
     if stats is None:
         stats = BranchStats()
@@ -193,7 +191,7 @@ def lcxp_card_branch(
     """Cardinality-minimum local contrastive explanation of size <= k for a
     decision list (or set, converted first), or None: the branching search
     on a vote of one."""
-    _request(model, "lcxp", e)
+    _request(model, "lcxp", e, k=k)
     if not isinstance(model, (DecisionSet, DecisionList)):
         raise ModelError("expected a decision set or decision list")
     return _branch_search([(model.as_dl(), 1)], e, k, stats)
@@ -206,7 +204,7 @@ def lcxp_card_branch_ens(
     stats: Optional[BranchStats] = None,
 ) -> Optional[frozenset]:
     """Branching search over a majority ensemble of decision sets or lists."""
-    _request(ens, "lcxp", e)
+    _request(ens, "lcxp", e, k=k)
     if not isinstance(ens, Ensemble) or ens.family not in ("ds", "dl"):
         raise ModelError("ensemble branching needs decision sets or lists")
     ballots = [(m.as_dl(), votes) for m, votes in ens._ballots]

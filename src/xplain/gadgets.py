@@ -478,7 +478,10 @@ def mcc_unary_ensemble_gadget(
     )
 
 
-def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int, max_k: int = 10) -> GadgetInstance:
+MCC_ODT_MAX_K = 10  # most colour classes: the scaffold has 2**k copies
+
+
+def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
     """Single ordered tree whose class-0 global abductive explanations of
     size at most k correspond to k-cliques.
 
@@ -504,8 +507,8 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int, max_k: int = 10) -> GadgetInst
         raise ModelError("k must equal the number of colour classes")
     if k < 2:
         raise ModelError("the construction needs at least two colour classes")
-    if k > max_k:
-        raise ModelError(f"k={k} exceeds the auxiliary-feature ceiling {max_k}")
+    if k > MCC_ODT_MAX_K:
+        raise ModelError(f"k={k} exceeds the auxiliary-feature ceiling {MCC_ODT_MAX_K}")
     block_count = k * (k - 1) // 2 + k
     depth_low = math.ceil(math.log2(block_count))
     copies = 1 << k
@@ -701,7 +704,7 @@ def _translation_is(model, c: int, value: int) -> bool:
         circuit, value = model, value if c == 1 else 1 - value
     else:
         circuit, _ = translate(model, c)
-    return circuit_table(circuit, n) == ((1 << (1 << n)) - 1 if value else 0)
+    return circuit_table(circuit) == ((1 << (1 << n)) - 1 if value else 0)
 
 
 def hom_equivalence_suite(model, caps: BruteCaps = DEFAULT_CAPS) -> HomEquivalenceReport:

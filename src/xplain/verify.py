@@ -12,15 +12,15 @@ The four explanation kinds, for a model M:
 Every explanation entry of the package takes the model and then the
 request's parts: ``(model, kind, target[, candidate | k], caps)``, the
 target being an example for the local kinds and a class bit for the global
-ones.  ``_request`` is the one check that the request fits the model, and
-raises ``ModelError`` when it does not; ``_fixed`` checks the candidate: a
-set of the universe's features for a local kind, a partial example over
-the universe for a global one.
+ones.  ``_request`` is the one check that the request fits the model, the
+budget ``k`` of a search included, and raises ``ModelError`` when it does
+not; ``_fixed`` checks the candidate: a set of the universe's features for
+a local kind, a partial example over the universe for a global one.
 
 ``verify(model, kind, target, candidate)`` answers "is this candidate an
-explanation?".  Decision trees get a polynomial fast path:
-``_reachable_has_label`` walks the part of the tree that the request's
-fixed features leave reachable, path-consistently, so the tree need not be
+explanation?".  Decision trees get a polynomial fast path: the seeded
+leaf walk ``core._leaf_paths`` reads the leaves that the request's fixed
+features leave reachable, path-consistently, so the tree need not be
 normalized.  Every other model is checked exactly by
 ``verify_by_enumeration``, which takes the same arguments: one
 ``core.subcube_table`` call tabulates the completions of the features the
@@ -56,9 +56,9 @@ from .core import (
     DecisionTree,
     Example,
     FeatureUniverse,
-    Leaf,
     ModelError,
     PartialExample,
+    _leaf_paths,
     _model_universe,
     classify,
     graft_dt,
@@ -82,11 +82,15 @@ def flip(e: Example, features: Iterable[int]) -> Example:
     return Example(e.universe, tuple(bits))
 
 
-def _request(model, kind: str, target, kinds: tuple = KINDS) -> FeatureUniverse:
+def _request(
+    model, kind: str, target, kinds: tuple = KINDS, *, k: int = 0
+) -> FeatureUniverse:
     """The model's universe, once the request fits the model: a model of one
-    of the five families, a kind among ``kinds``, and for a local kind an
-    example over the model's universe, for a global kind a class bit.  The
-    one target check of every explanation entry; ModelError otherwise."""
+    of the five families, a kind among ``kinds``, for a local kind an
+    example over the model's universe, for a global kind a class bit, and a
+    budget ``k`` that is a nonnegative int (an entry that takes no budget
+    leaves it at 0).  The one request check of every explanation entry;
+    ModelError otherwise."""
     u = _model_universe(model)
     if kind not in kinds:
         raise ModelError(f"explanation kind {kind!r} is not one of {', '.join(kinds)}")
@@ -95,6 +99,10 @@ def _request(model, kind: str, target, kinds: tuple = KINDS) -> FeatureUniverse:
             raise ModelError("local kinds take an example over the model's universe")
     elif target not in (0, 1):
         raise ModelError("global kinds take a class bit as target")
+    if type(k) is not int:
+        raise ModelError(f"k must be an int, got {k!r}")
+    if k < 0:
+        raise ModelError("k must be nonnegative")
     return u
 
 
@@ -133,42 +141,15 @@ def restrict_dt(t: DecisionTree, tau: PartialExample) -> DecisionTree:
     return graft_dt([t], tau.assignments)
 
 
-def _reachable_has_label(t: DecisionTree, assigned: dict, label: int) -> bool:
-    """Is some leaf of the restriction of t to `assigned` labelled `label`?
-
-    Same predicate as inspecting restrict_dt(t, assigned), computed without
-    materializing the restricted tree.  Each path carries the features it
-    assigns as a mask and their bits as a value, so a feature tested twice
-    follows the consistent child and t need not be normalized.
-    """
-    mask = sum(1 << f for f in assigned)
-    value = sum(b << f for f, b in assigned.items())
-    stack = [(t.root, mask, value)]
-    while stack:
-        i, mask, value = stack.pop()
-        node = t.nodes[i]
-        if isinstance(node, Leaf):
-            if node.label == label:
-                return True
-            continue
-        bit = 1 << node.feature
-        if mask & bit:
-            stack.append((node.hi if value & bit else node.lo, mask, value))
-        else:
-            mask |= bit
-            stack.append((node.lo, mask, value))
-            stack.append((node.hi, mask, value | bit))
-    return False
-
-
 def _verify_dt(t: DecisionTree, kind: str, target, fixed: dict) -> bool:
-    """``lcxp`` holds iff a leaf of the other class than e's is reachable;
-    the other kinds iff no leaf of the class they exclude is."""
+    """``lcxp`` holds iff a leaf of the other class than e's is reachable
+    from the fixed features (``core._leaf_paths`` seeded with them); the
+    other kinds iff no leaf of the class they exclude is."""
     if kind in LOCAL_KINDS:
         other = 1 - classify(t, target)
     else:
         other = 1 - target if kind == "gaxp" else target
-    reachable = _reachable_has_label(t, fixed, other)
+    reachable = any(label == other for label, _, _ in _leaf_paths(t, fixed.items()))
     return reachable if kind == "lcxp" else not reachable
 
 
@@ -376,10 +357,8 @@ def first_flip(
     is the highest position of least weight set in the flip table XOR e's
     class.  Above the cap each flipped example is classified, if the flip
     sets to try number at most 2**caps.verify.  ModelError when e is no
-    example over the model's universe or k is negative."""
-    _request(model, "lcxp", e)
-    if k < 0:
-        raise ModelError("k must be nonnegative")
+    example over the model's universe or k is no nonnegative int."""
+    _request(model, "lcxp", e, k=k)
     held = set(fixed)
     domain = [f for f in _flip_domain(model) if f not in held]
     d = len(domain)
@@ -413,7 +392,7 @@ def first_flip(
 
 def phom_check(model, k: int, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """Is some example with at most k ones classified differently from the
-    all-zero example?  k must be nonnegative (``first_flip``)."""
+    all-zero example?  k must be a nonnegative int (``first_flip``)."""
     u = _model_universe(model)
     zero = Example(u, (0,) * len(u))
     return first_flip(model, zero, k, caps, "phom") is not None

@@ -38,7 +38,7 @@ def random_dt(
 def leaf_assignments(t: x.DecisionTree) -> list[tuple[int, dict[int, int]]]:
     """(leaf node index, path assignment) in depth-first, 0-child-first order:
     the tests' reference form of the leaf paths, which ``xplain`` itself reads
-    as masks off ``explain_dt._leaf_paths``."""
+    as masks off ``core._leaf_paths``."""
     out: list[tuple[int, dict[int, int]]] = []
     path: list[tuple[int, int]] = []  # (feature, bit) from the root down
     stack: list[tuple[int, int, tuple[int, int] | None]] = [(t.root, 0, None)]

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 import xplain as x
 from xplain.circuits import circuit_from_json, circuit_table, circuit_to_json
 from xplain.core import feature_column
+from xplain.modelio import dump_model
 
 from generators import (
     leaf_assignments,
+    permuted_arena,
     random_circuit,
     random_dl,
     random_ds,
@@ -25,7 +27,7 @@ from generators import (
 def _sound(model, c, circuit) -> bool:
     n = len(model.universe)
     mtable = x.truth_table(model)
-    ctable = circuit_table(circuit, n)
+    ctable = circuit_table(circuit)
     full = (1 << (1 << n)) - 1
     want = mtable if c == 1 else (full ^ mtable)
     return ctable == want
@@ -59,7 +61,7 @@ class TestEval:
         rng = Random(seed)
         u = random_universe(rng, rng.randint(1, 5))
         circ = random_circuit(rng, u)
-        table = circuit_table(circ, len(u))
+        table = circuit_table(circ)
         for mask in range(1 << len(u)):
             assert (table >> mask) & 1 == x.classify(
                 circ, x.Example.from_mask(u, mask)
@@ -70,7 +72,7 @@ class TestTreeTranslation:
     def test_constant_zero_tree_for_class_zero_is_constantly_true(self):
         u = x.universe("a")
         circ, cert = x.translate(x.leaf_tree(u, 0), 0)
-        assert circuit_table(circ, 1) == 0b11
+        assert circuit_table(circ) == 0b11
         assert cert.deletion == frozenset()
         assert cert.bound == 3
 
@@ -78,7 +80,7 @@ class TestTreeTranslation:
         u = x.universe("a", "b")
         t = x.DecisionTree(u, (x.Split(0, 1, 2), x.Leaf(0), x.Leaf(1)))
         circ, _ = x.translate(t, 1)
-        assert circuit_table(circ, 2) == feature_column(0, 2)
+        assert circuit_table(circ) == feature_column(0, 2)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -138,6 +140,21 @@ class TestTreeTranslation:
             assert cert.bound == 3 * 2**mnl_sum
             assert cert.formula == ("dt-ensemble" if size else "dt")
 
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 6), depth=st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_raw_tree_translates_like_its_normal_form(self, seed, n, depth):
+        """A raw tree (tests may repeat on a path, the arena in any order) is
+        wired straight from its arena: its circuit and certificate are those
+        of its normal form, for both classes."""
+        rng = Random(seed)
+        raw = random_dt(rng, random_universe(rng, n), max_depth=depth)
+        for t in (raw, permuted_arena(rng, raw)):
+            for c in (0, 1):
+                circ, cert = x.translate(t, c)
+                want_circ, want_cert = x.translate(x.normalize_dt(t), c)
+                assert dump_model(circ) == dump_model(want_circ)
+                assert cert == want_cert
+
     def test_circuits_and_empty_universes_are_refused(self):
         u = x.universe("a")
         circ = x.Circuit(u, (x.Gate("IN", feature=0), x.Gate("NOT", (0,))), 1)
@@ -159,7 +176,7 @@ class TestListTranslation:
         u = x.universe("a")
         dl = x.DecisionList(u, (((), 1),))
         circ, _ = x.translate(dl, 1)
-        assert circuit_table(circ, 1) == 0b11
+        assert circuit_table(circ) == 0b11
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -181,7 +198,7 @@ class TestEnsembleTranslation:
         t = random_dt(rng, u)
         single, _ = x.translate(t, 1)
         wrapped, _ = x.translate(x.Ensemble(u, (t,)), 1)
-        assert circuit_table(wrapped, 4) == circuit_table(single, 4)
+        assert circuit_table(wrapped) == circuit_table(single)
         assert wrapped.maj_count == 1
 
     def test_singleton_list_ensemble_wrapping(self):
@@ -190,7 +207,7 @@ class TestEnsembleTranslation:
         dl = random_dl(rng, u)
         single, _ = x.translate(dl, 1)
         wrapped, _ = x.translate(x.Ensemble(u, (dl,)), 1)
-        assert circuit_table(wrapped, 4) == circuit_table(single, 4)
+        assert circuit_table(wrapped) == circuit_table(single)
         assert wrapped.maj_count == 1
 
     def test_identical_trees_match_single(self):
@@ -199,7 +216,7 @@ class TestEnsembleTranslation:
         t = random_dt(rng, u)
         triple, _ = x.translate(x.Ensemble(u, (t, t, t)), 0)
         single, _ = x.translate(t, 0)
-        assert circuit_table(triple, 4) == circuit_table(single, 4)
+        assert circuit_table(triple) == circuit_table(single)
 
     def test_majority_threshold_formula(self):
         rng = Random(7)
@@ -233,7 +250,7 @@ def test_both_classes_translate_to_complements(seed):
     zero, _ = x.translate(model, 0)
     one, _ = x.translate(model, 1)
     full = (1 << (1 << len(u))) - 1
-    assert circuit_table(zero, len(u)) == full ^ circuit_table(one, len(u))
+    assert circuit_table(zero) == full ^ circuit_table(one)
 
 
 class TestGlobalCheck:
@@ -319,7 +336,7 @@ class TestJson:
         u = random_universe(rng, rng.randint(1, 5))
         circ = random_circuit(rng, u)
         back = circuit_from_json(circuit_to_json(circ), u)
-        assert circuit_table(back, len(u)) == circuit_table(circ, len(u))
+        assert circuit_table(back) == circuit_table(circ)
 
     def test_sparse_ids_are_renumbered(self):
         u = x.universe("a")

@@ -9,13 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import xplain as x
-from xplain.core import counter_ge, feature_column, is_normalized, weight_planes
+from xplain.core import (
+    _leaf_paths,
+    counter_ge,
+    feature_column,
+    is_normalized,
+    weight_planes,
+)
 
 from xplain.modelio import dump_model
 
 from generators import (
     constant_model,
     in_normal_form,
+    leaf_assignments,
     moved_arena,
     permuted_arena,
     random_any_model,
@@ -163,6 +170,32 @@ def test_is_normalized_matches_the_reference(seed, n, depth):
             arenas.append(moved_arena(t, p))
         for arena in arenas:
             assert is_normalized(arena) == in_normal_form(arena)
+
+
+@given(seed=st.integers(0, 100_000), n=st.integers(1, 6), depth=st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_seeded_leaf_walk_reads_the_restricted_tree(seed, n, depth):
+    # random raw trees (tests may repeat on a path) in their own arena and
+    # shuffled, against random seeds tau: the walk seeded with tau yields,
+    # in order, the leaves of the restriction to tau with their paths plus
+    # tau, and the unseeded walk of a raw tree is that of its normal form
+    rng = Random(seed)
+    u = random_universe(rng, n)
+    raw = random_dt(rng, u, max_depth=depth)
+    for t in (raw, permuted_arena(rng, raw)):
+        features = rng.sample(range(n), rng.randint(0, n))
+        tau = x.PartialExample(u, tuple((f, rng.randint(0, 1)) for f in features))
+        restricted = x.restrict_dt(t, tau)
+        want = []
+        for i, path in leaf_assignments(restricted):
+            path.update(tau.assignments)
+            want.append((
+                restricted.nodes[i].label,
+                sum(1 << f for f in path),
+                sum(b << f for f, b in path.items()),
+            ))
+        assert list(_leaf_paths(t, tau.assignments)) == want
+        assert list(_leaf_paths(t)) == list(_leaf_paths(x.normalize_dt(t)))
 
 
 class TestRespectsOrder:

@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import xplain as x
 from xplain.config import CapExceeded
-from xplain.core import graft_dt, is_normalized
+from xplain.core import _leaf_paths, graft_dt, is_normalized
 from xplain.explain_dt import (
-    _leaf_paths,
     _literal_columns,
     _min_literal_hitting_set,
     _row_literals,

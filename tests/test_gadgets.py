@@ -386,9 +386,10 @@ class TestMccOdt:
         assert inst.meta["aux_features"] == (2**3 - 1) + 2**3 * (2**3 - 1)
 
     def test_k_ceiling(self):
-        g = x.ColouredGraph((("a",), ("b",), ("c",)), ())
-        with pytest.raises(x.ModelError):
-            x.mcc_odt_gaxp_gadget(g, 3, max_k=2)
+        k = gadgets.MCC_ODT_MAX_K + 1
+        g = x.ColouredGraph(tuple((f"v{i}",) for i in range(k)), ())
+        with pytest.raises(x.ModelError, match=f"k={k} exceeds the auxiliary-feature ceiling"):
+            x.mcc_odt_gaxp_gadget(g, k)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)

@@ -372,6 +372,11 @@ _BAD_LOCAL_TARGETS = {  # id -> a target no local kind takes on a model over _U
 _BAD_GLOBAL_TARGETS = {"two": 2, "minus-one": -1, "none": None, "example": _E}
 _BAD_LOCAL_CANDIDATES = {"partial": _TAU, "outside": {2}, "negative": {-1}, "int": 0}
 _BAD_GLOBAL_CANDIDATES = {"foreign": x.PartialExample(_U3, ((2, 1),)), "set": {0}}
+_BAD_BUDGETS = {"bool": True, "none": None, "float": 1.5, "str": "1"}  # not ints
+_BAD_BUDGET_QUERIES = {  # id suffix -> a gadget query whose budget is no int
+    "-lcxp-k-float": x.Query("lcxp", _E, 1.5),
+    "-laxp-k-none": x.Query("laxp", _E),
+    "-phom-k-none": x.Query("phom")}
 
 
 def _misfits():
@@ -403,6 +408,13 @@ def _misfits():
                     yield f"{name}-{kind}-target-{bad}", partial(f, m, kind, target, *rest)
         yield f"card_xp_search-{label}-lcxp", partial(x.card_xp_search, m, "lcxp", _E, 1)
         yield f"card_xp_search-{label}-k", partial(x.card_xp_search, m, "gaxp", 1, -1)
+        for bad, k in _BAD_BUDGETS.items():
+            yield f"card_xp_search-{label}-k-{bad}", partial(x.card_xp_search, m, "gaxp", 1, k)
+            for f in (x.lcxp_card_enum, x.first_flip):
+                yield f"{f.__name__}-{label}-k-{bad}", partial(f, m, _E, k)
+            yield f"phom_check-{label}-k-{bad}", partial(x.phom_check, m, k)
+        for bad, q in _BAD_BUDGET_QUERIES.items():
+            yield f"answer_query-{label}{bad}", partial(x.answer_query, m, q)
         for f in (x.gaxp_subset_min, x.gcxp_subset_min):
             for bad, target in bad_global:
                 yield f"{f.__name__}-{label}-target-{bad}", partial(f, m, target)
@@ -422,6 +434,11 @@ def _misfits():
     yield "lcxp_card_branch-k", partial(x.lcxp_card_branch, _SET, _E, -1)
     yield "lcxp_card_branch_ens-k", partial(x.lcxp_card_branch_ens, _SET_ENSEMBLE, _E, -1)
     budget_search = x.gadgets.global_budget_search_dt
+    for bad, k in _BAD_BUDGETS.items():
+        yield f"lcxp_card_branch-k-{bad}", partial(x.lcxp_card_branch, _SET, _E, k)
+        yield f"lcxp_card_branch_ens-k-{bad}", partial(
+            x.lcxp_card_branch_ens, _SET_ENSEMBLE, _E, k)
+        yield f"global_budget_search_dt-k-{bad}", partial(budget_search, _TREE, "gaxp", 1, k)
     for bad, target in bad_global:
         yield f"global_budget_search_dt-target-{bad}", partial(
             budget_search, _TREE, "gaxp", target, 1)
@@ -433,6 +450,7 @@ def test_request_that_does_not_fit_is_refused(call):
     """Every explanation entry refuses, with ModelError, a request that does
     not fit the model: an unknown kind, a local target that is no example
     over the model's universe, a global target outside {0, 1}, a candidate
-    that is not the kind's over that universe, or a negative budget."""
+    that is not the kind's over that universe, or a budget that is no
+    nonnegative int (a bool, None, a float or a string)."""
     with pytest.raises(x.ModelError):
         call()
