@@ -39,7 +39,7 @@ universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .config import DEFAULT_CAPS, BruteCaps
 from .core import (
@@ -365,86 +365,3 @@ def certificate_holds(circuit: Circuit, cert: WidthCertificate) -> bool:
 def circuit_hom_check(circuit: Circuit, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """``verify.hom_check``, which tabulates the IN-wired features only."""
     return hom_check(circuit, caps)
-
-
-# ---------------------------------------------------------------------------
-# JSON form
-# ---------------------------------------------------------------------------
-
-
-def circuit_to_json(circuit: Circuit) -> dict[str, Any]:
-    gates = []
-    inputs = {}
-    for i, g in enumerate(circuit.gates):
-        entry: dict[str, Any] = {"id": i, "kind": g.kind}
-        if g.kind != IN:
-            entry["in"] = list(g.ins)
-        if g.kind == MAJ:
-            entry["threshold"] = g.threshold
-        gates.append(entry)
-        if g.kind == IN:
-            inputs[circuit.universe.name(g.feature)] = i
-    return {"gates": gates, "output": circuit.output, "inputs": inputs}
-
-
-def circuit_from_json(payload: Mapping[str, Any], u: FeatureUniverse) -> Circuit:
-    raw = {int(g["id"]): g for g in payload["gates"]}
-    if len(raw) != len(payload["gates"]):
-        raise ModelError("duplicate gate ids")
-    feature_of = {}
-    for name, gid in payload["inputs"].items():
-        gid = int(gid)
-        if gid not in raw or raw[gid]["kind"] != IN:
-            raise ModelError(f"input {name!r} names gate {gid}, which is no IN gate")
-        if gid in feature_of:
-            raise ModelError(f"IN gate {gid} is named twice in the inputs map")
-        feature_of[gid] = u.index(name)
-    # topological order over the original ids, then dense renumbering
-    pending = {gid: list(map(int, g.get("in", ()))) for gid, g in raw.items()}
-    for gid, ins in pending.items():
-        for j in ins:
-            if j not in raw:
-                raise ModelError(f"gate {gid} references unknown gate {j}")
-    # depth-first post-order on an explicit stack (long gate chains do not
-    # exhaust the call stack): inputs in listed order, roots by id
-    order: list[int] = []
-    done: set[int] = set()
-    temp: set[int] = set()  # gates on the current path
-    for root in sorted(raw):
-        if root in done:
-            continue
-        temp.add(root)
-        stack = [(root, 0)]  # (gate, index of its next input)
-        while stack:
-            gid, k = stack[-1]
-            ins = pending[gid]
-            if k == len(ins):
-                stack.pop()
-                temp.discard(gid)
-                done.add(gid)
-                order.append(gid)
-                continue
-            stack[-1] = (gid, k + 1)
-            j = ins[k]
-            if j in done:
-                continue
-            if j in temp:
-                raise ModelError("circuit contains a cycle")
-            temp.add(j)
-            stack.append((j, 0))
-    dense = {gid: i for i, gid in enumerate(order)}
-    gates = []
-    for gid in order:
-        g = raw[gid]
-        kind = g["kind"]
-        gates.append(
-            Gate(
-                kind,
-                tuple(dense[int(j)] for j in g.get("in", ())),
-                None if g.get("threshold") is None else int(g["threshold"]),
-                feature_of.get(gid) if kind == IN else None,
-            )
-        )
-        if kind == IN and gid not in feature_of:
-            raise ModelError(f"IN gate {gid} missing from the inputs map")
-    return Circuit(u, tuple(gates), dense[int(payload["output"])])

@@ -62,6 +62,7 @@ from .explain_rules import (
     lcxp_card_enum,
 )
 from .modelio import (
+    _int,
     _typed,
     dump_model,
     dump_partial_example,
@@ -211,16 +212,16 @@ def _gadget_from_doc(args, doc) -> gadgets.GadgetInstance:
     if args.kind == "hitting-set":
         sets = [frozenset(s) for s in doc["sets"]]
         return gadgets.hitting_set_gadget(
-            doc["universe"], sets, int(doc["k"]), args.mode or "subset-ds"
+            doc["universe"], sets, _int(doc["k"]), args.mode or "subset-ds"
         )
     if args.kind == "taut":
-        terms = [[(v, int(b)) for v, b in term] for term in doc["terms"]]
+        terms = [[(v, _int(b)) for v, b in term] for term in doc["terms"]]
         return gadgets.taut_ds_gadget(terms, doc["vars"])
     graph = gadgets.ColouredGraph(
         tuple(tuple(c) for c in doc["classes"]),
         tuple((u, v) for u, v in doc["edges"]),
     )
-    k = int(doc.get("k", graph.k))
+    k = _int(doc.get("k", graph.k))
     if args.kind == "mcc-ens":
         return gadgets.mcc_ensemble_gadget(graph, k, args.mode or "set", args.family)
     if args.kind == "mcc-unary":

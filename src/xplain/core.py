@@ -51,7 +51,9 @@ each follows the consistent child.  ``normalize_dt``, ``verify.restrict_dt``
 and ``explain_dt.product_dt`` are each one call of ``graft_dt``.  Its output
 is the one normal form of a tree: no path tests a feature twice, and the
 arena is in post-order (0-subtree, 1-subtree, split; root last), so the tree
-engines read a normalized tree in one forward pass over its nodes.
+engines read a normalized tree in one forward pass over its nodes.  The
+``DecisionTree`` constructor decides that form once, in the forward pass that
+validates the arena; ``normalize_dt`` copies any other tree into it.
 ``_leaf_paths`` yields the leaves that a seed assignment leaves reachable,
 with their paths; on a raw tree it yields its normal form's leaves, paths
 and order, so a reader need not normalize first.
@@ -112,12 +114,12 @@ class Example:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        bits = tuple(int(b) for b in self.bits)
-        object.__setattr__(self, "bits", bits)
+        bits = tuple(self.bits)
         if len(bits) != len(self.universe):
             raise ModelError("example length differs from universe size")
-        if any(b not in (0, 1) for b in bits):
+        if any(b not in (0, 1) for b in bits):  # before int(): 0.9 is no bit
             raise ModelError("example bits must be 0 or 1")
+        object.__setattr__(self, "bits", tuple(map(int, bits)))
 
     def __getitem__(self, feature: int) -> int:
         return self.bits[feature]
@@ -146,14 +148,15 @@ class PartialExample:
     assignments: tuple[tuple[int, int], ...]  # (feature index, bit), sorted
 
     def __post_init__(self) -> None:
-        pairs = tuple(sorted((int(f), int(b)) for f, b in self.assignments))
+        raw = tuple(self.assignments)
+        if any(b not in (0, 1) for _, b in raw):
+            raise ModelError("assigned bits must be 0 or 1")
+        pairs = tuple(sorted((int(f), int(b)) for f, b in raw))
         object.__setattr__(self, "assignments", pairs)
         seen = set()
-        for f, b in pairs:
+        for f, _ in pairs:
             if not 0 <= f < len(self.universe):
                 raise ModelError(f"feature index {f} outside universe")
-            if b not in (0, 1):
-                raise ModelError("assigned bits must be 0 or 1")
             if f in seen:
                 raise ModelError(f"feature index {f} assigned twice")
             seen.add(f)
@@ -204,39 +207,59 @@ class DecisionTree:
     nodes: tuple[DTNode, ...]
     root: int = 0
     order: Optional[tuple[int, ...]] = None  # declared feature order, if any
-    # normalize_dt's memo: None until it has run, then True if this tree is
-    # in normal form, else its normal-form copy (never the tree itself, so a
-    # tree is no reference cycle)
+    # True when the constructor found the tree in normal form; otherwise
+    # None until normalize_dt stores the normal-form copy (never the tree
+    # itself, so a tree is no reference cycle)
     _normal: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = tuple(self.nodes)
         object.__setattr__(self, "nodes", nodes)
-        if not nodes:
+        count = len(nodes)
+        if not count:
             raise ModelError("decision tree needs at least one node")
-        if not 0 <= self.root < len(nodes):
+        if not 0 <= self.root < count:
             raise ModelError("root index out of range")
         n = len(self.universe)
-        seen: set[int] = set()
-        stack = [self.root]
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                raise ModelError("node reachable twice: not a tree")
-            seen.add(i)
-            node = nodes[i]
+        # One forward pass checks every node and decides the normal form:
+        # size[i] counts the nodes of i's subtree, below[i] masks the
+        # features tested in it.  If every split i has hi == i - 1,
+        # lo == hi - size[hi] and a feature outside below[lo] | below[hi],
+        # the size[i] nodes ending at i are i's subtree in post-order (by
+        # induction), so a root last with size[root] == count proves a tree.
+        size = [1] * count
+        below = [0] * count
+        normal = True
+        for i, node in enumerate(nodes):
             if isinstance(node, Leaf):
                 if node.label not in (0, 1):
                     raise ModelError("leaf labels must be 0 or 1")
-            else:
-                if not 0 <= node.feature < n:
-                    raise ModelError(f"feature index {node.feature} outside universe")
-                for c in (node.lo, node.hi):
-                    if not 0 <= c < len(nodes):
-                        raise ModelError("child index out of range")
-                    stack.append(c)
-        if len(seen) != len(nodes):
-            raise ModelError("arena contains nodes unreachable from the root")
+                continue
+            f, lo, hi = node.feature, node.lo, node.hi
+            if not 0 <= f < n:
+                raise ModelError(f"feature index {f} outside universe")
+            if not (0 <= lo < count and 0 <= hi < count):
+                raise ModelError("child index out of range")
+            if normal:
+                seen = below[lo] | below[hi]
+                normal = hi == i - 1 and lo == hi - size[hi] and not seen >> f & 1
+                below[i] = seen | 1 << f
+                size[i] = size[lo] + size[hi] + 1
+        if normal and self.root == count - 1 and size[-1] == count:
+            object.__setattr__(self, "_normal", True)
+        else:
+            reached = bytearray(count)
+            stack = [self.root]
+            while stack:
+                i = stack.pop()
+                if reached[i]:
+                    raise ModelError("node reachable twice: not a tree")
+                reached[i] = 1
+                node = nodes[i]
+                if not isinstance(node, Leaf):
+                    stack += (node.lo, node.hi)
+            if not all(reached):
+                raise ModelError("arena contains nodes unreachable from the root")
         if self.order is not None:
             order = tuple(self.order)
             object.__setattr__(self, "order", order)
@@ -300,9 +323,9 @@ def make_term(literals: Iterable[tuple[int, int]]) -> Term:
     """Canonicalize a set of literals; contradictory terms are rejected."""
     required: dict[int, int] = {}
     for f, b in literals:
-        f, b = int(f), int(b)
         if b not in (0, 1):
             raise ModelError("literal bit must be 0 or 1")
+        f, b = int(f), int(b)
         if required.setdefault(f, b) != b:
             raise ModelError(f"contradictory term: feature {f} required 0 and 1")
     return tuple(sorted(required.items()))
@@ -373,14 +396,14 @@ class DecisionList:
     def __post_init__(self) -> None:
         if not self.rules:
             raise ModelError("decision list needs at least one rule")
+        if any(c not in (0, 1) for _, c in self.rules):
+            raise ModelError("rule class must be 0 or 1")
         rules = tuple((make_term(t), int(c)) for t, c in self.rules)
         object.__setattr__(self, "rules", rules)
         if rules[-1][0] != ():
             raise ModelError("last rule's term must be empty")
         n = len(self.universe)
-        for t, c in rules:
-            if c not in (0, 1):
-                raise ModelError("rule class must be 0 or 1")
+        for t, _ in rules:
             for f, _ in t:
                 if not 0 <= f < n:
                     raise ModelError(f"feature index {f} outside universe")
@@ -646,34 +669,9 @@ def truth_table(model) -> int:
 
 
 def is_normalized(t: DecisionTree) -> bool:
-    """Is t in normal form: no root-to-leaf path tests a feature twice, and
-    the arena is ``graft_dt``'s post-order (each split right after its
-    1-subtree, that right after its 0-subtree, the root last)?
-
-    One forward pass: ``size[i]`` counts the nodes of i's subtree and
-    ``below[i]`` masks the features tested in it.  A split i must have
-    ``hi == i - 1`` and ``lo == hi - size[hi]`` and test no feature of
-    ``below[lo] | below[hi]``; by induction the ``size[i]`` nodes ending at
-    i are then i's subtree in post-order, and the whole arena is the root's
-    when the root comes last and its subtree has every node.
-    """
-    nodes = t.nodes
-    size = [1] * len(nodes)
-    below = [0] * len(nodes)
-    for i, node in enumerate(nodes):
-        if isinstance(node, Leaf):
-            continue
-        hi = i - 1
-        lo = hi - size[hi]
-        if node.hi != hi or node.lo != lo:
-            return False
-        seen = below[lo] | below[hi]
-        bit = 1 << node.feature
-        if seen & bit:
-            return False
-        below[i] = seen | bit
-        size[i] = size[lo] + size[hi] + 1
-    return t.root == len(nodes) - 1 and size[-1] == len(nodes)
+    """Is t in ``graft_dt``'s normal form?  The constructor decided it, in
+    the forward pass that validates the arena."""
+    return t._normal is True
 
 
 _LEAVES = (Leaf(0), Leaf(1))  # leaves are immutable: one per class is shared
@@ -693,8 +691,8 @@ def graft_dt(
     voted 1, or too few trees are left to reach one); a vote of one tree
     ends at that tree's leaf.  The walk is iterative (deep trees do not
     exhaust the call stack) and emits the arena in post-order, 0-child
-    first: the result is in normal form (``is_normalized``), is marked so,
-    and carries ``order``.
+    first: the result is in normal form, as its constructor finds
+    (``is_normalized``), and carries ``order``.
     """
     majority_at = len(trees) // 2 + 1
     last = len(trees) - 1
@@ -738,9 +736,7 @@ def graft_dt(
                 (ti, node.lo, votes, mask, value),
             )
             break
-    out = DecisionTree(trees[0].universe, tuple(nodes), built.pop(), order)
-    object.__setattr__(out, "_normal", True)
-    return out
+    return DecisionTree(trees[0].universe, tuple(nodes), built.pop(), order)
 
 
 def _leaf_paths(
@@ -779,24 +775,20 @@ def normalize_dt(t: DecisionTree) -> DecisionTree:
     the leaf count never grows.  A tree already in normal form is returned
     unchanged; one without repeats but in another arena order is copied.
 
-    The answer is memoized on the tree: a tree in normal form records a
-    flag, any other tree its normal-form copy, so each tree is checked and
-    copied at most once however many queries ask about it.
+    The constructor decided whether t is in normal form (``is_normalized``);
+    any other tree keeps its normal-form copy, so each tree is copied at
+    most once however many queries ask about it.
     """
     if not isinstance(t, DecisionTree):
         raise ModelError("expected a decision tree")
     memo = t._normal
     if memo is True:
         return t
-    if memo is not None:
-        return memo
-    if is_normalized(t):
-        object.__setattr__(t, "_normal", True)
-        return t
-    out = graft_dt([t], order=t.order)
-    assert out.leaf_count() <= t.leaf_count()
-    object.__setattr__(t, "_normal", out)
-    return out
+    if memo is None:
+        memo = graft_dt([t], order=t.order)
+        assert memo.leaf_count() <= t.leaf_count()
+        object.__setattr__(t, "_normal", memo)
+    return memo
 
 
 def respects_order(t: DecisionTree, order: Sequence[int]) -> bool:

@@ -2,8 +2,10 @@
 cardinality search of every model family.
 
 Everything tree-specific here runs on the tree in normal form (no path
-tests a feature twice, the arena in post-order: see ``core.normalize_dt``);
-inputs are normalized on entry, callers keep their raw trees.  Every kind
+tests a feature twice, the arena in post-order: see ``core.normalize_dt``).
+The ``DecisionTree`` constructor decides that form in the pass that
+validates the arena; inputs in another form are normalized on entry, and
+callers keep their raw trees.  Every kind
 is a covering problem over leaf paths (Ignatiev et al., "From Contrastive to
 Abductive Explanations and Back Again", 2020), answered from at most two
 integer walks of the tree per call: ``core._leaf_paths``, the seeded leaf
@@ -41,7 +43,8 @@ between calls.
   that row, and returns the first minimum in the oracle's enumeration order.
 * ensemble-to-tree product: ``core.graft_dt``, the path-consistent walk
   that also normalizes and restricts trees, grafts each successive tree
-  onto every leaf whose vote is still open; normalized by construction.
+  onto every leaf whose vote is still open; its post-order output passes
+  the constructor's normal-form test like any other tree.
   ``_tree_form`` gives every route its tree: a tree's normalized tree, or a
   tree ensemble's product while it fits under ``product_dt``'s ceiling.
   Past it, and on every other family, the table engines answer.
@@ -445,8 +448,8 @@ def product_dt(ens: Ensemble, max_leaves: int = 1_000_000) -> DecisionTree:
     projected leaf count is the product of the element leaf counts;
     construction aborts beyond ``max_leaves``.
 
-    The product is memoized on the ensemble and marked normalized, so every
-    query on one ensemble shares one product tree.  The projected-size check
+    The product is memoized on the ensemble, so every query on one ensemble
+    shares one product tree; its constructor finds it in normal form.  The projected-size check
     runs on every call, a memo hit included, so ``max_leaves`` refuses the
     same ensembles whether or not the product was built before.
     """

@@ -14,7 +14,9 @@ Model documents carry the universe and a single-key tagged model object::
 
 Examples and partial examples: ``{"assign": {"x": 0, "y": 1}}`` (a full
 example assigns every feature); feature sets: ``{"features": ["x", "y"]}``.
-Feature references are by name; indices are an internal matter.
+Feature references are by name; indices are an internal matter.  Every
+integer field (bits, labels, classes, node and gate ids, thresholds) must
+hold an integer: 0.6 or "1" is refused, not truncated.
 
 ``load_model_file`` remembers the last model it loaded, keyed on the file's
 bytes: a file with the same bytes as the last one loaded returns the same
@@ -30,6 +32,7 @@ import functools
 import json
 from typing import Any, Mapping
 
+from .circuits import IN, MAJ, Circuit, Gate
 from .core import (
     DecisionList,
     DecisionSet,
@@ -56,10 +59,18 @@ def _typed(load):
         except ModelError:
             raise
         except (TypeError, AttributeError, KeyError, IndexError, ValueError,
-                RecursionError) as exc:
+                OverflowError, RecursionError) as exc:
             raise ModelError(f"malformed document: {type(exc).__name__}: {exc}") from None
 
     return checked
+
+
+def _int(value) -> int:
+    """An integer field: a value unequal to its ``int()`` is refused."""
+    i = int(value)
+    if i != value:
+        raise ModelError(f"expected an integer, got {value!r}")
+    return i
 
 
 @_typed
@@ -98,12 +109,12 @@ def _model_from(body: Mapping[str, Any], u: FeatureUniverse):
         return _dt_from(payload, u)
     if tag == "ds":
         terms = tuple(
-            tuple((u.index(f), int(b)) for f, b in term) for term in payload["terms"]
+            tuple((u.index(f), _int(b)) for f, b in term) for term in payload["terms"]
         )
-        return DecisionSet(u, terms, int(payload["default"]))
+        return DecisionSet(u, terms, _int(payload["default"]))
     if tag == "dl":
         rules = tuple(
-            (tuple((u.index(f), int(b)) for f, b in term), int(c))
+            (tuple((u.index(f), _int(b)) for f, b in term), _int(c))
             for term, c in payload["rules"]
         )
         return DecisionList(u, rules)
@@ -115,8 +126,6 @@ def _model_from(body: Mapping[str, Any], u: FeatureUniverse):
             raise ModelError(f"ensemble tagged {family!r} but elements are {ens.family}")
         return ens
     if tag == "circuit":
-        from .circuits import circuit_from_json
-
         return circuit_from_json(payload, u)
     raise ModelError(f"unknown model family {tag!r}")
 
@@ -125,13 +134,91 @@ def _dt_from(payload: Mapping[str, Any], u: FeatureUniverse) -> DecisionTree:
     nodes = []
     for raw in payload["nodes"]:
         if "leaf" in raw:
-            nodes.append(Leaf(int(raw["leaf"])))
+            nodes.append(Leaf(_int(raw["leaf"])))
         else:
-            nodes.append(Split(u.index(raw["test"]), int(raw["if0"]), int(raw["if1"])))
+            nodes.append(Split(u.index(raw["test"]), _int(raw["if0"]), _int(raw["if1"])))
     order = payload.get("order")
     if order is not None:
         order = tuple(u.index(f) for f in order)
-    return DecisionTree(u, tuple(nodes), int(payload.get("root", 0)), order)
+    return DecisionTree(u, tuple(nodes), _int(payload.get("root", 0)), order)
+
+
+def circuit_to_json(circuit: Circuit) -> dict[str, Any]:
+    gates = []
+    inputs = {}
+    for i, g in enumerate(circuit.gates):
+        entry: dict[str, Any] = {"id": i, "kind": g.kind}
+        if g.kind != IN:
+            entry["in"] = list(g.ins)
+        if g.kind == MAJ:
+            entry["threshold"] = g.threshold
+        gates.append(entry)
+        if g.kind == IN:
+            inputs[circuit.universe.name(g.feature)] = i
+    return {"gates": gates, "output": circuit.output, "inputs": inputs}
+
+
+def circuit_from_json(payload: Mapping[str, Any], u: FeatureUniverse) -> Circuit:
+    raw = {_int(g["id"]): g for g in payload["gates"]}
+    if len(raw) != len(payload["gates"]):
+        raise ModelError("duplicate gate ids")
+    feature_of = {}
+    for name, gid in payload["inputs"].items():
+        gid = _int(gid)
+        if gid not in raw or raw[gid]["kind"] != IN:
+            raise ModelError(f"input {name!r} names gate {gid}, which is no IN gate")
+        if gid in feature_of:
+            raise ModelError(f"IN gate {gid} is named twice in the inputs map")
+        feature_of[gid] = u.index(name)
+    # topological order over the original ids, then dense renumbering
+    pending = {gid: list(map(_int, g.get("in", ()))) for gid, g in raw.items()}
+    for gid, ins in pending.items():
+        for j in ins:
+            if j not in raw:
+                raise ModelError(f"gate {gid} references unknown gate {j}")
+    # depth-first post-order on an explicit stack (long gate chains do not
+    # exhaust the call stack): inputs in listed order, roots by id
+    order: list[int] = []
+    done: set[int] = set()
+    temp: set[int] = set()  # gates on the current path
+    for root in sorted(raw):
+        if root in done:
+            continue
+        temp.add(root)
+        stack = [(root, 0)]  # (gate, index of its next input)
+        while stack:
+            gid, k = stack[-1]
+            ins = pending[gid]
+            if k == len(ins):
+                stack.pop()
+                temp.discard(gid)
+                done.add(gid)
+                order.append(gid)
+                continue
+            stack[-1] = (gid, k + 1)
+            j = ins[k]
+            if j in done:
+                continue
+            if j in temp:
+                raise ModelError("circuit contains a cycle")
+            temp.add(j)
+            stack.append((j, 0))
+    dense = {gid: i for i, gid in enumerate(order)}
+    gates = []
+    for gid in order:
+        g = raw[gid]
+        kind = g["kind"]
+        gates.append(
+            Gate(
+                kind,
+                tuple(dense[j] for j in pending[gid]),
+                None if g.get("threshold") is None else _int(g["threshold"]),
+                feature_of.get(gid) if kind == IN else None,
+            )
+        )
+        if kind == IN and gid not in feature_of:
+            raise ModelError(f"IN gate {gid} missing from the inputs map")
+    return Circuit(u, tuple(gates), dense[_int(payload["output"])])
 
 
 def dump_model(model) -> dict[str, Any]:
@@ -176,8 +263,6 @@ def _model_to(model) -> dict[str, Any]:
                 "elements": [_model_to(m) for m in model.elements],
             }
         }
-    from .circuits import Circuit, circuit_to_json
-
     if isinstance(model, Circuit):
         return {"circuit": circuit_to_json(model)}
     raise ModelError(f"not a model: {model!r}")
@@ -202,7 +287,7 @@ def _assignment(doc: Mapping[str, Any], u: FeatureUniverse) -> dict[int, int]:
         raw = doc["assign"]
     except (KeyError, TypeError):
         raise ModelError("example document needs an 'assign' object")
-    return {u.index(f): int(b) for f, b in raw.items()}
+    return {u.index(f): _int(b) for f, b in raw.items()}
 
 
 @_typed

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import xplain as x
-from xplain.circuits import circuit_from_json, circuit_table, circuit_to_json
+from xplain.circuits import circuit_table
 from xplain.core import feature_column
-from xplain.modelio import dump_model
+from xplain.modelio import circuit_from_json, circuit_to_json, dump_model
 
 from generators import (
     leaf_assignments,

@@ -223,8 +223,11 @@ def test_gen_gadget(files, capsys, tmp_path):
         ("mcc-odt", {"classes": 5, "edges": []}),
         ("hitting-set", {"universe": ["u"], "sets": 5, "k": 1}),
         ("taut", {"terms": 5, "vars": ["x"]}),
+        ("hitting-set", {"universe": ["u"], "sets": [["u"]], "k": 1.5}),
+        ("taut", {"terms": [[["x", 0.5]]], "vars": ["x"]}),
     ],
-    ids=["classes-not-a-list", "sets-not-a-list", "terms-not-a-list"],
+    ids=["classes-not-a-list", "sets-not-a-list", "terms-not-a-list",
+         "fractional-k", "fractional-taut-bit"],
 )
 def test_wrongly_typed_gadget_input_is_an_error(kind, doc, capsys, tmp_path):
     instance = tmp_path / "in.json"
@@ -381,6 +384,29 @@ def test_wrongly_typed_document_is_an_error(doc, capsys, tmp_path):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "unexpected" not in lines[0]  # a ModelError, not a crash
+
+
+_ONE_LEAF = {"universe": ["a"], "model": {"dt": {"nodes": [{"leaf": 0}]}}}
+
+
+@pytest.mark.parametrize(
+    "model, bit",
+    [
+        ({"universe": ["a"], "model": {"dt": {"nodes": [{"leaf": 0.6}]}}}, 0),
+        (_ONE_LEAF, 0.9),
+        ({"universe": ["a"], "model": {"ds": {"terms": [[["a", 1.5]]], "default": 0}}}, 0),
+        ({"universe": ["a"], "model": {"ds": {"terms": [], "default": 0.2}}}, 0),
+    ],
+    ids=["leaf-label", "example-bit", "literal-bit", "default-class"],
+)
+def test_fractional_value_is_refused_not_truncated(model, bit, capsys, tmp_path):
+    model_file, example = tmp_path / "m.json", tmp_path / "e.json"
+    model_file.write_text(json.dumps(model))
+    example.write_text(json.dumps({"assign": {"a": bit}}))
+    code = main(["--quiet", "classify", "--model", str(model_file), "--example", str(example)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "unexpected" not in captured.err  # a ModelError, not a crash
 
 
 @pytest.mark.parametrize(

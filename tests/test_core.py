@@ -87,6 +87,16 @@ class TestNormalize:
             assert (out is t) == (t is post)
         assert x.normalize_dt(pre) == post
 
+    def test_repeated_test_in_post_order_is_not_normal(self):
+        # graft_dt's arena order, but the 1-branch tests a again
+        u = x.universe("a")
+        t = x.DecisionTree(
+            u, (x.Leaf(0), x.Leaf(0), x.Leaf(1), x.Split(0, 1, 2), x.Split(0, 0, 3)), 4
+        )
+        out = x.normalize_dt(t)
+        assert not is_normalized(t) and out is not t and is_normalized(out)
+        assert out.leaf_count() == 2 and x.truth_table(out) == x.truth_table(t)
+
     def test_repeated_test_eliminated(self):
         u = x.universe("a")
         # a tested twice along the 1-branch; second test is forced
@@ -341,6 +351,48 @@ class TestValidation:
         u, v = x.universe("a"), x.universe("b")
         with pytest.raises(x.ModelError):
             x.classify(x.leaf_tree(u, 0), x.Example(v, (0,)))
+
+    def test_fractional_bits_are_refused_not_truncated(self):
+        u = x.universe("a", "b")
+        refused = [
+            lambda: x.Example(u, (0.9, 1)),
+            lambda: x.PartialExample(u, ((0, 0.9),)),
+            lambda: x.DecisionSet(u, (((0, 1.5),),), 0),
+            lambda: x.DecisionList(u, ((((0, 1),), 0.6), ((), 1))),
+        ]
+        for make in refused:
+            with pytest.raises(x.ModelError, match="0 or 1"):
+                make()
+        assert x.Example(u, (1.0, 0)).bits == (1, 0)  # integral values are bits
+
+    # (root-last arena, root-first arena, message): the constructor's
+    # forward pass refuses a bad node, the reachability walk the rest
+    _L0, _L1 = x.Leaf(0), x.Leaf(1)
+
+    @pytest.mark.parametrize(
+        "root_last, root_first, message",
+        [
+            ((_L0, _L1, x.Split(0, 0, 5)), (x.Split(0, 1, 5), _L0, _L1),
+             "child index out of range"),
+            ((_L0, _L1, x.Split(0, 1, 1)), (x.Split(0, 1, 1), _L1, _L0),
+             "reachable twice"),
+            ((_L0, _L1, x.Split(1, 0, 3), x.Split(0, 2, 1)),
+             (x.Split(0, 1, 2), x.Split(1, 3, 0), _L0, _L1), "reachable twice"),
+            ((_L1, _L0, _L1, x.Split(0, 1, 2)), (x.Split(0, 1, 2), _L0, _L1, _L1),
+             "unreachable from the root"),
+            ((_L0, x.Leaf(2), x.Split(0, 0, 1)), (x.Split(0, 1, 2), _L0, x.Leaf(2)),
+             "leaf labels"),
+            ((_L0, _L1, x.Split(2, 0, 1)), (x.Split(2, 1, 2), _L0, _L1),
+             "outside universe"),
+        ],
+        ids=["child-out-of-range", "shared-child", "cycle", "unreachable-node",
+             "bad-label", "feature-outside-universe"],
+    )
+    def test_bad_arena_is_refused(self, root_last, root_first, message):
+        u = x.universe("a", "b")
+        for nodes, root in ((root_last, len(root_last) - 1), (root_first, 0)):
+            with pytest.raises(x.ModelError, match=message):
+                x.DecisionTree(u, nodes, root)
 
 
 def _flip_classes(model):
