@@ -5,14 +5,13 @@ An entry is (name, file, exact snippet, replacement, test ids).  For each
 entry the script copies ``src/`` and ``tests/`` into a temporary directory,
 requires the snippet to occur exactly once in the file (code that moved
 fails here, and its entry is re-anchored), applies the replacement and runs
-the named tests with ``pytest -x -q`` under a timeout.  A mutant is killed
-only when pytest exits 1, a failing test; a pass, a collection or usage
-error and a timeout all count as survivors.  The named tests must first
+the named tests with ``pytest -x -q`` under a timeout of ``TIMEOUT``
+seconds.  A mutant is killed only when pytest exits 1, a failing test; a
+pass, a collection or usage error and a timeout all count as survivors.  The named tests must first
 pass on the unmutated copy.  Hypothesis runs with a fixed seed, so a run is
 repeatable.  Stdlib only; pytest and hypothesis must be importable.
 
-    python3 scripts/mutants.py                  # every entry
-    python3 scripts/mutants.py dfs-skipped      # the entries so named
+    python3 scripts/mutants.py
 
 Exit status 0 when every entry is killed, 1 otherwise.  The list only
 grows: a new engine or check adds its mutants here.
@@ -20,7 +19,6 @@ grows: a new engine or check adds its mutants here.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -31,6 +29,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120.0  # seconds per pytest run
 
 
 class Mutant(NamedTuple):
@@ -47,18 +46,21 @@ _DT = "src/xplain/explain_dt.py"
 MUTANTS = [
     # the DecisionTree constructor's forward pass and reachability walk
     Mutant("normal-form-repeated-feature", _CORE,
-           " and not seen >> f & 1", "",
+           "            if seen >> f & 1:\n                break\n", "",
            ("tests/test_core.py::TestNormalize::test_repeated_test_in_post_order_is_not_normal",)),
     Mutant("normal-form-lo-position", _CORE,
-           " and lo == hi - size[hi]", "",
+           " and 0 <= lo == hi - size[hi]", "",
            ("tests/test_core.py::TestValidation::test_bad_arena_is_refused",)),
     Mutant("dfs-skipped", _CORE,
-           "        else:\n            reached = bytearray(count)",
-           "        elif False:\n            reached = bytearray(count)",
+           "        if self._normal is None:\n            reached = bytearray(count)",
+           "        if False:\n            reached = bytearray(count)",
+           ("tests/test_core.py::TestValidation::test_bad_arena_is_refused",)),
+    Mutant("walk-label-unchecked", _CORE,
+           "                    if node.label not in (0, 1):", "                    if False:",
            ("tests/test_core.py::TestValidation::test_bad_arena_is_refused",)),
     # integer fields of a JSON document
     Mutant("fractional-field-truncated", "src/xplain/modelio.py",
-           "    if i != value:", "    if False:",
+           "    if i != value or isinstance(value, bool):", "    if False:",
            ("tests/test_cli.py::test_fractional_value_is_refused_not_truncated",)),
     # the tree explanation engines
     Mutant("column-shrink-suffix", _DT,
@@ -88,19 +90,19 @@ def _copy(into: Path) -> None:
         shutil.copytree(ROOT / sub, into / sub, ignore=ignore)
 
 
-def _pytest(workdir: Path, tests, timeout: float) -> int | None:
+def _pytest(workdir: Path, tests) -> int | None:
     """pytest's exit code on ``tests`` in ``workdir``; None on a timeout."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            "--hypothesis-seed=0", *tests]
     env = {**os.environ, "PYTHONPATH": "src"}
     try:
         return subprocess.run(cmd, cwd=workdir, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=timeout).returncode
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
     except subprocess.TimeoutExpired:
         return None
 
 
-def run(m: Mutant, timeout: float) -> str | None:
+def run(m: Mutant) -> str | None:
     """None when m is killed, else why it survived."""
     with tempfile.TemporaryDirectory(prefix="xplain-mutant-") as tmp:
         work = Path(tmp)
@@ -111,41 +113,33 @@ def run(m: Mutant, timeout: float) -> str | None:
         if count != 1:
             return f"snippet occurs {count} times in {m.file}: re-anchor the entry"
         path.write_text(text.replace(m.snippet, m.replacement))
-        code = _pytest(work, m.tests, timeout)
+        code = _pytest(work, m.tests)
     if code == 1:
         return None
     if code is None:
-        return f"timed out after {timeout:.0f} s"
+        return f"timed out after {TIMEOUT:.0f} s"
     return "its tests pass" if code == 0 else f"pytest exited {code}, not a test failure"
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("names", nargs="*", help="run only the entries so named")
-    ap.add_argument("--timeout", type=float, default=120.0, help="seconds per pytest run")
-    args = ap.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        ap.error(f"no such entries: {sorted(unknown)}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-    tests = sorted({t for m in chosen for t in m.tests})
+def main() -> int:
+    tests = sorted({t for m in MUTANTS for t in m.tests})
     with tempfile.TemporaryDirectory(prefix="xplain-mutant-") as tmp:
         _copy(Path(tmp))
-        code = _pytest(Path(tmp), tests, args.timeout)
+        code = _pytest(Path(tmp), tests)
     if code != 0:
         print(f"the named tests do not pass on the unmutated source (pytest exit {code})")
         return 1
     survivors = 0
-    for m in chosen:
+    for m in MUTANTS:
         start = time.perf_counter()
-        why = run(m, args.timeout)
+        why = run(m)
         elapsed = time.perf_counter() - start
         if why is None:
             print(f"killed    {m.name} ({elapsed:.1f} s)")
         else:
             survivors += 1
             print(f"SURVIVED  {m.name}: {why}")
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 

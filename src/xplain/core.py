@@ -52,8 +52,8 @@ and ``explain_dt.product_dt`` are each one call of ``graft_dt``.  Its output
 is the one normal form of a tree: no path tests a feature twice, and the
 arena is in post-order (0-subtree, 1-subtree, split; root last), so the tree
 engines read a normalized tree in one forward pass over its nodes.  The
-``DecisionTree`` constructor decides that form once, in the forward pass that
-validates the arena; ``normalize_dt`` copies any other tree into it.
+``DecisionTree`` constructor decides that form once, in one forward pass
+over the arena; ``normalize_dt`` copies any other tree into it.
 ``_leaf_paths`` yields the leaves that a seed assignment leaves reachable,
 with their paths; on a raw tree it yields its normal form's leaves, paths
 and order, so a reader need not normalize first.
@@ -221,42 +221,47 @@ class DecisionTree:
         if not 0 <= self.root < count:
             raise ModelError("root index out of range")
         n = len(self.universe)
-        # One forward pass checks every node and decides the normal form:
-        # size[i] counts the nodes of i's subtree, below[i] masks the
-        # features tested in it.  If every split i has hi == i - 1,
-        # lo == hi - size[hi] and a feature outside below[lo] | below[hi],
-        # the size[i] nodes ending at i are i's subtree in post-order (by
-        # induction), so a root last with size[root] == count proves a tree.
+        # A forward pass decides the normal form: size[i] counts the nodes of
+        # i's subtree, below[i] masks the features tested in it.  If every
+        # split i has hi == i - 1, lo == hi - size[hi] and a feature outside
+        # below[lo] | below[hi], the size[i] nodes ending at i are i's subtree
+        # in post-order (by induction), so a root last with size[root] ==
+        # count proves a tree.  At the first bad node the walk checks instead.
         size = [1] * count
         below = [0] * count
-        normal = True
         for i, node in enumerate(nodes):
             if isinstance(node, Leaf):
-                if node.label not in (0, 1):
-                    raise ModelError("leaf labels must be 0 or 1")
-                continue
+                if node.label in (0, 1):
+                    continue
+                break
             f, lo, hi = node.feature, node.lo, node.hi
-            if not 0 <= f < n:
-                raise ModelError(f"feature index {f} outside universe")
-            if not (0 <= lo < count and 0 <= hi < count):
-                raise ModelError("child index out of range")
-            if normal:
-                seen = below[lo] | below[hi]
-                normal = hi == i - 1 and lo == hi - size[hi] and not seen >> f & 1
-                below[i] = seen | 1 << f
-                size[i] = size[lo] + size[hi] + 1
-        if normal and self.root == count - 1 and size[-1] == count:
-            object.__setattr__(self, "_normal", True)
+            if not (0 <= f < n and 0 < i == hi + 1 and 0 <= lo == hi - size[hi]):
+                break
+            seen = below[lo] | below[hi]
+            if seen >> f & 1:
+                break
+            below[i] = seen | 1 << f
+            size[i] = size[lo] + size[hi] + 1
         else:
+            if self.root == count - 1 and size[-1] == count:
+                object.__setattr__(self, "_normal", True)
+        if self._normal is None:
             reached = bytearray(count)
             stack = [self.root]
             while stack:
                 i = stack.pop()
+                if not 0 <= i < count:
+                    raise ModelError("child index out of range")
                 if reached[i]:
                     raise ModelError("node reachable twice: not a tree")
                 reached[i] = 1
                 node = nodes[i]
-                if not isinstance(node, Leaf):
+                if isinstance(node, Leaf):
+                    if node.label not in (0, 1):
+                        raise ModelError("leaf labels must be 0 or 1")
+                elif not 0 <= node.feature < n:
+                    raise ModelError(f"feature index {node.feature} outside universe")
+                else:
                     stack += (node.lo, node.hi)
             if not all(reached):
                 raise ModelError("arena contains nodes unreachable from the root")
@@ -669,8 +674,7 @@ def truth_table(model) -> int:
 
 
 def is_normalized(t: DecisionTree) -> bool:
-    """Is t in ``graft_dt``'s normal form?  The constructor decided it, in
-    the forward pass that validates the arena."""
+    """Is t in ``graft_dt``'s normal form, as its constructor decided?"""
     return t._normal is True
 
 
@@ -770,14 +774,11 @@ def normalize_dt(t: DecisionTree) -> DecisionTree:
     """Equivalent tree in normal form: no root-to-leaf path tests a feature
     twice, and the arena is ``graft_dt``'s post-order.
 
-    Any other tree is rebuilt by ``graft_dt`` on the one tree: a repeated
-    test is rerouted to the child consistent with the earlier decision, so
-    the leaf count never grows.  A tree already in normal form is returned
-    unchanged; one without repeats but in another arena order is copied.
-
-    The constructor decided whether t is in normal form (``is_normalized``);
-    any other tree keeps its normal-form copy, so each tree is copied at
-    most once however many queries ask about it.
+    A tree the constructor found in normal form (``is_normalized``) is
+    returned unchanged.  Any other, even one without repeats in another
+    arena order, is rebuilt once by ``graft_dt`` and keeps the copy: a
+    repeated test is rerouted to the child consistent with the earlier
+    decision, so the leaf count never grows.
     """
     if not isinstance(t, DecisionTree):
         raise ModelError("expected a decision tree")

@@ -3,8 +3,8 @@ cardinality search of every model family.
 
 Everything tree-specific here runs on the tree in normal form (no path
 tests a feature twice, the arena in post-order: see ``core.normalize_dt``).
-The ``DecisionTree`` constructor decides that form in the pass that
-validates the arena; inputs in another form are normalized on entry, and
+The ``DecisionTree`` constructor decides that form in a forward pass over
+the arena; inputs in another form are normalized on entry, and
 callers keep their raw trees.  Every kind
 is a covering problem over leaf paths (Ignatiev et al., "From Contrastive to
 Abductive Explanations and Back Again", 2020), answered from at most two

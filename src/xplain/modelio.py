@@ -66,9 +66,9 @@ def _typed(load):
 
 
 def _int(value) -> int:
-    """An integer field: a value unequal to its ``int()`` is refused."""
+    """An integer field: a boolean or a value unequal to its ``int()`` is refused."""
     i = int(value)
-    if i != value:
+    if i != value or isinstance(value, bool):
         raise ModelError(f"expected an integer, got {value!r}")
     return i
 

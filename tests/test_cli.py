@@ -396,8 +396,9 @@ _ONE_LEAF = {"universe": ["a"], "model": {"dt": {"nodes": [{"leaf": 0}]}}}
         (_ONE_LEAF, 0.9),
         ({"universe": ["a"], "model": {"ds": {"terms": [[["a", 1.5]]], "default": 0}}}, 0),
         ({"universe": ["a"], "model": {"ds": {"terms": [], "default": 0.2}}}, 0),
+        ({"universe": ["a"], "model": {"dt": {"nodes": [{"leaf": True}]}}}, 0),
     ],
-    ids=["leaf-label", "example-bit", "literal-bit", "default-class"],
+    ids=["leaf-label", "example-bit", "literal-bit", "default-class", "bool-leaf"],
 )
 def test_fractional_value_is_refused_not_truncated(model, bit, capsys, tmp_path):
     model_file, example = tmp_path / "m.json", tmp_path / "e.json"

@@ -366,13 +366,14 @@ class TestValidation:
         assert x.Example(u, (1.0, 0)).bits == (1, 0)  # integral values are bits
 
     # (root-last arena, root-first arena, message): the constructor's
-    # forward pass refuses a bad node, the reachability walk the rest
+    # forward pass stops at the bad node, or at a root-first arena's root,
+    # and the reachability walk refuses the arena
     _L0, _L1 = x.Leaf(0), x.Leaf(1)
 
     @pytest.mark.parametrize(
         "root_last, root_first, message",
         [
-            ((_L0, _L1, x.Split(0, 0, 5)), (x.Split(0, 1, 5), _L0, _L1),
+            ((_L0, _L1, x.Split(0, 0, 5)), (x.Split(0, 1, 2), _L0, x.Split(1, 3, 5), _L1),
              "child index out of range"),
             ((_L0, _L1, x.Split(0, 1, 1)), (x.Split(0, 1, 1), _L1, _L0),
              "reachable twice"),
@@ -382,8 +383,8 @@ class TestValidation:
              "unreachable from the root"),
             ((_L0, x.Leaf(2), x.Split(0, 0, 1)), (x.Split(0, 1, 2), _L0, x.Leaf(2)),
              "leaf labels"),
-            ((_L0, _L1, x.Split(2, 0, 1)), (x.Split(2, 1, 2), _L0, _L1),
-             "outside universe"),
+            ((_L0, _L1, x.Split(2, 0, 1)),
+             (x.Split(0, 1, 2), _L0, x.Split(2, 3, 4), _L0, _L1), "outside universe"),
         ],
         ids=["child-out-of-range", "shared-child", "cycle", "unreachable-node",
              "bad-label", "feature-outside-universe"],
