@@ -81,6 +81,22 @@ MUTANTS = [
            ("tests/test_core.py::test_shared_ensemble_elements_count_every_copy",
             "tests/test_explain_rules.py::TestEnsembleBranch::"
             "test_unary_clique_gadget_branches_per_ballot")),
+    Mutant("ballot-merge-by-identity", _CORE,
+           "ballots.setdefault(m, [m, 0])[1] += count",
+           "ballots.setdefault(id(m), [m, 0])[1] += count",
+           ("tests/test_core.py::test_shared_ensemble_elements_count_every_copy",
+            "tests/test_explain_rules.py::TestEnsembleBranch::"
+            "test_unary_clique_gadget_keeps_its_ballots_through_json")),
+    # the one tie-break of every minimum contrastive witness
+    Mutant("better-tie-flipped", "src/xplain/explain_rules.py",
+           "(size_b == size_a and (a ^ b) & -(a ^ b) & b)",
+           "(size_b == size_a and (a ^ b) & -(a ^ b) & a)",
+           ("tests/test_explain_dt.py::TestLcxpMin::test_witness_is_the_oracles",)),
+    # a request that does not fit is refused
+    Mutant("translate-class-unchecked", "src/xplain/circuits.py",
+           "    if c not in (0, 1):\n        raise ModelError(f\"class must be 0 or 1, got {c!r}\")\n",
+           "",
+           ("tests/test_core.py::test_wrong_model_raises_model_error",)),
 ]
 
 

@@ -6,17 +6,18 @@ ensembles (``ens``), tree ensembles (``dtens``, answered on their
 ``product_dt`` tree as the CLI answers them) and circuits made by
 ``translate`` from any of the others (``circuit``).  For every sampled model
 the minimum-contrastive algorithms (tree leaf scan, bounded branching,
-subset enumeration) are compared with the brute-force oracle: the branching
-and, on circuits, the enumeration witness must be the oracle's witness
-exactly, the leaf scan's must have its size, and enumeration must find one
-when they do.  The subset-minimal outputs are re-checked by
-single-removal verification: on rule models the greedy ``laxp``, on every
-model the greedy ``gaxp`` and ``gcxp`` of both classes, and on trees and
-tree ensembles every other kind too, where an answer of None must mean that
-the oracle finds no explanation either.  On every family but trees the
-hitting-set search ``card_xp_search`` must return the oracle's witness for
-``laxp``, and for ``gaxp`` and ``gcxp`` of both classes.  Any disagreement
-aborts with the offending instance printed.
+subset enumeration) are compared with the brute-force oracle: the leaf
+scan's, the branching's and, on circuits, the enumeration's witness must be
+the oracle's witness exactly, and enumeration must find one when they do.
+That minimum is also every family's ``lcxp --min subset`` answer.  The
+subset-minimal outputs are re-checked by single-removal verification: on
+rule models the greedy ``laxp``, on every model the greedy ``gaxp`` and
+``gcxp`` of both classes, and on trees and tree ensembles the greedy
+``laxp`` too.  An answer of None must mean that the oracle finds no
+explanation either.  On every family but trees the hitting-set search
+``card_xp_search`` must return the oracle's witness for ``laxp``, and for
+``gaxp`` and ``gcxp`` of both classes.  Any disagreement aborts with the
+offending instance printed.
 
     python3 scripts/oracle_agreement.py --models 200 --max-features 10
 """
@@ -60,9 +61,8 @@ def global_subset_answers(model):
 
 
 def tree_subset_answers(t: x.DecisionTree, e: x.Example):
-    """(kind, target, answer) of every subset-minimal tree route."""
+    """(kind, target, answer) of every greedy subset-minimal tree route."""
     yield "laxp", e, x.laxp_subset_min(t, e)
-    yield "lcxp", e, x.lcxp_subset_min(t, e)
     yield from global_subset_answers(t)
 
 
@@ -108,12 +108,7 @@ def sweep_family(cfg: SweepConfig, family: str) -> dict:
             found = x.lcxp_card_branch_ens(model, e, n, branch_stats)
             stats["branch_nodes"] += sum(c for _, c in branch_stats.per_target)
         expected = x.oracle_min(model, "lcxp", e)
-        if tree is not None:  # the leaf scan's witness is a minimum, not the first
-            agrees = (found is None) == (expected is None) and (
-                found is None or len(found) == expected[0])
-        else:  # the branching and enumeration witnesses are the oracle's exactly
-            agrees = found == (None if expected is None else expected[1])
-        if not agrees:
+        if found != (None if expected is None else expected[1]):
             print(f"DISAGREEMENT in {family} #{index}: {found} vs {expected}")
             print(model)
             raise SystemExit(1)

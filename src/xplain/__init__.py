@@ -43,7 +43,6 @@ from .explain_dt import (
     gcxp_subset_min,
     laxp_subset_min,
     lcxp_min,
-    lcxp_subset_min,
     product_dt,
 )
 from .explain_rules import (

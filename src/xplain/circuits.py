@@ -306,6 +306,8 @@ def _dl_into(
 def translate(model, c: int) -> tuple[Circuit, WidthCertificate]:
     """The circuit of [model classifies as c] and its width certificate, whose
     bound is 3 * 2**(the sum of the voters' exponents)."""
+    if c not in (0, 1):
+        raise ModelError(f"class must be 0 or 1, got {c!r}")
     ensemble = isinstance(model, Ensemble)
     voters = model.elements if ensemble else (model,)
     if isinstance(voters[0], DecisionTree):

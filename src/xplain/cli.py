@@ -9,13 +9,15 @@ byte-identical output); timing and diagnostics go to stderr.  Exit codes:
 ``_explain_card``).  Every minimum ``laxp``/``gaxp``/``gcxp`` comes from
 ``explain_dt.card_xp_search``, and every inclusion-minimal ``gaxp``/``gcxp``
 from the one seeded greedy shrink of ``explain_dt.gaxp_subset_min`` and
-``gcxp_subset_min``, for all five families.  The other routes take the
-tree routes on a model with a tree form (``explain_dt._tree_form``: a tree,
-or a tree ensemble whose product fits under its leaf ceiling), the engines
-of rule models otherwise, so a tree ensemble past the ceiling is answered
-as a rule ensemble is (``--algo enum`` enumerates flips on every model).
-``--k`` bounds ``--min card`` only.  The exhaustive oracle answers the
-``oracle`` subcommand alone.
+``gcxp_subset_min``, for all five families.  Every ``lcxp`` answer, with
+either ``--min``, is the oracle's minimum, which is inclusion-minimal too:
+``lcxp_min`` on a model with a tree form (``explain_dt._tree_form``: a
+tree, or a tree ensemble whose product fits under its leaf ceiling), the
+branching search on rule models and their ensembles, flip enumeration on
+circuits and with ``--algo enum``.  ``laxp --min subset`` is the greedy
+shrink, on the tree form when there is one.  A tree ensemble past the
+ceiling is answered as a rule ensemble is.  ``--k`` bounds ``--min card``
+only.  The exhaustive oracle answers the ``oracle`` subcommand alone.
 
 ``main`` builds the argument parser once per process and reuses it on every
 call, so in-process callers making many requests pay for it once;
@@ -53,7 +55,6 @@ from .explain_dt import (
     gcxp_subset_min,
     laxp_subset_min,
     lcxp_min,
-    lcxp_subset_min,
 )
 from .explain_rules import (
     laxp_rules_subset_min,
@@ -125,14 +126,13 @@ def _explain_subset(model, kind, target, args, caps):
         return gaxp_subset_min(model, target, caps)
     if kind == "gcxp":
         return gcxp_subset_min(model, target, caps)
+    if kind == "lcxp":
+        # the oracle's minimum is inclusion-minimal; --k is no budget here
+        return _explain_card(model, kind, target, len(model.universe), args, caps)
     tree = _tree_form(model)
     if tree is not None:
-        return laxp_subset_min(tree, target) if kind == "laxp" else lcxp_subset_min(tree, target)
-    if kind == "laxp":
-        return laxp_rules_subset_min(model, target, caps)
-    # a minimum-cardinality explanation is inclusion-minimal; --k is no
-    # budget here
-    return _explain_card(model, kind, target, len(model.universe), args, caps)
+        return laxp_subset_min(tree, target)
+    return laxp_rules_subset_min(model, target, caps)
 
 
 def _explain_card(model, kind, target, k, args, caps):

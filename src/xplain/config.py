@@ -5,8 +5,10 @@ checks and flip searches of all five families, the ground-truth oracle)
 refuses to run above a configured number of free features; above the
 ``verify`` cap a flip search classifies at most 2**verify flipped examples.
 Exceeding a cap raises :class:`CapExceeded`; nothing is ever silently
-truncated.  The environment variable ``XPLAIN_BRUTE_CAP`` overrides all caps
-at once.
+truncated.  The library's ``DEFAULT_CAPS`` are the constant defaults and
+never read the environment; the command line reads ``XPLAIN_BRUTE_CAP``,
+which overrides all caps at once, per call through ``BruteCaps.from_env``,
+so a malformed value is an error of that call.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class BruteCaps:
         return BruteCaps(verify=cap, oracle_local=cap, oracle_global=cap)
 
 
-DEFAULT_CAPS = BruteCaps.from_env()
+DEFAULT_CAPS = BruteCaps()
 
 
 def require_cap(free: int, cap: int, what: str) -> None:

@@ -27,7 +27,7 @@ Each family answers for itself: ``DecisionTree``, ``DecisionSet``,
 * ``params()``          -- the ``ParamReport``;
 
 an ensemble calls ``evaluate`` on every element but ``table`` and
-``params`` once per distinct element object (its ballots, see
+``params`` once per distinct element value (its ballots, see
 ``Ensemble``), and sets and lists also have ``as_dl()``.  The public
 entries check, then call them: ``classify`` the universe, ``subcube_table``
 and ``truth_table`` the partition, ``measure`` that the value is a model.
@@ -447,12 +447,13 @@ class Ensemble:
     """Odd-sized majority vote over models of one family.
 
     ``elements`` lists every voter, copies included.  ``_ballots`` holds
-    each distinct element object once, with the number of times it occurs
-    (its votes), in first-occurrence order; elements are grouped by
-    identity, so a voter repeated as one object (``[m] * r``) is one ballot,
-    while equal but distinct objects are separate ballots of one vote each.
-    ``table`` and ``params`` read the ballots; ``evaluate`` counts every
-    element, as the reference the tables are tested against.
+    each element once by value, with the number of elements equal to it
+    (its votes), in first-occurrence order: a voter repeated as one object
+    (``[m] * r``) and equal but distinct objects (an ensemble loaded from
+    JSON) are one ballot alike.  Elements are grouped by identity first, so
+    each distinct object is hashed once.  ``table`` and ``params`` read the
+    ballots; ``evaluate`` counts every element, as the reference the tables
+    are tested against.
     """
 
     universe: FeatureUniverse
@@ -478,9 +479,12 @@ class Ensemble:
         for m in elements:
             if m.universe != self.universe:
                 raise ModelError("ensemble elements must share the universe")
-        ballots: dict[int, list] = {}  # id(element) -> [element, votes]
+        copies: dict[int, list] = {}  # id(element) -> [element, copies]
         for m in elements:
-            ballots.setdefault(id(m), [m, 0])[1] += 1
+            copies.setdefault(id(m), [m, 0])[1] += 1
+        ballots: dict = {}  # element -> [first equal element, votes]
+        for m, count in copies.values():  # each distinct object hashed once
+            ballots.setdefault(m, [m, 0])[1] += count
         object.__setattr__(
             self, "_ballots", tuple((m, votes) for m, votes in ballots.values())
         )
@@ -795,6 +799,8 @@ def normalize_dt(t: DecisionTree) -> DecisionTree:
 def respects_order(t: DecisionTree, order: Sequence[int]) -> bool:
     """True iff features occur strictly increasingly (per ``order``) on every
     root-to-leaf path."""
+    if not isinstance(t, DecisionTree):
+        raise ModelError("expected a decision tree")
     rank = {int(f): pos for pos, f in enumerate(order)}
     if sorted(rank) != list(range(len(t.universe))):
         raise ModelError("order must be a permutation of the features")

@@ -27,9 +27,9 @@ between calls.
   the same shrink that reads each hitting-set row of the global kinds.
 * minimum local contrastive explanations in polynomial time: for every leaf
   of the opposite class, the features on its path that disagree with the
-  target example form a contrastive set, one mask per leaf; a smallest one
-  is a global minimum, and an inclusion-minimal one among them is a
-  subset-minimal explanation.
+  target example form a contrastive set, one mask per leaf; the least one
+  by size, then as a sorted feature tuple, is the oracle's minimum, which
+  is also the subset-minimal answer.
 * bounded-cardinality search, for all five families: one hitting-set
   engine over literal columns.  On a tree each offending leaf is a row; one
   pass over the arena numbers the rows depth-first, so the rows under a node
@@ -71,6 +71,7 @@ from .core import (
     normalize_dt,
     subcube_table,
 )
+from .explain_rules import _better
 from .verify import GLOBAL_KINDS, _request, first_flip
 
 CardWitness = Union[frozenset, PartialExample, None]
@@ -139,38 +140,18 @@ def gcxp_subset_min(model, c: int, caps: BruteCaps = DEFAULT_CAPS) -> Optional[P
     return _leaf_seeded_shrink(model, "gcxp", c, caps)
 
 
-def _conflict_masks(t: DecisionTree, e: Example) -> list[int]:
-    """Per leaf of the other class than e's, in depth-first order: the mask
-    of the path features whose bit differs from e's."""
-    cls = classify(t, e)
-    emask = e.mask()
-    return [mask & (value ^ emask) for label, mask, value in _leaf_paths(t) if label != cls]
-
-
 def lcxp_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
     """Cardinality-minimum local contrastive explanation, or None on constant
-    trees.  Ties break towards the earlier leaf in depth-first order."""
+    trees: the least conflict set of e with a leaf of the other class (the
+    path features whose bit differs from e's) in the oracle's order, by size
+    and then as sorted feature tuples (``explain_rules._better``)."""
     _request(t, "lcxp", e)
     t = normalize_dt(t)
-    best = min(_conflict_masks(t, e), key=int.bit_count, default=None)
+    cls = classify(t, e)
+    emask = e.mask()
+    masks = [mask & (value ^ emask) for label, mask, value in _leaf_paths(t) if label != cls]
+    best = functools.reduce(_better, masks, None)
     return None if best is None else mask_features(best, len(t.universe))
-
-
-def lcxp_subset_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
-    """A conflict set that is inclusion-minimal among all conflict sets (the
-    first such in depth-first leaf order)."""
-    _request(t, "lcxp", e)
-    t = normalize_dt(t)
-    masks = _conflict_masks(t, e)
-    # a set with a strict subset has an inclusion-minimal one, and ascending
-    # size meets that one first
-    minimal: list[int] = []
-    for d in sorted(set(masks), key=int.bit_count):
-        if all(m & ~d for m in minimal):
-            minimal.append(d)
-    keep = set(minimal)
-    first = next((d for d in masks if d in keep), None)
-    return None if first is None else mask_features(first, len(t.universe))
 
 
 def _literal_columns(t: DecisionTree, bad: int) -> tuple[int, list[int], list[int]]:
@@ -453,7 +434,7 @@ def product_dt(ens: Ensemble, max_leaves: int = 1_000_000) -> DecisionTree:
     runs on every call, a memo hit included, so ``max_leaves`` refuses the
     same ensembles whether or not the product was built before.
     """
-    if ens.family != "dt":
+    if not isinstance(ens, Ensemble) or ens.family != "dt":
         raise ModelError("product_dt needs an ensemble of decision trees")
     trees: list[DecisionTree] = list(ens.elements)
     projected = 1

@@ -19,8 +19,8 @@ the number of fully explored branches is bounded by a**k per target rule;
 the implementation counts them and insists on the bound.
 
 One engine, ``_branch_search``, runs this for a majority vote of lists: it
-chooses one rule per ballot (each distinct element once, counted with its
-votes) depth first, in ``itertools.product`` order, and runs the branching
+chooses one rule per ballot (each distinct element value once, counted with
+its votes) depth first, in ``itertools.product`` order, and runs the branching
 against all chosen rules at once.  A prefix is cut as soon as its rules
 conflict, the remaining ballots cannot bring the opposite class a majority,
 or its seed alone exceeds the budget.  A cut that holds for a prefix holds
@@ -58,10 +58,10 @@ RuleModel = Union[DecisionSet, DecisionList]
 @dataclass
 class BranchStats:
     """Bookkeeping of the branching search, per target rule tuple: one rule
-    index per ballot (``Ensemble._ballots``, each distinct element once), so
-    a single model's keys are one-element tuples ``(j,)``, recorded in rule
-    order.  Tuples cut before the search (conflicting rules, no majority
-    flip, or a seed over the budget) are not recorded.
+    index per ballot (``Ensemble._ballots``, each distinct element value
+    once), so a single model's keys are one-element tuples ``(j,)``,
+    recorded in rule order.  Tuples cut before the search (conflicting
+    rules, no majority flip, or a seed over the budget) are not recorded.
 
     ``branch_nodes`` counts fully explored branches: recursion states within
     budget that did not expand further (either a success or a dead end with
@@ -84,7 +84,8 @@ class BranchStats:
 def _better(a: Optional[int], b: Optional[int]) -> Optional[int]:
     """Of two flip masks, the smaller set wins; equal sizes break towards the
     lexicographically smaller sorted feature tuple, which is the set holding
-    the lowest feature where the two differ (reproducible witnesses)."""
+    the lowest feature where the two differ.  This is the oracle's order,
+    which the branching search and ``explain_dt.lcxp_min`` both follow."""
     if a is None:
         return b
     if b is None:

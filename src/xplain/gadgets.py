@@ -44,6 +44,7 @@ from .core import (
     ModelError,
     PartialExample,
     Split,
+    _model_universe,
     classify,
     measure,
     respects_order,
@@ -713,7 +714,7 @@ def hom_equivalence_suite(model, caps: BruteCaps = DEFAULT_CAPS) -> HomEquivalen
     the tree or of a tree ensemble's product, else one classification per
     example; the table of the circuit for the other class.  A circuit, having
     no translation, answers 6 and 9 with its own table."""
-    u = model.universe
+    u = _model_universe(model)
     n = len(u)
     zero = Example(u, (0,) * n)
     c = classify(model, zero)

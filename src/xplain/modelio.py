@@ -44,6 +44,7 @@ from .core import (
     ModelError,
     PartialExample,
     Split,
+    _model_universe,
 )
 
 
@@ -222,7 +223,7 @@ def circuit_from_json(payload: Mapping[str, Any], u: FeatureUniverse) -> Circuit
 
 
 def dump_model(model) -> dict[str, Any]:
-    u = model.universe
+    u = _model_universe(model)
     return {"universe": list(u.names), "model": _model_to(model)}
 
 

@@ -136,7 +136,9 @@ def restrict_dt(t: DecisionTree, tau: PartialExample) -> DecisionTree:
     node testing an assigned feature, the inconsistent child is dropped and
     the node spliced out (``core.graft_dt`` on the one tree, seeded with
     tau).  tau must be over t's universe."""
-    if tau.universe != _model_universe(t):
+    if not isinstance(t, DecisionTree):
+        raise ModelError("expected a decision tree")
+    if tau.universe != t.universe:
         raise ModelError("partial example universe differs from tree universe")
     return graft_dt([t], tau.assignments)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import xplain as x
 from xplain.core import term_applies
+from xplain.modelio import dump_model, load_model
 
 from generators import (
     random_dl,
@@ -147,16 +148,20 @@ class TestEnsembleBranch:
             assert one == three
             assert one_stats.per_target == three_stats.per_target
 
-    @pytest.mark.parametrize("family", ["ds", "dl"])
-    def test_unary_clique_gadget_branches_per_ballot(self, family):
-        # 509 elements in 36 ballots: a search over one rule per element
-        # would not finish
+    @staticmethod
+    def _unary_clique_gadget(family):
         classes = tuple((f"v{2 * i}", f"v{2 * i + 1}") for i in range(5))
         vertices = [v for c in classes for v in c]
         cross = [(a, b) for a, b in combinations(vertices, 2)
                  if not any(a in c and b in c for c in classes)]
         g = x.ColouredGraph(classes, tuple(cross[::2]))
-        ens = x.mcc_unary_ensemble_gadget(g, g.k, "subset", family).model
+        return g, x.mcc_unary_ensemble_gadget(g, g.k, "subset", family).model
+
+    @pytest.mark.parametrize("family", ["ds", "dl"])
+    def test_unary_clique_gadget_branches_per_ballot(self, family):
+        # 509 elements in 36 ballots: a search over one rule per element
+        # would not finish
+        g, ens = self._unary_clique_gadget(family)
         assert len(ens.elements) >= 400
         zero = x.Example(ens.universe, (0,) * len(ens.universe))
         for k in (1, g.k):
@@ -164,6 +169,20 @@ class TestEnsembleBranch:
             found = x.lcxp_card_branch_ens(ens, zero, k)
             assert time.perf_counter() - started < 1.0
             assert found == x.lcxp_card_enum(ens, zero, k)
+
+    @pytest.mark.parametrize("family", ["ds", "dl"])
+    def test_unary_clique_gadget_keeps_its_ballots_through_json(self, family):
+        """Loading makes every element a new object; equal elements still
+        share a ballot, so the search stays per ballot."""
+        _, ens = self._unary_clique_gadget(family)
+        loaded = load_model(dump_model(ens))
+        assert len(loaded.elements) == len(ens.elements) == 509
+        assert len(loaded._ballots) == len(ens._ballots) == 36
+        zero = x.Example(loaded.universe, (0,) * len(loaded.universe))
+        started = time.perf_counter()
+        found = x.lcxp_card_branch_ens(loaded, zero, 2)
+        assert time.perf_counter() - started < 1.0
+        assert found == x.lcxp_card_enum(loaded, zero, 2)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

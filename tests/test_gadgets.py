@@ -291,8 +291,8 @@ class TestMccUnary:
 
     def test_copies_share_one_ballot(self, monkeypatch, tmp_path):
         """Each rejector's n copies and all the padders are one object: one
-        ballot each.  Built from distinct copies instead, the instance and
-        the ``gen-gadget`` file are the same."""
+        ballot each.  Built from distinct copies instead, the ballots, the
+        instance and the ``gen-gadget`` file are the same."""
         classes = (("a", "b"), ("c", "d"))
         edges = (("a", "c"), ("b", "d"))
         g = x.ColouredGraph(classes, edges)
@@ -324,7 +324,7 @@ class TestMccUnary:
             ),
         )
         distinct, distinct_file = generate(tmp_path / "distinct.json")
-        assert len(distinct.model._ballots) == len(distinct.model.elements)
+        assert distinct.model._ballots == ens._ballots
         assert distinct.meta["ens_size"] == shared.meta["ens_size"]
         assert distinct_file == shared_file
 

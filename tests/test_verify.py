@@ -424,7 +424,7 @@ def _misfits():
             yield f"{f.__name__}-{label}-k", partial(f, m, _E, -1)
         yield f"phom_check-{label}-k", partial(x.phom_check, m, -1)
     for bad, target in bad_local:
-        for f in (x.laxp_subset_min, x.lcxp_min, x.lcxp_subset_min):
+        for f in (x.laxp_subset_min, x.lcxp_min):
             yield f"{f.__name__}-target-{bad}", partial(f, _TREE, target)
         yield f"laxp_rules_subset_min-target-{bad}", partial(
             x.laxp_rules_subset_min, _SET, target)
