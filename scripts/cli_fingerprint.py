@@ -15,7 +15,9 @@ circuit of every model of the ``trees`` and ``rules`` workloads that is not
 itself a circuit, for class 0 and then class 1, as
 ``f"{dump_model(circuit)}\n{sorted(deletion)}\n{bound}\n{formula}\0"``
 (the JSON with sorted keys), so a change to any translation's gates or
-certificate shows.  The ``branch`` entry of a seed calls the branching
+certificate shows.  The ``gadget-translations`` entry hashes the circuits of
+every distinct ensemble of the ``gadgets`` workload the same way, in request
+order; these are the only ensembles with repeated voters.  The ``branch`` entry of a seed calls the branching
 search through the library, with a ``BranchStats``, on every ``lcxp --min
 card --algo branch`` request of the ``rules`` workload, and hashes
 ``f"{sorted(witness)}\n{nodes}\n{records}\0"``: the witness (``None`` for
@@ -45,7 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "scripts" / "cli_fingerprints.json"
 SEEDS = (1, 9001)
-WORKLOADS = ("trees", "rules", "gadgets", "translations", "branch")
+WORKLOADS = ("trees", "rules", "gadgets", "translations", "gadget-translations", "branch")
 
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
@@ -88,12 +90,26 @@ def translations(docs):
     """Circuit and certificate of each non-circuit model, for both classes."""
     for doc in docs:
         model = xplain.modelio.load_model(doc)
-        if isinstance(model, xplain.circuits.Circuit):
-            continue
-        for c in (0, 1):
-            circuit, cert = xplain.circuits.translate(model, c)
-            dump = json.dumps(xplain.modelio.dump_model(circuit), sort_keys=True)
-            yield f"{dump}\n{sorted(cert.deletion)}\n{cert.bound}\n{cert.formula}"
+        if not isinstance(model, xplain.circuits.Circuit):
+            yield from _circuits(model)
+
+
+def gadget_translations(inputs):
+    """Circuit and certificate of each distinct ensemble of the ``gadgets``
+    requests, for both classes."""
+    seen = set()
+    for req in inputs.requests:
+        model = req.instance.model
+        if isinstance(model, xplain.Ensemble) and id(model) not in seen:
+            seen.add(id(model))
+            yield from _circuits(model)
+
+
+def _circuits(model):
+    for c in (0, 1):
+        circuit, cert = xplain.circuits.translate(model, c)
+        dump = json.dumps(xplain.modelio.dump_model(circuit), sort_keys=True)
+        yield f"{dump}\n{sorted(cert.deletion)}\n{cert.bound}\n{cert.formula}"
 
 
 def branch_searches(inputs):
@@ -121,6 +137,7 @@ SOURCES = {
     "rules": (work_rules.setup, cli_answers),
     "gadgets": (work_gadgets.setup, tree_witnesses),
     "translations": (model_documents, translations),
+    "gadget-translations": (work_gadgets.setup, gadget_translations),
     "branch": (work_rules.setup, branch_searches),
 }
 
@@ -147,7 +164,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     found = {f"{w}:{s}": fingerprint(w, s) for s in SEEDS for w in WORKLOADS}
     for key, fp in found.items():
-        print(f"{key:18} {fp['requests']:5d} requests  {fp['sha256']}")
+        print(f"{key:24} {fp['requests']:5d} requests  {fp['sha256']}")
     if args.write:
         RECORD.write_text(json.dumps(found, indent=2, sort_keys=True) + "\n")
         return 0
