@@ -2,14 +2,18 @@
 
 A circuit is a DAG of IN / AND / OR / NOT / MAJ gates with one output gate
 (the unique sink).  Gates are stored topologically ordered with dense ids, so
-acyclicity is a property of the representation.  A MAJ gate with threshold t
-fires when at least t of its in-neighbours do.
+acyclicity is a property of the representation.  A MAJ gate's in-arcs are
+a multiset: with threshold t it fires when at least t of its arcs carry 1,
+an in-neighbour listed r times counting r times.  ``Circuit.evaluate``
+counts arc by arc; ``Circuit.table`` tabulates a repeated arc as one
+``counter_ge`` column weighted by its multiplicity.
 
 ``translate`` is the one translation.  For a class c it builds a circuit
 satisfied by an input assignment exactly when the model classifies it as c,
-in one loop over the voters: the model itself, or an ensemble's elements.
-Each voter is wired by its family's case, into one shared arena (input and
-per-feature NOT gates are shared):
+in one loop over the voters: the model itself, or an ensemble's ballots
+(``Ensemble._ballots``: each distinct element value once, with its votes).
+Each voter is wired once by its family's case, into one shared arena (input
+and per-feature NOT gates are shared):
 
 * a tree contributes one AND gate per leaf on its smaller class side (the
   gate recognizes the leaf's path, read as a mask off ``core._leaf_paths``)
@@ -21,14 +25,16 @@ per-feature NOT gates are shared):
   block fires when one of its rule terms applies, and the class-c blocks
   are guarded by the negations of all earlier other-class blocks.
 
-An ensemble then adds a single MAJ gate over the voters' outputs, with
-threshold floor(n/2) + 1.
+An ensemble of n elements then adds a single MAJ gate with threshold
+floor(n/2) + 1, which lists each ballot's output once per vote.
 
 The translation also returns a width certificate: a gate deletion set
 whose removal (together with the input gates, the per-feature NOT gates and
 the output) leaves a forest, plus the closed-form width bound that witness
 supports: 3 * 2**(Σ smaller-side leaf counts) for trees, 3 * 2**(3 * Σ rule
-counts) for rule models.  Rank-width itself is never computed.
+counts) for rule models, each sum over the ballots.  The repeated arcs all
+end at the output, which the forest test removes.  Rank-width itself is
+never computed.
 
 A constant tree, and a rule whose term constrains nothing, are encoded as a
 constant gate pair over an arbitrary input: OR(g, NOT g) is constant true and
@@ -38,6 +44,7 @@ universe.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
@@ -161,7 +168,8 @@ class Circuit:
             elif g.kind == NOT:
                 val[i] = full ^ val[g.ins[0]]
             else:  # MAJ
-                val[i] = counter_ge([(val[j], 1) for j in g.ins], g.threshold, full)
+                arcs = Counter(g.ins)  # a repeated arc is one weighted column
+                val[i] = counter_ge([(val[j], w) for j, w in arcs.items()], g.threshold, full)
             for j in g.ins:
                 if last[j] == i:
                     val[j] = None
@@ -305,14 +313,15 @@ def _dl_into(
 
 def translate(model, c: int) -> tuple[Circuit, WidthCertificate]:
     """The circuit of [model classifies as c] and its width certificate, whose
-    bound is 3 * 2**(the sum of the voters' exponents)."""
+    bound is 3 * 2**(the sum of the voters' exponents, one voter per
+    ballot)."""
     if c not in (0, 1):
         raise ModelError(f"class must be 0 or 1, got {c!r}")
     ensemble = isinstance(model, Ensemble)
-    voters = model.elements if ensemble else (model,)
-    if isinstance(voters[0], DecisionTree):
+    ballots = model._ballots if ensemble else ((model, 1),)
+    if isinstance(ballots[0][0], DecisionTree):
         into, formula = _dt_into, "dt"
-    elif isinstance(voters[0], (DecisionList, DecisionSet)):
+    elif isinstance(ballots[0][0], (DecisionList, DecisionSet)):
         into, formula = _dl_into, "dl"
     else:
         raise ModelError(f"no circuit translation for {model!r}")
@@ -320,9 +329,9 @@ def translate(model, c: int) -> tuple[Circuit, WidthCertificate]:
     outs: list[int] = []
     deletion: list[int] = []
     exponent = 0
-    for voter in voters:
+    for voter, votes in ballots:
         out, dele, e = into(builder, voter, c)
-        outs.append(out)
+        outs += [out] * votes
         deletion.extend(dele)
         exponent += e
     out = outs[0]

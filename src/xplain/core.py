@@ -28,7 +28,8 @@ Each family answers for itself: ``DecisionTree``, ``DecisionSet``,
 
 an ensemble calls ``evaluate`` on every element but ``table`` and
 ``params`` once per distinct element value (its ballots, see
-``Ensemble``), and sets and lists also have ``as_dl()``.  The public
+``Ensemble``), as every engine that reads an ensemble's voters does, and
+sets and lists also have ``as_dl()``.  The public
 entries check, then call them: ``classify`` the universe, ``subcube_table``
 and ``truth_table`` the partition, ``measure`` that the value is a model.
 A value without the three methods is a ModelError.
@@ -451,9 +452,17 @@ class Ensemble:
     (its votes), in first-occurrence order: a voter repeated as one object
     (``[m] * r``) and equal but distinct objects (an ensemble loaded from
     JSON) are one ballot alike.  Elements are grouped by identity first, so
-    each distinct object is hashed once.  ``table`` and ``params`` read the
-    ballots; ``evaluate`` counts every element, as the reference the tables
-    are tested against.
+    each distinct object is hashed once.
+
+    The ballots are the one voter list of every engine: ``table``,
+    ``params``, ``explain_dt.product_dt`` (through ``graft_dt``), the
+    branching search and ``circuits.translate``.  Only these still walk
+    ``elements``: validation and ``family`` here; the element count of the
+    majority threshold and of ``params``; ``evaluate``, which counts every
+    element as the reference the tables are tested against;
+    ``modelio._model_to``, since a JSON document lists every element; and
+    ``gadgets._leaves_are``, which certifies the ballot engines and so must
+    not depend on how the elements are grouped.
     """
 
     universe: FeatureUniverse
@@ -685,25 +694,28 @@ def is_normalized(t: DecisionTree) -> bool:
 _LEAVES = (Leaf(0), Leaf(1))  # leaves are immutable: one per class is shared
 
 
-def graft_dt(
-    trees: Sequence[DecisionTree], seed: Sequence[tuple[int, int]] = (), order=None
-) -> DecisionTree:
-    """The majority vote of ``trees`` on the examples extending the
-    ``(feature, bit)`` pairs of ``seed``, as one normalized tree.
+def graft_dt(ballots: Sequence[tuple[DecisionTree, int]], seed: Sequence[tuple[int, int]] = (),
+             order=None) -> DecisionTree:
+    """The majority vote of the ``(tree, votes)`` pairs of ``ballots`` on
+    the examples extending the ``(feature, bit)`` pairs of ``seed``, as one
+    normalized tree.  The majority is over the summed votes; one tree is
+    ``[(t, 1)]``.
 
     Tree i+1 is grafted onto every leaf of trees 1..i whose vote is still
-    open.  Each path carries the features it assigns, seed first: at a
-    split on an assigned feature the walk follows the consistent child and
-    emits no node, so no path tests a feature twice.  A path ends in a leaf
-    of the decided class as soon as its vote is decided (a majority already
-    voted 1, or too few trees are left to reach one); a vote of one tree
-    ends at that tree's leaf.  The walk is iterative (deep trees do not
-    exhaust the call stack) and emits the arena in post-order, 0-child
-    first: the result is in normal form, as its constructor finds
-    (``is_normalized``), and carries ``order``.
+    open, and a leaf of class 1 adds its tree's votes.  Each path carries
+    the features it assigns, seed first: at a split on an assigned feature
+    the walk follows the consistent child and emits no node, so no path
+    tests a feature twice.  A path ends in a leaf of the decided class as
+    soon as its vote is decided (a majority already voted 1, or too few
+    votes are left to reach one); a vote of one tree ends at that tree's
+    leaf.  The walk is iterative (deep trees do not exhaust the call stack)
+    and emits the arena in post-order, 0-child first: the result is in
+    normal form, as its constructor finds (``is_normalized``), and carries
+    ``order``.
     """
-    majority_at = len(trees) // 2 + 1
-    last = len(trees) - 1
+    trees, weight = zip(*ballots)
+    majority_at = sum(weight) // 2 + 1
+    left = [sum(weight[i + 1:]) for i in range(len(weight))]  # votes after tree i
     # Explicit stack whose entries are (tree, node, votes, mask, value) to
     # visit, or (feature,) for a split whose two children are built.  mask
     # has bit f set when the path assigns feature f, and value holds the
@@ -725,8 +737,8 @@ def graft_dt(
         while True:
             node = trees[ti].nodes[i]
             if isinstance(node, Leaf):
-                votes += node.label
-                if votes >= majority_at or votes + last - ti < majority_at:
+                votes += node.label * weight[ti]
+                if votes >= majority_at or votes + left[ti] < majority_at:
                     nodes.append(_LEAVES[votes >= majority_at])
                     built.append(len(nodes) - 1)
                     break
@@ -790,7 +802,7 @@ def normalize_dt(t: DecisionTree) -> DecisionTree:
     if memo is True:
         return t
     if memo is None:
-        memo = graft_dt([t], order=t.order)
+        memo = graft_dt([(t, 1)], order=t.order)
         assert memo.leaf_count() <= t.leaf_count()
         object.__setattr__(t, "_normal", memo)
     return memo

@@ -42,8 +42,9 @@ between calls.
   reads a row's literals off the tree or its round only when it branches on
   that row, and returns the first minimum in the oracle's enumeration order.
 * ensemble-to-tree product: ``core.graft_dt``, the path-consistent walk
-  that also normalizes and restricts trees, grafts each successive tree
-  onto every leaf whose vote is still open; its post-order output passes
+  that also normalizes and restricts trees, grafts each successive ballot
+  (a distinct element with its votes) onto every leaf whose vote is still
+  open; its post-order output passes
   the constructor's normal-form test like any other tree.
   ``_tree_form`` gives every route its tree: a tree's normalized tree, or a
   tree ensemble's product while it fits under ``product_dt``'s ceiling.
@@ -425,9 +426,10 @@ def card_xp_search(
 
 def product_dt(ens: Ensemble, max_leaves: int = 1_000_000) -> DecisionTree:
     """Single tree classifying exactly like the majority of a tree ensemble:
-    ``core.graft_dt`` of the elements, normalized by construction.  The
-    projected leaf count is the product of the element leaf counts;
-    construction aborts beyond ``max_leaves``.
+    ``core.graft_dt`` of its ballots (each distinct element once, with its
+    votes), normalized by construction.  A path grafts each ballot at most
+    once, so the projected leaf count is the product of the ballots' leaf
+    counts; construction aborts beyond ``max_leaves``.
 
     The product is memoized on the ensemble, so every query on one ensemble
     shares one product tree; its constructor finds it in normal form.  The projected-size check
@@ -436,9 +438,8 @@ def product_dt(ens: Ensemble, max_leaves: int = 1_000_000) -> DecisionTree:
     """
     if not isinstance(ens, Ensemble) or ens.family != "dt":
         raise ModelError("product_dt needs an ensemble of decision trees")
-    trees: list[DecisionTree] = list(ens.elements)
     projected = 1
-    for t in trees:
+    for t, _ in ens._ballots:
         projected *= t.leaf_count()
     if projected > max_leaves:
         raise CapExceeded(
@@ -446,7 +447,7 @@ def product_dt(ens: Ensemble, max_leaves: int = 1_000_000) -> DecisionTree:
         )
     if ens._product is not None:
         return ens._product
-    product = graft_dt(trees)
+    product = graft_dt(ens._ballots)
     assert product.leaf_count() <= projected
     object.__setattr__(ens, "_product", product)
     return product

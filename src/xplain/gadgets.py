@@ -46,10 +46,11 @@ from .core import (
     Split,
     _model_universe,
     classify,
+    graft_dt,
     measure,
     respects_order,
 )
-from .explain_dt import card_xp_search, product_dt
+from .explain_dt import card_xp_search
 from .explain_rules import lcxp_card_enum
 from .verify import (
     GLOBAL_KINDS,
@@ -57,7 +58,6 @@ from .verify import (
     hom_check,
     oracle_min,
     phom_check,
-    restrict_dt,
     verify,
 )
 
@@ -678,21 +678,21 @@ class HomEquivalenceReport:
 
 
 def _leaves_are(model, c: int) -> bool:
-    """Is every leaf labelled c: of a tree restricted to the empty partial
-    example, or of a tree ensemble's product?  The product is built without
-    its leaf cap: over n features a normalized tree has at most 2**n leaves,
-    whatever the product of the element leaf counts.  Other models have no
-    tree form and are checked one example at a time, up to the first that
-    is not of class c."""
+    """Is every leaf labelled c of ``core.graft_dt`` of a tree, or of a tree
+    ensemble's elements with one vote each?  The graft reads every element,
+    not the ensemble's ballots, on purpose: this statement then checks the
+    ballot engines without depending on how elements are grouped into
+    ballots.  It has no leaf cap: over n features a normalized tree has at
+    most 2**n leaves, whatever the product of the element leaf counts.
+    Other models have no tree form and are checked one example at a time,
+    up to the first that is not of class c."""
     u = model.universe
-    if isinstance(model, DecisionTree):
-        tree = restrict_dt(model, PartialExample(u, ()))
-    elif isinstance(model, Ensemble) and model.family == "dt":
-        tree = product_dt(model, max_leaves=math.inf)
-    else:
+    voters = model.elements if isinstance(model, Ensemble) else (model,)
+    if not isinstance(voters[0], DecisionTree):
         return all(
             classify(model, Example.from_mask(u, m)) == c for m in range(1 << len(u))
         )
+    tree = graft_dt([(t, 1) for t in voters])
     return all(node.label == c for node in tree.nodes if isinstance(node, Leaf))
 
 

@@ -140,7 +140,7 @@ def restrict_dt(t: DecisionTree, tau: PartialExample) -> DecisionTree:
         raise ModelError("expected a decision tree")
     if tau.universe != t.universe:
         raise ModelError("partial example universe differs from tree universe")
-    return graft_dt([t], tau.assignments)
+    return graft_dt([(t, 1)], tau.assignments)
 
 
 def _verify_dt(t: DecisionTree, kind: str, target, fixed: dict) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from random import Random
 
 import xplain as x
@@ -231,6 +232,18 @@ def random_coloured_graph(
         if colour_of[u_] != colour_of[v_] and rng.random() < edge_p
     ]
     return x.ColouredGraph(tuple(tuple(c) for c in classes), tuple(edges))
+
+
+def unary_clique_gadget(mode: str, family: str = "dl") -> tuple[x.ColouredGraph, x.Ensemble]:
+    """A fixed 10-vertex, 5-colour graph (every other cross-colour pair an
+    edge) and its unary clique gadget: 509 elements in 36 ballots, 25
+    rejectors of 10 copies each, 10 acceptors and one padder of 259 votes."""
+    classes = tuple((f"v{2 * i}", f"v{2 * i + 1}") for i in range(5))
+    vertices = [v for c in classes for v in c]
+    cross = [(a, b) for a, b in combinations(vertices, 2)
+             if not any(a in c and b in c for c in classes)]
+    g = x.ColouredGraph(classes, tuple(cross[::2]))
+    return g, x.mcc_unary_ensemble_gadget(g, g.k, mode, family).model
 
 
 def random_hitting_set(rng: Random, n_elems: int, n_sets: int):

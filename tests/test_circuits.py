@@ -21,6 +21,7 @@ from generators import (
     random_example,
     random_model,
     random_universe,
+    unary_clique_gadget,
 )
 
 
@@ -104,15 +105,16 @@ class TestTreeTranslation:
     @given(seed=st.integers(0, 10_000), size=st.sampled_from([0, 1, 3, 5]))
     @settings(max_examples=50, deadline=None)
     def test_leaf_gates_follow_the_reference_walk(self, seed, size):
-        """Each voter's deletion gates are ANDs that recognize exactly the
-        paths of its smaller side's leaves, depth-first; size 0 is a bare
-        tree, any other size an ensemble of that many trees."""
+        """Each ballot's deletion gates are ANDs that recognize exactly the
+        paths of its smaller side's leaves, depth-first, once however many
+        votes it has; size 0 is a bare tree, any other size an ensemble of
+        that many trees."""
         rng = Random(seed)
         u = random_universe(rng, rng.randint(1, 7))
         model = random_ensemble(rng, u, "dt", size) if size else random_dt(rng, u)
         want: list[dict[int, int]] = []
         mnl_sum = 0
-        for t in model.elements if size else (model,):
+        for t, _ in model._ballots if size else ((model, 1),):
             t = x.normalize_dt(t)
             sides: tuple[list, list] = ([], [])
             for i, assigned in leaf_assignments(t):
@@ -217,6 +219,27 @@ class TestEnsembleTranslation:
         triple, _ = x.translate(x.Ensemble(u, (t, t, t)), 0)
         single, _ = x.translate(t, 0)
         assert circuit_table(triple) == circuit_table(single)
+
+    @pytest.mark.parametrize("mode", ["set", "subset"])
+    def test_unary_clique_gadget_wires_each_ballot_once(self, mode):
+        """509 elements in 36 ballots: each ballot is wired once and listed
+        once per vote by the MAJ gate, so the circuit has fewer gates than
+        the ensemble has elements.  The reference table counts every
+        element (``Ensemble.evaluate``), not the ballots."""
+        _, ens = unary_clique_gadget(mode)
+        u = ens.universe
+        ones = 0
+        for m in range(1 << len(u)):
+            ones |= ens.evaluate(x.Example.from_mask(u, m)) << m
+        full = (1 << (1 << len(u))) - 1
+        for c in (0, 1):
+            circ, cert = x.translate(ens, c)
+            assert len(circ.gates) < len(ens.elements) == 509
+            assert circuit_table(circ) == (ones if c else full ^ ones)
+            assert x.certificate_holds(circ, cert)
+            maj = circ.gates[circ.output]
+            assert maj.kind == "MAJ" and maj.threshold == 255
+            assert len(maj.ins) == 509 and len(set(maj.ins)) == 36
 
     def test_majority_threshold_formula(self):
         rng = Random(7)

@@ -455,7 +455,7 @@ class TestCardSearchColumns:
         out = x.normalize_dt(t)
         assert out is not t and is_normalized(out) and x.normalize_dt(out) is out
         assert x.truth_table(out) == x.truth_table(t)
-        rebuilt = graft_dt([t])
+        rebuilt = graft_dt([(t, 1)])
         assert rebuilt.root != 0 and x.truth_table(rebuilt) == x.truth_table(t)
         targets = [("laxp", x.Example.from_mask(u, m)) for m in range(16)]
         targets += [(kind, c) for kind in ("gaxp", "gcxp") for c in (0, 1)]
@@ -481,7 +481,7 @@ class TestCardSearchColumns:
         assert is_normalized(out) and x.normalize_dt(out) is out
         assert x.truth_table(out) == x.truth_table(t)
         assert (out is t) == in_normal_form(t)
-        rebuilt = graft_dt([t])
+        rebuilt = graft_dt([(t, 1)])
         targets = [("laxp", random_example(rng, u)) for _ in range(2)]
         targets += [(kind, c) for kind in ("gaxp", "gcxp") for c in (0, 1)]
         for kind, target in targets:
@@ -652,6 +652,19 @@ class TestProduct:
             product = x.product_dt(x.Ensemble(u, (t, t, third)))
             assert product.leaf_count() == x.normalize_dt(t).leaf_count()
             assert x.truth_table(product) == x.truth_table(t)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 6), depth=st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_a_ballot_of_two_votes_decides_every_path(self, seed, n, depth):
+        # t's two copies are one ballot of two votes of three: t's leaf
+        # decides every path, so s is never grafted, wherever it stands
+        rng = Random(seed)
+        u = random_universe(rng, n)
+        t = random_dt(rng, u, max_depth=depth)
+        s = random_dt(rng, u, max_depth=depth)
+        product = x.product_dt(x.Ensemble(u, (t, s, t)))
+        assert product.leaf_count() == x.normalize_dt(t).leaf_count()
+        assert x.truth_table(product) == x.truth_table(t)
 
     @given(
         seed=st.integers(0, 10_000),

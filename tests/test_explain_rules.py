@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import time
-from itertools import combinations
 from random import Random
 
 import pytest
@@ -17,6 +16,7 @@ from generators import (
     random_ensemble,
     random_example,
     random_universe,
+    unary_clique_gadget,
 )
 
 
@@ -148,20 +148,11 @@ class TestEnsembleBranch:
             assert one == three
             assert one_stats.per_target == three_stats.per_target
 
-    @staticmethod
-    def _unary_clique_gadget(family):
-        classes = tuple((f"v{2 * i}", f"v{2 * i + 1}") for i in range(5))
-        vertices = [v for c in classes for v in c]
-        cross = [(a, b) for a, b in combinations(vertices, 2)
-                 if not any(a in c and b in c for c in classes)]
-        g = x.ColouredGraph(classes, tuple(cross[::2]))
-        return g, x.mcc_unary_ensemble_gadget(g, g.k, "subset", family).model
-
     @pytest.mark.parametrize("family", ["ds", "dl"])
     def test_unary_clique_gadget_branches_per_ballot(self, family):
         # 509 elements in 36 ballots: a search over one rule per element
         # would not finish
-        g, ens = self._unary_clique_gadget(family)
+        g, ens = unary_clique_gadget("subset", family)
         assert len(ens.elements) >= 400
         zero = x.Example(ens.universe, (0,) * len(ens.universe))
         for k in (1, g.k):
@@ -174,7 +165,7 @@ class TestEnsembleBranch:
     def test_unary_clique_gadget_keeps_its_ballots_through_json(self, family):
         """Loading makes every element a new object; equal elements still
         share a ballot, so the search stays per ballot."""
-        _, ens = self._unary_clique_gadget(family)
+        _, ens = unary_clique_gadget("subset", family)
         loaded = load_model(dump_model(ens))
         assert len(loaded.elements) == len(ens.elements) == 509
         assert len(loaded._ballots) == len(ens._ballots) == 36

@@ -23,6 +23,7 @@ from generators import (
     random_hitting_set,
     random_model,
     random_universe,
+    unary_clique_gadget,
 )
 
 
@@ -45,7 +46,7 @@ def test_every_tree_builder_emits_normal_form(seed):
     elements, sets = random_hitting_set(rng, rng.randint(1, 6), rng.randint(1, 4))
     g = random_coloured_graph(rng, rng.randint(3, 5), rng.randint(2, 3))
     trees = [
-        graft_dt([random_dt(rng, u, max_depth=5) for _ in range(rng.choice((1, 3)))]),
+        graft_dt([(random_dt(rng, u, max_depth=5), 1) for _ in range(rng.choice((1, 3)))]),
         x.product_dt(random_ensemble(rng, u, "dt", 3)),
         x.odt_from_examples(u, rows, order),
         x.mcc_odt_gaxp_gadget(g, g.k).model,
@@ -485,6 +486,15 @@ class TestHomSuite:
         u = x.universe("a", "b")
         t = x.DecisionTree(u, (x.Split(0, 1, 2), x.Leaf(0), x.Leaf(1)))
         report = x.hom_equivalence_suite(t)
+        assert report.all_equal and report.statements[0] is False
+        assert report.khom_equal
+
+    @pytest.mark.parametrize("mode", ["set", "subset"])
+    def test_unary_clique_gadget(self, mode):
+        # statements 6 and 9 read the circuit wired per ballot, statement 8
+        # grafts every element with one vote
+        _, ens = unary_clique_gadget(mode)
+        report = x.hom_equivalence_suite(ens)
         assert report.all_equal and report.statements[0] is False
         assert report.khom_equal
 
