@@ -87,6 +87,19 @@ MUTANTS = [
            ("tests/test_core.py::test_shared_ensemble_elements_count_every_copy",
             "tests/test_explain_rules.py::TestEnsembleBranch::"
             "test_unary_clique_gadget_keeps_its_ballots_through_json")),
+    # the circuit and the tree product read the ballots, with their votes
+    Mutant("translate-arc-per-ballot", "src/xplain/circuits.py",
+           "        outs += [out] * votes\n", "        outs += [out]\n",
+           ("tests/test_circuits.py::TestEnsembleTranslation::"
+            "test_unary_clique_gadget_wires_each_ballot_once",)),
+    Mutant("maj-table-arc-unweighted", "src/xplain/circuits.py",
+           "[(val[j], w) for j, w in arcs.items()]", "[(val[j], 1) for j, w in arcs.items()]",
+           ("tests/test_circuits.py::TestEnsembleTranslation::"
+            "test_unary_clique_gadget_wires_each_ballot_once",)),
+    Mutant("graft-single-vote", _CORE,
+           "votes += node.label * weight[ti]", "votes += node.label",
+           ("tests/test_explain_dt.py::TestProduct::"
+            "test_a_ballot_of_two_votes_decides_every_path",)),
     # the one tie-break of every minimum contrastive witness
     Mutant("better-tie-flipped", "src/xplain/explain_rules.py",
            "(size_b == size_a and (a ^ b) & -(a ^ b) & b)",
@@ -97,6 +110,11 @@ MUTANTS = [
            "    if c not in (0, 1):\n        raise ModelError(f\"class must be 0 or 1, got {c!r}\")\n",
            "",
            ("tests/test_core.py::test_wrong_model_raises_model_error",)),
+    Mutant("fixed-bit-unchecked", _CORE,
+           "    if any(b not in (0, 1) for b in fixed.values()):\n"
+           "        raise ModelError(\"fixed bits must be 0 or 1\")\n",
+           "",
+           ("tests/test_core.py::test_subcube_table_needs_a_partition",)),
 ]
 
 

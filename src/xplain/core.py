@@ -29,10 +29,10 @@ Each family answers for itself: ``DecisionTree``, ``DecisionSet``,
 an ensemble calls ``evaluate`` on every element but ``table`` and
 ``params`` once per distinct element value (its ballots, see
 ``Ensemble``), as every engine that reads an ensemble's voters does, and
-sets and lists also have ``as_dl()``.  The public
-entries check, then call them: ``classify`` the universe, ``subcube_table``
-and ``truth_table`` the partition, ``measure`` that the value is a model.
-A value without the three methods is a ModelError.
+sets and lists also have ``as_dl()``.  The public entries check, then call
+them: ``classify`` the model and the example's universe, ``subcube_table``
+and ``truth_table`` the partition and the fixed bits, ``measure`` that the
+value is a model.  A value without the three methods is a ModelError.
 
 Besides the per-example ``classify`` there is one bit-parallel kernel,
 ``subcube_table(model, fixed, free)``.  It computes the class of every
@@ -540,7 +540,10 @@ class Ensemble:
 
 def classify(model, e: Example) -> int:
     """Class of ``e`` under ``model``; total for every well-formed model."""
-    if e.universe != _model_universe(model):
+    u = _model_universe(model)
+    if not isinstance(e, Example):
+        raise ModelError(f"not an example: {e!r}")
+    if e.universe != u:
         raise ModelError("example universe differs from model universe")
     return model.evaluate(e)
 
@@ -641,18 +644,20 @@ def weight_planes(n: int) -> list[int]:
 def subcube_table(model, fixed: Mapping[int, int], free: Sequence[int], origin: int = 0) -> int:
     """Classes of the 2**len(free) completions of ``fixed``, in one integer.
 
-    ``fixed`` maps features to bits and ``free`` lists the other features;
-    together they partition the universe.  Bit m is the class of the example
-    that agrees with ``fixed`` and gives free[j] the value of bit j of m, or
-    its complement where the ``origin`` mask has free[j]: the flip m of the
-    origin.  A fixed feature reads as a constant column and a free one as
-    ``feature_column(j, len(free))``, so the work is in 2**len(free) bits
-    whatever the universe size.  A free column is built on its first read,
-    so features the model never reads cost nothing.
+    ``fixed`` maps features to bits (0 or 1) and ``free`` lists the other
+    features; together they partition the universe.  Bit m is the class of
+    the example that agrees with ``fixed`` and gives free[j] the value of
+    bit j of m, or its complement where the ``origin`` mask has free[j]: the
+    flip m of the origin.  A fixed feature reads as a constant column and a
+    free one as ``feature_column(j, len(free))``, so the work is in
+    2**len(free) bits whatever the universe size.  A free column is built
+    on its first read, so features the model never reads cost nothing.
     """
     n = len(_model_universe(model))
     if sorted([*fixed, *free]) != list(range(n)):
         raise ModelError("fixed and free features must partition the universe")
+    if any(b not in (0, 1) for b in fixed.values()):
+        raise ModelError("fixed bits must be 0 or 1")
     cols = _Columns(fixed, free, origin)
     return model.table(cols, cols.full)
 

@@ -44,8 +44,8 @@ between calls.
 * ensemble-to-tree product: ``core.graft_dt``, the path-consistent walk
   that also normalizes and restricts trees, grafts each successive ballot
   (a distinct element with its votes) onto every leaf whose vote is still
-  open; its post-order output passes
-  the constructor's normal-form test like any other tree.
+  open; its post-order output passes the constructor's normal-form test
+  like any other tree.
   ``_tree_form`` gives every route its tree: a tree's normalized tree, or a
   tree ensemble's product while it fits under ``product_dt``'s ceiling.
   Past it, and on every other family, the table engines answer.

@@ -156,6 +156,8 @@ def answer_query(model, q: Query, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     minimum contrastive set by ``lcxp_card_enum``, and the abductive kinds
     by the hitting-set search of ``explain_dt.card_xp_search`` under the
     budget k."""
+    if not isinstance(q, Query):
+        raise ModelError(f"not a query: {q!r}")
     if q.kind == "hom":
         return hom_check(model, caps)
     if q.kind == "phom":

@@ -138,6 +138,8 @@ def restrict_dt(t: DecisionTree, tau: PartialExample) -> DecisionTree:
     tau).  tau must be over t's universe."""
     if not isinstance(t, DecisionTree):
         raise ModelError("expected a decision tree")
+    if not isinstance(tau, PartialExample):
+        raise ModelError(f"not a partial example: {tau!r}")
     if tau.universe != t.universe:
         raise ModelError("partial example universe differs from tree universe")
     return graft_dt([(t, 1)], tau.assignments)

@@ -330,6 +330,9 @@ _ENTRIES = {
         pytest.param(x.hom_equivalence_suite, object(), id="hom-suite-object"),
         pytest.param(dump_model, object(), id="dump-object"),
         pytest.param(lambda m: x.translate(m, 2), _TREE2, id="translate-class-2"),
+        pytest.param(lambda m: x.classify(m, object()), _TREE2, id="classify-object-example"),
+        pytest.param(lambda m: x.restrict_dt(m, {0: 1}), _TREE2, id="restrict-dict-tau"),
+        pytest.param(lambda m: x.answer_query(m, object()), _TREE2, id="answer-object-query"),
     ],
 )
 def test_wrong_model_raises_model_error(call, model):
@@ -550,9 +553,12 @@ def test_shared_ensemble_elements_count_every_copy(seed, n):
 
 
 def test_subcube_table_needs_a_partition():
+    # and fixed bits: a model reads any true value as 1, so {0: 2} would
+    # tabulate as {0: 1}
     u = x.universe("a", "b")
     model = x.DecisionSet(u, (((0, 1),),), 0)
-    for fixed, free in (({0: 1}, [0, 1]), ({0: 1}, []), ({}, [0, 1, 2]), ({}, [1, 1])):
+    for fixed, free in (({0: 1}, [0, 1]), ({0: 1}, []), ({}, [0, 1, 2]), ({}, [1, 1]),
+                        ({0: 2}, [1]), ({0: -1}, [1])):
         with pytest.raises(x.ModelError):
             x.subcube_table(model, fixed, free)
 

@@ -641,9 +641,9 @@ class TestProduct:
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 6), depth=st.integers(1, 7))
     @settings(max_examples=60, deadline=None)
     def test_unanimous_vote_is_decided_by_the_second_tree(self, seed, n, depth):
-        # the second copy of t follows the first copy's path to the same leaf,
-        # which decides the vote, so no third tree is grafted and the product
-        # is the normalized t
+        # t's copies are one ballot of two or three votes, so t's leaf
+        # decides the vote and no other tree is grafted: the product is the
+        # normalized t
         rng = Random(seed)
         u = random_universe(rng, n)
         t = random_dt(rng, u, max_depth=depth)
