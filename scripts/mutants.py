@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 _CORE = "src/xplain/core.py"
 _DT = "src/xplain/explain_dt.py"
+_GADGETS = "src/xplain/gadgets.py"
 
 MUTANTS = [
     # the DecisionTree constructor's forward pass and reachability walk
@@ -115,6 +116,22 @@ MUTANTS = [
            "        raise ModelError(\"fixed bits must be 0 or 1\")\n",
            "",
            ("tests/test_core.py::test_subcube_table_needs_a_partition",)),
+    Mutant("partition-type-unchecked", _CORE,
+           "    if not (isinstance(fixed, Mapping) and isinstance(free, Sequence)\n"
+           "            and all(isinstance(f, int) for f in (*fixed, *free))):\n",
+           "    if False:\n",
+           ("tests/test_core.py::test_subcube_table_needs_a_partition",)),
+    Mutant("budget-type-unchecked", "src/xplain/verify.py",
+           "    if type(k) is not int:\n", "    if False:\n",
+           ("tests/test_gadgets.py::test_gadget_builders_refuse_the_budgets_a_request_refuses",)),
+    # a recognizer is the graft of one chain per row and a constant-1 ballot
+    Mutant("recognizer-constant-votes", _GADGETS,
+           "len(rows) - 1)] if len(rows) > 1", "len(rows) - 2)] if len(rows) > 1",
+           ("tests/test_gadgets.py::TestOdtFromExamples::test_membership_semantics",)),
+    Mutant("recognizer-chain-branch", _GADGETS,
+           "Split(f, reject, accept) if bit[f] else Split(f, accept, reject)",
+           "Split(f, accept, reject) if bit[f] else Split(f, reject, accept)",
+           ("tests/test_gadgets.py::TestOdtFromExamples::test_single_all_zero_row",)),
 ]
 
 

@@ -115,6 +115,8 @@ class Circuit:
                     raise ModelError(f"{g.kind} gates need at least one incoming arc")
                 if (g.kind == MAJ) != (g.threshold is not None):
                     raise ModelError("exactly MAJ gates carry a threshold")
+                if g.kind == MAJ and not isinstance(g.threshold, int):
+                    raise ModelError(f"a MAJ threshold must be an integer, got {g.threshold!r}")
         sinks = [i for i, d in enumerate(outdeg) if d == 0]
         if sinks != [self.output]:
             raise ModelError(f"output must be the unique sink, sinks are {sinks}")

@@ -48,8 +48,9 @@ one call of this kernel and one integer compare; the flip searches add the
 
 Trees are rebuilt by ``graft_dt`` and read by ``_leaf_paths``, two
 path-consistent walks: at a split on a feature the path already assigns,
-each follows the consistent child.  ``normalize_dt``, ``verify.restrict_dt``
-and ``explain_dt.product_dt`` are each one call of ``graft_dt``.  Its output
+each follows the consistent child.  ``normalize_dt``, ``verify.restrict_dt``,
+``explain_dt.product_dt`` and ``gadgets.odt_from_examples`` are each one call
+of ``graft_dt``.  Its output
 is the one normal form of a tree: no path tests a feature twice, and the
 arena is in post-order (0-subtree, 1-subtree, split; root last), so the tree
 engines read a normalized tree in one forward pass over its nodes.  The
@@ -325,13 +326,16 @@ def leaf_tree(u: FeatureUniverse, label: int) -> DecisionTree:
 Term = tuple[tuple[int, int], ...]  # ((feature index, required bit), ...), sorted
 
 
-def make_term(literals: Iterable[tuple[int, int]]) -> Term:
-    """Canonicalize a set of literals; contradictory terms are rejected."""
+def make_term(literals: Iterable[tuple[int, int]], n: int) -> Term:
+    """Canonicalize a set of literals over features 0..n-1; contradictory
+    terms and features outside the universe are rejected."""
     required: dict[int, int] = {}
     for f, b in literals:
         if b not in (0, 1):
             raise ModelError("literal bit must be 0 or 1")
         f, b = int(f), int(b)
+        if not 0 <= f < n:
+            raise ModelError(f"feature index {f} outside universe")
         if required.setdefault(f, b) != b:
             raise ModelError(f"contradictory term: feature {f} required 0 and 1")
     return tuple(sorted(required.items()))
@@ -356,15 +360,11 @@ class DecisionSet:
     default: int
 
     def __post_init__(self) -> None:
-        terms = tuple(make_term(t) for t in self.terms)
+        n = len(self.universe)
+        terms = tuple(make_term(t, n) for t in self.terms)
         object.__setattr__(self, "terms", terms)
         if self.default not in (0, 1):
             raise ModelError("default class must be 0 or 1")
-        n = len(self.universe)
-        for t in terms:
-            for f, _ in t:
-                if not 0 <= f < n:
-                    raise ModelError(f"feature index {f} outside universe")
 
     def evaluate(self, e: Example) -> int:
         for t in self.terms:
@@ -404,15 +404,11 @@ class DecisionList:
             raise ModelError("decision list needs at least one rule")
         if any(c not in (0, 1) for _, c in self.rules):
             raise ModelError("rule class must be 0 or 1")
-        rules = tuple((make_term(t), int(c)) for t, c in self.rules)
+        n = len(self.universe)
+        rules = tuple((make_term(t, n), int(c)) for t, c in self.rules)
         object.__setattr__(self, "rules", rules)
         if rules[-1][0] != ():
             raise ModelError("last rule's term must be empty")
-        n = len(self.universe)
-        for t, _ in rules:
-            for f, _ in t:
-                if not 0 <= f < n:
-                    raise ModelError(f"feature index {f} outside universe")
 
     def evaluate(self, e: Example) -> int:
         for t, c in self.rules:
@@ -654,6 +650,9 @@ def subcube_table(model, fixed: Mapping[int, int], free: Sequence[int], origin: 
     on its first read, so features the model never reads cost nothing.
     """
     n = len(_model_universe(model))
+    if not (isinstance(fixed, Mapping) and isinstance(free, Sequence)
+            and all(isinstance(f, int) for f in (*fixed, *free))):
+        raise ModelError("fixed must map features to bits and free must list features")
     if sorted([*fixed, *free]) != list(range(n)):
         raise ModelError("fixed and free features must partition the universe")
     if any(b not in (0, 1) for b in fixed.values()):

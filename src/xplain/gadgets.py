@@ -2,9 +2,10 @@
 
 Two building blocks sit underneath everything here.
 
-* ``odt_from_examples`` grows an ordered tree accepting exactly a given set
-  of assignments of some feature subset, splitting the rows feature by
-  feature in the order.
+* ``odt_from_examples`` builds an ordered tree accepting exactly a given
+  set of assignments of some feature subset: ``core.graft_dt`` of one chain
+  per assignment, testing the subset in the order, and of a constant-1
+  ballot that lets any one accepting chain decide the vote.
 * Set- and subset-recognizers: ``set_model_odt`` accepts the examples whose
   one-set *restricted to the family's domain* equals a member set;
   ``subset_model_rules`` accepts those whose one-set contains a member.
@@ -17,7 +18,8 @@ solvers in :mod:`xplain.truth`, which share no code with the constructions.
 
 ``mcc_odt_gaxp_gadget`` builds no sub-trees: it emits its scaffold and its
 blocks in one pass into one node arena and checks one ``DecisionTree`` at
-the end.
+the end.  Every builder that takes a budget k checks it by
+``verify._budget``, the rule of the explanation entries.
 
 Generated universes are laid out in the declared feature order, so the order
 tag of every emitted tree is the identity permutation.
@@ -54,6 +56,7 @@ from .explain_dt import card_xp_search
 from .explain_rules import lcxp_card_enum
 from .verify import (
     GLOBAL_KINDS,
+    _budget,
     _request,
     hom_check,
     oracle_min,
@@ -191,9 +194,11 @@ def odt_from_examples(
 ) -> DecisionTree:
     """Ordered tree accepting exactly the examples agreeing with some row.
 
-    All rows must assign the same feature subset; the tree tests those
-    features in the induced order, one chain per row grafted onto the running
-    tree, so it has exactly ``len(rows)`` positive leaves.
+    All rows must assign the same feature subset.  Each row is a chain that
+    tests those features in the induced order and accepts only that row.
+    The tree is ``core.graft_dt`` of the chains, one vote each, and of a
+    constant-1 tree with ``len(rows) - 1`` votes, so any one accepting chain
+    decides the vote.  It has exactly ``len(rows)`` positive leaves.
     """
     order = tuple(int(f) for f in order)
     if sorted(order) != list(range(len(u))):
@@ -201,37 +206,21 @@ def odt_from_examples(
     domains = {r.domain for r in rows}
     if len(domains) > 1:
         raise ModelError("rows must assign one common feature subset")
-    assignments = [r.as_dict() for r in rows]
-    if len({tuple(sorted(a.items())) for a in assignments}) != len(rows):
+    if len(set(rows)) != len(rows):
         raise ModelError("duplicate rows")
-    domain = set(domains.pop()) if domains else set()
+    if not rows:
+        return DecisionTree(u, (Leaf(0),), 0, order)
+    domain = set(domains.pop())
     seq = [f for f in order if f in domain]
-    nodes: list = []
-    built: list[int] = []  # arena indices of finished subtrees
-    # Post-order, 0-child first, on an explicit stack whose entries are
-    # (depth, member rows) to visit, or (feature,) for a split whose two
-    # children are built.
-    stack: list[tuple] = [(0, assignments)]
-    while stack:
-        entry = stack.pop()
-        if len(entry) == 1:
-            hi = built.pop()
-            lo = built.pop()
-            nodes.append(Split(entry[0], lo, hi))
-        else:
-            depth, member = entry
-            if member and depth < len(seq):
-                f = seq[depth]
-                stack += (
-                    (f,),
-                    (depth + 1, [a for a in member if a[f] == 1]),
-                    (depth + 1, [a for a in member if a[f] == 0]),
-                )
-                continue
-            nodes.append(Leaf(1 if member else 0))
-        built.append(len(nodes) - 1)
-    root = built.pop()
-    tree = DecisionTree(u, tuple(nodes), root, order)
+    ballots = [(DecisionTree(u, (Leaf(1),)), len(rows) - 1)] if len(rows) > 1 else []
+    for row in rows:
+        bit = row.as_dict()
+        nodes: list = [Leaf(1)]  # the chain, from its accepting leaf up
+        for f in reversed(seq):
+            accept, reject = len(nodes) - 1, len(nodes)
+            nodes += (Leaf(0), Split(f, reject, accept) if bit[f] else Split(f, accept, reject))
+        ballots.append((DecisionTree(u, tuple(nodes), len(nodes) - 1), 1))
+    tree = graft_dt(ballots, order=order)
     positives = sum(1 for n in tree.nodes if isinstance(n, Leaf) and n.label == 1)
     assert positives == len(rows)
     assert tree.leaf_count() <= 2 * max(1, len(rows)) * max(1, len(seq)) + 1
@@ -309,8 +298,7 @@ def hitting_set_gadget(
     """
     if mode not in ("set-odt", "subset-ds", "subset-dl"):
         raise ModelError(f"unknown hitting set mode {mode!r}")
-    if k < 0:
-        raise ModelError("k must be nonnegative")
+    _budget(k)
     fam_sets = [frozenset(s) for s in sets]
     element_set = set(elements)
     for s in fam_sets:
@@ -372,6 +360,7 @@ def mcc_ensemble_gadget(
     padders up to 2k + 1 elements.  The padders are one model object
     repeated, so the ensemble tabulates it once (``Ensemble._ballots``).
     """
+    _budget(k)
     if k != g.k:
         raise ModelError("k must equal the number of colour classes")
     if mode not in ("set", "subset"):
@@ -432,6 +421,7 @@ def mcc_unary_ensemble_gadget(
     Each rejector's copies and all the padders are one model object
     repeated, so the ensemble holds len(non_edges) + n + 1 ballots
     (``Ensemble._ballots``) and tabulates each once."""
+    _budget(k)
     if k != g.k:
         raise ModelError("k must equal the number of colour classes")
     if mode not in ("set", "subset"):
@@ -506,6 +496,7 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
     block scans colour i, and the branch where it finds vertex v set
     requires the rest of colour i, then v's colour-j neighbours, to be 0.
     """
+    _budget(k)
     if k != g.k:
         raise ModelError("k must equal the number of colour classes")
     if k < 2:

@@ -150,13 +150,13 @@ def circuit_to_json(circuit: Circuit) -> dict[str, Any]:
     for i, g in enumerate(circuit.gates):
         entry: dict[str, Any] = {"id": i, "kind": g.kind}
         if g.kind != IN:
-            entry["in"] = list(g.ins)
+            entry["in"] = [int(j) for j in g.ins]
         if g.kind == MAJ:
-            entry["threshold"] = g.threshold
+            entry["threshold"] = int(g.threshold)
         gates.append(entry)
         if g.kind == IN:
             inputs[circuit.universe.name(g.feature)] = i
-    return {"gates": gates, "output": circuit.output, "inputs": inputs}
+    return {"gates": gates, "output": int(circuit.output), "inputs": inputs}
 
 
 def circuit_from_json(payload: Mapping[str, Any], u: FeatureUniverse) -> Circuit:
@@ -233,12 +233,12 @@ def _model_to(model) -> dict[str, Any]:
         nodes: list[dict[str, Any]] = []
         for node in model.nodes:
             if isinstance(node, Leaf):
-                nodes.append({"leaf": node.label})
+                nodes.append({"leaf": int(node.label)})
             else:
                 nodes.append(
-                    {"test": u.name(node.feature), "if0": node.lo, "if1": node.hi}
+                    {"test": u.name(node.feature), "if0": int(node.lo), "if1": int(node.hi)}
                 )
-        payload: dict[str, Any] = {"root": model.root, "nodes": nodes}
+        payload: dict[str, Any] = {"root": int(model.root), "nodes": nodes}
         if model.order is not None:
             payload["order"] = [u.name(f) for f in model.order]
         return {"dt": payload}
@@ -246,7 +246,7 @@ def _model_to(model) -> dict[str, Any]:
         return {
             "ds": {
                 "terms": [[[u.name(f), b] for f, b in t] for t in model.terms],
-                "default": model.default,
+                "default": int(model.default),
             }
         }
     if isinstance(model, DecisionList):

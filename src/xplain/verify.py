@@ -99,11 +99,18 @@ def _request(
             raise ModelError("local kinds take an example over the model's universe")
     elif target not in (0, 1):
         raise ModelError("global kinds take a class bit as target")
+    _budget(k)
+    return u
+
+
+def _budget(k) -> None:
+    """The one budget rule, of explanation entries (through ``_request``)
+    and gadget builders alike: ``k`` is a nonnegative int, not a bool;
+    ModelError otherwise."""
     if type(k) is not int:
         raise ModelError(f"k must be an int, got {k!r}")
     if k < 0:
         raise ModelError("k must be nonnegative")
-    return u
 
 
 def _fixed(u: FeatureUniverse, kind: str, target, candidate: Candidate) -> dict[int, int]:

@@ -441,5 +441,6 @@ class TestInvariants:
 
     def test_maj_needs_threshold(self):
         u = x.universe("a")
-        with pytest.raises(x.ModelError):
-            x.Circuit(u, (x.Gate("IN", feature=0), x.Gate("MAJ", (0,))), 1)
+        for threshold in (None, 1.5, 1.0):
+            with pytest.raises(x.ModelError):
+                x.Circuit(u, (x.Gate("IN", feature=0), x.Gate("MAJ", (0,), threshold)), 1)

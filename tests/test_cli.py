@@ -531,24 +531,32 @@ def test_rule_explanations_above_the_oracle_cap(kind, minimum, target, capsys,
 
 
 def test_contrastive_minimum_past_the_product_ceiling(capsys, tmp_path):
-    """Three copies of a full depth-7 parity tree project a product of 2**21
-    leaves, past the ceiling of 10**6: ``lcxp --min card`` enumerates flips
-    instead, and any one flip of x0..x6 changes the vote."""
-    nodes: list[dict] = []
+    """Three full depth-7 trees of the parity of x0..x6, each testing the
+    features in another order, are three ballots and project a product of
+    2**21 leaves, past the ceiling of 10**6: ``lcxp --min card`` enumerates
+    flips instead, and any one flip of x0..x6 changes the vote."""
+    def parity_tree(features: list[str]) -> dict:
+        nodes: list[dict] = []
 
-    def build(depth: int, ones: int) -> int:
-        at = len(nodes)
-        nodes.append({"leaf": ones % 2})
-        if depth < 7:
-            nodes[at] = {"test": f"x{depth}", "if0": build(depth + 1, ones),
-                         "if1": build(depth + 1, ones + 1)}
-        return at
+        def build(depth: int, ones: int) -> int:
+            at = len(nodes)
+            nodes.append({"leaf": ones % 2})
+            if depth < len(features):
+                nodes[at] = {"test": features[depth], "if0": build(depth + 1, ones),
+                             "if1": build(depth + 1, ones + 1)}
+            return at
 
-    tree = {"dt": {"root": build(0, 0), "nodes": nodes}}
+        return {"dt": {"root": build(0, 0), "nodes": nodes}}
+
+    features = [f"x{i}" for i in range(7)]
+    orders = (features, features[::-1], features[3:] + features[:3])
+    doc = {"universe": [f"x{i}" for i in range(8)],
+           "model": {"ensemble": {"family": "dt",
+                                  "elements": [parity_tree(o) for o in orders]}}}
+    with pytest.raises(x.CapExceeded):
+        x.product_dt(load_model(doc))
     model = tmp_path / "ens.json"
-    model.write_text(json.dumps({"universe": [f"x{i}" for i in range(8)],
-                                 "model": {"ensemble": {"family": "dt",
-                                                        "elements": [tree] * 3}}}))
+    model.write_text(json.dumps(doc))
     example = tmp_path / "e.json"
     example.write_text(json.dumps({"assign": {f"x{i}": 0 for i in range(8)}}))
     code, payload = run(capsys, ["explain", "--model", str(model), "--kind", "lcxp",

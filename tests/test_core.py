@@ -554,11 +554,12 @@ def test_shared_ensemble_elements_count_every_copy(seed, n):
 
 def test_subcube_table_needs_a_partition():
     # and fixed bits: a model reads any true value as 1, so {0: 2} would
-    # tabulate as {0: 1}
+    # tabulate as {0: 1}; a partition of the wrong types is refused as well
     u = x.universe("a", "b")
     model = x.DecisionSet(u, (((0, 1),),), 0)
     for fixed, free in (({0: 1}, [0, 1]), ({0: 1}, []), ({}, [0, 1, 2]), ({}, [1, 1]),
-                        ({0: 2}, [1]), ({0: -1}, [1])):
+                        ({0: 2}, [1]), ({0: -1}, [1]), ({0: 1}, ["a"]), ([(0, 1)], [1]),
+                        ({0: 1}, None)):
         with pytest.raises(x.ModelError):
             x.subcube_table(model, fixed, free)
 

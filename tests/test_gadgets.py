@@ -452,6 +452,30 @@ def _odt_gadget_reference(g: x.ColouredGraph, e: x.Example) -> int:
     return int(not neighbours & set(set_vertices(j)))
 
 
+def _complete_graph(colours) -> x.ColouredGraph:
+    """One vertex per colour, every two adjacent, max(colours, 1) colours."""
+    names = [f"v{i}" for i in range(int(max(colours, 1)))]
+    return x.ColouredGraph(tuple((v,) for v in names), tuple(combinations(names, 2)))
+
+
+# the graph of a clique builder has max(k, 1) colours: where k equals a
+# count (True, 2.0), the colour check passes and only the budget rule can
+# refuse k
+_BUDGET_BUILDERS = {
+    "hitting-set": lambda k: x.hitting_set_gadget(["a"], [["a"]], k, "subset-ds"),
+    "mcc-ensemble": lambda k: x.mcc_ensemble_gadget(_complete_graph(k), k, "subset"),
+    "mcc-unary-ensemble": lambda k: x.mcc_unary_ensemble_gadget(_complete_graph(k), k, "subset"),
+    "mcc-odt-gaxp": lambda k: x.mcc_odt_gaxp_gadget(_complete_graph(k), k),
+}
+
+
+@pytest.mark.parametrize("k", [True, 2.0, -1], ids=["bool", "float", "negative"])
+@pytest.mark.parametrize("builder", sorted(_BUDGET_BUILDERS))
+def test_gadget_builders_refuse_the_budgets_a_request_refuses(builder, k):
+    with pytest.raises(x.ModelError, match="^k must be (an int|nonnegative)"):
+        _BUDGET_BUILDERS[builder](k)
+
+
 class TestTaut:
     def test_excluded_middle_is_a_tautology(self):
         inst = x.taut_ds_gadget([[("x", 1)], [("x", 0)]], ["x"])

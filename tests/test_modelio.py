@@ -94,6 +94,22 @@ def test_any_json_example_loads_or_is_a_model_error(doc):
                 pass
 
 
+_U = x.universe("a", "b")
+
+
+@pytest.mark.parametrize("model", [
+    x.DecisionTree(_U, (x.Leaf(True),)),
+    x.DecisionTree(_U, (x.Leaf(1), x.Split(0, 0, 2), x.Leaf(0)), root=True),
+    x.DecisionTree(_U, (x.Split(0, True, 2), x.Leaf(0), x.Leaf(1))),
+    x.DecisionSet(_U, (((0, 1),),), True),
+    x.Circuit(_U, (x.Gate("IN", feature=0), x.Gate("MAJ", (0,), threshold=True)), 1),
+], ids=["leaf-label", "root", "split-child", "ds-default", "maj-threshold"])
+def test_boolean_integer_fields_survive_json(model):
+    # a constructor accepts True for 1; the document must still hold an
+    # integer, which load_model requires
+    assert load_model(json.loads(json.dumps(dump_model(model)))) == model
+
+
 # -- the load memo: keyed on the file's bytes, one entry --------------------
 
 _TREE_DOC = {"universe": ["a", "b"],
