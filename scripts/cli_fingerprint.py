@@ -23,6 +23,10 @@ card --algo branch`` request of the ``rules`` workload, and hashes
 ``f"{sorted(witness)}\n{nodes}\n{records}\0"``: the witness (``None`` for
 none), the node total and the list of nonzero ``(tuple, nodes)`` records,
 so a change to the search's answers or to the branches it explores shows.
+The seedless ``cli-help`` entry hashes ``f"{code}\n{stdout}\n{stderr}\0"``
+of ``xplain --help``, of ``xplain <cmd> --help`` for each subcommand and of
+a fixed list of command lines the parser refuses, all with ``COLUMNS=80``,
+so a change to the help or error text shows.
 A refactor that must keep the CLI's output, the witnesses and the circuits
 byte-identical keeps these digests.
 
@@ -39,21 +43,36 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import os
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "scripts" / "cli_fingerprints.json"
 SEEDS = (1, 9001)
 WORKLOADS = ("trees", "rules", "gadgets", "translations", "gadget-translations", "branch")
+SUBCOMMANDS = ("classify", "params", "verify", "explain", "oracle", "translate", "hom",
+               "hom-suite", "gen-gadget")
+REFUSED = (
+    [],  # no subcommand
+    ["frobnicate"],  # unknown subcommand
+    ["params", "--model", "m.json", "--bogus", "x"],  # unknown flag
+    ["params", "--model"],  # missing value
+    ["classify", "--model", "m.json"],  # missing required option
+    ["explain", "--model", "m.json", "--kind", "axp", "--min", "card"],  # bad choice
+    ["hom", "--model", "m.json", "--k", "two"],  # non-int --k
+)
 
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 # cliwork and the set-ups find these in sys.modules
 import xplain.circuits  # noqa: E402
-import xplain.cli  # noqa: E402,F401
+import xplain.cli  # noqa: E402
 import xplain.gadgets  # noqa: E402
 import xplain.modelio  # noqa: E402
 import xplain.truth  # noqa: E402,F401
@@ -131,6 +150,31 @@ def branch_searches(inputs):
         yield f"{None if found is None else sorted(found)}\n{nodes}\n{records}"
 
 
+def help_and_refusals():
+    """Exit code, stdout and stderr of every help request and of every
+    refused command line, at a terminal width of 80 columns."""
+    lines = [["--help"], *([cmd, "--help"] for cmd in SUBCOMMANDS), *REFUSED]
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in lines:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = xplain.cli.main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+            yield f"{code}\n{out.getvalue()}\n{err.getvalue()}"
+
+
+def digest_of(answers) -> dict:
+    """Count and SHA-256 of a sequence of answers."""
+    digest = hashlib.sha256()
+    count = 0
+    for answer in answers:
+        digest.update(f"{answer}\0".encode())
+        count += 1
+    return {"requests": count, "sha256": digest.hexdigest()}
+
+
 # workload -> (set-up, the answers hashed)
 SOURCES = {
     "trees": (work_trees.setup, cli_answers),
@@ -145,13 +189,8 @@ SOURCES = {
 def fingerprint(workload: str, seed: int) -> dict:
     """Count and digest of one workload's hashed answers."""
     setup, answers = SOURCES[workload]
-    digest = hashlib.sha256()
-    count = 0
     with tempfile.TemporaryDirectory(prefix="xplain-fingerprint-") as tmp:
-        for answer in answers(setup(seed, Path(tmp))):
-            digest.update(f"{answer}\0".encode())
-            count += 1
-    return {"requests": count, "sha256": digest.hexdigest()}
+        return digest_of(answers(setup(seed, Path(tmp))))
 
 
 def main(argv=None) -> int:
@@ -163,6 +202,7 @@ def main(argv=None) -> int:
                       help=f"record the digests in {RECORD.name}")
     args = p.parse_args(argv)
     found = {f"{w}:{s}": fingerprint(w, s) for s in SEEDS for w in WORKLOADS}
+    found["cli-help"] = digest_of(help_and_refusals())
     for key, fp in found.items():
         print(f"{key:24} {fp['requests']:5d} requests  {fp['sha256']}")
     if args.write:
