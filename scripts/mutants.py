@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+_CLI = "src/xplain/cli.py"
 _CORE = "src/xplain/core.py"
 _DT = "src/xplain/explain_dt.py"
 _GADGETS = "src/xplain/gadgets.py"
@@ -47,7 +48,7 @@ _GADGETS = "src/xplain/gadgets.py"
 MUTANTS = [
     # the DecisionTree constructor's forward pass and reachability walk
     Mutant("normal-form-repeated-feature", _CORE,
-           "            if seen >> f & 1:\n                break\n", "",
+           "                if seen >> f & 1:\n                    break\n", "",
            ("tests/test_core.py::TestNormalize::test_repeated_test_in_post_order_is_not_normal",)),
     Mutant("normal-form-lo-position", _CORE,
            " and 0 <= lo == hi - size[hi]", "",
@@ -59,6 +60,9 @@ MUTANTS = [
     Mutant("walk-label-unchecked", _CORE,
            "                    if node.label not in (0, 1):", "                    if False:",
            ("tests/test_core.py::TestValidation::test_bad_arena_is_refused",)),
+    Mutant("leaf-label-type-unchecked", _CORE,
+           "        if not isinstance(self.label, int):", "        if False:",
+           ("tests/test_core.py::test_wrong_model_raises_model_error",)),
     # integer fields of a JSON document
     Mutant("fractional-field-truncated", "src/xplain/modelio.py",
            "    if i != value or isinstance(value, bool):", "    if False:",
@@ -132,6 +136,18 @@ MUTANTS = [
            "Split(f, reject, accept) if bit[f] else Split(f, accept, reject)",
            "Split(f, accept, reject) if bit[f] else Split(f, reject, accept)",
            ("tests/test_gadgets.py::TestOdtFromExamples::test_single_all_zero_row",)),
+    # the CLI's one-pass reader declines what argparse would refuse
+    Mutant("reader-choices-unchecked", _CLI,
+           "        if o.choices is not None and value not in o.choices:\n"
+           "            return None\n",
+           "",
+           ("tests/test_cli.py::test_reader_agrees_with_argparse",)),
+    Mutant("reader-required-unchecked", _CLI,
+           " or not command.required <= set(pairs[::2])", "",
+           ("tests/test_cli.py::test_reader_agrees_with_argparse",)),
+    Mutant("reader-dash-value-read", _CLI,
+           'if o is None or value.startswith("-"):', "if o is None:",
+           ("tests/test_cli.py::test_reader_agrees_with_argparse",)),
 ]
 
 

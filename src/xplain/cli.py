@@ -19,13 +19,19 @@ shrink, on the tree form when there is one.  A tree ensemble past the
 ceiling is answered as a rule ensemble is.  ``--k`` bounds ``--min card``
 only.  The exhaustive oracle answers the ``oracle`` subcommand alone.
 
-``main`` builds the argument parser once per process and reuses it on every
-call, so in-process callers making many requests pay for it once;
-``parse_args`` returns a fresh namespace each time.  Models are loaded with
-``modelio.load_model_file``, which remembers the last model keyed on the
-file's bytes: consecutive requests about the same model document share one
-model object, with its normalized tree and its tree-ensemble product, and a
-rewritten file is always reloaded.
+Each subcommand is declared once, in ``COMMANDS``: its handler, help text
+and options.  ``main`` reads a canonical command line (an optional leading
+``--quiet``, a subcommand, then ``--flag value`` pairs with exact flags) in
+one pass over that table, into the namespace argparse would return.  Every
+other line (``-h``, abbreviated flags, ``--k=2``, a value starting with
+``-``, any error) goes to the parser ``build_parser`` makes from the same
+table, so help and error text are argparse's own; it is built on the first
+such line and reused.  Each call gets a fresh namespace.
+
+Models are loaded with ``modelio.load_model_file``, which remembers the last
+model keyed on the file's bytes: consecutive requests about the same model
+document share one model object, with its normalized tree and its
+tree-ensemble product, and a rewritten file is always reloaded.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import functools
 import json
 import sys
 import time
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import gadgets
 from .circuits import translate
@@ -264,6 +270,78 @@ def _cmd_gen_gadget(args, caps) -> tuple[int, dict]:
     }
 
 
+class _Option(NamedTuple):
+    """One option of a subcommand, as ``add_argument`` takes it."""
+
+    flag: str
+    dest: str
+    type: Optional[Callable] = None
+    choices: Optional[tuple] = None
+    required: bool = False
+    default: object = None
+    help: Optional[str] = None
+
+
+class _Command:
+    """One subcommand: its handler, help text and options, with the lookups
+    ``_read_args`` uses."""
+
+    def __init__(self, fn, help: str, *options: _Option) -> None:
+        self.fn, self.help, self.options = fn, help, options
+        self.flags = {o.flag: o for o in options}
+        self.required = frozenset(o.flag for o in options if o.required)
+        self.defaults = {o.dest: o.default for o in options}
+
+
+_MODEL = _Option("--model", "model", required=True)
+_KIND = _Option("--kind", "kind", choices=("laxp", "lcxp", "gaxp", "gcxp"), required=True)
+_EXAMPLE = _Option("--example", "example")
+_CLASS = _Option("--class", "cls", int, (0, 1))
+
+COMMANDS = {
+    "classify": _Command(
+        _cmd_classify, "classify an example",
+        _MODEL, _EXAMPLE._replace(required=True)),
+    "params": _Command(_cmd_params, "measure model parameters", _MODEL),
+    "verify": _Command(
+        _cmd_verify, "check an explanation candidate (exit 0 yes / 1 no)",
+        _MODEL, _KIND, _EXAMPLE, _CLASS,
+        _Option("--candidate", "candidate", required=True)),
+    "explain": _Command(
+        _cmd_explain, "compute an explanation (exit 0 found / 3 none exists)",
+        _MODEL, _KIND,
+        _Option("--min", "min", choices=("subset", "card"), required=True,
+                help="inclusion-minimal or cardinality-minimum"),
+        _Option("--k", "k", int, help="size budget for --min card"),
+        _EXAMPLE, _CLASS,
+        _Option("--algo", "algo", choices=("branch", "enum"), default="branch",
+                help="minimum-contrastive engine on rule models: "
+                "bounded-depth branching or subset enumeration")),
+    "oracle": _Command(
+        _cmd_oracle, "exhaustive minimum explanation (ground truth, desk scale)",
+        _MODEL, _KIND, _EXAMPLE, _CLASS),
+    "translate": _Command(
+        _cmd_translate, "compile a model into a majority-gate circuit",
+        _MODEL, _CLASS._replace(required=True), _Option("--out", "out", required=True)),
+    "hom": _Command(
+        _cmd_hom, "is some (weight-limited) example classified unlike all-zero",
+        _MODEL, _Option("--k", "k", int)),
+    "hom-suite": _Command(
+        _cmd_hom_suite, "evaluate the homogeneity/explanation equivalences", _MODEL),
+    "gen-gadget": _Command(
+        _cmd_gen_gadget, "generate a reduction instance",
+        _Option("--kind", "kind", required=True,
+                choices=("hitting-set", "mcc-ens", "mcc-unary", "mcc-odt", "taut")),
+        _Option("--in", "infile", required=True),
+        _Option("--out", "out", required=True),
+        _Option("--mode", "mode",
+                help="hitting-set: set-odt|subset-ds|subset-dl; "
+                "mcc-ens/mcc-unary: set|subset"),
+        _Option("--family", "family", choices=("ds", "dl"), default="ds",
+                help="rule family for subset-mode ensemble elements")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xplain",
@@ -273,74 +351,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--quiet", action="store_true", help="suppress timing")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("classify", _cmd_classify, help="classify an example")
-    p.add_argument("--model", required=True)
-    p.add_argument("--example", required=True)
-
-    p = add("params", _cmd_params, help="measure model parameters")
-    p.add_argument("--model", required=True)
-
-    p = add("verify", _cmd_verify,
-            help="check an explanation candidate (exit 0 yes / 1 no)")
-    p.add_argument("--model", required=True)
-    p.add_argument("--kind", required=True, choices=["laxp", "lcxp", "gaxp", "gcxp"])
-    p.add_argument("--example")
-    p.add_argument("--class", dest="cls", type=int, choices=[0, 1])
-    p.add_argument("--candidate", required=True)
-
-    p = add("explain", _cmd_explain,
-            help="compute an explanation (exit 0 found / 3 none exists)")
-    p.add_argument("--model", required=True)
-    p.add_argument("--kind", required=True, choices=["laxp", "lcxp", "gaxp", "gcxp"])
-    p.add_argument("--min", required=True, choices=["subset", "card"],
-                   help="inclusion-minimal or cardinality-minimum")
-    p.add_argument("--k", type=int, help="size budget for --min card")
-    p.add_argument("--example")
-    p.add_argument("--class", dest="cls", type=int, choices=[0, 1])
-    p.add_argument("--algo", choices=["branch", "enum"], default="branch",
-                   help="minimum-contrastive engine on rule models: "
-                   "bounded-depth branching or subset enumeration")
-
-    p = add("oracle", _cmd_oracle,
-            help="exhaustive minimum explanation (ground truth, desk scale)")
-    p.add_argument("--model", required=True)
-    p.add_argument("--kind", required=True, choices=["laxp", "lcxp", "gaxp", "gcxp"])
-    p.add_argument("--example")
-    p.add_argument("--class", dest="cls", type=int, choices=[0, 1])
-
-    p = add("translate", _cmd_translate,
-            help="compile a model into a majority-gate circuit")
-    p.add_argument("--model", required=True)
-    p.add_argument("--class", dest="cls", type=int, choices=[0, 1], required=True)
-    p.add_argument("--out", required=True)
-
-    p = add("hom", _cmd_hom,
-            help="is some (weight-limited) example classified unlike all-zero")
-    p.add_argument("--model", required=True)
-    p.add_argument("--k", type=int)
-
-    p = add("hom-suite", _cmd_hom_suite,
-            help="evaluate the homogeneity/explanation equivalences")
-    p.add_argument("--model", required=True)
-
-    p = add("gen-gadget", _cmd_gen_gadget, help="generate a reduction instance")
-    p.add_argument("--kind", required=True,
-                   choices=["hitting-set", "mcc-ens", "mcc-unary", "mcc-odt", "taut"])
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--mode",
-                   help="hitting-set: set-odt|subset-ds|subset-dl; "
-                   "mcc-ens/mcc-unary: set|subset")
-    p.add_argument("--family", choices=["ds", "dl"], default="ds",
-                   help="rule family for subset-mode ensemble elements")
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.set_defaults(fn=command.fn)
+        for o in command.options:
+            p.add_argument(o.flag, dest=o.dest, type=o.type, choices=o.choices,
+                           required=o.required, default=o.default, help=o.help)
     return parser
+
+
+def _read_args(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``parse_args(argv)`` returns, read in one pass over
+    ``COMMANDS``, or None when argv is not in the canonical form: an optional
+    leading ``--quiet``, a subcommand, then ``--flag value`` pairs with exact
+    flags, no value starting with ``-``, every value of its option's type and
+    choices, and every required option given (a repeated flag keeps its last
+    value).  argparse answers every other argv."""
+    quiet = argv[:1] == ["--quiet"]
+    rest = argv[1:] if quiet else argv
+    command = COMMANDS.get(rest[0]) if rest else None
+    pairs = rest[1:]
+    if command is None or len(pairs) % 2 or not command.required <= set(pairs[::2]):
+        return None
+    values = dict(command.defaults)
+    for flag, value in zip(pairs[::2], pairs[1::2]):
+        o = command.flags.get(flag)
+        if o is None or value.startswith("-"):
+            return None
+        if o.type is not None:
+            try:
+                value = o.type(value)
+            except (TypeError, ValueError):
+                return None
+        if o.choices is not None and value not in o.choices:
+            return None
+        values[o.dest] = value
+    return argparse.Namespace(quiet=quiet, command=rest[0], fn=command.fn, **values)
 
 
 @functools.cache
@@ -349,7 +395,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_args(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         caps = BruteCaps.from_env()

@@ -1,8 +1,10 @@
 """Feature universes, examples, and the model families with their semantics.
 
 Models are immutable after construction and validated eagerly: a value that
-exists is well-formed.  All algorithms work on dense feature indices; feature
-names only matter at the JSON boundary.
+exists is well-formed.  Every index, label and bit in a model is an ``int``
+(a ``bool`` counts as one); anything else is a ``ModelError``.  Examples
+take integral numbers as bits.  All algorithms work on dense feature
+indices; feature names only matter at the JSON boundary.
 
 Classification semantics:
 
@@ -192,6 +194,11 @@ class PartialExample:
 class Leaf:
     label: int
 
+    def __post_init__(self) -> None:
+        # the tree's forward pass checks the value, not the type (bool is an int)
+        if not isinstance(self.label, int):
+            raise ModelError("leaf labels must be 0 or 1")
+
 
 @dataclass(frozen=True)
 class Split:
@@ -220,6 +227,8 @@ class DecisionTree:
         count = len(nodes)
         if not count:
             raise ModelError("decision tree needs at least one node")
+        if not isinstance(self.root, int):
+            raise ModelError("root index must be an integer")
         if not 0 <= self.root < count:
             raise ModelError("root index out of range")
         n = len(self.universe)
@@ -228,30 +237,37 @@ class DecisionTree:
         # split i has hi == i - 1, lo == hi - size[hi] and a feature outside
         # below[lo] | below[hi], the size[i] nodes ending at i are i's subtree
         # in post-order (by induction), so a root last with size[root] ==
-        # count proves a tree.  At the first bad node the walk checks instead.
+        # count proves a tree.  At the first bad node the walk checks instead;
+        # a field that is no integer raises TypeError in the indexing or the
+        # shift below, which sends the arena to the walk too.
         size = [1] * count
         below = [0] * count
-        for i, node in enumerate(nodes):
-            if isinstance(node, Leaf):
-                if node.label in (0, 1):
-                    continue
-                break
-            f, lo, hi = node.feature, node.lo, node.hi
-            if not (0 <= f < n and 0 < i == hi + 1 and 0 <= lo == hi - size[hi]):
-                break
-            seen = below[lo] | below[hi]
-            if seen >> f & 1:
-                break
-            below[i] = seen | 1 << f
-            size[i] = size[lo] + size[hi] + 1
-        else:
-            if self.root == count - 1 and size[-1] == count:
-                object.__setattr__(self, "_normal", True)
+        try:
+            for i, node in enumerate(nodes):
+                if isinstance(node, Leaf):
+                    if node.label in (0, 1):
+                        continue
+                    break
+                f, lo, hi = node.feature, node.lo, node.hi
+                if not (0 <= f < n and 0 < i == hi + 1 and 0 <= lo == hi - size[hi]):
+                    break
+                seen = below[lo] | below[hi]
+                if seen >> f & 1:
+                    break
+                below[i] = seen | 1 << f
+                size[i] = size[lo] + size[hi] + 1
+            else:
+                if self.root == count - 1 and size[-1] == count:
+                    object.__setattr__(self, "_normal", True)
+        except TypeError:
+            pass
         if self._normal is None:
             reached = bytearray(count)
             stack = [self.root]
             while stack:
                 i = stack.pop()
+                if not isinstance(i, int):
+                    raise ModelError("child indices must be integers")
                 if not 0 <= i < count:
                     raise ModelError("child index out of range")
                 if reached[i]:
@@ -261,6 +277,8 @@ class DecisionTree:
                 if isinstance(node, Leaf):
                     if node.label not in (0, 1):
                         raise ModelError("leaf labels must be 0 or 1")
+                elif not isinstance(node.feature, int):
+                    raise ModelError("feature indices must be integers")
                 elif not 0 <= node.feature < n:
                     raise ModelError(f"feature index {node.feature} outside universe")
                 else:
@@ -270,7 +288,7 @@ class DecisionTree:
         if self.order is not None:
             order = tuple(self.order)
             object.__setattr__(self, "order", order)
-            if sorted(order) != list(range(n)):
+            if not all(isinstance(f, int) for f in order) or sorted(order) != list(range(n)):
                 raise ModelError("order tag must be a permutation of the features")
 
     def leaf_count(self) -> int:
@@ -331,8 +349,10 @@ def make_term(literals: Iterable[tuple[int, int]], n: int) -> Term:
     terms and features outside the universe are rejected."""
     required: dict[int, int] = {}
     for f, b in literals:
-        if b not in (0, 1):
+        if b not in (0, 1) or not isinstance(b, int):
             raise ModelError("literal bit must be 0 or 1")
+        if not isinstance(f, int):
+            raise ModelError("feature indices must be integers")
         f, b = int(f), int(b)
         if not 0 <= f < n:
             raise ModelError(f"feature index {f} outside universe")
@@ -363,7 +383,7 @@ class DecisionSet:
         n = len(self.universe)
         terms = tuple(make_term(t, n) for t in self.terms)
         object.__setattr__(self, "terms", terms)
-        if self.default not in (0, 1):
+        if self.default not in (0, 1) or not isinstance(self.default, int):
             raise ModelError("default class must be 0 or 1")
 
     def evaluate(self, e: Example) -> int:
@@ -402,7 +422,7 @@ class DecisionList:
     def __post_init__(self) -> None:
         if not self.rules:
             raise ModelError("decision list needs at least one rule")
-        if any(c not in (0, 1) for _, c in self.rules):
+        if any(c not in (0, 1) or not isinstance(c, int) for _, c in self.rules):
             raise ModelError("rule class must be 0 or 1")
         n = len(self.universe)
         rules = tuple((make_term(t, n), int(c)) for t, c in self.rules)

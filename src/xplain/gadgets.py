@@ -212,13 +212,14 @@ def odt_from_examples(
         return DecisionTree(u, (Leaf(0),), 0, order)
     domain = set(domains.pop())
     seq = [f for f in order if f in domain]
-    ballots = [(DecisionTree(u, (Leaf(1),)), len(rows) - 1)] if len(rows) > 1 else []
+    zero, one = Leaf(0), Leaf(1)  # leaves are immutable: shared by every chain
+    ballots = [(DecisionTree(u, (one,)), len(rows) - 1)] if len(rows) > 1 else []
     for row in rows:
         bit = row.as_dict()
-        nodes: list = [Leaf(1)]  # the chain, from its accepting leaf up
+        nodes: list = [one]  # the chain, from its accepting leaf up
         for f in reversed(seq):
             accept, reject = len(nodes) - 1, len(nodes)
-            nodes += (Leaf(0), Split(f, reject, accept) if bit[f] else Split(f, accept, reject))
+            nodes += (zero, Split(f, reject, accept) if bit[f] else Split(f, accept, reject))
         ballots.append((DecisionTree(u, tuple(nodes), len(nodes) - 1), 1))
     tree = graft_dt(ballots, order=order)
     positives = sum(1 for n in tree.nodes if isinstance(n, Leaf) and n.label == 1)

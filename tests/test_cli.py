@@ -290,6 +290,8 @@ def test_repeated_runs_are_byte_identical(files, capsys):
 
 
 def test_parser_is_built_once(files, capsys, monkeypatch):
+    """Canonical requests are read without argparse; the first request the
+    reader declines builds the parser, and later ones reuse it."""
     _, model, example = files
     built = []
     real_build_parser = cli.build_parser
@@ -303,7 +305,114 @@ def test_parser_is_built_once(files, capsys, monkeypatch):
     for _ in range(3):
         code, payload = run(capsys, ["classify", "--model", model, "--example", example])
         assert code == 0 and payload == {"class": 0}
+    assert built == []
+    for argv in (["classify", "--help"], ["classify", "--model", model],
+                 ["params", "--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert len(built) == 1
+    capsys.readouterr()
+    code, payload = run(capsys, ["classify", f"--model={model}", "--example", example])
+    assert code == 0 and payload == {"class": 0}
     assert len(built) == 1
+
+
+_READ = [
+    ["classify", "--model", "m.json", "--example", "e.json"],
+    ["--quiet", "params", "--model", "m.json"],
+    ["verify", "--candidate", "c.json", "--kind", "gaxp", "--class", "1", "--model", "m"],
+    ["explain", "--model", "m", "--kind", "lcxp", "--min", "card", "--k", "2",
+     "--example", "e", "--algo", "enum"],
+    ["explain", "--model", "m", "--kind", "laxp", "--min", "card", "--k", "5",
+     "--k", "0", "--kind", "gcxp", "--class", "0"],
+    ["oracle", "--model", "", "--kind", "laxp", "--example", "e"],
+    ["translate", "--model", "m", "--class", "0", "--out", "c.json"],
+    ["--quiet", "hom", "--model", "m", "--k", "3"],
+    ["hom-suite", "--model", "m"],
+    ["gen-gadget", "--kind", "mcc-unary", "--in", "g.json", "--out", "o.json",
+     "--mode", "subset", "--family", "dl"],
+]
+
+
+@pytest.mark.parametrize("argv", _READ, ids=[
+    "classify", "quiet-params", "verify-class", "explain-example", "explain-repeated-flags",
+    "oracle-empty-model", "translate", "quiet-hom", "hom-suite", "gen-gadget"])
+def test_reader_reads_canonical_requests(argv):
+    args = cli._read_args(argv)
+    assert args is not None
+    assert args == cli._parser().parse_args(argv)
+
+
+_FLAGS = sorted({o.flag for c in cli.COMMANDS.values() for o in c.options})
+_ODD_TOKENS = ["-h", "--help", "--", "--quiet", "--mod", "--ex", "--cl", "--al", "--k=2",
+               "--kind=laxp", "--model=m.json", "-k", "-1", "-", "-x", "frobnicate"]
+_JUNK_VALUES = ["", "-1", "-", "-x", "--model", "-h", "--", "abc", "1.5", " 1", "2",
+                "1_0", "laxp", "card", "enum", "ds", "classify", "m.json"]
+
+
+def _good_value(option) -> st.SearchStrategy:
+    if option.choices is not None:
+        return st.sampled_from([str(c) for c in option.choices])
+    if option.type is int:
+        return st.integers(0, 30).map(str)
+    return st.sampled_from(["m.json", "dir/e.json", "subset", "x y"])
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly canonical argvs, with tokens inserted and dropped: flags of
+    every subcommand, abbreviations, ``=`` forms, ``-h``, ``--``, values
+    starting with ``-``, junk values and repeated flags."""
+    argv = ["--quiet"] if draw(st.booleans()) else []
+    name = draw(st.sampled_from([*cli.COMMANDS, "frobnicate", "-h"]))
+    argv.append(name)
+    options = cli.COMMANDS[name].options if name in cli.COMMANDS else ()
+    for o in draw(st.permutations(options)):
+        # a required option is left out now and then, any other half the time
+        if draw(st.integers(0, 7)) > (0 if o.required else 3):
+            junk = draw(st.integers(0, 3)) == 0
+            value = draw(st.sampled_from(_JUNK_VALUES) if junk else _good_value(o))
+            argv += [o.flag, value]
+    for _ in range(draw(st.integers(0, 3))):
+        if options and draw(st.booleans()):  # a repeated or foreign flag
+            o = draw(st.sampled_from(options))
+            tokens = [o.flag, draw(_good_value(o))]
+        else:
+            tokens = [draw(st.sampled_from([*_FLAGS, *_ODD_TOKENS, *_JUNK_VALUES]))]
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = tokens
+    if draw(st.integers(0, 3)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@given(argv=_argvs())
+@settings(max_examples=600, deadline=None)
+def test_reader_agrees_with_argparse(argv):
+    """The reader either declines an argv or returns the namespace argparse
+    returns for it; argparse never refuses an argv the reader read."""
+    args = cli._read_args(argv)
+    if args is None:
+        return
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            expected = cli._parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the reader read {argv}, which argparse refuses")
+    assert args == expected
+
+
+def test_main_without_argv_reads_sys_argv(files, capsys, monkeypatch):
+    _, model, example = files
+    argv = ["--quiet", "explain", "--model", model, "--kind", "laxp", "--min", "card",
+            "--example", example]
+    monkeypatch.setattr(sys, "argv", ["xplain", *argv])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["size"] > 0
+    # a line the reader declines is parsed by argparse from the same list
+    monkeypatch.setattr(sys, "argv", ["xplain", *argv, "--k=0"])
+    assert main() == 3
+    assert json.loads(capsys.readouterr().out) == {"size": None, "witness": None}
 
 
 def test_consecutive_calls_share_no_state(files, capsys):

@@ -333,6 +333,17 @@ _ENTRIES = {
         pytest.param(lambda m: x.classify(m, object()), _TREE2, id="classify-object-example"),
         pytest.param(lambda m: x.restrict_dt(m, {0: 1}), _TREE2, id="restrict-dict-tau"),
         pytest.param(lambda m: x.answer_query(m, object()), _TREE2, id="answer-object-query"),
+        # model constructors take integer fields (a bool counts as one)
+        pytest.param(lambda r: x.DecisionTree(_U2, (x.Leaf(0),), r), 0.5, id="tree-root-half"),
+        pytest.param(lambda r: x.DecisionTree(_U2, (x.Leaf(0), x.Leaf(1), x.Split(0, 0, 1)), r),
+                     2.0, id="tree-root-float-post-order"),
+        pytest.param(x.Leaf, 1.0, id="leaf-float-label"),
+        pytest.param(lambda o: x.DecisionTree(_U2, _TREE2.nodes, 0, o), (0.0, 1),
+                     id="tree-order-float"),
+        pytest.param(lambda d: x.DecisionSet(_U2, (), d), 1.0, id="set-default-float"),
+        pytest.param(lambda f: x.DecisionSet(_U2, (((f, 1),),), 0), "a", id="set-feature-name"),
+        pytest.param(lambda b: x.DecisionSet(_U2, (((0, b),),), 0), 1.0, id="set-bit-float"),
+        pytest.param(lambda c: x.DecisionList(_U2, (((), c),)), 1.0, id="list-class-float"),
     ],
 )
 def test_wrong_model_raises_model_error(call, model):
@@ -400,15 +411,27 @@ class TestValidation:
              "leaf labels"),
             ((_L0, _L1, x.Split(2, 0, 1)),
              (x.Split(0, 1, 2), _L0, x.Split(2, 3, 4), _L0, _L1), "outside universe"),
+            ((_L0, _L1, x.Split(0, 0, 1.0)), (x.Split(0, 1.0, 2), _L0, _L1),
+             "child indices must be integers"),
+            ((_L0, _L1, x.Split(0.0, 0, 1)), (x.Split(0.0, 1, 2), _L0, _L1),
+             "feature indices must be integers"),
         ],
         ids=["child-out-of-range", "shared-child", "cycle", "unreachable-node",
-             "bad-label", "feature-outside-universe"],
+             "bad-label", "feature-outside-universe", "float-child", "float-feature"],
     )
     def test_bad_arena_is_refused(self, root_last, root_first, message):
         u = x.universe("a", "b")
         for nodes, root in ((root_last, len(root_last) - 1), (root_first, 0)):
             with pytest.raises(x.ModelError, match=message):
                 x.DecisionTree(u, nodes, root)
+
+    def test_bool_fields_are_integers(self):
+        u = x.universe("a", "b")
+        tree = x.DecisionTree(u, (x.Leaf(False), x.Leaf(True), x.Split(False, 0, True)),
+                              2, (True, False))
+        assert is_normalized(tree) and x.classify(tree, x.Example(u, (1, 0))) == 1
+        assert x.DecisionSet(u, (((True, True),),), False).terms == (((1, 1),),)
+        assert x.DecisionList(u, (((), True),)).rules == (((), 1),)
 
 
 def _flip_classes(model):
