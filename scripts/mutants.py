@@ -44,6 +44,7 @@ _CLI = "src/xplain/cli.py"
 _CORE = "src/xplain/core.py"
 _DT = "src/xplain/explain_dt.py"
 _GADGETS = "src/xplain/gadgets.py"
+_MODELIO = "src/xplain/modelio.py"
 
 MUTANTS = [
     # the DecisionTree constructor's forward pass and reachability walk
@@ -64,9 +65,15 @@ MUTANTS = [
            "        if not isinstance(self.label, int):", "        if False:",
            ("tests/test_core.py::test_wrong_model_raises_model_error",)),
     # integer fields of a JSON document
-    Mutant("fractional-field-truncated", "src/xplain/modelio.py",
+    Mutant("fractional-field-truncated", _MODELIO,
            "    if i != value or isinstance(value, bool):", "    if False:",
            ("tests/test_cli.py::test_fractional_value_is_refused_not_truncated",)),
+    Mutant("int-fast-path-takes-bool", _MODELIO,
+           "    if type(value) is int:", "    if isinstance(value, int):",
+           ("tests/test_modelio.py::test_tree_document_refuses_what_is_no_label_or_index",)),
+    Mutant("leaf-fast-path-unranged", _MODELIO,
+           "type(label) is int and 0 <= label <= 1", "type(label) is int",
+           ("tests/test_modelio.py::test_tree_document_refuses_what_is_no_label_or_index",)),
     # the tree explanation engines
     Mutant("column-shrink-suffix", _DT,
            "if (cover | suffix[j + 1]) != suffix[0]:", "if (cover | suffix[j]) != suffix[0]:",
@@ -76,6 +83,12 @@ MUTANTS = [
            "return min((_decode_literals(lits, n) for lits in solved), key=_card_order)",
            "return max((_decode_literals(lits, n) for lits in solved), key=_card_order)",
            ("tests/test_explain_dt.py::TestCardSearch::test_ties_break_towards_the_first_subset",)),
+    Mutant("column-cache-any-tree", _DT,
+           "    if last is not None and last[0] is t:", "    if last is not None:",
+           ("tests/test_explain_dt.py::TestColumnCache::test_trees_in_alternation",)),
+    Mutant("column-cache-any-class", _DT,
+           "    last = _column_cache.get(bad)", "    last = _column_cache.get(0)",
+           ("tests/test_explain_dt.py::TestColumnCache::test_both_classes_of_one_tree",)),
     Mutant("row-literals-descent", _DT,
            "lo = r < first[node.hi]", "lo = r <= first[node.hi]",
            ("tests/test_explain_dt.py::TestCardSearchColumns::test_pre_order_arena",)),

@@ -329,8 +329,10 @@ class DecisionTree:
         return done.pop()
 
     def params(self) -> ParamReport:
-        size = self.leaf_count()
-        return ParamReport(mnl_size=_dt_mnl(self), size_elem=size, model_size=size)
+        # one pass: the leaves' labels give both classes' counts (mnl is the smaller)
+        labels = [node.label for node in self.nodes if isinstance(node, Leaf)]
+        size, ones = len(labels), sum(labels)
+        return ParamReport(mnl_size=min(size - ones, ones), size_elem=size, model_size=size)
 
 
 def leaf_tree(u: FeatureUniverse, label: int) -> DecisionTree:
@@ -885,12 +887,6 @@ class ParamReport:
             for k, v in self.__dict__.items()
             if v is not None and not k.startswith("_")
         }
-
-
-def _dt_mnl(t: DecisionTree) -> int:
-    zeros = sum(1 for n in t.nodes if isinstance(n, Leaf) and n.label == 0)
-    ones = sum(1 for n in t.nodes if isinstance(n, Leaf) and n.label == 1)
-    return min(zeros, ones)
 
 
 def measure(model) -> ParamReport:

@@ -13,7 +13,9 @@ walk that also verifies trees, yields each leaf's path as a mask of tested
 features and a value of their bits; ``_literal_columns`` gives every
 literal its column, the bitmask of the leaves of one class whose path it
 conflicts, in one forward pass over the arena.  Nothing is kept on the tree
-between calls.
+between calls; the module remembers, per offending class, the columns of
+the last tree it built them for (``_column_cache``), so the requests of
+one process about one model build each class's columns once.
 
 * greedy subset-minimal explanations: a candidate verifies exactly when the
   OR of its literal columns covers every leaf of the class it excludes, so
@@ -54,7 +56,7 @@ between calls.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .config import DEFAULT_CAPS, BruteCaps, CapExceeded, require_cap
 from .core import (
@@ -155,9 +157,19 @@ def lcxp_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
     return None if best is None else mask_features(best, len(t.universe))
 
 
-def _literal_columns(t: DecisionTree, bad: int) -> tuple[int, list[int], list[int]]:
+# offending class -> (tree, rows, kill, first) of the last tree whose
+# columns were built for it.  A hit needs the very tree (``is``): hashing or
+# comparing a tree costs as much as the pass.  The strong reference keeps
+# that tree alive until the slot is rebound; two slots bound the memory.
+_column_cache: dict[int, tuple[DecisionTree, int, tuple[int, ...], tuple[int, ...]]] = {}
+
+
+def _literal_columns(
+    t: DecisionTree, bad: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Row count, literal columns and per-node first rows of the leaves of
-    class ``bad``, in one forward pass over a tree in normal form.
+    class ``bad``, in one forward pass over a tree in normal form; the last
+    tree's answer per class is remembered, as tuples no caller can change.
 
     Rows are the ``bad`` leaves numbered depth-first, 0-child first, which
     is their order in the post-order arena, so the rows under node i are
@@ -167,6 +179,9 @@ def _literal_columns(t: DecisionTree, bad: int) -> tuple[int, list[int], list[in
     those of its 1-subtree into ``(f, 0)``, one range mask each unless it is
     empty.
     """
+    last = _column_cache.get(bad)
+    if last is not None and last[0] is t:
+        return last[1:]
     n = len(t.universe)
     kill = [0] * (2 * n)
     first = [0] * len(t.nodes)  # per node: the first row number in its subtree
@@ -182,10 +197,12 @@ def _literal_columns(t: DecisionTree, bad: int) -> tuple[int, list[int], list[in
             kill[node.feature + n] |= (1 << mid) - (1 << lo)
         if mid < rows:
             kill[node.feature] |= (1 << rows) - (1 << mid)
-    return rows, kill, first
+    columns = rows, tuple(kill), tuple(first)
+    _column_cache[bad] = (t, *columns)
+    return columns
 
 
-def _row_literals(t: DecisionTree, first: list[int], r: int) -> list[int]:
+def _row_literals(t: DecisionTree, first: Sequence[int], r: int) -> list[int]:
     """The literals conflicting row r's path, by one descent from the root:
     at a split on f the row lies in the 0-subtree, and meets ``(f, 1)``,
     exactly when it comes before the 1-subtree's first row."""
@@ -220,7 +237,7 @@ def _column_shrink(cols: list[int]) -> list[int]:
 
 
 def _min_literal_hitting_set(
-    n: int, rows: int, kill: list[int], k: int, row_literals: Callable[[int], list[int]]
+    n: int, rows: int, kill: Sequence[int], k: int, row_literals: Callable[[int], list[int]]
 ) -> Optional[list[tuple[int, int]]]:
     """Smallest consistent literal set of size <= k meeting all ``rows`` rows.
 
@@ -392,6 +409,7 @@ def card_xp_search(
         if kind == "laxp":
             # conflict sets of e: the paths of the other class, through e's literals
             rows, kill, first = _literal_columns(t, 1 - classify(t, target))
+            kill = list(kill)  # the cached columns stay as built
             for f, b in enumerate(target.bits):
                 kill[f + (1 - b) * n] = 0
         else:

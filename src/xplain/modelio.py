@@ -16,7 +16,10 @@ Examples and partial examples: ``{"assign": {"x": 0, "y": 1}}`` (a full
 example assigns every feature); feature sets: ``{"features": ["x", "y"]}``.
 Feature references are by name; indices are an internal matter.  Every
 integer field (bits, labels, classes, node and gate ids, thresholds) must
-hold an integer: 0.6 or "1" is refused, not truncated.
+hold an integer: 0.6, true or "1" is refused, not truncated; 1.0 is read
+as 1.  A JSON integer is taken as it is, and a tree leaf labelled 0 or 1
+is the shared ``core._LEAVES`` leaf of its class, so loading a tree
+document is one typed pass over its nodes before the constructor's.
 
 ``load_model_file`` remembers the last model it loaded, keyed on the file's
 bytes: a file with the same bytes as the last one loaded returns the same
@@ -44,6 +47,7 @@ from .core import (
     ModelError,
     PartialExample,
     Split,
+    _LEAVES,
     _model_universe,
 )
 
@@ -68,6 +72,8 @@ def _typed(load):
 
 def _int(value) -> int:
     """An integer field: a boolean or a value unequal to its ``int()`` is refused."""
+    if type(value) is int:  # what JSON gives; a bool is no int here
+        return value
     i = int(value)
     if i != value or isinstance(value, bool):
         raise ModelError(f"expected an integer, got {value!r}")
@@ -135,7 +141,12 @@ def _dt_from(payload: Mapping[str, Any], u: FeatureUniverse) -> DecisionTree:
     nodes = []
     for raw in payload["nodes"]:
         if "leaf" in raw:
-            nodes.append(Leaf(_int(raw["leaf"])))
+            label = raw["leaf"]
+            # an int 0 or 1 takes the shared leaf; anything else the checked path
+            if type(label) is int and 0 <= label <= 1:
+                nodes.append(_LEAVES[label])
+            else:
+                nodes.append(Leaf(_int(label)))
         else:
             nodes.append(Split(u.index(raw["test"]), _int(raw["if0"]), _int(raw["if1"])))
     order = payload.get("order")

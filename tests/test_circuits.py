@@ -94,9 +94,7 @@ class TestTreeTranslation:
             assert _sound(t, c, circ)
             assert x.certificate_holds(circ, cert)
             assert circ.maj_count == 0
-            from xplain.core import _dt_mnl
-
-            mnl = _dt_mnl(x.normalize_dt(t))
+            mnl = x.normalize_dt(t).params().mnl_size
             assert cert.bound == 3 * 2**mnl
             # the deletion set is exactly the per-leaf gate layer
             assert len(cert.deletion) == mnl

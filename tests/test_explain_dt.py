@@ -14,6 +14,7 @@ import xplain as x
 from xplain.config import CapExceeded
 from xplain.core import _leaf_paths, graft_dt, is_normalized
 from xplain.explain_dt import (
+    _column_cache,
     _literal_columns,
     _min_literal_hitting_set,
     _row_literals,
@@ -513,7 +514,7 @@ class TestCardSearchColumns:
                     if mask >> f & 1:
                         kill[f + (1 - (value >> f & 1)) * n] |= 1 << r
             rows, got, first = _literal_columns(t, bad)
-            assert (rows, got) == (len(paths), kill)
+            assert (rows, got) == (len(paths), tuple(kill))
             for r in range(rows):
                 meeting = [lit for lit in range(2 * n) if kill[lit] >> r & 1]
                 assert sorted(_row_literals(t, first, r)) == meeting
@@ -727,6 +728,129 @@ class TestProduct:
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
+
+
+def _fresh(model):
+    """An equal model that shares no memo with ``model``: a new tree on the
+    same arena, or a new ensemble of the same elements (its own product)."""
+    if isinstance(model, x.Ensemble):
+        return x.Ensemble(model.universe, model.elements)
+    return x.DecisionTree(model.universe, model.nodes, model.root, model.order)
+
+
+def _tree_routes(rng, u):
+    """Every tree route on ``u`` as (entry name, arguments after the model):
+    both shrinks of each class, and the card search of every kind at
+    several budgets."""
+    budgets = sorted(rng.sample(range(len(u) + 1), min(3, len(u) + 1)))
+    routes = []
+    for e in (random_example(rng, u) for _ in range(2)):
+        routes.append(("laxp_subset_min", (e,)))
+        routes += [("card_xp_search", ("laxp", e, k)) for k in budgets]
+    for c in (0, 1):
+        routes += [("gaxp_subset_min", (c,)), ("gcxp_subset_min", (c,))]
+        routes += [("card_xp_search", (kind, c, k)) for kind in ("gaxp", "gcxp")
+                   for k in budgets]
+    return routes
+
+
+def _answer(model, name, args):
+    if name == "laxp_subset_min" and isinstance(model, x.Ensemble):
+        model = x.product_dt(model)
+    return getattr(x, name)(model, *args)
+
+
+def _fresh_answers(model, routes):
+    """Each route's answer on its own fresh copy of ``model``, built with
+    no remembered columns."""
+    answers = []
+    for name, args in routes:
+        _column_cache.clear()
+        answers.append(_answer(_fresh(model), name, args))
+    _column_cache.clear()
+    return answers
+
+
+class TestColumnCache:
+    """``_literal_columns`` remembers the last tree's columns per offending
+    class; every answer must be the one a fresh tree gets."""
+
+    @given(seed=st.integers(0, 100_000), n=st.integers(1, 6), depth=st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_routes_twice_on_one_tree(self, seed, n, depth):
+        rng = Random(seed)
+        u = random_universe(rng, n)
+        if rng.random() < 0.3:
+            model = random_ensemble(rng, u, "dt", 3)
+        else:
+            model = random_dt(rng, u, max_depth=depth)
+        routes = _tree_routes(rng, u)
+        expected = _fresh_answers(model, routes)
+        order = list(range(len(routes))) * 2
+        rng.shuffle(order)
+        for i in order:
+            assert _answer(model, *routes[i]) == expected[i]
+
+    def test_laxp_search_leaves_the_cached_columns_as_built(self):
+        # the laxp search zeroes e's opposite literals on its own copy of
+        # the columns; the class-1 examples of this XNOR tree are (1, 1) and
+        # (0, 0), and the second reads exactly the literals zeroed for the first
+        u = x.universe("a", "b")
+        t = x.DecisionTree(u, (x.Leaf(1), x.Leaf(0), x.Split(1, 0, 1),
+                               x.Leaf(0), x.Leaf(1), x.Split(1, 3, 4), x.Split(0, 2, 5)), 6)
+        assert is_normalized(t)
+        e, other = x.Example(u, (1, 1)), x.Example(u, (0, 0))
+        _column_cache.clear()
+        for k in (1, 2):
+            assert x.card_xp_search(t, "laxp", e, k) == (frozenset({0, 1}) if k == 2 else None)
+            assert x.laxp_subset_min(t, e) == frozenset({0, 1})
+            assert x.laxp_subset_min(t, other) == frozenset({0, 1})
+            assert x.gaxp_subset_min(t, 1) == x.PartialExample(u, ((0, 0), (1, 0)))
+        _, kill, _ = _column_cache[0][1:]
+        assert isinstance(kill, tuple) and all(kill)
+
+    def test_trees_in_alternation(self):
+        # two equal but distinct trees share answers; a third tree, unequal,
+        # must never be answered from the columns of the other two
+        rng = Random(31)
+        u = random_universe(rng, 6)
+        while True:
+            t, s = (x.normalize_dt(random_dt(rng, u, max_depth=5)) for _ in range(2))
+            if x.truth_table(t) != x.truth_table(s):
+                break
+        twin = _fresh(t)
+        assert twin == t and twin is not t
+        routes = _tree_routes(rng, u)
+        expected = {id(m): _fresh_answers(m, routes) for m in (t, s)}
+        expected[id(twin)] = expected[id(t)]
+        for i in range(len(routes)):
+            for m in (t, twin, s, t, s, twin):
+                assert _answer(m, *routes[i]) == expected[id(m)][i]
+
+    def test_both_classes_of_one_tree(self):
+        # one slot per offending class: asking for one class never answers
+        # with the other's columns
+        rng = Random(37)
+        u = random_universe(rng, 5)
+        while True:
+            t = x.normalize_dt(random_dt(rng, u, max_depth=5))
+            labels = [node.label for node in t.nodes if isinstance(node, x.Leaf)]
+            if labels.count(0) != labels.count(1):  # so the row counts differ
+                break
+        columns = []
+        for bad in (0, 1):
+            _column_cache.clear()
+            columns.append(_literal_columns(t, bad))
+        routes = [(name, (c,)) for c in (0, 1) for name in ("gaxp_subset_min", "gcxp_subset_min")]
+        routes += [("card_xp_search", (kind, c, len(u))) for c in (0, 1)
+                   for kind in ("gaxp", "gcxp")]
+        expected = _fresh_answers(t, routes)
+        for bad in (0, 1, 1, 0, 0, 1):
+            assert _literal_columns(t, bad) == columns[bad]
+        for _ in range(2):
+            for i, (name, args) in enumerate(routes):
+                assert _answer(t, name, args) == expected[i]
+
 
 def test_renaming_features_only_changes_names(fig_dl, fig_example):
     # names are cosmetic: a renamed copy produces the same index witnesses

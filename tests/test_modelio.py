@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xplain as x
+from xplain.core import _LEAVES
 from xplain.modelio import (
     dump_model,
     load_example,
@@ -108,6 +109,37 @@ def test_boolean_integer_fields_survive_json(model):
     # a constructor accepts True for 1; the document must still hold an
     # integer, which load_model requires
     assert load_model(json.loads(json.dumps(dump_model(model)))) == model
+
+
+# -- integer fields of a tree: the int fast path refuses what it refused ----
+
+def _one_split_doc(label=1, child=2):
+    return json.loads(json.dumps({"universe": ["a"], "model": {"dt": {"root": 0, "nodes": [
+        {"test": "a", "if0": 1, "if1": child}, {"leaf": 0}, {"leaf": label}]}}}))
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_one_split_doc(label=-1), "leaf labels must be 0 or 1"),
+    (_one_split_doc(label=2), "leaf labels must be 0 or 1"),
+    (_one_split_doc(label=True), "expected an integer, got True"),
+    (_one_split_doc(label=0.5), "expected an integer, got 0.5"),
+    (_one_split_doc(label="1"), "expected an integer, got '1'"),
+    (_one_split_doc(child=True), "expected an integer, got True"),
+    (_one_split_doc(child=1.5), "expected an integer, got 1.5"),
+    (_one_split_doc(child="1"), "expected an integer, got '1'"),
+], ids=["label-negative", "label-two", "label-true", "label-fraction", "label-string",
+        "child-true", "child-fraction", "child-string"])
+def test_tree_document_refuses_what_is_no_label_or_index(doc, message):
+    # -1 would index the shared leaves from the end, giving Leaf(1)
+    with pytest.raises(x.ModelError) as info:
+        load_model(doc)
+    assert str(info.value) == message
+
+
+def test_tree_document_leaves_are_the_shared_leaves():
+    t = load_model(_one_split_doc(label=1))
+    assert t.nodes[1] is _LEAVES[0] and t.nodes[2] is _LEAVES[1]
+    assert load_model(_one_split_doc(label=1.0)) == t  # an integral float reads as its int
 
 
 # -- the load memo: keyed on the file's bytes, one entry --------------------
