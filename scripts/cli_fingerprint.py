@@ -10,7 +10,10 @@ per workload and seed, the request count and one SHA-256 over
 workload answers only a bool per query, so its entry instead hashes
 ``f"{assignments}\\0"`` of the ``gadgets.global_budget_search_dt`` witness of
 every ordered-tree query (a global query on a tree), in request order, with
-``None`` for no witness.  The ``translations`` entry of a seed hashes the
+``None`` for no witness.  The ``gadget-witnesses`` entry hashes
+``f"{witness!r}\\0"`` of the ``card_xp_search`` witness of every ``laxp``,
+``gaxp`` and ``gcxp`` query of that workload, on trees and rule models
+alike, in request order.  The ``translations`` entry of a seed hashes the
 circuit of every model of the ``trees`` and ``rules`` workloads that is not
 itself a circuit, for class 0 and then class 1, as
 ``f"{dump_model(circuit)}\n{sorted(deletion)}\n{bound}\n{formula}\0"``
@@ -55,7 +58,8 @@ from unittest import mock
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "scripts" / "cli_fingerprints.json"
 SEEDS = (1, 9001)
-WORKLOADS = ("trees", "rules", "gadgets", "translations", "gadget-translations", "branch")
+WORKLOADS = ("trees", "rules", "gadgets", "gadget-witnesses", "translations",
+             "gadget-translations", "branch")
 SUBCOMMANDS = ("classify", "params", "verify", "explain", "oracle", "translate", "hom",
                "hom-suite", "gen-gadget")
 REFUSED = (
@@ -97,6 +101,14 @@ def tree_witnesses(inputs):
         if isinstance(model, xplain.DecisionTree) and q.kind in ("gaxp", "gcxp"):
             found = xplain.gadgets.global_budget_search_dt(model, q.kind, q.target, q.k)
             yield repr(None if found is None else found.assignments)
+
+
+def gadget_witnesses(inputs):
+    """The cardinality search's witness on every abductive gadget query."""
+    for req in inputs.requests:
+        q = req.query
+        if q.kind in ("laxp", "gaxp", "gcxp"):
+            yield repr(xplain.card_xp_search(req.instance.model, q.kind, q.target, q.k))
 
 
 def model_documents(seed: int, workdir: Path) -> list[dict]:
@@ -180,6 +192,7 @@ SOURCES = {
     "trees": (work_trees.setup, cli_answers),
     "rules": (work_rules.setup, cli_answers),
     "gadgets": (work_gadgets.setup, tree_witnesses),
+    "gadget-witnesses": (work_gadgets.setup, gadget_witnesses),
     "translations": (model_documents, translations),
     "gadget-translations": (work_gadgets.setup, gadget_translations),
     "branch": (work_rules.setup, branch_searches),
