@@ -46,6 +46,17 @@ _DT = "src/xplain/explain_dt.py"
 _GADGETS = "src/xplain/gadgets.py"
 _MODELIO = "src/xplain/modelio.py"
 
+# the last level's memo, from its look-up to its store
+_MEMO = """\
+                hits = covering.get(live)
+                if hits is None:
+                    row = live & -live
+                    meets = options.get(row)
+                    if meets is None:
+                        meets = options[row] = row_options(row.bit_length() - 1, triples)
+                    hits = covering[live] = [
+"""
+
 MUTANTS = [
     # the DecisionTree constructor's forward pass and reachability walk
     Mutant("normal-form-repeated-feature", _CORE,
@@ -90,8 +101,24 @@ MUTANTS = [
            "    last = _column_cache.get(bad)", "    last = _column_cache.get(0)",
            ("tests/test_explain_dt.py::TestColumnCache::test_both_classes_of_one_tree",)),
     Mutant("row-literals-descent", _DT,
-           "lo = r < first[node.hi]", "lo = r <= first[node.hi]",
+           "if r < first[node.hi]:", "if r <= first[node.hi]:",
            ("tests/test_explain_dt.py::TestCardSearchColumns::test_pre_order_arena",)),
+    Mutant("option-complement-is-column", _DT,
+           "full ^ col", "col",
+           ("tests/test_explain_dt.py::TestCardSearchColumns::"
+            "test_literal_columns_match_the_leaf_paths",
+            "tests/test_explain_dt.py::TestCardSearchColumns::"
+            "test_matches_the_row_reference_on_clique_gadgets")),
+    Mutant("last-level-memo-by-lowest-row", _DT,
+           _MEMO, _MEMO.replace("covering.get(live)", "covering.get(live & -live)")
+           .replace("covering[live]", "covering[live & -live]"),
+           ("tests/test_explain_dt.py::TestCardSearchColumns::test_last_level_per_live_mask",)),
+    Mutant("last-level-feature-unchecked", _DT,
+           "                    if not lits & feature:  # the feature is still unassigned\n"
+           "                        deeper[lits | lit] = 0\n",
+           "                    if True:\n"
+           "                        deeper[lits | lit] = 0\n",
+           ("tests/test_explain_dt.py::TestCardSearchColumns::test_last_level_per_live_mask",)),
     # ensembles count each ballot with its votes
     Mutant("ballot-single-vote", _CORE,
            "[(m.table(cols, full), votes) for m, votes in self._ballots]",

@@ -39,10 +39,13 @@ one process about one model build each class's columns once.
   model gets its rows one at a time (implicit hitting-set dualization,
   Ignatiev, Previti, Liffiton & Marques-Silva, CP 2015): the table that
   checks the current minimum hitting set also yields the next row it
-  misses.  Extending a candidate is one AND-NOT on the int of live rows.
-  The search grows literal sets breadth-first by size (one memo per size),
-  reads a row's literals off the tree or its round only when it branches on
-  that row, and returns the first minimum in the oracle's enumeration order.
+  misses.  Each literal enters the search as an option triple (its bit,
+  the complement of its column, both bits of its feature), so extending a
+  candidate is one AND on the int of live rows.  The search grows literal
+  sets breadth-first by size (one memo per size), reads a row's triples
+  off the tree (one descent) or its round only when it branches on that
+  row, answers its last level once per distinct set of live rows, and
+  returns the first minimum in the oracle's enumeration order.
 * ensemble-to-tree product: ``core.graft_dt``, the path-consistent walk
   that also normalizes and restricts trees, grafts each successive ballot
   (a distinct element with its votes) onto every leaf whose vote is still
@@ -184,15 +187,16 @@ def _literal_columns(
         return last[1:]
     n = len(t.universe)
     kill = [0] * (2 * n)
-    first = [0] * len(t.nodes)  # per node: the first row number in its subtree
+    first: list[int] = []  # per node: the first row number in its subtree
     rows = 0
-    for i, node in enumerate(t.nodes):
-        if isinstance(node, Leaf):
-            first[i] = rows
+    for node in t.nodes:
+        if type(node) is Leaf:
+            first.append(rows)
             rows += node.label == bad
             continue
-        lo = first[i] = first[node.lo]
+        lo = first[node.lo]
         mid = first[node.hi]
+        first.append(lo)
         if lo < mid:
             kill[node.feature + n] |= (1 << mid) - (1 << lo)
         if mid < rows:
@@ -202,17 +206,37 @@ def _literal_columns(
     return columns
 
 
-def _row_literals(t: DecisionTree, first: Sequence[int], r: int) -> list[int]:
-    """The literals conflicting row r's path, by one descent from the root:
+def _literal_options(
+    kill: Sequence[int], n: int, full: int
+) -> list[Optional[tuple[int, int, int]]]:
+    """Per literal index, its option triple (its bit, the complement of its
+    column within ``full``, both bits of its feature), or None when its
+    column is zero: such a literal meets no row."""
+    return [(1 << lit, full ^ col, 1 << lit % n | 1 << (lit % n + n)) if col else None
+            for lit, col in enumerate(kill)]
+
+
+def _row_options(
+    nodes: Sequence, root: int, n: int, first: Sequence[int], r: int, triples: Sequence
+) -> list[tuple[int, int, int]]:
+    """The option triples of row r of a tree, by one descent from the root:
     at a split on f the row lies in the 0-subtree, and meets ``(f, 1)``,
-    exactly when it comes before the 1-subtree's first row."""
-    n, nodes = len(t.universe), t.nodes
-    node, lits = nodes[t.root], []
-    while not isinstance(node, Leaf):
-        lo = r < first[node.hi]
-        lits.append(node.feature + lo * n)
-        node = nodes[node.lo if lo else node.hi]
-    return lits
+    exactly when it comes before the 1-subtree's first row.  Literals of
+    zero column (e's opposite literals under ``laxp``) are skipped."""
+    node, options = nodes[root], []
+    while type(node) is not Leaf:
+        if r < first[node.hi]:
+            option, node = triples[node.feature + n], nodes[node.lo]
+        else:
+            option, node = triples[node.feature], nodes[node.hi]
+        if option:
+            options.append(option)
+    return options
+
+
+def _listed_options(read: Sequence[list[int]], r: int, triples: Sequence) -> list:
+    """The option triples of row r given as its literal list ``read[r]``."""
+    return [triples[lit] for lit in read[r] if triples[lit]]
 
 
 def _column_shrink(cols: list[int]) -> list[int]:
@@ -237,53 +261,74 @@ def _column_shrink(cols: list[int]) -> list[int]:
 
 
 def _min_literal_hitting_set(
-    n: int, rows: int, kill: Sequence[int], k: int, row_literals: Callable[[int], list[int]]
+    n: int, rows: int, kill: Sequence[int], k: int,
+    row_options: Callable[[int, list], list[tuple[int, int, int]]],
 ) -> Optional[list[tuple[int, int]]]:
     """Smallest consistent literal set of size <= k meeting all ``rows`` rows.
 
-    Literal ``(f, b)`` is index ``f + b * n``; ``kill[lit]`` is its column:
-    the rows it meets.  A set meets a row when one of its literals does, and
-    is consistent when it assigns each feature at most once.  Among the
-    smallest such sets the first in ``card_xp_search`` order is returned
-    (ascending feature tuple, then the assignment read as a binary counter
-    whose lowest bit is the lowest feature), sorted by feature; None when
-    every such set is larger than k.
+    Literal ``(f, b)`` is index ``f + b * n``.  A set meets a row when one
+    of its literals does, and is consistent when it assigns each feature at
+    most once.  Among the smallest such sets the first in ``card_xp_search``
+    order is returned (ascending feature tuple, then the assignment read as
+    a binary counter whose lowest bit is the lowest feature), sorted by
+    feature; None when every such set is larger than k.
 
-    A literal set is a mask over literal indices, and live rows are one int,
-    so taking a literal costs one AND-NOT.  The search is breadth-first by
-    set size: level d holds each distinct literal set of size d that the
-    branching reaches, keyed by its mask (the per-level memo), and a set is
-    extended only by the literals meeting its lowest live row whose feature
-    it leaves unassigned.  Branching first on row r reads ``row_literals(r)``
-    (where r came from) and skips the literals of zero column.  Every
+    ``kill[lit]`` is the column of literal ``lit``: the rows it meets.
+    ``_literal_options`` turns each literal of nonzero column into its
+    option triple: its bit, the complement of its column (the rows it
+    misses) and both bits of its feature; ``row_options(r, triples)`` picks
+    the triples of the literals meeting row r (``_row_options`` on a tree,
+    ``_listed_options`` on rows read as literal lists).  A literal set is a
+    mask over literal indices, and live rows are one int, so taking a
+    literal costs one AND with its complement.
+
+    The search is breadth-first by set size: level d holds each distinct
+    literal set of size d that the branching reaches, keyed by its mask
+    (the per-level memo), and a set is extended only by the literals meeting
+    its lowest live row whose feature it leaves unassigned.  Each row's
+    triples are read once, when the search first branches on it.  Every
     smallest solution is reached this way, so the first level holding a
-    solution is finished and its least solution returned.  Level k keeps
-    only solutions: nothing larger is ever asked for.
+    solution is finished and its least solution returned.  The last level
+    (size k) keeps only solutions: a child there must meet every live row,
+    and the literals that do depend on the live mask alone, so they are
+    found once per distinct mask (the last level's memo) and each set only
+    checks that their feature is still unassigned.
     """
-    # row bit -> per literal meeting it: (its bit, its column, both its feature's bits)
-    options: dict[int, list[tuple[int, int, int]]] = {}
-    level = {0: (1 << rows) - 1}  # literal set -> rows it does not meet
+    full = (1 << rows) - 1
+    triples = _literal_options(kill, n, full)
+    options: dict[int, list[tuple[int, int, int]]] = {}  # row bit -> its triples
+    level = {0: full}  # literal set -> rows it does not meet
     for size in range(k + 1):
         solved = [lits for lits, live in level.items() if not live]
         if solved:
             return min((_decode_literals(lits, n) for lits in solved), key=_card_order)
         if size == k or not level:
             break
-        last = size + 1 == k  # children must meet every row: keep only those
         deeper: dict[int, int] = {}
-        for lits, live in level.items():
-            row = live & -live
-            meets = options.get(row)
-            if meets is None:
-                meets = options[row] = [
-                    (1 << lit, kill[lit], 1 << lit % n | 1 << (lit % n + n))
-                    for lit in row_literals(row.bit_length() - 1) if kill[lit]
-                ]
-            for lit, killed, feature in meets:
-                if not lits & feature:  # the feature is still unassigned
-                    rest = live & ~killed
-                    if not (last and rest):
-                        deeper[lits | lit] = rest
+        if size + 1 == k:
+            covering: dict[int, list[tuple[int, int]]] = {}  # live rows -> literals meeting all
+            for lits, live in level.items():
+                hits = covering.get(live)
+                if hits is None:
+                    row = live & -live
+                    meets = options.get(row)
+                    if meets is None:
+                        meets = options[row] = row_options(row.bit_length() - 1, triples)
+                    hits = covering[live] = [
+                        (lit, feature) for lit, keep, feature in meets if not live & keep
+                    ]
+                for lit, feature in hits:
+                    if not lits & feature:  # the feature is still unassigned
+                        deeper[lits | lit] = 0
+        else:
+            for lits, live in level.items():
+                row = live & -live
+                meets = options.get(row)
+                if meets is None:
+                    meets = options[row] = row_options(row.bit_length() - 1, triples)
+                for lit, keep, feature in meets:
+                    if not lits & feature:  # the feature is still unassigned
+                        deeper[lits | lit] = live & keep
         level = deeper
     return None
 
@@ -381,15 +426,16 @@ def card_xp_search(
     A model with a tree form (``_tree_form``: a tree, or a tree ensemble
     whose ``product_dt`` fits under its ceiling) gets all its rows up front
     from ``_literal_columns``, one per offending leaf (for ``laxp`` only
-    e's own literals keep their columns; ``_row_literals`` reads a row's
-    literals), and its first hitting set is the answer.  Any other model
-    starts with no rows, and each round reads one more, as its literals,
-    off the one table that checks the least hitting set H
-    (``_laxp_row``, ``_global_row``), until H verifies or no hitting set of
-    size <= k is left.  Every explanation meets every row, so a verified
-    least hitting set is the first minimum in the oracle's enumeration
-    order: feature subsets lexicographically, for the global kinds each
-    subset's assignments as ascending binary counters.
+    e's own literals keep their columns; ``_row_options`` reads a row's
+    option triples by one descent), and its first hitting set is the
+    answer.  Any other model starts with no rows, and each round reads one
+    more, as its literals, off the one table that checks the least hitting
+    set H (``_laxp_row``, ``_global_row``; ``_listed_options`` gives their
+    triples), until H verifies or no hitting set of size <= k is left.
+    Every explanation meets every row, so a verified least hitting set is
+    the first minimum in the oracle's enumeration order: feature subsets
+    lexicographically, for the global kinds each subset's assignments as
+    ascending binary counters.
 
     Round bound: each row is read off an example no earlier row was (the
     least wrong completion of H, or e flipped on a set H misses), so n
@@ -414,10 +460,10 @@ def card_xp_search(
                 kill[f + (1 - b) * n] = 0
         else:
             rows, kill, first = _literal_columns(t, 1 - target if kind == "gaxp" else target)
-        row_literals = functools.partial(_row_literals, t, first)
+        row_options = functools.partial(_row_options, t.nodes, t.root, n, first)
     else:
         rows, kill, read = 0, [0] * (2 * n), []  # read: each round's row
-        row_literals = read.__getitem__
+        row_options = functools.partial(_listed_options, read)
         if kind == "laxp":
             next_row = functools.partial(_laxp_row, model, target, n, caps)
         else:
@@ -427,7 +473,7 @@ def card_xp_search(
     while True:
         if next_row is not None and rows > 1 << cap:
             raise CapExceeded(f"{kind} search: {rows} rows exceed 2**{cap}")
-        found = _min_literal_hitting_set(n, rows, kill, k, row_literals)
+        found = _min_literal_hitting_set(n, rows, kill, k, row_options)
         row = None if found is None or next_row is None else next_row(found)
         if row is None:
             break

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import gc
 import time
 import tracemalloc
@@ -15,11 +16,14 @@ from xplain.config import CapExceeded
 from xplain.core import _leaf_paths, graft_dt, is_normalized
 from xplain.explain_dt import (
     _column_cache,
+    _listed_options,
     _literal_columns,
+    _literal_options,
     _min_literal_hitting_set,
-    _row_literals,
+    _row_options,
 )
 from xplain.modelio import load_model
+from xplain.truth import has_clique
 from xplain.verify import shrink
 
 from generators import (
@@ -27,6 +31,7 @@ from generators import (
     leaf_assignments,
     permuted_arena,
     random_circuit,
+    random_coloured_graph,
     random_dt,
     random_ensemble,
     random_example,
@@ -442,6 +447,27 @@ class TestCardSearchColumns:
                 t, kind, target, k
             )
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_row_reference_on_clique_gadgets(self, seed):
+        # the ordered trees of the multicoloured-clique reduction, 2 and 3
+        # colours, yes and no graphs alike, every k up to one past the
+        # colours: gaxp of class 0 answers the clique question
+        rng = Random(seed)
+        colours, want = 2 + seed % 2, seed // 2 % 2 == 0
+        vertices = rng.randint(4, 7)
+        while True:
+            g = random_coloured_graph(rng, vertices, colours, rng.random())
+            if has_clique([v for c in g.classes for v in c], g.edges, colours) == want:
+                break
+        t = x.mcc_odt_gaxp_gadget(g, colours).model
+        for kind in ("gaxp", "gcxp"):
+            for c in (0, 1):
+                for k in range(colours + 2):
+                    assert x.card_xp_search(t, kind, c, k) == _reference_card_search(
+                        t, kind, c, k
+                    )
+        assert (x.card_xp_search(t, "gaxp", 0, colours) is not None) == want
+
     def test_pre_order_arena(self):
         # a tree without repeated tests whose arena lists every parent
         # before its children, root first: it is not in normal form, so
@@ -515,19 +541,24 @@ class TestCardSearchColumns:
                         kill[f + (1 - (value >> f & 1)) * n] |= 1 << r
             rows, got, first = _literal_columns(t, bad)
             assert (rows, got) == (len(paths), tuple(kill))
+            full = (1 << rows) - 1
+            triples = _literal_options(got, n, full)
             for r in range(rows):
-                meeting = [lit for lit in range(2 * n) if kill[lit] >> r & 1]
-                assert sorted(_row_literals(t, first, r)) == meeting
+                meeting = [(1 << lit, full & ~kill[lit], 1 << lit % n | 1 << lit % n + n)
+                           for lit in range(2 * n) if kill[lit] >> r & 1]
+                assert sorted(_row_options(t.nodes, t.root, n, first, r, triples)) == meeting
 
-    @given(seed=st.integers(0, 100_000), n=st.integers(0, 5))
+    @given(seed=st.integers(0, 100_000), n=st.integers(0, 7))
     @settings(max_examples=200, deadline=None)
     def test_hitting_set_on_explicit_rows(self, seed, n):
         # rows as literal lists, some repeated, empty or holding both
         # literals of a feature; a literal whose column is left zero meets
-        # no row, as e's opposite literals under tree laxp
+        # no row, as e's opposite literals under tree laxp.  Up to 10 rows
+        # over few literals, so sets of the level below the last often
+        # share their live rows
         rng = Random(seed)
         rows = [rng.sample(range(2 * n), rng.randint(1, min(2 * n, 3))) if n else []
-                for _ in range(rng.randint(0, 6))]
+                for _ in range(rng.randint(0, 10))]
         if n and rng.random() < 0.3:
             f = rng.randrange(n)
             rows.append([f + n, f])
@@ -543,8 +574,30 @@ class TestCardSearchColumns:
                 if lit not in zero:
                     kill[lit] |= 1 << r
         for k in range(n + 2):
-            found = _min_literal_hitting_set(n, len(rows), kill, k, rows.__getitem__)
+            found = _min_literal_hitting_set(
+                n, len(rows), kill, k, functools.partial(_listed_options, rows)
+            )
             assert found == _least_hitting_set(n, rows, zero, k)
+
+    @pytest.mark.parametrize("rows, answer", [
+        # (0, 1) and (1, 1) both leave row 1 live, which only (0, 0) meets:
+        # it completes (1, 1) but would assign feature 0 twice with (0, 1)
+        ([[3, 4], [0]], [(0, 0), (1, 1)]),
+        # (1, 1) leaves row 1 live and (0, 1) rows 1 and 2: (2, 0) meets
+        # row 1 only, (2, 1) rows 1 and 2, so the literals that complete a
+        # set depend on its live rows, not on the lowest one
+        ([[4, 3], [5, 2], [4, 5]], [(0, 1), (2, 1)]),
+    ])
+    def test_last_level_per_live_mask(self, rows, answer):
+        n = 3
+        kill = [0] * (2 * n)
+        for r, row in enumerate(rows):
+            for lit in row:
+                kill[lit] |= 1 << r
+        found = _min_literal_hitting_set(
+            n, len(rows), kill, 2, functools.partial(_listed_options, rows)
+        )
+        assert found == answer == _least_hitting_set(n, rows, set(), 2)
 
 
 def _least_hitting_set(n, rows, zero, k):
