@@ -8,8 +8,8 @@ directory, answers each one in-process with ``cliwork.execute``, and prints,
 per workload and seed, the request count and one SHA-256 over
 ``f"{code}\\n{stdout}\\0"`` of every answer in order.  The ``gadgets``
 workload answers only a bool per query, so its entry instead hashes
-``f"{assignments}\\0"`` of the ``gadgets.global_budget_search_dt`` witness of
-every ordered-tree query (a global query on a tree), in request order, with
+``f"{assignments}\\0"`` of the ``card_xp_search`` witness (the answer of
+``gadgets.global_budget_search_dt``) of every ordered-tree query (a global query on a tree), in request order, with
 ``None`` for no witness.  The ``gadget-witnesses`` entry hashes
 ``f"{witness!r}\\0"`` of the ``card_xp_search`` witness of every ``laxp``,
 ``gaxp`` and ``gcxp`` query of that workload, on trees and rule models
@@ -99,7 +99,7 @@ def tree_witnesses(inputs):
     for req in inputs.requests:
         model, q = req.instance.model, req.query
         if isinstance(model, xplain.DecisionTree) and q.kind in ("gaxp", "gcxp"):
-            found = xplain.gadgets.global_budget_search_dt(model, q.kind, q.target, q.k)
+            found = xplain.card_xp_search(model, q.kind, q.target, q.k)
             yield repr(None if found is None else found.assignments)
 
 

@@ -75,6 +75,23 @@ MUTANTS = [
     Mutant("leaf-label-type-unchecked", _CORE,
            "        if not isinstance(self.label, int):", "        if False:",
            ("tests/test_core.py::test_wrong_model_raises_model_error",)),
+    # a tree's table: one forward pass over its normal form, muxing on each column
+    Mutant("tree-table-mux-swapped", _CORE,
+           "done[-1] = (col & hi) | ((full ^ col) & done[-1])",
+           "done[-1] = (col & done[-1]) | ((full ^ col) & hi)",
+           ("tests/test_core.py::test_every_family_tabulates_from_a_plain_dict",)),
+    Mutant("tree-table-raw-arena", _CORE,
+           "        for node in normalize_dt(self).nodes:\n",
+           "        for node in self.nodes:\n",
+           ("tests/test_core.py::test_deep_path_tree_order_table_and_restriction",)),
+    # feature indices are ints, never truncated
+    Mutant("feature-index-truncated", _CORE,
+           "    if not all(isinstance(f, int) for f in features):\n", "    if False:\n",
+           ("tests/test_core.py::test_wrong_model_raises_model_error",)),
+    Mutant("partial-feature-truncated", _CORE,
+           "            if not isinstance(f, int):\n                raise ModelError(\"feature",
+           "            if False:\n                raise ModelError(\"feature",
+           ("tests/test_core.py::test_wrong_model_raises_model_error",)),
     # integer fields of a JSON document
     Mutant("fractional-field-truncated", _MODELIO,
            "    if i != value or isinstance(value, bool):", "    if False:",

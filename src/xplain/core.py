@@ -1,10 +1,10 @@
 """Feature universes, examples, and the model families with their semantics.
 
 Models are immutable after construction and validated eagerly: a value that
-exists is well-formed.  Every index, label and bit in a model is an ``int``
-(a ``bool`` counts as one); anything else is a ``ModelError``.  Examples
-take integral numbers as bits.  All algorithms work on dense feature
-indices; feature names only matter at the JSON boundary.
+exists is well-formed.  Every index, label and bit of a model, partial
+example or order is an ``int`` (a ``bool`` counts as one); anything else is
+a ``ModelError``.  Examples take integral numbers as bits.  All algorithms
+work on dense feature indices; feature names only matter at the JSON boundary.
 
 Classification semantics:
 
@@ -23,9 +23,9 @@ Each family answers for itself: ``DecisionTree``, ``DecisionSet``,
 
 * ``evaluate(e)``       -- the class of one example,
 * ``table(cols, full)`` -- the classes at the positions of ``full``, where
-                           ``cols`` is ``subcube_table``'s ``_Columns``:
-                           ``cols[f]`` is the table of feature f (a tree
-                           also reads ``cols.position``),
+                           ``cols`` maps each feature f the model reads to
+                           its table ``cols[f]`` (``subcube_table`` passes
+                           one that builds a column on its first read),
 * ``params()``          -- the ``ParamReport``;
 
 an ensemble calls ``evaluate`` on every element but ``table`` and
@@ -54,8 +54,9 @@ each follows the consistent child.  ``normalize_dt``, ``verify.restrict_dt``,
 ``explain_dt.product_dt`` and ``gadgets.odt_from_examples`` are each one call
 of ``graft_dt``.  Its output
 is the one normal form of a tree: no path tests a feature twice, and the
-arena is in post-order (0-subtree, 1-subtree, split; root last), so the tree
-engines read a normalized tree in one forward pass over its nodes.  The
+arena is in post-order (0-subtree, 1-subtree, split; root last), so the
+other tree readers, ``DecisionTree.table`` (a stack of subtree tables) among
+them, read a normalized tree in one forward pass over its nodes.  The
 ``DecisionTree`` constructor decides that form once, in one forward pass
 over the arena; ``normalize_dt`` copies any other tree into it.
 ``_leaf_paths`` yields the leaves that a seed assignment leaves reachable,
@@ -139,6 +140,14 @@ class Example:
         return Example(u, tuple((mask >> i) & 1 for i in range(len(u))))
 
 
+def feature_ints(features: Iterable) -> tuple[int, ...]:
+    """The features as a tuple; one that is no int is a ModelError."""
+    features = tuple(features)
+    if not all(isinstance(f, int) for f in features):
+        raise ModelError("feature indices must be integers")
+    return features
+
+
 def mask_features(mask: int, n: int) -> frozenset:
     """The features among the first n whose bit is set in mask."""
     return frozenset(f for f in range(n) if mask >> f & 1)
@@ -153,17 +162,19 @@ class PartialExample:
 
     def __post_init__(self) -> None:
         raw = tuple(self.assignments)
-        if any(b not in (0, 1) for _, b in raw):
-            raise ModelError("assigned bits must be 0 or 1")
-        pairs = tuple(sorted((int(f), int(b)) for f, b in raw))
-        object.__setattr__(self, "assignments", pairs)
         seen = set()
-        for f, _ in pairs:
+        for f, b in raw:
+            if b not in (0, 1):
+                raise ModelError("assigned bits must be 0 or 1")
+            if not isinstance(f, int):
+                raise ModelError("feature indices must be integers")
             if not 0 <= f < len(self.universe):
                 raise ModelError(f"feature index {f} outside universe")
             if f in seen:
                 raise ModelError(f"feature index {f} assigned twice")
             seen.add(f)
+        pairs = tuple(sorted((int(f), int(b)) for f, b in raw))
+        object.__setattr__(self, "assignments", pairs)
 
     @staticmethod
     def from_dict(u: FeatureUniverse, assign: Mapping[int, int]) -> "PartialExample":
@@ -180,9 +191,6 @@ class PartialExample:
         return PartialExample(
             self.universe, tuple(p for p in self.assignments if p[0] != feature)
         )
-
-    def agrees_with(self, e: Example) -> bool:
-        return all(e.bits[f] == b for f, b in self.assignments)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +294,9 @@ class DecisionTree:
             if not all(reached):
                 raise ModelError("arena contains nodes unreachable from the root")
         if self.order is not None:
-            order = tuple(self.order)
+            order = feature_ints(self.order)
             object.__setattr__(self, "order", order)
-            if not all(isinstance(f, int) for f in order) or sorted(order) != list(range(n)):
+            if sorted(order) != list(range(n)):
                 raise ModelError("order tag must be a permutation of the features")
 
     def leaf_count(self) -> int:
@@ -302,31 +310,20 @@ class DecisionTree:
                 return node.label
             i = node.hi if e.bits[node.feature] else node.lo
 
-    def table(self, cols: _Columns, full: int) -> int:
-        # post-order on an explicit stack; deep trees do not exhaust the
-        # call stack.  A fixed feature's column is a constant, so its node
-        # follows one child only.
-        done: list[int] = []  # tables of finished subtrees
-        stack = [(self.root, None)]  # (node, its column once children are stacked)
-        while stack:
-            i, col = stack.pop()
-            node = self.nodes[i]
+    def table(self, cols: Mapping[int, int], full: int) -> int:
+        # one forward pass over the normal form's post-order arena: a leaf
+        # pushes its table, a split muxes its children's on its column.  A
+        # fixed feature's column is 0 or full, so the mux picks the
+        # consistent child.
+        done: list[int] = []  # tables of finished subtrees, 0-subtree first
+        for node in normalize_dt(self).nodes:
             if isinstance(node, Leaf):
                 done.append(full if node.label else 0)
-                continue
-            if col is not None:
-                hi = done.pop()
-                lo = done.pop()
-                done.append((col & hi) | ((full ^ col) & lo))
-                continue
-            col = cols[node.feature]
-            if node.feature not in cols.position:
-                stack.append((node.hi if col else node.lo, None))
             else:
-                stack.append((i, col))
-                stack.append((node.hi, None))
-                stack.append((node.lo, None))
-        return done.pop()
+                hi = done.pop()
+                col = cols[node.feature]
+                done[-1] = (col & hi) | ((full ^ col) & done[-1])
+        return done[0]
 
     def params(self) -> ParamReport:
         # one pass: the leaves' labels give both classes' counts (mnl is the smaller)
@@ -526,7 +523,7 @@ class Ensemble:
         votes = sum(m.evaluate(e) for m in self.elements)
         return 1 if votes >= len(self.elements) // 2 + 1 else 0
 
-    def table(self, cols: _Columns, full: int) -> int:
+    def table(self, cols: Mapping[int, int], full: int) -> int:
         """Each ballot is tabulated once and counted with its votes."""
         return counter_ge(
             [(m.table(cols, full), votes) for m, votes in self._ballots],
@@ -690,11 +687,11 @@ class _Columns(dict):
     def __init__(self, fixed: Mapping[int, int], free: Sequence[int], origin: int) -> None:
         self.full = full = (1 << (1 << len(free))) - 1
         super().__init__((f, full if b else 0) for f, b in fixed.items())
-        self.position = {f: j for j, f in enumerate(free)}  # bit in the table index
+        self._position = {f: j for j, f in enumerate(free)}  # bit in the table index
         self.origin = origin
 
     def __missing__(self, f: int) -> int:
-        col = feature_column(self.position[f], len(self.position))
+        col = feature_column(self._position[f], len(self._position))
         if (self.origin >> f) & 1:
             col ^= self.full
         self[f] = col
@@ -839,9 +836,10 @@ def respects_order(t: DecisionTree, order: Sequence[int]) -> bool:
     root-to-leaf path."""
     if not isinstance(t, DecisionTree):
         raise ModelError("expected a decision tree")
-    rank = {int(f): pos for pos, f in enumerate(order)}
-    if sorted(rank) != list(range(len(t.universe))):
+    order = feature_ints(order)
+    if sorted(order) != list(range(len(t.universe))):
         raise ModelError("order must be a permutation of the features")
+    rank = {f: pos for pos, f in enumerate(order)}
 
     stack = [(t.root, -1)]  # (node, rank of the test above it)
     while stack:

@@ -151,8 +151,9 @@ def lcxp_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
     trees: the least conflict set of e with a leaf of the other class (the
     path features whose bit differs from e's) in the oracle's order, by size
     and then as sorted feature tuples (``explain_rules._better``)."""
+    if not isinstance(t, DecisionTree):
+        raise ModelError("expected a decision tree")
     _request(t, "lcxp", e)
-    t = normalize_dt(t)
     cls = classify(t, e)
     emask = e.mask()
     masks = [mask & (value ^ emask) for label, mask, value in _leaf_paths(t) if label != cls]

@@ -76,10 +76,6 @@ class BranchStats:
     def record(self, target, branch_nodes: int) -> None:
         self.per_target.append((target, branch_nodes))
 
-    def within_bound(self) -> bool:
-        base = max(self.term_size, 1)
-        return all(nodes <= base**self.budget for _, nodes in self.per_target)
-
 
 def _better(a: Optional[int], b: Optional[int]) -> Optional[int]:
     """Of two flip masks, the smaller set wins; equal sizes break towards the

@@ -48,6 +48,7 @@ from .core import (
     Split,
     _model_universe,
     classify,
+    feature_ints,
     graft_dt,
     measure,
     respects_order,
@@ -85,13 +86,13 @@ class SetFamily:
     def __post_init__(self) -> None:
         seen: list[frozenset] = []
         for s in self.sets:
-            fs = frozenset(int(f) for f in s)
+            fs = frozenset(feature_ints(s))
             if fs not in seen:
                 seen.append(fs)
         sets = tuple(seen)
         object.__setattr__(self, "sets", sets)
         union = frozenset().union(*sets) if sets else frozenset()
-        domain = frozenset(int(f) for f in self.domain) if self.domain is not None else union
+        domain = frozenset(feature_ints(self.domain)) if self.domain is not None else union
         object.__setattr__(self, "domain", domain)
         n = len(self.universe)
         if any(not 0 <= f < n for f in domain):
@@ -200,7 +201,7 @@ def odt_from_examples(
     constant-1 tree with ``len(rows) - 1`` votes, so any one accepting chain
     decides the vote.  It has exactly ``len(rows)`` positive leaves.
     """
-    order = tuple(int(f) for f in order)
+    order = feature_ints(order)
     if sorted(order) != list(range(len(u))):
         raise ModelError("order must be a permutation of the universe")
     domains = {r.domain for r in rows}

@@ -344,6 +344,13 @@ _ENTRIES = {
         pytest.param(lambda f: x.DecisionSet(_U2, (((f, 1),),), 0), "a", id="set-feature-name"),
         pytest.param(lambda b: x.DecisionSet(_U2, (((0, b),),), 0), 1.0, id="set-bit-float"),
         pytest.param(lambda c: x.DecisionList(_U2, (((), c),)), 1.0, id="list-class-float"),
+        # feature indices are ints, never truncated: 0.9 is no feature 0
+        pytest.param(lambda f: x.PartialExample(_U2, ((f, 1),)), 0.9, id="partial-feature-float"),
+        pytest.param(lambda o: x.respects_order(_TREE2, o), (0, 1.7), id="order-float"),
+        pytest.param(lambda o: x.respects_order(_TREE2, o), ("1", 0), id="order-name"),
+        pytest.param(lambda f: x.SetFamily(_U2, (frozenset({f}),)), 1.5, id="set-family-float"),
+        pytest.param(lambda d: x.SetFamily(_U2, (), d), {1.5}, id="set-family-domain-float"),
+        pytest.param(lambda o: x.odt_from_examples(_U2, (), o), (0, 1.7), id="odt-order-float"),
     ],
 )
 def test_wrong_model_raises_model_error(call, model):
@@ -526,6 +533,43 @@ def test_subcube_table_matches_classify(seed):
         for j, f in enumerate(free):
             bits[f] = (m >> j) & 1
         assert (table >> m) & 1 == x.classify(model, x.Example(u, tuple(bits)))
+
+
+@given(seed=st.integers(0, 100_000), n=st.integers(1, 6), depth=st.integers(0, 5))
+@settings(max_examples=80, deadline=None)
+def test_every_family_tabulates_from_a_plain_dict(seed, n, depth):
+    """``table(cols, full)`` reads nothing but ``cols[f]``: given a plain
+    dict of fixed constants and free ``feature_column``s, every family's
+    table holds ``evaluate``'s class of each completion.  The tree is a raw
+    arena laid out root first, whose root's 1-child tests the root's
+    feature again, above a random tree that may repeat tests too."""
+    rng = Random(seed)
+    u = random_universe(rng, n)
+    raw = random_dt(rng, u, max_depth=depth)
+    f = rng.randrange(n)
+    k = len(raw.nodes)
+    nodes = raw.nodes + (x.Leaf(rng.randint(0, 1)), x.Leaf(rng.randint(0, 1)),
+                         x.Split(f, k, k + 1), x.Split(f, raw.root, k + 2))
+    tree = relaid_arena(x.DecisionTree(u, nodes, k + 3), post=False)
+    assert tree.root == 0 and not is_normalized(tree)
+    models = [tree, x.Ensemble(u, (tree, random_dt(rng, u), tree)),
+              random_model(rng, u, "ds"), random_model(rng, u, "dl"),
+              x.translate(tree, rng.randint(0, 1))[0]]
+    free = [g for g in range(n) if rng.random() < 0.5]
+    rng.shuffle(free)
+    fixed = {g: rng.randint(0, 1) for g in range(n) if g not in free}
+    full = (1 << (1 << len(free))) - 1
+    cols = {g: full if b else 0 for g, b in fixed.items()}
+    cols.update((g, feature_column(j, len(free))) for j, g in enumerate(free))
+    for model in models:
+        table = model.table(cols, full)
+        for m in range(1 << len(free)):
+            bits = [0] * n
+            for g, b in fixed.items():
+                bits[g] = b
+            for j, g in enumerate(free):
+                bits[g] = (m >> j) & 1
+            assert (table >> m) & 1 == model.evaluate(x.Example(u, tuple(bits)))
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(0, 6))

@@ -119,7 +119,8 @@ class TestBranch:
         stats = x.BranchStats()
         x.lcxp_card_branch(fig_dl, fig_example, 3, stats)
         assert stats.per_target  # one record per opposite-class rule
-        assert stats.within_bound()
+        base = max(stats.term_size, 1)
+        assert all(nodes <= base**stats.budget for _, nodes in stats.per_target)
 
 
 class TestEnsembleBranch:

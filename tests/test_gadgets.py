@@ -108,7 +108,7 @@ class TestOdtFromExamples:
         assert t.leaf_count() <= 2 * max(1, len(rows)) * max(1, len(domain)) + 1
         for mask in range(1 << len(u)):
             e = x.Example.from_mask(u, mask)
-            expected = any(r.agrees_with(e) for r in rows)
+            expected = any(all(e[f] == b for f, b in r.assignments) for r in rows)
             assert (x.classify(t, e) == 1) == expected
 
 

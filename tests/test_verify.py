@@ -69,7 +69,7 @@ class TestRestrict:
         assert is_normalized(out)
         for mask in range(1 << len(u)):
             e = x.Example.from_mask(u, mask)
-            if tau.agrees_with(e):
+            if all(e[f] == b for f, b in tau.assignments):
                 assert x.classify(out, e) == x.classify(t, e)
 
     def test_tau_over_another_universe_is_refused(self):
@@ -278,7 +278,8 @@ def _brute_verify(model, kind: str, target, candidate) -> bool:
         inside = [e for e in examples
                   if all(e[f] == target[f] for f in range(len(u)) if f not in candidate)]
         return any(x.classify(model, e) != cls for e in inside)
-    classes = [x.classify(model, e) for e in examples if candidate.agrees_with(e)]
+    classes = [x.classify(model, e) for e in examples
+               if all(e[f] == b for f, b in candidate.assignments)]
     if kind == "gaxp":
         return all(c == target for c in classes)
     return all(c != target for c in classes)
