@@ -66,14 +66,18 @@ MUTANTS = [
            " and 0 <= lo == hi - size[hi]", "",
            ("tests/test_core.py::TestValidation::test_bad_arena_is_refused",)),
     Mutant("dfs-skipped", _CORE,
-           "        if self._normal is None:\n            reached = bytearray(count)",
-           "        if False:\n            reached = bytearray(count)",
+           "        if self._normal is None:\n            # The walk reads",
+           "        if False:\n            # The walk reads",
            ("tests/test_core.py::TestValidation::test_bad_arena_is_refused",)),
     Mutant("walk-label-unchecked", _CORE,
-           "                    if node.label not in (0, 1):", "                    if False:",
+           '            check_int(tuple(labels), 0, 2, "leaf labels must be 0 or 1")\n', "",
            ("tests/test_core.py::TestValidation::test_bad_arena_is_refused",)),
+    Mutant("walk-bool-child-unchecked", _CORE,
+           "                    if i < 2:\n", "                    if False:\n",
+           ("tests/test_core.py::test_integer_field_refuses_what_is_no_int",)),
     Mutant("leaf-label-type-unchecked", _CORE,
-           "        if not isinstance(self.label, int):", "        if False:",
+           '        check_int(self.label, -inf, inf, "leaf labels must be 0 or 1")\n',
+           "        pass\n",
            ("tests/test_core.py::test_wrong_model_raises_model_error",)),
     # a tree's table: one forward pass over its normal form, muxing on each column
     Mutant("tree-table-mux-swapped", _CORE,
@@ -84,13 +88,18 @@ MUTANTS = [
            "        for node in normalize_dt(self).nodes:\n",
            "        for node in self.nodes:\n",
            ("tests/test_core.py::test_deep_path_tree_order_table_and_restriction",)),
-    # feature indices are ints, never truncated
+    # the one integer rule: an int and no bool, in range; feature indices are never truncated
+    Mutant("int-rule-accepts-half", _CORE,
+           "        if type(v) is not int or", "        if type(v) not in (int, float) or",
+           ("tests/test_core.py::test_integer_field_refuses_what_is_no_int",)),
+    Mutant("int-rule-accepts-bool", _CORE,
+           "        if type(v) is not int or", "        if not isinstance(v, int) or",
+           ("tests/test_core.py::test_integer_field_refuses_what_is_no_int",)),
     Mutant("feature-index-truncated", _CORE,
-           "    if not all(isinstance(f, int) for f in features):\n", "    if False:\n",
+           "    order = check_int(tuple(order), 0, n, message)\n", "    order = tuple(order)\n",
            ("tests/test_core.py::test_wrong_model_raises_model_error",)),
     Mutant("partial-feature-truncated", _CORE,
-           "            if not isinstance(f, int):\n                raise ModelError(\"feature",
-           "            if False:\n                raise ModelError(\"feature",
+           "        check_int(tuple(assign), 0, len(self.universe), _FEATURE)\n", "",
            ("tests/test_core.py::test_wrong_model_raises_model_error",)),
     # integer fields of a JSON document
     Mutant("fractional-field-truncated", _MODELIO,
@@ -169,21 +178,20 @@ MUTANTS = [
            ("tests/test_explain_dt.py::TestLcxpMin::test_witness_is_the_oracles",)),
     # a request that does not fit is refused
     Mutant("translate-class-unchecked", "src/xplain/circuits.py",
-           "    if c not in (0, 1):\n        raise ModelError(f\"class must be 0 or 1, got {c!r}\")\n",
-           "",
+           '    check_int(c, 0, 2, f"class must be 0 or 1, got {c!r}")\n', "",
            ("tests/test_core.py::test_wrong_model_raises_model_error",)),
+    Mutant("circuit-output-unchecked", "src/xplain/circuits.py",
+           '        check_int(self.output, 0, len(gates), "output gate index out of range")\n', "",
+           ("tests/test_core.py::test_integer_field_refuses_what_is_no_int",)),
     Mutant("fixed-bit-unchecked", _CORE,
-           "    if any(b not in (0, 1) for b in fixed.values()):\n"
-           "        raise ModelError(\"fixed bits must be 0 or 1\")\n",
-           "",
+           '    check_int(tuple(fixed.values()), 0, 2, "fixed bits must be 0 or 1")\n', "",
            ("tests/test_core.py::test_subcube_table_needs_a_partition",)),
     Mutant("partition-type-unchecked", _CORE,
-           "    if not (isinstance(fixed, Mapping) and isinstance(free, Sequence)\n"
-           "            and all(isinstance(f, int) for f in (*fixed, *free))):\n",
+           "    if not (isinstance(fixed, Mapping) and isinstance(free, Sequence)):\n",
            "    if False:\n",
            ("tests/test_core.py::test_subcube_table_needs_a_partition",)),
     Mutant("budget-type-unchecked", "src/xplain/verify.py",
-           "    if type(k) is not int:\n", "    if False:\n",
+           '    return check_int(k, 0, inf, "k must be nonnegative")\n', "    return k\n",
            ("tests/test_gadgets.py::test_gadget_builders_refuse_the_budgets_a_request_refuses",)),
     # a recognizer is the graft of one chain per row and a constant-1 ballot
     Mutant("recognizer-constant-votes", _GADGETS,

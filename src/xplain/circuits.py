@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import inf
 from typing import Mapping, Optional, Sequence, Union
 
 from .config import DEFAULT_CAPS, BruteCaps
@@ -59,6 +60,7 @@ from .core import (
     ModelError,
     ParamReport,
     _leaf_paths,
+    check_int,
     counter_ge,
     truth_table,
 )
@@ -87,22 +89,20 @@ class Circuit:
         object.__setattr__(self, "gates", gates)
         if not gates:
             raise ModelError("circuit needs at least one gate")
-        if not 0 <= self.output < len(gates):
-            raise ModelError("output gate index out of range")
+        check_int(self.output, 0, len(gates), "output gate index out of range")
         outdeg = [0] * len(gates)
         seen_features: set[int] = set()
         for i, g in enumerate(gates):
             if g.kind not in _KINDS:
                 raise ModelError(f"unknown gate kind {g.kind!r}")
-            for j in g.ins:
-                if not 0 <= j < i:
-                    raise ModelError("gates must be topologically ordered")
+            if type(g.ins) is not tuple:
+                raise ModelError("a gate's incoming arcs must be a tuple of gate indices")
+            for j in check_int(g.ins, 0, i, "a gate's arcs must be indices of earlier gates"):
                 outdeg[j] += 1
             if g.kind == IN:
                 if g.ins:
                     raise ModelError("IN gates take no incoming arc")
-                if g.feature is None or not 0 <= g.feature < len(self.universe):
-                    raise ModelError("IN gate needs a feature in the universe")
+                check_int(g.feature, 0, len(self.universe), "IN gate needs a feature in the universe")
                 if g.feature in seen_features:
                     raise ModelError("feature mapped to two IN gates")
                 seen_features.add(g.feature)
@@ -115,8 +115,8 @@ class Circuit:
                     raise ModelError(f"{g.kind} gates need at least one incoming arc")
                 if (g.kind == MAJ) != (g.threshold is not None):
                     raise ModelError("exactly MAJ gates carry a threshold")
-                if g.kind == MAJ and not isinstance(g.threshold, int):
-                    raise ModelError(f"a MAJ threshold must be an integer, got {g.threshold!r}")
+                if g.kind == MAJ:
+                    check_int(g.threshold, -inf, inf, "a MAJ threshold must be an integer")
         sinks = [i for i, d in enumerate(outdeg) if d == 0]
         if sinks != [self.output]:
             raise ModelError(f"output must be the unique sink, sinks are {sinks}")
@@ -317,8 +317,7 @@ def translate(model, c: int) -> tuple[Circuit, WidthCertificate]:
     """The circuit of [model classifies as c] and its width certificate, whose
     bound is 3 * 2**(the sum of the voters' exponents, one voter per
     ballot)."""
-    if c not in (0, 1):
-        raise ModelError(f"class must be 0 or 1, got {c!r}")
+    check_int(c, 0, 2, f"class must be 0 or 1, got {c!r}")
     ensemble = isinstance(model, Ensemble)
     ballots = model._ballots if ensemble else ((model, 1),)
     if isinstance(ballots[0][0], DecisionTree):

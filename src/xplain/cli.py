@@ -79,6 +79,7 @@ from .modelio import (
     load_partial_example_file,
 )
 from .verify import (
+    _budget,
     hom_check,
     oracle_min,
     phom_check,
@@ -163,9 +164,8 @@ def _cmd_explain(args, caps) -> tuple[int, dict]:
     if args.min == "subset":
         witness = _explain_subset(model, args.kind, target, args, caps)
     else:
-        k = len(model.universe) if args.k is None else args.k
-        if k < 0:  # the tree route's leaf scan takes no budget to refuse it
-            raise ModelError("k must be nonnegative")
+        # the tree route's leaf scan takes no budget to refuse it
+        k = len(model.universe) if args.k is None else _budget(args.k)
         witness = _explain_card(model, args.kind, target, k, args, caps)
     payload = _witness_payload(witness, model)
     return (EXIT_OK if witness is not None else EXIT_NONE), payload

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import inf
+
+from .core import check_int
 
 ENV_CAP = "XPLAIN_BRUTE_CAP"
 
@@ -29,14 +32,16 @@ class BruteCaps:
     oracle_local: int = 16    # |F| for the exhaustive oracle, local kinds
     oracle_global: int = 12   # |F| for the exhaustive oracle, global kinds
 
+    def __post_init__(self) -> None:
+        check_int((self.verify, self.oracle_local, self.oracle_global), 0, inf,
+                  f"brute-force caps must be nonnegative ints ({ENV_CAP} sets all three)")
+
     @staticmethod
     def from_env() -> "BruteCaps":
         raw = os.environ.get(ENV_CAP)
         if raw is None:
             return BruteCaps()
         cap = int(raw)
-        if cap < 0:
-            raise ValueError(f"{ENV_CAP} must be nonnegative, got {cap}")
         return BruteCaps(verify=cap, oracle_local=cap, oracle_global=cap)
 
 

@@ -1,10 +1,11 @@
 """Feature universes, examples, and the model families with their semantics.
 
 Models are immutable after construction and validated eagerly: a value that
-exists is well-formed.  Every index, label and bit of a model, partial
-example or order is an ``int`` (a ``bool`` counts as one); anything else is
-a ``ModelError``.  Examples take integral numbers as bits.  All algorithms
-work on dense feature indices; feature names only matter at the JSON boundary.
+exists is well-formed.  One integer rule, ``check_int``: every index, label,
+bit, class, threshold, cap and budget k is an ``int`` in its range and not a
+``bool``, so 1.0, True or "1" is a ModelError.  Only ``modelio`` reads a JSON
+1.0 as 1, and a tree reads its splits by value (see ``DecisionTree``).
+Algorithms use dense feature indices; names (strings) only matter in JSON.
 
 Classification semantics:
 
@@ -67,11 +68,34 @@ and order, so a reader need not normalize first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
 class ModelError(ValueError):
     """A model, example or query violates a structural invariant."""
+
+
+def check_int(value, lo, hi, message: str):
+    """``value`` when it is an int (no bool) in ``[lo, hi)``, or a tuple of
+    such ints, a bound may be ``inf``; ModelError with ``message`` otherwise."""
+    for v in value if type(value) is tuple else (value,):
+        if type(v) is not int or not lo <= v < hi:
+            raise ModelError(message)
+    return value
+
+
+_FEATURE = "feature index outside universe: feature indices must be integers below its size"
+_BIT = "literal bit must be 0 or 1"
+
+
+def permutation(order: Iterable, n: int, message: str) -> tuple[int, ...]:
+    """``order`` as a tuple, when it is a permutation of range(n) by the
+    integer rule; ModelError with ``message`` otherwise."""
+    order = check_int(tuple(order), 0, n, message)
+    if sorted(order) != list(range(n)):
+        raise ModelError(message)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +113,8 @@ class FeatureUniverse:
     def __post_init__(self) -> None:
         names = tuple(self.names)
         object.__setattr__(self, "names", names)
+        if not all(isinstance(name, str) for name in names):
+            raise ModelError("feature names must be strings")
         index = {name: i for i, name in enumerate(names)}
         if len(index) != len(names):
             raise ModelError("feature names must be distinct")
@@ -122,9 +148,7 @@ class Example:
         bits = tuple(self.bits)
         if len(bits) != len(self.universe):
             raise ModelError("example length differs from universe size")
-        if any(b not in (0, 1) for b in bits):  # before int(): 0.9 is no bit
-            raise ModelError("example bits must be 0 or 1")
-        object.__setattr__(self, "bits", tuple(map(int, bits)))
+        object.__setattr__(self, "bits", check_int(bits, 0, 2, "example bits must be 0 or 1"))
 
     def __getitem__(self, feature: int) -> int:
         return self.bits[feature]
@@ -138,14 +162,6 @@ class Example:
     @staticmethod
     def from_mask(u: FeatureUniverse, mask: int) -> "Example":
         return Example(u, tuple((mask >> i) & 1 for i in range(len(u))))
-
-
-def feature_ints(features: Iterable) -> tuple[int, ...]:
-    """The features as a tuple; one that is no int is a ModelError."""
-    features = tuple(features)
-    if not all(isinstance(f, int) for f in features):
-        raise ModelError("feature indices must be integers")
-    return features
 
 
 def mask_features(mask: int, n: int) -> frozenset:
@@ -162,19 +178,15 @@ class PartialExample:
 
     def __post_init__(self) -> None:
         raw = tuple(self.assignments)
-        seen = set()
-        for f, b in raw:
-            if b not in (0, 1):
-                raise ModelError("assigned bits must be 0 or 1")
-            if not isinstance(f, int):
-                raise ModelError("feature indices must be integers")
-            if not 0 <= f < len(self.universe):
-                raise ModelError(f"feature index {f} outside universe")
-            if f in seen:
-                raise ModelError(f"feature index {f} assigned twice")
-            seen.add(f)
-        pairs = tuple(sorted((int(f), int(b)) for f, b in raw))
-        object.__setattr__(self, "assignments", pairs)
+        try:
+            assign = dict(raw)
+        except (TypeError, ValueError):
+            raise ModelError("an assignment is a (feature index, bit) pair") from None
+        if len(assign) < len(raw):
+            raise ModelError("a feature index is assigned twice")
+        check_int(tuple(assign.values()), 0, 2, "assigned bits must be 0 or 1")
+        check_int(tuple(assign), 0, len(self.universe), _FEATURE)
+        object.__setattr__(self, "assignments", tuple(sorted(assign.items())))
 
     @staticmethod
     def from_dict(u: FeatureUniverse, assign: Mapping[int, int]) -> "PartialExample":
@@ -203,9 +215,8 @@ class Leaf:
     label: int
 
     def __post_init__(self) -> None:
-        # the tree's forward pass checks the value, not the type (bool is an int)
-        if not isinstance(self.label, int):
-            raise ModelError("leaf labels must be 0 or 1")
+        # any int: the tree checks the value, in its forward pass or walk
+        check_int(self.label, -inf, inf, "leaf labels must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -235,10 +246,7 @@ class DecisionTree:
         count = len(nodes)
         if not count:
             raise ModelError("decision tree needs at least one node")
-        if not isinstance(self.root, int):
-            raise ModelError("root index must be an integer")
-        if not 0 <= self.root < count:
-            raise ModelError("root index out of range")
+        check_int(self.root, 0, count, "root index out of range")
         n = len(self.universe)
         # A forward pass decides the normal form: size[i] counts the nodes of
         # i's subtree, below[i] masks the features tested in it.  If every
@@ -247,7 +255,8 @@ class DecisionTree:
         # in post-order (by induction), so a root last with size[root] ==
         # count proves a tree.  At the first bad node the walk checks instead;
         # a field that is no integer raises TypeError in the indexing or the
-        # shift below, which sends the arena to the walk too.
+        # shift below, which sends the arena to the walk too.  A bool field
+        # of a split passes as the int it equals: the tree is that int's tree.
         size = [1] * count
         below = [0] * count
         try:
@@ -270,34 +279,37 @@ class DecisionTree:
         except TypeError:
             pass
         if self._normal is None:
+            # The walk reads each child by value: one that is no int fails to
+            # index the arena, and a bool (node 0 or 1) is checked there; the
+            # labels (ints, so their values suffice) and features follow.
             reached = bytearray(count)
+            labels, features = set(), []
             stack = [self.root]
-            while stack:
-                i = stack.pop()
-                if not isinstance(i, int):
-                    raise ModelError("child indices must be integers")
-                if not 0 <= i < count:
-                    raise ModelError("child index out of range")
-                if reached[i]:
-                    raise ModelError("node reachable twice: not a tree")
-                reached[i] = 1
-                node = nodes[i]
-                if isinstance(node, Leaf):
-                    if node.label not in (0, 1):
-                        raise ModelError("leaf labels must be 0 or 1")
-                elif not isinstance(node.feature, int):
-                    raise ModelError("feature indices must be integers")
-                elif not 0 <= node.feature < n:
-                    raise ModelError(f"feature index {node.feature} outside universe")
-                else:
-                    stack += (node.lo, node.hi)
+            try:
+                while stack:
+                    i = stack.pop()
+                    if not 0 <= i < count:
+                        raise ModelError("child index out of range")
+                    if i < 2:
+                        check_int(i, 0, 2, "child indices must be integers")
+                    if reached[i]:
+                        raise ModelError("node reachable twice: not a tree")
+                    reached[i] = 1
+                    node = nodes[i]
+                    if isinstance(node, Leaf):
+                        labels.add(node.label)
+                    else:
+                        features.append(node.feature)
+                        stack += (node.lo, node.hi)
+            except TypeError:
+                raise ModelError("child indices must be integers") from None
             if not all(reached):
                 raise ModelError("arena contains nodes unreachable from the root")
+            check_int(tuple(labels), 0, 2, "leaf labels must be 0 or 1")
+            check_int(tuple(features), 0, n, _FEATURE)
         if self.order is not None:
-            order = feature_ints(self.order)
+            order = permutation(self.order, n, "order tag must be a permutation of the features")
             object.__setattr__(self, "order", order)
-            if sorted(order) != list(range(n)):
-                raise ModelError("order tag must be a permutation of the features")
 
     def leaf_count(self) -> int:
         return sum(1 for n in self.nodes if isinstance(n, Leaf))
@@ -346,17 +358,18 @@ Term = tuple[tuple[int, int], ...]  # ((feature index, required bit), ...), sort
 def make_term(literals: Iterable[tuple[int, int]], n: int) -> Term:
     """Canonicalize a set of literals over features 0..n-1; contradictory
     terms and features outside the universe are rejected."""
-    required: dict[int, int] = {}
-    for f, b in literals:
-        if b not in (0, 1) or not isinstance(b, int):
-            raise ModelError("literal bit must be 0 or 1")
-        if not isinstance(f, int):
-            raise ModelError("feature indices must be integers")
-        f, b = int(f), int(b)
-        if not 0 <= f < n:
-            raise ModelError(f"feature index {f} outside universe")
-        if required.setdefault(f, b) != b:
-            raise ModelError(f"contradictory term: feature {f} required 0 and 1")
+    literals = tuple(literals)
+    try:
+        required = dict(literals)
+    except (TypeError, ValueError):
+        raise ModelError("a literal is a (feature index, bit) pair") from None
+    if len(required) < len(literals):  # a repeated feature: each literal in turn
+        required = {}
+        for f, b in literals:
+            if required.setdefault(check_int(f, 0, n, _FEATURE), check_int(b, 0, 2, _BIT)) != b:
+                raise ModelError(f"contradictory term: feature {f} required 0 and 1")
+    check_int(tuple(required.values()), 0, 2, _BIT)
+    check_int(tuple(required), 0, n, _FEATURE)
     return tuple(sorted(required.items()))
 
 
@@ -382,8 +395,7 @@ class DecisionSet:
         n = len(self.universe)
         terms = tuple(make_term(t, n) for t in self.terms)
         object.__setattr__(self, "terms", terms)
-        if self.default not in (0, 1) or not isinstance(self.default, int):
-            raise ModelError("default class must be 0 or 1")
+        check_int(self.default, 0, 2, "default class must be 0 or 1")
 
     def evaluate(self, e: Example) -> int:
         for t in self.terms:
@@ -421,10 +433,9 @@ class DecisionList:
     def __post_init__(self) -> None:
         if not self.rules:
             raise ModelError("decision list needs at least one rule")
-        if any(c not in (0, 1) or not isinstance(c, int) for _, c in self.rules):
-            raise ModelError("rule class must be 0 or 1")
+        check_int(tuple(c for _, c in self.rules), 0, 2, "rule class must be 0 or 1")
         n = len(self.universe)
-        rules = tuple((make_term(t, n), int(c)) for t, c in self.rules)
+        rules = tuple((make_term(t, n), c) for t, c in self.rules)
         object.__setattr__(self, "rules", rules)
         if rules[-1][0] != ():
             raise ModelError("last rule's term must be empty")
@@ -669,13 +680,10 @@ def subcube_table(model, fixed: Mapping[int, int], free: Sequence[int], origin: 
     on its first read, so features the model never reads cost nothing.
     """
     n = len(_model_universe(model))
-    if not (isinstance(fixed, Mapping) and isinstance(free, Sequence)
-            and all(isinstance(f, int) for f in (*fixed, *free))):
+    if not (isinstance(fixed, Mapping) and isinstance(free, Sequence)):
         raise ModelError("fixed must map features to bits and free must list features")
-    if sorted([*fixed, *free]) != list(range(n)):
-        raise ModelError("fixed and free features must partition the universe")
-    if any(b not in (0, 1) for b in fixed.values()):
-        raise ModelError("fixed bits must be 0 or 1")
+    permutation((*fixed, *free), n, "fixed and free features must partition the universe")
+    check_int(tuple(fixed.values()), 0, 2, "fixed bits must be 0 or 1")
     cols = _Columns(fixed, free, origin)
     return model.table(cols, cols.full)
 
@@ -836,9 +844,7 @@ def respects_order(t: DecisionTree, order: Sequence[int]) -> bool:
     root-to-leaf path."""
     if not isinstance(t, DecisionTree):
         raise ModelError("expected a decision tree")
-    order = feature_ints(order)
-    if sorted(order) != list(range(len(t.universe))):
-        raise ModelError("order must be a permutation of the features")
+    order = permutation(order, len(t.universe), "order must be a permutation of the features")
     rank = {f: pos for pos, f in enumerate(order)}
 
     stack = [(t.root, -1)]  # (node, rank of the test above it)

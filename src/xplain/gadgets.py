@@ -47,10 +47,11 @@ from .core import (
     PartialExample,
     Split,
     _model_universe,
+    check_int,
     classify,
-    feature_ints,
     graft_dt,
     measure,
+    permutation,
     respects_order,
 )
 from .explain_dt import card_xp_search
@@ -84,19 +85,14 @@ class SetFamily:
     domain: Optional[frozenset] = None
 
     def __post_init__(self) -> None:
-        seen: list[frozenset] = []
-        for s in self.sets:
-            fs = frozenset(feature_ints(s))
-            if fs not in seen:
-                seen.append(fs)
-        sets = tuple(seen)
+        n, outside = len(self.universe), "domain feature outside universe"
+        sets = tuple(dict.fromkeys(  # each set once, in order
+            frozenset(check_int(tuple(s), 0, n, outside)) for s in self.sets))
         object.__setattr__(self, "sets", sets)
-        union = frozenset().union(*sets) if sets else frozenset()
-        domain = frozenset(feature_ints(self.domain)) if self.domain is not None else union
+        union = frozenset().union(*sets)
+        domain = union if self.domain is None else frozenset(
+            check_int(tuple(self.domain), 0, n, outside))
         object.__setattr__(self, "domain", domain)
-        n = len(self.universe)
-        if any(not 0 <= f < n for f in domain):
-            raise ModelError("domain feature outside universe")
         if not union <= domain:
             raise ModelError("family sets must lie inside the domain")
 
@@ -201,9 +197,7 @@ def odt_from_examples(
     constant-1 tree with ``len(rows) - 1`` votes, so any one accepting chain
     decides the vote.  It has exactly ``len(rows)`` positive leaves.
     """
-    order = feature_ints(order)
-    if sorted(order) != list(range(len(u))):
-        raise ModelError("order must be a permutation of the universe")
+    order = permutation(order, len(u), "order must be a permutation of the universe")
     domains = {r.domain for r in rows}
     if len(domains) > 1:
         raise ModelError("rows must assign one common feature subset")
@@ -240,6 +234,7 @@ def _flip_leaves(t: DecisionTree) -> DecisionTree:
 def set_model_odt(fam: SetFamily, c: int, order: Sequence[int]) -> DecisionTree:
     """Ordered tree c-classifying exactly the examples whose one-set within
     the family's domain equals a member set."""
+    check_int(c, 0, 2, "class must be 0 or 1")
     domain = sorted(fam.domain)
     rows = [
         PartialExample(fam.universe, tuple((f, 1 if f in s else 0) for f in domain))
@@ -257,6 +252,7 @@ def subset_model_rules(
 ) -> Union[DecisionSet, DecisionList]:
     """Rule model c-classifying exactly the examples whose one-set contains a
     member set (positive literals only)."""
+    check_int(c, 0, 2, "class must be 0 or 1")
     terms = tuple(tuple((f, 1) for f in sorted(s)) for s in fam.sets)
     if family == "ds":
         model: Union[DecisionSet, DecisionList] = DecisionSet(fam.universe, terms, 1 - c)
@@ -613,13 +609,10 @@ def taut_ds_gadget(
     for term in terms:
         if len(term) > 3:
             raise ModelError("terms may have at most three literals")
-        required: dict[str, int] = {}
-        contradictory = False
-        for v, b in term:
-            if required.setdefault(v, int(b)) != int(b):
-                contradictory = True
-        if not contradictory:
-            clean.append(tuple(sorted((u.index(v), b) for v, b in required.items())))
+        check_int(tuple(b for _, b in term), 0, 2, "literal bit must be 0 or 1")
+        required = dict(term)
+        if all(required[v] == b for v, b in term):  # no variable required 0 and 1
+            clean.append(tuple((u.index(v), b) for v, b in required.items()))
     model = DecisionSet(u, tuple(clean), 0)
     tautology = truth.is_tautology_dnf(terms, variables)
     zero_satisfies = any(all(b == 0 for _, b in t) for t in clean)

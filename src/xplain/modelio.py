@@ -16,10 +16,11 @@ Examples and partial examples: ``{"assign": {"x": 0, "y": 1}}`` (a full
 example assigns every feature); feature sets: ``{"features": ["x", "y"]}``.
 Feature references are by name; indices are an internal matter.  Every
 integer field (bits, labels, classes, node and gate ids, thresholds) must
-hold an integer: 0.6, true or "1" is refused, not truncated; 1.0 is read
-as 1.  A JSON integer is taken as it is, and a tree leaf labelled 0 or 1
-is the shared ``core._LEAVES`` leaf of its class, so loading a tree
-document is one typed pass over its nodes before the constructor's.
+hold an integer: 0.6, true or "1" is refused, not truncated.  ``_int`` reads
+1.0 as 1, the one exception to the library's integer rule (``core``).  A
+JSON integer is taken as it is, and a tree leaf labelled 0 or 1 is the
+shared ``core._LEAVES`` leaf of its class, so loading a tree document is
+one typed pass over its nodes before the constructor's.
 
 ``load_model_file`` remembers the last model it loaded, keyed on the file's
 bytes: a file with the same bytes as the last one loaded returns the same
@@ -161,13 +162,13 @@ def circuit_to_json(circuit: Circuit) -> dict[str, Any]:
     for i, g in enumerate(circuit.gates):
         entry: dict[str, Any] = {"id": i, "kind": g.kind}
         if g.kind != IN:
-            entry["in"] = [int(j) for j in g.ins]
+            entry["in"] = list(g.ins)
         if g.kind == MAJ:
-            entry["threshold"] = int(g.threshold)
+            entry["threshold"] = g.threshold
         gates.append(entry)
         if g.kind == IN:
             inputs[circuit.universe.name(g.feature)] = i
-    return {"gates": gates, "output": int(circuit.output), "inputs": inputs}
+    return {"gates": gates, "output": circuit.output, "inputs": inputs}
 
 
 def circuit_from_json(payload: Mapping[str, Any], u: FeatureUniverse) -> Circuit:
@@ -244,12 +245,12 @@ def _model_to(model) -> dict[str, Any]:
         nodes: list[dict[str, Any]] = []
         for node in model.nodes:
             if isinstance(node, Leaf):
-                nodes.append({"leaf": int(node.label)})
-            else:
+                nodes.append({"leaf": node.label})
+            else:  # int(): a split of a normal-form arena may hold a bool
                 nodes.append(
                     {"test": u.name(node.feature), "if0": int(node.lo), "if1": int(node.hi)}
                 )
-        payload: dict[str, Any] = {"root": int(model.root), "nodes": nodes}
+        payload: dict[str, Any] = {"root": model.root, "nodes": nodes}
         if model.order is not None:
             payload["order"] = [u.name(f) for f in model.order]
         return {"dt": payload}
@@ -257,7 +258,7 @@ def _model_to(model) -> dict[str, Any]:
         return {
             "ds": {
                 "terms": [[[u.name(f), b] for f, b in t] for t in model.terms],
-                "default": int(model.default),
+                "default": model.default,
             }
         }
     if isinstance(model, DecisionList):

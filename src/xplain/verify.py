@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import combinations
-from math import comb
+from math import comb, inf
 from typing import Optional, Union
 
 from .config import DEFAULT_CAPS, BruteCaps, CapExceeded, require_cap
@@ -60,6 +60,7 @@ from .core import (
     PartialExample,
     _leaf_paths,
     _model_universe,
+    check_int,
     classify,
     graft_dt,
     subcube_table,
@@ -97,20 +98,16 @@ def _request(
     if kind in LOCAL_KINDS:
         if not (isinstance(target, Example) and target.universe == u):
             raise ModelError("local kinds take an example over the model's universe")
-    elif target not in (0, 1):
-        raise ModelError("global kinds take a class bit as target")
+    else:
+        check_int(target, 0, 2, "global kinds take a class bit as target")
     _budget(k)
     return u
 
 
-def _budget(k) -> None:
-    """The one budget rule, of explanation entries (through ``_request``)
-    and gadget builders alike: ``k`` is a nonnegative int, not a bool;
-    ModelError otherwise."""
-    if type(k) is not int:
-        raise ModelError(f"k must be an int, got {k!r}")
-    if k < 0:
-        raise ModelError("k must be nonnegative")
+def _budget(k) -> int:
+    """The one budget rule of explanation entries (through ``_request``),
+    gadget builders and the command line: ``k`` is a nonnegative int."""
+    return check_int(k, 0, inf, "k must be nonnegative")
 
 
 def _fixed(u: FeatureUniverse, kind: str, target, candidate: Candidate) -> dict[int, int]:
@@ -122,9 +119,7 @@ def _fixed(u: FeatureUniverse, kind: str, target, candidate: Candidate) -> dict[
         if isinstance(candidate, PartialExample) or not isinstance(candidate, Iterable):
             raise ModelError("local kinds take a feature set as candidate")
         features = frozenset(candidate)
-        n = len(u)
-        if not all(isinstance(f, int) and 0 <= f < n for f in features):
-            raise ModelError("candidate feature outside the universe")
+        check_int(tuple(features), 0, len(u), "candidate feature outside the universe")
         if kind == "laxp":
             return {f: target.bits[f] for f in features}
         return {f: b for f, b in enumerate(target.bits) if f not in features}

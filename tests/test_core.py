@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import json
 import weakref
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import xplain as x
 from xplain.core import (
@@ -17,7 +18,7 @@ from xplain.core import (
     weight_planes,
 )
 
-from xplain.modelio import dump_model
+from xplain.modelio import dump_model, load_model
 
 from generators import (
     constant_model,
@@ -333,7 +334,7 @@ _ENTRIES = {
         pytest.param(lambda m: x.classify(m, object()), _TREE2, id="classify-object-example"),
         pytest.param(lambda m: x.restrict_dt(m, {0: 1}), _TREE2, id="restrict-dict-tau"),
         pytest.param(lambda m: x.answer_query(m, object()), _TREE2, id="answer-object-query"),
-        # model constructors take integer fields (a bool counts as one)
+        # model constructors take integer fields (a bool is none)
         pytest.param(lambda r: x.DecisionTree(_U2, (x.Leaf(0),), r), 0.5, id="tree-root-half"),
         pytest.param(lambda r: x.DecisionTree(_U2, (x.Leaf(0), x.Leaf(1), x.Split(0, 0, 1)), r),
                      2.0, id="tree-root-float-post-order"),
@@ -351,6 +352,18 @@ _ENTRIES = {
         pytest.param(lambda f: x.SetFamily(_U2, (frozenset({f}),)), 1.5, id="set-family-float"),
         pytest.param(lambda d: x.SetFamily(_U2, (), d), {1.5}, id="set-family-domain-float"),
         pytest.param(lambda o: x.odt_from_examples(_U2, (), o), (0, 1.7), id="odt-order-float"),
+        # feature names are strings, which dump_model can write and load_model read
+        pytest.param(lambda n: x.universe(n, "b"), 1, id="universe-int-name"),
+        pytest.param(lambda n: x.FeatureUniverse((n,)), ["a"], id="universe-list-name"),
+        # caps are nonnegative ints: 1 << 1.5 and a str cap crashed the flip searches
+        pytest.param(lambda c: x.BruteCaps(verify=c), 1.5, id="caps-fraction"),
+        pytest.param(lambda c: x.BruteCaps(verify=c), "3", id="caps-string"),
+        pytest.param(lambda c: x.BruteCaps(oracle_local=c), -2, id="caps-negative"),
+        # a gate's in-arcs are a tuple of gate indices, its output an index
+        pytest.param(lambda i: x.Circuit(_U2, (x.Gate("IN", feature=0), x.Gate("NOT", i)), 1),
+                     0, id="gate-ins-int"),
+        pytest.param(lambda o: x.Circuit(_U2, (x.Gate("IN", feature=0),), o), 0.0,
+                     id="circuit-output-float"),
     ],
 )
 def test_wrong_model_raises_model_error(call, model):
@@ -358,6 +371,113 @@ def test_wrong_model_raises_model_error(call, model):
     ModelError, never an AttributeError, even when it carries a universe."""
     with pytest.raises(x.ModelError):
         call(model)
+
+
+# -- the one integer rule over the public API --------------------------------
+
+_U3 = x.universe("a", "b", "c")
+_L0, _L1 = x.Leaf(0), x.Leaf(1)
+_TREE3 = x.DecisionTree(_U3, (_L0, _L1, x.Split(0, 0, 1)), 2)
+_FAMILY3 = x.SetFamily(_U3, (frozenset({0}),))
+_GRAPH2 = x.ColouredGraph((("p",), ("q",)), (("p", "q"),))
+
+
+def _circuit(ins=0, feature=0, threshold=1) -> x.Circuit:
+    gates = (x.Gate("IN", feature=feature), x.Gate("NOT", (ins,)),
+             x.Gate("MAJ", (0, 1), threshold))
+    return x.Circuit(_U3, gates, 2)
+
+
+# field -> (an int the field takes, the public constructor or builder called
+# with a value in that one integer field); the name before "-" is the entry
+_INTEGER_FIELDS = {
+    "Example-bit": (1, lambda v: x.Example(_U3, (0, v, 1))),
+    "PartialExample-feature": (1, lambda v: x.PartialExample(_U3, ((v, 1), (2, 0)))),
+    "PartialExample-bit": (1, lambda v: x.PartialExample(_U3, ((0, v),))),
+    "Leaf-label": (1, x.Leaf),
+    "leaf_tree-label": (1, lambda v: x.leaf_tree(_U3, v)),
+    "DecisionTree-root": (2, lambda v: x.DecisionTree(_U3, _TREE3.nodes, v)),
+    "DecisionTree-order": (1, lambda v: x.DecisionTree(_U3, (_L0,), 0, (0, v, 2))),
+    "Split-feature": (0, lambda v: x.DecisionTree(_U3, (x.Split(v, 1, 2), _L0, _L1))),
+    "Split-lo": (1, lambda v: x.DecisionTree(_U3, (x.Split(0, v, 2), _L0, _L1))),
+    "Split-hi": (2, lambda v: x.DecisionTree(_U3, (x.Split(0, 1, v), _L0, _L1))),
+    "Split-feature-in-normal-form": (0, lambda v: x.DecisionTree(
+        _U3, (_L0, _L1, x.Split(v, 0, 1)), 2)),
+    "Split-lo-in-normal-form": (0, lambda v: x.DecisionTree(_U3, (_L0, _L1, x.Split(0, v, 1)), 2)),
+    "Split-hi-in-normal-form": (1, lambda v: x.DecisionTree(_U3, (_L0, _L1, x.Split(0, 0, v)), 2)),
+    "DecisionSet-feature": (1, lambda v: x.DecisionSet(_U3, (((v, 1), (2, 0)),), 0)),
+    "DecisionSet-bit": (1, lambda v: x.DecisionSet(_U3, (((0, v), (2, 0)),), 0)),
+    "DecisionSet-default": (1, lambda v: x.DecisionSet(_U3, (((0, 1),),), v)),
+    "DecisionList-feature": (1, lambda v: x.DecisionList(_U3, ((((v, 1),), 1), ((), 0)))),
+    "DecisionList-bit": (1, lambda v: x.DecisionList(_U3, ((((0, v),), 1), ((), 0)))),
+    "DecisionList-class": (1, lambda v: x.DecisionList(_U3, ((((0, 1),), v), ((), 0)))),
+    "Gate-ins": (0, lambda v: _circuit(ins=v)),
+    "Gate-feature": (0, lambda v: _circuit(feature=v)),
+    "Gate-threshold": (1, lambda v: _circuit(threshold=v)),
+    "Circuit-output": (1, lambda v: x.Circuit(_U3, (x.Gate("IN", feature=0), x.Gate("NOT", (0,))),
+                                              v)),
+    "translate-class": (1, lambda v: x.translate(_TREE3, v)),
+    "BruteCaps-verify": (3, lambda v: x.BruteCaps(verify=v)),
+    "BruteCaps-oracle_local": (3, lambda v: x.BruteCaps(oracle_local=v)),
+    "BruteCaps-oracle_global": (3, lambda v: x.BruteCaps(oracle_global=v)),
+    "Query-k": (1, lambda v: x.answer_query(_TREE3, x.Query("phom", k=v))),
+    "SetFamily-set": (0, lambda v: x.SetFamily(_U3, (frozenset({v}),))),
+    "SetFamily-domain": (0, lambda v: x.SetFamily(_U3, (), frozenset({v}))),
+    "odt_from_examples-order": (1, lambda v: x.odt_from_examples(_U3, (), (0, v, 2))),
+    "set_model_odt-class": (1, lambda v: x.set_model_odt(_FAMILY3, v, (0, 1, 2))),
+    "set_model_odt-order": (1, lambda v: x.set_model_odt(_FAMILY3, 1, (0, v, 2))),
+    "subset_model_rules-class": (1, lambda v: x.subset_model_rules(_FAMILY3, v)),
+    "hitting_set_gadget-k": (1, lambda v: x.hitting_set_gadget(["a"], [["a"]], v, "subset-ds")),
+    "mcc_ensemble_gadget-k": (2, lambda v: x.mcc_ensemble_gadget(_GRAPH2, v, "subset")),
+    "mcc_unary_ensemble_gadget-k": (2, lambda v: x.mcc_unary_ensemble_gadget(_GRAPH2, v, "set")),
+    "mcc_odt_gaxp_gadget-k": (2, lambda v: x.mcc_odt_gaxp_gadget(_GRAPH2, v)),
+    "taut_ds_gadget-bit": (0, lambda v: x.taut_ds_gadget([[("a", v)], [("b", 1)]], ["a", "b"])),
+}
+
+# public classes whose fields hold no integer the caller chooses: reports
+# the library fills in, exceptions, and containers of names or models
+_NO_INTEGER_FIELD = {
+    "BranchStats", "CapExceeded", "ColouredGraph", "Ensemble", "FeatureUniverse",
+    "GadgetInstance", "HomEquivalenceReport", "ModelError", "ParamReport", "WidthCertificate",
+}
+
+
+def test_every_public_constructor_and_builder_is_fuzzed():
+    public = {name for name in x.__all__ if isinstance(getattr(x, name), type)}
+    public |= {name for name in x.__all__ if name.endswith("_gadget")}
+    public |= {"leaf_tree", "odt_from_examples", "set_model_odt", "subset_model_rules",
+               "translate"}
+    assert public - {field.split("-")[0] for field in _INTEGER_FIELDS} == _NO_INTEGER_FIELD
+
+
+@pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+@given(value=st.one_of(st.sampled_from([0.5, "1", None, True, 1.0]), st.booleans(),
+                       st.floats(), st.integers(-2, 3).map(float), st.text(max_size=2),
+                       st.integers(-2, 3)))
+@example(value=0.5)
+@example(value="1")
+@example(value=None)
+@example(value=True)
+@example(value=1.0)
+@settings(max_examples=30, deadline=None)
+def test_integer_field_refuses_what_is_no_int(field, value):
+    """One integer field of a public constructor or gadget builder holds a
+    value: an int builds or is a ModelError; anything else, a bool or an
+    integral float included, is a ModelError, never a TypeError or
+    AttributeError and never a model built from a truncated value.  The
+    forward pass of a tree reads the fields of a normal-form arena's splits
+    by value, so there a bool may build the tree of the int it equals."""
+    valid, build = _INTEGER_FIELDS[field]
+    build(valid)
+    try:
+        built = build(value)
+    except x.ModelError:
+        return
+    if field.endswith("-in-normal-form") and type(value) is bool:
+        assert built == build(int(value))
+        assert load_model(json.loads(json.dumps(dump_model(built)))) == built  # written as ints
+    else:
+        assert type(value) is int
 
 
 class TestValidation:
@@ -396,7 +516,8 @@ class TestValidation:
         for make in refused:
             with pytest.raises(x.ModelError, match="0 or 1"):
                 make()
-        assert x.Example(u, (1.0, 0)).bits == (1, 0)  # integral values are bits
+        with pytest.raises(x.ModelError, match="0 or 1"):  # 1.0 is no bit either
+            x.Example(u, (1.0, 0))
 
     # (root-last arena, root-first arena, message): the constructor's
     # forward pass stops at the bad node, or at a root-first arena's root,
@@ -432,13 +553,21 @@ class TestValidation:
             with pytest.raises(x.ModelError, match=message):
                 x.DecisionTree(u, nodes, root)
 
-    def test_bool_fields_are_integers(self):
+    def test_bool_fields_are_refused(self):
         u = x.universe("a", "b")
-        tree = x.DecisionTree(u, (x.Leaf(False), x.Leaf(True), x.Split(False, 0, True)),
-                              2, (True, False))
-        assert is_normalized(tree) and x.classify(tree, x.Example(u, (1, 0))) == 1
-        assert x.DecisionSet(u, (((True, True),),), False).terms == (((1, 1),),)
-        assert x.DecisionList(u, (((), True),)).rules == (((), 1),)
+        leaves = (x.Leaf(0), x.Leaf(1))
+        refused = [
+            lambda: x.Leaf(False),
+            lambda: x.DecisionTree(u, (*leaves, x.Split(0, 0, 1)), 2, (True, False)),
+            lambda: x.DecisionTree(u, (*leaves, x.Split(0, 0, 1)), True),
+            lambda: x.DecisionSet(u, (((True, 1),),), 0),
+            lambda: x.DecisionSet(u, (((0, True),),), 0),
+            lambda: x.DecisionSet(u, (), False),
+            lambda: x.DecisionList(u, (((), True),)),
+        ]
+        for make in refused:
+            with pytest.raises(x.ModelError):
+                make()
 
 
 def _flip_classes(model):
