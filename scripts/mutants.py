@@ -158,6 +158,24 @@ MUTANTS = [
            ("tests/test_core.py::test_shared_ensemble_elements_count_every_copy",
             "tests/test_explain_rules.py::TestEnsembleBranch::"
             "test_unary_clique_gadget_keeps_its_ballots_through_json")),
+    # the carry-save ballot counter: a full adder's carry is the majority of
+    # its three columns, a half adder's the AND of its two
+    Mutant("csa-carry-drops-and", _CORE,
+           "carries.append((a & b) | (c & ab))", "carries.append(c & ab)",
+           ("tests/test_core.py::test_counter_ge_matches_popcount",)),
+    Mutant("csa-half-adder-carry-dropped", _CORE,
+           "            carries.append(a & b)\n", "",
+           ("tests/test_core.py::test_counter_ge_matches_popcount",)),
+    # subcube_table builds a column for each feature of the read mask, from
+    # the origin's flip
+    Mutant("ensemble-reads-first-ballot", _CORE,
+           "        for m, _ in ballots:\n            reads |= m._reads\n",
+           "        for m, _ in ballots[:1]:\n            reads |= m._reads\n",
+           ("tests/test_core.py::test_read_mask_is_enough",)),
+    Mutant("origin-flip-skipped", _CORE,
+           "cols[f] = full ^ col if origin >> f & 1 else col", "cols[f] = col",
+           ("tests/test_core.py::test_shared_ensemble_elements_count_every_copy",
+            "tests/test_verify.py::test_flip_engine_matches_classify")),
     # the circuit and the tree product read the ballots, with their votes
     Mutant("translate-arc-per-ballot", "src/xplain/circuits.py",
            "        outs += [out] * votes\n", "        outs += [out]\n",

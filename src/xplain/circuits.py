@@ -45,12 +45,13 @@ universe.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .config import DEFAULT_CAPS, BruteCaps
 from .core import (
+    Columns,
     DecisionList,
     DecisionSet,
     DecisionTree,
@@ -83,6 +84,7 @@ class Circuit:
     universe: FeatureUniverse
     gates: tuple[Gate, ...]
     output: int
+    _reads: int = field(init=False, repr=False, compare=False)  # the IN gates' features
 
     def __post_init__(self) -> None:
         gates = tuple(self.gates)
@@ -91,7 +93,7 @@ class Circuit:
             raise ModelError("circuit needs at least one gate")
         check_int(self.output, 0, len(gates), "output gate index out of range")
         outdeg = [0] * len(gates)
-        seen_features: set[int] = set()
+        reads = 0
         for i, g in enumerate(gates):
             if g.kind not in _KINDS:
                 raise ModelError(f"unknown gate kind {g.kind!r}")
@@ -103,9 +105,9 @@ class Circuit:
                 if g.ins:
                     raise ModelError("IN gates take no incoming arc")
                 check_int(g.feature, 0, len(self.universe), "IN gate needs a feature in the universe")
-                if g.feature in seen_features:
+                if reads >> g.feature & 1:
                     raise ModelError("feature mapped to two IN gates")
-                seen_features.add(g.feature)
+                reads |= 1 << g.feature
             else:
                 if g.feature is not None:
                     raise ModelError("only IN gates carry a feature")
@@ -120,6 +122,7 @@ class Circuit:
         sinks = [i for i, d in enumerate(outdeg) if d == 0]
         if sinks != [self.output]:
             raise ModelError(f"output must be the unique sink, sinks are {sinks}")
+        object.__setattr__(self, "_reads", reads)
 
     @property
     def maj_count(self) -> int:
@@ -144,7 +147,7 @@ class Circuit:
                 val[i] = int(g.threshold <= sum(val[j] for j in g.ins))
         return val[self.output]
 
-    def table(self, cols: Mapping[int, int], full: int) -> int:
+    def table(self, cols: Columns, full: int) -> int:
         """Output table over the positions of ``full``, gate by gate in
         topological order; IN gates read ``cols[feature]``.  A gate's table
         is dropped after its last reader, so only the live frontier is held."""

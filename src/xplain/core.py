@@ -24,28 +24,33 @@ Each family answers for itself: ``DecisionTree``, ``DecisionSet``,
 
 * ``evaluate(e)``       -- the class of one example,
 * ``table(cols, full)`` -- the classes at the positions of ``full``, where
-                           ``cols`` maps each feature f the model reads to
-                           its table ``cols[f]`` (``subcube_table`` passes
-                           one that builds a column on its first read),
+                           ``cols[f]`` is the table of feature f for every
+                           f in ``_reads``, as a list indexed by feature
+                           (``subcube_table`` passes one) or a mapping;
+                           no other entry of ``cols`` is read,
 * ``params()``          -- the ``ParamReport``;
 
-an ensemble calls ``evaluate`` on every element but ``table`` and
-``params`` once per distinct element value (its ballots, see
-``Ensemble``), as every engine that reads an ensemble's voters does, and
-sets and lists also have ``as_dl()``.  The public entries check, then call
-them: ``classify`` the model and the example's universe, ``subcube_table``
-and ``truth_table`` the partition and the fixed bits, ``measure`` that the
-value is a model.  A value without the three methods is a ModelError.
+and the bitmask ``_reads`` of the features ``table`` may read, set by the
+constructor: a normal-form tree's ``below[root]`` of its forward pass, any
+other tree's tested features, a set's or list's term features, the OR of an
+ensemble's ballots' masks, a circuit's IN-gate features.  An ensemble calls
+``evaluate`` on every element but ``table`` and ``params`` once per
+distinct element value (its ballots, see ``Ensemble``), as every engine
+that reads an ensemble's voters does, and sets and lists also have
+``as_dl()``.  The public entries check, then call them: ``classify`` the
+model and the example's universe, ``subcube_table`` and ``truth_table`` the
+partition, the fixed bits and the origin, ``measure`` that the value is a
+model.  A value without the three methods and the mask is a ModelError.
 
 Besides the per-example ``classify`` there is one bit-parallel kernel,
 ``subcube_table(model, fixed, free)``.  It computes the class of every
 completion of a partial assignment at once, as a ``2**len(free)``-bit integer
 (bit ``m`` = class of the completion whose free feature ``free[j]`` is bit
 ``j`` of ``m``).  Each family is tabulated from a list of feature columns, in
-which a fixed feature is a constant and a free one a ``feature_column``; the
-model is never restricted or copied.  ``truth_table`` is the case with every
-feature free; with an ``origin`` mask, bit m is the class of the origin
-flipped on m.  Verification by enumeration and the homogeneity check are each
+which a fixed feature is a constant and a free one the model reads a
+``feature_column``; the model is never restricted or copied.
+``truth_table`` is the case with every feature free; with an ``origin``
+mask, bit m is the class of the origin flipped on m.  Verification by enumeration and the homogeneity check are each
 one call of this kernel and one integer compare; the flip searches add the
 ``weight_planes`` of the positions; the oracle reads single table bits.
 
@@ -69,7 +74,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Optional, Union
 
 
 class ModelError(ValueError):
@@ -84,6 +90,9 @@ def check_int(value, lo, hi, message: str):
             raise ModelError(message)
     return value
 
+
+# the columns a family's ``table`` reads: a list indexed by feature, or a mapping
+Columns = Union[Sequence[int], Mapping[int, int]]
 
 _FEATURE = "feature index outside universe: feature indices must be integers below its size"
 _BIT = "literal bit must be 0 or 1"
@@ -239,6 +248,7 @@ class DecisionTree:
     # None until normalize_dt stores the normal-form copy (never the tree
     # itself, so a tree is no reference cycle)
     _normal: object = field(default=None, init=False, repr=False, compare=False)
+    _reads: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = tuple(self.nodes)
@@ -276,6 +286,7 @@ class DecisionTree:
             else:
                 if self.root == count - 1 and size[-1] == count:
                     object.__setattr__(self, "_normal", True)
+                    object.__setattr__(self, "_reads", below[-1])
         except TypeError:
             pass
         if self._normal is None:
@@ -306,7 +317,8 @@ class DecisionTree:
             if not all(reached):
                 raise ModelError("arena contains nodes unreachable from the root")
             check_int(tuple(labels), 0, 2, "leaf labels must be 0 or 1")
-            check_int(tuple(features), 0, n, _FEATURE)
+            features = set(check_int(tuple(features), 0, n, _FEATURE))
+            object.__setattr__(self, "_reads", sum(1 << f for f in features))
         if self.order is not None:
             order = permutation(self.order, n, "order tag must be a permutation of the features")
             object.__setattr__(self, "order", order)
@@ -322,7 +334,7 @@ class DecisionTree:
                 return node.label
             i = node.hi if e.bits[node.feature] else node.lo
 
-    def table(self, cols: Mapping[int, int], full: int) -> int:
+    def table(self, cols: Columns, full: int) -> int:
         # one forward pass over the normal form's post-order arena: a leaf
         # pushes its table, a split muxes its children's on its column.  A
         # fixed feature's column is 0 or full, so the mux picks the
@@ -377,7 +389,12 @@ def term_applies(term: Term, e: Example) -> bool:
     return all(e.bits[f] == b for f, b in term)
 
 
-def _term_table(term: Term, cols: Mapping[int, int], full: int) -> int:
+def _term_reads(terms: Iterable[Term]) -> int:
+    """The mask of the features that the terms test."""
+    return sum(1 << f for f in {f for term in terms for f, _ in term})
+
+
+def _term_table(term: Term, cols: Columns, full: int) -> int:
     t = full
     for f, b in term:
         col = cols[f]
@@ -390,12 +407,14 @@ class DecisionSet:
     universe: FeatureUniverse
     terms: tuple[Term, ...]
     default: int
+    _reads: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.universe)
         terms = tuple(make_term(t, n) for t in self.terms)
         object.__setattr__(self, "terms", terms)
         check_int(self.default, 0, 2, "default class must be 0 or 1")
+        object.__setattr__(self, "_reads", _term_reads(terms))
 
     def evaluate(self, e: Example) -> int:
         for t in self.terms:
@@ -403,7 +422,7 @@ class DecisionSet:
                 return 1 - self.default
         return self.default
 
-    def table(self, cols: Mapping[int, int], full: int) -> int:
+    def table(self, cols: Columns, full: int) -> int:
         applied = 0
         for t in self.terms:
             applied |= _term_table(t, cols, full)
@@ -429,6 +448,7 @@ class DecisionSet:
 class DecisionList:
     universe: FeatureUniverse
     rules: tuple[tuple[Term, int], ...]
+    _reads: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rules:
@@ -439,6 +459,7 @@ class DecisionList:
         object.__setattr__(self, "rules", rules)
         if rules[-1][0] != ():
             raise ModelError("last rule's term must be empty")
+        object.__setattr__(self, "_reads", _term_reads(t for t, _ in rules))
 
     def evaluate(self, e: Example) -> int:
         for t, c in self.rules:
@@ -446,7 +467,7 @@ class DecisionList:
                 return c
         raise AssertionError("unreachable: last rule applies to every example")
 
-    def table(self, cols: Mapping[int, int], full: int) -> int:
+    def table(self, cols: Columns, full: int) -> int:
         table = 0
         undecided = full
         for t, c in self.rules:
@@ -480,8 +501,8 @@ class Ensemble:
     JSON) are one ballot alike.  Elements are grouped by identity first, so
     each distinct object is hashed once.
 
-    The ballots are the one voter list of every engine: ``table``,
-    ``params``, ``explain_dt.product_dt`` (through ``graft_dt``), the
+    The ballots are the one voter list of every engine: ``table`` and
+    its mask ``_reads``, ``params``, ``explain_dt.product_dt`` (through ``graft_dt``), the
     branching search and ``circuits.translate``.  Only these still walk
     ``elements``: validation and ``family`` here; the element count of the
     majority threshold and of ``params``; ``evaluate``, which counts every
@@ -498,6 +519,7 @@ class Ensemble:
         default=None, init=False, repr=False, compare=False
     )
     _ballots: tuple = field(init=False, repr=False, compare=False)
+    _reads: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         elements = tuple(self.elements)
@@ -520,9 +542,12 @@ class Ensemble:
         ballots: dict = {}  # element -> [first equal element, votes]
         for m, count in copies.values():  # each distinct object hashed once
             ballots.setdefault(m, [m, 0])[1] += count
-        object.__setattr__(
-            self, "_ballots", tuple((m, votes) for m, votes in ballots.values())
-        )
+        ballots = tuple((m, votes) for m, votes in ballots.values())
+        object.__setattr__(self, "_ballots", ballots)
+        reads = 0
+        for m, _ in ballots:
+            reads |= m._reads
+        object.__setattr__(self, "_reads", reads)
 
     @property
     def family(self) -> str:
@@ -534,7 +559,7 @@ class Ensemble:
         votes = sum(m.evaluate(e) for m in self.elements)
         return 1 if votes >= len(self.elements) // 2 + 1 else 0
 
-    def table(self, cols: Mapping[int, int], full: int) -> int:
+    def table(self, cols: Columns, full: int) -> int:
         """Each ballot is tabulated once and counted with its votes."""
         return counter_ge(
             [(m.table(cols, full), votes) for m, votes in self._ballots],
@@ -580,6 +605,7 @@ def _model_universe(model) -> FeatureUniverse:
     u = getattr(model, "universe", None)
     if not isinstance(u, FeatureUniverse) or not (
         hasattr(model, "evaluate") and hasattr(model, "table") and hasattr(model, "params")
+        and hasattr(model, "_reads")
     ):
         raise ModelError(f"not a model: {model!r}")
     return u
@@ -612,30 +638,49 @@ def counter_ge(ballots: Sequence[tuple[int, int]], threshold: int, full: int) ->
     """Bitwise [weighted count of set columns >= threshold] over the
     positions of ``full`` (the all-ones table), for (column, weight) pairs.
 
-    The count is a bit-sliced binary counter, least significant plane first:
-    a column of weight w is ripple-added at the plane of each set bit of w,
-    so r copies of one column cost one column's additions per bit of r.
+    The count is a bit-sliced binary counter, least significant plane
+    first, summed by a carry-save adder tree (Wallace, 1964): a column of
+    weight w waits on the plane of each set bit of w.  A plane's columns
+    are summed in a chain of full adders, each taking the running sum and
+    two more columns to a new sum and a carry that waits on the next plane;
+    an even count ends in a half adder, and the last sum is the plane's
+    counter bit.  Each addition is done once, however many planes a count
+    spans.
     """
     if threshold <= 0:
         return full
-    if threshold > sum(weight for _, weight in ballots):
-        return 0
-    planes: list[int] = []  # binary counter, least significant plane first
+    waiting: list[list[int]] = [[]]  # the columns still to add, by plane
     for col, weight in ballots:
-        planes += [0] * (weight.bit_length() - len(planes))  # room for its top bit
-        plane = 0  # the plane of weight's bit 0, as weight shifts down
+        if not col:  # adds nothing
+            continue
+        plane = 0
         while weight:
+            if plane == len(waiting):
+                waiting.append([])
             if weight & 1:
-                carry = col
-                i = plane
-                while carry:
-                    if i == len(planes):
-                        planes.append(carry)
-                        break
-                    planes[i], carry = planes[i] ^ carry, planes[i] & carry
-                    i += 1
+                waiting[plane].append(col)
             weight >>= 1
             plane += 1
+    planes: list[int] = []  # binary counter, least significant plane first
+    for i, cols in enumerate(waiting):  # carries into a new plane append one
+        m = len(cols)
+        a = cols[0] if m else 0
+        carries = []
+        for j in range(1, m - 1, 2):  # full adders
+            b = cols[j]
+            c = cols[j + 1]
+            ab = a ^ b
+            carries.append((a & b) | (c & ab))
+            a = ab ^ c
+        if m and not m & 1:  # half adder
+            b = cols[-1]
+            carries.append(a & b)
+            a ^= b
+        planes.append(a)
+        if i + 1 < len(waiting):
+            waiting[i + 1] += carries
+        elif carries:
+            waiting.append(carries)
     # compare the per-position counter against the constant threshold
     if threshold >> len(planes):
         return 0  # no position ever counted that high
@@ -673,37 +718,32 @@ def subcube_table(model, fixed: Mapping[int, int], free: Sequence[int], origin: 
     ``fixed`` maps features to bits (0 or 1) and ``free`` lists the other
     features; together they partition the universe.  Bit m is the class of
     the example that agrees with ``fixed`` and gives free[j] the value of
-    bit j of m, or its complement where the ``origin`` mask has free[j]: the
-    flip m of the origin.  A fixed feature reads as a constant column and a
-    free one as ``feature_column(j, len(free))``, so the work is in
-    2**len(free) bits whatever the universe size.  A free column is built
-    on its first read, so features the model never reads cost nothing.
+    bit j of m, or its complement where the ``origin`` mask (an int below
+    2**n) has free[j]: the flip m of the origin.  The model gets a list of
+    columns indexed by feature: a fixed feature's is 0 or all-ones, and a
+    free feature in the model's ``_reads`` gets ``feature_column(j,
+    len(free))``, complemented where the origin has it, so the work is in
+    2**len(free) bits whatever the universe size, and a free feature the
+    model never reads costs no column.
     """
     n = len(_model_universe(model))
     if not (isinstance(fixed, Mapping) and isinstance(free, Sequence)):
         raise ModelError("fixed must map features to bits and free must list features")
     permutation((*fixed, *free), n, "fixed and free features must partition the universe")
     check_int(tuple(fixed.values()), 0, 2, "fixed bits must be 0 or 1")
-    cols = _Columns(fixed, free, origin)
-    return model.table(cols, cols.full)
-
-
-class _Columns(dict):
-    """Feature tables of one subcube: a fixed feature's constant is set up
-    front, a free feature's column is built on its first read."""
-
-    def __init__(self, fixed: Mapping[int, int], free: Sequence[int], origin: int) -> None:
-        self.full = full = (1 << (1 << len(free))) - 1
-        super().__init__((f, full if b else 0) for f, b in fixed.items())
-        self._position = {f: j for j, f in enumerate(free)}  # bit in the table index
-        self.origin = origin
-
-    def __missing__(self, f: int) -> int:
-        col = feature_column(self._position[f], len(self._position))
-        if (self.origin >> f) & 1:
-            col ^= self.full
-        self[f] = col
-        return col
+    check_int(origin, 0, 1 << n, "origin must be a mask of the universe's features")
+    d = len(free)
+    full = (1 << (1 << d)) - 1
+    cols = [0] * n
+    for f, b in fixed.items():
+        if b:
+            cols[f] = full
+    reads = model._reads
+    for j, f in enumerate(free):
+        if reads >> f & 1:
+            col = feature_column(j, d)
+            cols[f] = full ^ col if origin >> f & 1 else col
+    return model.table(cols, full)
 
 
 def truth_table(model) -> int:

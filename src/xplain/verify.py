@@ -76,7 +76,9 @@ Candidate = Union[frozenset, PartialExample]
 
 
 def flip(e: Example, features: Iterable[int]) -> Example:
-    """Example equal to e except that every listed feature is negated."""
+    """Example equal to e except that every listed feature is negated; a
+    feature must be an int below e's length (ModelError otherwise)."""
+    features = check_int(tuple(features), 0, len(e.bits), "flipped feature outside the universe")
     bits = list(e.bits)
     for f in features:
         bits[f] = 1 - bits[f]

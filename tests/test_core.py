@@ -27,6 +27,7 @@ from generators import (
     moved_arena,
     permuted_arena,
     random_any_model,
+    random_circuit,
     random_dt,
     random_ensemble,
     random_example,
@@ -630,18 +631,28 @@ def test_weight_planes_spell_popcount():
             assert weight == bin(mask).count("1")
 
 
-@given(
-    ballots=st.lists(
-        st.tuples(st.integers(0, 255), st.integers(1, 5)), min_size=0, max_size=6
-    ),
-    threshold=st.integers(0, 31),
-)
-@settings(max_examples=200, deadline=None)
-def test_counter_ge_matches_popcount(ballots, threshold):
-    got = counter_ge(ballots, threshold, 0xFF)
-    for pos in range(8):
-        count = sum(((c >> pos) & 1) * w for c, w in ballots)
-        assert (got >> pos) & 1 == (count >= threshold)
+@given(data=st.data(), log_width=st.integers(0, 10), size=st.integers(0, 64))
+@settings(max_examples=150, deadline=None)
+def test_counter_ge_matches_popcount(data, log_width, size):
+    """Up to 64 ballots of weight up to 1100 (the unary clique gadgets
+    reach 1039 elements) over columns of up to 2**10 positions, so counts
+    carry through a dozen planes and more, at the thresholds that decide a
+    vote: 0, 1, a majority, the total and one past it."""
+    width = 1 << log_width
+    full = (1 << width) - 1
+    column = st.one_of(st.integers(0, full), st.sampled_from([0, full]))
+    weight = st.one_of(st.integers(1, 5), st.integers(1, 1100))
+    ballots = data.draw(st.lists(st.tuples(column, weight), min_size=size, max_size=size))
+    counts = [0] * width
+    for col, w in ballots:
+        for pos, bit in enumerate(reversed(bin(col)[2:])):
+            if bit == "1":
+                counts[pos] += w
+    total = sum(w for _, w in ballots)
+    for threshold in (0, 1, total // 2 + 1, total, total + 1):
+        got = counter_ge(ballots, threshold, full)
+        want = sum(1 << pos for pos, count in enumerate(counts) if count >= threshold)
+        assert got == want, threshold
 
 
 @given(seed=st.integers(0, 10_000))
@@ -701,6 +712,39 @@ def test_every_family_tabulates_from_a_plain_dict(seed, n, depth):
             assert (table >> m) & 1 == model.evaluate(x.Example(u, tuple(bits)))
 
 
+@given(seed=st.integers(0, 100_000), n=st.integers(1, 7))
+@settings(max_examples=80, deadline=None)
+def test_read_mask_is_enough(seed, n):
+    """A family's table reads no column outside its ``_reads`` mask: with
+    every other column replaced by a random int, the table of each family
+    is unchanged: a raw and a normal-form tree, a set, a list, an ensemble
+    of each family (the tree ensemble mixes raw and normal trees) and two
+    circuits, one random and one translated."""
+    rng = Random(seed)
+    u = random_universe(rng, n)
+    raw = relaid_arena(random_dt(rng, u), post=False)
+    normal = x.normalize_dt(random_dt(rng, u))
+    models = [raw, normal, random_model(rng, u, "ds"), random_model(rng, u, "dl"),
+              x.Ensemble(u, (raw, normal, raw)), random_ensemble(rng, u, "ds"),
+              random_ensemble(rng, u, "dl"), random_circuit(rng, u),
+              x.translate(raw, rng.randint(0, 1))[0]]
+    free = [f for f in range(n) if rng.random() < 0.7]
+    rng.shuffle(free)
+    fixed = {f: rng.randint(0, 1) for f in range(n) if f not in free}
+    width = 1 << len(free)
+    full = (1 << width) - 1
+    cols = [0] * n
+    for f, b in fixed.items():
+        cols[f] = full if b else 0
+    for j, f in enumerate(free):
+        cols[f] = feature_column(j, len(free))
+    for model in models:
+        assert 0 <= model._reads < 1 << n
+        noise = [col if model._reads >> f & 1 else rng.getrandbits(width + 1)
+                 for f, col in enumerate(cols)]
+        assert model.table(noise, full) == model.table(cols, full)
+
+
 @given(seed=st.integers(0, 10_000), n=st.integers(0, 6))
 @settings(max_examples=80, deadline=None)
 def test_shared_ensemble_elements_count_every_copy(seed, n):
@@ -758,6 +802,28 @@ def test_subcube_table_needs_a_partition():
                         ({0: 1}, None)):
         with pytest.raises(x.ModelError):
             x.subcube_table(model, fixed, free)
+
+
+_E3 = x.Example(_U3, (0, 1, 0))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: x.flip(_E3, [-1]), id="flip-negative"),
+    pytest.param(lambda: x.flip(_E3, [3]), id="flip-past-universe"),
+    pytest.param(lambda: x.flip(_E3, [0.5]), id="flip-half"),
+    pytest.param(lambda: x.flip(_E3, [True]), id="flip-bool"),
+    pytest.param(lambda: x.subcube_table(_TREE3, {}, [0, 1, 2], 0.5), id="origin-half"),
+    pytest.param(lambda: x.subcube_table(_TREE3, {}, [0, 1, 2], -1), id="origin-negative"),
+    pytest.param(lambda: x.subcube_table(_TREE3, {}, [0, 1, 2], True), id="origin-bool"),
+    pytest.param(lambda: x.subcube_table(_TREE3, {}, [0, 1, 2], 8), id="origin-past-universe"),
+])
+def test_flipped_features_and_origin_are_refused_by_the_integer_rule(call):
+    """``verify.flip``'s features and ``subcube_table``'s origin mask go
+    through ``check_int``: a feature is an int of the universe, an origin
+    an int mask of its features; a negative feature would flip from the
+    end, a float would raise TypeError and a bool would read as 0 or 1."""
+    with pytest.raises(x.ModelError):
+        call()
 
 
 def test_deep_path_tree_order_table_and_restriction():
