@@ -219,6 +219,20 @@ MUTANTS = [
            "Split(f, reject, accept) if bit[f] else Split(f, accept, reject)",
            "Split(f, accept, reject) if bit[f] else Split(f, reject, accept)",
            ("tests/test_gadgets.py::TestOdtFromExamples::test_single_all_zero_row",)),
+    # the least zero flip kept on a model: read for the all-zero example with
+    # nothing held, and only after the request and the cap are checked
+    Mutant("zero-flip-read-for-any-example", "src/xplain/verify.py",
+           "    if held or origin:\n", "    if held:\n",
+           ("tests/test_verify.py::test_least_zero_flip_is_read_only_for_the_zero_example",)),
+    Mutant("zero-flip-read-with-held-features", "src/xplain/verify.py",
+           "    if held or origin:\n", "    if origin:\n",
+           ("tests/test_verify.py::test_least_zero_flip_is_read_only_for_the_zero_example",)),
+    Mutant("hom-reads-zero-flip-before-cap", "src/xplain/verify.py",
+           '    require_cap(len(domain), caps.verify, "hom")\n',
+           "    if model._zero_flip is not None:\n"
+           "        return bool(model._zero_flip)\n"
+           '    require_cap(len(domain), caps.verify, "hom")\n',
+           ("tests/test_verify.py::test_a_warm_model_refuses_and_enumerates_as_a_cold_one",)),
     # the CLI's one-pass reader declines what argparse would refuse
     Mutant("reader-choices-unchecked", _CLI,
            "        if o.choices is not None and value not in o.choices:\n"

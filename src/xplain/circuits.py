@@ -65,7 +65,6 @@ from .core import (
     counter_ge,
     truth_table,
 )
-from .verify import hom_check
 
 IN, AND, OR, NOT, MAJ = "IN", "AND", "OR", "NOT", "MAJ"
 _KINDS = (IN, AND, OR, NOT, MAJ)
@@ -85,6 +84,8 @@ class Circuit:
     gates: tuple[Gate, ...]
     output: int
     _reads: int = field(init=False, repr=False, compare=False)  # the IN gates' features
+    # verify._zero_flip's memo: the least flip set of the all-zero example
+    _zero_flip: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gates = tuple(self.gates)
@@ -379,4 +380,6 @@ def certificate_holds(circuit: Circuit, cert: WidthCertificate) -> bool:
 
 def circuit_hom_check(circuit: Circuit, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """``verify.hom_check``, which tabulates the IN-wired features only."""
+    from .verify import hom_check  # deferred: verify imports Circuit
+
     return hom_check(circuit, caps)

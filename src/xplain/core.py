@@ -50,9 +50,10 @@ completion of a partial assignment at once, as a ``2**len(free)``-bit integer
 which a fixed feature is a constant and a free one the model reads a
 ``feature_column``; the model is never restricted or copied.
 ``truth_table`` is the case with every feature free; with an ``origin``
-mask, bit m is the class of the origin flipped on m.  Verification by enumeration and the homogeneity check are each
-one call of this kernel and one integer compare; the flip searches add the
-``weight_planes`` of the positions; the oracle reads single table bits.
+mask, bit m is the class of the origin flipped on m.  Verification by
+enumeration is one call of this kernel and one integer compare; the flip
+searches, the homogeneity checks among them, add the ``weight_planes`` of
+the positions; the oracle reads single table bits.
 
 Trees are rebuilt by ``graft_dt`` and read by ``_leaf_paths``, two
 path-consistent walks: at a split on a feature the path already assigns,
@@ -249,6 +250,8 @@ class DecisionTree:
     # itself, so a tree is no reference cycle)
     _normal: object = field(default=None, init=False, repr=False, compare=False)
     _reads: int = field(init=False, repr=False, compare=False)
+    # verify._zero_flip's memo: the least flip set of the all-zero example
+    _zero_flip: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = tuple(self.nodes)
@@ -408,6 +411,8 @@ class DecisionSet:
     terms: tuple[Term, ...]
     default: int
     _reads: int = field(init=False, repr=False, compare=False)
+    # verify._zero_flip's memo: the least flip set of the all-zero example
+    _zero_flip: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.universe)
@@ -449,6 +454,8 @@ class DecisionList:
     universe: FeatureUniverse
     rules: tuple[tuple[Term, int], ...]
     _reads: int = field(init=False, repr=False, compare=False)
+    # verify._zero_flip's memo: the least flip set of the all-zero example
+    _zero_flip: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rules:
@@ -514,10 +521,14 @@ class Ensemble:
 
     universe: FeatureUniverse
     elements: tuple  # DecisionTree | DecisionSet | DecisionList, homogeneous
-    # explain_dt.product_dt's memo: the product tree of a tree ensemble
+    # explain_dt.product_dt's memos: the product of the ballots' leaf counts
+    # and the product tree of a tree ensemble
+    _projected: Optional[int] = field(default=None, init=False, repr=False, compare=False)
     _product: Optional[DecisionTree] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # verify._zero_flip's memo: the least flip set of the all-zero example
+    _zero_flip: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
     _ballots: tuple = field(init=False, repr=False, compare=False)
     _reads: int = field(init=False, repr=False, compare=False)
 

@@ -152,7 +152,8 @@ class GadgetInstance:
 
 
 def answer_query(model, q: Query, caps: BruteCaps = DEFAULT_CAPS) -> bool:
-    """Answer a gadget query exactly: homogeneity on the flip table, a
+    """Answer a gadget query exactly: homogeneity from the model's least
+    zero flip (one flip table per model, ``verify._zero_flip``), a
     minimum contrastive set by ``lcxp_card_enum``, and the abductive kinds
     by the hitting-set search of ``explain_dt.card_xp_search`` under the
     budget k."""
@@ -642,7 +643,8 @@ def taut_ds_gadget(
 @dataclass(frozen=True)
 class HomEquivalenceReport:
     """Nine equivalent phrasings of 'the model classifies everything like the
-    all-zero example', each evaluated through a different code path, plus the
+    all-zero example', each evaluated through a different code path but
+    statements 1 and 7, which share the least zero flip, plus the
     bounded-weight variant for every budget."""
 
     statements: tuple[bool, ...]
@@ -701,7 +703,10 @@ def hom_equivalence_suite(model, caps: BruteCaps = DEFAULT_CAPS) -> HomEquivalen
     ``verify``: the table of the model's circuit for class c; the leaves of
     the tree or of a tree ensemble's product, else one classification per
     example; the table of the circuit for the other class.  A circuit, having
-    no translation, answers 6 and 9 with its own table."""
+    no translation, answers 6 and 9 with its own table.  Statements 1 and 7
+    and the weight-bounded column of ``khom`` read one value, the model's
+    least zero flip (``verify._zero_flip``); statement 3 and the oracle
+    column, the oracle's minimum, check all of them."""
     u = _model_universe(model)
     n = len(u)
     zero = Example(u, (0,) * n)

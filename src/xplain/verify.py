@@ -25,9 +25,7 @@ normalized.  Every other model is checked exactly by
 ``verify_by_enumeration``, which takes the same arguments: one
 ``core.subcube_table`` call tabulates the completions of the features the
 request fixes, and one integer compare against 0 or all-ones gives the
-answer.  ``hom_check`` is the same kernel over a model's flip domain: a
-circuit's IN-wired features, every feature of any other model.  All of them
-refuse to run above the configured free-feature cap.
+answer.  All of them refuse to run above the configured free-feature cap.
 
 Two searches serve every model family:
 
@@ -37,6 +35,19 @@ Two searches serve every model family:
 * ``first_flip``: the first flip set by size and then lexicographically,
   behind ``phom_check`` and ``lcxp_card_enum``: table operations on the
   flips of e, or above the cap a guarded enumeration.
+
+Flips range over a model's flip domain: a circuit's IN-wired features,
+every feature of any other model.  The homogeneity questions read one value
+of the model, its least zero flip: the first flip set of the all-zero
+example over that domain, or the empty set when the model is constant
+there.  It is one flip table (``_least_flip``), computed on first use and
+kept on the model (``_zero_flip``, a field of each family).  ``hom_check``
+asks whether it is nonempty, ``phom_check(k)`` whether it is nonempty with
+at most k features, and ``first_flip`` returns it for the all-zero example
+with nothing held, so ``lcxp_card_enum`` on that example shares it too.
+Each entry checks the request and the cap before it reads the kept value,
+and only the table route reads or fills it: a model answers and refuses
+alike, whatever was asked of it before.
 
 ``oracle_min`` and ``oracle_subset_min_check`` are the brute-force ground
 truth the rest of the test suite is measured against: candidates are
@@ -51,6 +62,7 @@ from itertools import combinations
 from math import comb, inf
 from typing import Optional, Union
 
+from .circuits import Circuit
 from .config import DEFAULT_CAPS, BruteCaps, CapExceeded, require_cap
 from .core import (
     DecisionTree,
@@ -336,19 +348,50 @@ def oracle_subset_min_check(
 def _flip_domain(model) -> list[int]:
     """The features a flip may change: a circuit's IN-wired ones (no other
     feature reaches its output), every feature of any other model."""
-    from .circuits import Circuit  # deferred: circuits imports verify
-
     n = len(_model_universe(model))
     return model.input_features() if isinstance(model, Circuit) else list(range(n))
 
 
+def _least_flip(model, domain: list[int], origin: int) -> frozenset:
+    """The first flip set of the example ``origin`` (a mask) over
+    ``domain``, by size and then lexicographically, from one flip table: the
+    highest position of least weight set in the table XOR the origin's
+    class.  The empty set when no flip changes the class.  The features off
+    the domain are held at the origin's bits."""
+    d = len(domain)
+    rest = set(range(len(model.universe))).difference(domain)
+    # bit m is the class of the origin flipped on m, the domain's first feature highest
+    table = subcube_table(model, {f: origin >> f & 1 for f in rest}, domain[::-1], origin)
+    flips = ((1 << (1 << d)) - 1) ^ table if table & 1 else table  # class-changing
+    if not flips:
+        return frozenset()
+    for plane in reversed(weight_planes(d)):  # keep the flips of least weight
+        lighter = flips & ~plane
+        if lighter:
+            flips = lighter
+    m = flips.bit_length() - 1
+    return frozenset(domain[d - 1 - j] for j in range(d) if (m >> j) & 1)
+
+
+def _zero_flip(model, domain: list[int]) -> frozenset:
+    """``_least_flip`` of the all-zero example over the model's whole flip
+    domain, computed once per model and kept in its ``_zero_flip`` field
+    (set on any other value that ``core._model_universe`` takes for a
+    model).  Callers check the request and the cap first, so a cold and a
+    warm model answer and refuse alike."""
+    least = getattr(model, "_zero_flip", None)
+    if least is None:
+        least = _least_flip(model, domain, 0)
+        object.__setattr__(model, "_zero_flip", least)
+    return least
+
+
 def hom_check(model, caps: BruteCaps = DEFAULT_CAPS) -> bool:
-    """Is some example classified differently from the all-zero example?"""
+    """Is some example classified differently from the all-zero example?
+    It is when the model's least zero flip (``_zero_flip``) is not empty."""
     domain = _flip_domain(model)
     require_cap(len(domain), caps.verify, "hom")
-    rest = set(range(len(model.universe))).difference(domain)
-    table = subcube_table(model, dict.fromkeys(rest, 0), domain)
-    return table not in (0, (1 << (1 << len(domain))) - 1)
+    return bool(_zero_flip(model, domain))
 
 
 def first_flip(
@@ -362,9 +405,10 @@ def first_flip(
     """First set of at most k features of the model's domain, less the
     ``fixed`` ones held at e's bits, whose flip changes e's class, by size
     and then lexicographically, or None.  Up to ``caps.verify`` features it
-    is the highest position of least weight set in the flip table XOR e's
-    class.  Above the cap each flipped example is classified, if the flip
-    sets to try number at most 2**caps.verify.  ModelError when e is no
+    is ``_least_flip`` if that has at most k features: the model's kept
+    ``_zero_flip`` when e is all zero and nothing is held, else a flip table
+    of its own.  Above the cap each flipped example is classified, if the
+    flip sets to try number at most 2**caps.verify.  ModelError when e is no
     example over the model's universe or k is no nonnegative int."""
     _request(model, "lcxp", e, k=k)
     held = set(fixed)
@@ -382,20 +426,12 @@ def first_flip(
                 if classify(model, flip(e, subset)) != cls:
                     return frozenset(subset)
         return None
-    # bit m is the class of e flipped on m, the domain's first feature highest
-    rest = set(range(len(e.bits))).difference(domain)
-    table = subcube_table(model, {f: e.bits[f] for f in rest}, domain[::-1], e.mask())
-    flips = ((1 << (1 << d)) - 1) ^ table if table & 1 else table  # class-changing
-    if not flips:
-        return None
-    for plane in reversed(weight_planes(d)):  # keep the flips of least weight
-        lighter = flips & ~plane
-        if lighter:
-            flips = lighter
-    m = flips.bit_length() - 1
-    if m.bit_count() > k:
-        return None
-    return frozenset(domain[d - 1 - j] for j in range(d) if (m >> j) & 1)
+    origin = e.mask()
+    if held or origin:
+        least = _least_flip(model, domain, origin)
+    else:
+        least = _zero_flip(model, domain)
+    return least if least and len(least) <= k else None
 
 
 def phom_check(model, k: int, caps: BruteCaps = DEFAULT_CAPS) -> bool:

@@ -302,6 +302,22 @@ def test_enumeration_verifier_matches_brute_force(seed):
         ), (kind, model)
 
 
+def _flip_model(rng: Random, max_features: int):
+    """A model of any family over 1 to ``max_features`` features: a tree,
+    set or list, an ensemble of one of them, or a circuit that is translated
+    or random (its IN gates often miss some features)."""
+    u = random_universe(rng, rng.randint(1, max_features))
+    family = rng.choice(["dt", "ds", "dl", "ens", "translated", "random-circuit"])
+    if family == "ens":
+        return random_ensemble(rng, u, rng.choice(["dt", "ds", "dl"]))
+    if family == "translated":
+        source = random_model(rng, u, rng.choice(["dt", "ds", "dl"]))
+        return x.translate(source, rng.randint(0, 1))[0]
+    if family == "random-circuit":
+        return random_circuit(rng, u)
+    return random_model(rng, u, family)
+
+
 def _first_flip_by_classify(model, e, k: int):
     """The first flip set of at most k features changing e's class, by size
     and then lexicographically, over every feature of the universe, by
@@ -322,17 +338,8 @@ def test_flip_engine_matches_classify(seed):
     the default cap (the flip table) and under a random smaller one (the
     guarded enumeration, or a refusal that the cap rule predicts)."""
     rng = Random(seed)
-    u = random_universe(rng, rng.randint(1, 7))
-    family = rng.choice(["dt", "ds", "dl", "ens", "translated", "random-circuit"])
-    if family == "ens":
-        m = random_ensemble(rng, u, rng.choice(["dt", "ds", "dl"]))
-    elif family == "translated":
-        source = random_model(rng, u, rng.choice(["dt", "ds", "dl"]))
-        m = x.translate(source, rng.randint(0, 1))[0]
-    elif family == "random-circuit":
-        m = random_circuit(rng, u)  # its IN gates often miss some features
-    else:
-        m = random_model(rng, u, family)
+    m = _flip_model(rng, 7)
+    u = m.universe
     e = random_example(rng, u)
     zero = x.Example(u, (0,) * len(u))
     k = rng.randint(0, len(u) + 1)
@@ -355,6 +362,110 @@ def test_flip_engine_matches_classify(seed):
                      lambda: x.phom_check(m, k, small)):
             with pytest.raises(CapExceeded):
                 call()
+
+
+# ---------------------------------------------------------------------------
+# the least zero flip, kept on the model
+# ---------------------------------------------------------------------------
+
+
+def _memo_model(seed: int):
+    """The model of ``_flip_model`` over up to 8 features for a seed, built
+    anew on each call."""
+    return _flip_model(Random(seed), 8)
+
+
+def _zero_flip_queries(n: int):
+    """(name, call) of every question the least zero flip answers."""
+    def zero(m):
+        return x.Example(m.universe, (0,) * n)
+    yield "hom", x.hom_check
+    for k in range(n + 1):
+        yield f"phom-{k}", lambda m, k=k: x.phom_check(m, k)
+        yield f"first_flip-{k}", lambda m, k=k: x.first_flip(m, zero(m), k)
+        yield f"lcxp_card_enum-{k}", lambda m, k=k: x.lcxp_card_enum(m, zero(m), k)
+
+
+@given(seed=st.integers(0, 10_000), order=st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_least_zero_flip_does_not_depend_on_call_history(seed, order):
+    """Each question asked of a cold model (built anew for it) and of one
+    warm model (asked every question, in a random order) gets the same
+    answer, and that is the oracle's minimum contrastive set of the
+    all-zero example."""
+    n = len(_memo_model(seed).universe)
+    queries = list(_zero_flip_queries(n))
+    cold = {name: call(_memo_model(seed)) for name, call in queries}
+    order.shuffle(queries)
+    warm_model = _memo_model(seed)
+    warm = {name: call(warm_model) for name, call in queries}
+    assert warm == cold
+    least = x.oracle_min(warm_model, "lcxp", x.Example(warm_model.universe, (0,) * n))
+    assert cold["hom"] == (least is not None)
+    for k in range(n + 1):
+        flip_k = least[1] if least is not None and least[0] <= k else None
+        assert cold[f"phom-{k}"] == (flip_k is not None)
+        assert cold[f"first_flip-{k}"] == flip_k
+        assert cold[f"lcxp_card_enum-{k}"] == flip_k
+
+
+def _cap_message(call) -> str:
+    with pytest.raises(CapExceeded) as refused:
+        call()
+    return str(refused.value)
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_a_warm_model_refuses_and_enumerates_as_a_cold_one(seed):
+    """Under a cap one below the flip domain, ``hom`` is refused with the
+    same message whether or not the least zero flip is kept, and ``phom``
+    takes the guarded enumeration: with the kept value poisoned, it still
+    answers as on a cold model."""
+    m = _memo_model(seed)
+    d = len(m.input_features()) if isinstance(m, x.Circuit) else len(m.universe)
+    small = BruteCaps(verify=d - 1, oracle_local=d - 1, oracle_global=d - 1)
+    k = (d - 1) // 2  # at most 2**(d - 1) flip sets: the enumeration runs
+    cold_message = _cap_message(lambda: x.hom_check(_memo_model(seed), small))
+    cold_phom = x.phom_check(_memo_model(seed), k, small)
+    x.hom_check(m)  # the default cap tabulates and keeps the least zero flip
+    assert m._zero_flip is not None
+    assert _cap_message(lambda: x.hom_check(m, small)) == cold_message
+    assert x.phom_check(m, k, small) == cold_phom
+    object.__setattr__(m, "_zero_flip", frozenset() if m._zero_flip else frozenset({0}))
+    assert x.phom_check(m, k, small) == cold_phom
+
+
+@given(seed=st.integers(0, 10_000), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_least_zero_flip_is_read_only_for_the_zero_example(seed, data):
+    """With the kept value poisoned, ``first_flip`` of an example that is
+    not all zero, or with features held, answers as on a fresh model."""
+    m = _memo_model(seed)
+    n = len(m.universe)
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    held = data.draw(st.sets(st.integers(0, n - 1)))
+    if not (mask or held):
+        held = {0}
+    e = x.Example.from_mask(m.universe, mask)
+    k = data.draw(st.integers(1, n))
+    object.__setattr__(m, "_zero_flip", frozenset({-1}))  # no flip set of any model
+    assert x.first_flip(m, e, k, fixed=held) == x.first_flip(_memo_model(seed), e, k, fixed=held)
+
+
+def test_a_model_value_without_the_field_keeps_its_least_zero_flip():
+    """A value with a model's methods and mask but no ``_zero_flip`` field
+    is answered as the model it wraps, and keeps its least zero flip."""
+    u = x.universe("a", "b")
+    inner = x.DecisionSet(u, (((1, 1),),), 0)
+
+    class Wrapped:
+        universe, _reads = u, inner._reads
+        evaluate, table, params = inner.evaluate, inner.table, inner.params
+
+    m = Wrapped()
+    assert (x.hom_check(m), x.phom_check(m, 0), x.phom_check(m, 1)) == (True, False, True)
+    assert m._zero_flip == frozenset({1})
 
 
 # ---------------------------------------------------------------------------
