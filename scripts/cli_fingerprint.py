@@ -30,8 +30,12 @@ The seedless ``cli-help`` entry hashes ``f"{code}\n{stdout}\n{stderr}\0"``
 of ``xplain --help``, of ``xplain <cmd> --help`` for each subcommand and of
 a fixed list of command lines the parser refuses, all with ``COLUMNS=80``,
 so a change to the help or error text shows.
-A refactor that must keep the CLI's output, the witnesses and the circuits
-byte-identical keeps these digests.
+The ``translate-files`` entry of a seed answers, in request order, every
+``rules`` request that writes a document to ``--out`` (each request's
+``info["out"]``) and hashes the bytes of each written file, so a change to
+the form of the circuit files shows even when stdout keeps its bytes.
+A refactor that must keep the CLI's output, the witnesses, the circuits and
+the written files byte-identical keeps these digests.
 
     python3 scripts/cli_fingerprint.py              # print the digests
     python3 scripts/cli_fingerprint.py --check      # compare with the file
@@ -59,7 +63,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "scripts" / "cli_fingerprints.json"
 SEEDS = (1, 9001)
 WORKLOADS = ("trees", "rules", "gadgets", "gadget-witnesses", "translations",
-             "gadget-translations", "branch")
+             "gadget-translations", "branch", "translate-files")
 SUBCOMMANDS = ("classify", "params", "verify", "explain", "oracle", "translate", "hom",
                "hom-suite", "gen-gadget")
 REFUSED = (
@@ -92,6 +96,14 @@ def cli_answers(inputs):
     for req in inputs.requests:
         code, stdout = cliwork.execute(req)
         yield f"{code}\n{stdout}"
+
+
+def written_files(inputs):
+    """The bytes of the ``--out`` file of every request that writes one."""
+    for req in inputs.requests:
+        if "out" in req.info:
+            cliwork.execute(req)
+            yield Path(req.info["out"]).read_bytes().decode()
 
 
 def tree_witnesses(inputs):
@@ -196,6 +208,7 @@ SOURCES = {
     "translations": (model_documents, translations),
     "gadget-translations": (work_gadgets.setup, gadget_translations),
     "branch": (work_rules.setup, branch_searches),
+    "translate-files": (work_rules.setup, written_files),
 }
 
 
