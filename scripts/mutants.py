@@ -233,6 +233,22 @@ MUTANTS = [
            "        return bool(model._zero_flip)\n"
            '    require_cap(len(domain), caps.verify, "hom")\n',
            ("tests/test_verify.py::test_a_warm_model_refuses_and_enumerates_as_a_cold_one",)),
+    # the --out documents take stdout's form, compact with sorted keys, and
+    # are encoded before the file is opened
+    Mutant("out-file-indented", _CLI,
+           '    text = _dumps(doc) + "\\n"\n',
+           '    text = json.dumps(doc, indent=1, sort_keys=True) + "\\n"\n',
+           ("tests/test_cli.py::test_translate_writes_the_compact_sorted_circuit",)),
+    Mutant("out-file-keys-unsorted", _CLI,
+           '    text = _dumps(doc) + "\\n"\n',
+           '    text = json.dumps(doc, separators=(",", ":")) + "\\n"\n',
+           ("tests/test_cli.py::test_translate_writes_the_compact_sorted_circuit",
+            "tests/test_cli.py::test_gen_gadget_writes_the_compact_sorted_instance")),
+    Mutant("out-file-opened-before-encode", _CLI,
+           '    text = _dumps(doc) + "\\n"\n    with open(path, "w") as fh:\n'
+           "        fh.write(text)\n",
+           '    with open(path, "w") as fh:\n        fh.write(_dumps(doc) + "\\n")\n',
+           ("tests/test_cli.py::test_failed_encode_leaves_the_out_file_as_it_was",)),
     # the CLI's one-pass reader declines what argparse would refuse
     Mutant("reader-choices-unchecked", _CLI,
            "        if o.choices is not None and value not in o.choices:\n"

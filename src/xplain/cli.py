@@ -4,6 +4,10 @@ One executable, one subcommand per operation.  Results are printed as a
 single JSON object on stdout (stable key order, so identical inputs give
 byte-identical output); timing and diagnostics go to stderr.  Exit codes:
 0 success / found / true, 1 false, 2 error, 3 no explanation exists.
+Every JSON document the CLI emits, the stdout payload and the ``--out``
+files of ``translate`` and ``gen-gadget``, is written by ``_dumps``:
+compact, with sorted keys, by the C encoder.  A file is encoded before it
+is opened, so a failed encode leaves an existing file as it was.
 
 ``explain`` dispatches per family (see ``_explain_subset`` and
 ``_explain_card``).  Every minimum ``laxp``/``gaxp``/``gcxp`` comes from
@@ -87,6 +91,18 @@ from .verify import (
 )
 
 EXIT_OK, EXIT_FALSE, EXIT_ERROR, EXIT_NONE = 0, 1, 2, 3
+
+
+def _dumps(obj) -> str:
+    """Compact JSON with sorted keys; any ``indent`` would take the
+    pure-Python encoder."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _write_doc(path: str, doc: dict) -> None:
+    text = _dumps(doc) + "\n"
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _witness_payload(witness, model) -> dict:
@@ -183,9 +199,7 @@ def _cmd_oracle(args, caps) -> tuple[int, dict]:
 def _cmd_translate(args, caps) -> tuple[int, dict]:
     model = load_model_file(args.model)
     circuit, cert = translate(model, args.cls)
-    doc = dump_model(circuit)
-    with open(args.out, "w") as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    _write_doc(args.out, dump_model(circuit))
     return EXIT_OK, {
         "gates": len(circuit.gates),
         "maj_gates": circuit.maj_count,
@@ -261,8 +275,7 @@ def _cmd_gen_gadget(args, caps) -> tuple[int, dict]:
         "provenance": instance.provenance,
         "meta": instance.meta,
     }
-    with open(args.out, "w") as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    _write_doc(args.out, doc)
     return EXIT_OK, {
         "truth": instance.truth,
         "queries": len(instance.queries),
@@ -412,7 +425,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         detail = " ".join(str(exc).split())
         print(f"error: unexpected {type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_ERROR
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    print(_dumps(payload))
     if not args.quiet:
         elapsed = (time.perf_counter() - started) * 1000.0
         print(f"elapsed_ms={elapsed:.1f}", file=sys.stderr)

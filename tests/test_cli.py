@@ -196,6 +196,86 @@ def test_classify_through_circuit_file(files, capsys, tmp_path):
     assert payload == {"class": 1}  # the class-0 recognizer fires on e
 
 
+def _compact(doc) -> str:
+    """The one form of every document the CLI writes: compact JSON with
+    sorted keys and one trailing newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("c", [0, 1])
+@pytest.mark.parametrize("family", ["dt", "ds", "dl", "ens-dt", "ens-ds", "ens-dl"])
+def test_translate_writes_the_compact_sorted_circuit(family, c, capsys, tmp_path):
+    rng = Random(f"{family}-{c}")
+    u = random_universe(rng, 5)
+    if family.startswith("ens-"):
+        model = random_ensemble(rng, u, family[4:], 3)
+    else:
+        model = random_model(rng, u, family)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dump_model(model)))
+    out = tmp_path / "circuit.json"
+    code, _ = run(capsys, ["translate", "--model", str(path), "--class", str(c),
+                           "--out", str(out)])
+    assert code == 0
+    circuit = x.translate(model, c)[0]
+    assert out.read_text() == _compact(dump_model(circuit))
+    assert load_model_file(str(out)) == circuit
+
+
+@pytest.mark.parametrize("kind, body, mode", [
+    ("hitting-set", {"universe": ["u", "v", "w"], "sets": [["u", "v"], ["w"]], "k": 2},
+     "subset-dl"),
+    ("mcc-unary", {"classes": [["a"], ["b"]], "edges": [["a", "b"]], "k": 2}, "subset"),
+])
+def test_gen_gadget_writes_the_compact_sorted_instance(kind, body, mode, capsys, tmp_path):
+    instance = tmp_path / "in.json"
+    instance.write_text(json.dumps(body))
+    out = tmp_path / "gadget.json"
+    code, _ = run(capsys, ["gen-gadget", "--kind", kind, "--in", str(instance),
+                           "--out", str(out), "--mode", mode])
+    assert code == 0
+    if kind == "hitting-set":
+        inst = x.hitting_set_gadget(body["universe"], [frozenset(s) for s in body["sets"]],
+                                    body["k"], mode)
+    else:
+        graph = x.ColouredGraph((("a",), ("b",)), (("a", "b"),))
+        inst = x.mcc_unary_ensemble_gadget(graph, body["k"], mode)
+    doc = {
+        "model": dump_model(inst.model),
+        "queries": [cli._query_to_json(q, inst.model) for q in inst.queries],
+        "truth": inst.truth,
+        "provenance": inst.provenance,
+        "meta": inst.meta,
+    }
+    text = out.read_text()
+    assert text == _compact(doc) == cli._dumps(json.loads(text)) + "\n"
+    assert load_model(json.loads(text)["model"]) == inst.model
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate", "--model", "MODEL", "--class", "1", "--out", "OUT"],
+    ["gen-gadget", "--kind", "hitting-set", "--in", "GADGET", "--out", "OUT"],
+], ids=["translate", "gen-gadget"])
+def test_failed_encode_leaves_the_out_file_as_it_was(argv, files, capsys, monkeypatch,
+                                                     tmp_path):
+    _, model, _ = files
+    gadget = tmp_path / "hs.json"
+    gadget.write_text(json.dumps({"universe": ["u"], "sets": [["u"]], "k": 1}))
+    out = tmp_path / "out.json"
+    out.write_bytes(b'{"earlier": "document"}\n')
+    paths = {"MODEL": model, "GADGET": str(gadget), "OUT": str(out)}
+
+    def failing_dumps(obj):
+        raise ValueError("encode failed")
+
+    monkeypatch.setattr(cli, "_dumps", failing_dumps)
+    code = main(["--quiet", *(paths.get(a, a) for a in argv)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "encode failed" in captured.err
+    assert out.read_bytes() == b'{"earlier": "document"}\n'
+
+
 def test_gen_gadget(files, capsys, tmp_path):
     instance = tmp_path / "hs.json"
     instance.write_text(
