@@ -248,7 +248,7 @@ def test_gen_gadget_writes_the_compact_sorted_instance(kind, body, mode, capsys,
         "meta": inst.meta,
     }
     text = out.read_text()
-    assert text == _compact(doc) == cli._dumps(json.loads(text)) + "\n"
+    assert text == cli._dumps(doc) + "\n" == _compact(doc)
     assert load_model(json.loads(text)["model"]) == inst.model
 
 
