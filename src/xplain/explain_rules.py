@@ -28,6 +28,8 @@ for every extension of it, so exactly the full tuples that pass all three
 are searched and recorded.  A single list is the vote of one, whose target
 tuples are its opposite-class rules.  The search state is integers: the
 example, each term's features and values, and each flip set are bit masks.
+The walk and the branching each run on an explicit stack, so neither the
+number of ballots nor the size of a flip set meets Python's recursion limit.
 
 ``lcxp_card_enum`` answers the same question for a model of any family:
 ``verify.first_flip`` reads the smallest, then lexicographically first,
@@ -63,10 +65,10 @@ class BranchStats:
     recorded in rule order.  Tuples cut before the search (conflicting
     rules, no majority flip, or a seed over the budget) are not recorded.
 
-    ``branch_nodes`` counts fully explored branches: recursion states within
-    budget that did not expand further (either a success or a dead end with
-    nothing left to flip).  Budget-pruned calls are not states of the
-    branching tree.
+    ``branch_nodes`` counts fully explored branches: flip sets within budget
+    that did not expand further (either a success or a dead end with nothing
+    left to flip).  Budget-pruned flip sets are not states of the branching
+    tree.
     """
 
     budget: int = 0
@@ -102,8 +104,10 @@ def _branch_search(
     with its votes (a single list is a vote of one): walk one rule per
     ballot depth first, cutting a prefix whose rules conflict, that cannot
     reach a majority of opposite-class votes, or whose seed exceeds k, and
-    search the smallest flip routing e to all chosen rules at once.  A term
-    is a (mask, value) pair that fires on x when ``x & mask == value``."""
+    search the smallest flip routing e to all chosen rules at once.  Both
+    run on an explicit stack that pops states depth first, lowest rule and
+    lowest feature first.  A term is a (mask, value) pair that fires on x
+    when ``x & mask == value``."""
     a = max(len(t) for dl, _ in ballots for t, _ in dl.rules)
     if stats is None:
         stats = BranchStats()
@@ -123,9 +127,24 @@ def _branch_search(
         opposite = any(c != cls for _, _, c in lists[d])
         reach[d] = reach[d + 1] + (ballots[d][1] if opposite else 0)
     best: Optional[int] = None
-    combo: list[int] = []
-
-    def search(req_mask: int, req_value: int) -> Optional[int]:
+    combo = [0] * len(lists)  # the rule chosen at each ballot of the prefix
+    walk = [(0, 0, 0, 0, 0)]  # ballot, rule, required mask and value, votes
+    while walk:
+        d, j, req_mask, req_value, votes = walk.pop()
+        if j + 1 < len(lists[d]):
+            walk.append((d, j + 1, req_mask, req_value, votes))  # the next rule
+        m, v, c = lists[d][j]
+        tally = votes + (ballots[d][1] if c != cls else 0)
+        if (v ^ req_value) & m & req_mask or tally + reach[d + 1] < need:
+            continue  # conflicting rules, or no majority flip
+        req_mask, req_value = req_mask | m, req_value | v
+        seed = (x0 ^ req_value) & req_mask
+        if seed.bit_count() > k:
+            continue  # the seed alone is over budget
+        combo[d] = j
+        if d + 1 < len(lists):
+            walk.append((d + 1, 0, req_mask, req_value, tally))
+            continue
         # earlier rules that can fire once the required literals hold, with
         # the features that may break them
         earlier = [
@@ -135,47 +154,24 @@ def _branch_search(
             if not (v ^ req_value) & m & req_mask
         ]
         nodes = 0
-
-        def rec(flips: int, size: int) -> Optional[int]:
-            nonlocal nodes
-            x = x0 ^ flips
+        flips = [seed]  # each flip adds a new bit: a set's size is its bit count
+        while flips:
+            flip = flips.pop()
+            x = x0 ^ flip
             offender = next((free for m, v, free in earlier if x & m == v), None)
-            if offender is None:
+            if offender is None:  # a success
                 nodes += 1
-                return flips
-            breakable = offender & ~flips
-            if not breakable:
+                best = _better(best, flip)
+            elif not offender & ~flip:  # a dead end: nothing left to flip
                 nodes += 1
-                return None
-            found: Optional[int] = None
-            while breakable and size < k:  # a flip past k is pruned, no node
-                low = breakable & -breakable
-                breakable ^= low
-                found = _better(found, rec(flips | low, size + 1))
-            return found
-
-        seed = (x0 ^ req_value) & req_mask
-        result = rec(seed, seed.bit_count())
+            elif flip.bit_count() < k:  # a flip past k is pruned, no node
+                breakable = offender & ~flip
+                while breakable:  # the highest first, so the lowest is popped first
+                    high = 1 << breakable.bit_length() - 1
+                    flips.append(flip | high)
+                    breakable ^= high
         stats.record(tuple(combo), nodes)
         assert nodes <= max(a, 1) ** k
-        return result
-
-    def walk(d: int, req_mask: int, req_value: int, votes: int) -> None:
-        nonlocal best
-        if d == len(lists):
-            best = _better(best, search(req_mask, req_value))
-            return
-        for j, (m, v, c) in enumerate(lists[d]):
-            tally = votes + (ballots[d][1] if c != cls else 0)
-            if (v ^ req_value) & m & req_mask or tally + reach[d + 1] < need:
-                continue  # conflicting rules, or no majority flip
-            if ((x0 ^ (req_value | v)) & (req_mask | m)).bit_count() > k:
-                continue  # the seed alone is over budget
-            combo.append(j)
-            walk(d + 1, req_mask | m, req_value | v, tally)
-            combo.pop()
-
-    walk(0, 0, 0, 0)
     return None if best is None else mask_features(best, len(e.bits))
 
 

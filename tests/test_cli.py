@@ -888,6 +888,24 @@ def test_long_gate_chain_listed_output_first(capsys, tmp_path):
     assert (code, payload) == (0, {"class": 1})  # an even number of negations
 
 
+@pytest.mark.parametrize("minimum", ["card", "subset"])
+def test_deep_rule_list_is_answered(minimum, capsys, tmp_path):
+    """1100 rules f_i = 0 -> 0 guard the one class-1 rule: the only routing
+    flips all 1100 guards, one branching step each, so the branching search
+    must not recurse per flip."""
+    depth, n = 1100, 1200
+    names = [f"f{i}" for i in range(n)]
+    rules = [[[[f"f{i}", 0]], 0] for i in range(depth)]
+    rules += [[[[f"f{depth}", 0]], 1], [[], 0]]
+    model = tmp_path / "deep.json"
+    model.write_text(json.dumps({"universe": names, "model": {"dl": {"rules": rules}}}))
+    example = tmp_path / "e.json"
+    example.write_text(json.dumps({"assign": {f: 0 for f in names}}))  # class 0
+    code, payload = run(capsys, ["explain", "--model", str(model), "--kind", "lcxp",
+                                 "--min", minimum, "--example", str(example)])
+    assert (code, payload) == (0, {"size": depth, "witness": sorted(names[:depth])})
+
+
 def _wide_rules_doc(body: dict) -> dict:
     names = [f"x{i}" for i in range(24)]
     return {"universe": names, "model": body}

@@ -123,6 +123,25 @@ class TestBranch:
         assert all(nodes <= base**stats.budget for _, nodes in stats.per_target)
 
 
+    @pytest.mark.parametrize("k, nodes", [(1, 1), (3, 2)])
+    def test_nodes_are_the_searched_states_within_budget(self, fig_dl, fig_example, k, nodes):
+        # rule 1 is reached by flipping z; the default by flipping y, or z
+        # and then x.  {z} is a state only while k > 1, so {x, z} counts at
+        # k = 3 and is pruned at k = 1
+        stats = x.BranchStats()
+        assert x.lcxp_card_branch(fig_dl, fig_example, k, stats) == frozenset({1})
+        assert stats.per_target == [((1,), 1), ((3,), nodes)]
+
+    def test_a_dead_end_is_a_node(self):
+        # flipping a to break a = 0 -> 0 fires a = 1 -> 0, which has nothing
+        # left to flip
+        u = x.universe("a", "b")
+        dl = x.DecisionList(u, ((((0, 0),), 0), (((0, 1),), 0), (((1, 1),), 1), ((), 0)))
+        stats = x.BranchStats()
+        assert x.lcxp_card_branch(dl, x.Example(u, (0, 0)), 2, stats) is None
+        assert stats.per_target == [((2,), 1)]
+
+
 class TestEnsembleBranch:
     def test_singleton_matches_single(self):
         rng = Random(41)
@@ -175,6 +194,18 @@ class TestEnsembleBranch:
         found = x.lcxp_card_branch_ens(loaded, zero, 2)
         assert time.perf_counter() - started < 1.0
         assert found == x.lcxp_card_enum(loaded, zero, 2)
+
+    def test_a_thousand_ballots_are_walked_without_recursion(self):
+        # list i is f_i = 1 -> 1, else i % 2: the all-zero example has a
+        # class-0 majority of one, and each way to turn it costs a flip
+        n = 1001
+        u = x.universe(*(f"f{i}" for i in range(n)))
+        ens = x.Ensemble(u, tuple(
+            x.DecisionList(u, ((((i, 1),), 1), ((), i % 2))) for i in range(n)))
+        assert len(ens._ballots) == n
+        started = time.perf_counter()
+        assert x.lcxp_card_branch_ens(ens, x.Example(u, (0,) * n), 0) is None
+        assert time.perf_counter() - started < 1.0
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
