@@ -23,10 +23,13 @@ chooses one rule per ballot (each distinct element value once, counted with
 its votes) depth first, in ``itertools.product`` order, and runs the branching
 against all chosen rules at once.  A prefix is cut as soon as its rules
 conflict, the remaining ballots cannot bring the opposite class a majority,
-or its seed alone exceeds the budget.  A cut that holds for a prefix holds
+or its seed alone exceeds the limit.  A cut that holds for a prefix holds
 for every extension of it, so exactly the full tuples that pass all three
-are searched and recorded.  A single list is the vote of one, whose target
-tuples are its opposite-class rules.  The search state is integers: the
+are searched and recorded.  It is a branch and bound: the limit starts at
+the budget k and falls to the size of each new best flip set, and its cuts
+are strict, since an equal size may still win ``_better``'s tie order.  A
+single list is the vote of one, whose target tuples are its opposite-class
+rules.  The search state is integers: the
 example, each term's features and values, and each flip set are bit masks.
 The walk and the branching each run on an explicit stack, so neither the
 number of ballots nor the size of a flip set meets Python's recursion limit.
@@ -63,12 +66,12 @@ class BranchStats:
     index per ballot (``Ensemble._ballots``, each distinct element value
     once), so a single model's keys are one-element tuples ``(j,)``,
     recorded in rule order.  Tuples cut before the search (conflicting
-    rules, no majority flip, or a seed over the budget) are not recorded.
+    rules, no majority flip, or a seed over the limit) are not recorded.
 
-    ``branch_nodes`` counts fully explored branches: flip sets within budget
-    that did not expand further (either a success or a dead end with nothing
-    left to flip).  Budget-pruned flip sets are not states of the branching
-    tree.
+    ``branch_nodes`` counts fully explored branches: flip sets within the
+    limit that did not expand further (either a success or a dead end with
+    nothing left to flip).  Flip sets pruned at the limit are not states of
+    the branching tree.
     """
 
     budget: int = 0
@@ -102,15 +105,13 @@ def _branch_search(
 ) -> Optional[frozenset]:
     """The branching engine over a majority vote of decision lists, each
     with its votes (a single list is a vote of one): walk one rule per
-    ballot depth first, cutting a prefix whose rules conflict, that cannot
-    reach a majority of opposite-class votes, or whose seed exceeds k, and
+    ballot, cutting a prefix whose rules conflict, that cannot reach a
+    majority of opposite-class votes, or whose seed exceeds the limit, and
     search the smallest flip routing e to all chosen rules at once.  Both
-    run on an explicit stack that pops states depth first, lowest rule and
-    lowest feature first.  A term is a (mask, value) pair that fires on x
-    when ``x & mask == value``."""
+    run on a stack that pops states depth first, lowest rule and lowest
+    feature first.  A term (mask, value) fires on x if x & mask == value."""
     a = max(len(t) for dl, _ in ballots for t, _ in dl.rules)
-    if stats is None:
-        stats = BranchStats()
+    stats = BranchStats() if stats is None else stats
     stats.budget = k
     stats.term_size = max(stats.term_size, a)
     lists = [
@@ -118,8 +119,7 @@ def _branch_search(
         for dl, _ in ballots
     ]
     x0 = e.mask()
-    total = sum(votes for _, votes in ballots)
-    need = total // 2 + 1
+    need = sum(votes for _, votes in ballots) // 2 + 1
     fired = (next(c for m, v, c in rules if x0 & m == v) for rules in lists)
     cls = int(sum(c * votes for c, (_, votes) in zip(fired, ballots)) >= need)
     reach = [0] * (len(lists) + 1)  # opposite-class votes ballots d.. can add
@@ -127,6 +127,7 @@ def _branch_search(
         opposite = any(c != cls for _, _, c in lists[d])
         reach[d] = reach[d + 1] + (ballots[d][1] if opposite else 0)
     best: Optional[int] = None
+    limit = k  # the size of best once there is one
     combo = [0] * len(lists)  # the rule chosen at each ballot of the prefix
     walk = [(0, 0, 0, 0, 0)]  # ballot, rule, required mask and value, votes
     while walk:
@@ -139,8 +140,8 @@ def _branch_search(
             continue  # conflicting rules, or no majority flip
         req_mask, req_value = req_mask | m, req_value | v
         seed = (x0 ^ req_value) & req_mask
-        if seed.bit_count() > k:
-            continue  # the seed alone is over budget
+        if seed.bit_count() > limit:
+            continue  # the seed alone is over the limit (equal sizes tie)
         combo[d] = j
         if d + 1 < len(lists):
             walk.append((d + 1, 0, req_mask, req_value, tally))
@@ -162,9 +163,10 @@ def _branch_search(
             if offender is None:  # a success
                 nodes += 1
                 best = _better(best, flip)
+                limit = best.bit_count()
             elif not offender & ~flip:  # a dead end: nothing left to flip
                 nodes += 1
-            elif flip.bit_count() < k:  # a flip past k is pruned, no node
+            elif flip.bit_count() < limit:  # a flip past the limit is pruned, no node
                 breakable = offender & ~flip
                 while breakable:  # the highest first, so the lowest is popped first
                     high = 1 << breakable.bit_length() - 1

@@ -123,14 +123,13 @@ class TestBranch:
         assert all(nodes <= base**stats.budget for _, nodes in stats.per_target)
 
 
-    @pytest.mark.parametrize("k, nodes", [(1, 1), (3, 2)])
-    def test_nodes_are_the_searched_states_within_budget(self, fig_dl, fig_example, k, nodes):
-        # rule 1 is reached by flipping z; the default by flipping y, or z
-        # and then x.  {z} is a state only while k > 1, so {x, z} counts at
-        # k = 3 and is pruned at k = 1
+    def test_nodes_are_the_searched_states_within_the_limit(self, fig_dl, fig_example):
+        # rule 1 is reached by flipping z, which lowers the limit from 3 to 1;
+        # the default is then reached by flipping y, or z and then x, but
+        # {z} is at the limit, so {x, z} is pruned and not a node
         stats = x.BranchStats()
-        assert x.lcxp_card_branch(fig_dl, fig_example, k, stats) == frozenset({1})
-        assert stats.per_target == [((1,), 1), ((3,), nodes)]
+        assert x.lcxp_card_branch(fig_dl, fig_example, 3, stats) == frozenset({1})
+        assert stats.per_target == [((1,), 1), ((3,), 1)]
 
     def test_a_dead_end_is_a_node(self):
         # flipping a to break a = 0 -> 0 fires a = 1 -> 0, which has nothing
@@ -206,6 +205,28 @@ class TestEnsembleBranch:
         started = time.perf_counter()
         assert x.lcxp_card_branch_ens(ens, x.Example(u, (0,) * n), 0) is None
         assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_limit_falls_on_wide_lists_at_full_budget(self, seed):
+        # 5 lists of 20 rules with terms of 4 to 6 literals over 24
+        # features, at k = n: the answers have size 1, and a search that
+        # keeps k as its limit searches 32 000 to 42 000 rule tuples
+        rng = Random(seed)
+        u = random_universe(rng, 24)
+        lists = []
+        for _ in range(5):
+            rules = tuple(
+                (tuple((f, rng.randint(0, 1)) for f in rng.sample(range(24), rng.randint(4, 6))),
+                 rng.randint(0, 1))
+                for _ in range(20)
+            )
+            lists.append(x.DecisionList(u, rules + (((), rng.randint(0, 1)),)))
+        ens = x.Ensemble(u, tuple(lists))
+        e = random_example(rng, u)
+        started = time.perf_counter()
+        found = x.lcxp_card_branch_ens(ens, e, 24)
+        assert time.perf_counter() - started < 1.0
+        assert found == x.lcxp_card_enum(ens, e, 24)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
