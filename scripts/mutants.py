@@ -45,6 +45,7 @@ _CORE = "src/xplain/core.py"
 _DT = "src/xplain/explain_dt.py"
 _GADGETS = "src/xplain/gadgets.py"
 _MODELIO = "src/xplain/modelio.py"
+_RULES = "src/xplain/explain_rules.py"
 
 # the last level's memo, from its look-up to its store
 _MEMO = """\
@@ -190,10 +191,36 @@ MUTANTS = [
            ("tests/test_explain_dt.py::TestProduct::"
             "test_a_ballot_of_two_votes_decides_every_path",)),
     # the one tie-break of every minimum contrastive witness
-    Mutant("better-tie-flipped", "src/xplain/explain_rules.py",
+    Mutant("better-tie-flipped", _RULES,
            "(size_b == size_a and (a ^ b) & -(a ^ b) & b)",
            "(size_b == size_a and (a ^ b) & -(a ^ b) & a)",
            ("tests/test_explain_dt.py::TestLcxpMin::test_witness_is_the_oracles",)),
+    # the branching search's cuts and its node count: a prefix with
+    # conflicting rules is not searched, flips stop at the limit, which
+    # falls to the best size found and cuts equal seeds only past it, and
+    # a dead end is a node
+    Mutant("branch-conflict-cut-dropped", _RULES,
+           "        if (v ^ req_value) & m & req_mask or tally + reach[d + 1] < need:\n",
+           "        if tally + reach[d + 1] < need:\n",
+           ("tests/test_explain_rules.py::test_branch_witness_equals_oracle_within_budget",)),
+    Mutant("branch-flip-budget-inclusive", _RULES,
+           "elif flip.bit_count() < limit:", "elif flip.bit_count() <= limit:",
+           ("tests/test_explain_rules.py::test_branch_witness_equals_oracle_within_budget",
+            "tests/test_explain_rules.py::TestBranch::"
+            "test_nodes_are_the_searched_states_within_the_limit")),
+    Mutant("branch-dead-end-uncounted", _RULES,
+           "  # a dead end: nothing left to flip\n                nodes += 1\n",
+           "\n                pass\n",
+           ("tests/test_explain_rules.py::TestBranch::test_a_dead_end_is_a_node",)),
+    Mutant("branch-seed-cut-inclusive", _RULES,
+           "if seed.bit_count() > limit:", "if seed.bit_count() >= limit:",
+           ("tests/test_explain_rules.py::test_branch_witness_equals_oracle_within_budget",)),
+    Mutant("branch-limit-never-falls", _RULES,
+           "                limit = best.bit_count()\n", "",
+           ("tests/test_explain_rules.py::TestBranch::"
+            "test_nodes_are_the_searched_states_within_the_limit",
+            "tests/test_explain_rules.py::TestEnsembleBranch::"
+            "test_the_limit_falls_on_wide_lists_at_full_budget")),
     # a request that does not fit is refused
     Mutant("translate-class-unchecked", "src/xplain/circuits.py",
            '    check_int(c, 0, 2, f"class must be 0 or 1, got {c!r}")\n', "",
