@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import xplain as x
 from generators import random_coloured_graph, random_dnf, random_hitting_set
