@@ -29,10 +29,10 @@ are searched and recorded.  It is a branch and bound: the limit starts at
 the budget k and falls to the size of each new best flip set, and its cuts
 are strict, since an equal size may still win ``_better``'s tie order.  A
 single list is the vote of one, whose target tuples are its opposite-class
-rules.  The search state is integers: the
-example, each term's features and values, and each flip set are bit masks.
-The walk and the branching each run on an explicit stack, so neither the
-number of ballots nor the size of a flip set meets Python's recursion limit.
+rules.  The search state is integers: the example, each term's features and
+values, and each flip set are bit masks.  The walk and the branching each
+run depth first on an explicit stack, lowest rule and feature first, so
+Python's recursion limit caps neither the ballots nor the flips.
 
 ``lcxp_card_enum`` answers the same question for a model of any family:
 ``verify.first_flip`` reads the smallest, then lexicographically first,
@@ -107,11 +107,11 @@ def _branch_search(
     with its votes (a single list is a vote of one): walk one rule per
     ballot, cutting a prefix whose rules conflict, that cannot reach a
     majority of opposite-class votes, or whose seed exceeds the limit, and
-    search the smallest flip routing e to all chosen rules at once.  Both
-    run on a stack that pops states depth first, lowest rule and lowest
-    feature first.  A term (mask, value) fires on x if x & mask == value."""
+    search the smallest flip routing e to all chosen rules at once.  A term
+    is a (mask, value) pair that fires on x when ``x & mask == value``."""
     a = max(len(t) for dl, _ in ballots for t, _ in dl.rules)
-    stats = BranchStats() if stats is None else stats
+    if stats is None:
+        stats = BranchStats()
     stats.budget = k
     stats.term_size = max(stats.term_size, a)
     lists = [
@@ -119,7 +119,8 @@ def _branch_search(
         for dl, _ in ballots
     ]
     x0 = e.mask()
-    need = sum(votes for _, votes in ballots) // 2 + 1
+    total = sum(votes for _, votes in ballots)
+    need = total // 2 + 1
     fired = (next(c for m, v, c in rules if x0 & m == v) for rules in lists)
     cls = int(sum(c * votes for c, (_, votes) in zip(fired, ballots)) >= need)
     reach = [0] * (len(lists) + 1)  # opposite-class votes ballots d.. can add
