@@ -122,7 +122,6 @@ class TestBranch:
         base = max(stats.term_size, 1)
         assert all(nodes <= base**stats.budget for _, nodes in stats.per_target)
 
-
     def test_nodes_are_the_searched_states_within_the_limit(self, fig_dl, fig_example):
         # rule 1 is reached by flipping z, which lowers the limit from 3 to 1;
         # the default is then reached by flipping y, or z and then x, but
