@@ -70,7 +70,7 @@ IN, AND, OR, NOT, MAJ = "IN", "AND", "OR", "NOT", "MAJ"
 _KINDS = (IN, AND, OR, NOT, MAJ)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     kind: str
     ins: tuple[int, ...] = ()
@@ -78,7 +78,7 @@ class Gate:
     feature: Optional[int] = None  # IN gates only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circuit:
     universe: FeatureUniverse
     gates: tuple[Gate, ...]
@@ -185,7 +185,7 @@ class Circuit:
         return ParamReport(model_size=len(self.gates))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WidthCertificate:
     """Deletion set witnessing the closed-form width bound: removing the set
     together with the IN gates, the IN-fed NOT gates and the output leaves a

@@ -26,7 +26,7 @@ class CapExceeded(RuntimeError):
     """A brute-force enumeration was asked to search too many free features."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BruteCaps:
     verify: int = 24          # free features of a verification or flip table
     oracle_local: int = 16    # |F| for the exhaustive oracle, local kinds

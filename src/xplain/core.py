@@ -7,6 +7,16 @@ bit, class, threshold, cap and budget k is an ``int`` in its range and not a
 1.0 as 1, and a tree reads its splits by value (see ``DecisionTree``).
 Algorithms use dense feature indices; names (strings) only matter in JSON.
 
+The records built per node, example or rule model (``Leaf``, ``Split``,
+``FeatureUniverse``, ``Example``, ``PartialExample``, ``DecisionSet``,
+``DecisionList`` and ``ParamReport`` here, and the gates, circuits, caps and
+gadget records of the other modules) are slotted frozen dataclasses: no
+instance ``__dict__``, so a gadget arena of tens of thousands of splits
+costs about 40 bytes less per node.  The memo fields are slots, still
+written with ``object.__setattr__``.  ``DecisionTree`` and ``Ensemble`` keep
+their instance dict: there are a few per model, and they must stay weakly
+referenceable, which a slotted dataclass allows only from Python 3.11.
+
 Classification semantics:
 
 * decision tree    -- walk from the root, at an inner node testing feature
@@ -73,7 +83,7 @@ and order, so a reader need not normalize first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import inf
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from typing import Optional, Union
@@ -113,7 +123,7 @@ def permutation(order: Iterable, n: int, message: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureUniverse:
     """Ordered set of distinct feature names; position = dense index."""
 
@@ -147,7 +157,7 @@ def universe(*names: str) -> FeatureUniverse:
     return FeatureUniverse(tuple(names))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Example:
     """Total 0/1 assignment of a universe's features."""
 
@@ -179,7 +189,7 @@ def mask_features(mask: int, n: int) -> frozenset:
     return frozenset(f for f in range(n) if mask >> f & 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialExample:
     """0/1 assignment of some subset of a universe's features."""
 
@@ -220,7 +230,7 @@ class PartialExample:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     label: int
 
@@ -229,7 +239,7 @@ class Leaf:
         check_int(self.label, -inf, inf, "leaf labels must be 0 or 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Split:
     feature: int
     lo: int  # child index followed when the feature is 0
@@ -405,7 +415,7 @@ def _term_table(term: Term, cols: Columns, full: int) -> int:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionSet:
     universe: FeatureUniverse
     terms: tuple[Term, ...]
@@ -449,7 +459,7 @@ class DecisionSet:
         return DecisionList(self.universe, rules)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionList:
     universe: FeatureUniverse
     rules: tuple[tuple[Term, int], ...]
@@ -917,7 +927,7 @@ def respects_order(t: DecisionTree, order: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParamReport:
     """Model parameters; fields that do not apply to the family are None.
 
@@ -937,11 +947,8 @@ class ParamReport:
     model_size: Optional[int] = None
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            k: v
-            for k, v in self.__dict__.items()
-            if v is not None and not k.startswith("_")
-        }
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {k: v for k, v in values if v is not None}
 
 
 def measure(model) -> ParamReport:

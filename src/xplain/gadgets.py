@@ -72,7 +72,7 @@ from .verify import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetFamily:
     """Family of feature subsets, with the feature set the recognizer reads.
 
@@ -101,7 +101,7 @@ class SetFamily:
         return max((len(s) for s in self.sets), default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColouredGraph:
     """Vertices partitioned into colour classes; no edge inside a class."""
 
@@ -135,14 +135,14 @@ class ColouredGraph:
         return [v for cls in self.classes for v in cls]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     kind: str  # laxp | lcxp | gaxp | gcxp | hom | phom
     target: object = None  # Example for local kinds, class bit for global
     k: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GadgetInstance:
     model: object
     queries: tuple[Query, ...]
@@ -640,7 +640,7 @@ def taut_ds_gadget(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomEquivalenceReport:
     """Nine equivalent phrasings of 'the model classifies everything like the
     all-zero example', each evaluated through a different code path but

@@ -242,6 +242,11 @@ class TestMeasure:
         u = x.universe("a")
         assert x.measure(x.DecisionSet(u, (), 1)).size_elem == 1
 
+    def test_as_dict_lists_the_fields_that_apply_in_order(self):
+        report = x.ParamReport(model_size=7, terms_elem=2, mnl_size=None)
+        assert list(report.as_dict().items()) == [("terms_elem", 2), ("model_size", 7)]
+        assert x.ParamReport().as_dict() == {}
+
     def test_ensemble_aggregates(self):
         rng = Random(3)
         u = random_universe(rng, 5)
@@ -842,3 +847,62 @@ def test_deep_path_tree_order_table_and_restriction():
     assert x.subcube_table(t, fixed, [depth - 2, depth - 1]) == 0b1000
     out = x.restrict_dt(t, x.PartialExample(u, tuple(fixed.items())))
     assert out.leaf_count() == 3
+
+
+# a value of every record built per node, example, gate or model, and of the
+# caps and gadget records: each a slotted frozen dataclass
+_RECORDS = {
+    "Leaf": lambda: x.Leaf(1),
+    "Split": lambda: x.Split(0, 1, 2),
+    "FeatureUniverse": lambda: x.universe("a", "b", "c"),
+    "Example": lambda: x.Example(_U3, (0, 1, 1)),
+    "PartialExample": lambda: x.PartialExample(_U3, ((2, 0), (0, 1))),
+    "DecisionSet": lambda: x.DecisionSet(_U3, (((0, 1), (2, 0)),), 0),
+    "DecisionList": lambda: x.DecisionList(_U3, ((((1, 1),), 1), ((), 0))),
+    "ParamReport": lambda: x.ParamReport(terms_elem=1, model_size=3),
+    "Gate": lambda: x.Gate("MAJ", (0, 1), 1),
+    "Circuit": _circuit,
+    "WidthCertificate": lambda: x.WidthCertificate(frozenset({1}), 6, "dl"),
+    "BruteCaps": lambda: x.BruteCaps(verify=3),
+    "SetFamily": lambda: x.SetFamily(_U3, (frozenset({0, 2}),)),
+    "ColouredGraph": lambda: x.ColouredGraph((("p",), ("q",)), (("p", "q"),)),
+    "Query": lambda: x.Query("phom", k=1),
+    "GadgetInstance": lambda: x.GadgetInstance(_TREE3, (x.Query("hom"),), True, "tree", {}),
+    "HomEquivalenceReport": lambda: x.HomEquivalenceReport((True, True), ((1, True, True),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_are_slotted_values(name):
+    """No instance dict, and the same value as before: it refuses
+    assignment, compares, hashes (but for a ``GadgetInstance``, whose meta
+    is a dict) and prints equal to an equal value built anew, survives
+    ``dataclasses.replace``, and a memo written with ``object.__setattr__``
+    is no part of the value."""
+    a, b = _RECORDS[name](), _RECORDS[name]()
+    assert type(a) is getattr(x, name) and not hasattr(a, "__dict__")
+    assert a is not b and a == b and repr(a) == repr(b)
+    if name == "GadgetInstance":
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    first = dataclasses.fields(a)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(a, first, getattr(b, first))
+    # a name that is no field has no slot; CPython's frozen slotted
+    # __setattr__ refuses it with a TypeError
+    with pytest.raises((AttributeError, TypeError)):
+        a.extra = 1
+    copy = dataclasses.replace(a)
+    assert type(copy) is type(a) and copy == a and not hasattr(copy, "__dict__")
+    if hasattr(a, "_zero_flip"):
+        object.__setattr__(a, "_zero_flip", frozenset({0}))
+        assert a._zero_flip == frozenset({0}) and a == b and hash(a) == hash(b)
+
+
+def test_trees_and_ensembles_keep_their_instance_dict():
+    # a few per model, and weakly referenceable on every supported Python
+    ens = x.Ensemble(_U3, (_TREE3,))
+    for value in (_TREE3, ens):
+        assert hasattr(value, "__dict__") and weakref.ref(value)() is value

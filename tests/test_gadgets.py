@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
+import tracemalloc
 from itertools import combinations
 from random import Random
 
@@ -362,6 +364,27 @@ def test_budget_search_agrees_with_oracle(seed):
 
 
 class TestMccOdt:
+    def test_arena_stays_under_a_hundred_bytes_a_node(self):
+        # four colours of three vertices, adjacent across colours where
+        # their indices differ by at most one: 3391 nodes.  Slotted leaves
+        # and splits hold about 90 B live a node (a split, its arena slot
+        # and index ints), against 108-138 B with an instance dict
+        classes = tuple(tuple(f"{c}{i}" for i in range(3)) for c in "abcd")
+        edges = tuple((f"{a}{i}", f"{b}{j}") for a, b in combinations("abcd", 2)
+                      for i in range(3) for j in range(3) if abs(i - j) <= 1)
+        g = x.ColouredGraph(classes, edges)
+        x.mcc_odt_gaxp_gadget(g, 4)  # anything built once per process is built
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            inst = x.mcc_odt_gaxp_gadget(g, 4)
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(inst.model.nodes) == 3391
+        assert live < 100 * len(inst.model.nodes)
+
     def test_single_edge_pair(self):
         g = x.ColouredGraph((("a", "b"), ("c",)), (("a", "c"),))
         inst = x.mcc_odt_gaxp_gadget(g, 2)
