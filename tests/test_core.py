@@ -210,6 +210,19 @@ def test_seeded_leaf_walk_reads_the_restricted_tree(seed, n, depth):
         assert list(_leaf_paths(t)) == list(_leaf_paths(x.normalize_dt(t)))
 
 
+@given(seed=st.integers(0, 100_000), n=st.integers(1, 6), depth=st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_leaf_count_is_the_number_of_leaves(seed, n, depth):
+    # read off the arena's length, since the constructor proves a full
+    # binary tree: raw trees, their normal forms and tree products alike
+    rng = Random(seed)
+    u = random_universe(rng, n)
+    raw = random_dt(rng, u, max_depth=depth)
+    ens = x.Ensemble(u, (raw, random_dt(rng, u, max_depth=depth), raw))
+    for t in (raw, permuted_arena(rng, raw), x.normalize_dt(raw), x.product_dt(ens)):
+        assert t.leaf_count() == sum(isinstance(node, x.Leaf) for node in t.nodes)
+
+
 class TestRespectsOrder:
     def test_single_leaf_any_order(self):
         u = x.universe("a", "b")
