@@ -454,7 +454,10 @@ def mcc_unary_ensemble_gadget(
     elements.extend([_constant_model(u, 0, pad_family, order)] * padders)
     ens = Ensemble(u, tuple(elements))
     zero = Example(u, (0,) * len(u))
-    positive_votes = sum(classify(m, zero) for m in ens.elements)
+    copies: dict[int, list] = {}  # id(element) -> [element, copies]
+    for m in elements:
+        copies.setdefault(id(m), [m, 0])[1] += 1
+    positive_votes = sum(classify(m, zero) * count for m, count in copies.values())
     assert positive_votes == n * len(non_edges)
     assert classify(ens, zero) == 0
     return GadgetInstance(
