@@ -197,8 +197,8 @@ MUTANTS = [
            ("tests/test_explain_dt.py::TestLcxpMin::test_witness_is_the_oracles",)),
     # the branching search's cuts and its node count: a prefix with
     # conflicting rules is not searched, flips stop at the limit, which
-    # falls to the best size found and cuts equal seeds only past it, and
-    # a dead end is a node
+    # falls to the best size found and cuts equal seeds only past it, a
+    # flip never breaks a required literal, and a dead end is a node
     Mutant("branch-conflict-cut-dropped", _RULES,
            "        if (v ^ req_value) & m & req_mask or tally + reach[d + 1] < need:\n",
            "        if tally + reach[d + 1] < need:\n",
@@ -214,6 +214,10 @@ MUTANTS = [
            ("tests/test_explain_rules.py::TestBranch::test_a_dead_end_is_a_node",)),
     Mutant("branch-seed-cut-inclusive", _RULES,
            "if seed.bit_count() > limit:", "if seed.bit_count() >= limit:",
+           ("tests/test_explain_rules.py::test_branch_witness_equals_oracle_within_budget",)),
+    Mutant("branch-offender-breaks-required", _RULES,
+           "                m & ~req_mask\n                for rules, j in zip(lists, combo)\n",
+           "                m\n                for rules, j in zip(lists, combo)\n",
            ("tests/test_explain_rules.py::test_branch_witness_equals_oracle_within_budget",)),
     Mutant("branch-limit-never-falls", _RULES,
            "                limit = best.bit_count()\n", "",

@@ -44,6 +44,7 @@ set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Union
 
 from .config import DEFAULT_CAPS, BruteCaps
@@ -147,20 +148,20 @@ def _branch_search(
         if d + 1 < len(lists):
             walk.append((d + 1, 0, req_mask, req_value, tally))
             continue
-        # earlier rules that can fire once the required literals hold, with
-        # the features that may break them
-        earlier = [
-            (m, v, m & ~req_mask)
-            for rules, j in zip(lists, combo)
-            for m, v, _ in rules[:j]
-            if not (v ^ req_value) & m & req_mask
-        ]
         nodes = 0
         flips = [seed]  # each flip adds a new bit: a set's size is its bit count
         while flips:
             flip = flips.pop()
             x = x0 ^ flip
-            offender = next((free for m, v, free in earlier if x & m == v), None)
+            # the first earlier rule that fires, with the features that may
+            # break it: no flip touches a required literal, so a rule that
+            # conflicts with them never fires
+            offender = next((
+                m & ~req_mask
+                for rules, j in zip(lists, combo)
+                for m, v, _ in islice(rules, j)
+                if x & m == v
+            ), None)
             if offender is None:  # a success
                 nodes += 1
                 best = _better(best, flip)

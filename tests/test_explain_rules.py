@@ -140,6 +140,30 @@ class TestBranch:
         assert stats.per_target == [((2,), 1)]
 
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_long_list_reads_its_earlier_rules_lazily(self, seed):
+        # 3000 random two-literal rules of alternating classes over 40
+        # features, then the default, at k = n (answers of size 1 and 2):
+        # over 1000 target rules, each reading the rules before it only up
+        # to the first that fires, not all of them once per target
+        rng = Random(seed)
+        n = 40
+        u = random_universe(rng, n)
+        rules = tuple(
+            (tuple((f, rng.randint(0, 1)) for f in rng.sample(range(n), 2)), i % 2)
+            for i in range(3000)
+        )
+        dl = x.DecisionList(u, rules + (((), 0),))
+        e = random_example(rng, u)
+        started = time.perf_counter()
+        found = x.lcxp_card_branch(dl, e, n)
+        assert time.perf_counter() - started < 0.2
+        cls = x.classify(dl, e)
+        assert x.classify(dl, x.flip(e, found)) != cls
+        if len(found) > 1:
+            assert all(x.classify(dl, x.flip(e, [f])) == cls for f in range(n))
+
+
 class TestEnsembleBranch:
     def test_singleton_matches_single(self):
         rng = Random(41)
