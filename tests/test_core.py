@@ -255,11 +255,6 @@ class TestMeasure:
         u = x.universe("a")
         assert x.measure(x.DecisionSet(u, (), 1)).size_elem == 1
 
-    def test_as_dict_lists_the_fields_that_apply_in_order(self):
-        report = x.ParamReport(model_size=7, terms_elem=2, mnl_size=None)
-        assert list(report.as_dict().items()) == [("terms_elem", 2), ("model_size", 7)]
-        assert x.ParamReport().as_dict() == {}
-
     def test_ensemble_aggregates(self):
         rng = Random(3)
         u = random_universe(rng, 5)
@@ -912,10 +907,3 @@ def test_records_are_slotted_values(name):
     if hasattr(a, "_zero_flip"):
         object.__setattr__(a, "_zero_flip", frozenset({0}))
         assert a._zero_flip == frozenset({0}) and a == b and hash(a) == hash(b)
-
-
-def test_trees_and_ensembles_keep_their_instance_dict():
-    # a few per model, and weakly referenceable on every supported Python
-    ens = x.Ensemble(_U3, (_TREE3,))
-    for value in (_TREE3, ens):
-        assert hasattr(value, "__dict__") and weakref.ref(value)() is value
