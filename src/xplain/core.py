@@ -12,10 +12,11 @@ The records built per node, example or rule model (``Leaf``, ``Split``,
 ``DecisionList`` and ``ParamReport`` here, and the gates, circuits, caps and
 gadget records of the other modules) are slotted frozen dataclasses: no
 instance ``__dict__``, so a gadget arena of tens of thousands of splits
-costs about 40 bytes less per node.  The memo fields are slots, still
+holds a fifth to a third less per node.  The memo fields are slots, still
 written with ``object.__setattr__``.  ``DecisionTree`` and ``Ensemble`` keep
-their instance dict: there are a few per model, and they must stay weakly
-referenceable, which a slotted dataclass allows only from Python 3.11.
+their instance dict: there are only a few per model, and they must stay
+weakly referenceable, which a slotted dataclass is only from Python 3.11
+(``weakref_slot``).
 
 Classification semantics:
 
