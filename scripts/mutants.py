@@ -250,6 +250,12 @@ MUTANTS = [
            "Split(f, reject, accept) if bit[f] else Split(f, accept, reject)",
            "Split(f, accept, reject) if bit[f] else Split(f, reject, accept)",
            ("tests/test_gadgets.py::TestOdtFromExamples::test_single_all_zero_row",)),
+    # the clique ensembles' all-zero vote check asserts the exact count of
+    # each construction, not only that the vote rejects the example
+    Mutant("clique-vote-count-weakened", _GADGETS,
+           "    assert votes == zero_votes <= len(elements) // 2\n",
+           "    assert votes <= len(elements) // 2\n",
+           ("tests/test_gadgets.py::test_clique_vote_check_counts_the_padders",)),
     # the least zero flip kept on a model: read for the all-zero example with
     # nothing held, and only after the request and the cap are checked
     Mutant("zero-flip-read-for-any-example", "src/xplain/verify.py",

@@ -19,7 +19,11 @@ solvers in :mod:`xplain.truth`, which share no code with the constructions.
 ``mcc_odt_gaxp_gadget`` builds no sub-trees: it emits its scaffold and its
 blocks in one pass into one node arena and checks one ``DecisionTree`` at
 the end.  Every builder that takes a budget k checks it by
-``verify._budget``, the rule of the explanation entries.
+``verify._budget``, the rule of the explanation entries.  The two
+clique-ensemble builders list only their elements: ``_clique_universe``
+opens both with their checks and the graph's universe, and
+``_clique_instance`` closes both with the all-zero vote check, counted per
+distinct element object, and the instance.
 
 Generated universes are laid out in the declared feature order, so the order
 tag of every emitted tree is the identity permutation.
@@ -333,18 +337,55 @@ def hitting_set_gadget(
     )
 
 
-def _graph_universe(g: ColouredGraph) -> tuple[FeatureUniverse, dict[str, int]]:
-    names = []
+def _clique_truth(g: ColouredGraph, k: int) -> bool:
+    return truth.has_clique(g.vertices(), g.edges, k)
+
+
+def _clique_universe(
+    g: ColouredGraph, k: int, mode: str
+) -> tuple[FeatureUniverse, dict[str, int], list[tuple[str, str]]]:
+    """The checks that open both clique-ensemble builders, then the graph's
+    universe (one feature per vertex, in colour-block order), each vertex's
+    feature and the graph's non-edges."""
+    _budget(k)
+    if k != g.k:
+        raise ModelError("k must equal the number of colour classes")
+    if mode not in ("set", "subset"):
+        raise ModelError(f"unknown mode {mode!r}")
+    names: list[str] = []
     feature_of = {}
     for ci, cls in enumerate(g.classes):
         for vi, v in enumerate(cls):
             feature_of[v] = len(names)
             names.append(f"v.{ci}.{vi}")
-    return FeatureUniverse(tuple(names)), feature_of
+    edges = set(g.edges)
+    non_edges = [e for e in combinations(g.vertices(), 2) if tuple(sorted(e)) not in edges]
+    return FeatureUniverse(tuple(names)), feature_of, non_edges
 
 
-def _clique_truth(g: ColouredGraph, k: int) -> bool:
-    return truth.has_clique(g.vertices(), g.edges, k)
+def _clique_instance(
+    g: ColouredGraph, k: int, u: FeatureUniverse, elements: list, zero_votes: int,
+    provenance: str, **meta,
+) -> GadgetInstance:
+    """The ensemble of a clique-ensemble builder's elements, with its
+    homogeneity queries.  The elements must cast exactly ``zero_votes``
+    votes for class 1 on the all-zero example, fewer than a majority, so
+    the vote rejects it.  The votes are counted once per distinct element
+    object, times its copies, and the ensemble is never evaluated."""
+    ens = Ensemble(u, tuple(elements))
+    zero = Example(u, (0,) * len(u))
+    copies: dict[int, list] = {}  # id(element) -> [element, copies]
+    for m in elements:
+        copies.setdefault(id(m), [m, 0])[1] += 1
+    votes = sum(classify(m, zero) * count for m, count in copies.values())
+    assert votes == zero_votes <= len(elements) // 2
+    return GadgetInstance(
+        ens,
+        (Query("hom"), Query("phom", k=k)),
+        truth=_clique_truth(g, k),
+        provenance=provenance,
+        meta={"order": list(u.names), "ens_size": len(elements), **meta},
+    )
 
 
 def mcc_ensemble_gadget(
@@ -358,13 +399,9 @@ def mcc_ensemble_gadget(
     rejector for non-edges and same-colour duplications, and constant-0
     padders up to 2k + 1 elements.  The padders are one model object
     repeated, so the ensemble tabulates it once (``Ensemble._ballots``).
+    On the all-zero example only the subset-mode rejector votes 1.
     """
-    _budget(k)
-    if k != g.k:
-        raise ModelError("k must equal the number of colour classes")
-    if mode not in ("set", "subset"):
-        raise ModelError(f"unknown mode {mode!r}")
-    u, feature_of = _graph_universe(g)
+    u, feature_of, non_edges = _clique_universe(g, k, mode)
     colour_of = {v: ci for ci, cls in enumerate(g.classes) for v in cls}
     order = tuple(range(len(u)))
     elements: list = []
@@ -389,24 +426,13 @@ def mcc_ensemble_gadget(
         for cls in g.classes:
             fam = SetFamily(u, tuple(frozenset((feature_of[v],)) for v in cls))
             elements.append(subset_model_rules(fam, 1, family))
-        non_edges = tuple(
-            frozenset((feature_of[x], feature_of[y]))
-            for x, y in combinations(g.vertices(), 2)
-            if (min(x, y), max(x, y)) not in g.edges
-        )
-        elements.append(subset_model_rules(SetFamily(u, non_edges), 0, family))
+        rejected = tuple(frozenset((feature_of[x], feature_of[y])) for x, y in non_edges)
+        elements.append(subset_model_rules(SetFamily(u, rejected), 0, family))
         # k constant-0 padders lift the majority threshold to "every
         # non-padder element must accept"
         elements.extend([_constant_model(u, 0, family, order)] * k)
-    ens = Ensemble(u, tuple(elements))
-    zero = Example(u, (0,) * len(u))
-    assert classify(ens, zero) == 0
-    return GadgetInstance(
-        ens,
-        (Query("hom"), Query("phom", k=k)),
-        truth=_clique_truth(g, k),
-        provenance=f"mcc-ensemble/{mode}",
-        meta={"order": [u.name(f) for f in order], "ens_size": len(elements)},
+    return _clique_instance(
+        g, k, u, elements, 0 if mode == "set" else 1, f"mcc-ensemble/{mode}"
     )
 
 
@@ -419,23 +445,13 @@ def mcc_unary_ensemble_gadget(
 
     Each rejector's copies and all the padders are one model object
     repeated, so the ensemble holds len(non_edges) + n + 1 ballots
-    (``Ensemble._ballots``) and tabulates each once."""
-    _budget(k)
-    if k != g.k:
-        raise ModelError("k must equal the number of colour classes")
-    if mode not in ("set", "subset"):
-        raise ModelError(f"unknown mode {mode!r}")
-    u, feature_of = _graph_universe(g)
+    (``Ensemble._ballots``) and tabulates each once.  On the all-zero
+    example every rejector copy votes 1."""
+    u, feature_of, non_edges = _clique_universe(g, k, mode)
     order = tuple(range(len(u)))
-    vertices = g.vertices()
-    n = len(vertices)
+    n = len(u)
     if n == 0:
         raise ModelError("graph needs at least one vertex")
-    non_edges = [
-        (x, y)
-        for x, y in combinations(vertices, 2)
-        if (min(x, y), max(x, y)) not in g.edges
-    ]
     builder = (
         (lambda fam, c: set_model_odt(fam, c, order))
         if mode == "set"
@@ -446,30 +462,15 @@ def mcc_unary_ensemble_gadget(
         fam = SetFamily(u, (frozenset((feature_of[x], feature_of[y])),))
         rejector = builder(fam, 0)
         elements.extend([rejector] * n)
-    for v in vertices:
-        elements.append(builder(SetFamily(u, (frozenset((feature_of[v],)),)), 1))
+    for f in range(n):
+        elements.append(builder(SetFamily(u, (frozenset((f,)),)), 1))
     padders = n * len(non_edges) - n + 2 * k - 1
     assert padders >= 0
     pad_family = "odt" if mode == "set" else family
     elements.extend([_constant_model(u, 0, pad_family, order)] * padders)
-    ens = Ensemble(u, tuple(elements))
-    zero = Example(u, (0,) * len(u))
-    copies: dict[int, list] = {}  # id(element) -> [element, copies]
-    for m in elements:
-        copies.setdefault(id(m), [m, 0])[1] += 1
-    positive_votes = sum(classify(m, zero) * count for m, count in copies.values())
-    assert positive_votes == n * len(non_edges)
-    assert classify(ens, zero) == 0
-    return GadgetInstance(
-        ens,
-        (Query("hom"), Query("phom", k=k)),
-        truth=_clique_truth(g, k),
-        provenance=f"mcc-unary-ensemble/{mode}",
-        meta={
-            "order": [u.name(f) for f in order],
-            "ens_size": len(elements),
-            "padders": padders,
-        },
+    return _clique_instance(
+        g, k, u, elements, n * len(non_edges), f"mcc-unary-ensemble/{mode}",
+        padders=padders,
     )
 
 
@@ -618,23 +619,14 @@ def taut_ds_gadget(
         if all(required[v] == b for v, b in term):  # no variable required 0 and 1
             clean.append(tuple((u.index(v), b) for v, b in required.items()))
     model = DecisionSet(u, tuple(clean), 0)
-    tautology = truth.is_tautology_dnf(terms, variables)
-    zero_satisfies = any(all(b == 0 for _, b in t) for t in clean)
-    if not zero_satisfies:
-        return GadgetInstance(
-            model,
-            (),
-            truth=not tautology,
-            provenance="taut-ds",
-            meta={"trivial_no": True},
-        )
     assert measure(model).term_size <= 3
+    zero_satisfies = any(all(b == 0 for _, b in t) for t in clean)
     return GadgetInstance(
         model,
-        (Query("hom"),),
-        truth=not tautology,
+        (Query("hom"),) if zero_satisfies else (),
+        truth=not truth.is_tautology_dnf(terms, variables),
         provenance="taut-ds",
-        meta={"trivial_no": False},
+        meta={"trivial_no": not zero_satisfies},
     )
 
 

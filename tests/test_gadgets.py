@@ -499,6 +499,41 @@ def test_gadget_builders_refuse_the_budgets_a_request_refuses(builder, k):
         _BUDGET_BUILDERS[builder](k)
 
 
+_CLIQUE_ENSEMBLES = (x.mcc_ensemble_gadget, x.mcc_unary_ensemble_gadget)
+
+
+@pytest.mark.parametrize("family", ["ds", "dl"])
+@pytest.mark.parametrize("mode", ["set", "subset"])
+@pytest.mark.parametrize("build", _CLIQUE_ENSEMBLES, ids=lambda b: b.__name__)
+def test_clique_ensemble_set_up_evaluates_no_ensemble(monkeypatch, build, mode, family):
+    """The all-zero vote check reads each distinct element once, never the
+    ensemble's own vote."""
+
+    def refuse(self, e):
+        raise RuntimeError("the ensemble was evaluated")
+
+    monkeypatch.setattr(x.Ensemble, "evaluate", refuse)
+    rng = Random(43)
+    for _ in range(5):
+        k = rng.randint(2, 3)
+        g = random_coloured_graph(rng, rng.randint(k, 6), k, edge_p=rng.random())
+        assert isinstance(build(g, k, mode, family).model, x.Ensemble)
+
+
+def test_clique_vote_check_counts_the_padders(monkeypatch):
+    """Padders that vote 1 on the all-zero example break the count the
+    construction gives, even where the vote still rejects that example
+    (two padders of five elements in set mode)."""
+    constant = gadgets._constant_model
+    monkeypatch.setattr(gadgets, "_constant_model",
+                        lambda u, bit, family, order: constant(u, 1, family, order))
+    g = _complete_graph(3)
+    for build in _CLIQUE_ENSEMBLES:
+        for mode in ("set", "subset"):
+            with pytest.raises(AssertionError):
+                build(g, 3, mode)
+
+
 class TestTaut:
     def test_excluded_middle_is_a_tautology(self):
         inst = x.taut_ds_gadget([[("x", 1)], [("x", 0)]], ["x"])
