@@ -534,9 +534,7 @@ class Ensemble:
 
     universe: FeatureUniverse
     elements: tuple  # DecisionTree | DecisionSet | DecisionList, homogeneous
-    # explain_dt.product_dt's memos: the product of the ballots' leaf counts
-    # and the product tree of a tree ensemble
-    _projected: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    # explain_dt.product_dt's memo: the product tree of a tree ensemble
     _product: Optional[DecisionTree] = field(
         default=None, init=False, repr=False, compare=False
     )

@@ -496,21 +496,18 @@ def product_dt(ens: Ensemble, max_leaves: int = 1_000_000) -> DecisionTree:
     once, so the projected leaf count is the product of the ballots' leaf
     counts; construction aborts beyond ``max_leaves``.
 
-    The projected count and the product are memoized on the ensemble, so
-    every query on one ensemble counts its ballots' leaves once and shares
-    one product tree; its constructor finds it in normal form.  The
-    projected count is compared with ``max_leaves`` on every call, a memo
-    hit included, so ``max_leaves`` refuses the same ensembles whether or
-    not the product was built before.
+    The product is memoized on the ensemble, so every query on one ensemble
+    shares one product tree; its constructor finds it in normal form.  The
+    projected count (each ballot's arena length, read anew) is compared
+    with ``max_leaves`` on every call, a memo hit included, so
+    ``max_leaves`` refuses the same ensembles whether or not the product
+    was built before.
     """
     if not isinstance(ens, Ensemble) or ens.family != "dt":
         raise ModelError("product_dt needs an ensemble of decision trees")
-    projected = ens._projected
-    if projected is None:
-        projected = 1
-        for t, _ in ens._ballots:
-            projected *= t.leaf_count()
-        object.__setattr__(ens, "_projected", projected)
+    projected = 1
+    for t, _ in ens._ballots:
+        projected *= t.leaf_count()
     if projected > max_leaves:
         raise CapExceeded(
             f"projected product size {projected} exceeds the ceiling {max_leaves}"

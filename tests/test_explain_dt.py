@@ -769,23 +769,6 @@ class TestProduct:
         # an equal ensemble built anew builds its own, equal product
         assert x.product_dt(x.Ensemble(u, ens.elements)) == product
 
-    def test_leaf_counts_are_read_once(self, monkeypatch):
-        """The projected size is kept beside the product: later calls, a
-        refusal included, count no ballot's leaves again."""
-        rng = Random(23)
-        u = random_universe(rng, 6)
-        ens = random_ensemble(rng, u, "dt", 3)
-        counted = []
-        leaf_count = x.DecisionTree.leaf_count
-        monkeypatch.setattr(x.DecisionTree, "leaf_count",
-                            lambda t: counted.append(t) or leaf_count(t))
-        product = x.product_dt(ens)
-        calls = len(counted)
-        with pytest.raises(CapExceeded):
-            x.product_dt(ens, max_leaves=1)
-        assert x.product_dt(ens) is product
-        assert len(counted) == calls
-
     def test_memo_makes_no_reference_cycle(self):
         rng = Random(29)
         u = random_universe(rng, 6)
