@@ -219,9 +219,9 @@ def verify(
 ) -> bool:
     """Is the candidate an explanation of the given kind for the target?
     Trees use the restriction fast path, every other model the subcube
-    table of ``verify_by_enumeration``."""
-    u = _request(model, kind, target)
+    table of ``verify_by_enumeration``, which checks the request itself."""
     if isinstance(model, DecisionTree):
+        u = _request(model, kind, target)
         return _verify_dt(model, kind, target, _fixed(u, kind, target, candidate))
     return verify_by_enumeration(model, kind, target, candidate, caps)
 
