@@ -256,6 +256,29 @@ MUTANTS = [
            "    assert votes == zero_votes <= len(elements) // 2\n",
            "    assert votes <= len(elements) // 2\n",
            ("tests/test_gadgets.py::test_clique_vote_check_counts_the_padders",)),
+    # the support rule: a table and its cap cover only the features a model
+    # reads, in every family, and subcube_table refuses to miss a read one
+    Mutant("flip-domain-every-feature", "src/xplain/verify.py",
+           "    return [f for f in range(n) if model._reads >> f & 1]\n",
+           "    return list(range(n))\n",
+           ("tests/test_cli.py::test_a_sparse_wide_list_is_answered_as_its_read_features",
+            "tests/test_verify.py::test_sparse_set_at_the_cap_tabulates_its_read_features")),
+    Mutant("verify-free-ignores-reads", "src/xplain/verify.py",
+           "    free = [f for f in _flip_domain(model) if f not in fixed]\n",
+           "    free = [f for f in range(len(u)) if f not in fixed]\n",
+           ("tests/test_cli.py::test_a_sparse_wide_list_is_answered_as_its_read_features",
+            "tests/test_verify.py::test_unread_features_change_no_answer")),
+    Mutant("cover-check-dropped", _CORE,
+           "    if model._reads & ~covered:\n        raise ModelError(cover)\n", "",
+           ("tests/test_core.py::test_subcube_table_needs_a_partition",)),
+    Mutant("from-mask-unchecked", _CORE,
+           '        check_int(mask, 0, 1 << len(u), "mask must be an int below 2**(universe size)")\n',
+           "",
+           ("tests/test_core.py::test_from_mask_refuses_a_mask_outside_the_universe",)),
+    Mutant("held-feature-unchecked", "src/xplain/verify.py",
+           'set(check_int(tuple(fixed), 0, len(u), "held feature outside the universe"))',
+           "set(fixed)",
+           ("tests/test_verify.py::test_request_that_does_not_fit_is_refused",)),
     # the least zero flip kept on a model: read for the all-zero example with
     # nothing held, and only after the request and the cap are checked
     Mutant("zero-flip-read-for-any-example", "src/xplain/verify.py",

@@ -16,8 +16,11 @@ rule models the greedy ``laxp``, on every model the greedy ``gaxp`` and
 ``laxp`` too.  An answer of None must mean that the oracle finds no
 explanation either.  On every family but trees the hitting-set search
 ``card_xp_search`` must return the oracle's witness for ``laxp``, and for
-``gaxp`` and ``gcxp`` of both classes.  Any disagreement aborts with the
-offending instance printed.
+``gaxp`` and ``gcxp`` of both classes.  Every model is then answered again,
+re-indexed onto sorted positions of a universe 20 features wider (the new
+features unread, the example's bits on them random): each answer, mapped
+back, must be the same, past the verify cap of 24 features too.  Any
+disagreement aborts with the offending instance printed.
 
     python3 scripts/oracle_agreement.py --models 200 --max-features 10
 """
@@ -43,7 +46,12 @@ from generators import (
     random_example,
     random_model,
     random_universe,
+    reindexed,
+    widened,
+    widened_example,
 )
+
+WIDER = 20  # unread features added to each model's universe for its second answer
 
 
 @dataclass
@@ -75,69 +83,88 @@ def card_targets(e: x.Example):
         yield "gcxp", c
 
 
+def answers(family: str, model, e: x.Example, stats: dict) -> list:
+    """(route, kind, target, answer) of every algorithm the sweep checks on
+    one model; the route names the algorithm, and the target is e or a
+    class.  Branch nodes are added to ``stats``."""
+    n = len(model.universe)
+    tree = None  # the tree form that the tree routes answer on
+    if family == "dt":
+        tree = model
+        found = x.lcxp_min(model, e)
+    elif family == "dtens":
+        tree = x.product_dt(model)
+        found = x.lcxp_min(tree, e)
+    elif family == "circuit":
+        found = x.lcxp_card_enum(model, e, n)
+    elif family in ("ds", "dl"):
+        found = x.lcxp_card_branch(model, e, n)
+    else:
+        branch_stats = x.BranchStats()
+        found = x.lcxp_card_branch_ens(model, e, n, branch_stats)
+        stats["branch_nodes"] += sum(c for _, c in branch_stats.per_target)
+    out = [("min", "lcxp", e, found), ("enum", "lcxp", e, x.lcxp_card_enum(model, e, n))]
+    if family in ("ds", "dl"):
+        out.append(("greedy", "laxp", e, x.laxp_rules_subset_min(model, e)))
+    if family != "dt":
+        out += [("card", kind, target, x.card_xp_search(model, kind, target, n))
+                for kind, target in card_targets(e)]
+    subset_answers = (tree_subset_answers(tree, e) if tree is not None
+                      else global_subset_answers(model))
+    out += [("subset", kind, target, answer) for kind, target, answer in subset_answers]
+    return out
+
+
 def sweep_family(cfg: SweepConfig, family: str) -> dict:
     rng = Random(cfg.seed)
+    places = Random(f"wide-{cfg.seed}")  # its own stream: the sampled models stay as they were
     stats = {"models": 0, "with_witness": 0, "branch_nodes": 0}
     started = time.time()
     for index in range(cfg.models):
         u = random_universe(rng, rng.randint(cfg.min_features, cfg.max_features))
         e = random_example(rng, u)
-        n = len(u)
-        tree = None  # the tree form that the tree routes answer on
         if family == "dt":
-            model = tree = random_dt(rng, u)
-            found = x.lcxp_min(model, e)
+            model = random_dt(rng, u)
         elif family == "dtens":
             model = random_ensemble(rng, u, "dt", 3)
-            tree = x.product_dt(model)
-            found = x.lcxp_min(tree, e)
         elif family == "circuit":
             source = (random_ensemble(rng, u, rng.choice(["dt", "ds", "dl"]), 3)
                       if rng.random() < 0.3 else
                       random_model(rng, u, rng.choice(["dt", "ds", "dl"])))
             model = x.translate(source, rng.randint(0, 1))[0]
-            found = x.lcxp_card_enum(model, e, n)
-        elif family == "ds":
-            model = random_ds(rng, u)
-            found = x.lcxp_card_branch(model, e, n)
-        elif family == "dl":
-            model = random_dl(rng, u)
-            found = x.lcxp_card_branch(model, e, n)
+        elif family in ("ds", "dl"):
+            model = random_ds(rng, u) if family == "ds" else random_dl(rng, u)
         else:
             model = random_ensemble(rng, u, rng.choice(["ds", "dl"]), 3)
-            branch_stats = x.BranchStats()
-            found = x.lcxp_card_branch_ens(model, e, n, branch_stats)
-            stats["branch_nodes"] += sum(c for _, c in branch_stats.per_target)
-        expected = x.oracle_min(model, "lcxp", e)
-        if found != (None if expected is None else expected[1]):
-            print(f"DISAGREEMENT in {family} #{index}: {found} vs {expected}")
-            print(model)
-            raise SystemExit(1)
-        enum = x.lcxp_card_enum(model, e, n)
-        assert (enum is None) == (found is None)
-        if found is not None:
-            stats["with_witness"] += 1
-        if family in ("ds", "dl"):
-            greedy = x.laxp_rules_subset_min(model, e)
-            assert x.oracle_subset_min_check(model, "laxp", e, greedy)
-        if family != "dt":
-            for kind, target in card_targets(e):
+        found = answers(family, model, e, stats)
+        for route, kind, target, answer in found:
+            if route == "min":
+                expected = x.oracle_min(model, "lcxp", e)
+                holds = answer == (None if expected is None else expected[1])
+            elif route == "enum":
+                holds = (answer is None) == (found[0][3] is None)
+            elif route == "card":
                 least = x.oracle_min(model, kind, target)
-                witness = x.card_xp_search(model, kind, target, n)
-                if witness != (None if least is None else least[1]):
-                    print(f"DISAGREEMENT in {family} #{index}: {kind} {target} "
-                          f"{witness} vs {least}")
-                    print(model)
-                    raise SystemExit(1)
-        subset_answers = (tree_subset_answers(tree, e) if tree is not None
-                          else global_subset_answers(model))
-        for kind, target, answer in subset_answers:
-            if answer is None:
+                holds = answer == (None if least is None else least[1])
+            elif answer is None:
                 holds = x.oracle_min(model, kind, target) is None
             else:
                 holds = x.oracle_subset_min_check(model, kind, target, answer)
             if not holds:
-                print(f"NOT SUBSET-MINIMAL in {family} #{index}: {kind} {target} {answer}")
+                print(f"DISAGREEMENT in {family} #{index}: {route} {kind} {target} {answer}")
+                print(model)
+                raise SystemExit(1)
+        if found[0][3] is not None:
+            stats["with_witness"] += 1
+        # the same model over WIDER more features, all unread, at sorted
+        # positions: every answer, mapped back, must be the same
+        wide, pos = reindexed(places, model, WIDER)
+        wide_e = widened_example(places, e, pos, wide.universe)
+        again = answers(family, wide, wide_e, stats)
+        for (route, kind, target, answer), (_, _, _, other) in zip(found, again):
+            if other != widened(answer, pos, wide.universe):
+                print(f"UNREAD FEATURES MOVED AN ANSWER in {family} #{index}: {route} "
+                      f"{kind} {target} {answer} vs {other} at {pos}")
                 print(model)
                 raise SystemExit(1)
         stats["models"] += 1

@@ -65,6 +65,7 @@ from .core import (
     counter_ge,
     truth_table,
 )
+from .verify import hom_check
 
 IN, AND, OR, NOT, MAJ = "IN", "AND", "OR", "NOT", "MAJ"
 _KINDS = (IN, AND, OR, NOT, MAJ)
@@ -128,9 +129,6 @@ class Circuit:
     @property
     def maj_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == MAJ)
-
-    def input_features(self) -> list[int]:
-        return sorted(g.feature for g in self.gates if g.kind == IN)
 
     def evaluate(self, e: Example) -> int:
         """Output gate value under the input assignment, by topological order."""
@@ -379,7 +377,7 @@ def certificate_holds(circuit: Circuit, cert: WidthCertificate) -> bool:
 
 
 def circuit_hom_check(circuit: Circuit, caps: BruteCaps = DEFAULT_CAPS) -> bool:
-    """``verify.hom_check``, which tabulates the IN-wired features only."""
-    from .verify import hom_check  # deferred: verify imports Circuit
-
+    """``verify.hom_check``: like every family's, its table and cap cover
+    only the features the circuit reads, its IN-wired ones
+    (``core.subcube_table``'s support rule)."""
     return hom_check(circuit, caps)

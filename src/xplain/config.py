@@ -4,6 +4,9 @@ Every exhaustive code path (verification by enumeration, the homogeneity
 checks and flip searches of all five families, the ground-truth oracle)
 refuses to run above a configured number of free features; above the
 ``verify`` cap a flip search classifies at most 2**verify flipped examples.
+The ``verify`` cap counts the free features the model reads: an engine
+table covers only those (``core.subcube_table``'s support rule).  The
+oracle caps count the whole universe, read or not.
 Exceeding a cap raises :class:`CapExceeded`; nothing is ever silently
 truncated.  The library's ``DEFAULT_CAPS`` are the constant defaults and
 never read the environment; the command line reads ``XPLAIN_BRUTE_CAP``,
@@ -28,7 +31,7 @@ class CapExceeded(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class BruteCaps:
-    verify: int = 24          # free features of a verification or flip table
+    verify: int = 24          # read free features of a verification or flip table
     oracle_local: int = 16    # |F| for the exhaustive oracle, local kinds
     oracle_global: int = 12   # |F| for the exhaustive oracle, global kinds
 

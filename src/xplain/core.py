@@ -50,8 +50,9 @@ distinct element value (its ballots, see ``Ensemble``), as every engine
 that reads an ensemble's voters does, and sets and lists also have
 ``as_dl()``.  The public entries check, then call them: ``classify`` the
 model and the example's universe, ``subcube_table`` and ``truth_table`` the
-partition, the fixed bits and the origin, ``measure`` that the value is a
-model.  A value without the three methods and the mask is a ModelError.
+support rule (below), the fixed bits and the origin, ``measure`` that the
+value is a model.  A value without the three methods and the mask is a
+ModelError.
 
 Besides the per-example ``classify`` there is one bit-parallel kernel,
 ``subcube_table(model, fixed, free)``.  It computes the class of every
@@ -59,12 +60,15 @@ completion of a partial assignment at once, as a ``2**len(free)``-bit integer
 (bit ``m`` = class of the completion whose free feature ``free[j]`` is bit
 ``j`` of ``m``).  Each family is tabulated from a list of feature columns, in
 which a fixed feature is a constant and a free one the model reads a
-``feature_column``; the model is never restricted or copied.
-``truth_table`` is the case with every feature free; with an ``origin``
-mask, bit m is the class of the origin flipped on m.  Verification by
-enumeration is one call of this kernel and one integer compare; the flip
-searches, the homogeneity checks among them, add the ``weight_planes`` of
-the positions; the oracle reads single table bits.
+``feature_column``; the model is never restricted or copied.  One support
+rule: a feature the model does not read (``_reads``) needs no bit and no
+column, so every engine table lists as free only the read features a
+request leaves free, and its cap counts just those.  ``truth_table`` is the
+case with every feature of the universe free, as the oracle counts them;
+with an ``origin`` mask, bit m is the class of the origin flipped on m.
+Verification by enumeration is one call of this kernel and one integer
+compare; the flip searches, the homogeneity checks among them, add the
+``weight_planes`` of the positions; the oracle reads single table bits.
 
 Trees are rebuilt by ``graft_dt`` and read by ``_leaf_paths``, two
 path-consistent walks: at a split on a feature the path already assigns,
@@ -182,6 +186,9 @@ class Example:
 
     @staticmethod
     def from_mask(u: FeatureUniverse, mask: int) -> "Example":
+        """The example whose feature i is bit i of ``mask``, an int below
+        2**len(u); ModelError otherwise."""
+        check_int(mask, 0, 1 << len(u), "mask must be an int below 2**(universe size)")
         return Example(u, tuple((mask >> i) & 1 for i in range(len(u))))
 
 
@@ -519,7 +526,8 @@ class Ensemble:
     (its votes), in first-occurrence order: a voter repeated as one object
     (``[m] * r``) and equal but distinct objects (an ensemble loaded from
     JSON) are one ballot alike.  Elements are grouped by identity first, so
-    each distinct object is hashed once.
+    each distinct object's family and universe are checked, and the object
+    hashed, once.
 
     The ballots are the one voter list of every engine: ``table`` and
     its mask ``_reads``, ``params``, ``explain_dt.product_dt`` (through ``graft_dt``), the
@@ -550,17 +558,16 @@ class Ensemble:
             raise ModelError("ensemble needs at least one element")
         if len(elements) % 2 == 0:
             raise ModelError("ensemble size must be odd (majority must be total)")
-        kinds = {type(m) for m in elements}
-        if len(kinds) != 1:
-            raise ModelError("ensemble elements must all be of one family")
-        if not isinstance(elements[0], (DecisionTree, DecisionSet, DecisionList)):
-            raise ModelError("ensemble elements must be trees, sets or lists")
-        for m in elements:
-            if m.universe != self.universe:
-                raise ModelError("ensemble elements must share the universe")
         copies: dict[int, list] = {}  # id(element) -> [element, copies]
         for m in elements:
             copies.setdefault(id(m), [m, 0])[1] += 1
+        if len({type(m) for m, _ in copies.values()}) != 1:
+            raise ModelError("ensemble elements must all be of one family")
+        if not isinstance(elements[0], (DecisionTree, DecisionSet, DecisionList)):
+            raise ModelError("ensemble elements must be trees, sets or lists")
+        for m, _ in copies.values():  # each distinct object checked once
+            if m.universe != self.universe:
+                raise ModelError("ensemble elements must share the universe")
         ballots: dict = {}  # element -> [first equal element, votes]
         for m, count in copies.values():  # each distinct object hashed once
             ballots.setdefault(m, [m, 0])[1] += count
@@ -737,21 +744,30 @@ def weight_planes(n: int) -> list[int]:
 def subcube_table(model, fixed: Mapping[int, int], free: Sequence[int], origin: int = 0) -> int:
     """Classes of the 2**len(free) completions of ``fixed``, in one integer.
 
-    ``fixed`` maps features to bits (0 or 1) and ``free`` lists the other
-    features; together they partition the universe.  Bit m is the class of
-    the example that agrees with ``fixed`` and gives free[j] the value of
-    bit j of m, or its complement where the ``origin`` mask (an int below
-    2**n) has free[j]: the flip m of the origin.  The model gets a list of
-    columns indexed by feature: a fixed feature's is 0 or all-ones, and a
-    free feature in the model's ``_reads`` gets ``feature_column(j,
-    len(free))``, complemented where the origin has it, so the work is in
-    2**len(free) bits whatever the universe size, and a free feature the
-    model never reads costs no column.
+    ``fixed`` maps features to bits (0 or 1) and ``free`` lists features:
+    distinct features of the universe that together cover the model's
+    ``_reads`` (the support rule; a feature in neither is unread, and
+    changes no class).  Bit m is the class of the example that agrees
+    with ``fixed`` and gives free[j] the value of bit j of m, or its
+    complement where the ``origin`` mask (an int below 2**n) has free[j]:
+    the flip m of the origin.  The model gets a list of columns indexed by
+    feature: a fixed feature's is 0 or all-ones, and a free feature in the
+    model's ``_reads`` gets ``feature_column(j, len(free))``, complemented
+    where the origin has it, so the work is in 2**len(free) bits whatever
+    the universe size.  A free unread feature costs no column but doubles
+    the table, so the engines list only read ones.
     """
     n = len(_model_universe(model))
     if not (isinstance(fixed, Mapping) and isinstance(free, Sequence)):
         raise ModelError("fixed must map features to bits and free must list features")
-    permutation((*fixed, *free), n, "fixed and free features must partition the universe")
+    cover = "fixed and free must be distinct features of the universe covering the read ones"
+    covered = 0
+    for f in check_int((*fixed, *free), 0, n, cover):
+        if covered >> f & 1:
+            raise ModelError(cover)
+        covered |= 1 << f
+    if model._reads & ~covered:
+        raise ModelError(cover)
     check_int(tuple(fixed.values()), 0, 2, "fixed bits must be 0 or 1")
     check_int(origin, 0, 1 << n, "origin must be a mask of the universe's features")
     d = len(free)

@@ -78,9 +78,11 @@ from .core import (
     subcube_table,
 )
 from .explain_rules import _better
-from .verify import GLOBAL_KINDS, _request, first_flip
+from .verify import GLOBAL_KINDS, _flip_domain, _request, first_flip
 
 CardWitness = Union[frozenset, PartialExample, None]
+
+_PRODUCT_CEILING = 1_000_000  # projected leaves of a tree ensemble's product_dt
 
 
 def _tree_form(model) -> Optional[DecisionTree]:
@@ -120,7 +122,7 @@ def _leaf_seeded_shrink(
     want = c if kind == "gaxp" else 1 - c
     t = _tree_form(model)
     if t is None:
-        implicant = _least_implicant(model, want, n, caps)
+        implicant = _least_implicant(model, want, caps)
         return None if implicant is None else PartialExample(u, tuple(implicant))
     seed = next((path for label, *path in _leaf_paths(t) if label == want), None)
     if seed is None:
@@ -362,7 +364,7 @@ def _laxp_row(model, e: Example, n: int, caps: BruteCaps, found) -> Optional[lis
 
 
 def _least_implicant(
-    model, cls: int, n: int, caps: BruteCaps, fixed=()
+    model, cls: int, caps: BruteCaps, fixed=()
 ) -> Optional[list[tuple[int, int]]]:
     """The greedy shrink of the least completion of ``fixed`` with class
     ``cls``, as (feature, bit) pairs by feature after ``fixed``'s own; None
@@ -376,10 +378,12 @@ def _least_implicant(
     other class agree with what is left.  Otherwise j drops and T forgets
     it: both halves of T on bit j are ORed onto each other.  These are the
     literals ``verify.shrink`` drops from x, in the same order, with one
-    table and one column live.
+    table and one column live.  Only the free features the model reads are
+    tabulated (``core.subcube_table``'s support rule): the shrink would drop
+    every unread one, and the least completion sets them to 0.
     """
     fixed = dict(fixed)
-    free = [f for f in range(n) if f not in fixed]
+    free = [f for f in _flip_domain(model) if f not in fixed]
     require_cap(len(free), caps.verify, "global search")
     table = subcube_table(model, fixed, free)
     full = (1 << (1 << len(free))) - 1
@@ -407,7 +411,7 @@ def _global_row(model, want: int, n: int, caps: BruteCaps, found) -> Optional[li
     Every explanation must contradict p, so the row is the literals
     ``(f, 1 - p[f])``.
     """
-    implicant = _least_implicant(model, 1 - want, n, caps, found)
+    implicant = _least_implicant(model, 1 - want, caps, found)
     return None if implicant is None else [f + (1 - b) * n for f, b in implicant]
 
 
@@ -489,28 +493,28 @@ def card_xp_search(
     return PartialExample(u, tuple(found))
 
 
-def product_dt(ens: Ensemble, max_leaves: int = 1_000_000) -> DecisionTree:
+def product_dt(ens: Ensemble) -> DecisionTree:
     """Single tree classifying exactly like the majority of a tree ensemble:
     ``core.graft_dt`` of its ballots (each distinct element once, with its
     votes), normalized by construction.  A path grafts each ballot at most
     once, so the projected leaf count is the product of the ballots' leaf
-    counts; construction aborts beyond ``max_leaves``.
+    counts; construction aborts beyond ``_PRODUCT_CEILING``.
 
     The product is memoized on the ensemble, so every query on one ensemble
     shares one product tree; its constructor finds it in normal form.  The
     projected count (each ballot's arena length, read anew) is compared
-    with ``max_leaves`` on every call, a memo hit included, so
-    ``max_leaves`` refuses the same ensembles whether or not the product
-    was built before.
+    with the ceiling, read anew too, on every call, a memo hit included, so
+    the ceiling refuses the same ensembles whether or not the product was
+    built before.
     """
     if not isinstance(ens, Ensemble) or ens.family != "dt":
         raise ModelError("product_dt needs an ensemble of decision trees")
     projected = 1
     for t, _ in ens._ballots:
         projected *= t.leaf_count()
-    if projected > max_leaves:
+    if projected > _PRODUCT_CEILING:
         raise CapExceeded(
-            f"projected product size {projected} exceeds the ceiling {max_leaves}"
+            f"projected product size {projected} exceeds the ceiling {_PRODUCT_CEILING}"
         )
     if ens._product is not None:
         return ens._product

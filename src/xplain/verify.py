@@ -25,7 +25,10 @@ normalized.  Every other model is checked exactly by
 ``verify_by_enumeration``, which takes the same arguments: one
 ``core.subcube_table`` call tabulates the completions of the features the
 request fixes, and one integer compare against 0 or all-ones gives the
-answer.  All of them refuse to run above the configured free-feature cap.
+answer.  The table lists as free only the features the model reads
+(``_reads``, the support rule of ``core.subcube_table``): a feature no term,
+split or IN gate reads changes no class.  All of them refuse to run above
+the configured cap, which counts those read free features.
 
 Two searches serve every model family:
 
@@ -36,11 +39,11 @@ Two searches serve every model family:
   behind ``phom_check`` and ``lcxp_card_enum``: table operations on the
   flips of e, or above the cap a guarded enumeration.
 
-Flips range over a model's flip domain: a circuit's IN-wired features,
-every feature of any other model.  The homogeneity questions read one value
-of the model, its least zero flip: the first flip set of the all-zero
-example over that domain, or the empty set when the model is constant
-there.  It is one flip table (``_least_flip``), computed on first use and
+Flips range over a model's flip domain, the features it reads, in every
+family alike: flipping an unread feature never changes the class.  The
+homogeneity questions read one value of the model, its least zero flip:
+the first flip set of the all-zero example over that domain, or the empty
+set when the model is constant there.  It is one flip table (``_least_flip``), computed on first use and
 kept on the model (``_zero_flip``, a field of each family).  ``hom_check``
 asks whether it is nonempty, ``phom_check(k)`` whether it is nonempty with
 at most k features, and ``first_flip`` returns it for the all-zero example
@@ -52,7 +55,9 @@ alike, whatever was asked of it before.
 ``oracle_min`` and ``oracle_subset_min_check`` are the brute-force ground
 truth the rest of the test suite is measured against: candidates are
 enumerated by increasing cardinality and lexicographically within one
-cardinality, so witnesses are deterministic.
+cardinality, so witnesses are deterministic.  The oracle tabulates and caps
+the whole universe, read or not, so it shares no support rule with the
+engines it certifies.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ from itertools import combinations
 from math import comb, inf
 from typing import Optional, Union
 
-from .circuits import Circuit
 from .config import DEFAULT_CAPS, BruteCaps, CapExceeded, require_cap
 from .core import (
     DecisionTree,
@@ -198,11 +202,12 @@ def verify_by_enumeration(
     * ``gaxp`` / ``gcxp``: tau fixed; it holds iff the table is all c /
       all 1 - c.
 
-    The cap counts the free features.
+    Only the free features the model reads are tabulated
+    (``core.subcube_table``'s support rule), and the cap counts them.
     """
     u = _request(model, kind, target)
     fixed = _fixed(u, kind, target, candidate)
-    free = [f for f in range(len(u)) if f not in fixed]
+    free = [f for f in _flip_domain(model) if f not in fixed]
     require_cap(len(free), caps.verify, f"verify {kind}")
     table = subcube_table(model, fixed, free)
     full = (1 << (1 << len(free))) - 1
@@ -346,10 +351,11 @@ def oracle_subset_min_check(
 
 
 def _flip_domain(model) -> list[int]:
-    """The features a flip may change: a circuit's IN-wired ones (no other
-    feature reaches its output), every feature of any other model."""
+    """The features the model reads (``_reads``), ascending: the features a
+    flip may change, and the free features of every engine table (a flip
+    of any other feature keeps every class)."""
     n = len(_model_universe(model))
-    return model.input_features() if isinstance(model, Circuit) else list(range(n))
+    return [f for f in range(n) if model._reads >> f & 1]
 
 
 def _least_flip(model, domain: list[int], origin: int) -> frozenset:
@@ -403,15 +409,17 @@ def first_flip(
     fixed: Iterable[int] = (),
 ) -> Optional[frozenset]:
     """First set of at most k features of the model's domain, less the
-    ``fixed`` ones held at e's bits, whose flip changes e's class, by size
-    and then lexicographically, or None.  Up to ``caps.verify`` features it
+    ``fixed`` ones held at e's bits (features of the universe by the integer
+    rule), whose flip changes e's class, by size and then lexicographically,
+    or None.  Up to ``caps.verify`` features it
     is ``_least_flip`` if that has at most k features: the model's kept
     ``_zero_flip`` when e is all zero and nothing is held, else a flip table
     of its own.  Above the cap each flipped example is classified, if the
     flip sets to try number at most 2**caps.verify.  ModelError when e is no
-    example over the model's universe or k is no nonnegative int."""
-    _request(model, "lcxp", e, k=k)
-    held = set(fixed)
+    example over the model's universe, k is no nonnegative int or a held
+    feature is no feature of the universe."""
+    u = _request(model, "lcxp", e, k=k)
+    held = set(check_int(tuple(fixed), 0, len(u), "held feature outside the universe"))
     domain = [f for f in _flip_domain(model) if f not in held]
     d = len(domain)
     k = min(k, d)

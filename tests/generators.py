@@ -7,6 +7,7 @@ from random import Random
 
 import xplain as x
 from xplain.gadgets import _constant_model
+from xplain.modelio import dump_model, load_model
 
 
 def random_universe(rng: Random, n: int) -> x.FeatureUniverse:
@@ -213,6 +214,46 @@ def random_circuit(rng: Random, u: x.FeatureUniverse, extra_gates: int = 8) -> x
             x.Gate(g.kind, tuple(dense[j] for j in g.ins), g.threshold, g.feature)
         )
     return x.Circuit(u, tuple(kept_gates), len(kept_gates) - 1)
+
+
+def reindexed(rng: Random, model, extra: int):
+    """``model`` over a universe ``extra`` features wider, with its own
+    features at sorted random positions, and those positions: its JSON
+    document, whose features are named, loaded with the wider universe.  A
+    tree's order tag lists the new features last."""
+    n = len(model.universe)
+    pos = sorted(rng.sample(range(n + extra), n))
+    names = [f"w{i}" for i in range(n + extra)]
+    for f, p in enumerate(pos):
+        names[p] = model.universe.name(f)
+    doc = dump_model(model)
+    bodies = [doc["model"]]
+    for body in bodies:
+        if "order" in body.get("dt", {}):
+            body["dt"]["order"] += [name for name in names if name not in model.universe.names]
+        bodies += body.get("ensemble", {}).get("elements", [])
+    return load_model({**doc, "universe": names}), pos
+
+
+def widened(answer, pos: list[int], u: x.FeatureUniverse):
+    """An answer of a model mapped onto ``reindexed``'s universe u: a
+    feature set or partial example moved to the positions, anything else
+    (a bool, None) as it is."""
+    if isinstance(answer, frozenset):
+        return frozenset(pos[f] for f in answer)
+    if isinstance(answer, x.PartialExample):
+        return x.PartialExample(u, tuple((pos[f], b) for f, b in answer.assignments))
+    return answer
+
+
+def widened_example(rng: Random, e: x.Example, pos: list[int],
+                    u: x.FeatureUniverse) -> x.Example:
+    """e on ``reindexed``'s universe u: its bits at the positions, random
+    bits elsewhere."""
+    bits = [rng.randint(0, 1) for _ in range(len(u))]
+    for f, p in enumerate(pos):
+        bits[p] = e.bits[f]
+    return x.Example(u, tuple(bits))
 
 
 def random_coloured_graph(

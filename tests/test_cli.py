@@ -953,16 +953,79 @@ def test_verify_at_the_free_feature_cap(body, expected, capsys, monkeypatch, tmp
         assert peak < 32 * 2**20
 
 
+def _sparse_list_docs() -> tuple[dict, dict]:
+    """A 6-rule list over 40 features that reads 12 of them, and the same
+    list over those 12 alone, in the same order."""
+    names = [f"x{i}" for i in range(40)]
+    read = names[3::3][:12]
+    rules = [[[[read[2 * r], r % 2], [read[2 * r + 1], 1]], r % 2] for r in range(6)]
+    body = {"dl": {"rules": rules + [[[], 1]]}}
+    return {"universe": names, "model": body}, {"universe": read, "model": body}
+
+
+def test_a_sparse_wide_list_is_answered_as_its_read_features(capsys, monkeypatch,
+                                                             tmp_path):
+    """Every table request on the 40-feature list is answered, past the
+    verify cap of 24, with the answer of the 12-feature list it reads: its
+    tables and caps cover the read features only."""
+    monkeypatch.delenv("XPLAIN_BRUTE_CAP", raising=False)
+    requests = [
+        ["hom"], ["hom", "--k", "2"],
+        ["verify", "--kind", "laxp", "--example", "{e}", "--candidate", "{none}"],
+        ["explain", "--kind", "laxp", "--min", "subset", "--example", "{e}"],
+        ["explain", "--kind", "laxp", "--min", "card", "--example", "{e}"],
+        ["explain", "--kind", "gaxp", "--min", "subset", "--class", "1"],
+        ["explain", "--kind", "gaxp", "--min", "card", "--class", "1"],
+        ["explain", "--kind", "gcxp", "--min", "card", "--class", "0"],
+        ["explain", "--kind", "lcxp", "--min", "card", "--algo", "enum", "--example", "{e}"],
+    ]
+    answers = []
+    for label, doc in zip(("wide", "read"), _sparse_list_docs()):
+        paths = {name: tmp_path / f"{label}-{name}.json" for name in ("model", "e", "none")}
+        paths["model"].write_text(json.dumps(doc))
+        paths["e"].write_text(json.dumps({"assign": {f: 1 for f in doc["universe"]}}))
+        paths["none"].write_text(json.dumps({"features": []}))
+        answers.append([
+            run(capsys, [argv[0], "--model", str(paths["model"]),
+                         *(str(paths[a[1:-1]]) if a[0] == "{" else a for a in argv[1:])])
+            for argv in requests])
+    wide, read = answers
+    assert [code for code, _ in wide] == [0, 0, 1, 0, 0, 0, 0, 0, 0]
+    assert wide == read
+
+
+def test_a_dense_set_at_the_cap_is_tabulated(capsys, monkeypatch, tmp_path):
+    """A set whose terms read all 24 features is tabulated over all 24 (the
+    cap): ``verify`` and ``hom`` answer.  Only the exit codes are checked;
+    the memory of such a table is another matter."""
+    monkeypatch.delenv("XPLAIN_BRUTE_CAP", raising=False)
+    names = [f"x{i}" for i in range(24)]
+    terms = [[["x0", 1], ["x1", 1], ["x2", 0]], [["x23", 0]],
+             [[f, i % 2] for i, f in enumerate(names[3:23])]]
+    model = tmp_path / "dense.json"
+    model.write_text(json.dumps({"universe": names, "model": {"ds": {"terms": terms,
+                                                                      "default": 0}}}))
+    example = tmp_path / "e.json"
+    example.write_text(json.dumps({"assign": {f: 0 for f in names}}))
+    candidate = tmp_path / "cand.json"
+    candidate.write_text(json.dumps({"features": []}))
+    assert run(capsys, ["verify", "--model", str(model), "--kind", "laxp", "--example",
+                        str(example), "--candidate", str(candidate)])[0] == 1
+    assert run(capsys, ["hom", "--model", str(model)])[0] == 0
+
+
 def test_flip_search_above_the_cap_is_refused_before_any_work(capsys, monkeypatch,
                                                               tmp_path):
-    """30 features are over the cap of 24, so no flip table is built: at
-    k = 2 the 466 flip sets are classified one by one, and at k = 9 the
-    22 964 087 flip sets exceed 2**24 and the search exits 2 at once."""
+    """30 read features are over the cap of 24, so no flip table is built:
+    at k = 2 the 466 flip sets are classified one by one, and at k = 9 the
+    22 964 087 flip sets exceed 2**24 and the search exits 2 at once.  The
+    second term makes the set read all 30 features, and needs 28 flips."""
     monkeypatch.delenv("XPLAIN_BRUTE_CAP", raising=False)
     names = [f"x{i}" for i in range(30)]
     model = tmp_path / "wider.json"
     model.write_text(json.dumps({"universe": names, "model": {
-        "ds": {"terms": [[["x28", 1], ["x29", 1]]], "default": 0}}}))
+        "ds": {"terms": [[["x28", 1], ["x29", 1]], [[f, 1] for f in names[:28]]],
+               "default": 0}}}))
     assert run(capsys, ["hom", "--model", str(model), "--k", "1"]) == (1, {"result": False})
     assert run(capsys, ["hom", "--model", str(model), "--k", "2"]) == (0, {"result": True})
     code = main(["hom", "--model", str(model), "--k", "9"])

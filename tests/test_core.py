@@ -406,6 +406,7 @@ def _circuit(ins=0, feature=0, threshold=1) -> x.Circuit:
 # with a value in that one integer field); the name before "-" is the entry
 _INTEGER_FIELDS = {
     "Example-bit": (1, lambda v: x.Example(_U3, (0, v, 1))),
+    "Example.from_mask-mask": (5, lambda v: x.Example.from_mask(_U3, v)),
     "PartialExample-feature": (1, lambda v: x.PartialExample(_U3, ((v, 1), (2, 0)))),
     "PartialExample-bit": (1, lambda v: x.PartialExample(_U3, ((0, v),))),
     "Leaf-label": (1, x.Leaf),
@@ -454,6 +455,18 @@ _NO_INTEGER_FIELD = {
     "BranchStats", "CapExceeded", "ColouredGraph", "Ensemble", "FeatureUniverse",
     "GadgetInstance", "HomEquivalenceReport", "ModelError", "ParamReport", "WidthCertificate",
 }
+
+
+@pytest.mark.parametrize("mask", [5, 4, -1, True])
+def test_from_mask_refuses_a_mask_outside_the_universe(mask):
+    """Over two features a mask is an int in [0, 4): 5 would read as (1, 0),
+    -1 as (1, 1) and True as (1, 0), truncated without notice.  Other
+    values that are no int are fuzzed with every integer field."""
+    u = x.universe("a", "b")
+    assert [x.Example.from_mask(u, m).bits for m in range(4)] == [
+        (0, 0), (1, 0), (0, 1), (1, 1)]
+    with pytest.raises(x.ModelError):
+        x.Example.from_mask(u, mask)
 
 
 def test_every_public_constructor_and_builder_is_fuzzed():
@@ -806,15 +819,24 @@ def test_shared_ensemble_elements_count_every_copy(seed, n):
 
 
 def test_subcube_table_needs_a_partition():
-    # and fixed bits: a model reads any true value as 1, so {0: 2} would
-    # tabulate as {0: 1}; a partition of the wrong types is refused as well
+    """fixed and free are distinct features of the universe that cover the
+    ones the model reads: a repeated feature, one outside the universe, a
+    missing read feature and a partition of the wrong types are refused, and
+    so are fixed bits other than 0 and 1 (a model reads any true value as
+    1, so {0: 2} would tabulate as {0: 1}).  A missing unread feature is
+    accepted: it needs no bit and no column."""
     u = x.universe("a", "b")
-    model = x.DecisionSet(u, (((0, 1),),), 0)
-    for fixed, free in (({0: 1}, [0, 1]), ({0: 1}, []), ({}, [0, 1, 2]), ({}, [1, 1]),
-                        ({0: 2}, [1]), ({0: -1}, [1]), ({0: 1}, ["a"]), ([(0, 1)], [1]),
-                        ({0: 1}, None)):
+    model = x.DecisionSet(u, (((0, 1),),), 0)  # reads feature 0 only
+    for fixed, free in (({0: 1}, [0, 1]), ({}, [1]), ({}, []), ({}, [0, 1, 2]),
+                        ({}, [1, 1]), ({}, [0, 0]), ({0: 1, 1: 0}, [1]), ({}, [-1, 0]),
+                        ({0: 2}, [1]), ({0: -1}, [1]), ({0: 1}, ["a"]), ({True: 1}, []),
+                        ([(0, 1)], [1]), ({0: 1}, None)):
         with pytest.raises(x.ModelError):
             x.subcube_table(model, fixed, free)
+    assert x.subcube_table(model, {0: 1}, []) == 1
+    assert x.subcube_table(model, {0: 0}, []) == 0
+    assert x.subcube_table(model, {}, [0]) == 0b10
+    assert x.subcube_table(model, {}, [0, 1]) == x.truth_table(model) == 0b1010
 
 
 _E3 = x.Example(_U3, (0, 1, 0))

@@ -737,17 +737,20 @@ class TestProduct:
         projected = 1
         for t in ens.elements:
             projected *= t.leaf_count()
-        product = x.product_dt(ens, max_leaves=projected)
+        with pytest.MonkeyPatch.context() as mp:  # the ceiling at the projected count
+            mp.setattr(x.explain_dt, "_PRODUCT_CEILING", projected)
+            product = x.product_dt(ens)
         assert x.truth_table(product) == x.truth_table(ens)
         assert is_normalized(product)
         assert product.leaf_count() <= projected
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         rng = Random(19)
         u = random_universe(rng, 8)
         ens = random_ensemble(rng, u, "dt", 3)
+        monkeypatch.setattr(x.explain_dt, "_PRODUCT_CEILING", 1)
         with pytest.raises(CapExceeded):
-            x.product_dt(ens, max_leaves=1)
+            x.product_dt(ens)
 
 
     def test_size_guard_holds_on_a_memo_hit(self):
@@ -755,8 +758,10 @@ class TestProduct:
         u = random_universe(rng, 8)
         ens = random_ensemble(rng, u, "dt", 3)
         product = x.product_dt(ens)
-        with pytest.raises(CapExceeded):
-            x.product_dt(ens, max_leaves=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(x.explain_dt, "_PRODUCT_CEILING", 1)
+            with pytest.raises(CapExceeded):
+                x.product_dt(ens)
         assert x.product_dt(ens) is product
 
     def test_memoized_on_the_ensemble(self):

@@ -6,7 +6,7 @@ from math import comb
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import xplain as x
 from xplain.config import BruteCaps, CapExceeded
@@ -21,6 +21,9 @@ from generators import (
     random_example,
     random_model,
     random_universe,
+    reindexed,
+    widened,
+    widened_example,
 )
 
 
@@ -223,13 +226,18 @@ class TestCaps:
             x.oracle_min(m, "laxp", random_example(rng, u), tiny)
 
     def test_flip_search_cap_counts_the_tabulated_features(self):
-        """Twelve features over a cap of ten: the flip table would have 2**12
-        bits, and the 4083 flip sets of at most ten features exceed 2**10,
-        so k = 10 is refused before any work.  The 79 sets of at most two
-        features are classified one by one."""
+        """Twelve read features over a cap of ten: the flip table would have
+        2**12 bits, and the 4083 flip sets of at most ten features exceed
+        2**10, so k = 10 is refused before any work.  The 79 sets of at most
+        two features are classified one by one.  A rule over all twelve
+        features, ahead of the default, makes the list read every one."""
         rng = Random(9)
         u = random_universe(rng, 12)
         m = random_dl(rng, u)
+        *rules, default = m.rules
+        m = x.DecisionList(u, (*rules, (tuple((f, 1) for f in range(12)), 1 - default[1]),
+                               default))
+        assert m._reads == (1 << 12) - 1
         e = random_example(rng, u)
         small = BruteCaps(verify=10, oracle_local=10, oracle_global=10)
         with pytest.raises(CapExceeded):
@@ -351,7 +359,7 @@ def test_flip_engine_matches_classify(seed):
 
     cap = rng.randint(0, len(u))
     small = BruteCaps(verify=cap, oracle_local=cap, oracle_global=cap)
-    d = len(m.input_features()) if isinstance(m, x.Circuit) else len(u)
+    d = m._reads.bit_count()  # the flip domain: the features the model reads
     if d <= cap or sum(comb(d, i) for i in range(min(k, d) + 1)) <= 2**cap:
         assert x.first_flip(m, e, k, small) == expected
         assert x.lcxp_card_enum(m, e, k, small) == expected
@@ -418,12 +426,14 @@ def _cap_message(call) -> str:
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=80, deadline=None)
 def test_a_warm_model_refuses_and_enumerates_as_a_cold_one(seed):
-    """Under a cap one below the flip domain, ``hom`` is refused with the
-    same message whether or not the least zero flip is kept, and ``phom``
-    takes the guarded enumeration: with the kept value poisoned, it still
-    answers as on a cold model."""
+    """Under a cap one below the flip domain (the features the model
+    reads), ``hom`` is refused with the same message whether or not the
+    least zero flip is kept, and ``phom`` takes the guarded enumeration:
+    with the kept value poisoned, it still answers as on a cold model.  A
+    model that reads no feature is never refused."""
     m = _memo_model(seed)
-    d = len(m.input_features()) if isinstance(m, x.Circuit) else len(m.universe)
+    d = m._reads.bit_count()
+    assume(d > 0)
     small = BruteCaps(verify=d - 1, oracle_local=d - 1, oracle_global=d - 1)
     k = (d - 1) // 2  # at most 2**(d - 1) flip sets: the enumeration runs
     cold_message = _cap_message(lambda: x.hom_check(_memo_model(seed), small))
@@ -469,6 +479,83 @@ def test_a_model_value_without_the_field_keeps_its_least_zero_flip():
 
 
 # ---------------------------------------------------------------------------
+# the support rule: engine tables and caps cover the features a model reads
+# ---------------------------------------------------------------------------
+
+
+def _support_answers(m, e, k, held, local, tau) -> dict:
+    """name -> answer of every engine entry that tabulates a model: the
+    homogeneity checks and flip searches, the hitting-set search and the
+    greedy shrinks, and ``verify`` of all four kinds."""
+    out = {"hom": x.hom_check(m), "phom": x.phom_check(m, k),
+           "first_flip": x.first_flip(m, e, k),
+           "first_flip-held": x.first_flip(m, e, k, fixed=held),
+           "lcxp_card_enum": x.lcxp_card_enum(m, e, k),
+           "card-laxp": x.card_xp_search(m, "laxp", e, k),
+           "laxp_rules_subset_min": x.laxp_rules_subset_min(m, e)}
+    for kind in ("laxp", "lcxp"):
+        out[f"verify-{kind}"] = x.verify(m, kind, e, local)
+    for c in (0, 1):
+        out[f"gaxp_subset_min-{c}"] = x.gaxp_subset_min(m, c)
+        out[f"gcxp_subset_min-{c}"] = x.gcxp_subset_min(m, c)
+        for kind in ("gaxp", "gcxp"):
+            out[f"card-{kind}-{c}"] = x.card_xp_search(m, kind, c, k)
+            out[f"verify-{kind}-{c}"] = x.verify(m, kind, c, tau)
+    return out
+
+
+@given(seed=st.integers(0, 10_000), extra=st.integers(0, 34))
+@settings(max_examples=150, deadline=None)
+def test_unread_features_change_no_answer(seed, extra):
+    """A model of any family, a tree ensemble included, re-indexed onto a
+    universe of up to 40 features, where the new ones are unread, gives
+    every answer of the original, mapped onto the new positions: past the
+    verify cap of 24 as well, since a table and its cap cover only the read
+    features.  The requests on the wide model carry random bits, held
+    features and candidate features on the unread ones too."""
+    rng = Random(seed)
+    m = _flip_model(rng, 6)
+    n = len(m.universe)
+    wide, pos = reindexed(rng, m, extra)
+    wu = wide.universe
+    unread = [f for f in range(len(wu)) if f not in pos]
+    assert wide._reads == sum(1 << pos[f] for f in range(n) if m._reads >> f & 1)
+    e = random_example(rng, m.universe)
+    k = rng.randint(0, n)
+    held = frozenset(f for f in range(n) if rng.random() < 0.3)
+    local = frozenset(f for f in range(n) if rng.random() < 0.5)
+    tau = x.PartialExample(m.universe, tuple((f, rng.randint(0, 1)) for f in range(n)
+                                             if rng.random() < 0.5))
+    some = [f for f in unread if rng.random() < 0.5]  # unread features a request names
+    wide_tau = x.PartialExample.from_dict(
+        wu, {**widened(tau, pos, wu).as_dict(), **{f: rng.randint(0, 1) for f in some}})
+    expected = {name: widened(answer, pos, wu)
+                for name, answer in _support_answers(m, e, k, held, local, tau).items()}
+    assert _support_answers(wide, widened_example(rng, e, pos, wu), k,
+                            widened(held, pos, wu) | set(some),
+                            widened(local, pos, wu) | set(some), wide_tau) == expected
+
+
+def test_sparse_set_at_the_cap_tabulates_its_read_features():
+    """``phom_check(m, 24)`` on a 4-term set that reads 16 of its 24
+    features builds a flip table of 2**16 bits, not 2**24: its peak stays
+    far under 32 MB (a table over all 24 features peaked at 42.7 MB)."""
+    import tracemalloc
+
+    u = random_universe(Random(0), 24)
+    terms = tuple(tuple((f, 1) for f in range(4 * t, 4 * t + 4)) for t in range(4))
+    m = x.DecisionSet(u, terms, 0)
+    assert m._reads.bit_count() == 16
+    tracemalloc.start()
+    try:
+        assert x.phom_check(m, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+# ---------------------------------------------------------------------------
 # requests that do not fit the model
 # ---------------------------------------------------------------------------
 
@@ -485,6 +572,8 @@ _BAD_GLOBAL_TARGETS = {"two": 2, "minus-one": -1, "none": None, "example": _E}
 _BAD_LOCAL_CANDIDATES = {"partial": _TAU, "outside": {2}, "negative": {-1}, "int": 0}
 _BAD_GLOBAL_CANDIDATES = {"foreign": x.PartialExample(_U3, ((2, 1),)), "set": {0}}
 _BAD_BUDGETS = {"bool": True, "none": None, "float": 1.5, "str": "1"}  # not ints
+_BAD_HELD = {"past": 99, "str": "a", "negative": -1, "float": 1.5, "bool": True,
+             "zero-float": 0.0}  # held features that are no feature of _U
 _BAD_BUDGET_QUERIES = {  # id suffix -> a gadget query whose budget is no int
     "-lcxp-k-float": x.Query("lcxp", _E, 1.5),
     "-laxp-k-none": x.Query("laxp", _E),
@@ -535,6 +624,8 @@ def _misfits():
                 yield f"{f.__name__}-{label}-target-{bad}", partial(f, m, target, 1)
             yield f"{f.__name__}-{label}-k", partial(f, m, _E, -1)
         yield f"phom_check-{label}-k", partial(x.phom_check, m, -1)
+        for bad, held in _BAD_HELD.items():
+            yield f"first_flip-{label}-held-{bad}", partial(x.first_flip, m, _E, 1, fixed=[held])
     for bad, target in bad_local:
         for f in (x.laxp_subset_min, x.lcxp_min):
             yield f"{f.__name__}-target-{bad}", partial(f, _TREE, target)
@@ -562,7 +653,8 @@ def test_request_that_does_not_fit_is_refused(call):
     """Every explanation entry refuses, with ModelError, a request that does
     not fit the model: an unknown kind, a local target that is no example
     over the model's universe, a global target outside {0, 1}, a candidate
-    that is not the kind's over that universe, or a budget that is no
-    nonnegative int (a bool, None, a float or a string)."""
+    that is not the kind's over that universe, a budget that is no
+    nonnegative int (a bool, None, a float or a string), or a held feature
+    of ``first_flip`` that is no feature of the universe."""
     with pytest.raises(x.ModelError):
         call()
