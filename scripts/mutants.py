@@ -265,9 +265,18 @@ MUTANTS = [
             "tests/test_verify.py::test_sparse_set_at_the_cap_tabulates_its_read_features")),
     Mutant("verify-free-ignores-reads", "src/xplain/verify.py",
            "    free = [f for f in _flip_domain(model) if f not in fixed]\n",
-           "    free = [f for f in range(len(u)) if f not in fixed]\n",
+           "    free = [f for f in range(len(_model_universe(model))) if f not in fixed]\n",
            ("tests/test_cli.py::test_a_sparse_wide_list_is_answered_as_its_read_features",
             "tests/test_verify.py::test_unread_features_change_no_answer")),
+    # every engine table is refused past the verify cap, in the one helper
+    Mutant("table-helper-skips-its-cap", "src/xplain/verify.py",
+           "    require_cap(len(free), caps.verify, what)\n", "",
+           ("tests/test_verify.py::TestCaps::test_verify_cap",)),
+    # the greedy laxp of rule models and circuits walks the read features only
+    Mutant("laxp-subset-seeded-with-the-universe", _RULES,
+           "frozenset(_flip_domain(model))", "frozenset(range(len(model.universe)))",
+           ("tests/test_explain_rules.py::TestLaxpRules::"
+            "test_shrink_walks_only_the_read_features",)),
     Mutant("cover-check-dropped", _CORE,
            "    if model._reads & ~covered:\n        raise ModelError(cover)\n", "",
            ("tests/test_core.py::test_subcube_table_needs_a_partition",)),
@@ -288,10 +297,10 @@ MUTANTS = [
            "    if held or origin:\n", "    if origin:\n",
            ("tests/test_verify.py::test_least_zero_flip_is_read_only_for_the_zero_example",)),
     Mutant("hom-reads-zero-flip-before-cap", "src/xplain/verify.py",
-           '    require_cap(len(domain), caps.verify, "hom")\n',
+           '    require_cap(len(_flip_domain(model)), caps.verify, "hom")\n',
            "    if model._zero_flip is not None:\n"
            "        return bool(model._zero_flip)\n"
-           '    require_cap(len(domain), caps.verify, "hom")\n',
+           '    require_cap(len(_flip_domain(model)), caps.verify, "hom")\n',
            ("tests/test_verify.py::test_a_warm_model_refuses_and_enumerates_as_a_cold_one",)),
     # the --out documents take stdout's form, compact with sorted keys, and
     # are encoded before the file is opened

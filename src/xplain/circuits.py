@@ -379,5 +379,5 @@ def certificate_holds(circuit: Circuit, cert: WidthCertificate) -> bool:
 def circuit_hom_check(circuit: Circuit, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """``verify.hom_check``: like every family's, its table and cap cover
     only the features the circuit reads, its IN-wired ones
-    (``core.subcube_table``'s support rule)."""
+    (``verify._read_table``)."""
     return hom_check(circuit, caps)

@@ -5,8 +5,8 @@ checks and flip searches of all five families, the ground-truth oracle)
 refuses to run above a configured number of free features; above the
 ``verify`` cap a flip search classifies at most 2**verify flipped examples.
 The ``verify`` cap counts the free features the model reads: an engine
-table covers only those (``core.subcube_table``'s support rule).  The
-oracle caps count the whole universe, read or not.
+table covers only those, and ``verify._read_table`` builds every one.
+The oracle caps count the whole universe, read or not.
 Exceeding a cap raises :class:`CapExceeded`; nothing is ever silently
 truncated.  The library's ``DEFAULT_CAPS`` are the constant defaults and
 never read the environment; the command line reads ``XPLAIN_BRUTE_CAP``,

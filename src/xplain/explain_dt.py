@@ -24,9 +24,9 @@ one process about one model build each class's columns once.
   compare per feature.  ``laxp`` shrinks e's literals on the full feature
   set, ``gaxp``/``gcxp`` the path of the first leaf of the wanted class.
   On any other model ``gaxp``/``gcxp`` shrink the least example of the
-  wanted class inside its one ``subcube_table`` (``_least_implicant``,
-  existential quantification of the other class one feature at a time),
-  the same shrink that reads each hitting-set row of the global kinds.
+  wanted class inside one table (``verify._least_implicant``, existential
+  quantification of the other class one feature at a time), the same
+  shrink that reads each hitting-set row of the global kinds.
 * minimum local contrastive explanations in polynomial time: for every leaf
   of the opposite class, the features on its path that disagree with the
   target example form a contrastive set, one mask per leaf; the least one
@@ -61,7 +61,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Optional, Sequence, Union
 
-from .config import DEFAULT_CAPS, BruteCaps, CapExceeded, require_cap
+from .config import DEFAULT_CAPS, BruteCaps, CapExceeded
 from .core import (
     DecisionTree,
     Ensemble,
@@ -71,14 +71,12 @@ from .core import (
     PartialExample,
     _leaf_paths,
     classify,
-    feature_column,
     graft_dt,
     mask_features,
     normalize_dt,
-    subcube_table,
 )
 from .explain_rules import _better
-from .verify import GLOBAL_KINDS, _flip_domain, _request, first_flip
+from .verify import GLOBAL_KINDS, _least_implicant, _request, first_flip
 
 CardWitness = Union[frozenset, PartialExample, None]
 
@@ -361,45 +359,6 @@ def _laxp_row(model, e: Example, n: int, caps: BruteCaps, found) -> Optional[lis
     set ``found`` misses), as e's literals."""
     flips = first_flip(model, e, n, caps, "laxp search", fixed=[f for f, _ in found])
     return None if flips is None else [f + e.bits[f] * n for f in flips]
-
-
-def _least_implicant(
-    model, cls: int, caps: BruteCaps, fixed=()
-) -> Optional[list[tuple[int, int]]]:
-    """The greedy shrink of the least completion of ``fixed`` with class
-    ``cls``, as (feature, bit) pairs by feature after ``fixed``'s own; None
-    when every completion has the other class.
-
-    One ``subcube_table`` call tabulates the completions, and the shrink
-    runs inside that table by existential quantification.  T holds the
-    completions of the other class, quantified over the positions dropped so
-    far, and x is the seed.  Free position j, in ascending order, stays when
-    T has x with bit j flipped: dropping it would let a completion of the
-    other class agree with what is left.  Otherwise j drops and T forgets
-    it: both halves of T on bit j are ORed onto each other.  These are the
-    literals ``verify.shrink`` drops from x, in the same order, with one
-    table and one column live.  Only the free features the model reads are
-    tabulated (``core.subcube_table``'s support rule): the shrink would drop
-    every unread one, and the least completion sets them to 0.
-    """
-    fixed = dict(fixed)
-    free = [f for f in _flip_domain(model) if f not in fixed]
-    require_cap(len(free), caps.verify, "global search")
-    table = subcube_table(model, fixed, free)
-    full = (1 << (1 << len(free))) - 1
-    other = full ^ table if cls else table
-    if other == full:
-        return None
-    wanted = full ^ other
-    x = (wanted & -wanted).bit_length() - 1
-    implicant = list(fixed.items())
-    for j, f in enumerate(free):
-        if other >> (x ^ (1 << j)) & 1:
-            implicant.append((f, x >> j & 1))
-        else:
-            col = feature_column(j, len(free))
-            other |= (other & col) >> (1 << j) | (other & ~col) << (1 << j)
-    return implicant
 
 
 def _global_row(model, want: int, n: int, caps: BruteCaps, found) -> Optional[list[int]]:

@@ -37,8 +37,8 @@ Python's recursion limit caps neither the ballots nor the flips.
 ``lcxp_card_enum`` answers the same question for a model of any family:
 ``verify.first_flip`` reads the smallest, then lexicographically first,
 class-changing flip set off the flip table under the ``verify`` cap.  The
-greedy subset-minimal ``laxp`` is ``verify.shrink`` from the full feature
-set.
+greedy subset-minimal ``laxp`` is ``verify.shrink`` from the features the
+model reads.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .core import (
     ModelError,
     mask_features,
 )
-from .verify import _request, first_flip, shrink
+from .verify import _flip_domain, _request, first_flip, shrink
 
 RuleModel = Union[DecisionSet, DecisionList]
 
@@ -221,7 +221,7 @@ def laxp_rules_subset_min(
     model, e: Example, caps: BruteCaps = DEFAULT_CAPS
 ) -> frozenset:
     """Inclusion-minimal local abductive explanation via the enumeration
-    verifier (desk scale only; the cap applies): ``shrink`` from the full
-    set."""
-    n = len(_request(model, "laxp", e))
-    return shrink(model, "laxp", e, frozenset(range(n)), caps)
+    verifier (desk scale only; the cap applies): ``shrink`` from the read
+    features, the same answer as from the full set, where every unread
+    feature drops."""
+    return shrink(model, "laxp", e, frozenset(_flip_domain(model)), caps)

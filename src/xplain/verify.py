@@ -22,35 +22,34 @@ explanation?".  Decision trees get a polynomial fast path: the seeded
 leaf walk ``core._leaf_paths`` reads the leaves that the request's fixed
 features leave reachable, path-consistently, so the tree need not be
 normalized.  Every other model is checked exactly by
-``verify_by_enumeration``, which takes the same arguments: one
-``core.subcube_table`` call tabulates the completions of the features the
-request fixes, and one integer compare against 0 or all-ones gives the
-answer.  The table lists as free only the features the model reads
-(``_reads``, the support rule of ``core.subcube_table``): a feature no term,
-split or IN gate reads changes no class.  All of them refuse to run above
-the configured cap, which counts those read free features.
+``verify_by_enumeration``, which takes the same arguments: one table of
+the completions of the features the request fixes, compared against 0 or
+all-ones.
 
-Two searches serve every model family:
+The support rule and every engine table live here, in ``_read_table``: a
+table's free features are the unfixed features the model reads
+(``_reads``), since a feature no term, split or IN gate reads changes no
+class, and the ``verify`` cap counts them.  Two searches serve every model
+family:
 
 * ``shrink``: the greedy one-pass shrink of a valid candidate to a
   subset-minimal explanation (trees run the same pass on literal columns in
-  ``explain_dt``, and the tests hold that pass to this one);
+  ``explain_dt``, other models' global kinds inside one table in
+  ``_least_implicant``, and the tests hold both to this one);
 * ``first_flip``: the first flip set by size and then lexicographically,
   behind ``phom_check`` and ``lcxp_card_enum``: table operations on the
   flips of e, or above the cap a guarded enumeration.
 
-Flips range over a model's flip domain, the features it reads, in every
-family alike: flipping an unread feature never changes the class.  The
-homogeneity questions read one value of the model, its least zero flip:
-the first flip set of the all-zero example over that domain, or the empty
-set when the model is constant there.  It is one flip table (``_least_flip``), computed on first use and
-kept on the model (``_zero_flip``, a field of each family).  ``hom_check``
-asks whether it is nonempty, ``phom_check(k)`` whether it is nonempty with
-at most k features, and ``first_flip`` returns it for the all-zero example
-with nothing held, so ``lcxp_card_enum`` on that example shares it too.
-Each entry checks the request and the cap before it reads the kept value,
-and only the table route reads or fills it: a model answers and refuses
-alike, whatever was asked of it before.
+Flips range over the features a model reads.  The homogeneity questions
+read one value of the model, its least zero flip: the first flip set of
+the all-zero example, or the empty set when the model is constant.  It is
+one flip table (``_least_flip``), computed on first use and kept on the
+model (``_zero_flip``, a field of each family).  ``hom_check`` asks
+whether it is nonempty, ``phom_check(k)`` whether it is nonempty with at
+most k features, and ``first_flip`` returns it for the all-zero example
+with nothing held.  Each entry checks the request and the cap before it
+reads the kept value, and only the table route reads or fills it: a model
+answers and refuses alike, whatever was asked of it before.
 
 ``oracle_min`` and ``oracle_subset_min_check`` are the brute-force ground
 truth the rest of the test suite is measured against: candidates are
@@ -78,6 +77,7 @@ from .core import (
     _model_universe,
     check_int,
     classify,
+    feature_column,
     graft_dt,
     subcube_table,
     truth_table,
@@ -186,13 +186,34 @@ def _bit(table: int, mask: int) -> int:
     return (table >> mask) & 1
 
 
+def _flip_domain(model) -> list[int]:
+    """The features the model reads (``_reads``), ascending: the features a
+    flip may change (a flip of any other feature keeps every class)."""
+    n = len(_model_universe(model))
+    return [f for f in range(n) if model._reads >> f & 1]
+
+
+def _read_table(
+    model, fixed: dict, caps: BruteCaps, what: str, origin: int = 0, descending: bool = False
+) -> tuple[list[int], int]:
+    """Every engine table: the read features that ``fixed`` leaves free,
+    ascending (or ``descending``), and their ``subcube_table`` in that
+    order (bit m the class of the ``origin`` mask flipped on m);
+    ``CapExceeded`` for ``what`` when they number more than ``caps.verify``."""
+    free = [f for f in _flip_domain(model) if f not in fixed]
+    require_cap(len(free), caps.verify, what)
+    if descending:
+        free.reverse()
+    return free, subcube_table(model, fixed, free, origin)
+
+
 def verify_by_enumeration(
     model, kind: str, target, candidate: Candidate, caps: BruteCaps = DEFAULT_CAPS
 ) -> bool:
     """The definition, checked over all relevant completions at once.
 
     Each kind fixes some features and leaves the others free; one
-    ``subcube_table`` call tabulates every completion, and the answer is an
+    ``_read_table`` tabulates every completion, and the answer is an
     integer compare of that table against 0 or all-ones:
 
     * ``laxp``: e fixed on the candidate; e is a completion, so the
@@ -201,15 +222,10 @@ def verify_by_enumeration(
       constant.
     * ``gaxp`` / ``gcxp``: tau fixed; it holds iff the table is all c /
       all 1 - c.
-
-    Only the free features the model reads are tabulated
-    (``core.subcube_table``'s support rule), and the cap counts them.
     """
     u = _request(model, kind, target)
     fixed = _fixed(u, kind, target, candidate)
-    free = [f for f in _flip_domain(model) if f not in fixed]
-    require_cap(len(free), caps.verify, f"verify {kind}")
-    table = subcube_table(model, fixed, free)
+    free, table = _read_table(model, fixed, caps, f"verify {kind}")
     full = (1 << (1 << len(free))) - 1
     if kind == "laxp":
         return table in (0, full)
@@ -252,6 +268,42 @@ def shrink(
         if verify(model, kind, target, smaller, caps):
             candidate = smaller
     return candidate
+
+
+def _least_implicant(
+    model, cls: int, caps: BruteCaps, fixed=()
+) -> Optional[list[tuple[int, int]]]:
+    """The greedy shrink of the least completion of ``fixed`` with class
+    ``cls``, as (feature, bit) pairs by feature after ``fixed``'s own; None
+    when every completion has the other class.
+
+    One ``_read_table`` tabulates the completions, and the shrink
+    runs inside that table by existential quantification.  T holds the
+    completions of the other class, quantified over the positions dropped so
+    far, and x is the seed.  Free position j, in ascending order, stays when
+    T has x with bit j flipped: dropping it would let a completion of the
+    other class agree with what is left.  Otherwise j drops and T forgets
+    it: both halves of T on bit j are ORed onto each other.  These are the
+    literals ``shrink`` drops from x, in the same order, with one table
+    and one column live.  The shrink would drop every unread feature, and
+    the least completion sets them to 0.
+    """
+    fixed = dict(fixed)
+    free, table = _read_table(model, fixed, caps, "global search")
+    full = (1 << (1 << len(free))) - 1
+    other = full ^ table if cls else table
+    if other == full:
+        return None
+    wanted = full ^ other
+    x = (wanted & -wanted).bit_length() - 1
+    implicant = list(fixed.items())
+    for j, f in enumerate(free):
+        if other >> (x ^ (1 << j)) & 1:
+            implicant.append((f, x >> j & 1))
+        else:
+            col = feature_column(j, len(free))
+            other |= (other & col) >> (1 << j) | (other & ~col) << (1 << j)
+    return implicant
 
 
 # ---------------------------------------------------------------------------
@@ -350,24 +402,15 @@ def oracle_subset_min_check(
 # ---------------------------------------------------------------------------
 
 
-def _flip_domain(model) -> list[int]:
-    """The features the model reads (``_reads``), ascending: the features a
-    flip may change, and the free features of every engine table (a flip
-    of any other feature keeps every class)."""
-    n = len(_model_universe(model))
-    return [f for f in range(n) if model._reads >> f & 1]
-
-
-def _least_flip(model, domain: list[int], origin: int) -> frozenset:
-    """The first flip set of the example ``origin`` (a mask) over
-    ``domain``, by size and then lexicographically, from one flip table: the
-    highest position of least weight set in the table XOR the origin's
-    class.  The empty set when no flip changes the class.  The features off
-    the domain are held at the origin's bits."""
+def _least_flip(model, held: dict, origin: int, caps: BruteCaps, what: str) -> frozenset:
+    """The first flip set of the example ``origin`` (a mask) over the read
+    features off ``held``, by size and then lexicographically, from one
+    flip table (``_read_table``, ``held`` fixed at their bits, the lowest
+    free feature highest): the highest position of least weight set in the
+    table XOR the origin's class.  The empty set when no flip changes the
+    class."""
+    domain, table = _read_table(model, held, caps, what, origin, descending=True)
     d = len(domain)
-    rest = set(range(len(model.universe))).difference(domain)
-    # bit m is the class of the origin flipped on m, the domain's first feature highest
-    table = subcube_table(model, {f: origin >> f & 1 for f in rest}, domain[::-1], origin)
     flips = ((1 << (1 << d)) - 1) ^ table if table & 1 else table  # class-changing
     if not flips:
         return frozenset()
@@ -376,18 +419,18 @@ def _least_flip(model, domain: list[int], origin: int) -> frozenset:
         if lighter:
             flips = lighter
     m = flips.bit_length() - 1
-    return frozenset(domain[d - 1 - j] for j in range(d) if (m >> j) & 1)
+    return frozenset(f for j, f in enumerate(domain) if m >> j & 1)
 
 
-def _zero_flip(model, domain: list[int]) -> frozenset:
-    """``_least_flip`` of the all-zero example over the model's whole flip
-    domain, computed once per model and kept in its ``_zero_flip`` field
-    (set on any other value that ``core._model_universe`` takes for a
-    model).  Callers check the request and the cap first, so a cold and a
-    warm model answer and refuse alike."""
+def _zero_flip(model, caps: BruteCaps, what: str) -> frozenset:
+    """``_least_flip`` of the all-zero example with nothing held, computed
+    once per model and kept in its ``_zero_flip`` field (set on any other
+    value that ``core._model_universe`` takes for a model).  Callers check
+    the request and the cap first, so a cold and a warm model answer and
+    refuse alike."""
     least = getattr(model, "_zero_flip", None)
     if least is None:
-        least = _least_flip(model, domain, 0)
+        least = _least_flip(model, {}, 0, caps, what)
         object.__setattr__(model, "_zero_flip", least)
     return least
 
@@ -395,9 +438,8 @@ def _zero_flip(model, domain: list[int]) -> frozenset:
 def hom_check(model, caps: BruteCaps = DEFAULT_CAPS) -> bool:
     """Is some example classified differently from the all-zero example?
     It is when the model's least zero flip (``_zero_flip``) is not empty."""
-    domain = _flip_domain(model)
-    require_cap(len(domain), caps.verify, "hom")
-    return bool(_zero_flip(model, domain))
+    require_cap(len(_flip_domain(model)), caps.verify, "hom")
+    return bool(_zero_flip(model, caps, "hom"))
 
 
 def first_flip(
@@ -411,13 +453,12 @@ def first_flip(
     """First set of at most k features of the model's domain, less the
     ``fixed`` ones held at e's bits (features of the universe by the integer
     rule), whose flip changes e's class, by size and then lexicographically,
-    or None.  Up to ``caps.verify`` features it
-    is ``_least_flip`` if that has at most k features: the model's kept
-    ``_zero_flip`` when e is all zero and nothing is held, else a flip table
-    of its own.  Above the cap each flipped example is classified, if the
-    flip sets to try number at most 2**caps.verify.  ModelError when e is no
-    example over the model's universe, k is no nonnegative int or a held
-    feature is no feature of the universe."""
+    or None.  Up to ``caps.verify`` features it is ``_least_flip`` if that
+    has at most k features: the model's kept ``_zero_flip`` when e is all
+    zero and nothing is held.  Above the cap each flipped example is
+    classified, if the flip sets to try number at most 2**caps.verify.
+    ModelError when e is no example over the model's universe, k is no
+    nonnegative int or a held feature is no feature of the universe."""
     u = _request(model, "lcxp", e, k=k)
     held = set(check_int(tuple(fixed), 0, len(u), "held feature outside the universe"))
     domain = [f for f in _flip_domain(model) if f not in held]
@@ -436,9 +477,9 @@ def first_flip(
         return None
     origin = e.mask()
     if held or origin:
-        least = _least_flip(model, domain, origin)
+        least = _least_flip(model, {f: e.bits[f] for f in held}, origin, caps, what)
     else:
-        least = _zero_flip(model, domain)
+        least = _zero_flip(model, caps, what)
     return least if least and len(least) <= k else None
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import time
 from random import Random
 
@@ -353,3 +354,26 @@ class TestLaxpRules:
         e = random_example(rng, u)
         found = x.laxp_rules_subset_min(model, e)
         assert x.oracle_subset_min_check(model, "laxp", e, found)
+
+    def test_shrink_walks_only_the_read_features(self, monkeypatch):
+        """A 3-rule list over 2000 features that reads 3 of them: the greedy
+        shrink verifies once per read feature, not once per feature of the
+        universe, and keeps the answer of the shrink from the full set
+        (which drops feature 1999 and every unread one)."""
+        u = random_universe(Random(0), 2000)
+        dl = x.DecisionList(u, ((((5, 1),), 1), (((700, 1), (1999, 0)), 0),
+                                (((1999, 1),), 0), ((), 1)))
+        bits = [i % 2 for i in range(2000)]
+        bits[5], bits[700], bits[1999] = 0, 1, 0  # the second rule fires: class 0
+        e = x.Example(u, tuple(bits))
+        module = sys.modules["xplain.verify"]
+        verify, calls = module.verify, []
+
+        def counting_verify(*args, **kwargs):
+            calls.append(args[3])
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(module, "verify", counting_verify)
+        found = x.laxp_rules_subset_min(dl, e)
+        assert len(calls) <= 3
+        assert found == frozenset({5, 700})

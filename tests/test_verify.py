@@ -6,7 +6,7 @@ from math import comb
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import xplain as x
 from xplain.config import BruteCaps, CapExceeded
@@ -505,13 +505,14 @@ def _support_answers(m, e, k, held, local, tau) -> dict:
 
 
 @given(seed=st.integers(0, 10_000), extra=st.integers(0, 34))
+@example(seed=0, extra=1000)
 @settings(max_examples=150, deadline=None)
 def test_unread_features_change_no_answer(seed, extra):
     """A model of any family, a tree ensemble included, re-indexed onto a
-    universe of up to 40 features, where the new ones are unread, gives
-    every answer of the original, mapped onto the new positions: past the
-    verify cap of 24 as well, since a table and its cap cover only the read
-    features.  The requests on the wide model carry random bits, held
+    universe of up to 40 features, or of about 1000 in the explicit
+    example, where the new ones are unread, gives every answer of the
+    original, mapped onto the new positions: past the verify cap of 24 as
+    well, since a table and its cap cover only the read features.  The requests on the wide model carry random bits, held
     features and candidate features on the unread ones too."""
     rng = Random(seed)
     m = _flip_model(rng, 6)
