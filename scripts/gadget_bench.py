@@ -3,9 +3,12 @@
 source-problem solvers.
 
 Reports per-generator instance counts, truth splits, model sizes and wall
-time; any truth disagreement aborts with the instance printed.  The inputs
-are drawn first; each generator's time covers building its instances and
-answering their queries.
+time; any truth disagreement aborts with the instance printed, and so does a
+tree, an ensemble's elements included, that breaks its order tag
+(``respects_order``): ``mcc_odt_gaxp_gadget`` emits its order by
+construction and does not check it itself.  The inputs are drawn first; each generator's time
+covers building its instances, certifying their orders and answering their
+queries.
 
     python3 scripts/gadget_bench.py --instances 25 --seed 1
 """
@@ -36,12 +39,18 @@ class BenchConfig:
 
 def _certify(name: str, instances) -> dict:
     """Build (lazily, from the ``instances`` iterable) and certify one
-    generator's instances on the clock."""
+    generator's instances on the clock: each tree's order tag, then each
+    query's answer."""
     started = time.perf_counter()
     yes = 0
     size = 0
     count = 0
     for inst in instances:
+        model = inst.model
+        for t in {id(m): m for m in getattr(model, "elements", (model,))}.values():
+            if isinstance(t, x.DecisionTree) and t.order and not x.respects_order(t, t.order):
+                print(f"ORDER VIOLATION in {name}: {inst.provenance}")
+                raise SystemExit(1)
         for q in inst.queries:
             got = x.answer_query(inst.model, q)
             if got != inst.truth:

@@ -259,12 +259,12 @@ MUTANTS = [
     # the support rule: a table and its cap cover only the features a model
     # reads, in every family, and subcube_table refuses to miss a read one
     Mutant("flip-domain-every-feature", "src/xplain/verify.py",
-           "    return [f for f in range(n) if model._reads >> f & 1]\n",
-           "    return list(range(n))\n",
+           "    return mask_features(model._reads)\n",
+           "    return list(range(len(_model_universe(model))))\n",
            ("tests/test_cli.py::test_a_sparse_wide_list_is_answered_as_its_read_features",
             "tests/test_verify.py::test_sparse_set_at_the_cap_tabulates_its_read_features")),
     Mutant("verify-free-ignores-reads", "src/xplain/verify.py",
-           "    free = [f for f in _flip_domain(model) if f not in fixed]\n",
+           "    free = [f for f in read if f not in fixed]\n",
            "    free = [f for f in range(len(_model_universe(model))) if f not in fixed]\n",
            ("tests/test_cli.py::test_a_sparse_wide_list_is_answered_as_its_read_features",
             "tests/test_verify.py::test_unread_features_change_no_answer")),
@@ -277,9 +277,21 @@ MUTANTS = [
            "frozenset(_flip_domain(model))", "frozenset(range(len(model.universe)))",
            ("tests/test_explain_rules.py::TestLaxpRules::"
             "test_shrink_walks_only_the_read_features",)),
-    Mutant("cover-check-dropped", _CORE,
-           "    if model._reads & ~covered:\n        raise ModelError(cover)\n", "",
+    Mutant("cover-check-dropped", _CORE, " or not reads <= given", "",
            ("tests/test_core.py::test_subcube_table_needs_a_partition",)),
+    # fixed features follow the support rule too: a table and a seeded tree
+    # walk get only the fixed features the model reads
+    Mutant("table-keeps-unread-fixed-features", "src/xplain/verify.py",
+           "subcube_table(model, {f: fixed[f] for f in read if f in fixed}, free, origin)",
+           "subcube_table(model, fixed, free, origin)",
+           ("tests/test_verify.py::test_a_request_stays_linear_in_the_universe",)),
+    Mutant("tree-verify-seeds-unread-fixed-features", "src/xplain/verify.py",
+           "    seed = [(f, fixed[f]) for f in mask_features(t._reads) if f in fixed]\n",
+           "    seed = list(fixed.items())\n",
+           ("tests/test_verify.py::test_a_request_stays_linear_in_the_universe",)),
+    # the one mask reader reads the lowest feature off the last binary digit
+    Mutant("mask-reader-digit-order", _CORE, "bin(mask)[:1:-1]", "bin(mask)[2:]",
+           ("tests/test_explain_dt.py::TestLcxpMin::test_witness_is_the_oracles",)),
     Mutant("from-mask-unchecked", _CORE,
            '        check_int(mask, 0, 1 << len(u), "mask must be an int below 2**(universe size)")\n',
            "",

@@ -63,6 +63,7 @@ from .core import (
     _leaf_paths,
     check_int,
     counter_ge,
+    mask_features,
     truth_table,
 )
 from .verify import hom_check
@@ -260,8 +261,7 @@ def _dt_into(builder: _Builder, t: DecisionTree, c: int) -> tuple[int, list[int]
         return out, [], 0
     # both sides have leaves, so no leaf is the root and every mask is set
     deletion = [
-        builder.add(AND, [builder.literal(f, value >> f & 1)
-                          for f in range(mask.bit_length()) if mask >> f & 1])
+        builder.add(AND, [builder.literal(f, value >> f & 1) for f in mask_features(mask)])
         for mask, value in sides[mnl_side]
     ]
     out = builder.add(OR, deletion)

@@ -63,7 +63,9 @@ which a fixed feature is a constant and a free one the model reads a
 ``feature_column``; the model is never restricted or copied.  One support
 rule: a feature the model does not read (``_reads``) needs no bit and no
 column, so every engine table lists as free only the read features a
-request leaves free, and its cap counts just those.  ``truth_table`` is the
+request leaves free, and its cap counts just those; it fixes only the read
+features the request fixes.  ``mask_features`` reads any feature mask in one
+pass, so no request is quadratic in the universe.  ``truth_table`` is the
 case with every feature of the universe free, as the oracle counts them;
 with an ``origin`` mask, bit m is the class of the origin flipped on m.
 Verification by enumeration is one call of this kernel and one integer
@@ -112,6 +114,7 @@ Columns = Union[Sequence[int], Mapping[int, int]]
 
 _FEATURE = "feature index outside universe: feature indices must be integers below its size"
 _BIT = "literal bit must be 0 or 1"
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # bit bytes to binary digits
 
 
 def permutation(order: Iterable, n: int, message: str) -> tuple[int, ...]:
@@ -179,10 +182,8 @@ class Example:
         return self.bits[feature]
 
     def mask(self) -> int:
-        m = 0
-        for i, b in enumerate(self.bits):
-            m |= b << i
-        return m
+        """Bit i is feature i's bit: the bits read as binary digits, in one pass."""
+        return int(bytes(self.bits[::-1]).translate(_DIGITS) or b"0", 2)
 
     @staticmethod
     def from_mask(u: FeatureUniverse, mask: int) -> "Example":
@@ -192,9 +193,11 @@ class Example:
         return Example(u, tuple((mask >> i) & 1 for i in range(len(u))))
 
 
-def mask_features(mask: int, n: int) -> frozenset:
-    """The features among the first n whose bit is set in mask."""
-    return frozenset(f for f in range(n) if mask >> f & 1)
+def mask_features(mask: int) -> list[int]:
+    """The features whose bit is set in ``mask``, ascending, read off its
+    binary digits in one pass: linear in its length, where a shift per
+    feature is quadratic.  The one mask reader outside the oracle."""
+    return [f for f, d in enumerate(bin(mask)[:1:-1]) if d == "1"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -755,18 +758,17 @@ def subcube_table(model, fixed: Mapping[int, int], free: Sequence[int], origin: 
     model's ``_reads`` gets ``feature_column(j, len(free))``, complemented
     where the origin has it, so the work is in 2**len(free) bits whatever
     the universe size.  A free unread feature costs no column but doubles
-    the table, so the engines list only read ones.
+    the table, and a fixed unread one costs a check and a column for
+    nothing, so the engines list only read ones, fixed and free.  The cover
+    check is one set test against the read features (``mask_features``).
     """
     n = len(_model_universe(model))
     if not (isinstance(fixed, Mapping) and isinstance(free, Sequence)):
         raise ModelError("fixed must map features to bits and free must list features")
     cover = "fixed and free must be distinct features of the universe covering the read ones"
-    covered = 0
-    for f in check_int((*fixed, *free), 0, n, cover):
-        if covered >> f & 1:
-            raise ModelError(cover)
-        covered |= 1 << f
-    if model._reads & ~covered:
+    given = set(check_int((*fixed, *free), 0, n, cover))
+    reads = set(mask_features(model._reads))
+    if len(given) < len(fixed) + len(free) or not reads <= given:
         raise ModelError(cover)
     check_int(tuple(fixed.values()), 0, 2, "fixed bits must be 0 or 1")
     check_int(origin, 0, 1 << n, "origin must be a mask of the universe's features")
@@ -776,9 +778,8 @@ def subcube_table(model, fixed: Mapping[int, int], free: Sequence[int], origin: 
     for f, b in fixed.items():
         if b:
             cols[f] = full
-    reads = model._reads
     for j, f in enumerate(free):
-        if reads >> f & 1:
+        if f in reads:
             col = feature_column(j, d)
             cols[f] = full ^ col if origin >> f & 1 else col
     return model.table(cols, full)

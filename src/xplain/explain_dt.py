@@ -126,7 +126,7 @@ def _leaf_seeded_shrink(
     if seed is None:
         return None
     mask, value = seed
-    seeded = [(f, value >> f & 1) for f in range(n) if mask >> f & 1]
+    seeded = [(f, value >> f & 1) for f in mask_features(mask)]
     _, kill, _ = _literal_columns(t, 1 - want)
     kept = _column_shrink([kill[f + b * n] for f, b in seeded])
     return PartialExample(u, tuple(seeded[j] for j in kept))
@@ -158,7 +158,7 @@ def lcxp_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
     emask = e.mask()
     masks = [mask & (value ^ emask) for label, mask, value in _leaf_paths(t) if label != cls]
     best = functools.reduce(_better, masks, None)
-    return None if best is None else mask_features(best, len(t.universe))
+    return None if best is None else frozenset(mask_features(best))
 
 
 # offending class -> (tree, rows, kill, first) of the last tree whose

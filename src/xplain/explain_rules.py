@@ -176,7 +176,7 @@ def _branch_search(
                     breakable ^= high
         stats.record(tuple(combo), nodes)
         assert nodes <= max(a, 1) ** k
-    return None if best is None else mask_features(best, len(e.bits))
+    return None if best is None else frozenset(mask_features(best))
 
 
 def lcxp_card_branch(

@@ -587,7 +587,6 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
 
     root = complete(k, 0, lower)
     tree = DecisionTree(u, tuple(nodes), root, order)
-    assert respects_order(tree, order)
     n_vertices = len(g.vertices())
     assert tree.leaf_count() <= 4 * copies * max(1, k * k) * max(1, n_vertices) ** 2
     return GadgetInstance(

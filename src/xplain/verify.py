@@ -29,8 +29,10 @@ all-ones.
 The support rule and every engine table live here, in ``_read_table``: a
 table's free features are the unfixed features the model reads
 (``_reads``), since a feature no term, split or IN gate reads changes no
-class, and the ``verify`` cap counts them.  Two searches serve every model
-family:
+class, and the ``verify`` cap counts them; its fixed features, and a tree
+walk's seed, are the fixed ones the model reads.  ``core.mask_features``
+reads them off ``_reads`` in one pass, so a request stays linear in the
+universe.  Two searches serve every model family:
 
 * ``shrink``: the greedy one-pass shrink of a valid candidate to a
   subset-minimal explanation (trees run the same pass on literal columns in
@@ -79,6 +81,7 @@ from .core import (
     classify,
     feature_column,
     graft_dt,
+    mask_features,
     subcube_table,
     truth_table,
     weight_planes,
@@ -167,13 +170,15 @@ def restrict_dt(t: DecisionTree, tau: PartialExample) -> DecisionTree:
 
 def _verify_dt(t: DecisionTree, kind: str, target, fixed: dict) -> bool:
     """``lcxp`` holds iff a leaf of the other class than e's is reachable
-    from the fixed features (``core._leaf_paths`` seeded with them); the
-    other kinds iff no leaf of the class they exclude is."""
+    from the fixed features (``core._leaf_paths`` seeded with the fixed
+    features the tree reads); the other kinds iff no leaf of the class they
+    exclude is."""
     if kind in LOCAL_KINDS:
         other = 1 - classify(t, target)
     else:
         other = 1 - target if kind == "gaxp" else target
-    reachable = any(label == other for label, _, _ in _leaf_paths(t, fixed.items()))
+    seed = [(f, fixed[f]) for f in mask_features(t._reads) if f in fixed]
+    reachable = any(label == other for label, _, _ in _leaf_paths(t, seed))
     return reachable if kind == "lcxp" else not reachable
 
 
@@ -189,8 +194,8 @@ def _bit(table: int, mask: int) -> int:
 def _flip_domain(model) -> list[int]:
     """The features the model reads (``_reads``), ascending: the features a
     flip may change (a flip of any other feature keeps every class)."""
-    n = len(_model_universe(model))
-    return [f for f in range(n) if model._reads >> f & 1]
+    _model_universe(model)  # ModelError on a value that is no model
+    return mask_features(model._reads)
 
 
 def _read_table(
@@ -198,13 +203,15 @@ def _read_table(
 ) -> tuple[list[int], int]:
     """Every engine table: the read features that ``fixed`` leaves free,
     ascending (or ``descending``), and their ``subcube_table`` in that
-    order (bit m the class of the ``origin`` mask flipped on m);
-    ``CapExceeded`` for ``what`` when they number more than ``caps.verify``."""
-    free = [f for f in _flip_domain(model) if f not in fixed]
+    order (bit m the class of the ``origin`` mask flipped on m), which gets
+    only the fixed features the model reads; ``CapExceeded`` for ``what``
+    when the free ones number more than ``caps.verify``."""
+    read = _flip_domain(model)
+    free = [f for f in read if f not in fixed]
     require_cap(len(free), caps.verify, what)
     if descending:
         free.reverse()
-    return free, subcube_table(model, fixed, free, origin)
+    return free, subcube_table(model, {f: fixed[f] for f in read if f in fixed}, free, origin)
 
 
 def verify_by_enumeration(

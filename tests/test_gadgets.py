@@ -432,6 +432,7 @@ class TestMccOdt:
         g = random_coloured_graph(rng, rng.randint(k, 7), k)
         inst = x.mcc_odt_gaxp_gadget(g, k)
         u = inst.model.universe
+        assert x.respects_order(inst.model, inst.model.order)
         for _ in range(40):
             p = rng.choice((0.1, 0.3, 0.5))  # sparse vertex bits reach the one-set-vertex branch
             bits = tuple(

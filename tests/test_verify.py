@@ -556,6 +556,78 @@ def test_sparse_set_at_the_cap_tabulates_its_read_features():
     assert peak < 32 * 2**20
 
 
+def _width_routes(u: x.FeatureUniverse, p: list[int], e, local, tau) -> dict:
+    """name -> answer of every route on a 3-rule list and a 3-split tree
+    over u that read the features p."""
+    dl = x.DecisionList(u, ((((p[0], 1),), 1), (((p[1], 1), (p[2], 0)), 0),
+                            (((p[2], 1),), 0), ((), 1)))
+    t = x.DecisionTree(u, (x.Leaf(0), x.Leaf(1), x.Split(p[1], 0, 1), x.Leaf(1), x.Leaf(0),
+                           x.Split(p[2], 3, 4), x.Split(p[0], 2, 5)), 6)
+    out = {f"verify-{kind}": x.verify(dl, kind, e, local) for kind in ("laxp", "lcxp")}
+    for kind in ("gaxp", "gcxp"):
+        out[f"verify-{kind}"] = x.verify(dl, kind, 1, tau)
+    out.update({"hom": x.hom_check(dl), "phom-2": x.phom_check(dl, 2),
+                "lcxp_card_enum": x.lcxp_card_enum(dl, e, 3),
+                "lcxp_card_branch": x.lcxp_card_branch(dl, e, 3),
+                "laxp_rules_subset_min": x.laxp_rules_subset_min(dl, e),
+                "card-laxp": x.card_xp_search(dl, "laxp", e, 3),
+                "card-gaxp": x.card_xp_search(dl, "gaxp", 1, 3),
+                "gaxp_subset_min": x.gaxp_subset_min(dl, 1),
+                "tree-verify-lcxp": x.verify(t, "lcxp", e, local),
+                "tree-lcxp_min": x.lcxp_min(t, e),
+                "tree-gaxp_subset_min": x.gaxp_subset_min(t, 1),
+                "tree-translate": x.translate(t, 1)})
+    return out
+
+
+def test_a_request_stays_linear_in_the_universe(monkeypatch):
+    """A 3-rule list and a 3-split tree over 100 000 features that read 3 of
+    them give every route the answer of the same models over just those 3,
+    mapped back, and all routes together take under 1.5 s (about 5 s on a
+    2-core host when a mask was read one shift per feature).  Every engine
+    table and every seeded tree walk sees only the read features, the fixed
+    ones included; the requests fix or name unread features too."""
+    import sys
+    import time
+    from dataclasses import replace
+
+    n = 100_000
+    pos = [3, n // 2 + 1, n - 4]
+    small = x.universe("a", "b", "c")
+    e = x.Example(small, (0, 1, 0))
+    expected = _width_routes(small, [0, 1, 2], e, frozenset({0, 2}),
+                             x.PartialExample(small, ((0, 1),)))
+    wu = random_universe(Random(0), n)
+    circuit, cert = expected["tree-translate"]
+    gates = tuple(replace(g, feature=pos[g.feature]) if g.kind == "IN" else g
+                  for g in circuit.gates)
+    expected = {name: widened(answer, pos, wu) for name, answer in expected.items()}
+    expected["tree-translate"] = (x.Circuit(wu, gates, circuit.output), cert)
+    bits = [f % 2 for f in range(n)]
+    for f, b in zip(pos, e.bits):
+        bits[f] = b
+    seen: set = set()  # every feature an engine table or a seeded tree walk got
+    module = sys.modules["xplain.verify"]
+    table, walk = module.subcube_table, module._leaf_paths
+
+    def recording_table(model, fixed, free, origin=0):
+        seen.update(fixed, free)
+        return table(model, fixed, free, origin)
+
+    def recording_walk(t, seed=()):
+        seen.update(f for f, _ in seed)
+        return walk(t, seed)
+
+    monkeypatch.setattr(module, "subcube_table", recording_table)
+    monkeypatch.setattr(module, "_leaf_paths", recording_walk)
+    started = time.perf_counter()
+    got = _width_routes(wu, pos, x.Example(wu, tuple(bits)), frozenset({pos[0], pos[2], 10, 11}),
+                        x.PartialExample(wu, ((pos[0], 1), (10, 1))))
+    assert time.perf_counter() - started < 1.5
+    assert got == expected
+    assert seen <= set(pos)
+
+
 # ---------------------------------------------------------------------------
 # requests that do not fit the model
 # ---------------------------------------------------------------------------
