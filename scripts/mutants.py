@@ -186,6 +186,14 @@ MUTANTS = [
            "[(val[j], w) for j, w in arcs.items()]", "[(val[j], 1) for j, w in arcs.items()]",
            ("tests/test_circuits.py::TestEnsembleTranslation::"
             "test_unary_clique_gadget_wires_each_ballot_once",)),
+    # a list's running guard: a class-c rule reads NOT fired, and fired
+    # takes every term of each other-class run
+    Mutant("dl-guard-not-negated", "src/xplain/circuits.py",
+           "builder.add(AND, (gate, guard))", "builder.add(AND, (gate, fired))",
+           ("tests/test_circuits.py::TestListTranslation::test_alternating_runs_on_every_example",)),
+    Mutant("dl-run-term-left-unfired", "src/xplain/circuits.py",
+           "else [fired, *run])", "else [fired, *run[:-1]])",
+           ("tests/test_circuits.py::TestListTranslation::test_alternating_runs_on_every_example",)),
     Mutant("graft-single-vote", _CORE,
            "votes += node.label * weight[ti]", "votes += node.label",
            ("tests/test_explain_dt.py::TestProduct::"

@@ -21,9 +21,11 @@ and per-feature NOT gates are shared):
   NOT is appended.  The walk is path-consistent, so a raw tree is wired
   straight from its arena: it yields the leaves, paths and order of the
   tree's normal form, and no normalized copy is built.
-* a list (a set as its list) is cut into maximal same-class rule blocks; a
-  block fires when one of its rule terms applies, and the class-c blocks
-  are guarded by the negations of all earlier other-class blocks.
+* a list (a set as its list) wires one gate per rule term, up to its last
+  class-c rule.  A class-c rule is guarded by the NOT of one running OR,
+  ``fired``, of every earlier other-class term; ``fired`` grows by one OR
+  gate per run of consecutive other-class rules, so the circuit is linear
+  in the list.
 
 An ensemble of n elements then adds a single MAJ gate with threshold
 floor(n/2) + 1, which lists each ballot's output once per vote.
@@ -274,42 +276,38 @@ def _dl_into(
     builder: _Builder, model: Union[DecisionList, DecisionSet], c: int
 ) -> tuple[int, list[int], int]:
     """Wire one list (a set as its list) into the builder; returns (output
-    gate, deletion gates, the bound's exponent: three per rule)."""
+    gate, deletion gates, the bound's exponent: three per rule).  One running
+    guard ``fired`` ORs every earlier other-class term: it grows by one gate
+    per run of consecutive other-class rules, whose one NOT is shared by the
+    class-c rules after the run.  Each gate is deleted, at most 3 per rule."""
     dl = model.as_dl()
-    # maximal consecutive same-class blocks
-    blocks: list[tuple[int, list]] = []  # (class, member rule terms)
-    for term, cls in dl.rules:
-        if blocks and blocks[-1][0] == cls:
-            blocks[-1][1].append(term)
-        else:
-            blocks.append((cls, [term]))
-    # blocks after the last class-c block cannot influence [class == c];
+    # rules after the last class-c rule cannot influence [class == c];
     # building them would leave dangling gates
-    last_c = max((i for i, (cls, _) in enumerate(blocks) if cls == c), default=-1)
+    last_c = max((i for i, (_, cls) in enumerate(dl.rules) if cls == c), default=-1)
     if last_c < 0:
         return builder.const_false(), [], 3 * len(dl.rules)
     deletion: list[int] = []
-    guarded = []
-    negated_before: list[int] = []  # NOTs of earlier non-c blocks
-    for cls, terms in blocks[: last_c + 1]:
-        members = []
-        for term in terms:
-            if term:
-                gate = builder.add(AND, [builder.literal(f, b) for f, b in term])
-            else:
-                gate = builder.const_true()
-            members.append(gate)
-        deletion.extend(members)
-        block_gate = builder.add(OR, members)
-        deletion.append(block_gate)
-        if cls == c:
-            gate = builder.add(AND, [block_gate, *negated_before])
-            guarded.append(gate)
-            deletion.append(gate)
+    guarded: list[int] = []
+    run: list[int] = []  # other-class terms not yet in fired
+    fired = guard = None
+    for term, cls in dl.rules[: last_c + 1]:
+        if term:
+            gate = builder.add(AND, [builder.literal(f, b) for f, b in term])
         else:
-            ng = builder.add(NOT, (block_gate,))
-            negated_before.append(ng)
-            deletion.append(ng)
+            gate = builder.const_true()
+        deletion.append(gate)
+        if cls != c:
+            run.append(gate)
+            continue
+        if run:
+            fired = builder.add(OR, run if fired is None else [fired, *run])
+            guard = builder.add(NOT, (fired,))
+            deletion += [fired, guard]
+            run = []
+        if guard is not None:
+            gate = builder.add(AND, (gate, guard))
+            deletion.append(gate)
+        guarded.append(gate)
     out = builder.add(OR, guarded)
     assert len(deletion) <= 3 * len(dl.rules)
     return out, deletion, 3 * len(dl.rules)

@@ -135,6 +135,23 @@ def random_dl(rng: Random, u: x.FeatureUniverse, max_rules: int = 4) -> x.Decisi
     return x.DecisionList(u, rules + (((), rng.randint(0, 1)),))
 
 
+def alternating_dl(
+    rng: Random, u: x.FeatureUniverse, rules: int, default: int, max_run: int = 1
+) -> x.DecisionList:
+    """Decision list of ``rules`` rules, the default one (class ``default``)
+    included: before it, runs of 1 to ``max_run`` rules alternate between
+    the classes, starting with class 0, and each term has two literals (one
+    over a one-feature universe)."""
+    body: list = []
+    cls = 0
+    while len(body) < rules - 1:
+        for _ in range(min(rng.randint(1, max_run), rules - 1 - len(body))):
+            features = rng.sample(range(len(u)), min(2, len(u)))
+            body.append((tuple((f, rng.randint(0, 1)) for f in features), cls))
+        cls = 1 - cls
+    return x.DecisionList(u, (*body, ((), default)))
+
+
 def random_model(rng: Random, u: x.FeatureUniverse, family: str):
     if family == "dt":
         return random_dt(rng, u)

@@ -11,6 +11,7 @@ from xplain.core import feature_column
 from xplain.modelio import circuit_from_json, circuit_to_json, dump_model
 
 from generators import (
+    alternating_dl,
     leaf_assignments,
     permuted_arena,
     random_circuit,
@@ -189,6 +190,40 @@ class TestListTranslation:
             assert _sound(model, c, circ)
             assert x.certificate_holds(circ, cert)
             assert circ.maj_count == 0
+            assert len(cert.deletion) <= 3 * len(model.as_dl().rules)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 7))
+    @settings(max_examples=50, deadline=None)
+    def test_alternating_runs_on_every_example(self, seed, n):
+        """About 12 rules whose classes alternate in runs of 1 to 3, so the
+        running guard grows over several other-class runs: the circuit
+        agrees with the list on every example, for both classes and both
+        defaults, with a forest certificate of at most 3 gates per rule."""
+        rng = Random(seed)
+        u = random_universe(rng, n)
+        for default in (0, 1):
+            dl = alternating_dl(rng, u, rng.randint(10, 14), default, max_run=3)
+            for c in (0, 1):
+                circ, cert = x.translate(dl, c)
+                assert _sound(dl, c, circ)
+                assert x.certificate_holds(circ, cert)
+                assert len(cert.deletion) <= 3 * len(dl.rules)
+
+    @pytest.mark.parametrize("rules", [1001, 3001])
+    @pytest.mark.parametrize("default", [0, 1])
+    def test_alternating_list_is_linear_in_its_rules(self, rules, default):
+        """A list whose classes alternate rule by rule has at most its
+        literals, plus 4 arcs per rule, plus one per feature's NOT gate:
+        one running guard serves every class-c rule, where a guard per
+        earlier other-class rule took about rules**2 / 8 arcs."""
+        u = random_universe(Random(0), 40)
+        dl = alternating_dl(Random(rules + default), u, rules, default)
+        literals = sum(len(t) for t, _ in dl.rules)
+        for c in (0, 1):
+            circ, cert = x.translate(dl, c)
+            assert sum(len(g.ins) for g in circ.gates) <= literals + 4 * rules + 40
+            assert len(cert.deletion) <= 3 * rules
+            assert x.certificate_holds(circ, cert)
 
 
 class TestEnsembleTranslation:
