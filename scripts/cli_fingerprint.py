@@ -20,7 +20,11 @@ itself a circuit, for class 0 and then class 1, as
 (the JSON with sorted keys), so a change to any translation's gates or
 certificate shows.  The ``gadget-translations`` entry hashes the circuits of
 every distinct ensemble of the ``gadgets`` workload the same way, in request
-order; these are the only ensembles with repeated voters.  The ``branch`` entry of a seed calls the branching
+order; these are the only ensembles with repeated voters.  The
+``gadget-models`` entry hashes ``json.dumps(dump_model(model),
+sort_keys=True)`` of the model of every distinct ``gadgets`` instance, in
+request order, so a change to any built arena, its node order included,
+shows.  The ``branch`` entry of a seed calls the branching
 search through the library, with a ``BranchStats``, on every ``lcxp --min
 card --algo branch`` request of the ``rules`` workload, and hashes
 ``f"{sorted(witness)}\n{nodes}\n{records}\0"``: the witness (``None`` for
@@ -63,7 +67,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "scripts" / "cli_fingerprints.json"
 SEEDS = (1, 9001)
 WORKLOADS = ("trees", "rules", "gadgets", "gadget-witnesses", "translations",
-             "gadget-translations", "branch", "translate-files")
+             "gadget-translations", "gadget-models", "branch", "translate-files")
 SUBCOMMANDS = ("classify", "params", "verify", "explain", "oracle", "translate", "hom",
                "hom-suite", "gen-gadget")
 REFUSED = (
@@ -148,6 +152,16 @@ def gadget_translations(inputs):
             yield from _circuits(model)
 
 
+def gadget_models(inputs):
+    """The JSON document of the model of each distinct ``gadgets``
+    instance, with sorted keys."""
+    seen = set()
+    for req in inputs.requests:
+        if id(req.instance) not in seen:
+            seen.add(id(req.instance))
+            yield json.dumps(xplain.modelio.dump_model(req.instance.model), sort_keys=True)
+
+
 def _circuits(model):
     for c in (0, 1):
         circuit, cert = xplain.circuits.translate(model, c)
@@ -207,6 +221,7 @@ SOURCES = {
     "gadget-witnesses": (work_gadgets.setup, gadget_witnesses),
     "translations": (model_documents, translations),
     "gadget-translations": (work_gadgets.setup, gadget_translations),
+    "gadget-models": (work_gadgets.setup, gadget_models),
     "branch": (work_rules.setup, branch_searches),
     "translate-files": (work_rules.setup, written_files),
 }
