@@ -5,9 +5,10 @@ source-problem solvers.
 Reports per-generator instance counts, truth splits, model sizes and wall
 time; any truth disagreement aborts with the instance printed, and so does a
 tree, an ensemble's elements included, that breaks its order tag
-(``respects_order``): ``mcc_odt_gaxp_gadget`` emits its order by
-construction and does not check it itself.  The inputs are drawn first; each generator's time
-covers building its instances, certifying their orders and answering their
+(``respects_order``): the tree builders (``mcc_odt_gaxp_gadget`` and the
+set recognizers) emit their order by construction and do not check it
+themselves.  The inputs are drawn first; each generator's time covers
+building its instances, certifying their orders and answering their
 queries.
 
     python3 scripts/gadget_bench.py --instances 25 --seed 1

@@ -250,14 +250,23 @@ MUTANTS = [
     Mutant("budget-type-unchecked", "src/xplain/verify.py",
            '    return check_int(k, 0, inf, "k must be nonnegative")\n', "    return k\n",
            ("tests/test_gadgets.py::test_gadget_builders_refuse_the_budgets_a_request_refuses",)),
-    # a recognizer is the graft of one chain per row and a constant-1 ballot
+    # a recognizer is one chain per row, emitted in normal form; two rows
+    # or more are grafted with a constant-1 ballot
     Mutant("recognizer-constant-votes", _GADGETS,
-           "len(rows) - 1)] if len(rows) > 1", "len(rows) - 2)] if len(rows) > 1",
+           "(one,)), len(rows) - 1)]", "(one,)), len(rows) - 2)]",
            ("tests/test_gadgets.py::TestOdtFromExamples::test_membership_semantics",)),
     Mutant("recognizer-chain-branch", _GADGETS,
-           "Split(f, reject, accept) if bit[f] else Split(f, accept, reject)",
-           "Split(f, accept, reject) if bit[f] else Split(f, reject, accept)",
+           "nodes += (reject, Split(f, below, len(nodes)))",
+           "nodes += (reject, Split(f, len(nodes), below))",
            ("tests/test_gadgets.py::TestOdtFromExamples::test_single_all_zero_row",)),
+    Mutant("one-row-chain-bit-on-the-wrong-child", _GADGETS,
+           "nodes.append(Split(f, first, below))", "nodes.append(Split(f, below, first))",
+           ("tests/test_gadgets.py::test_one_row_chain_is_the_graft_of_its_chain",)),
+    # the ordered-tree clique gadget replays each block built once
+    Mutant("replayed-block-shifted-one-too-far", _GADGETS,
+           "Split(node.feature, node.lo + base, node.hi + base)",
+           "Split(node.feature, node.lo + base + 1, node.hi + base + 1)",
+           ("tests/test_gadgets.py::TestMccOdt::test_tree_matches_the_block_semantics",)),
     # the clique ensembles' all-zero vote check asserts the exact count of
     # each construction, not only that the vote rejects the example
     Mutant("clique-vote-count-weakened", _GADGETS,

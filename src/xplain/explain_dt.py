@@ -59,7 +59,7 @@ one process about one model build each class's columns once.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .config import DEFAULT_CAPS, BruteCaps, CapExceeded
 from .core import (
@@ -208,13 +208,22 @@ def _literal_columns(
 
 
 def _literal_options(
-    kill: Sequence[int], n: int, full: int
+    kill: Sequence[int], n: int, full: int, features: Iterable[int]
 ) -> list[Optional[tuple[int, int, int]]]:
     """Per literal index, its option triple (its bit, the complement of its
     column within ``full``, both bits of its feature), or None when its
-    column is zero: such a literal meets no row."""
-    return [(1 << lit, full ^ col, 1 << lit % n | 1 << (lit % n + n)) if col else None
-            for lit, col in enumerate(kill)]
+    column is zero: such a literal meets no row.  Only the literals of
+    ``features`` are read, so every other literal must have a zero column:
+    given the features the model reads, the work follows them, not the
+    universe."""
+    triples: list[Optional[tuple[int, int, int]]] = [None] * (2 * n)
+    for f in features:
+        both = 1 << f | 1 << (f + n)
+        for lit in (f, f + n):
+            col = kill[lit]
+            if col:
+                triples[lit] = (1 << lit, full ^ col, both)
+    return triples
 
 
 def _row_options(
@@ -264,6 +273,7 @@ def _column_shrink(cols: list[int]) -> list[int]:
 def _min_literal_hitting_set(
     n: int, rows: int, kill: Sequence[int], k: int,
     row_options: Callable[[int, list], list[tuple[int, int, int]]],
+    features: Iterable[int],
 ) -> Optional[list[tuple[int, int]]]:
     """Smallest consistent literal set of size <= k meeting all ``rows`` rows.
 
@@ -274,8 +284,9 @@ def _min_literal_hitting_set(
     a binary counter whose lowest bit is the lowest feature), sorted by
     feature; None when every such set is larger than k.
 
-    ``kill[lit]`` is the column of literal ``lit``: the rows it meets.
-    ``_literal_options`` turns each literal of nonzero column into its
+    ``kill[lit]`` is the column of literal ``lit``: the rows it meets; only
+    the literals of ``features`` may have a nonzero column.
+    ``_literal_options`` turns each such literal of nonzero column into its
     option triple: its bit, the complement of its column (the rows it
     misses) and both bits of its feature; ``row_options(r, triples)`` picks
     the triples of the literals meeting row r (``_row_options`` on a tree,
@@ -296,7 +307,7 @@ def _min_literal_hitting_set(
     checks that their feature is still unassigned.
     """
     full = (1 << rows) - 1
-    triples = _literal_options(kill, n, full)
+    triples = _literal_options(kill, n, full, features)
     options: dict[int, list[tuple[int, int, int]]] = {}  # row bit -> its triples
     level = {0: full}  # literal set -> rows it does not meet
     for size in range(k + 1):
@@ -413,6 +424,7 @@ def card_xp_search(
     """
     u = _request(model, kind, target, ("laxp", *GLOBAL_KINDS), k=k)
     n = len(u)
+    reads = mask_features(model._reads)  # the only features a row can hold
     t = _tree_form(model)
     next_row = None
     if t is not None:
@@ -437,7 +449,7 @@ def card_xp_search(
     while True:
         if next_row is not None and rows > 1 << cap:
             raise CapExceeded(f"{kind} search: {rows} rows exceed 2**{cap}")
-        found = _min_literal_hitting_set(n, rows, kill, k, row_options)
+        found = _min_literal_hitting_set(n, rows, kill, k, row_options, reads)
         row = None if found is None or next_row is None else next_row(found)
         if row is None:
             break

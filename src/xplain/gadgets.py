@@ -3,9 +3,11 @@
 Two building blocks sit underneath everything here.
 
 * ``odt_from_examples`` builds an ordered tree accepting exactly a given
-  set of assignments of some feature subset: ``core.graft_dt`` of one chain
-  per assignment, testing the subset in the order, and of a constant-1
-  ballot that lets any one accepting chain decide the vote.
+  set of assignments of some feature subset, from one chain per
+  assignment that tests the subset in the order.  One assignment is its
+  chain, emitted in normal form; more are ``core.graft_dt`` of the chains
+  and of a constant-1 ballot that lets any one accepting chain decide the
+  vote.
 * Set- and subset-recognizers: ``set_model_odt`` accepts the examples whose
   one-set *restricted to the family's domain* equals a member set;
   ``subset_model_rules`` accepts those whose one-set contains a member.
@@ -16,10 +18,14 @@ queries are equivalent, by construction, to a combinatorial source problem
 generated instance carries the source-problem answer computed by the naive
 solvers in :mod:`xplain.truth`, which share no code with the constructions.
 
-``mcc_odt_gaxp_gadget`` builds no sub-trees: it emits its scaffold and its
-blocks in one pass into one node arena and checks one ``DecisionTree`` at
-the end.  Every builder that takes a budget k checks it by
-``verify._budget``, the rule of the explanation entries.  The two
+The builders leave the bounds their constructions guarantee (leaf and
+positive-leaf counts, rule sizes, the order) to the tests, which check
+them on every model they build; the model constructors still validate
+what they are given.  ``mcc_odt_gaxp_gadget`` builds no sub-trees: it
+builds each block once, as an arena of its own, emits its scaffold into
+one node arena, replaying every block in each scaffold copy, and checks
+one ``DecisionTree`` at the end.  Every builder that takes a budget k
+checks it by ``verify._budget``, the rule of the explanation entries.  The two
 clique-ensemble builders list only their elements: ``_clique_universe``
 opens both with their checks and the graph's universe, and
 ``_clique_instance`` closes both with the all-zero vote check, counted per
@@ -34,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Collection, Optional, Sequence, Union
 
 from . import truth
 from .circuits import Circuit, circuit_table, translate
@@ -56,7 +62,6 @@ from .core import (
     graft_dt,
     measure,
     permutation,
-    respects_order,
 )
 from .explain_dt import card_xp_search
 from .explain_rules import lcxp_card_enum
@@ -189,6 +194,56 @@ def global_budget_search_dt(
 # ---------------------------------------------------------------------------
 
 
+def _chain(seq: Sequence[int], ones: Collection[int], accept: Leaf, reject: Leaf) -> tuple:
+    """Post-order arena of the chain that tests the features of ``seq`` in
+    turn, root last, and ends in ``accept`` only where each feature is 1
+    exactly when it is in ``ones``; a wrong bit goes to ``reject``.
+
+    This is the normal form ``graft_dt`` gives the chain: the reject leaf
+    of every feature in ``ones`` comes first, in ``seq`` order, then the
+    accept leaf, then, from the last feature up, each split, after its own
+    reject leaf when its accepting bit is 0.
+    """
+    first = sum(1 for f in seq if f in ones)  # reject leaves before the accept leaf
+    nodes = [reject] * first + [accept]
+    below = first  # the chain under the split being emitted
+    for f in reversed(seq):
+        if f in ones:
+            first -= 1  # this feature's reject leaf
+            nodes.append(Split(f, first, below))
+        else:
+            nodes += (reject, Split(f, below, len(nodes)))
+        below = len(nodes) - 1
+    return tuple(nodes)
+
+
+def _recognizer(
+    u: FeatureUniverse, seq: Sequence[int], rows: Sequence[Collection[int]], c: int,
+    order: tuple[int, ...],
+) -> DecisionTree:
+    """Ordered tree c-classifying exactly the examples that, on the features
+    of ``seq`` (in ``order``), are 1 exactly on the features of some row of
+    ``rows``, which are distinct.
+
+    One row is its chain (``_chain``), its leaves labelled for c.  More rows
+    are ``core.graft_dt`` of one chain per row, one vote each, and of a
+    constant-1 tree with ``len(rows) - 1`` votes, so any one accepting chain
+    decides the vote; class 0 flips the grafted leaves.
+    """
+    if not rows:
+        return DecisionTree(u, (Leaf(1 - c),), 0, order)
+    if len(rows) == 1:
+        nodes = _chain(seq, rows[0], Leaf(c), Leaf(1 - c))
+        return DecisionTree(u, nodes, len(nodes) - 1, order)
+    zero, one = Leaf(0), Leaf(1)  # leaves are immutable: shared by every chain
+    ballots = [(DecisionTree(u, (one,)), len(rows) - 1)]
+    for ones in rows:
+        nodes = _chain(seq, ones, one, zero)
+        ballots.append((DecisionTree(u, nodes, len(nodes) - 1), 1))
+    tree = graft_dt(ballots, order=order)
+    return tree if c else _flip_leaves(tree)
+
+
 def odt_from_examples(
     u: FeatureUniverse,
     rows: Sequence[PartialExample],
@@ -196,11 +251,14 @@ def odt_from_examples(
 ) -> DecisionTree:
     """Ordered tree accepting exactly the examples agreeing with some row.
 
-    All rows must assign the same feature subset.  Each row is a chain that
-    tests those features in the induced order and accepts only that row.
-    The tree is ``core.graft_dt`` of the chains, one vote each, and of a
-    constant-1 tree with ``len(rows) - 1`` votes, so any one accepting chain
-    decides the vote.  It has exactly ``len(rows)`` positive leaves.
+    All rows must assign the same feature subset, and no row may repeat.
+    Each row is a chain that tests those features in the induced order and
+    accepts only that row (``_recognizer``): one row is its chain, emitted
+    in normal form with no graft; more rows are ``core.graft_dt`` of the
+    chains and of a constant-1 ballot.  The tree has exactly ``len(rows)``
+    positive leaves, at most ``2 * len(rows) * len(domain) + 1`` leaves in
+    all, and respects the order; the tests check this on every tree they
+    build, and the builder does not prove it again.
     """
     order = permutation(order, len(u), "order must be a permutation of the universe")
     domains = {r.domain for r in rows}
@@ -208,25 +266,10 @@ def odt_from_examples(
         raise ModelError("rows must assign one common feature subset")
     if len(set(rows)) != len(rows):
         raise ModelError("duplicate rows")
-    if not rows:
-        return DecisionTree(u, (Leaf(0),), 0, order)
-    domain = set(domains.pop())
+    domain = set(domains.pop()) if rows else set()
     seq = [f for f in order if f in domain]
-    zero, one = Leaf(0), Leaf(1)  # leaves are immutable: shared by every chain
-    ballots = [(DecisionTree(u, (one,)), len(rows) - 1)] if len(rows) > 1 else []
-    for row in rows:
-        bit = row.as_dict()
-        nodes: list = [one]  # the chain, from its accepting leaf up
-        for f in reversed(seq):
-            accept, reject = len(nodes) - 1, len(nodes)
-            nodes += (zero, Split(f, reject, accept) if bit[f] else Split(f, accept, reject))
-        ballots.append((DecisionTree(u, tuple(nodes), len(nodes) - 1), 1))
-    tree = graft_dt(ballots, order=order)
-    positives = sum(1 for n in tree.nodes if isinstance(n, Leaf) and n.label == 1)
-    assert positives == len(rows)
-    assert tree.leaf_count() <= 2 * max(1, len(rows)) * max(1, len(seq)) + 1
-    assert respects_order(tree, order)
-    return tree
+    ones = [{f for f, b in row.assignments if b} for row in rows]
+    return _recognizer(u, seq, ones, 1, order)
 
 
 def _flip_leaves(t: DecisionTree) -> DecisionTree:
@@ -238,25 +281,28 @@ def _flip_leaves(t: DecisionTree) -> DecisionTree:
 
 def set_model_odt(fam: SetFamily, c: int, order: Sequence[int]) -> DecisionTree:
     """Ordered tree c-classifying exactly the examples whose one-set within
-    the family's domain equals a member set."""
+    the family's domain equals a member set.
+
+    It is ``odt_from_examples`` of the member sets as rows over the domain,
+    with its leaves flipped for class 0, built by ``_recognizer`` straight
+    from the sets: a one-set family is its chain, labelled for c.  Its
+    minority class has at most ``len(fam.sets)`` leaves (tested, not
+    re-proved here).
+    """
     check_int(c, 0, 2, "class must be 0 or 1")
-    domain = sorted(fam.domain)
-    rows = [
-        PartialExample(fam.universe, tuple((f, 1 if f in s else 0) for f in domain))
-        for s in fam.sets
-    ]
-    tree = odt_from_examples(fam.universe, rows, order)
-    if c == 0:
-        tree = _flip_leaves(tree)
-    assert tree.params().mnl_size <= len(fam.sets)
-    return tree
+    order = permutation(order, len(fam.universe), "order must be a permutation of the universe")
+    seq = [f for f in order if f in fam.domain]
+    return _recognizer(fam.universe, seq, fam.sets, c, order)
 
 
 def subset_model_rules(
     fam: SetFamily, c: int, family: str = "ds"
 ) -> Union[DecisionSet, DecisionList]:
     """Rule model c-classifying exactly the examples whose one-set contains a
-    member set (positive literals only)."""
+    member set (positive literals only): one term of the set's features per
+    member set, so terms of at most ``fam.max_set_size`` literals and at
+    most ``len(fam.sets) + 1`` terms or rules (tested, not re-proved
+    here)."""
     check_int(c, 0, 2, "class must be 0 or 1")
     terms = tuple(tuple((f, 1) for f in sorted(s)) for s in fam.sets)
     if family == "ds":
@@ -266,11 +312,6 @@ def subset_model_rules(
         model = DecisionList(fam.universe, rules)
     else:
         raise ModelError("family must be 'ds' or 'dl'")
-    a, b = fam.max_set_size, len(fam.sets)
-    report = measure(model)
-    assert report.term_size <= max(a, 0)
-    assert report.terms_elem <= b + 1
-    assert report.size_elem <= a * b + b + 1
     return model
 
 
@@ -498,6 +539,11 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
     after that.  Blocks are "every feature of a list is 0" chains: a pair
     block scans colour i, and the branch where it finds vertex v set
     requires the rest of colour i, then v's colour-j neighbours, to be 0.
+    Every copy holds the same blocks, so each block is built once per
+    graph, as an arena of its own in post-order, and replayed into each
+    copy with its child indices shifted to where it lands.  The leaf-count
+    bound and the order hold by construction and are tested, not asserted
+    here.
     """
     _budget(k)
     if k != g.k:
@@ -534,23 +580,27 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
         neighbours[y].append(feature_of[x])
     pairs = list(combinations(range(k), 2))
 
-    nodes: list = []
     zero, one = Leaf(0), Leaf(1)  # leaves are immutable: shared in the arena
 
-    def emit(node) -> int:
-        nodes.append(node)
-        return len(nodes) - 1
+    def block(b: int) -> list:
+        """Block b as an arena of its own, child indices counted from its
+        first node, root last."""
+        out: list = []
 
-    def zero_chain(features: Sequence[int], accept: int) -> int:
-        """Tests the features in order; any 1 rejects, all 0 goes on to
-        node ``accept``."""
-        for f in reversed(features):
-            accept = emit(Split(f, accept, emit(zero)))
-        return accept
+        def emit(node) -> int:
+            out.append(node)
+            return len(out) - 1
 
-    def block(b: int) -> int:
+        def zero_chain(features: Sequence[int], accept: int) -> int:
+            """Tests the features in order; any 1 rejects, all 0 goes on to
+            node ``accept``."""
+            for f in reversed(features):
+                accept = emit(Split(f, accept, emit(zero)))
+            return accept
+
         if b >= len(pairs):
-            return zero_chain(colours[b - len(pairs)], emit(one))
+            zero_chain(colours[b - len(pairs)], emit(one))
+            return out
         i, j = pairs[b]
         scan = emit(one)  # colour i all zero
         members = colours[i]
@@ -559,7 +609,22 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
             nbr = sorted(f for f in neighbours[v] if f in colours[j])
             found = zero_chain(members[d + 1:], zero_chain(nbr, emit(one)))
             scan = emit(Split(members[d], scan, found))
-        return scan
+        return out
+
+    blocks = [block(b) for b in range(block_count)]
+    nodes: list = []
+
+    def emit(node) -> int:
+        nodes.append(node)
+        return len(nodes) - 1
+
+    def replay(b: int) -> int:
+        """Block b appended to the arena, its child indices shifted to
+        where it starts."""
+        base = len(nodes)
+        nodes.extend(node if type(node) is Leaf else Split(node.feature, node.lo + base, node.hi + base)
+                     for node in blocks[b])
+        return len(nodes) - 1
 
     def complete(depth: int, first_feature: int, at_leaf) -> int:
         """Complete scaffold of the given depth whose node at (level, pos)
@@ -582,13 +647,11 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
         return complete(
             depth_low,
             lower_base + copy * lower_size,
-            lambda b: block(b) if b < block_count else emit(zero),
+            lambda b: replay(b) if b < block_count else emit(zero),
         )
 
     root = complete(k, 0, lower)
     tree = DecisionTree(u, tuple(nodes), root, order)
-    n_vertices = len(g.vertices())
-    assert tree.leaf_count() <= 4 * copies * max(1, k * k) * max(1, n_vertices) ** 2
     return GadgetInstance(
         tree,
         (Query("gaxp", 0, k),),

@@ -542,7 +542,7 @@ class TestCardSearchColumns:
             rows, got, first = _literal_columns(t, bad)
             assert (rows, got) == (len(paths), tuple(kill))
             full = (1 << rows) - 1
-            triples = _literal_options(got, n, full)
+            triples = _literal_options(got, n, full, range(n))
             for r in range(rows):
                 meeting = [(1 << lit, full & ~kill[lit], 1 << lit % n | 1 << lit % n + n)
                            for lit in range(2 * n) if kill[lit] >> r & 1]
@@ -575,7 +575,7 @@ class TestCardSearchColumns:
                     kill[lit] |= 1 << r
         for k in range(n + 2):
             found = _min_literal_hitting_set(
-                n, len(rows), kill, k, functools.partial(_listed_options, rows)
+                n, len(rows), kill, k, functools.partial(_listed_options, rows), range(n)
             )
             assert found == _least_hitting_set(n, rows, zero, k)
 
@@ -595,7 +595,7 @@ class TestCardSearchColumns:
             for lit in row:
                 kill[lit] |= 1 << r
         found = _min_literal_hitting_set(
-            n, len(rows), kill, 2, functools.partial(_listed_options, rows)
+            n, len(rows), kill, 2, functools.partial(_listed_options, rows), range(n)
         )
         assert found == answer == _least_hitting_set(n, rows, set(), 2)
 

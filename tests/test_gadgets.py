@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import inspect
 import json
 import math
 import tracemalloc
@@ -31,6 +32,68 @@ from generators import (
 
 def _one_set(e: x.Example) -> frozenset:
     return frozenset(f for f, b in enumerate(e.bits) if b)
+
+
+def _recognizer_bounds(t: x.DecisionTree, order, rows: int, domain: int, c: int = 1) -> None:
+    # exactly one class-c leaf per row, at most two leaves per row and
+    # domain feature (and one more), and every path in the order
+    assert sum(1 for n in t.nodes if isinstance(n, x.Leaf) and n.label == c) == rows
+    assert t.params().mnl_size <= rows
+    assert t.leaf_count() <= 2 * max(1, rows) * max(1, domain) + 1
+    assert is_normalized(t) and x.respects_order(t, order) and t.order == tuple(order)
+
+
+def _subset_model_bounds(m, fam: x.SetFamily, c: int, family: str = "ds") -> None:
+    a, b = fam.max_set_size, len(fam.sets)
+    report = x.measure(m)
+    assert report.term_size <= max(a, 0)
+    assert report.terms_elem <= b + 1
+    assert report.size_elem <= a * b + b + 1
+
+
+def _mcc_odt_bounds(inst: x.GadgetInstance, g: x.ColouredGraph, k: int) -> None:
+    t = inst.model
+    copies = 1 << k
+    assert t.leaf_count() <= 4 * copies * max(1, k * k) * max(1, len(g.vertices())) ** 2
+    assert is_normalized(t) and x.respects_order(t, t.order)
+
+
+# builder -> the bounds its every result must meet, given the result and
+# the builder's arguments
+_BOUNDS = {
+    "odt_from_examples": lambda t, u, rows, order: _recognizer_bounds(
+        t, order, len(rows), len(rows[0].domain) if rows else 0),
+    "set_model_odt": lambda t, fam, c, order: _recognizer_bounds(
+        t, order, len(fam.sets), len(fam.domain), c),
+    "subset_model_rules": _subset_model_bounds,
+    "mcc_odt_gaxp_gadget": _mcc_odt_bounds,
+}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _builders_meet_their_bounds():
+    """The builders emit their trees and rule models in final form and do
+    not prove these bounds again.  Every test of this module runs with the
+    builders wrapped, in ``gadgets`` and in the package, so the bounds are
+    asserted on every model a test builds, the recognizers that the
+    clique and hitting-set builders build included."""
+    restore = []
+    for name, bounds in _BOUNDS.items():
+        built = getattr(gadgets, name)
+
+        def checked(*args, _built=built, _bounds=bounds, **kwargs):
+            out = _built(*args, **kwargs)
+            call = inspect.signature(_built).bind(*args, **kwargs)
+            call.apply_defaults()
+            _bounds(out, *call.arguments.values())
+            return out
+
+        for module in (gadgets, x):
+            restore.append((module, name, getattr(module, name)))
+            setattr(module, name, checked)
+    yield
+    for module, name, original in reversed(restore):
+        setattr(module, name, original)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -152,6 +215,39 @@ class TestSetModel:
         a, b = fam.max_set_size, len(fam.sets)
         assert x.measure(t).mnl_size <= b
         assert x.measure(t).model_size <= 2 * a * b * b + 1
+
+
+def _graft_of_the_chain(u: x.FeatureUniverse, row: x.PartialExample, order) -> x.DecisionTree:
+    """A one-row recognizer as it was first built: the chain from its
+    accepting leaf up, in the row's induced order, grafted as one vote."""
+    bit = row.as_dict()
+    nodes: list = [x.Leaf(1)]
+    for f in reversed([f for f in order if f in bit]):
+        accept, reject = len(nodes) - 1, len(nodes)
+        nodes += (x.Leaf(0), x.Split(f, reject, accept) if bit[f] else x.Split(f, accept, reject))
+    return graft_dt([(x.DecisionTree(u, tuple(nodes), len(nodes) - 1), 1)], order=tuple(order))
+
+
+@given(seed=st.integers(0, 100_000))
+@settings(max_examples=200, deadline=None)
+def test_one_row_chain_is_the_graft_of_its_chain(seed):
+    # a one-set recognizer is emitted as its chain in normal form: the
+    # arena graft_dt gives the chain, leaves flipped for class 0
+    rng = Random(seed)
+    u = random_universe(rng, rng.randint(1, 8))
+    domain = frozenset(f for f in range(len(u)) if rng.random() < 0.6)
+    one_set = frozenset(f for f in domain if rng.random() < 0.5)
+    order = list(range(len(u)))
+    rng.shuffle(order)
+    c = rng.randint(0, 1)
+    row = x.PartialExample(u, tuple((f, int(f in one_set)) for f in sorted(domain)))
+    grafted = _graft_of_the_chain(u, row, order)
+    expected = grafted if c else gadgets._flip_leaves(grafted)
+    built = [(x.set_model_odt(x.SetFamily(u, (one_set,), domain), c, order), expected),
+             (x.odt_from_examples(u, [row], order), grafted)]
+    for t, want in built:
+        assert (t.nodes, t.root, t.order) == (want.nodes, want.root, want.order)
+        assert is_normalized(t) and x.respects_order(t, order)
 
 
 class TestSubsetModel:
