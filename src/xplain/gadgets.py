@@ -25,11 +25,11 @@ what they are given.  ``mcc_odt_gaxp_gadget`` builds no sub-trees: it
 builds each block once, as an arena of its own, emits its scaffold into
 one node arena, replaying every block in each scaffold copy, and checks
 one ``DecisionTree`` at the end.  Every builder that takes a budget k
-checks it by ``verify._budget``, the rule of the explanation entries.  The two
-clique-ensemble builders list only their elements: ``_clique_universe``
-opens both with their checks and the graph's universe, and
-``_clique_instance`` closes both with the all-zero vote check, counted per
-distinct element object, and the instance.
+checks it by ``verify._budget``, the rule of the explanation entries.
+The two clique-ensemble builders list only their elements:
+``_clique_universe`` opens both with their checks and the graph's
+universe, and ``_clique_instance`` closes both with the all-zero vote
+check, counted per distinct element object, and the instance.
 
 Generated universes are laid out in the declared feature order, so the order
 tag of every emitted tree is the identity permutation.
@@ -622,8 +622,10 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
         """Block b appended to the arena, its child indices shifted to
         where it starts."""
         base = len(nodes)
-        nodes.extend(node if type(node) is Leaf else Split(node.feature, node.lo + base, node.hi + base)
-                     for node in blocks[b])
+        nodes.extend(
+            node if type(node) is Leaf else Split(node.feature, node.lo + base, node.hi + base)
+            for node in blocks[b]
+        )
         return len(nodes) - 1
 
     def complete(depth: int, first_feature: int, at_leaf) -> int:
