@@ -38,7 +38,6 @@ def _recognizer_bounds(t: x.DecisionTree, order, rows: int, domain: int, c: int 
     # exactly one class-c leaf per row, at most two leaves per row and
     # domain feature (and one more), and every path in the order
     assert sum(1 for n in t.nodes if isinstance(n, x.Leaf) and n.label == c) == rows
-    assert t.params().mnl_size <= rows
     assert t.leaf_count() <= 2 * max(1, rows) * max(1, domain) + 1
     assert is_normalized(t) and x.respects_order(t, order) and t.order == tuple(order)
 
