@@ -250,18 +250,23 @@ MUTANTS = [
     Mutant("budget-type-unchecked", "src/xplain/verify.py",
            '    return check_int(k, 0, inf, "k must be nonnegative")\n', "    return k\n",
            ("tests/test_gadgets.py::test_gadget_builders_refuse_the_budgets_a_request_refuses",)),
-    # a recognizer is one chain per row, emitted in normal form; two rows
-    # or more are grafted with a constant-1 ballot
-    Mutant("recognizer-constant-votes", _GADGETS,
-           "(one,)), len(rows) - 1)]", "(one,)), len(rows) - 2)]",
+    # every gadget tree is a trie: it tests its sequence while some row
+    # agrees, a row's 1-bit on the 1-child
+    Mutant("trie-one-bit-on-the-zero-child", _GADGETS,
+           "(d + 1, [r for r in live if f in r]))\n"
+           "                live = [r for r in live if f not in r]\n",
+           "(d + 1, [r for r in live if f not in r]))\n"
+           "                live = [r for r in live if f in r]\n",
+           ("tests/test_gadgets.py::test_recognizer_is_the_graft_of_its_chains",)),
+    Mutant("trie-accepts-where-no-row-agrees", _GADGETS,
+           "nodes.append(accept if live else reject)", "nodes.append(accept)",
            ("tests/test_gadgets.py::TestOdtFromExamples::test_membership_semantics",)),
-    Mutant("recognizer-chain-branch", _GADGETS,
-           "nodes += (reject, Split(f, below, len(nodes)))",
-           "nodes += (reject, Split(f, len(nodes), below))",
+    Mutant("trie-depth-off-by-one", _GADGETS,
+           "while live and d < len(seq):", "while live and d < len(seq) - 1:",
            ("tests/test_gadgets.py::TestOdtFromExamples::test_single_all_zero_row",)),
-    Mutant("one-row-chain-bit-on-the-wrong-child", _GADGETS,
-           "nodes.append(Split(f, first, below))", "nodes.append(Split(f, below, first))",
-           ("tests/test_gadgets.py::test_one_row_chain_is_the_graft_of_its_chain",)),
+    Mutant("pair-block-rescans-the-found-vertex", _GADGETS,
+           "[*members[d + 1:], *nbr]", "[*members[d:], *nbr]",
+           ("tests/test_gadgets.py::TestMccOdt::test_tree_matches_the_block_semantics",)),
     # the ordered-tree clique gadget replays each block built once
     Mutant("replayed-block-shifted-one-too-far", _GADGETS,
            "Split(node.feature, node.lo + base, node.hi + base)",

@@ -74,13 +74,14 @@ compare; the flip searches, the homogeneity checks among them, add the
 
 Trees are rebuilt by ``graft_dt`` and read by ``_leaf_paths``, two
 path-consistent walks: at a split on a feature the path already assigns,
-each follows the consistent child.  ``normalize_dt``, ``verify.restrict_dt``,
-``explain_dt.product_dt`` and ``gadgets.odt_from_examples`` are each one call
-of ``graft_dt``.  Its output
+each follows the consistent child.  ``normalize_dt``, ``verify.restrict_dt``
+and ``explain_dt.product_dt`` are each one call of ``graft_dt``.  Its output
 is the one normal form of a tree: no path tests a feature twice, and the
-arena is in post-order (0-subtree, 1-subtree, split; root last), so the
-other tree readers, ``DecisionTree.table`` (a stack of subtree tables) among
-them, read a normalized tree in one forward pass over its nodes.  The
+arena is in post-order (0-subtree, 1-subtree, split; root last).  The
+gadget trees are emitted in this form by a builder of their own,
+``gadgets._trie``, with no graft.  The other tree readers,
+``DecisionTree.table`` (a stack of subtree tables) among them, read a
+normalized tree in one forward pass over its nodes.  The
 ``DecisionTree`` constructor decides that form once, in one forward pass
 over the arena; ``normalize_dt`` copies any other tree into it.
 ``_leaf_paths`` yields the leaves that a seed assignment leaves reachable,

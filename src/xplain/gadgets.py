@@ -2,12 +2,11 @@
 
 Two building blocks sit underneath everything here.
 
-* ``odt_from_examples`` builds an ordered tree accepting exactly a given
-  set of assignments of some feature subset, from one chain per
-  assignment that tests the subset in the order.  One assignment is its
-  chain, emitted in normal form; more are ``core.graft_dt`` of the chains
-  and of a constant-1 ballot that lets any one accepting chain decide the
-  vote.
+* ``_trie`` emits, into a node arena, the ordered tree that tests a fixed
+  feature sequence in turn while some row still agrees with the bits
+  tested so far.  It is every gadget tree's builder: ``odt_from_examples``
+  and ``set_model_odt`` are the tries of their rows, and the blocks of
+  ``mcc_odt_gaxp_gadget`` are tries of the one all-zero row.
 * Set- and subset-recognizers: ``set_model_odt`` accepts the examples whose
   one-set *restricted to the family's domain* equals a member set;
   ``subset_model_rules`` accepts those whose one-set contains a member.
@@ -24,8 +23,11 @@ them on every model they build; the model constructors still validate
 what they are given.  ``mcc_odt_gaxp_gadget`` builds no sub-trees: it
 builds each block once, as an arena of its own, emits its scaffold into
 one node arena, replaying every block in each scaffold copy, and checks
-one ``DecisionTree`` at the end.  Every builder that takes a budget k
-checks it by ``verify._budget``, the rule of the explanation entries.
+one ``DecisionTree`` at the end.  No builder calls ``core.graft_dt``:
+only ``_leaves_are``, a certifier of the homogeneity suite, does, so the
+builders share no tree engine with the graft that checks them.  Every
+builder that takes a budget k checks it by ``verify._budget``, the rule
+of the explanation entries.
 The two clique-ensemble builders list only their elements:
 ``_clique_universe`` opens both with their checks and the graph's
 universe, and ``_clique_instance`` closes both with the all-zero vote
@@ -194,54 +196,39 @@ def global_budget_search_dt(
 # ---------------------------------------------------------------------------
 
 
-def _chain(seq: Sequence[int], ones: Collection[int], accept: Leaf, reject: Leaf) -> tuple:
-    """Post-order arena of the chain that tests the features of ``seq`` in
-    turn, root last, and ends in ``accept`` only where each feature is 1
-    exactly when it is in ``ones``; a wrong bit goes to ``reject``.
+def _trie(
+    nodes: list, seq: Sequence[int], rows: Sequence[Collection[int]], accept: Leaf, reject: Leaf,
+) -> int:
+    """Append to ``nodes`` the tree that tests the features of ``seq`` in
+    turn while some row agrees with the bits tested so far, and return its
+    root.  A row is 1 exactly on its own features.  Where no row agrees the
+    tree ends in ``reject``, at the end of ``seq`` in ``accept``.
 
-    This is the normal form ``graft_dt`` gives the chain: the reject leaf
-    of every feature in ``ones`` comes first, in ``seq`` order, then the
-    accept leaf, then, from the last feature up, each split, after its own
-    reject leaf when its accepting bit is 0.
+    The tree is emitted in normal form, post-order with the 0-child first,
+    child indices counted in ``nodes``.  That is the arena ``core.graft_dt``
+    gives for the majority of one chain per row and a constant-1 ballot of
+    ``len(rows) - 1`` votes, its leaves labelled ``accept`` and ``reject``.
+    The walk keeps an explicit stack, so a long ``seq`` does not exhaust
+    the call stack.
     """
-    first = sum(1 for f in seq if f in ones)  # reject leaves before the accept leaf
-    nodes = [reject] * first + [accept]
-    below = first  # the chain under the split being emitted
-    for f in reversed(seq):
-        if f in ones:
-            first -= 1  # this feature's reject leaf
-            nodes.append(Split(f, first, below))
+    built: list[int] = []  # arena indices of finished subtrees
+    # (depth, rows agreeing so far) to visit, or (~depth, None) for the
+    # split on seq[depth] whose two children are built
+    stack: list[tuple] = [(0, rows)]
+    while stack:
+        d, live = stack.pop()
+        if d < 0:
+            hi = built.pop()
+            nodes.append(Split(seq[~d], built.pop(), hi))
         else:
-            nodes += (reject, Split(f, below, len(nodes)))
-        below = len(nodes) - 1
-    return tuple(nodes)
-
-
-def _recognizer(
-    u: FeatureUniverse, seq: Sequence[int], rows: Sequence[Collection[int]], c: int,
-    order: tuple[int, ...],
-) -> DecisionTree:
-    """Ordered tree c-classifying exactly the examples that, on the features
-    of ``seq`` (in ``order``), are 1 exactly on the features of some row of
-    ``rows``, which are distinct.
-
-    One row is its chain (``_chain``), its leaves labelled for c.  More rows
-    are ``core.graft_dt`` of one chain per row, one vote each, and of a
-    constant-1 tree with ``len(rows) - 1`` votes, so any one accepting chain
-    decides the vote; class 0 flips the grafted leaves.
-    """
-    if not rows:
-        return DecisionTree(u, (Leaf(1 - c),), 0, order)
-    if len(rows) == 1:
-        nodes = _chain(seq, rows[0], Leaf(c), Leaf(1 - c))
-        return DecisionTree(u, nodes, len(nodes) - 1, order)
-    zero, one = Leaf(0), Leaf(1)  # leaves are immutable: shared by every chain
-    ballots = [(DecisionTree(u, (one,)), len(rows) - 1)]
-    for ones in rows:
-        nodes = _chain(seq, ones, one, zero)
-        ballots.append((DecisionTree(u, nodes, len(nodes) - 1), 1))
-    tree = graft_dt(ballots, order=order)
-    return tree if c else _flip_leaves(tree)
+            while live and d < len(seq):  # down the 0-children
+                f = seq[d]
+                stack += ((~d, None), (d + 1, [r for r in live if f in r]))
+                live = [r for r in live if f not in r]
+                d += 1
+            nodes.append(accept if live else reject)
+        built.append(len(nodes) - 1)
+    return built.pop()
 
 
 def odt_from_examples(
@@ -251,16 +238,18 @@ def odt_from_examples(
 ) -> DecisionTree:
     """Ordered tree accepting exactly the examples agreeing with some row.
 
-    All rows must assign the same feature subset, and no row may repeat.
-    Each row is a chain that tests those features in the induced order and
-    accepts only that row (``_recognizer``): one row is its chain, emitted
-    in normal form with no graft; more rows are ``core.graft_dt`` of the
-    chains and of a constant-1 ballot.  The tree has exactly ``len(rows)``
-    positive leaves, at most ``2 * len(rows) * len(domain) + 1`` leaves in
-    all, and respects the order; the tests check this on every tree they
-    build, and the builder does not prove it again.
+    All rows must be partial examples over ``u`` that assign the same
+    feature subset, and no row may repeat.  The tree is the trie of the
+    rows (``_trie``) over those features in the induced order.  It has
+    exactly ``len(rows)`` positive leaves, at most
+    ``2 * len(rows) * len(domain) + 1`` leaves in all, and respects the
+    order; the tests check this on every tree they build, and the builder
+    does not prove it again.
     """
     order = permutation(order, len(u), "order must be a permutation of the universe")
+    for row in rows:
+        if not isinstance(row, PartialExample) or row.universe != u:
+            raise ModelError(f"not a partial example over the universe: {row!r}")
     domains = {r.domain for r in rows}
     if len(domains) > 1:
         raise ModelError("rows must assign one common feature subset")
@@ -269,30 +258,26 @@ def odt_from_examples(
     domain = set(domains.pop()) if rows else set()
     seq = [f for f in order if f in domain]
     ones = [{f for f, b in row.assignments if b} for row in rows]
-    return _recognizer(u, seq, ones, 1, order)
-
-
-def _flip_leaves(t: DecisionTree) -> DecisionTree:
-    nodes = tuple(
-        Leaf(1 - n.label) if isinstance(n, Leaf) else n for n in t.nodes
-    )
-    return DecisionTree(t.universe, nodes, t.root, t.order)
+    nodes: list = []
+    root = _trie(nodes, seq, ones, Leaf(1), Leaf(0))
+    return DecisionTree(u, tuple(nodes), root, order)
 
 
 def set_model_odt(fam: SetFamily, c: int, order: Sequence[int]) -> DecisionTree:
     """Ordered tree c-classifying exactly the examples whose one-set within
     the family's domain equals a member set.
 
-    It is ``odt_from_examples`` of the member sets as rows over the domain,
-    with its leaves flipped for class 0, built by ``_recognizer`` straight
-    from the sets: a one-set family is its chain, labelled for c.  Its
-    minority class has at most ``len(fam.sets)`` leaves (tested, not
-    re-proved here).
+    It is the trie of the member sets over the domain (``_trie``), its
+    leaves labelled for c: ``odt_from_examples`` of the sets as rows, with
+    its leaves flipped for class 0.  Its minority class has at most
+    ``len(fam.sets)`` leaves (tested, not re-proved here).
     """
     check_int(c, 0, 2, "class must be 0 or 1")
     order = permutation(order, len(fam.universe), "order must be a permutation of the universe")
     seq = [f for f in order if f in fam.domain]
-    return _recognizer(fam.universe, seq, fam.sets, c, order)
+    nodes: list = []
+    root = _trie(nodes, seq, fam.sets, Leaf(c), Leaf(1 - c))
+    return DecisionTree(fam.universe, tuple(nodes), root, order)
 
 
 def subset_model_rules(
@@ -536,9 +521,10 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
     over the upper auxiliary features picks the copy; under each of its
     leaves a complete scaffold over that copy's lower features picks block
     b, and lower leaf b holds block b for b < ``block_count``, ``Leaf(0)``
-    after that.  Blocks are "every feature of a list is 0" chains: a pair
-    block scans colour i, and the branch where it finds vertex v set
-    requires the rest of colour i, then v's colour-j neighbours, to be 0.
+    after that.  A per-colour block is the trie (``_trie``) of the one
+    all-zero row over its colour.  A pair block scans colour i, and the
+    branch where it finds vertex v set is the all-zero trie over the rest
+    of colour i, then v's colour-j neighbours.
     Every copy holds the same blocks, so each block is built once per
     graph, as an arena of its own in post-order, and replayed into each
     copy with its child indices shifted to where it lands.  The leaf-count
@@ -586,29 +572,19 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
         """Block b as an arena of its own, child indices counted from its
         first node, root last."""
         out: list = []
-
-        def emit(node) -> int:
-            out.append(node)
-            return len(out) - 1
-
-        def zero_chain(features: Sequence[int], accept: int) -> int:
-            """Tests the features in order; any 1 rejects, all 0 goes on to
-            node ``accept``."""
-            for f in reversed(features):
-                accept = emit(Split(f, accept, emit(zero)))
-            return accept
-
         if b >= len(pairs):
-            zero_chain(colours[b - len(pairs)], emit(one))
+            _trie(out, colours[b - len(pairs)], ((),), one, zero)
             return out
         i, j = pairs[b]
-        scan = emit(one)  # colour i all zero
+        out.append(one)  # colour i all zero
+        scan = 0
         members = colours[i]
         for d in range(len(members) - 1, -1, -1):
             v = g.classes[i][d]
             nbr = sorted(f for f in neighbours[v] if f in colours[j])
-            found = zero_chain(members[d + 1:], zero_chain(nbr, emit(one)))
-            scan = emit(Split(members[d], scan, found))
+            found = _trie(out, [*members[d + 1:], *nbr], ((),), one, zero)
+            out.append(Split(members[d], scan, found))
+            scan = len(out) - 1
         return out
 
     blocks = [block(b) for b in range(block_count)]

@@ -10,7 +10,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import xplain as x
 from xplain import gadgets, truth
@@ -142,6 +142,14 @@ class TestOdtFromExamples:
         with pytest.raises(x.ModelError):
             x.odt_from_examples(u, [row, row], (0,))
 
+    def test_rows_over_another_universe_are_refused(self):
+        u = x.universe("a", "b")
+        wide = x.PartialExample(x.universe("a", "b", "c"), ((2, 1),))
+        renamed = x.PartialExample(x.universe("a", "c"), ((0, 1),))
+        for row in (wide, renamed, ((0, 1),), None):
+            with pytest.raises(x.ModelError):
+                x.odt_from_examples(u, [row], (0, 1))
+
     def test_single_row_over_a_long_order(self):
         # one chain of 1500 tests: deeper than the interpreter's call stack
         u = x.FeatureUniverse(tuple(f"f{i}" for i in range(1500)))
@@ -216,34 +224,49 @@ class TestSetModel:
         assert x.measure(t).model_size <= 2 * a * b * b + 1
 
 
-def _graft_of_the_chain(u: x.FeatureUniverse, row: x.PartialExample, order) -> x.DecisionTree:
-    """A one-row recognizer as it was first built: the chain from its
-    accepting leaf up, in the row's induced order, grafted as one vote."""
-    bit = row.as_dict()
-    nodes: list = [x.Leaf(1)]
-    for f in reversed([f for f in order if f in bit]):
-        accept, reject = len(nodes) - 1, len(nodes)
-        nodes += (x.Leaf(0), x.Split(f, reject, accept) if bit[f] else x.Split(f, accept, reject))
-    return graft_dt([(x.DecisionTree(u, tuple(nodes), len(nodes) - 1), 1)], order=tuple(order))
+def _graft_of_the_chains(u: x.FeatureUniverse, rows, order, c: int) -> x.DecisionTree:
+    """A recognizer as it was first built: no row is the reject leaf; else
+    one chain per row, from its accepting leaf up in the rows' induced
+    order, one vote each, grafted with a constant-1 ballot of
+    ``len(rows) - 1`` votes, so any one accepting chain decides the vote;
+    the grafted leaves flipped for class 0."""
+    if not rows:
+        return x.DecisionTree(u, (x.Leaf(1 - c),), 0, tuple(order))
+    ballots = [(x.DecisionTree(u, (x.Leaf(1),)), len(rows) - 1)]
+    for row in rows:
+        bit = row.as_dict()
+        nodes: list = [x.Leaf(1)]
+        for f in reversed([f for f in order if f in bit]):
+            accept, reject = len(nodes) - 1, len(nodes)
+            nodes += (x.Leaf(0), x.Split(f, reject, accept) if bit[f] else x.Split(f, accept, reject))
+        ballots.append((x.DecisionTree(u, tuple(nodes), len(nodes) - 1), 1))
+    t = graft_dt(ballots, order=tuple(order))
+    if c:
+        return t
+    flipped = tuple(x.Leaf(1 - n.label) if isinstance(n, x.Leaf) else n for n in t.nodes)
+    return x.DecisionTree(u, flipped, t.root, t.order)
 
 
-@given(seed=st.integers(0, 100_000))
+@given(seed=st.integers(0, 100_000), count=st.integers(0, 5))
 @settings(max_examples=200, deadline=None)
-def test_one_row_chain_is_the_graft_of_its_chain(seed):
-    # a one-set recognizer is emitted as its chain in normal form: the
-    # arena graft_dt gives the chain, leaves flipped for class 0
+@example(seed=0, count=0)
+@example(seed=1, count=1)
+@example(seed=2, count=5)
+def test_recognizer_is_the_graft_of_its_chains(seed, count):
+    # a recognizer is the trie of its rows: the arena graft_dt gives its
+    # chains and constant ballot, leaves flipped for class 0, for
+    # set_model_odt of either class and for odt_from_examples
     rng = Random(seed)
     u = random_universe(rng, rng.randint(1, 8))
     domain = frozenset(f for f in range(len(u)) if rng.random() < 0.6)
-    one_set = frozenset(f for f in domain if rng.random() < 0.5)
+    sets = tuple(dict.fromkeys(
+        frozenset(f for f in domain if rng.random() < 0.5) for _ in range(count)))
     order = list(range(len(u)))
     rng.shuffle(order)
-    c = rng.randint(0, 1)
-    row = x.PartialExample(u, tuple((f, int(f in one_set)) for f in sorted(domain)))
-    grafted = _graft_of_the_chain(u, row, order)
-    expected = grafted if c else gadgets._flip_leaves(grafted)
-    built = [(x.set_model_odt(x.SetFamily(u, (one_set,), domain), c, order), expected),
-             (x.odt_from_examples(u, [row], order), grafted)]
+    rows = [x.PartialExample(u, tuple((f, int(f in s)) for f in sorted(domain))) for s in sets]
+    built = [(x.set_model_odt(x.SetFamily(u, sets, domain), c, order),
+              _graft_of_the_chains(u, rows, order, c)) for c in (0, 1)]
+    built.append((x.odt_from_examples(u, rows, order), built[1][1]))
     for t, want in built:
         assert (t.nodes, t.root, t.order) == (want.nodes, want.root, want.order)
         assert is_normalized(t) and x.respects_order(t, order)
