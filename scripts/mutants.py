@@ -146,6 +146,12 @@ MUTANTS = [
            "                    if True:\n"
            "                        deeper[lits | lit] = 0\n",
            ("tests/test_explain_dt.py::TestCardSearchColumns::test_last_level_per_live_mask",)),
+    # a raw tree is read path-consistently: a repeated test follows the
+    # child its earlier test chose
+    Mutant("raw-walk-inconsistent-child", _DT,
+           "node = nodes[node.hi if value >> node.feature & 1 else node.lo]",
+           "node = nodes[node.lo if value >> node.feature & 1 else node.hi]",
+           ("tests/test_explain_dt.py::TestRawTrees::test_a_raw_tree_answers_as_its_normal_copy",)),
     # ensembles count each ballot with its votes
     Mutant("ballot-single-vote", _CORE,
            "[(m.table(cols, full), votes) for m, votes in self._ballots]",
@@ -202,6 +208,11 @@ MUTANTS = [
     Mutant("better-tie-flipped", _RULES,
            "(size_b == size_a and (a ^ b) & -(a ^ b) & b)",
            "(size_b == size_a and (a ^ b) & -(a ^ b) & a)",
+           ("tests/test_explain_rules.py::test_branch_witness_equals_oracle_within_budget",)),
+    # the tree lcxp applies that order to all rows at once: fewest conflicts
+    # first, from the highest plane of the bit-sliced count down
+    Mutant("lcxp-most-conflicts", _DT,
+           "        fewer = least & ~plane\n", "        fewer = least & plane\n",
            ("tests/test_explain_dt.py::TestLcxpMin::test_witness_is_the_oracles",)),
     # the branching search's cuts and its node count: a prefix with
     # conflicting rules is not searched, flips stop at the limit, which
@@ -227,6 +238,11 @@ MUTANTS = [
            "                m & ~req_mask\n                for rules, j in zip(lists, combo)\n",
            "                m\n                for rules, j in zip(lists, combo)\n",
            ("tests/test_explain_rules.py::test_branch_witness_equals_oracle_within_budget",)),
+    Mutant("branch-budget-unclamped", _RULES,
+           "    k = min(k, reads.bit_count())  # a flip set holds read features only\n", "",
+           ("tests/test_cli.py::test_a_huge_budget_is_answered_at_once",
+            "tests/test_explain_rules.py::TestBranch::"
+            "test_the_budget_is_clamped_to_the_read_features")),
     Mutant("branch-limit-never-falls", _RULES,
            "                limit = best.bit_count()\n", "",
            ("tests/test_explain_rules.py::TestBranch::"

@@ -64,6 +64,7 @@ from .core import (
     ParamReport,
     _leaf_paths,
     check_int,
+    check_universe,
     counter_ge,
     mask_features,
     truth_table,
@@ -92,6 +93,7 @@ class Circuit:
     _zero_flip: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_universe(self.universe)
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
         if not gates:

@@ -16,12 +16,16 @@ from the one seeded greedy shrink of ``explain_dt.gaxp_subset_min`` and
 ``gcxp_subset_min``, for all five families.  Every ``lcxp`` answer, with
 either ``--min``, is the oracle's minimum, which is inclusion-minimal too:
 ``lcxp_min`` on a model with a tree form (``explain_dt._tree_form``: a
-tree, or a tree ensemble whose product fits under its leaf ceiling), the
-branching search on rule models and their ensembles, flip enumeration on
-circuits and with ``--algo enum``.  ``laxp --min subset`` is the greedy
-shrink, on the tree form when there is one.  A tree ensemble past the
-ceiling is answered as a rule ensemble is.  ``--k`` bounds ``--min card``
-only.  The exhaustive oracle answers the ``oracle`` subcommand alone.
+tree, raw or normal, or a tree ensemble whose product fits under its leaf
+ceiling), the branching search on rule models and their ensembles, flip
+enumeration on circuits and with ``--algo enum``.  ``laxp --min subset`` is
+the greedy shrink, on the tree form when there is one.  No ``explain``
+route builds a raw tree's normal-form copy but ``--algo enum``, whose flip
+table reads it, as the tables of ``hom`` and ``oracle`` do.  A tree
+ensemble past the ceiling is answered as a rule ensemble is.  ``--k``
+bounds ``--min card`` only, and the branching search clamps it to the
+features the model reads.  The exhaustive oracle answers the ``oracle``
+subcommand alone.
 
 Each subcommand is declared once, in ``COMMANDS``: its handler, help text
 and options.  ``main`` reads a canonical command line (an optional leading
@@ -34,8 +38,9 @@ such line and reused.  Each call gets a fresh namespace.
 
 Models are loaded with ``modelio.load_model_file``, which remembers the last
 model keyed on the file's bytes: consecutive requests about the same model
-document share one model object, with its normalized tree and its
-tree-ensemble product, and a rewritten file is always reloaded.
+document share one model object, with its tree-ensemble product and the
+literal columns ``explain_dt`` keeps for it, and a rewritten file is always
+reloaded.
 """
 
 from __future__ import annotations

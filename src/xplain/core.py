@@ -79,9 +79,12 @@ and ``explain_dt.product_dt`` are each one call of ``graft_dt``.  Its output
 is the one normal form of a tree: no path tests a feature twice, and the
 arena is in post-order (0-subtree, 1-subtree, split; root last).  The
 gadget trees are emitted in this form by a builder of their own,
-``gadgets._trie``, with no graft.  The other tree readers,
-``DecisionTree.table`` (a stack of subtree tables) among them, read a
-normalized tree in one forward pass over its nodes.  The
+``gadgets._trie``, with no graft.  ``DecisionTree.table`` (a stack of
+subtree tables) reads a normalized tree in one forward pass over its
+nodes; ``explain_dt._literal_columns`` does so on a tree in normal form and
+reads any other with ``explain_dt._walk_columns``, with no copy: a third
+path-consistent walk, the column reader's copy of ``_leaf_paths``' walk,
+so a change to how a repeated test is resolved is made in all three.  The
 ``DecisionTree`` constructor decides that form once, in one forward pass
 over the arena; ``normalize_dt`` copies any other tree into it.
 ``_leaf_paths`` yields the leaves that a seed assignment leaves reachable,
@@ -164,6 +167,13 @@ class FeatureUniverse:
 
 def universe(*names: str) -> FeatureUniverse:
     return FeatureUniverse(tuple(names))
+
+
+def check_universe(u) -> FeatureUniverse:
+    """``u`` when it is a FeatureUniverse; ModelError otherwise."""
+    if not isinstance(u, FeatureUniverse):
+        raise ModelError(f"a universe must be a FeatureUniverse, not {type(u).__name__}")
+    return u
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,6 +286,7 @@ class DecisionTree:
     _zero_flip: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_universe(self.universe)
         nodes = tuple(self.nodes)
         object.__setattr__(self, "nodes", nodes)
         count = len(nodes)
@@ -439,7 +450,7 @@ class DecisionSet:
     _zero_flip: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.universe)
+        n = len(check_universe(self.universe))
         terms = tuple(make_term(t, n) for t in self.terms)
         object.__setattr__(self, "terms", terms)
         check_int(self.default, 0, 2, "default class must be 0 or 1")
@@ -485,7 +496,7 @@ class DecisionList:
         if not self.rules:
             raise ModelError("decision list needs at least one rule")
         check_int(tuple(c for _, c in self.rules), 0, 2, "rule class must be 0 or 1")
-        n = len(self.universe)
+        n = len(check_universe(self.universe))
         rules = tuple((make_term(t, n), c) for t, c in self.rules)
         object.__setattr__(self, "rules", rules)
         if rules[-1][0] != ():
@@ -556,6 +567,7 @@ class Ensemble:
     _reads: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_universe(self.universe)
         elements = tuple(self.elements)
         object.__setattr__(self, "elements", elements)
         if not elements:

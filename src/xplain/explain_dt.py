@@ -1,21 +1,26 @@
 """Dedicated decision tree algorithms, and the greedy global shrink and the
 cardinality search of every model family.
 
-Everything tree-specific here runs on the tree in normal form (no path
-tests a feature twice, the arena in post-order: see ``core.normalize_dt``).
-The ``DecisionTree`` constructor decides that form in a forward pass over
-the arena; inputs in another form are normalized on entry, and
-callers keep their raw trees.  Every kind
-is a covering problem over leaf paths (Ignatiev et al., "From Contrastive to
-Abductive Explanations and Back Again", 2020), answered from at most two
-integer walks of the tree per call: ``core._leaf_paths``, the seeded leaf
-walk that also verifies trees, yields each leaf's path as a mask of tested
-features and a value of their bits; ``_literal_columns`` gives every
-literal its column, the bitmask of the leaves of one class whose path it
-conflicts, in one forward pass over the arena.  Nothing is kept on the tree
-between calls; the module remembers, per offending class, the columns of
-the last tree it built them for (``_column_cache``), so the requests of
-one process about one model build each class's columns once.
+Everything tree-specific here reads a tree as its normal form (no path
+tests a feature twice, the arena in post-order: see ``core.normalize_dt``)
+without building that form: a raw tree is walked path-consistently, as
+``graft_dt`` would copy it, so at a split on a feature the path already
+assigns the walk follows the consistent child and keeps nothing.  The
+``DecisionTree`` constructor decides the normal form in a forward pass over
+the arena; a tree in it (every gadget tree and every ``product_dt``) is
+read by forward passes, any other by that walk.  Every kind is a covering
+problem over leaf paths (Ignatiev et al., "From Contrastive to Abductive
+Explanations and Back Again", 2020; Izza, Ignatiev & Marques-Silva, "On
+Explaining Decision Trees", 2020), answered from at most two integer walks
+of the tree per call: ``core._leaf_paths``, the seeded leaf walk that also
+verifies trees, yields each leaf's path as a mask of tested features and a
+value of their bits; ``_literal_columns`` gives every literal its column,
+the bitmask of the leaves of one class whose path it conflicts, in one
+forward pass over a normal arena or one ``_walk_columns`` walk of a raw
+one.  Nothing is kept on the tree between calls; the module remembers, per
+offending class, the columns of the last tree it built them for
+(``_column_cache``), so the requests of one process about one model build
+each class's columns once.
 
 * greedy subset-minimal explanations: a candidate verifies exactly when the
   OR of its literal columns covers every leaf of the class it excludes, so
@@ -29,13 +34,14 @@ one process about one model build each class's columns once.
   shrink that reads each hitting-set row of the global kinds.
 * minimum local contrastive explanations in polynomial time: for every leaf
   of the opposite class, the features on its path that disagree with the
-  target example form a contrastive set, one mask per leaf; the least one
-  by size, then as a sorted feature tuple, is the oracle's minimum, which
-  is also the subset-minimal answer.
+  target example form a contrastive set, read off the columns of e's own
+  literals; the least one by size, then as a sorted feature tuple, is the
+  oracle's minimum, which is also the subset-minimal answer.  A bit-sliced
+  count of those columns finds it for all leaves at once.
 * bounded-cardinality search, for all five families: one hitting-set
   engine over literal columns.  On a tree each offending leaf is a row; one
-  pass over the arena numbers the rows depth-first, so the rows under a node
-  are consecutive, and each split adds one range to two columns.  Any other
+  pass over the tree numbers the rows depth-first, so the rows under a node
+  are consecutive, and each kept split adds one range to two columns.  Any other
   model gets its rows one at a time (implicit hitting-set dualization,
   Ignatiev, Previti, Liffiton & Marques-Silva, CP 2015): the table that
   checks the current minimum hitting set also yields the next row it
@@ -51,9 +57,9 @@ one process about one model build each class's columns once.
   (a distinct element with its votes) onto every leaf whose vote is still
   open; its post-order output passes the constructor's normal-form test
   like any other tree.
-  ``_tree_form`` gives every route its tree: a tree's normalized tree, or a
-  tree ensemble's product while it fits under ``product_dt``'s ceiling.
-  Past it, and on every other family, the table engines answer.
+  ``_tree_form`` gives every route its tree: a tree itself, raw or normal,
+  or a tree ensemble's product while it fits under ``product_dt``'s
+  ceiling.  Past it, and on every other family, the table engines answer.
 """
 
 from __future__ import annotations
@@ -73,9 +79,7 @@ from .core import (
     classify,
     graft_dt,
     mask_features,
-    normalize_dt,
 )
-from .explain_rules import _better
 from .verify import GLOBAL_KINDS, _least_implicant, _request, first_flip
 
 CardWitness = Union[frozenset, PartialExample, None]
@@ -84,24 +88,26 @@ _PRODUCT_CEILING = 1_000_000  # projected leaves of a tree ensemble's product_dt
 
 
 def _tree_form(model) -> Optional[DecisionTree]:
-    """The normalized tree of a tree, the ``product_dt`` of a tree ensemble
-    whose projected product fits under its ceiling, else None: past the
-    ceiling, and on every other family, the engines of rule models answer."""
+    """The tree itself, raw or normal (every tree engine reads a raw tree
+    path-consistently), the ``product_dt`` of a tree ensemble whose
+    projected product fits under its ceiling, else None: past the ceiling,
+    and on every other family, the engines of rule models answer."""
     if isinstance(model, Ensemble) and model.family == "dt":
         try:
-            model = product_dt(model)
+            return product_dt(model)
         except CapExceeded:
             return None
-    return normalize_dt(model) if isinstance(model, DecisionTree) else None
+    return model if isinstance(model, DecisionTree) else None
 
 
 def laxp_subset_min(t: DecisionTree, e: Example) -> frozenset:
     """Inclusion-minimal local abductive explanation: the greedy shrink of
     the full feature set, which always verifies.  A feature set verifies when
     e's literals on it conflict every leaf of the other class."""
+    if not isinstance(t, DecisionTree):
+        raise ModelError("expected a decision tree")
     _request(t, "laxp", e)
-    t = normalize_dt(t)
-    _, kill, _ = _literal_columns(t, 1 - classify(t, e))
+    _, kill, _, _ = _literal_columns(t, 1 - classify(t, e))
     n = len(t.universe)
     return frozenset(_column_shrink([kill[f + b * n] for f, b in enumerate(e.bits)]))
 
@@ -127,7 +133,7 @@ def _leaf_seeded_shrink(
         return None
     mask, value = seed
     seeded = [(f, value >> f & 1) for f in mask_features(mask)]
-    _, kill, _ = _literal_columns(t, 1 - want)
+    _, kill, _, _ = _literal_columns(t, 1 - want)
     kept = _column_shrink([kill[f + b * n] for f, b in seeded])
     return PartialExample(u, tuple(seeded[j] for j in kept))
 
@@ -150,61 +156,148 @@ def lcxp_min(t: DecisionTree, e: Example) -> Optional[frozenset]:
     """Cardinality-minimum local contrastive explanation, or None on constant
     trees: the least conflict set of e with a leaf of the other class (the
     path features whose bit differs from e's) in the oracle's order, by size
-    and then as sorted feature tuples (``explain_rules._better``)."""
+    and then as sorted feature tuples (``explain_rules._better``).
+
+    It reads the columns of class 1 - M(e): row r conflicts e on the read
+    features f whose column ``kill[f + e_f * n]`` holds r.  A bit-sliced
+    count of those columns (plane j holds bit j of every row's conflict
+    count) keeps the rows of fewest conflicts, from the highest plane down;
+    one ascending pass over the features then keeps, at each feature, the
+    rows holding it when any does.  The rows left share one conflict set,
+    the least, as ``_better`` would pick it from all rows one pair at a time.
+    """
     if not isinstance(t, DecisionTree):
         raise ModelError("expected a decision tree")
     _request(t, "lcxp", e)
-    cls = classify(t, e)
-    emask = e.mask()
-    masks = [mask & (value ^ emask) for label, mask, value in _leaf_paths(t) if label != cls]
-    best = functools.reduce(_better, masks, None)
-    return None if best is None else frozenset(mask_features(best))
+    rows, kill, _, _ = _literal_columns(t, 1 - classify(t, e))
+    if not rows:
+        return None
+    n, bits = len(t.universe), e.bits
+    cols = [(f, kill[f + bits[f] * n]) for f in mask_features(t._reads)]
+    planes: list[int] = []  # bit j of every row's conflict count
+    for _, carry in cols:
+        j = 0
+        while carry:  # add the column to every row's count, plane by plane
+            if j == len(planes):
+                planes.append(carry)
+                break
+            planes[j], carry = planes[j] ^ carry, planes[j] & carry
+            j += 1
+    least = (1 << rows) - 1
+    for plane in reversed(planes):
+        fewer = least & ~plane
+        if fewer:
+            least = fewer
+    witness = []
+    for f, col in cols:
+        if least & col:
+            least &= col
+            witness.append(f)
+    return frozenset(witness)
 
 
-# offending class -> (tree, rows, kill, first) of the last tree whose
+# offending class -> (tree, rows, kill, first, arena) of the last tree whose
 # columns were built for it.  A hit needs the very tree (``is``): hashing or
 # comparing a tree costs as much as the pass.  The strong reference keeps
 # that tree alive until the slot is rebound; two slots bound the memory.
-_column_cache: dict[int, tuple[DecisionTree, int, tuple[int, ...], tuple[int, ...]]] = {}
+_column_cache: dict[int, tuple] = {}
 
 
 def _literal_columns(
     t: DecisionTree, bad: int
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Row count, literal columns and per-node first rows of the leaves of
-    class ``bad``, in one forward pass over a tree in normal form; the last
+) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple]:
+    """Row count, literal columns, per-node first rows and the arena that
+    ``_row_options`` descends, for the leaves of class ``bad``; the last
     tree's answer per class is remembered, as tuples no caller can change.
 
-    Rows are the ``bad`` leaves numbered depth-first, 0-child first, which
-    is their order in the post-order arena, so the rows under node i are
-    consecutive from ``first[i]`` and end where the pass stands at i.
-    ``kill[f + b * n]`` has bit r set when literal ``(f, b)`` conflicts row
-    r's path: a split on f ORs the rows of its 0-subtree into ``(f, 1)`` and
-    those of its 1-subtree into ``(f, 0)``, one range mask each unless it is
-    empty.
+    Rows are the ``bad`` leaves numbered depth-first, 0-child first, the
+    order of ``_leaf_paths``, so the rows under a node are consecutive from
+    its ``first`` row.  ``kill[f + b * n]`` has bit r set when literal
+    ``(f, b)`` conflicts row r's path: a split on f ORs the rows of its
+    0-subtree into ``(f, 1)`` and those of its 1-subtree into ``(f, 0)``,
+    one range mask each unless it is empty.
+
+    A tree in normal form is read in one forward pass over its post-order
+    arena, where the rows under node i end where the pass stands at i, and
+    its own ``nodes`` are the arena returned.  Any other tree is read by
+    ``_walk_columns`` without building its normal form, with the rows and
+    columns of ``normalize_dt(t)``.  The walk alone would serve both, but it
+    is about three times the forward pass on a normal arena, which the
+    ``gadgets`` benchmark shows (see the ROADMAP decision on trees).
     """
     last = _column_cache.get(bad)
     if last is not None and last[0] is t:
         return last[1:]
-    n = len(t.universe)
-    kill = [0] * (2 * n)
-    first: list[int] = []  # per node: the first row number in its subtree
-    rows = 0
-    for node in t.nodes:
-        if type(node) is Leaf:
-            first.append(rows)
-            rows += node.label == bad
-            continue
-        lo = first[node.lo]
-        mid = first[node.hi]
-        first.append(lo)
-        if lo < mid:
-            kill[node.feature + n] |= (1 << mid) - (1 << lo)
-        if mid < rows:
-            kill[node.feature] |= (1 << rows) - (1 << mid)
-    columns = rows, tuple(kill), tuple(first)
+    if t._normal is not True:
+        columns = _walk_columns(t, bad)
+    else:
+        n = len(t.universe)
+        kill = [0] * (2 * n)
+        first: list[int] = []  # per node: the first row number in its subtree
+        rows = 0
+        for node in t.nodes:
+            if type(node) is Leaf:
+                first.append(rows)
+                rows += node.label == bad
+                continue
+            lo = first[node.lo]
+            mid = first[node.hi]
+            first.append(lo)
+            if lo < mid:
+                kill[node.feature + n] |= (1 << mid) - (1 << lo)
+            if mid < rows:
+                kill[node.feature] |= (1 << rows) - (1 << mid)
+        columns = rows, tuple(kill), tuple(first), t.nodes
     _column_cache[bad] = (t, *columns)
     return columns
+
+
+def _walk_columns(
+    t: DecisionTree, bad: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple]:
+    """``_literal_columns`` of a tree not in normal form, in one
+    path-consistent walk of its own arena, depth-first and 0-child first:
+    the column reader's copy of the walk of ``core._leaf_paths`` and
+    ``graft_dt``, which must resolve a repeated test as they do.
+
+    The walk carries the features the path assigns and their bits.  A split
+    on an assigned feature is a repeated test: the walk follows its
+    consistent child and adds nothing.  At each index it enters it records
+    the first row entered there, and in the arena returned, the node it
+    reached past any repeated tests, so ``_row_options`` descends the kept
+    splits alone.  On leaving a kept split it ORs its two row ranges into
+    the columns.
+    """
+    nodes = arena = t.nodes
+    n = len(t.universe)
+    kill = [0] * (2 * n)
+    first = [0] * len(nodes)
+    rows = 0
+    stack = [(t.root, 0, 0)]  # (index, mask, value) to enter, or (index, -1, 0) to leave
+    while stack:
+        i, mask, value = stack.pop()
+        if mask < 0:  # both subtrees of the split kept at i are numbered
+            node = arena[i]
+            low, mid = first[node.lo], first[node.hi]
+            if low < mid:
+                kill[node.feature + n] |= (1 << mid) - (1 << low)
+            if mid < rows:
+                kill[node.feature] |= (1 << rows) - (1 << mid)
+            continue
+        first[i] = rows
+        node = nodes[i]
+        if type(node) is not Leaf and mask >> node.feature & 1:  # a repeated test
+            while type(node) is not Leaf and mask >> node.feature & 1:
+                node = nodes[node.hi if value >> node.feature & 1 else node.lo]
+            if arena is nodes:
+                arena = list(nodes)
+            arena[i] = node
+        if type(node) is Leaf:
+            rows += node.label == bad
+            continue
+        bit = 1 << node.feature
+        stack += ((i, -1, 0), (node.hi, mask | bit, value | bit), (node.lo, mask | bit, value))
+    return rows, tuple(kill), tuple(first), tuple(arena)
 
 
 def _literal_options(
@@ -430,13 +523,14 @@ def card_xp_search(
     if t is not None:
         if kind == "laxp":
             # conflict sets of e: the paths of the other class, through e's literals
-            rows, kill, first = _literal_columns(t, 1 - classify(t, target))
+            rows, kill, first, arena = _literal_columns(t, 1 - classify(t, target))
             kill = list(kill)  # the cached columns stay as built
             for f, b in enumerate(target.bits):
                 kill[f + (1 - b) * n] = 0
         else:
-            rows, kill, first = _literal_columns(t, 1 - target if kind == "gaxp" else target)
-        row_options = functools.partial(_row_options, t.nodes, t.root, n, first)
+            rows, kill, first, arena = _literal_columns(
+                t, 1 - target if kind == "gaxp" else target)
+        row_options = functools.partial(_row_options, arena, t.root, n, first)
     else:
         rows, kill, read = 0, [0] * (2 * n), []  # read: each round's row
         row_options = functools.partial(_listed_options, read)

@@ -16,7 +16,9 @@ the features that could falsify that rule (never touching the seed rule's
 features, nor flipping a feature twice).  The branching tree has depth at
 most the budget k and branching factor at most the largest term size a, so
 the number of fully explored branches is bounded by a**k per target rule;
-the implementation counts them and insists on the bound.
+the implementation counts them and insists on the bound.  A flip set holds
+only features the model reads, so k is first clamped to their number, and
+the bound is checked without building a**k.
 
 One engine, ``_branch_search``, runs this for a majority vote of lists: it
 chooses one rule per ballot (each distinct element value once, counted with
@@ -75,7 +77,7 @@ class BranchStats:
     the branching tree.
     """
 
-    budget: int = 0
+    budget: int = 0  # k, clamped to the number of features the model reads
     term_size: int = 0
     per_target: list[tuple[object, int]] = field(default_factory=list)
 
@@ -87,7 +89,8 @@ def _better(a: Optional[int], b: Optional[int]) -> Optional[int]:
     """Of two flip masks, the smaller set wins; equal sizes break towards the
     lexicographically smaller sorted feature tuple, which is the set holding
     the lowest feature where the two differ.  This is the oracle's order,
-    which the branching search and ``explain_dt.lcxp_min`` both follow."""
+    which the branching search follows one pair at a time;
+    ``explain_dt.lcxp_min`` applies it to all of a tree's rows at once."""
     if a is None:
         return b
     if b is None:
@@ -111,6 +114,10 @@ def _branch_search(
     search the smallest flip routing e to all chosen rules at once.  A term
     is a (mask, value) pair that fires on x when ``x & mask == value``."""
     a = max(len(t) for dl, _ in ballots for t, _ in dl.rules)
+    reads = 0
+    for dl, _ in ballots:
+        reads |= dl._reads
+    k = min(k, reads.bit_count())  # a flip set holds read features only
     if stats is None:
         stats = BranchStats()
     stats.budget = k
@@ -175,8 +182,19 @@ def _branch_search(
                     flips.append(flip | high)
                     breakable ^= high
         stats.record(tuple(combo), nodes)
-        assert nodes <= max(a, 1) ** k
+        assert _at_most_power(nodes, max(a, 1), k)
     return None if best is None else frozenset(mask_features(best))
+
+
+def _at_most_power(x: int, a: int, k: int) -> bool:
+    """x <= a ** k, without building a ** k past x: the power grows one
+    factor at a time and stops once it reaches x."""
+    power = 1
+    for _ in range(k):
+        if power >= x:
+            return True
+        power *= a
+    return power >= x
 
 
 def lcxp_card_branch(

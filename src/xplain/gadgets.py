@@ -60,6 +60,7 @@ from .core import (
     Split,
     _model_universe,
     check_int,
+    check_universe,
     classify,
     graft_dt,
     measure,
@@ -96,7 +97,7 @@ class SetFamily:
     domain: Optional[frozenset] = None
 
     def __post_init__(self) -> None:
-        n, outside = len(self.universe), "domain feature outside universe"
+        n, outside = len(check_universe(self.universe)), "domain feature outside universe"
         sets = tuple(dict.fromkeys(  # each set once, in order
             frozenset(check_int(tuple(s), 0, n, outside)) for s in self.sets))
         object.__setattr__(self, "sets", sets)
@@ -246,7 +247,8 @@ def odt_from_examples(
     order; the tests check this on every tree they build, and the builder
     does not prove it again.
     """
-    order = permutation(order, len(u), "order must be a permutation of the universe")
+    order = permutation(order, len(check_universe(u)),
+                        "order must be a permutation of the universe")
     for row in rows:
         if not isinstance(row, PartialExample) or row.universe != u:
             raise ModelError(f"not a partial example over the universe: {row!r}")
@@ -263,6 +265,11 @@ def odt_from_examples(
     return DecisionTree(u, tuple(nodes), root, order)
 
 
+def _check_family(fam) -> None:
+    if not isinstance(fam, SetFamily):
+        raise ModelError(f"expected a SetFamily, not {type(fam).__name__}")
+
+
 def set_model_odt(fam: SetFamily, c: int, order: Sequence[int]) -> DecisionTree:
     """Ordered tree c-classifying exactly the examples whose one-set within
     the family's domain equals a member set.
@@ -272,6 +279,7 @@ def set_model_odt(fam: SetFamily, c: int, order: Sequence[int]) -> DecisionTree:
     its leaves flipped for class 0.  Its minority class has at most
     ``len(fam.sets)`` leaves (tested, not re-proved here).
     """
+    _check_family(fam)
     check_int(c, 0, 2, "class must be 0 or 1")
     order = permutation(order, len(fam.universe), "order must be a permutation of the universe")
     seq = [f for f in order if f in fam.domain]
@@ -288,6 +296,7 @@ def subset_model_rules(
     member set, so terms of at most ``fam.max_set_size`` literals and at
     most ``len(fam.sets) + 1`` terms or rules (tested, not re-proved
     here)."""
+    _check_family(fam)
     check_int(c, 0, 2, "class must be 0 or 1")
     terms = tuple(tuple((f, 1) for f in sorted(s)) for s in fam.sets)
     if family == "ds":

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from random import Random
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import xplain as x
-from xplain import cli
+from xplain import cli, explain_rules
 from xplain.cli import main
 from xplain.modelio import dump_model, load_example_file, load_model, load_model_file
 
@@ -656,6 +657,38 @@ def test_negative_budget_is_refused_on_every_route(doc, argv, files, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == "error: k must be nonnegative\n"
+
+
+_FIG_ENSEMBLE_DOC = {
+    "universe": FIG_DOC["universe"],
+    "model": {"ensemble": {"family": "dl", "elements": [FIG_DOC["model"]] * 3}},
+}
+
+
+@pytest.mark.parametrize("doc", [FIG_DOC, _FIG_ENSEMBLE_DOC], ids=["list", "ensemble"])
+def test_a_huge_budget_is_answered_at_once(doc, files, capsys, monkeypatch):
+    """The branching search clamps --k to the 3 features the model reads,
+    so a budget of 10**12 searches as --k 3 does and never sizes the work
+    of the search or of its bound check.  The answer takes milliseconds;
+    the one-second bound only catches a budget that sizes the work."""
+    tmp, _, example = files
+    model = tmp / "model.json"
+    model.write_text(json.dumps(doc))
+    argv = ["explain", "--model", str(model), "--kind", "lcxp", "--min", "card",
+            "--example", example, "--k"]
+    expected = run(capsys, [*argv, "3"])
+    assert expected == (0, {"size": 1, "witness": ["y"]})
+    searches = []  # the stats of each branching search the CLI runs
+
+    def recorded():
+        searches.append(x.BranchStats())
+        return searches[-1]
+
+    monkeypatch.setattr(explain_rules, "BranchStats", recorded)
+    start = time.perf_counter()
+    assert run(capsys, [*argv, "1000000000000"]) == expected
+    assert time.perf_counter() - start < 1.0
+    assert [stats.budget for stats in searches] == [3]
 
 
 _AB_SET_DOC = {

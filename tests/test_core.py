@@ -378,6 +378,20 @@ _ENTRIES = {
                      0, id="gate-ins-int"),
         pytest.param(lambda o: x.Circuit(_U2, (x.Gate("IN", feature=0),), o), 0.0,
                      id="circuit-output-float"),
+        # a universe is a FeatureUniverse, and a set family a SetFamily
+        *(pytest.param(make, ("a", "b"), id=f"{name}-universe-tuple") for name, make in (
+            ("tree", lambda u: x.DecisionTree(u, (x.Leaf(0),), 0)),
+            ("set", lambda u: x.DecisionSet(u, (), 0)),
+            ("list", lambda u: x.DecisionList(u, (((), 0),))),
+            ("ensemble", lambda u: x.Ensemble(u, (x.leaf_tree(_U2, 0),))),
+            ("circuit", lambda u: x.Circuit(u, (x.Gate("IN", feature=0),), 0)),
+            ("set-family", lambda u: x.SetFamily(u, ())),
+        )),
+        pytest.param(lambda u: x.odt_from_examples(u, [], (0,)), 3, id="odt-universe-int"),
+        pytest.param(lambda fam: x.set_model_odt(fam, 1, (0, 1)), "nofam",
+                     id="set-model-odt-family-str"),
+        pytest.param(lambda fam: x.subset_model_rules(fam, 1), "nofam",
+                     id="subset-model-rules-family-str"),
     ],
 )
 def test_wrong_model_raises_model_error(call, model):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import json
 import time
 import tracemalloc
 import weakref
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import xplain as x
 from xplain.config import CapExceeded
 from xplain.core import _leaf_paths, graft_dt, is_normalized
+from xplain.cli import main
 from xplain.explain_dt import (
     _column_cache,
     _listed_options,
@@ -22,7 +24,7 @@ from xplain.explain_dt import (
     _min_literal_hitting_set,
     _row_options,
 )
-from xplain.modelio import load_model
+from xplain.modelio import load_model, load_model_file
 from xplain.truth import has_clique
 from xplain.verify import shrink
 
@@ -539,14 +541,14 @@ class TestCardSearchColumns:
                 for f in range(n):
                     if mask >> f & 1:
                         kill[f + (1 - (value >> f & 1)) * n] |= 1 << r
-            rows, got, first = _literal_columns(t, bad)
-            assert (rows, got) == (len(paths), tuple(kill))
+            rows, got, first, arena = _literal_columns(t, bad)
+            assert (rows, got, arena) == (len(paths), tuple(kill), t.nodes)
             full = (1 << rows) - 1
             triples = _literal_options(got, n, full, range(n))
             for r in range(rows):
                 meeting = [(1 << lit, full & ~kill[lit], 1 << lit % n | 1 << lit % n + n)
                            for lit in range(2 * n) if kill[lit] >> r & 1]
-                assert sorted(_row_options(t.nodes, t.root, n, first, r, triples)) == meeting
+                assert sorted(_row_options(arena, t.root, n, first, r, triples)) == meeting
 
     @given(seed=st.integers(0, 100_000), n=st.integers(0, 7))
     @settings(max_examples=200, deadline=None)
@@ -682,6 +684,94 @@ class TestPathMaskRoutes:
             assert x.gcxp_subset_min(t, c) == _seeded_shrink_reference(t, "gcxp", c)
         sets = _conflict_sets_reference(t, e)
         assert x.lcxp_min(t, e) == min(sets, key=lambda d: (len(d), sorted(d)), default=None)
+
+
+class TestRawTrees:
+    """A tree not in normal form is read where it stands, by
+    ``_walk_columns``: its rows, columns and row options, and every answer,
+    are those of its normal-form copy."""
+
+    @given(seed=st.integers(0, 100_000), n=st.integers(1, 6), depth=st.integers(1, 7),
+           shuffled=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_a_raw_tree_answers_as_its_normal_copy(self, seed, n, depth, shuffled):
+        # few features under deep splits, so paths repeat tests; a shuffled
+        # arena is raw even where no path repeats one
+        rng = Random(seed)
+        u = random_universe(rng, n)
+        raw = random_dt(rng, u, max_depth=depth, leaf_p=0.2)
+        if shuffled:
+            raw = permuted_arena(rng, raw)
+        copy = x.normalize_dt(raw)
+        for bad in (0, 1):
+            rows, kill, first, arena = _literal_columns(raw, bad)
+            normal_rows, normal_kill, normal_first, normal_arena = _literal_columns(copy, bad)
+            assert (rows, kill) == (normal_rows, normal_kill)
+            full = (1 << rows) - 1
+            triples = _literal_options(kill, n, full, range(n))
+            for r in range(rows):
+                on_copy = _row_options(normal_arena, copy.root, n, normal_first, r, triples)
+                assert _row_options(arena, raw.root, n, first, r, triples) == on_copy
+        e = random_example(rng, u)
+        routes = [(x.lcxp_min, (e,)), (x.laxp_subset_min, (e,))]
+        routes += [(f, (c,)) for f in (x.gaxp_subset_min, x.gcxp_subset_min) for c in (0, 1)]
+        for f, args in routes:
+            assert f(raw, *args) == f(copy, *args)
+        expected = x.oracle_min(raw, "lcxp", e)
+        assert x.lcxp_min(raw, e) == (None if expected is None else expected[1])
+        targets = [("laxp", e)] + [(kind, c) for kind in ("gaxp", "gcxp") for c in (0, 1)]
+        for kind, target in targets:
+            expected = x.oracle_min(raw, kind, target)
+            for k in range(n + 1):
+                found = x.card_xp_search(raw, kind, target, k)
+                assert found == x.card_xp_search(copy, kind, target, k)
+                within = expected is not None and expected[0] <= k
+                assert found == (expected[1] if within else None)
+
+
+_RAW_DOC = {  # a repeats its test under a = 1, so the tree is not in normal form
+    "universe": ["a", "b", "c"],
+    "model": {"dt": {"root": 0, "nodes": [
+        {"test": "a", "if0": 1, "if1": 4}, {"test": "b", "if0": 2, "if1": 3},
+        {"leaf": 0}, {"leaf": 1}, {"test": "a", "if0": 5, "if1": 6}, {"leaf": 1},
+        {"test": "c", "if0": 7, "if1": 8}, {"leaf": 0}, {"leaf": 1}]}},
+}
+
+
+def test_a_raw_tree_is_explained_without_its_normal_copy(tmp_path, capsys):
+    """Every tree-engine route, in the library and in the CLI, reads a raw
+    tree without building its normal-form copy, which ``normalize_dt``
+    would keep on the tree.  (``--algo enum`` tabulates the tree, and a
+    table reads the copy.)"""
+    t = load_model(_RAW_DOC)
+    u = t.universe
+    assert t._normal is None
+    for mask in range(1 << len(u)):
+        e = x.Example.from_mask(u, mask)
+        x.laxp_subset_min(t, e)
+        x.lcxp_min(t, e)
+        for k in range(len(u) + 1):
+            x.card_xp_search(t, "laxp", e, k)
+    for c in (0, 1):
+        x.gaxp_subset_min(t, c)
+        x.gcxp_subset_min(t, c)
+        for kind in ("gaxp", "gcxp"):
+            for k in range(len(u) + 1):
+                x.card_xp_search(t, kind, c, k)
+    assert t._normal is None
+    model = tmp_path / "raw.json"
+    model.write_text(json.dumps(_RAW_DOC))
+    example = tmp_path / "e.json"
+    example.write_text(json.dumps({"assign": {"a": 1, "b": 0, "c": 1}}))
+    targets = [(kind, ["--example", str(example)]) for kind in ("laxp", "lcxp")]
+    targets += [(kind, ["--class", c]) for kind in ("gaxp", "gcxp") for c in ("0", "1")]
+    for kind, target in targets:
+        for minimum in ("subset", "card"):
+            argv = ["--quiet", "explain", "--model", str(model), "--kind", kind,
+                    "--min", minimum, *target]
+            assert main(argv) in (0, 3)
+    capsys.readouterr()
+    assert load_model_file(str(model))._normal is None
 
 
 class TestProduct:
@@ -864,7 +954,7 @@ class TestColumnCache:
             assert x.laxp_subset_min(t, e) == frozenset({0, 1})
             assert x.laxp_subset_min(t, other) == frozenset({0, 1})
             assert x.gaxp_subset_min(t, 1) == x.PartialExample(u, ((0, 0), (1, 0)))
-        _, kill, _ = _column_cache[0][1:]
+        _, kill, _, _ = _column_cache[0][1:]
         assert isinstance(kill, tuple) and all(kill)
 
     def test_trees_in_alternation(self):

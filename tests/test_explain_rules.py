@@ -131,6 +131,20 @@ class TestBranch:
         assert x.lcxp_card_branch(fig_dl, fig_example, 3, stats) == frozenset({1})
         assert stats.per_target == [((1,), 1), ((3,), 1)]
 
+    def test_the_budget_is_clamped_to_the_read_features(self, fig_dl, fig_example):
+        # a flip set holds read features only, so a budget past their number
+        # searches exactly as that number does, and the search records it
+        for k in (3, 10**12, 10**30):
+            stats = x.BranchStats()
+            assert x.lcxp_card_branch(fig_dl, fig_example, k, stats) == frozenset({1})
+            assert (stats.budget, stats.per_target) == (3, [((1,), 1), ((3,), 1)])
+        u = x.universe("a", "b", "c", "d")
+        sparse = x.DecisionList(u, ((((1, 1), (3, 1)), 1), ((), 0)))
+        stats = x.BranchStats()
+        assert x.lcxp_card_branch(sparse, x.Example(u, (0, 0, 0, 0)), 10**12, stats) \
+            == frozenset({1, 3})
+        assert stats.budget == 2
+
     def test_a_dead_end_is_a_node(self):
         # flipping a to break a = 0 -> 0 fires a = 1 -> 0, which has nothing
         # left to flip
