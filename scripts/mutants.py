@@ -71,7 +71,7 @@ MUTANTS = [
            "        if False:\n            # The walk reads",
            ("tests/test_core.py::TestValidation::test_bad_arena_is_refused",)),
     Mutant("walk-label-unchecked", _CORE,
-           '            check_int(tuple(labels), 0, 2, "leaf labels must be 0 or 1")\n', "",
+           '            check_ints(tuple(labels), 0, 2, "leaf labels must be 0 or 1")\n', "",
            ("tests/test_core.py::TestValidation::test_bad_arena_is_refused",)),
     Mutant("walk-bool-child-unchecked", _CORE,
            "                    if i < 2:\n", "                    if False:\n",
@@ -96,22 +96,47 @@ MUTANTS = [
     Mutant("int-rule-accepts-bool", _CORE,
            "        if type(v) is not int or", "        if not isinstance(v, int) or",
            ("tests/test_core.py::test_integer_field_refuses_what_is_no_int",)),
+    Mutant("scalar-rule-accepts-bool", _CORE,
+           "    if type(value) is not int or", "    if not isinstance(value, int) or",
+           ("tests/test_core.py::test_integer_field_refuses_what_is_no_int",)),
+    Mutant("scalar-rule-takes-a-tuple", _CORE,
+           "    if type(value) is not int or not lo <= value < hi:\n"
+           "        raise ModelError(message)\n",
+           "    for v in value if type(value) is tuple else (value,):\n"
+           "        if type(v) is not int or not lo <= v < hi:\n"
+           "            raise ModelError(message)\n",
+           ("tests/test_core.py::test_wrong_model_raises_model_error",)),
     Mutant("feature-index-truncated", _CORE,
-           "    order = check_int(tuple(order), 0, n, message)\n", "    order = tuple(order)\n",
+           "    order = check_ints(tuple(order), 0, n, message)\n", "    order = tuple(order)\n",
            ("tests/test_core.py::test_wrong_model_raises_model_error",)),
     Mutant("partial-feature-truncated", _CORE,
-           "        check_int(tuple(assign), 0, len(self.universe), _FEATURE)\n", "",
+           "        check_ints(tuple(assign), 0, len(self.universe), _FEATURE)\n", "",
            ("tests/test_core.py::test_wrong_model_raises_model_error",)),
     # integer fields of a JSON document
     Mutant("fractional-field-truncated", _MODELIO,
            "    if i != value or isinstance(value, bool):", "    if False:",
            ("tests/test_cli.py::test_fractional_value_is_refused_not_truncated",)),
+    # _dt_from's fast paths: a JSON int child and a 0/1 leaf skip _int, a
+    # known name skips u.index; what they skip must still be refused
     Mutant("int-fast-path-takes-bool", _MODELIO,
-           "    if type(value) is int:", "    if isinstance(value, int):",
+           "            if type(hi) is not int:", "            if not isinstance(hi, int):",
            ("tests/test_modelio.py::test_tree_document_refuses_what_is_no_label_or_index",)),
     Mutant("leaf-fast-path-unranged", _MODELIO,
            "type(label) is int and 0 <= label <= 1", "type(label) is int",
            ("tests/test_modelio.py::test_tree_document_refuses_what_is_no_label_or_index",)),
+    Mutant("dt-from-fast-index-takes-unknown-name", _MODELIO,
+           '                f = u.index(test)  # raises "unknown feature"\n',
+           "                f = 0\n",
+           ("tests/test_modelio.py::test_documents_refuse_unknown_names_and_non_integers",)),
+    Mutant("assignment-fast-path-takes-bool", _MODELIO,
+           "{index[f]: b if type(b) is int else _int(b)",
+           "{index[f]: b if isinstance(b, int) else _int(b)",
+           ("tests/test_modelio.py::test_documents_refuse_unknown_names_and_non_integers",)),
+    # Split fills its slots by its own __init__
+    Mutant("split-init-swaps-children", _CORE,
+           "        _set_lo(self, lo)\n        _set_hi(self, hi)\n",
+           "        _set_lo(self, hi)\n        _set_hi(self, lo)\n",
+           ("tests/test_core.py::test_split_constructor_fills_its_fields",)),
     # the tree explanation engines
     Mutant("column-shrink-suffix", _DT,
            "if (cover | suffix[j + 1]) != suffix[0]:", "if (cover | suffix[j]) != suffix[0]:",
@@ -200,6 +225,12 @@ MUTANTS = [
     Mutant("dl-run-term-left-unfired", "src/xplain/circuits.py",
            "else [fired, *run])", "else [fired, *run[:-1]])",
            ("tests/test_circuits.py::TestListTranslation::test_alternating_runs_on_every_example",)),
+    Mutant("graft-children-swapped", _CORE,
+           "(ti, node.hi, votes, mask, value | bit), (ti, node.lo, votes, mask, value)",
+           "(ti, node.lo, votes, mask, value | bit), (ti, node.hi, votes, mask, value)",
+           ("tests/test_core.py::TestNormalize::test_equivalent_on_all_examples",
+            "tests/test_explain_dt.py::TestProduct::"
+            "test_a_ballot_of_two_votes_decides_every_path")),
     Mutant("graft-single-vote", _CORE,
            "votes += node.label * weight[ti]", "votes += node.label",
            ("tests/test_explain_dt.py::TestProduct::"
@@ -257,7 +288,7 @@ MUTANTS = [
            '        check_int(self.output, 0, len(gates), "output gate index out of range")\n', "",
            ("tests/test_core.py::test_integer_field_refuses_what_is_no_int",)),
     Mutant("fixed-bit-unchecked", _CORE,
-           '    check_int(tuple(fixed.values()), 0, 2, "fixed bits must be 0 or 1")\n', "",
+           '    check_ints(tuple(fixed.values()), 0, 2, "fixed bits must be 0 or 1")\n', "",
            ("tests/test_core.py::test_subcube_table_needs_a_partition",)),
     Mutant("partition-type-unchecked", _CORE,
            "    if not (isinstance(fixed, Mapping) and isinstance(free, Sequence)):\n",
@@ -335,7 +366,7 @@ MUTANTS = [
            "",
            ("tests/test_core.py::test_from_mask_refuses_a_mask_outside_the_universe",)),
     Mutant("held-feature-unchecked", "src/xplain/verify.py",
-           'set(check_int(tuple(fixed), 0, len(u), "held feature outside the universe"))',
+           'set(check_ints(tuple(fixed), 0, len(u), "held feature outside the universe"))',
            "set(fixed)",
            ("tests/test_verify.py::test_request_that_does_not_fit_is_refused",)),
     # the least zero flip kept on a model: read for the all-zero example with

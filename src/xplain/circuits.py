@@ -106,7 +106,9 @@ class Circuit:
                 raise ModelError(f"unknown gate kind {g.kind!r}")
             if type(g.ins) is not tuple:
                 raise ModelError("a gate's incoming arcs must be a tuple of gate indices")
-            for j in check_int(g.ins, 0, i, "a gate's arcs must be indices of earlier gates"):
+            for j in g.ins:  # checked inline: no call per gate
+                if type(j) is not int or not 0 <= j < i:
+                    raise ModelError("a gate's arcs must be indices of earlier gates")
                 outdeg[j] += 1
             if g.kind == IN:
                 if g.ins:

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from math import inf
 
-from .core import check_int
+from .core import check_ints
 
 ENV_CAP = "XPLAIN_BRUTE_CAP"
 
@@ -36,8 +36,8 @@ class BruteCaps:
     oracle_global: int = 12   # |F| for the exhaustive oracle, global kinds
 
     def __post_init__(self) -> None:
-        check_int((self.verify, self.oracle_local, self.oracle_global), 0, inf,
-                  f"brute-force caps must be nonnegative ints ({ENV_CAP} sets all three)")
+        check_ints((self.verify, self.oracle_local, self.oracle_global), 0, inf,
+                   f"brute-force caps must be nonnegative ints ({ENV_CAP} sets all three)")
 
     @staticmethod
     def from_env() -> "BruteCaps":

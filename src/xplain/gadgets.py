@@ -60,6 +60,7 @@ from .core import (
     Split,
     _model_universe,
     check_int,
+    check_ints,
     check_universe,
     classify,
     graft_dt,
@@ -99,11 +100,11 @@ class SetFamily:
     def __post_init__(self) -> None:
         n, outside = len(check_universe(self.universe)), "domain feature outside universe"
         sets = tuple(dict.fromkeys(  # each set once, in order
-            frozenset(check_int(tuple(s), 0, n, outside)) for s in self.sets))
+            frozenset(check_ints(tuple(s), 0, n, outside)) for s in self.sets))
         object.__setattr__(self, "sets", sets)
         union = frozenset().union(*sets)
         domain = union if self.domain is None else frozenset(
-            check_int(tuple(self.domain), 0, n, outside))
+            check_ints(tuple(self.domain), 0, n, outside))
         object.__setattr__(self, "domain", domain)
         if not union <= domain:
             raise ModelError("family sets must lie inside the domain")
@@ -663,7 +664,7 @@ def taut_ds_gadget(
     for term in terms:
         if len(term) > 3:
             raise ModelError("terms may have at most three literals")
-        check_int(tuple(b for _, b in term), 0, 2, "literal bit must be 0 or 1")
+        check_ints(tuple(b for _, b in term), 0, 2, "literal bit must be 0 or 1")
         required = dict(term)
         if all(required[v] == b for v, b in term):  # no variable required 0 and 1
             clean.append(tuple((u.index(v), b) for v, b in required.items()))

@@ -28,6 +28,14 @@ bytes: a file with the same bytes as the last one loaded returns the same
 requests about one model document pay for it once per process.  The key is
 the content, never the path or modification time: a rewritten file is
 always reloaded.  A document that fails to load is not remembered.
+
+Every file loader (model, example, partial example and feature set) reads
+the file's bytes and decodes them as UTF-8, whatever the locale: no text
+layer and no newline translation, so a JSON error on a file with ``\\r\\n``
+line ends counts the ``\\r`` in its character offset.  The typed passes
+look each feature name up in the universe's index directly and take a JSON
+integer as it is; ``FeatureUniverse.index`` and ``_int`` run only to read
+1.0 as 1 or to refuse, so every refusal and its message are theirs.
 """
 
 from __future__ import annotations
@@ -139,6 +147,10 @@ def _model_from(body: Mapping[str, Any], u: FeatureUniverse):
 
 
 def _dt_from(payload: Mapping[str, Any], u: FeatureUniverse) -> DecisionTree:
+    # One typed pass, fields read in document order: a known name and a
+    # JSON int take the fast path, and ``u.index`` and ``_int`` are called
+    # only to refuse (or to read 1.0 as 1).
+    index = u._index
     nodes = []
     for raw in payload["nodes"]:
         if "leaf" in raw:
@@ -149,7 +161,18 @@ def _dt_from(payload: Mapping[str, Any], u: FeatureUniverse) -> DecisionTree:
             else:
                 nodes.append(Leaf(_int(label)))
         else:
-            nodes.append(Split(u.index(raw["test"]), _int(raw["if0"]), _int(raw["if1"])))
+            test = raw["test"]
+            try:
+                f = index[test]
+            except KeyError:
+                f = u.index(test)  # raises "unknown feature"
+            lo = raw["if0"]
+            if type(lo) is not int:
+                lo = _int(lo)
+            hi = raw["if1"]
+            if type(hi) is not int:
+                hi = _int(hi)
+            nodes.append(Split(f, lo, hi))
     order = payload.get("order")
     if order is not None:
         order = tuple(u.index(f) for f in order)
@@ -300,7 +323,11 @@ def _assignment(doc: Mapping[str, Any], u: FeatureUniverse) -> dict[int, int]:
         raw = doc["assign"]
     except (KeyError, TypeError):
         raise ModelError("example document needs an 'assign' object")
-    return {u.index(f): _int(b) for f, b in raw.items()}
+    index = u._index
+    try:
+        return {index[f]: b if type(b) is int else _int(b) for f, b in raw.items()}
+    except KeyError:  # an unknown name: the checked pass refuses it
+        return {u.index(f): _int(b) for f, b in raw.items()}
 
 
 @_typed
@@ -308,22 +335,28 @@ def load_feature_set(doc: Mapping[str, Any], u: FeatureUniverse) -> frozenset:
     names = doc["features"]
     if not isinstance(names, list):
         raise ModelError("feature set document needs a 'features' list")
-    return frozenset(u.index(f) for f in names)
+    index = u._index
+    try:
+        return frozenset([index[f] for f in names])
+    except KeyError:  # an unknown name: the checked pass refuses it
+        return frozenset([u.index(f) for f in names])
+
+
+def _read_json(path: str):
+    with open(path, "rb") as fh:
+        return json.loads(fh.read().decode("utf-8"))
 
 
 def load_example_file(path: str, u: FeatureUniverse) -> Example:
-    with open(path) as fh:
-        return load_example(json.load(fh), u)
+    return load_example(_read_json(path), u)
 
 
 def load_partial_example_file(path: str, u: FeatureUniverse) -> PartialExample:
-    with open(path) as fh:
-        return load_partial_example(json.load(fh), u)
+    return load_partial_example(_read_json(path), u)
 
 
 def load_feature_set_file(path: str, u: FeatureUniverse) -> frozenset:
-    with open(path) as fh:
-        return load_feature_set(json.load(fh), u)
+    return load_feature_set(_read_json(path), u)
 
 
 def dump_partial_example(p: PartialExample) -> dict[str, Any]:

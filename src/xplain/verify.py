@@ -78,6 +78,7 @@ from .core import (
     _leaf_paths,
     _model_universe,
     check_int,
+    check_ints,
     classify,
     feature_column,
     graft_dt,
@@ -97,7 +98,7 @@ Candidate = Union[frozenset, PartialExample]
 def flip(e: Example, features: Iterable[int]) -> Example:
     """Example equal to e except that every listed feature is negated; a
     feature must be an int below e's length (ModelError otherwise)."""
-    features = check_int(tuple(features), 0, len(e.bits), "flipped feature outside the universe")
+    features = check_ints(tuple(features), 0, len(e.bits), "flipped feature outside the universe")
     bits = list(e.bits)
     for f in features:
         bits[f] = 1 - bits[f]
@@ -140,7 +141,7 @@ def _fixed(u: FeatureUniverse, kind: str, target, candidate: Candidate) -> dict[
         if isinstance(candidate, PartialExample) or not isinstance(candidate, Iterable):
             raise ModelError("local kinds take a feature set as candidate")
         features = frozenset(candidate)
-        check_int(tuple(features), 0, len(u), "candidate feature outside the universe")
+        check_ints(tuple(features), 0, len(u), "candidate feature outside the universe")
         if kind == "laxp":
             return {f: target.bits[f] for f in features}
         return {f: b for f, b in enumerate(target.bits) if f not in features}
@@ -467,7 +468,7 @@ def first_flip(
     ModelError when e is no example over the model's universe, k is no
     nonnegative int or a held feature is no feature of the universe."""
     u = _request(model, "lcxp", e, k=k)
-    held = set(check_int(tuple(fixed), 0, len(u), "held feature outside the universe"))
+    held = set(check_ints(tuple(fixed), 0, len(u), "held feature outside the universe"))
     domain = [f for f in _flip_domain(model) if f not in held]
     d = len(domain)
     k = min(k, d)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import pickle
 import weakref
 from random import Random
 
@@ -297,6 +298,8 @@ class TestMeasure:
 _U2 = x.universe("a", "b")
 _E2 = x.Example(_U2, (0, 1))
 _TREE2 = x.DecisionTree(_U2, (x.Split(0, 1, 2), x.Leaf(0), x.Leaf(1)))
+_DL3 = x.DecisionList(x.universe("a", "b", "c"), ((((0, 1), (1, 1)), 1), ((), 0)))
+_E3 = x.Example(_DL3.universe, (1, 1, 0))
 _ENTRIES = {
     "classify": lambda m: x.classify(m, _E2),
     "truth_table": x.truth_table,
@@ -392,6 +395,34 @@ _ENTRIES = {
                      id="set-model-odt-family-str"),
         pytest.param(lambda fam: x.subset_model_rules(fam, 1), "nofam",
                      id="subset-model-rules-family-str"),
+        # a scalar is no tuple: a class or budget of () is refused, not read
+        # as the empty sequence (verify answered the class-0 question)
+        pytest.param(lambda c: x.verify(_DL3, "gaxp", c, x.PartialExample(_DL3.universe, ())),
+                     (), id="verify-class-tuple"),
+        pytest.param(lambda c: x.oracle_min(_DL3, "gcxp", c), (), id="oracle-min-class-tuple"),
+        pytest.param(lambda c: x.gcxp_subset_min(_TREE2, c), (), id="gcxp-subset-class-tuple"),
+        pytest.param(lambda c: x.card_xp_search(_TREE2, "gaxp", c, 1), (),
+                     id="card-search-class-tuple"),
+        *(pytest.param(call, (), id=f"{name}-budget-tuple") for name, call in (
+            ("card-search", lambda k: x.card_xp_search(_TREE2, "laxp", _E2, k)),
+            ("phom", lambda k: x.phom_check(_DL3, k)),
+            ("first-flip", lambda k: x.first_flip(_DL3, _E3, k)),
+            ("branch", lambda k: x.lcxp_card_branch(_DL3, _E3, k)),
+            ("branch-ens", lambda k: x.lcxp_card_branch_ens(x.Ensemble(_DL3.universe, (_DL3,)),
+                                                            _E3, k)),
+            ("enum", lambda k: x.lcxp_card_enum(_DL3, _E3, k)),
+        )),
+        pytest.param(x.Leaf, (), id="leaf-label-tuple"),
+        pytest.param(lambda r: x.DecisionTree(_U2, _TREE2.nodes, r), (), id="tree-root-tuple"),
+        pytest.param(lambda o: x.Circuit(_U2, (x.Gate("IN", feature=0),), o), (),
+                     id="circuit-output-tuple"),
+        pytest.param(lambda f: x.Circuit(_U2, (x.Gate("IN", feature=f),), 0), (),
+                     id="in-gate-feature-tuple"),
+        pytest.param(lambda t: x.Circuit(_U2, (x.Gate("IN", feature=0),
+                                               x.Gate("MAJ", (0,), t)), 1), (),
+                     id="maj-threshold-tuple"),
+        pytest.param(lambda c: x.translate(_TREE2, c), (), id="translate-class-tuple"),
+        pytest.param(lambda d: x.DecisionSet(_U2, (), d), (), id="set-default-tuple"),
     ],
 )
 def test_wrong_model_raises_model_error(call, model):
@@ -943,3 +974,20 @@ def test_records_are_slotted_values(name):
     if hasattr(a, "_zero_flip"):
         object.__setattr__(a, "_zero_flip", frozenset({0}))
         assert a._zero_flip == frozenset({0}) and a == b and hash(a) == hash(b)
+
+
+def test_split_constructor_fills_its_fields():
+    """``Split`` fills its three slots by its own ``__init__``: positional
+    and keyword calls, ``replace`` and a pickle round trip give the fields
+    they were given, in the dataclass's field order."""
+    s = x.Split(2, 5, 7)
+    assert (s.feature, s.lo, s.hi) == (2, 5, 7)
+    assert x.Split(hi=7, feature=2, lo=5) == s and repr(s) == "Split(feature=2, lo=5, hi=7)"
+    assert [f.name for f in dataclasses.fields(s)] == ["feature", "lo", "hi"]
+    assert dataclasses.replace(s, lo=1) == x.Split(2, 1, 7)
+    assert pickle.loads(pickle.dumps(s)) == s
+    assert s != x.Split(2, 7, 5) and hash(s) == hash(x.Split(2, 5, 7))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.lo = 1
+    with pytest.raises(TypeError):
+        x.Split(2, 5)

@@ -15,9 +15,13 @@ from xplain.core import _LEAVES
 from xplain.modelio import (
     dump_model,
     load_example,
+    load_example_file,
+    load_feature_set,
+    load_feature_set_file,
     load_model,
     load_model_file,
     load_partial_example,
+    load_partial_example_file,
 )
 
 from generators import random_any_model, random_universe
@@ -135,6 +139,46 @@ def test_tree_document_refuses_what_is_no_label_or_index(doc, message):
     with pytest.raises(x.ModelError) as info:
         load_model(doc)
     assert str(info.value) == message
+
+
+def _assign_doc(**bits):
+    return {"assign": bits}
+
+
+@pytest.mark.parametrize("load, message", [
+    (lambda: load_model({"universe": ["a"], "model": {"dt": {
+        "nodes": [{"test": "z", "if0": 1.5, "if1": 2}, {"leaf": 0}, {"leaf": 1}]}}}),
+     "unknown feature 'z'"),
+    (lambda: load_model({"universe": ["a"], "model": {"dt": {
+        "nodes": [{"test": "a", "if0": True, "if1": 2}, {"leaf": 0}, {"leaf": 1}]}}}),
+     "expected an integer, got True"),
+    (lambda: load_example(_assign_doc(a=0, z=1), _U), "unknown feature 'z'"),
+    (lambda: load_example(_assign_doc(a=True, b=0), _U), "expected an integer, got True"),
+    (lambda: load_example(_assign_doc(a=0, b=0.5), _U), "expected an integer, got 0.5"),
+    (lambda: load_partial_example(_assign_doc(b=False), _U), "expected an integer, got False"),
+    (lambda: load_partial_example(_assign_doc(z=0.5), _U), "unknown feature 'z'"),
+    (lambda: load_feature_set({"features": ["a", "z"]}, _U), "unknown feature 'z'"),
+], ids=["tree-test-name", "tree-lo-true", "example-name", "example-bit-true",
+        "example-bit-fraction", "partial-bit-false", "partial-name-first", "feature-set-name"])
+def test_documents_refuse_unknown_names_and_non_integers(load, message):
+    """The typed passes look names up and take JSON ints directly; a name
+    outside the universe and a bit that is no int are still refused by
+    ``FeatureUniverse.index`` and ``_int``, in document order."""
+    with pytest.raises(x.ModelError) as info:
+        load()
+    assert str(info.value) == message
+
+
+def test_file_loaders_read_utf8_as_the_document_loaders(tmp_path):
+    u = x.universe("é", "b")
+    docs = {"example": _assign_doc(**{"é": 1, "b": 0}), "partial": _assign_doc(**{"é": 1}),
+            "features": {"features": ["é"]}}
+    for name, doc in docs.items():
+        (tmp_path / name).write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    assert load_example_file(str(tmp_path / "example"), u) == load_example(docs["example"], u)
+    assert load_partial_example_file(str(tmp_path / "partial"), u) == x.PartialExample(
+        u, ((0, 1),))
+    assert load_feature_set_file(str(tmp_path / "features"), u) == frozenset({0})
 
 
 def test_tree_document_leaves_are_the_shared_leaves():
