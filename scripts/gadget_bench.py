@@ -2,14 +2,17 @@
 """Generate reduction-instance batches and certify them against the naive
 source-problem solvers.
 
-Reports per-generator instance counts, truth splits, model sizes and wall
-time; any truth disagreement aborts with the instance printed, and so does a
-tree, an ensemble's elements included, that breaks its order tag
-(``respects_order``): the tree builders (``mcc_odt_gaxp_gadget`` and the
-set recognizers) emit their order by construction and do not check it
-themselves.  The inputs are drawn first; each generator's time covers
-building its instances, certifying their orders and answering their
-queries.
+Reports per-generator instance counts, truth splits, model sizes, wall
+time and live bytes per tree node; any truth disagreement aborts with the
+instance printed, and so does a tree, an ensemble's elements included, that
+breaks its order tag (``respects_order``): the tree builders
+(``mcc_odt_gaxp_gadget`` and the set recognizers) emit their order by
+construction and do not check it themselves.  The inputs are drawn first;
+each generator's time covers building its instances, certifying their
+orders and answering their queries.  After that, off the clock, the
+generator's first instance is built once more under ``tracemalloc``: the
+bytes it keeps live over the nodes of its distinct trees ("-" when it
+has no tree).
 
     python3 scripts/gadget_bench.py --instances 25 --seed 1
 """
@@ -17,8 +20,10 @@ queries.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -38,18 +43,40 @@ class BenchConfig:
     max_colours: int = 4
 
 
-def _certify(name: str, instances) -> dict:
-    """Build (lazily, from the ``instances`` iterable) and certify one
-    generator's instances on the clock: each tree's order tag, then each
-    query's answer."""
+def _trees(model) -> list:
+    """The distinct trees of a model: itself, or an ensemble's elements."""
+    distinct = {id(m): m for m in getattr(model, "elements", (model,))}.values()
+    return [t for t in distinct if isinstance(t, x.DecisionTree)]
+
+
+def _bytes_per_node(build, args: tuple):
+    """Live bytes of one more ``build(*args)`` over the nodes of its
+    distinct trees, or None when it has no tree."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inst = build(*args)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    nodes = sum(len(t.nodes) for t in _trees(inst.model))
+    return round(live / nodes) if nodes else None
+
+
+def _certify(name: str, build, inputs: list) -> dict:
+    """Build and certify one generator's instances, ``build(*args)`` for
+    each ``args`` of ``inputs``, on the clock: each tree's order tag, then
+    each query's answer.  Then, off the clock, the live bytes per tree node
+    of its first instance."""
     started = time.perf_counter()
     yes = 0
     size = 0
     count = 0
-    for inst in instances:
-        model = inst.model
-        for t in {id(m): m for m in getattr(model, "elements", (model,))}.values():
-            if isinstance(t, x.DecisionTree) and t.order and not x.respects_order(t, t.order):
+    for args in inputs:
+        inst = build(*args)
+        for t in _trees(inst.model):
+            if t.order and not x.respects_order(t, t.order):
                 print(f"ORDER VIOLATION in {name}: {inst.provenance}")
                 raise SystemExit(1)
         for q in inst.queries:
@@ -60,12 +87,14 @@ def _certify(name: str, instances) -> dict:
         yes += int(inst.truth)
         size += x.measure(inst.model).model_size
         count += 1
+    seconds = round(time.perf_counter() - started, 2)
     return {
         "generator": name,
         "instances": count,
         "yes": yes,
         "avg_size": round(size / max(count, 1), 1),
-        "seconds": round(time.perf_counter() - started, 2),
+        "seconds": seconds,
+        "bytes_per_node": _bytes_per_node(build, inputs[0]) if inputs else None,
     }
 
 
@@ -94,27 +123,20 @@ def run(cfg: BenchConfig) -> None:
     # one every three graphs, so it meets every colour count (k = 2 + i % 3),
     # and the first three graphs certify all three
     variants = (("set", "ds"), ("subset", "ds"), ("subset", "dl"))
-    cliques = [(g, *variants[(i + i // 3) % 3]) for i, g in enumerate(graphs)]
-    rows.append(_certify(
-        "mcc-ensemble",
-        (x.mcc_ensemble_gadget(g, g.k, mode, family) for g, mode, family in cliques),
-    ))
-    rows.append(_certify(
-        "mcc-unary",
-        (x.mcc_unary_ensemble_gadget(g, g.k, mode, family) for g, mode, family in cliques),
-    ))
-    rows.append(_certify(
-        "mcc-odt-gaxp",
-        (x.mcc_odt_gaxp_gadget(g, g.k) for g in graphs),
-    ))
-    rows.append(_certify("hitting-set", (x.hitting_set_gadget(*h) for h in hitting)))
-    rows.append(_certify("taut-ds", (x.taut_ds_gadget(*f) for f in formulas)))
+    cliques = [(g, g.k, *variants[(i + i // 3) % 3]) for i, g in enumerate(graphs)]
+    rows.append(_certify("mcc-ensemble", x.mcc_ensemble_gadget, cliques))
+    rows.append(_certify("mcc-unary", x.mcc_unary_ensemble_gadget, cliques))
+    rows.append(_certify("mcc-odt-gaxp", x.mcc_odt_gaxp_gadget, [(g, g.k) for g in graphs]))
+    rows.append(_certify("hitting-set", x.hitting_set_gadget, hitting))
+    rows.append(_certify("taut-ds", x.taut_ds_gadget, formulas))
 
-    print(f"{'generator':<14} {'instances':>9} {'yes':>5} {'avg size':>9} {'seconds':>8}")
+    print(f"{'generator':<14} {'instances':>9} {'yes':>5} {'avg size':>9} {'seconds':>8}"
+          f" {'B/node':>7}")
     for row in rows:
+        per_node = "-" if row["bytes_per_node"] is None else row["bytes_per_node"]
         print(
             f"{row['generator']:<14} {row['instances']:>9} {row['yes']:>5}"
-            f" {row['avg_size']:>9} {row['seconds']:>8}"
+            f" {row['avg_size']:>9} {row['seconds']:>8} {per_node:>7}"
         )
     print("all truths certified")
 

@@ -107,7 +107,8 @@ MUTANTS = [
            "            raise ModelError(message)\n",
            ("tests/test_core.py::test_wrong_model_raises_model_error",)),
     Mutant("feature-index-truncated", _CORE,
-           "    order = check_ints(tuple(order), 0, n, message)\n", "    order = tuple(order)\n",
+           "    order = check_ints(as_tuple(order, message), 0, n, message)\n",
+           "    order = as_tuple(order, message)\n",
            ("tests/test_core.py::test_wrong_model_raises_model_error",)),
     Mutant("partial-feature-truncated", _CORE,
            "        check_ints(tuple(assign), 0, len(self.universe), _FEATURE)\n", "",
@@ -308,6 +309,18 @@ MUTANTS = [
     Mutant("trie-accepts-where-no-row-agrees", _GADGETS,
            "nodes.append(accept if live else reject)", "nodes.append(accept)",
            ("tests/test_gadgets.py::TestOdtFromExamples::test_membership_semantics",)),
+    # the builders share their index ints, leaves and scaffold names
+    # across arenas
+    Mutant("trie-fresh-index-ints", _GADGETS,
+           "        built.append(_last(nodes))\n", "        built.append(len(nodes) - 1)\n",
+           ("tests/test_gadgets.py::TestSetModel::test_tries_share_index_ints_and_leaves",)),
+    Mutant("replay-fresh-index-ints", _GADGETS,
+           "Split(node.feature, ix[node.lo + base], ix[node.hi + base])",
+           "Split(node.feature, node.lo + base, node.hi + base)",
+           ("tests/test_gadgets.py::TestMccOdt::test_arenas_share_index_ints_names_and_leaves",)),
+    Mutant("scaffold-names-per-instance", _GADGETS,
+           "    names = _SCAFFOLD_NAMES.get(k)\n", "    names = None\n",
+           ("tests/test_gadgets.py::TestMccOdt::test_arenas_share_index_ints_names_and_leaves",)),
     Mutant("trie-depth-off-by-one", _GADGETS,
            "while live and d < len(seq):", "while live and d < len(seq) - 1:",
            ("tests/test_gadgets.py::TestOdtFromExamples::test_single_all_zero_row",)),
@@ -316,8 +329,8 @@ MUTANTS = [
            ("tests/test_gadgets.py::TestMccOdt::test_tree_matches_the_block_semantics",)),
     # the ordered-tree clique gadget replays each block built once
     Mutant("replayed-block-shifted-one-too-far", _GADGETS,
-           "Split(node.feature, node.lo + base, node.hi + base)",
-           "Split(node.feature, node.lo + base + 1, node.hi + base + 1)",
+           "Split(node.feature, ix[node.lo + base], ix[node.hi + base])",
+           "Split(node.feature, ix[node.lo + base + 1], ix[node.hi + base + 1])",
            ("tests/test_gadgets.py::TestMccOdt::test_tree_matches_the_block_semantics",)),
     # the clique ensembles' all-zero vote check asserts the exact count of
     # each construction, not only that the vote rejects the example

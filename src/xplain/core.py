@@ -131,6 +131,15 @@ def check_ints(values: tuple, lo, hi, message: str) -> tuple:
     return values
 
 
+def as_tuple(values, message: str) -> tuple:
+    """``values`` as a tuple, when it is iterable; ModelError with
+    ``message`` otherwise (``None`` or an int is no sequence)."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ModelError(message) from None
+
+
 # the columns a family's ``table`` reads: a list indexed by feature, or a mapping
 Columns = Union[Sequence[int], Mapping[int, int]]
 
@@ -142,7 +151,7 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")  # bit bytes to binary digits
 def permutation(order: Iterable, n: int, message: str) -> tuple[int, ...]:
     """``order`` as a tuple, when it is a permutation of range(n) by the
     integer rule; ModelError with ``message`` otherwise."""
-    order = check_ints(tuple(order), 0, n, message)
+    order = check_ints(as_tuple(order, message), 0, n, message)
     if sorted(order) != list(range(n)):
         raise ModelError(message)
     return order

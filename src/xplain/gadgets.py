@@ -35,11 +35,26 @@ check, counted per distinct element object, and the instance.
 
 Generated universes are laid out in the declared feature order, so the order
 tag of every emitted tree is the identity permutation.
+
+The builders share the immutable parts of their arenas.  A leaf is one of
+``core._LEAVES``.  Every child index that ``_trie`` or the ordered-tree
+gadget stores comes from ``_INDEX``, one int object per value, so equal
+indices of two arenas are one object; the gadget's scaffold features and
+order tag come from it too.  The gadget's ``aux.*`` names come from
+``_SCAFFOLD_NAMES``, one tuple per k.  Both caches live as long as the
+process.  The table grows on demand, never past twice the largest index
+asked for; the memo holds at most ``MCC_ODT_MAX_K - 1`` entries.  At
+k = 10 (one vertex a colour: 296 959 nodes, 65 545 features) the table
+retains 10.7 MB and the memo 4.6 MB, against 18.6 MB for the instance
+itself (``tracemalloc``, Python 3.11); a 4-colour arena of 3391 nodes
+then holds 43-57 B live a node on Python 3.10 to 3.13, against 87-89 B
+with an int of its own per index.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Collection, Optional, Sequence, Union
@@ -58,7 +73,9 @@ from .core import (
     ModelError,
     PartialExample,
     Split,
+    _LEAVES,
     _model_universe,
+    as_tuple,
     check_int,
     check_ints,
     check_universe,
@@ -197,6 +214,30 @@ def global_budget_search_dt(
 # ordered-tree builders
 # ---------------------------------------------------------------------------
 
+# _INDEX[i] is i: the one int object that every gadget arena stores for
+# child index i.  It starts empty, and ``_indices`` grows it on demand,
+# under a lock: two threads that both read its old length would append
+# the same values twice.
+_INDEX: list[int] = []
+_INDEX_GROWTH = threading.Lock()
+
+
+def _indices(n: int) -> list[int]:
+    """The shared index table, grown to hold at least ``range(n)``.  It
+    grows to ``max(n, 2 * len(_INDEX))``, so never past twice the largest
+    index requested (or one entry, for index 0)."""
+    if len(_INDEX) < n:
+        with _INDEX_GROWTH:
+            if len(_INDEX) < n:
+                _INDEX.extend(range(len(_INDEX), max(n, 2 * len(_INDEX))))
+    return _INDEX
+
+
+def _last(nodes: list) -> int:
+    """The shared int of the last index of ``nodes``."""
+    i = len(nodes) - 1
+    return _INDEX[i] if i < len(_INDEX) else _indices(i + 1)[i]
+
 
 def _trie(
     nodes: list, seq: Sequence[int], rows: Sequence[Collection[int]], accept: Leaf, reject: Leaf,
@@ -207,7 +248,8 @@ def _trie(
     tree ends in ``reject``, at the end of ``seq`` in ``accept``.
 
     The tree is emitted in normal form, post-order with the 0-child first,
-    child indices counted in ``nodes``.  That is the arena ``core.graft_dt``
+    child indices counted in ``nodes`` and taken from the shared table
+    (``_last``).  That is the arena ``core.graft_dt``
     gives for the majority of one chain per row and a constant-1 ballot of
     ``len(rows) - 1`` votes, its leaves labelled ``accept`` and ``reject``.
     The walk keeps an explicit stack, so a long ``seq`` does not exhaust
@@ -229,7 +271,7 @@ def _trie(
                 live = [r for r in live if f not in r]
                 d += 1
             nodes.append(accept if live else reject)
-        built.append(len(nodes) - 1)
+        built.append(_last(nodes))
     return built.pop()
 
 
@@ -250,6 +292,7 @@ def odt_from_examples(
     """
     order = permutation(order, len(check_universe(u)),
                         "order must be a permutation of the universe")
+    rows = as_tuple(rows, "rows must be a sequence of partial examples")
     for row in rows:
         if not isinstance(row, PartialExample) or row.universe != u:
             raise ModelError(f"not a partial example over the universe: {row!r}")
@@ -262,7 +305,7 @@ def odt_from_examples(
     seq = [f for f in order if f in domain]
     ones = [{f for f, b in row.assignments if b} for row in rows]
     nodes: list = []
-    root = _trie(nodes, seq, ones, Leaf(1), Leaf(0))
+    root = _trie(nodes, seq, ones, _LEAVES[1], _LEAVES[0])
     return DecisionTree(u, tuple(nodes), root, order)
 
 
@@ -285,7 +328,7 @@ def set_model_odt(fam: SetFamily, c: int, order: Sequence[int]) -> DecisionTree:
     order = permutation(order, len(fam.universe), "order must be a permutation of the universe")
     seq = [f for f in order if f in fam.domain]
     nodes: list = []
-    root = _trie(nodes, seq, fam.sets, Leaf(c), Leaf(1 - c))
+    root = _trie(nodes, seq, fam.sets, _LEAVES[c], _LEAVES[1 - c])
     return DecisionTree(fam.universe, tuple(nodes), root, order)
 
 
@@ -312,7 +355,7 @@ def subset_model_rules(
 
 def _constant_model(u: FeatureUniverse, bit: int, family: str, order: Sequence[int]):
     if family == "odt":
-        return DecisionTree(u, (Leaf(bit),), 0, tuple(order))
+        return DecisionTree(u, (_LEAVES[bit],), 0, tuple(order))
     if family == "ds":
         return DecisionSet(u, (), bit)
     if family == "dl":
@@ -512,6 +555,24 @@ def mcc_unary_ensemble_gadget(
 
 MCC_ODT_MAX_K = 10  # most colour classes: the scaffold has 2**k copies
 
+# k -> the scaffold's feature names for k colours, made once per k
+_SCAFFOLD_NAMES: dict[int, tuple[str, ...]] = {}
+
+
+def _scaffold_names(k: int, depth_low: int) -> tuple[str, ...]:
+    """The auxiliary feature names of the k-colour scaffold: the upper
+    scaffold's level by level, then each copy's lower scaffold's over
+    ``depth_low`` levels (a function of k).  Made once per k, so equal
+    names of two instances are one string object."""
+    names = _SCAFFOLD_NAMES.get(k)
+    if names is None:
+        names = _SCAFFOLD_NAMES[k] = (
+            *(f"aux.u.{level}.{pos}" for level in range(k) for pos in range(1 << level)),
+            *(f"aux.d.{copy}.{level}.{pos}" for copy in range(1 << k)
+              for level in range(depth_low) for pos in range(1 << level)),
+        )
+    return names
+
 
 def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
     """Single ordered tree whose class-0 global abductive explanations of
@@ -537,7 +598,9 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
     of colour i, then v's colour-j neighbours.
     Every copy holds the same blocks, so each block is built once per
     graph, as an arena of its own in post-order, and replayed into each
-    copy with its child indices shifted to where it lands.  The leaf-count
+    copy with its child indices shifted to where it lands.  The arena's
+    size is known once the blocks are, so the shared index table is grown
+    once, to it, before the first node is emitted.  The leaf-count
     bound and the order hold by construction and are tested, not asserted
     here.
     """
@@ -551,19 +614,13 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
     block_count = k * (k - 1) // 2 + k
     depth_low = math.ceil(math.log2(block_count))
     copies = 1 << k
-    # universe: scaffold features first (level by level), then per-copy
-    # lower-scaffold features, then vertex features in colour-block order
-    names: list[str] = []
-    for level in range(k):
-        names.extend(f"aux.u.{level}.{pos}" for pos in range(1 << level))
-    for copy in range(copies):
-        for level in range(depth_low):
-            names.extend(f"aux.d.{copy}.{level}.{pos}" for pos in range(1 << level))
+    # universe: scaffold features first, then vertex features in
+    # colour-block order
+    names = [*_scaffold_names(k, depth_low)]
     vertex_offset = len(names)
     for ci, cls in enumerate(g.classes):
         names.extend(f"v.{ci}.{vi}" for vi in range(len(cls)))
     u = FeatureUniverse(tuple(names))
-    order = tuple(range(len(u)))
     colours: list[range] = []  # per colour: its vertex features, ascending
     pos = vertex_offset
     for cls in g.classes:
@@ -576,7 +633,7 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
         neighbours[y].append(feature_of[x])
     pairs = list(combinations(range(k), 2))
 
-    zero, one = Leaf(0), Leaf(1)  # leaves are immutable: shared in the arena
+    zero, one = _LEAVES
 
     def block(b: int) -> list:
         """Block b as an arena of its own, child indices counted from its
@@ -594,25 +651,34 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
             nbr = sorted(f for f in neighbours[v] if f in colours[j])
             found = _trie(out, [*members[d + 1:], *nbr], ((),), one, zero)
             out.append(Split(members[d], scan, found))
-            scan = len(out) - 1
+            scan = _last(out)
         return out
 
     blocks = [block(b) for b in range(block_count)]
+    lower_base = copies - 1
+    lower_size = (1 << depth_low) - 1
+    # the arena: the upper scaffold's splits, then per copy its lower
+    # scaffold's splits, every block and a zero leaf per unused lower leaf;
+    # it also covers every feature (a colour's block has a node per vertex)
+    size = lower_base + copies * (
+        lower_size + sum(map(len, blocks)) + (1 << depth_low) - block_count)
+    ix = _indices(size)
     nodes: list = []
 
     def emit(node) -> int:
         nodes.append(node)
-        return len(nodes) - 1
+        return ix[len(nodes) - 1]
 
     def replay(b: int) -> int:
         """Block b appended to the arena, its child indices shifted to
         where it starts."""
         base = len(nodes)
         nodes.extend(
-            node if type(node) is Leaf else Split(node.feature, node.lo + base, node.hi + base)
+            node if type(node) is Leaf
+            else Split(node.feature, ix[node.lo + base], ix[node.hi + base])
             for node in blocks[b]
         )
-        return len(nodes) - 1
+        return ix[len(nodes) - 1]
 
     def complete(depth: int, first_feature: int, at_leaf) -> int:
         """Complete scaffold of the given depth whose node at (level, pos)
@@ -624,12 +690,9 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
                 return at_leaf(pos)
             lo = build(level + 1, 2 * pos)
             hi = build(level + 1, 2 * pos + 1)
-            return emit(Split(first_feature + (1 << level) - 1 + pos, lo, hi))
+            return emit(Split(ix[first_feature + (1 << level) - 1 + pos], lo, hi))
 
         return build(0, 0)
-
-    lower_base = copies - 1
-    lower_size = (1 << depth_low) - 1
 
     def lower(copy: int) -> int:  # over this copy's private features
         return complete(
@@ -639,6 +702,7 @@ def mcc_odt_gaxp_gadget(g: ColouredGraph, k: int) -> GadgetInstance:
         )
 
     root = complete(k, 0, lower)
+    order = tuple(ix[:len(u)])
     tree = DecisionTree(u, tuple(nodes), root, order)
     return GadgetInstance(
         tree,

@@ -77,6 +77,7 @@ from .core import (
     PartialExample,
     _leaf_paths,
     _model_universe,
+    as_tuple,
     check_int,
     check_ints,
     classify,
@@ -96,9 +97,13 @@ Candidate = Union[frozenset, PartialExample]
 
 
 def flip(e: Example, features: Iterable[int]) -> Example:
-    """Example equal to e except that every listed feature is negated; a
-    feature must be an int below e's length (ModelError otherwise)."""
-    features = check_ints(tuple(features), 0, len(e.bits), "flipped feature outside the universe")
+    """Example equal to e except that every listed feature is negated; e
+    must be an example and ``features`` a sequence of ints below its length
+    (ModelError otherwise)."""
+    if not isinstance(e, Example):
+        raise ModelError(f"flip takes an example, not {type(e).__name__}")
+    message = "flipped feature outside the universe"
+    features = check_ints(as_tuple(features, message), 0, len(e.bits), message)
     bits = list(e.bits)
     for f in features:
         bits[f] = 1 - bits[f]

@@ -423,6 +423,14 @@ _ENTRIES = {
                      id="maj-threshold-tuple"),
         pytest.param(lambda c: x.translate(_TREE2, c), (), id="translate-class-tuple"),
         pytest.param(lambda d: x.DecisionSet(_U2, (), d), (), id="set-default-tuple"),
+        # a sequence argument that is no sequence, and flip's example
+        pytest.param(lambda e: x.flip(e, [0]), None, id="flip-example-none"),
+        pytest.param(lambda f: x.flip(_E2, f), None, id="flip-features-none"),
+        pytest.param(lambda f: x.flip(_E2, f), 5, id="flip-features-int"),
+        pytest.param(lambda r: x.odt_from_examples(_U2, r, (0, 1)), None, id="odt-rows-none"),
+        pytest.param(lambda o: x.odt_from_examples(_U2, [], o), None, id="odt-order-none"),
+        pytest.param(lambda o: x.respects_order(_TREE2, o), None, id="order-none"),
+        pytest.param(lambda o: x.respects_order(_TREE2, o), 5, id="order-int"),
     ],
 )
 def test_wrong_model_raises_model_error(call, model):

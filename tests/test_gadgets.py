@@ -5,6 +5,8 @@ import gc
 import inspect
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from itertools import combinations
 from random import Random
@@ -200,6 +202,20 @@ class TestSetModel:
         for mask in range(4):
             e = x.Example.from_mask(u, mask)
             assert (x.classify(t, e) == 1) == (e.bits[0] == 1)
+
+    def test_tries_share_index_ints_and_leaves(self):
+        # two recognizers over a 200-feature domain (401 nodes each), built
+        # one after the other: past the interpreter's cache of small ints,
+        # only the shared table gives equal indices one int object
+        u = x.FeatureUniverse(tuple(f"f{i}" for i in range(200)))
+        fam = x.SetFamily(u, (frozenset(),), frozenset(range(200)))
+        a, b = (x.set_model_odt(fam, c, range(200)) for c in (1, 0))
+        assert a.root == 400 and a.root is b.root
+        for m, n in zip(a.nodes, b.nodes):
+            if isinstance(m, x.Leaf):
+                assert m is x.core._LEAVES[m.label] and n is x.core._LEAVES[n.label]
+            else:
+                assert m.lo is n.lo and m.hi is n.hi
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -481,16 +497,22 @@ def test_budget_search_agrees_with_oracle(seed):
             assert x.verify(t, kind, c, got)
 
 
+def _four_colours() -> x.ColouredGraph:
+    """Four colours of three vertices, adjacent across colours where their
+    indices differ by at most one: an ordered-tree gadget of 3391 nodes."""
+    classes = tuple(tuple(f"{c}{i}" for i in range(3)) for c in "abcd")
+    edges = tuple((f"{a}{i}", f"{b}{j}") for a, b in combinations("abcd", 2)
+                  for i in range(3) for j in range(3) if abs(i - j) <= 1)
+    return x.ColouredGraph(classes, edges)
+
+
 class TestMccOdt:
-    def test_arena_stays_under_a_hundred_bytes_a_node(self):
-        # four colours of three vertices, adjacent across colours where
-        # their indices differ by at most one: 3391 nodes.  Slotted leaves
-        # and splits hold about 90 B live a node (a split, its arena slot
-        # and index ints), against 108-138 B with an instance dict
-        classes = tuple(tuple(f"{c}{i}" for i in range(3)) for c in "abcd")
-        edges = tuple((f"{a}{i}", f"{b}{j}") for a, b in combinations("abcd", 2)
-                      for i in range(3) for j in range(3) if abs(i - j) <= 1)
-        g = x.ColouredGraph(classes, edges)
+    def test_arena_stays_under_seventy_bytes_a_node(self):
+        # a split and its arena slot: the leaves, child indices and aux
+        # names are shared across arenas, so a node holds 43-57 B live on
+        # 3.10-3.13, against 87-89 B with an int of its own per index and
+        # 108-138 B with an instance dict
+        g = _four_colours()
         x.mcc_odt_gaxp_gadget(g, 4)  # anything built once per process is built
         gc.collect()
         tracemalloc.start()
@@ -501,7 +523,67 @@ class TestMccOdt:
         finally:
             tracemalloc.stop()
         assert len(inst.model.nodes) == 3391
-        assert live < 100 * len(inst.model.nodes)
+        assert live < 70 * len(inst.model.nodes)
+
+    def test_arenas_share_index_ints_names_and_leaves(self):
+        # two gadgets of equal k, built one after the other: each equal
+        # child index is one int object (most are past the interpreter's
+        # cache of small ints), each aux name one str, each leaf a shared one
+        g = _four_colours()
+        a, b = (x.mcc_odt_gaxp_gadget(g, 4).model for _ in range(2))
+        assert a.root == 3390 and a.root is b.root
+        for m, n in zip(a.nodes, b.nodes):
+            if isinstance(m, x.Leaf):
+                assert m is n is x.core._LEAVES[m.label]
+            else:
+                assert m.lo is n.lo and m.hi is n.hi
+        aux = [(p, q) for p, q in zip(a.universe.names, b.universe.names) if p.startswith("aux.")]
+        assert len(aux) == 255 and all(p is q for p, q in aux)
+
+    def test_shared_caches_stay_bounded(self, monkeypatch):
+        """The index table grows on demand, never past twice the largest
+        index asked for, and the name memo holds one entry per k that a
+        gadget was built for."""
+        monkeypatch.setattr(gadgets, "_INDEX", [])
+        monkeypatch.setattr(gadgets, "_SCAFFOLD_NAMES", {})
+        largest = 0
+        for n in (1, 5, 6, 11, 3, 40, 41):
+            largest = max(largest, n - 1)
+            table = gadgets._indices(n)
+            assert table is gadgets._INDEX and table == list(range(len(table)))
+            assert n <= len(table) <= max(1, 2 * largest)
+        monkeypatch.setattr(gadgets, "_INDEX", [])
+        largest = 0
+        for k, n in ((2, 3), (3, 5), (2, 4), (4, 4), (3, 3)):
+            g = random_coloured_graph(Random(n), n, k)
+            nodes = len(x.mcc_odt_gaxp_gadget(g, k).model.nodes)
+            largest = max(largest, nodes - 1)
+            assert nodes <= len(gadgets._INDEX) <= 2 * largest
+        assert sorted(gadgets._SCAFFOLD_NAMES) == [2, 3, 4]
+        big = gadgets.MCC_ODT_MAX_K + 1
+        with pytest.raises(x.ModelError):
+            x.mcc_odt_gaxp_gadget(x.ColouredGraph(tuple((f"v{i}",) for i in range(big)), ()), big)
+        assert sorted(gadgets._SCAFFOLD_NAMES) == [2, 3, 4]
+
+    def test_index_table_grows_once_per_value_across_threads(self, monkeypatch):
+        # threads that grow the table at once, switching as often as the
+        # interpreter lets them, still leave _INDEX[i] == i
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                monkeypatch.setattr(gadgets, "_INDEX", [])
+                threads = [threading.Thread(target=lambda: [gadgets._indices(n)
+                                                            for n in range(1, 3000, 7)])
+                           for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert gadgets._INDEX == list(range(len(gadgets._INDEX)))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_single_edge_pair(self):
         g = x.ColouredGraph((("a", "b"), ("c",)), (("a", "c"),))
